@@ -48,6 +48,18 @@ import (
 	"mlcr/internal/pool"
 )
 
+// Listener limits. Requests are small JSON bodies and responses are
+// computed in microseconds, so a client that is slow to send headers
+// or a body, or that parks an idle keep-alive connection, is cut off
+// instead of holding a connection forever. No write timeout:
+// /debug/pprof/profile streams for as long as its caller asks.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	mode := flag.String("mode", "sim", "serving mode: sim (deterministic single platform) or gateway (concurrent sharded pool)")
@@ -136,7 +148,14 @@ func main() {
 	// in-flight requests (bounded), then flushes artifacts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

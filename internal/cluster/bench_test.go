@@ -81,6 +81,7 @@ func BenchmarkClusterRun(b *testing.B) {
 		NewScheduler:   func(int) platform.Scheduler { return policy.NewGreedyMatch() },
 	}
 	b.ReportAllocs()
+	b.ResetTimer() // the trace build is several laps long
 	for i := 0; i < b.N; i++ {
 		res := Run(cfg, w)
 		served := 0

@@ -176,6 +176,12 @@ func Run(cfg Config, w workload.Workload) Result {
 	if err != nil {
 		panic(err)
 	}
+	// The catalogue is validated here, once per run. Workers receive
+	// their partition only, which platform.Run validates, so a worker
+	// costs what its share of the trace costs, not workers × catalogue.
+	if err := (workload.Workload{Name: w.Name, Functions: w.Functions}).Validate(); err != nil {
+		panic("cluster: " + err.Error())
+	}
 	prof := cfg.Prof
 	if prof == nil {
 		prof = cfg.Obs.Profiler()
@@ -191,7 +197,7 @@ func Run(cfg Config, w workload.Workload) Result {
 			ev = cfg.NewEvictor(i)
 		}
 		p := platform.New(platform.Config{PoolCapacityMB: perPool, Evictor: ev}, cfg.NewScheduler(i))
-		sub := workload.Workload{Name: fmt.Sprintf("%s/w%d", w.Name, i), Functions: w.Functions, Invocations: parts[i]}
+		sub := workload.Workload{Name: fmt.Sprintf("%s/w%d", w.Name, i), Invocations: parts[i]}
 		return p.Run(sub)
 	})
 	return res

@@ -135,6 +135,54 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestWorkloadValidation: the catalogue is checked once by Run itself,
+// referenced or not; arrival order and nil functions are checked per
+// partition by the worker that replays it, and runner.Map re-raises
+// that worker's panic.
+func TestWorkloadValidation(t *testing.T) {
+	fns := fstartbench.Functions()
+	inv := func(fn *workload.Function, at time.Duration) workload.Invocation {
+		return workload.Invocation{Fn: fn, Arrival: at, Exec: time.Second}
+	}
+	noID, noMem := *fns[1], *fns[2]
+	noID.ID, noMem.MemoryMB = 0, 0
+	ok := []workload.Invocation{inv(fns[0], 0), inv(fns[0], time.Second)}
+	for name, c := range map[string]struct {
+		w    workload.Workload
+		want string
+	}{
+		"unreferenced function without ID": {
+			workload.Workload{Name: "bad", Functions: []*workload.Function{fns[0], &noID}, Invocations: ok},
+			`cluster: workload "bad": function "` + noID.Name + `": ID must be positive, got 0`,
+		},
+		"unreferenced function without memory": {
+			workload.Workload{Name: "bad", Functions: []*workload.Function{fns[0], &noMem}, Invocations: ok},
+			`cluster: workload "bad": function "` + noMem.Name + `": MemoryMB must be positive, got 0`,
+		},
+		// Round-robin over two workers: worker 0 replays stream
+		// positions 0 and 2, worker 1 position 1.
+		"partition arrivals go backwards": {
+			workload.Workload{Name: "bad", Functions: fns, Invocations: []workload.Invocation{
+				inv(fns[0], 2*time.Second), inv(fns[0], 2*time.Second), inv(fns[0], time.Second)}},
+			`platform: workload "bad/w0": invocation 1 arrives at 1s before invocation 0 at 2s`,
+		},
+		"nil function": {
+			workload.Workload{Name: "bad", Functions: fns, Invocations: []workload.Invocation{
+				inv(fns[0], 0), inv(nil, time.Second)}},
+			`platform: workload "bad/w1": invocation 0 has nil function`,
+		},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s: panic %q, want %q", name, got, c.want)
+				}
+			}()
+			Run(mkCfg(2, RoundRobin, 4096), c.w)
+		}()
+	}
+}
+
 func TestLoadEstimator(t *testing.T) {
 	cases := []struct {
 		name           string

@@ -37,9 +37,11 @@ type Collector struct {
 	count   int
 	cold    int
 	byLevel [4]int
-	// startup holds the startup-latency distribution in nanoseconds.
-	// Lazily allocated on first Record so an empty Collector stays
-	// a few words; ~15 KiB once live.
+	// startup holds the startup-latency distribution in nanoseconds,
+	// ~15 KiB once live. While it is nil every recorded sample is in
+	// samples: a retaining Collector builds it on the first quantile
+	// read (see hdr), so runs nobody asks a quantile of — a cluster's
+	// thousand workers, ~100 samples each — never pay for it.
 	startup *perf.HDR
 	// noRetain inverts "retain samples" so the zero Collector keeps
 	// its historical retaining behavior.
@@ -48,15 +50,16 @@ type Collector struct {
 
 // Record adds one invocation outcome.
 func (c *Collector) Record(s Sample) {
-	if !c.noRetain {
+	if c.noRetain {
+		c.hdr().RecordDuration(s.Startup)
+	} else {
 		c.samples = append(c.samples, s)
+		if c.startup != nil {
+			c.startup.RecordDuration(s.Startup)
+		}
 	}
 	c.count++
 	c.total += s.Startup
-	if c.startup == nil {
-		c.startup = &perf.HDR{}
-	}
-	c.startup.RecordDuration(s.Startup)
 	if s.Cold {
 		c.cold++
 	}
@@ -94,15 +97,32 @@ func (c *Collector) Count() int { return c.count }
 // O(1) memory at any run length, ≤3.1% relative error (see
 // internal/obs/perf). Returns 0 before any Record.
 func (c *Collector) StartupQuantile(q float64) time.Duration {
-	if c.startup == nil {
+	if c.count == 0 {
 		return 0
 	}
-	return time.Duration(c.startup.Quantile(q))
+	return time.Duration(c.hdr().Quantile(q))
 }
 
 // StartupHDR exposes the live startup-latency histogram (nil before
 // any Record), for merging into cross-run aggregates.
-func (c *Collector) StartupHDR() *perf.HDR { return c.startup }
+func (c *Collector) StartupHDR() *perf.HDR {
+	if c.count == 0 {
+		return nil
+	}
+	return c.hdr()
+}
+
+// hdr returns the startup histogram, first building it from the
+// retained samples if it does not exist yet.
+func (c *Collector) hdr() *perf.HDR {
+	if c.startup == nil {
+		c.startup = &perf.HDR{}
+		for i := range c.samples {
+			c.startup.RecordDuration(c.samples[i].Startup)
+		}
+	}
+	return c.startup
+}
 
 // TotalStartup returns the summed startup latency (Fig 8a, Fig 11).
 func (c *Collector) TotalStartup() time.Duration { return c.total }

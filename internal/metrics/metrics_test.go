@@ -179,8 +179,14 @@ func TestCollectorStartupQuantile(t *testing.T) {
 			t.Errorf("StartupQuantile(%v) = %v exceeds exact %v by more than the bucket bound", p, got, exact)
 		}
 	}
+	// The histogram is built from the retained samples on the first
+	// read above and must keep up with every Record after it.
+	c.Record(Sample{Seq: 4000, Startup: time.Hour})
 	if c.StartupHDR().Count() != int64(c.Count()) {
 		t.Fatalf("HDR count %d != collector count %d", c.StartupHDR().Count(), c.Count())
+	}
+	if got := c.StartupQuantile(1); got < time.Hour {
+		t.Fatalf("max %v misses the sample recorded after the first read", got)
 	}
 }
 
@@ -202,6 +208,9 @@ func TestCollectorRetentionToggle(t *testing.T) {
 	}
 	if got := c.StartupQuantile(0.5); got < time.Millisecond || got > 2*time.Millisecond {
 		t.Fatalf("median %v, want ~1ms", got)
+	}
+	if got := c.StartupQuantile(1); got < time.Second {
+		t.Fatalf("max %v misses the sample retained before the toggle", got)
 	}
 	c.Reserve(1 << 20) // must not allocate in no-retain mode
 	if cap(c.Samples()) >= 1<<20 {

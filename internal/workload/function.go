@@ -46,8 +46,10 @@ type Function struct {
 	MemoryMB float64
 }
 
-// Validate reports configuration errors in a function spec.
-func (f Function) Validate() error {
+// Validate reports configuration errors in a function spec. The
+// pointer receiver keeps a catalogue-wide sweep from copying every
+// spec.
+func (f *Function) Validate() error {
 	if f.ID <= 0 {
 		return fmt.Errorf("function %q: ID must be positive, got %d", f.Name, f.ID)
 	}
@@ -57,18 +59,23 @@ func (f Function) Validate() error {
 	if f.MemoryMB <= 0 {
 		return fmt.Errorf("function %q: MemoryMB must be positive, got %v", f.Name, f.MemoryMB)
 	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"Create", f.Create}, {"Clean", f.Clean}, {"RuntimeInit", f.RuntimeInit},
-		{"FunctionInit", f.FunctionInit}, {"Exec", f.Exec},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("function %q: %s must be non-negative, got %v", f.Name, d.name, d.v)
-		}
+	switch {
+	case f.Create < 0:
+		return f.negative("Create", f.Create)
+	case f.Clean < 0:
+		return f.negative("Clean", f.Clean)
+	case f.RuntimeInit < 0:
+		return f.negative("RuntimeInit", f.RuntimeInit)
+	case f.FunctionInit < 0:
+		return f.negative("FunctionInit", f.FunctionInit)
+	case f.Exec < 0:
+		return f.negative("Exec", f.Exec)
 	}
 	return nil
+}
+
+func (f *Function) negative(field string, d time.Duration) error {
+	return fmt.Errorf("function %q: %s must be non-negative, got %v", f.Name, field, d)
 }
 
 // ColdStartTime returns the full cold-start latency of the function:

@@ -24,30 +24,39 @@ func testFn(id int, name, os string) *Function {
 	}
 }
 
+// TestFunctionValidate pins every error string: api.New, api.NewGateway
+// and trace.Read wrap them into what their callers see.
 func TestFunctionValidate(t *testing.T) {
-	f := testFn(1, "a", "alpine")
-	if err := f.Validate(); err != nil {
+	if err := testFn(1, "a", "alpine").Validate(); err != nil {
 		t.Fatalf("valid function rejected: %v", err)
 	}
-	bad := *f
-	bad.ID = 0
-	if bad.Validate() == nil {
-		t.Error("zero ID accepted")
+	for _, c := range []struct {
+		mutate func(f *Function)
+		want   string
+	}{
+		{func(f *Function) { f.ID = 0 }, `function "a": ID must be positive, got 0`},
+		{func(f *Function) { f.ID = -3 }, `function "a": ID must be positive, got -3`},
+		{func(f *Function) { f.Image = image.NewImage("x") }, `function "a": image has no OS-level package`},
+		{func(f *Function) { f.MemoryMB = 0 }, `function "a": MemoryMB must be positive, got 0`},
+		{func(f *Function) { f.MemoryMB = -1.5 }, `function "a": MemoryMB must be positive, got -1.5`},
+		{func(f *Function) { f.Create = -time.Millisecond }, `function "a": Create must be non-negative, got -1ms`},
+		{func(f *Function) { f.Clean = -time.Second }, `function "a": Clean must be non-negative, got -1s`},
+		{func(f *Function) { f.RuntimeInit = -1 }, `function "a": RuntimeInit must be non-negative, got -1ns`},
+		{func(f *Function) { f.FunctionInit = -time.Minute }, `function "a": FunctionInit must be non-negative, got -1m0s`},
+		{func(f *Function) { f.Exec = -time.Second }, `function "a": Exec must be non-negative, got -1s`},
+		// Checks run in declaration order; the first failure is reported.
+		{func(f *Function) { f.ID, f.MemoryMB, f.Exec = 0, 0, -1 }, `function "a": ID must be positive, got 0`},
+		{func(f *Function) { f.Clean, f.Create = -1, -2 }, `function "a": Create must be non-negative, got -2ns`},
+	} {
+		f := testFn(1, "a", "alpine")
+		c.mutate(f)
+		if err := f.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate() = %v, want %q", err, c.want)
+		}
 	}
-	bad = *f
-	bad.MemoryMB = -1
-	if bad.Validate() == nil {
-		t.Error("negative memory accepted")
-	}
-	bad = *f
-	bad.Exec = -time.Second
-	if bad.Validate() == nil {
-		t.Error("negative exec accepted")
-	}
-	noOS := *f
-	noOS.Image = image.NewImage("x")
-	if noOS.Validate() == nil {
-		t.Error("image without OS accepted")
+	w := Workload{Name: "w", Functions: []*Function{testFn(1, "a", "alpine"), testFn(0, "b", "alpine")}}
+	if err, want := w.Validate(), `workload "w": function "b": ID must be positive, got 0`; err == nil || err.Error() != want {
+		t.Errorf("Workload.Validate() = %v, want %q", err, want)
 	}
 }
 

@@ -44,6 +44,9 @@ go run -race ./cmd/mlcr-load -n 4000 -c 8 -engine both > /dev/null
 echo "== BenchmarkSimCore smoke (1 invocation) =="
 go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
 
+echo "== repository benchmark smoke (bench/ is its own module: per-lap fingerprint and exact-count output checks) =="
+(cd bench && GOFLAGS=-mod=readonly GOWORK=off go test .)
+
 echo "== bench-regression gate (BENCH_all.json schema + quick thresholds) =="
 if [ -f BENCH_all.json ]; then
     go run ./cmd/mlcr-perf -validate BENCH_all.json
