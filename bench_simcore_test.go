@@ -2,6 +2,7 @@ package mlcr_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mlcr/internal/platform"
@@ -91,4 +92,32 @@ func BenchmarkSimCore(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inv/s")
 	b.ReportMetric(100*float64(res.ContainersCreated)/float64(b.N), "cold-%")
+}
+
+// TestSimCoreAllocsPerInvocation pins what the simulator core allocates
+// per extra invocation: it replays the first n and then all 2n
+// invocations of one trace (same catalog, so set-up cancels) and takes
+// the difference in heap objects. What is left is cold-started
+// containers and amortized buffer growth, well under one object per
+// invocation; an allocation on every arrival adds a whole one.
+func TestSimCoreAllocsPerInvocation(t *testing.T) {
+	const n = 20000
+	w := simCoreWorkload(2 * n)
+	mallocs := func(count int) uint64 {
+		part := w
+		part.Invocations = w.Invocations[:count]
+		p := platform.New(platform.Config{PoolCapacityMB: simCorePoolMB}, &simCoreSched{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := p.Run(part)
+		runtime.ReadMemStats(&after)
+		if got := res.Metrics.Count(); got != count {
+			t.Fatalf("simulated %d invocations, want %d", got, count)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := mallocs(n), mallocs(2*n)
+	if marginal := (float64(large) - float64(small)) / n; marginal > 0.5 {
+		t.Fatalf("%.2f allocations per extra invocation (%d for %d, %d for %d), want <= 0.5", marginal, small, n, large, 2*n)
+	}
 }

@@ -19,6 +19,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -48,13 +49,6 @@ type Config struct {
 	// since construction — the production default. Tests inject a
 	// virtual clock to drive timestamp-free requests deterministically.
 	Clock perf.Clock
-	// NewObserver builds the observability bundle on every reset; nil
-	// means the full obs.NewObserver (trace recorder + metrics registry
-	// + scheduler audit log). Load drives inject a metrics-only
-	// observer: the recorder and audit grow with every invocation, and
-	// a million-request measurement must not pay for — or be skewed
-	// by — an unbounded event log it never reads.
-	NewObserver func() *obs.Observer
 }
 
 // WallClock returns the production Clock: monotonic wall time since the
@@ -127,11 +121,7 @@ func (s *Server) resetLocked() {
 	if s.cfg.NewEvictor != nil {
 		ev = s.cfg.NewEvictor()
 	}
-	if s.cfg.NewObserver != nil {
-		s.obs = s.cfg.NewObserver()
-	} else {
-		s.obs = obs.NewObserver()
-	}
+	s.obs = obs.NewObserver()
 	s.epoch = s.clock()
 	// The phase profiler observes the same injected clock as request
 	// arrival, offset to the last reset — wall time in production (the
@@ -181,10 +171,32 @@ type InvokeResponse struct {
 	VirtualTimeMS int64 `json:"virtual_time_ms"`
 }
 
+// maxInvokeBody caps a POST /invoke body. A well-formed InvokeRequest
+// is under 100 bytes; the cap only bounds what a misbehaving client can
+// make the decoder read.
+const maxInvokeBody = 64 << 10
+
+// decodeInvoke reads a POST /invoke body of at most maxInvokeBody bytes
+// into req, shared between Server and Gateway. On failure it has
+// answered 413 (body over the cap) or 400 (malformed JSON) and returns
+// false.
+func decodeInvoke(w http.ResponseWriter, r *http.Request, req *InvokeRequest) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", tooLarge.Limit)
+	} else {
+		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	var req InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	if !decodeInvoke(w, r, &req) {
 		return
 	}
 	fn, ok := s.byID[req.FnID]
@@ -226,31 +238,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	out.Breakdown.FnInitMS = res.Startup.FunctionInit.Milliseconds()
 	out.VirtualTimeMS = int64(s.plat.Now() / time.Millisecond)
 	writeJSON(w, http.StatusOK, out)
-}
-
-// DoInvoke is the in-process invocation path (bypassing HTTP): schedule
-// fn at virtual time at with execution time exec (<= 0 means the
-// function's mean). Unlike the HTTP handler, which rejects time travel
-// with a 409, DoInvoke clamps at forward to the platform's virtual time
-// so concurrent in-process drivers (cmd/mlcr-load) need not coordinate
-// arrival order. Returns the startup cost of the decision.
-func (s *Server) DoInvoke(fnID int, at, exec time.Duration) (time.Duration, error) {
-	fn, ok := s.byID[fnID]
-	if !ok {
-		return 0, fmt.Errorf("api: unknown function %d", fnID)
-	}
-	if exec <= 0 {
-		exec = fn.Exec
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now := s.plat.Now(); at < now {
-		at = now
-	}
-	inv := &workload.Invocation{Seq: s.seq, Fn: fn, Arrival: at, Exec: exec}
-	s.seq++
-	res := s.plat.Invoke(inv)
-	return res.Startup.Total(), nil
 }
 
 // WriteMetricsText writes the metrics registry in Prometheus text

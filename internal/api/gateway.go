@@ -18,12 +18,11 @@
 // drains it. Fingerprint determinism does NOT extend to the gateway —
 // concurrent arrival interleaving is inherently racy — but every
 // container still moves through the same lifecycle invariants, and
-// throughput/latency SLOs are gated by the serve perfbench tier
-// (DESIGN.md §15).
+// throughput and latency are measured by bench/'s http_warm and
+// http_churn workloads (DESIGN.md §15).
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -553,8 +552,7 @@ func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, erro
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	var req InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	if !decodeInvoke(w, r, &req) {
 		return
 	}
 	at := time.Duration(-1)

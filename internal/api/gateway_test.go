@@ -291,6 +291,36 @@ func TestGatewayInvokeHTTPShape(t *testing.T) {
 	}
 }
 
+// TestInvokeBodyLimit: both POST /invoke handlers stop reading at
+// maxInvokeBody and answer 413, while malformed JSON under the cap
+// stays a 400 and a padded body under the cap is served.
+func TestInvokeBodyLimit(t *testing.T) {
+	s, err := New(Config{
+		Functions:    testFunctions(),
+		NewScheduler: func() platform.Scheduler { return policy.NewGreedyMatch() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(n int) string { return `{"fn_id":1,"pad":"` + strings.Repeat("x", n) + `"}` }
+	for name, h := range map[string]http.Handler{"Server": s, "Gateway": testGateway(t, GatewayConfig{})} {
+		for _, tc := range []struct {
+			what, body string
+			want       int
+		}{
+			{"1 MiB body", padded(1 << 20), http.StatusRequestEntityTooLarge},
+			{"malformed body", "{", http.StatusBadRequest},
+			{"padded body under the cap", padded(maxInvokeBody / 2), http.StatusOK},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Errorf("%s, %s: status %d, want %d", name, tc.what, rec.Code, tc.want)
+			}
+		}
+	}
+}
+
 // TestGatewayResetClearsState: reset swaps in a fresh generation.
 func TestGatewayResetClearsState(t *testing.T) {
 	var vc vclock

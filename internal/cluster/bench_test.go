@@ -14,9 +14,9 @@ import (
 // azureTrace builds the n-invocation Azure-derived scale trace: the
 // 13-function FStartBench catalog cloned (re-numbered IDs) until
 // workload.AzureMix's power-law invocation counts cover n, truncated
-// to exactly n — the same recipe as perfbench's simcore trace, so
-// routing throughput here is comparable to simulator-core throughput
-// there. Seeded, fully deterministic.
+// to exactly n — the same recipe as BenchmarkSimCore's trace (root
+// package), so routing throughput here is comparable to
+// simulator-core throughput there. Seeded, fully deterministic.
 func azureTrace(n int) workload.Workload {
 	fnsPer := len(fstartbench.Functions())
 	clones := n/(fnsPer*7) + 1

@@ -206,8 +206,9 @@ func Run(cfg Config, w workload.Workload) Result {
 // Route runs only the front-end of a cluster run — router resolution,
 // the sharded decision loop, and the counting-pre-pass partition —
 // and returns the per-worker routed counts. It is the measurement
-// surface for routing-throughput benchmarks (perfbench's cluster tier,
-// BenchmarkClusterRoute): same code path as Run, no worker simulation.
+// surface for routing throughput (BenchmarkClusterRoute and bench/'s
+// cluster.route_ns_per_inv): same code path as Run, no worker
+// simulation.
 func Route(name string, cfg RouterConfig, w workload.Workload, parallelism int, prof *perf.Profiler) []int {
 	r := MustNewRouter(name, cfg)
 	targets := routeTargets(r, w, cfg.Workers, parallelism, prof)

@@ -33,7 +33,7 @@ import (
 //
 // Route must be allocation-free in steady state: the route path is a
 // per-invocation hot loop at cluster scale (see the 0-alloc assertion
-// in router_test.go and the cluster perfbench tier).
+// in router_test.go).
 type Router interface {
 	// Name is the registry name the router was built under.
 	Name() string

@@ -43,7 +43,7 @@ func init() { HotAlloc.Run = runHotAlloc }
 // hotRoots declares the hot-path entry points: the functions the
 // obs/perf phase brackets time (DESIGN.md §11). methodOnly
 // distinguishes cluster's Router.Route methods from the package-level
-// cluster.Route harness function.
+// cluster.Route function.
 var hotRoots = []struct {
 	pkg, name  string
 	methodOnly bool

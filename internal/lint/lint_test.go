@@ -176,7 +176,7 @@ func TestNewImageScope(t *testing.T) {
 // paths outside the deterministic set: nothing may be reported even
 // though the files are riddled with time.Now.
 func TestOutOfScopeIgnored(t *testing.T) {
-	for _, as := range []string{"mlcr/internal/perfbench", "mlcr/cmd/mlcr-sim", "mlcr/examples/demo"} {
+	for _, as := range []string{"mlcr/internal/lint", "mlcr/cmd/mlcr-sim", "mlcr/examples/demo"} {
 		pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir("walltime"), as)
 		if err != nil {
 			t.Fatalf("loading fixture as %s: %v", as, err)
@@ -241,7 +241,7 @@ func TestIsDeterministic(t *testing.T) {
 		"mlcr/internal/obs":         true,
 		"mlcr/internal/obs/perf":    true,
 		"mlcr/internal/api":         true,
-		"mlcr/internal/perfbench":   false,
+		"mlcr/internal/lint":        false,
 		"mlcr/cmd/mlcr-sim":         false,
 		"mlcr":                      false,
 		"fmt":                       false,

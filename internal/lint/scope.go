@@ -7,14 +7,12 @@ import "strings"
 // bit-identical run to run and at any -parallel value (the property
 // runner.Fingerprint and the experiments determinism tests verify
 // after the fact, and the walltime/detrand/maprange analyzers enforce
-// at the source level). One internal package is excluded: perfbench,
-// the benchmark harness whose entire job is measuring real elapsed
-// time. api is in scope since the injected-Clock refactor: every time
-// observation flows through perf.Clock, and the single production
-// wall-clock origin (api.WallClock) carries audited //mlcr:allow
-// directives. Subpackages inherit their top directory's scope, so
-// obs/perf is deterministic: the profiler runs on an injected Clock
-// and never reads wall time itself.
+// at the source level). api is in scope since the injected-Clock
+// refactor: every time observation flows through perf.Clock, and the
+// single production wall-clock origin (api.WallClock) carries audited
+// //mlcr:allow directives. Subpackages inherit their top directory's
+// scope, so obs/perf is deterministic: the profiler runs on an injected
+// Clock and never reads wall time itself.
 var deterministicPkgs = map[string]bool{
 	"api":         true,
 	"cluster":     true,
@@ -46,8 +44,7 @@ const internalPrefix = "mlcr/internal/"
 
 // IsDeterministic reports whether the import path belongs to the
 // deterministic engine. cmd/, examples/ and the repo root are CLI
-// territory (wall-clock progress timing is fine there); internal/
-// perfbench is the one internal package outside the contract.
+// territory (wall-clock progress timing is fine there).
 func IsDeterministic(path string) bool {
 	if !strings.HasPrefix(path, internalPrefix) {
 		return false

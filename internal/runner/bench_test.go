@@ -1,11 +1,7 @@
 package runner_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
@@ -50,51 +46,5 @@ func BenchmarkSweepParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner.Run(specs, runner.Options{})
-	}
-}
-
-// TestWriteBenchRunnerJSON regenerates BENCH_runner.json at the repo
-// root when WRITE_BENCH_RUNNER=1: it times the benchmark sweep
-// sequentially and in parallel and records the wall-clock speedup
-// together with the core count (the speedup tracks available cores; on
-// a single-core machine it is ~1.0 by construction).
-func TestWriteBenchRunnerJSON(t *testing.T) {
-	if os.Getenv("WRITE_BENCH_RUNNER") == "" {
-		t.Skip("set WRITE_BENCH_RUNNER=1 to regenerate BENCH_runner.json")
-	}
-	specs := benchSpecs()
-	const rounds = 3
-	timeIt := func(par int) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			runner.Run(specs, runner.Options{Parallelism: par})
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	seq := timeIt(1)
-	par := timeIt(0)
-	out := map[string]any{
-		"benchmark":     "BenchmarkSweep (HI-Sim, 4 policies x 4 pool sizes, 16 specs)",
-		"cores":         runtime.GOMAXPROCS(0),
-		"specs":         len(specs),
-		"sequential_ms": float64(seq.Microseconds()) / 1000,
-		"parallel_ms":   float64(par.Microseconds()) / 1000,
-		"speedup":       float64(seq) / float64(par),
-	}
-	f, err := os.Create("../../BENCH_runner.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
