@@ -360,15 +360,15 @@ func BenchmarkClusterRouting(b *testing.B) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	for i := 0; i < b.N; i++ {
-		for _, r := range []cluster.Routing{cluster.RoundRobin, cluster.ByFunction, cluster.LeastLoaded} {
+		for _, r := range []string{"round-robin", "by-function", "least-loaded"} {
 			res := cluster.Run(cluster.Config{
 				Workers:        3,
 				PoolCapacityMB: loose * 0.5,
-				Routing:        r,
+				Router:         r,
 				NewScheduler:   func(int) platform.Scheduler { return policy.NewGreedyMatch() },
 			}, w)
 			if i == 0 {
-				b.ReportMetric(res.TotalStartup().Seconds(), r.String()+"-s")
+				b.ReportMetric(res.TotalStartup().Seconds(), r+"-s")
 			}
 		}
 	}

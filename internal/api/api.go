@@ -78,21 +78,9 @@ type Server struct {
 
 // New creates a gateway server.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Functions) == 0 {
-		return nil, fmt.Errorf("api: no functions configured")
-	}
-	if cfg.NewScheduler == nil {
-		return nil, fmt.Errorf("api: NewScheduler required")
-	}
-	byID := make(map[int]*workload.Function, len(cfg.Functions))
-	for _, f := range cfg.Functions {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("api: %w", err)
-		}
-		if _, dup := byID[f.ID]; dup {
-			return nil, fmt.Errorf("api: duplicate function ID %d", f.ID)
-		}
-		byID[f.ID] = f
+	byID, err := catalogByID(cfg.Functions, cfg.NewScheduler)
+	if err != nil {
+		return nil, err
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -111,6 +99,29 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /reset", s.handleReset)
 	s.mux = mux
 	return s, nil
+}
+
+// catalogByID validates what Server and Gateway both require of their
+// configuration — a scheduler factory and a non-empty catalog of valid
+// functions with unique IDs — and indexes the catalog.
+func catalogByID(fns []*workload.Function, newScheduler func() platform.Scheduler) (map[int]*workload.Function, error) {
+	if len(fns) == 0 {
+		return nil, fmt.Errorf("api: no functions configured")
+	}
+	if newScheduler == nil {
+		return nil, fmt.Errorf("api: NewScheduler required")
+	}
+	byID := make(map[int]*workload.Function, len(fns))
+	for _, f := range fns {
+		if err := f.Validate(); err != nil {
+			return nil, fmt.Errorf("api: %w", err)
+		}
+		if _, dup := byID[f.ID]; dup {
+			return nil, fmt.Errorf("api: duplicate function ID %d", f.ID)
+		}
+		byID[f.ID] = f
+	}
+	return byID, nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -134,8 +145,8 @@ func (s *Server) resetLocked() {
 	}, s.cfg.NewScheduler())
 	// A gateway serves an unbounded invocation stream; keeping every
 	// sample or pool-series point would grow without limit — the HDR
-	// behind StartupQuantile answers /stats in O(1) memory and the
-	// series keeps only its running peak.
+	// behind StartupQuantile answers /stats in O(1) memory and the pool
+	// peak comes from pool.Stats.
 	s.plat.Results().Metrics.SetRetainSamples(false)
 	s.plat.Results().PoolSeries.SetRetainPoints(false)
 	s.seq = 0
@@ -169,6 +180,27 @@ type InvokeResponse struct {
 		FnInitMS  int64 `json:"fn_init_ms"`
 	} `json:"breakdown"`
 	VirtualTimeMS int64 `json:"virtual_time_ms"`
+}
+
+// invokeResponse renders one scheduling outcome served at virtual time
+// at, shared between Server and Gateway.
+func invokeResponse(seq, fnID int, res platform.Result, at time.Duration) InvokeResponse {
+	out := InvokeResponse{
+		Seq:           seq,
+		FnID:          fnID,
+		ContainerID:   res.ContainerID,
+		Cold:          res.Cold,
+		MatchLevel:    res.Level.String(),
+		StartupMS:     res.Startup.Total().Milliseconds(),
+		VirtualTimeMS: at.Milliseconds(),
+	}
+	out.Breakdown.CreateMS = res.Startup.Create.Milliseconds()
+	out.Breakdown.CleanMS = res.Startup.Clean.Milliseconds()
+	out.Breakdown.PullMS = res.Startup.Pull.Milliseconds()
+	out.Breakdown.InstallMS = res.Startup.Install.Milliseconds()
+	out.Breakdown.RtInitMS = res.Startup.RuntimeInit.Milliseconds()
+	out.Breakdown.FnInitMS = res.Startup.FunctionInit.Milliseconds()
+	return out
 }
 
 // maxInvokeBody caps a POST /invoke body. A well-formed InvokeRequest
@@ -223,20 +255,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	res := s.plat.Invoke(inv)
 
-	var out InvokeResponse
-	out.Seq = inv.Seq
-	out.FnID = fn.ID
-	out.ContainerID = res.ContainerID
-	out.Cold = res.Cold
-	out.MatchLevel = res.Level.String()
-	out.StartupMS = res.Startup.Total().Milliseconds()
-	out.Breakdown.CreateMS = res.Startup.Create.Milliseconds()
-	out.Breakdown.CleanMS = res.Startup.Clean.Milliseconds()
-	out.Breakdown.PullMS = res.Startup.Pull.Milliseconds()
-	out.Breakdown.InstallMS = res.Startup.Install.Milliseconds()
-	out.Breakdown.RtInitMS = res.Startup.RuntimeInit.Milliseconds()
-	out.Breakdown.FnInitMS = res.Startup.FunctionInit.Milliseconds()
-	out.VirtualTimeMS = int64(s.plat.Now() / time.Millisecond)
+	out := invokeResponse(inv.Seq, fn.ID, res, s.plat.Now())
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -289,6 +308,9 @@ type StatsResponse struct {
 	Evictions        int              `json:"evictions"`
 	Rejections       int              `json:"rejections"`
 	Expirations      int              `json:"expirations"`
+	// PolicyErrors counts scheduler choices that named no reusable
+	// container and were served as cold starts instead.
+	PolicyErrors int `json:"policy_errors"`
 }
 
 // Stats snapshots the run counters — the GET /stats body.
@@ -321,6 +343,7 @@ func (s *Server) Stats() StatsResponse {
 		Evictions:    stats.Evictions,
 		Rejections:   stats.Rejections,
 		Expirations:  stats.Expirations,
+		PolicyErrors: res.PolicyErrors,
 	}
 }
 

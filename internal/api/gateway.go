@@ -110,6 +110,8 @@ type gwShard struct {
 	colds   int
 	warms   int
 	byLevel [4]int
+	// policyErrs counts scheduler choices platform.Apply did not honour.
+	policyErrs int
 
 	fns map[int]*gwFn // this shard's functions
 
@@ -151,21 +153,8 @@ type Gateway struct {
 
 // NewGateway builds a concurrent gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
-	if len(cfg.Functions) == 0 {
-		return nil, fmt.Errorf("api: no functions configured")
-	}
-	if cfg.NewScheduler == nil {
-		return nil, fmt.Errorf("api: NewScheduler required")
-	}
-	seen := make(map[int]bool, len(cfg.Functions))
-	for _, f := range cfg.Functions {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("api: %w", err)
-		}
-		if seen[f.ID] {
-			return nil, fmt.Errorf("api: duplicate function ID %d", f.ID)
-		}
-		seen[f.ID] = true
+	if _, err := catalogByID(cfg.Functions, cfg.NewScheduler); err != nil {
+		return nil, err
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
@@ -317,8 +306,17 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 		}
 		break
 	}
-	// Layers 2 and 3: the shard's mutexed pool segment and cold start.
+	return st.slow(gf, now, exec)
+}
+
+// slow serves one invocation through layers 2 and 3 — the shard's
+// mutexed pool segment and cold start. The lock is released by defer:
+// a scheduler or evictor that panics fails its own request, not every
+// later request to the shard.
+func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup, core.MatchLevel) {
+	sh := gf.shard
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if now < sh.lastNow {
 		now = sh.lastNow // per-shard monotone time for pool/evictor hooks
 	}
@@ -336,22 +334,13 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 		Rate:        sh.rate.Rate(),
 	}
 	choice := sh.sched.Schedule(env, &sh.inv)
-	if choice == platform.ColdStart {
-		id := int(st.nextID.Add(1))
-		c, s = container.NewCold(id, &sh.inv, now)
-		lvl = core.NoMatch
+	c, s, lvl, honoured := platform.Apply(sh.pool, sh.cleaner, &sh.inv, now, choice, st.newID)
+	if !honoured {
+		sh.policyErrs++
+	}
+	if s.Cold {
 		sh.colds++
 	} else {
-		pooled := sh.pool.Get(choice)
-		if pooled == nil {
-			panic(fmt.Sprintf("api: scheduler %q chose container %d not in shard pool", sh.sched.Name(), choice))
-		}
-		lvl = core.Match(gf.fn.Image, pooled.Image)
-		if lvl == core.NoMatch {
-			panic(fmt.Sprintf("api: scheduler %q reused no-match container %d for fn %d", sh.sched.Name(), choice, gf.fn.ID))
-		}
-		c = sh.pool.Take(choice, now)
-		s = c.Reuse(&sh.inv, lvl, now, sh.cleaner)
 		sh.warms++
 		sh.byLevel[int(lvl)]++
 	}
@@ -362,9 +351,11 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 	sh.sched.OnResult(env, &sh.inv, platform.Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s})
 	sh.heapPush(busyRec{c: c, until: c.BusyUntil})
 	sh.armNextDone(int64(c.BusyUntil))
-	sh.mu.Unlock()
 	return c, s, lvl
 }
+
+// newID hands out the next container ID.
+func (st *gwState) newID() int { return int(st.nextID.Add(1)) }
 
 // finish re-registers a fast-path claim's completion without taking the
 // shard lock: enqueue on doneq and publish the completion watermark.
@@ -372,13 +363,12 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 func (sh *gwShard) finish(r busyRec) {
 	select {
 	case sh.doneq <- r:
-		sh.armNextDone(int64(r.until))
 	default:
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		sh.heapPush(r)
-		sh.armNextDone(int64(r.until))
-		sh.mu.Unlock()
 	}
+	sh.armNextDone(int64(r.until))
 }
 
 // armNextDone lowers the completion watermark to v (CAS-min).
@@ -398,8 +388,8 @@ func (sh *gwShard) release(st *gwState, now time.Duration) {
 	if !sh.mu.TryLock() {
 		return
 	}
+	defer sh.mu.Unlock()
 	sh.releaseLocked(now)
-	sh.mu.Unlock()
 }
 
 // releaseLocked drains doneq into the completion heap and completes
@@ -533,21 +523,8 @@ func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, erro
 		exec = gf.fn.Exec
 	}
 	c, s, lvl := st.serve(gf, at, exec)
-	var out InvokeResponse
-	out.Seq = int(st.seq.Add(1)) - 1
-	out.FnID = fnID
-	out.ContainerID = c.ID
-	out.Cold = s.Cold
-	out.MatchLevel = lvl.String()
-	out.StartupMS = s.Total().Milliseconds()
-	out.Breakdown.CreateMS = s.Create.Milliseconds()
-	out.Breakdown.CleanMS = s.Clean.Milliseconds()
-	out.Breakdown.PullMS = s.Pull.Milliseconds()
-	out.Breakdown.InstallMS = s.Install.Milliseconds()
-	out.Breakdown.RtInitMS = s.RuntimeInit.Milliseconds()
-	out.Breakdown.FnInitMS = s.FunctionInit.Milliseconds()
-	out.VirtualTimeMS = at.Milliseconds()
-	return out, nil
+	res := platform.Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s}
+	return invokeResponse(int(st.seq.Add(1))-1, fnID, res, at), nil
 }
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
@@ -594,6 +571,7 @@ func (g *Gateway) Stats() GatewayStatsResponse {
 		h.Merge(&sh.startup)
 		out.ColdStarts += sh.colds
 		out.WarmStarts += sh.warms
+		out.PolicyErrors += sh.policyErrs
 		for i, n := range sh.byLevel {
 			out.WarmByLevel[i] += n
 		}

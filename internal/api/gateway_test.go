@@ -3,6 +3,8 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,8 +158,143 @@ func TestGatewayDeterministicUnderVirtualClock(t *testing.T) {
 	if a != b {
 		t.Fatalf("same script, different stats:\n%+v\n%+v", a, b)
 	}
-	if a.Invocations != 200 || a.ColdStarts+a.WarmStarts != 200 {
-		t.Fatalf("conservation violated: %+v", a)
+	// Recorded at the commit before platform.Apply replaced the
+	// gateway's own copy of the choice-to-container step: the extraction
+	// must not move a single counter.
+	want := GatewayStatsResponse{
+		StatsResponse: StatsResponse{
+			Policy: "Greedy-Match", Invocations: 200, TotalStartupMS: 456040, AvgStartupMS: 2280,
+			StartupQuantiles: StartupQuantiles{P50: 142, P95: 13153, P99: 30615},
+			ColdStarts:       31, WarmStarts: 169,
+			ReuseByLevel: ReuseCounts{L3: 169}, WarmByLevel: [4]int{0, 0, 0, 169},
+			PoolUsedMB: 12080, PoolPeakMB: 3300,
+		},
+		Shards: 4, FastHits: 169, FastParkedMB: 8780,
+	}
+	if a != want {
+		t.Fatalf("stats moved:\n got %+v\nwant %+v", a, want)
+	}
+}
+
+// faultySched wraps Greedy-Match and, when inject says so, replaces its
+// choice with a policy error: the ID of an idle container that matches
+// the invocation at no level when the shard pool holds one, else -7.
+type faultySched struct {
+	platform.Scheduler
+	inject          func() bool
+	badIDs, noMatch *atomic.Int64
+}
+
+func (f *faultySched) Schedule(env platform.Env, inv *workload.Invocation) int {
+	if !f.inject() {
+		return f.Scheduler.Schedule(env, inv)
+	}
+	for _, c := range env.Pool.Idle() {
+		if core.Match(inv.Fn.Image, c.Image) == core.NoMatch {
+			f.noMatch.Add(1)
+			return c.ID
+		}
+	}
+	f.badIDs.Add(1)
+	return -7
+}
+
+// TestGatewayPolicyErrorsFallBackCold: under concurrent load a scheduler
+// that keeps returning -7 and IDs of containers matching at no level costs cold starts,
+// not a shard — every request is served, every shard still serves
+// afterwards, and /stats counts exactly the injected errors.
+func TestGatewayPolicyErrorsFallBackCold(t *testing.T) {
+	var vc vclock
+	var calls, badIDs, noMatch atomic.Int64
+	fns := testFunctions()
+	g := testGateway(t, GatewayConfig{
+		Functions: fns, Clock: vc.Clock, Shards: 4, FastDepth: 1, PoolCapacityMB: 4096,
+		NewScheduler: func() platform.Scheduler {
+			return &faultySched{
+				Scheduler: policy.NewGreedyMatch(),
+				inject:    func() bool { return calls.Add(1)%2 == 0 },
+				badIDs:    &badIDs, noMatch: &noMatch,
+			}
+		},
+	})
+	const workers, perWorker = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				vc.Advance(100 * time.Millisecond)
+				if _, err := g.Invoke(fns[(w+i)%len(fns)].ID, -1, time.Millisecond); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, fn := range fns { // every shard that owns a function still serves
+		if _, err := g.Invoke(fn.ID, -1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := g.Stats()
+	if badIDs.Load() == 0 || noMatch.Load() == 0 {
+		t.Fatalf("injected %d unknown IDs and %d no-match IDs; the load must produce both", badIDs.Load(), noMatch.Load())
+	}
+	if got, want := int64(st.PolicyErrors), badIDs.Load()+noMatch.Load(); got != want {
+		t.Fatalf("PolicyErrors = %d, want the %d injected", got, want)
+	}
+	if n := workers*perWorker + len(fns); st.Invocations != n || st.ColdStarts+st.WarmStarts != n {
+		t.Fatalf("served %d (cold %d + warm %d), want %d", st.Invocations, st.ColdStarts, st.WarmStarts, n)
+	}
+}
+
+// panicOnTenth panics on its 10th Schedule call.
+type panicOnTenth struct {
+	platform.Scheduler
+	calls int
+}
+
+func (p *panicOnTenth) Schedule(env platform.Env, inv *workload.Invocation) int {
+	if p.calls++; p.calls == 10 {
+		panic("scheduler bug")
+	}
+	return p.Scheduler.Schedule(env, inv)
+}
+
+// TestGatewaySchedulerPanicReleasesShard: a policy that panics inside the
+// shard's critical section fails its own request only; the shard lock is
+// released and the next request to the same shard is served.
+func TestGatewaySchedulerPanicReleasesShard(t *testing.T) {
+	var vc vclock // pinned at 0: nothing completes, so every request takes the slow path
+	g := testGateway(t, GatewayConfig{
+		Clock: vc.Clock, Shards: 1,
+		NewScheduler: func() platform.Scheduler { return &panicOnTenth{Scheduler: policy.NewGreedyMatch()} },
+	})
+	ts := httptest.NewUnstartedServer(g)
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // net/http logs the recovered panic
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func() (int, error) {
+		resp, err := client.Post(ts.URL+"/invoke", "application/json", strings.NewReader(`{"fn_id":1}`))
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	for i := 1; i <= 9; i++ {
+		if code, err := post(); err != nil || code != http.StatusOK {
+			t.Fatalf("request %d: status %d, err %v", i, code, err)
+		}
+	}
+	if code, err := post(); err == nil {
+		t.Fatalf("request 10 hit the panicking scheduler but was answered %d", code)
+	}
+	if code, err := post(); err != nil || code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, err %v (shard wedged?)", code, err)
 	}
 }
 

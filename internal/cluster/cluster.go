@@ -24,35 +24,6 @@ import (
 	"mlcr/internal/workload"
 )
 
-// Routing selects the worker for each invocation — the legacy enum
-// from before the Router registry, kept as sugar: each value names its
-// registry router via String(). New policies (hash, p2c) register by
-// name only; select them with Config.Router.
-type Routing int
-
-const (
-	// RoundRobin cycles through workers — oblivious to warm state.
-	RoundRobin Routing = iota
-	// ByFunction hashes the function ID to a worker, giving every
-	// function a home worker whose pool accumulates its containers.
-	ByFunction
-	// LeastLoaded routes to the worker with the least running memory.
-	LeastLoaded
-)
-
-func (r Routing) String() string {
-	switch r {
-	case RoundRobin:
-		return "round-robin"
-	case ByFunction:
-		return "by-function"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("Routing(%d)", int(r))
-	}
-}
-
 // Config parameterizes a cluster run.
 type Config struct {
 	// Workers is the cluster size (must be >= 1).
@@ -60,11 +31,8 @@ type Config struct {
 	// PoolCapacityMB is the total warm-pool budget, split evenly across
 	// workers (<= 0 means unlimited on every worker).
 	PoolCapacityMB float64
-	// Routing is the front-end policy (default RoundRobin). Ignored
-	// when Router names a registry policy directly.
-	Routing Routing
-	// Router names a registered routing policy (see RouterNames());
-	// empty falls back to the Routing enum. Unknown names panic.
+	// Router names the registered front-end routing policy (see
+	// RouterNames()); empty means "round-robin". Unknown names panic.
 	Router string
 	// RouterSeed salts hash-based routers (ring vnode placement, p2c
 	// probe sequences); 0 is as deterministic as any other value.
@@ -105,14 +73,6 @@ type Config struct {
 	// same Prometheus surface as single-worker runs. Worker simulations
 	// do not share it — per-worker observers stay per-platform.
 	Obs *obs.Observer
-}
-
-// routerName resolves the configured registry name.
-func (cfg Config) routerName() string {
-	if cfg.Router != "" {
-		return cfg.Router
-	}
-	return cfg.Routing.String()
 }
 
 // Result aggregates a cluster run.
@@ -172,7 +132,10 @@ func Run(cfg Config, w workload.Workload) Result {
 		perPool /= float64(cfg.Workers)
 	}
 
-	router, err := NewRouter(cfg.routerName(), RouterConfig{Workers: cfg.Workers, Seed: cfg.RouterSeed})
+	if cfg.Router == "" {
+		cfg.Router = "round-robin"
+	}
+	router, err := NewRouter(cfg.Router, RouterConfig{Workers: cfg.Workers, Seed: cfg.RouterSeed})
 	if err != nil {
 		panic(err)
 	}

@@ -13,11 +13,11 @@ import (
 	"mlcr/internal/workload"
 )
 
-func mkCfg(workers int, routing Routing, poolMB float64) Config {
+func mkCfg(workers int, router string, poolMB float64) Config {
 	return Config{
 		Workers:        workers,
 		PoolCapacityMB: poolMB,
-		Routing:        routing,
+		Router:         router,
 		NewScheduler:   func(int) platform.Scheduler { return policy.NewGreedyMatch() },
 		NewEvictor:     func(int) pool.Evictor { return evict.NewLRU() },
 	}
@@ -29,7 +29,7 @@ func bench(count int) workload.Workload {
 
 func TestSingleWorkerMatchesPlatform(t *testing.T) {
 	w := bench(60)
-	cRes := Run(mkCfg(1, RoundRobin, 4096), w)
+	cRes := Run(mkCfg(1, "round-robin", 4096), w)
 	g := policy.NewGreedyMatch()
 	pRes := platform.New(platform.Config{PoolCapacityMB: 4096, Evictor: g.Evictor()}, g).Run(w)
 	if cRes.TotalStartup() != pRes.Metrics.TotalStartup() {
@@ -42,7 +42,7 @@ func TestSingleWorkerMatchesPlatform(t *testing.T) {
 
 func TestAllInvocationsRouted(t *testing.T) {
 	w := bench(90)
-	for _, r := range []Routing{RoundRobin, ByFunction, LeastLoaded} {
+	for _, r := range []string{"round-robin", "by-function", "least-loaded"} {
 		res := Run(mkCfg(3, r, 6000), w)
 		total := 0
 		for _, n := range res.Routed {
@@ -62,7 +62,7 @@ func TestAllInvocationsRouted(t *testing.T) {
 }
 
 func TestRoundRobinBalances(t *testing.T) {
-	res := Run(mkCfg(3, RoundRobin, 6000), bench(90))
+	res := Run(mkCfg(3, "round-robin", 6000), bench(90))
 	for i, n := range res.Routed {
 		if n != 30 {
 			t.Fatalf("worker %d routed %d, want 30 (%v)", i, n, res.Routed)
@@ -76,8 +76,8 @@ func TestByFunctionAffinity(t *testing.T) {
 	// by-function routing must not have more cold starts than
 	// round-robin on the same budget.
 	w := bench(150)
-	rr := Run(mkCfg(3, RoundRobin, 3000), w)
-	bf := Run(mkCfg(3, ByFunction, 3000), w)
+	rr := Run(mkCfg(3, "round-robin", 3000), w)
+	bf := Run(mkCfg(3, "by-function", 3000), w)
 	if bf.ColdStarts() > rr.ColdStarts() {
 		t.Fatalf("by-function colds %d > round-robin %d", bf.ColdStarts(), rr.ColdStarts())
 	}
@@ -85,7 +85,7 @@ func TestByFunctionAffinity(t *testing.T) {
 
 func TestPoolBudgetSplit(t *testing.T) {
 	w := bench(60)
-	res := Run(mkCfg(2, RoundRobin, 1000), w)
+	res := Run(mkCfg(2, "round-robin", 1000), w)
 	for i, pr := range res.PerWorker {
 		if pr.PoolStats.PeakUsedMB > 500+1e-6 {
 			t.Fatalf("worker %d pool peak %v exceeds its 500MB slice", i, pr.PoolStats.PeakUsedMB)
@@ -102,7 +102,7 @@ func TestLeastLoadedAvoidsHotWorker(t *testing.T) {
 			Arrival: time.Duration(i) * 10 * time.Millisecond, Exec: f.Exec})
 	}
 	w := workload.Workload{Name: "burst", Functions: []*workload.Function{f}, Invocations: invs}
-	res := Run(mkCfg(3, LeastLoaded, 0), w)
+	res := Run(mkCfg(3, "least-loaded", 0), w)
 	for i, n := range res.Routed {
 		if n == 0 {
 			t.Fatalf("worker %d received nothing under least-loaded: %v", i, res.Routed)
@@ -112,8 +112,8 @@ func TestLeastLoadedAvoidsHotWorker(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	w := bench(80)
-	a := Run(mkCfg(3, ByFunction, 3000), w)
-	b := Run(mkCfg(3, ByFunction, 3000), w)
+	a := Run(mkCfg(3, "by-function", 3000), w)
+	b := Run(mkCfg(3, "by-function", 3000), w)
 	if a.TotalStartup() != b.TotalStartup() || a.ColdStarts() != b.ColdStarts() {
 		t.Fatal("cluster run not deterministic")
 	}
@@ -178,7 +178,7 @@ func TestWorkloadValidation(t *testing.T) {
 					t.Errorf("%s: panic %q, want %q", name, got, c.want)
 				}
 			}()
-			Run(mkCfg(2, RoundRobin, 4096), c.w)
+			Run(mkCfg(2, "round-robin", 4096), c.w)
 		}()
 	}
 }
@@ -225,7 +225,7 @@ func TestPoolBudgetSplitUnlimited(t *testing.T) {
 	// become 0/NewWorkers = 0 (which platform would read as unlimited
 	// anyway) nor go negative.
 	w := bench(40)
-	res := Run(mkCfg(2, RoundRobin, 0), w)
+	res := Run(mkCfg(2, "round-robin", 0), w)
 	for i, pr := range res.PerWorker {
 		if pr.PoolStats.Rejections != 0 {
 			t.Fatalf("worker %d rejected %d admissions under an unlimited pool", i, pr.PoolStats.Rejections)
@@ -237,7 +237,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// The acceptance check: an 8-worker cluster run must be byte-identical
 	// between sequential and full parallelism, for every routing policy.
 	w := bench(160)
-	for _, routing := range []Routing{RoundRobin, ByFunction, LeastLoaded} {
+	for _, routing := range []string{"round-robin", "by-function", "least-loaded"} {
 		seqCfg := mkCfg(8, routing, 8000)
 		seqCfg.Parallelism = 1
 		seq := Run(seqCfg, w)
@@ -262,25 +262,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestRoutingString(t *testing.T) {
-	for r, want := range map[Routing]string{
-		RoundRobin: "round-robin", ByFunction: "by-function", LeastLoaded: "least-loaded", Routing(9): "Routing(9)",
-	} {
-		if got := r.String(); got != want {
-			t.Errorf("%d = %q, want %q", int(r), got, want)
-		}
-	}
-}
-
 func TestNamedEvictorConfig(t *testing.T) {
 	// Naming a registry policy must behave exactly like supplying an
 	// equivalent NewEvictor factory.
 	w := bench(90)
-	named := mkCfg(3, RoundRobin, 3000)
+	named := mkCfg(3, "round-robin", 3000)
 	named.NewEvictor = nil
 	named.Evictor = "lfu"
 	named.EvictorSeed = 7
-	manual := mkCfg(3, RoundRobin, 3000)
+	manual := mkCfg(3, "round-robin", 3000)
 	manual.NewEvictor = func(worker int) pool.Evictor { return evict.MustNew("lfu", 7+int64(worker)) }
 	a := Run(named, w)
 	b := Run(manual, w)
@@ -292,7 +282,7 @@ func TestNamedEvictorConfig(t *testing.T) {
 
 	// Per-worker seeding: each worker's random policy draws from its own
 	// stream, and the whole cluster run is deterministic.
-	rnd := mkCfg(3, RoundRobin, 1500)
+	rnd := mkCfg(3, "round-robin", 1500)
 	rnd.NewEvictor = nil
 	rnd.Evictor = "random"
 	r1 := Run(rnd, w)
@@ -310,7 +300,7 @@ func TestUnknownEvictorPanics(t *testing.T) {
 			t.Fatal("unknown Evictor name did not panic")
 		}
 	}()
-	cfg := mkCfg(2, RoundRobin, 1000)
+	cfg := mkCfg(2, "round-robin", 1000)
 	cfg.NewEvictor = nil
 	cfg.Evictor = "nope"
 	Run(cfg, bench(10))

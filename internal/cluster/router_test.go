@@ -73,11 +73,18 @@ func TestPinnedRoutingFingerprints(t *testing.T) {
 	for key, want := range pinnedRoutingFingerprints {
 		router, wname := key[0], key[1]
 		w := fstartbench.Build(wname, 3, fstartbench.Options{})
-		cfg := mkCfg(5, RoundRobin, 3000)
+		cfg := mkCfg(5, "round-robin", 3000)
 		cfg.Router = router
 		cfg.Parallelism = 1
-		if got := clusterFingerprint(Run(cfg, w)); got != want {
+		res := Run(cfg, w)
+		if got := clusterFingerprint(res); got != want {
 			t.Errorf("%s/%s fingerprint %s, pinned pre-refactor %s", router, wname, got, want)
+		}
+		// A silent cold-start fallback must never flatter a figure.
+		for i, pr := range res.PerWorker {
+			if pr.PolicyErrors != 0 {
+				t.Errorf("%s/%s worker %d: %d policy errors in a pinned run", router, wname, i, pr.PolicyErrors)
+			}
 		}
 	}
 }
@@ -90,7 +97,7 @@ func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{Count: 400})
 	for _, name := range RouterNames() {
 		mk := func(par int) Config {
-			cfg := mkCfg(9, RoundRobin, 9000)
+			cfg := mkCfg(9, "round-robin", 9000)
 			cfg.Router = name
 			cfg.RouterSeed = 11
 			cfg.Parallelism = par
@@ -209,7 +216,7 @@ func TestRingBalancesSparseIDs(t *testing.T) {
 		ids[i] = (i + 1) * workers // by-function would send every one to worker 0
 	}
 	w := negativeIDWorkload(ids)
-	cfg := mkCfg(workers, RoundRobin, 0)
+	cfg := mkCfg(workers, "round-robin", 0)
 	cfg.Router = "hash"
 	res := Run(cfg, w)
 	busiest, nonEmpty := 0, 0
@@ -274,7 +281,7 @@ func TestP2CSpreadsLoad(t *testing.T) {
 			Arrival: time.Duration(i) * 10 * time.Millisecond, Exec: f.Exec})
 	}
 	w := workload.Workload{Name: "burst", Functions: []*workload.Function{f}, Invocations: invs}
-	cfg := mkCfg(4, RoundRobin, 0)
+	cfg := mkCfg(4, "round-robin", 0)
 	cfg.Router = "p2c"
 	res := Run(cfg, w)
 	for i, n := range res.Routed {
@@ -283,29 +290,6 @@ func TestP2CSpreadsLoad(t *testing.T) {
 		}
 		if n > 2*len(invs)/3 {
 			t.Fatalf("worker %d received %d of %d under p2c: %v", i, n, len(invs), res.Routed)
-		}
-	}
-}
-
-// TestP2CMergedLoad: the shard-barrier merge must cover every worker
-// that received work and be deterministic.
-func TestP2CMergedLoad(t *testing.T) {
-	w := fstartbench.Build(fstartbench.Peak, 3, fstartbench.Options{Count: 300})
-	r := newP2C(RouterConfig{Workers: 6, Seed: 2})
-	targets := routeTargets(r, w, 6, 1, nil)
-	merged := r.MergedLoad()
-	r2 := newP2C(RouterConfig{Workers: 6, Seed: 2})
-	routeTargets(r2, w, 6, 8, nil)
-	if !reflect.DeepEqual(merged, r2.MergedLoad()) {
-		t.Fatal("p2c merged load differs between parallelism 1 and 8")
-	}
-	seen := make([]bool, 6)
-	for _, tg := range targets {
-		seen[tg] = true
-	}
-	for wk, got := range merged {
-		if seen[wk] && got == 0 {
-			t.Fatalf("worker %d routed work but merged load is 0", wk)
 		}
 	}
 }
@@ -349,7 +333,7 @@ func TestClusterRoutingObservability(t *testing.T) {
 	var tick time.Duration
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
-	cfg := mkCfg(3, RoundRobin, 3000)
+	cfg := mkCfg(3, "round-robin", 3000)
 	cfg.Obs = o
 	res := Run(cfg, w)
 	for wk, n := range res.Routed {
@@ -367,23 +351,22 @@ func TestClusterRoutingObservability(t *testing.T) {
 	}
 }
 
-// TestConfigRouterPrecedence: Config.Router overrides the Routing enum,
-// and an unknown name panics with the registry message.
+// TestConfigRouterPrecedence: Config.Router is the one routing knob —
+// empty means round-robin, and an unknown name panics with the registry
+// message.
 func TestConfigRouterPrecedence(t *testing.T) {
 	w := bench(40)
-	cfg := mkCfg(3, LeastLoaded, 3000) // enum says least-loaded...
-	cfg.Router = "round-robin"         // ...but Router wins
-	res := Run(cfg, w)
-	rr := Run(mkCfg(3, RoundRobin, 3000), w)
+	res := Run(mkCfg(3, "", 3000), w)
+	rr := Run(mkCfg(3, "round-robin", 3000), w)
 	if clusterFingerprint(res) != clusterFingerprint(rr) {
-		t.Fatal("Config.Router did not take precedence over the Routing enum")
+		t.Fatal("empty Config.Router did not default to round-robin")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown router name did not panic")
 		}
 	}()
-	bad := mkCfg(2, RoundRobin, 0)
+	bad := mkCfg(2, "round-robin", 0)
 	bad.Router = "nope"
 	Run(bad, w)
 }

@@ -259,20 +259,3 @@ func (r *p2cRouter) Route(shard, i int, inv *workload.Invocation) int {
 	b[target] = busyAfter(b[target], inv)
 	return target
 }
-
-// MergedLoad folds the per-shard busy-until states into one per-worker
-// view (the maximum estimate across shards) — the shard-barrier merge,
-// exposed for tests and post-run diagnostics. The merge is
-// commutative, so it is deterministic regardless of shard completion
-// order.
-func (r *p2cRouter) MergedLoad() []time.Duration {
-	out := make([]time.Duration, r.workers)
-	for _, row := range r.busy {
-		for w, v := range row {
-			if v > out[w] {
-				out[w] = v
-			}
-		}
-	}
-	return out
-}

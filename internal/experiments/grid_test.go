@@ -47,6 +47,10 @@ func TestPinnedBaselineFingerprints(t *testing.T) {
 			if got := fmt.Sprintf("%x", h[:12]); got != pinnedFingerprints[key] {
 				t.Errorf("%s fingerprint %s, pinned pre-refactor %s", key, got, pinnedFingerprints[key])
 			}
+			// A silent cold-start fallback must never flatter a figure.
+			if res.PolicyErrors != 0 {
+				t.Errorf("%s: %d policy errors in a pinned run", key, res.PolicyErrors)
+			}
 		}
 	}
 }

@@ -329,47 +329,6 @@ func AveragePairwiseJaccard(images []Image) float64 {
 	return sum / float64(pairs)
 }
 
-// IntersectionSizeVariance computes the paper's literal Metric-2 formula
-// Var(P1 ∩ P2 ∩ … ∩ Pn): the variance of the sizes of packages common to
-// every image. For disjoint stacks the intersection is only the shared
-// base packages, so the value is small; SizeVariance (over all packages)
-// is the behaviourally meaningful variant used to label the LO-Var and
-// HI-Var workloads (see internal/fstartbench).
-func IntersectionSizeVariance(images []Image) float64 {
-	if len(images) == 0 {
-		return 0
-	}
-	inter := images[0].PackageSet()
-	for _, im := range images[1:] {
-		next := im.PackageSet()
-		for k := range inter {
-			if !next[k] {
-				delete(inter, k)
-			}
-		}
-	}
-	var sizes []float64
-	for _, p := range images[0].Pkgs {
-		if inter[p.Key()] {
-			sizes = append(sizes, p.SizeMB)
-		}
-	}
-	if len(sizes) == 0 {
-		return 0
-	}
-	var mean float64
-	for _, s := range sizes {
-		mean += s
-	}
-	mean /= float64(len(sizes))
-	var v float64
-	for _, s := range sizes {
-		d := s - mean
-		v += d * d
-	}
-	return v / float64(len(sizes))
-}
-
 // SizeVariance returns the population variance of the individual package
 // sizes across the given images (Section V, Metric 2). Packages appearing
 // in several images are counted once per image, matching the paper's

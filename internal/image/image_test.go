@@ -159,22 +159,3 @@ func TestLevelString(t *testing.T) {
 		}
 	}
 }
-
-func TestIntersectionSizeVariance(t *testing.T) {
-	shared1 := pkg("base", "1", OS, 10)
-	shared2 := pkg("certs", "1", OS, 30)
-	a := NewImage("a", shared1, shared2, pkg("python", "3", Language, 50))
-	b := NewImage("b", shared1, shared2, pkg("node", "18", Language, 40))
-	// Intersection {base 10, certs 30}: mean 20, var ((−10)²+10²)/2 = 100.
-	if got := IntersectionSizeVariance([]Image{a, b}); got != 100 {
-		t.Fatalf("intersection variance = %v, want 100", got)
-	}
-	// Disjoint images: empty intersection -> 0.
-	c := NewImage("c", pkg("alpine", "3", OS, 5))
-	if got := IntersectionSizeVariance([]Image{a, c}); got != 0 {
-		t.Fatalf("disjoint intersection variance = %v, want 0", got)
-	}
-	if got := IntersectionSizeVariance(nil); got != 0 {
-		t.Fatalf("empty input variance = %v, want 0", got)
-	}
-}

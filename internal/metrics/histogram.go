@@ -17,7 +17,7 @@ type Histogram struct {
 	counts     []int
 	total      int
 	sum        time.Duration
-	min, max   time.Duration
+	max        time.Duration
 }
 
 // NewLatencyHistogram returns a histogram with log-spaced boundaries
@@ -52,9 +52,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[idx]++
 	h.total++
 	h.sum += d
-	if h.total == 1 || d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
@@ -75,20 +72,6 @@ func (h *Histogram) Boundaries() []time.Duration {
 // Counts returns a copy of the per-bucket sample counts; its length is
 // len(Boundaries())+1, the final entry being the unbounded bucket.
 func (h *Histogram) Counts() []int { return append([]int(nil), h.counts...) }
-
-// Mean returns the arithmetic mean sample.
-func (h *Histogram) Mean() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.total)
-}
-
-// Min and Max return observed extremes (0 when empty).
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the maximum observed sample.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns an upper bound for the q-th quantile (0..1) from the
 // bucket boundaries — exact to bucket resolution.

@@ -15,12 +15,11 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Min() != 5*time.Millisecond || h.Max() != 5*time.Second {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if want := 5*time.Millisecond + 50*time.Millisecond + 500*time.Millisecond + 5*time.Second; h.Sum() != want {
+		t.Fatalf("Sum = %v, want %v", h.Sum(), want)
 	}
-	wantMean := (5*time.Millisecond + 50*time.Millisecond + 500*time.Millisecond + 5*time.Second) / 4
-	if h.Mean() != wantMean {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), wantMean)
+	if got := h.Quantile(1); got != 5*time.Second {
+		t.Fatalf("P100 = %v, want the observed max", got)
 	}
 }
 
@@ -43,7 +42,7 @@ func TestHistogramQuantile(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewLatencyHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	if h.Quantile(0.5) != 0 || h.Sum() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 }

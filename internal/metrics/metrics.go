@@ -71,8 +71,8 @@ func (c *Collector) Record(s Sample) {
 // SetRetainSamples controls whether Record keeps the full per-sample
 // slice. Retention is on by default; the HTTP gateway turns it off so
 // a long-lived serving process stays bounded no matter how many
-// invocations it absorbs. With retention off, Samples, Latencies and
-// Cumulative see only samples recorded while retention was on, while
+// invocations it absorbs. With retention off, Samples and Cumulative
+// see only samples recorded while retention was on, while
 // Count and the quantile/aggregate accessors keep covering everything.
 func (c *Collector) SetRetainSamples(retain bool) { c.noRetain = !retain }
 
@@ -101,15 +101,6 @@ func (c *Collector) StartupQuantile(q float64) time.Duration {
 		return 0
 	}
 	return time.Duration(c.hdr().Quantile(q))
-}
-
-// StartupHDR exposes the live startup-latency histogram (nil before
-// any Record), for merging into cross-run aggregates.
-func (c *Collector) StartupHDR() *perf.HDR {
-	if c.count == 0 {
-		return nil
-	}
-	return c.hdr()
 }
 
 // hdr returns the startup histogram, first building it from the
@@ -147,15 +138,6 @@ func (c *Collector) ByLevel() [4]int { return c.byLevel }
 
 // Samples returns the recorded samples in arrival order.
 func (c *Collector) Samples() []Sample { return c.samples }
-
-// Latencies returns the startup latencies in seconds, in arrival order.
-func (c *Collector) Latencies() []float64 {
-	out := make([]float64, len(c.samples))
-	for i, s := range c.samples {
-		out[i] = s.Startup.Seconds()
-	}
-	return out
-}
 
 // Cumulative returns the running totals after each invocation: cumulative
 // startup latency and cumulative cold starts (the two curves of Fig 9).
@@ -259,32 +241,27 @@ func Stddev(values []float64) float64 {
 	return math.Sqrt(s / float64(len(values)))
 }
 
-// Series tracks the time evolution of a scalar (e.g. pool memory) and its
-// peak, sampled at irregular virtual times.
+// Series tracks the time evolution of a scalar (e.g. pool memory),
+// sampled at irregular virtual times.
 type Series struct {
 	T        []time.Duration
 	V        []float64
-	peak     float64
 	noPoints bool
 }
 
-// Observe appends a sample and updates the peak. With point retention
-// off only the peak is tracked.
+// Observe appends a sample; a no-op with point retention off.
 func (s *Series) Observe(t time.Duration, v float64) {
 	if !s.noPoints {
 		s.T = append(s.T, t)
 		s.V = append(s.V, v)
 	}
-	if v > s.peak {
-		s.peak = v
-	}
 }
 
 // SetRetainPoints controls whether Observe keeps the (time, value)
-// points (the default) or only the running peak. A serving gateway
-// observes an unbounded invocation stream; retaining every point would
-// grow without limit, while batch simulations keep them for figures
-// and fingerprints.
+// points (the default) or drops them. A serving gateway observes an
+// unbounded invocation stream; retaining every point would grow
+// without limit, while batch simulations keep them for figures and
+// fingerprints.
 func (s *Series) SetRetainPoints(retain bool) { s.noPoints = !retain }
 
 // Reserve grows the point buffers to hold at least n more
@@ -300,17 +277,6 @@ func (s *Series) Reserve(n int) {
 	v := make([]float64, len(s.V), len(s.V)+n)
 	copy(v, s.V)
 	s.V = v
-}
-
-// Peak returns the maximum observed value.
-func (s *Series) Peak() float64 { return s.peak }
-
-// Last returns the most recent value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
 }
 
 // Reduction returns the fractional reduction of got versus base:

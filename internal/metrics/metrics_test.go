@@ -114,14 +114,16 @@ func TestMeanStddev(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Last() != 0 || s.Peak() != 0 {
-		t.Fatal("empty series not zero")
-	}
 	s.Observe(time.Second, 5)
 	s.Observe(2*time.Second, 9)
 	s.Observe(3*time.Second, 3)
-	if s.Peak() != 9 || s.Last() != 3 || len(s.T) != 3 {
+	if len(s.T) != 3 || s.T[2] != 3*time.Second || s.V[1] != 9 {
 		t.Fatalf("series = %+v", s)
+	}
+	s.SetRetainPoints(false)
+	s.Observe(4*time.Second, 1)
+	if len(s.T) != 3 || len(s.V) != 3 {
+		t.Fatalf("retention off still grew the series: %+v", s)
 	}
 }
 
@@ -182,9 +184,6 @@ func TestCollectorStartupQuantile(t *testing.T) {
 	// The histogram is built from the retained samples on the first
 	// read above and must keep up with every Record after it.
 	c.Record(Sample{Seq: 4000, Startup: time.Hour})
-	if c.StartupHDR().Count() != int64(c.Count()) {
-		t.Fatalf("HDR count %d != collector count %d", c.StartupHDR().Count(), c.Count())
-	}
 	if got := c.StartupQuantile(1); got < time.Hour {
 		t.Fatalf("max %v misses the sample recorded after the first read", got)
 	}
@@ -226,7 +225,7 @@ func TestCollectorRetentionToggle(t *testing.T) {
 // TestCollectorQuantileEmpty: quantiles on an untouched collector are 0.
 func TestCollectorQuantileEmpty(t *testing.T) {
 	var c Collector
-	if c.StartupQuantile(0.99) != 0 || c.StartupHDR() != nil {
-		t.Fatal("empty collector must report zero quantiles and nil HDR")
+	if c.StartupQuantile(0.99) != 0 {
+		t.Fatal("empty collector must report zero quantiles")
 	}
 }

@@ -400,48 +400,3 @@ func TestDeterministicInit(t *testing.T) {
 		}
 	}
 }
-
-func TestSGDConvergesOnRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	wStar := NewTensor(3, 2).Randn(rng, 1)
-	l := NewLinear("sgd-fit", 3, 2, rng)
-	opt := NewSGD(l.Params(), 0.02, 0.9)
-	var last float64
-	for step := 0; step < 600; step++ {
-		x := NewTensor(8, 3).Randn(rng, 1)
-		want := MatMul(x, wStar)
-		got := l.Forward(x)
-		diff := got.Clone()
-		var loss float64
-		for i := range diff.Data {
-			diff.Data[i] -= want.Data[i]
-			loss += diff.Data[i] * diff.Data[i] / 2
-		}
-		l.Backward(diff)
-		opt.Step()
-		last = loss
-	}
-	if last > 1e-2 {
-		t.Fatalf("SGD loss after training = %v, want < 1e-2", last)
-	}
-	if opt.Steps() != 600 {
-		t.Fatalf("Steps = %d", opt.Steps())
-	}
-}
-
-func TestSGDWithoutMomentum(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	l := NewLinear("plain", 2, 2, rng)
-	opt := NewSGD(l.Params(), 0.5, 0)
-	before := l.Weight.W.At(0, 0)
-	l.Weight.Grad.Fill(1)
-	opt.Step()
-	if got := l.Weight.W.At(0, 0); got != before-0.5 {
-		t.Fatalf("plain SGD update: %v -> %v, want -0.5", before, got)
-	}
-	for _, g := range l.Weight.Grad.Data {
-		if g != 0 {
-			t.Fatal("gradients not zeroed")
-		}
-	}
-}

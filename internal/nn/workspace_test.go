@@ -142,7 +142,7 @@ func TestWorkspaceNetworkMatchesFreshNetwork(t *testing.T) {
 // CopyParams: backward through the workspace path must match the naive
 // dy×Wᵀ computed from the current weights.
 func TestTransposeCacheInvalidatedOnStep(t *testing.T) {
-	for _, opt := range []string{"adam", "sgd", "copy"} {
+	for _, opt := range []string{"adam", "copy"} {
 		rng := rand.New(rand.NewSource(11))
 		l := NewLinear("l", 6, 4, rng)
 		x := NewTensor(2, 6).Randn(rng, 1)
@@ -153,8 +153,6 @@ func TestTransposeCacheInvalidatedOnStep(t *testing.T) {
 		switch opt {
 		case "adam":
 			NewAdam(l.Params(), 0.05).Step()
-		case "sgd":
-			NewSGD(l.Params(), 0.05, 0.9).Step()
 		case "copy":
 			other := NewLinear("l", 6, 4, rand.New(rand.NewSource(12)))
 			CopyParams(l.Params(), other.Params())

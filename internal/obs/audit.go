@@ -35,7 +35,9 @@ type Decision struct {
 	// Candidates is every idle pool container at decision time, viable
 	// and pruned, in deterministic pool order.
 	Candidates []Candidate `json:"candidates"`
-	// Chosen is the reused container's ID, or -1 for a cold start.
+	// Chosen is the scheduler's raw choice: a container ID, or -1 for a
+	// cold start. A choice the platform could not honour (a policy
+	// error) shows as Chosen != -1 with Cold true.
 	Chosen int  `json:"chosen"`
 	Cold   bool `json:"cold"`
 	// Level is the realized match level (0 when cold).

@@ -67,11 +67,14 @@ type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Schedule returns the ID of an idle pooled container to reuse, or
-	// ColdStart. Returning a container whose image does not match the
-	// invocation at any level is a scheduling bug and panics.
+	// ColdStart. Any other value — an ID not in the pool, or a container
+	// whose image matches the invocation at no level — is a policy
+	// error: Apply serves the invocation as a cold start, leaves the
+	// pool untouched, and the driver counts it (RunResult.PolicyErrors).
 	Schedule(env Env, inv *workload.Invocation) int
 	// OnResult is called immediately after the decision is applied,
-	// with the realized startup latency (the DRL reward signal).
+	// with the realized startup latency (the DRL reward signal) — the
+	// cold start actually served when the choice was a policy error.
 	OnResult(env Env, inv *workload.Invocation, res Result)
 }
 
@@ -120,6 +123,9 @@ type RunResult struct {
 	PoolSeries metrics.Series
 	// ContainersCreated counts cold-started sandboxes.
 	ContainersCreated int
+	// PolicyErrors counts scheduler choices Apply could not honour and
+	// served as cold starts instead (see Scheduler.Schedule).
+	PolicyErrors int
 	// Perf is the per-run phase breakdown with memory bracketing,
 	// non-nil only when the run's Observer carried a phase profiler.
 	// It reports measurement (host time, host memory), not simulation
@@ -320,6 +326,36 @@ func (p *Platform) Now() time.Duration { return p.engine.Now() }
 // Results returns the platform's accumulated results so far.
 func (p *Platform) Results() *RunResult { return &p.res }
 
+// Apply realises a scheduler's choice for one invocation against a warm
+// pool — the one step shared by every driver of the lifecycle (the
+// simulator's arrive, the gateway's slow path): ColdStart creates a
+// sandbox, the ID of an idle pooled container that matches inv at some
+// level is taken from the pool and re-packed through the cleaner. Any
+// other choice is a policy error and is not trusted: the pool stays
+// untouched, the invocation is served as a cold start and honoured is
+// false, so a misbehaving policy costs latency, never availability.
+// newID supplies the sandbox ID and is consulted only on a cold start.
+func Apply(pl *pool.Pool, cl *container.Cleaner, inv *workload.Invocation, now time.Duration,
+	choice int, newID func() int) (c *container.Container, s container.Startup, lvl core.MatchLevel, honoured bool) {
+	if choice != ColdStart {
+		if pooled := pl.Get(choice); pooled != nil {
+			if lvl = core.Match(inv.Fn.Image, pooled.Image); lvl != core.NoMatch {
+				c = pl.Take(choice, now)
+				return c, c.Reuse(inv, lvl, now, cl), lvl, true
+			}
+		}
+	}
+	c, s = container.NewCold(newID(), inv, now)
+	return c, s, core.NoMatch, choice == ColdStart
+}
+
+// newID hands out the next sandbox ID.
+func (p *Platform) newID() int {
+	id := p.nextID
+	p.nextID++
+	return id
+}
+
 // arrive handles one invocation: expiry, scheduling, startup accounting
 // and completion scheduling.
 func (p *Platform) arrive(inv *workload.Invocation) Result {
@@ -342,30 +378,14 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	choice := p.sched.Schedule(env, inv)
 	sp.End()
 
-	var (
-		c   *container.Container
-		s   container.Startup
-		lvl core.MatchLevel
-	)
-	if choice == ColdStart {
-		c, s = container.NewCold(p.nextID, inv, now)
-		p.nextID++
+	c, s, lvl, honoured := Apply(p.pool, p.cleaner, inv, now, choice, p.newID)
+	if !honoured {
+		p.res.PolicyErrors++
+	}
+	p.applyCache(c, &s, lvl, inv)
+	if s.Cold {
 		p.res.ContainersCreated++
-		lvl = core.NoMatch
-		p.applyCache(c, &s, lvl, inv)
 	} else {
-		pooled := p.pool.Get(choice)
-		if pooled == nil {
-			panic(fmt.Sprintf("platform: scheduler %q chose container %d not in pool", p.sched.Name(), choice))
-		}
-		lvl = core.Match(inv.Fn.Image, pooled.Image)
-		if lvl == core.NoMatch {
-			panic(fmt.Sprintf("platform: scheduler %q reused no-match container %d for fn %d",
-				p.sched.Name(), choice, inv.Fn.ID))
-		}
-		c = p.pool.Take(choice, now)
-		s = c.Reuse(inv, lvl, now, p.cleaner)
-		p.applyCache(c, &s, lvl, inv)
 		p.res.PoolSeries.Observe(now, p.pool.UsedMB())
 	}
 
@@ -462,14 +482,4 @@ func (p *Platform) complete(c *container.Container, inv *workload.Invocation) {
 		p.pm.poolUsedMB.Set(p.pool.UsedMB())
 		p.pm.runningMB.Set(p.runningMB)
 	}
-}
-
-// CalibrateLoose runs the workload once with an unlimited pool and the
-// given scheduler factory, returning the paper's Loose pool size: the
-// peak memory of all alive containers in the cluster (busy plus
-// kept-warm — with keep-alive, finished containers remain running).
-func CalibrateLoose(w workload.Workload, mk func() Scheduler) float64 {
-	p := New(Config{PoolCapacityMB: 0}, mk())
-	res := p.Run(w)
-	return res.PeakAliveMB
 }

@@ -7,15 +7,6 @@ import (
 	"time"
 )
 
-// Arrival generates a sequence of arrival times. Implementations must be
-// deterministic given their random source.
-type Arrival interface {
-	// Times returns n monotonically non-decreasing arrival times.
-	Times(n int) []time.Duration
-	// Name identifies the process for reports.
-	Name() string
-}
-
 // Poisson produces arrivals of a homogeneous Poisson process with the
 // given rate (events per second): exponential inter-arrival gaps.
 type Poisson struct {
@@ -175,14 +166,6 @@ func RoundRobinSplit(total, k int) []int {
 		}
 	}
 	return out
-}
-
-// MeanInterArrival returns the average gap between consecutive arrivals.
-func MeanInterArrival(times []time.Duration) time.Duration {
-	if len(times) < 2 {
-		return 0
-	}
-	return (times[len(times)-1] - times[0]) / time.Duration(len(times)-1)
 }
 
 // RateEMA tracks an exponential moving average of arrival rate, used by

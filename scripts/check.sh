@@ -24,9 +24,6 @@ fi
 echo "== make vet (go vet + mlcr-vet: determinism + hot-path contracts, DESIGN.md §9, §14) =="
 ${MAKE:-make} vet
 
-echo "== mlcr-vet hotalloc smoke (call-graph hot-path alloc contract alone, DESIGN.md §14) =="
-go run ./cmd/mlcr-vet -run hotalloc ./...
-
 if [ "${FULL:-}" = "1" ]; then
     echo "== go test -race (all packages, full) =="
     go test -race ./...
