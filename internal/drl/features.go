@@ -6,7 +6,6 @@
 package drl
 
 import (
-	"hash/fnv"
 	"time"
 
 	"mlcr/internal/container"
@@ -90,11 +89,13 @@ func satur(d time.Duration, norm time.Duration) float64 {
 	return float64(d) / float64(d+norm)
 }
 
-//mlcr:allow hotalloc the fnv digest and byte view are inlined and do not escape; the feature path is pinned alloc-free by BenchmarkFeaturize
+// hashBucket is FNV-1a (32-bit) of s, reduced to a bucket.
 func hashBucket(s string) int {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return int(h.Sum32() % hashBuckets)
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return int(h % hashBuckets)
 }
 
 // levelBuckets writes the three level-identity one-hots for img into

@@ -1,11 +1,15 @@
 package drl
 
 import (
+	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
+	"mlcr/internal/fstartbench"
+	"mlcr/internal/image"
 	"mlcr/internal/workload"
 )
 
@@ -77,5 +81,24 @@ func TestFeaturizerSlotOrderMatchesCostGreedy(t *testing.T) {
 	// Same-function flag must be set on slot 0 (cheapest: no clean).
 	if st.X.At(2, 7) != 1 {
 		t.Fatal("slot 0 is not the same-function L3 container")
+	}
+}
+
+// TestHashBucketIsFNV1a: the inlined hash must put every level key where
+// hash/fnv's 32-bit FNV-1a put it — the buckets are features, so a
+// different hash would move every trained model's inputs.
+func TestHashBucketIsFNV1a(t *testing.T) {
+	keys := []string{"", "x", strings.Repeat("level-key/", 30)}
+	for _, f := range fstartbench.Functions() {
+		for _, l := range image.Levels {
+			keys = append(keys, f.Image.LevelKey(l))
+		}
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		if got, want := hashBucket(k), int(h.Sum32()%hashBuckets); got != want {
+			t.Errorf("hashBucket(%q) = %d, fnv.New32a gives %d", k, got, want)
+		}
 	}
 }

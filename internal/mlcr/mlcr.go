@@ -313,6 +313,11 @@ func (s *Scheduler) Schedule(env platform.Env, inv *workload.Invocation) int {
 			action = s.agent.SelectAction(state, 1)
 			sp.End()
 		}
+	case !state.Mask[0]:
+		// Forced decision: no candidate survived the mask, so the argmax
+		// over valid actions can only be the cold start and the margin
+		// gate has nothing to gate. No forward pass is run.
+		action = s.cfg.Slots
 	default:
 		sp := s.prof.Start(perf.PhaseNNForward)
 		var q *nn.Tensor

@@ -36,8 +36,10 @@ type MultiHeadAttention struct {
 	dS, dQh, dKh           *Tensor
 	gw                     *Tensor // dim×dim weight-gradient scratch
 	dxTerm                 *Tensor // seq×dim input-gradient term scratch
-	// cached transposes of the projection weights, invalidated on
-	// optimizer step via the Param version counter.
+	// cached transposes of the projection weights for Backward's dy×Wᵀ
+	// products, invalidated on optimizer step via the Param version
+	// counter. Forward multiplies by the weights as stored and never
+	// builds them.
 	wqT, wkT, wvT, woT paramTranspose
 }
 
@@ -96,9 +98,9 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	m.q = EnsureTensor(m.q, x.Rows, m.Dim)
 	m.k = EnsureTensor(m.k, x.Rows, m.Dim)
 	m.v = EnsureTensor(m.v, x.Rows, m.Dim)
-	matMulViaTInto(m.q, x, m.wqT.of(m.Wq))
-	matMulViaTInto(m.k, x, m.wkT.of(m.Wk))
-	matMulViaTInto(m.v, x, m.wvT.of(m.Wv))
+	MatMulInto(m.q, x, m.Wq.W)
+	MatMulInto(m.k, x, m.Wk.W)
+	MatMulInto(m.v, x, m.Wv.W)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	if len(m.attn) != m.Heads {
@@ -121,7 +123,7 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 		addColSlice(m.headsOut, MatMulInto(m.hv, a, vh), start)
 	}
 	m.out = EnsureTensor(m.out, x.Rows, m.Dim)
-	out := matMulViaTInto(m.out, m.headsOut, m.woT.of(m.Wo))
+	out := MatMulInto(m.out, m.headsOut, m.Wo.W)
 	AddInto(out, x) // residual
 	return out
 }

@@ -80,7 +80,7 @@ type Linear struct {
 	y  *Tensor        // forward output
 	dx *Tensor        // input gradient
 	dw *Tensor        // weight-gradient scratch (summed into Weight.Grad)
-	wT paramTranspose // cached Weightᵀ for the input-gradient matmul
+	wT paramTranspose // cached Weightᵀ for Backward's input-gradient matmul; Forward never builds it
 }
 
 // NewLinear creates a linear layer with He-initialized weights.
@@ -101,7 +101,7 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	}
 	l.x = x
 	l.y = EnsureTensor(l.y, x.Rows, l.Out)
-	y := matMulViaTInto(l.y, x, l.wT.of(l.Weight))
+	y := MatMulInto(l.y, x, l.Weight.W)
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
 		for j, b := range l.Bias.W.Data {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -322,15 +323,58 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// loadTarget is a two-layer model to load into, and a copy of its
+// weights to prove a refused Load changed none of them.
+func loadTarget(rng *rand.Rand, in int) (params []*Param, before [][]float64) {
+	params = append(NewLinear("first", 2, 2, rng).Params(), NewLinear("l", in, 4, rng).Params()...)
+	for _, p := range params {
+		before = append(before, append([]float64(nil), p.W.Data...))
+	}
+	return params, before
+}
+
+func assertUntouched(t *testing.T, params []*Param, before [][]float64) {
+	t.Helper()
+	for pi, p := range params {
+		for i, v := range p.W.Data {
+			if v != before[pi][i] {
+				t.Fatalf("refused Load overwrote %s[%d]", p.Name, i)
+			}
+		}
+	}
+}
+
 func TestLoadRejectsShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	saved, _ := loadTarget(rng, 3)
 	var buf bytes.Buffer
-	if err := Save(&buf, NewLinear("l", 3, 4, rng).Params()); err != nil {
+	if err := Save(&buf, saved); err != nil {
 		t.Fatal(err)
 	}
-	err := Load(&buf, NewLinear("l", 4, 4, rng).Params())
-	if err == nil {
+	// "first" matches and comes first; the mismatch on "l" must stop the
+	// Load before "first" is overwritten.
+	params, before := loadTarget(rng, 4)
+	if err := Load(&buf, params); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+	assertUntouched(t, params, before)
+}
+
+func TestLoadRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rng := rand.New(rand.NewSource(16))
+		saved, _ := loadTarget(rng, 3)
+		saved[3].W.Data[2] = bad // l.bias
+		var buf bytes.Buffer
+		if err := Save(&buf, saved); err != nil {
+			t.Fatal(err)
+		}
+		params, before := loadTarget(rng, 3)
+		err := Load(&buf, params)
+		if err == nil || !strings.Contains(err.Error(), `"l.bias"`) {
+			t.Fatalf("snapshot holding %v: Load = %v, want an error naming l.bias", bad, err)
+		}
+		assertUntouched(t, params, before)
 	}
 }
 

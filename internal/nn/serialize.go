@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -30,7 +31,11 @@ func Save(w io.Writer, params []*Param) error {
 }
 
 // Load reads parameter values from r into params, matching by name and
-// verifying shapes. Every parameter must be present.
+// verifying shapes. Every parameter must be present and every value
+// finite: one NaN or ±Inf weight makes every Q-value compare false, and a
+// scheduler that cannot pick an action must be refused here, not found
+// out on the request path. The snapshot is validated whole before any
+// weight is copied, so a failed Load leaves params untouched.
 func Load(r io.Reader, params []*Param) error {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -41,11 +46,18 @@ func Load(r io.Reader, params []*Param) error {
 		if !ok {
 			return fmt.Errorf("nn: snapshot missing parameter %q", p.Name)
 		}
-		if sp.Rows != p.W.Rows || sp.Cols != p.W.Cols {
-			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot has %dx%d",
-				p.Name, p.W.Rows, p.W.Cols, sp.Rows, sp.Cols)
+		if sp.Rows != p.W.Rows || sp.Cols != p.W.Cols || len(sp.Data) != len(p.W.Data) {
+			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot has %dx%d (%d values)",
+				p.Name, p.W.Rows, p.W.Cols, sp.Rows, sp.Cols, len(sp.Data))
 		}
-		copy(p.W.Data, sp.Data)
+		for i, v := range sp.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("nn: parameter %q element %d is %v in the snapshot", p.Name, i, v)
+			}
+		}
+	}
+	for _, p := range params {
+		copy(p.W.Data, s.Params[p.Name].Data)
 		p.MarkUpdated()
 	}
 	return nil

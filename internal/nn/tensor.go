@@ -144,8 +144,9 @@ func axpyRow(orow, brow []float64, av float64) {
 
 // matMulAcc accumulates a×b into out without zeroing it first. The loop
 // order (k ascending per output element, exact-zero lhs entries skipped)
-// is the single definition shared by MatMul and MatMulInto so the two are
-// bit-identical by construction.
+// is the definition of a product in this package: MatMul runs it, the
+// row kernel under MatMulInto reproduces it bit for bit, and it is what
+// MatMulInto itself runs where the kernel is not available.
 func matMulAcc(out, a, b *Tensor) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
@@ -178,9 +179,44 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
+	if useAVX2 {
+		for i := 0; i < a.Rows; i++ {
+			mulRow(dst.Row(i), a.Row(i), 1, b.Data, a.Cols, b.Cols)
+		}
+		return dst
+	}
 	dst.Zero()
 	matMulAcc(dst, a, b)
 	return dst
+}
+
+// mulRow writes one output row of a product,
+//
+//	dst[j] = Σ_k a[k·astride]·w[k·n+j]   for j in [0, n),
+//
+// each dst[j] accumulated from +0 with k ascending and exact-zero a
+// entries skipped — matMulAcc's order (astride 1: a is a row of the left
+// operand) and tMatMulAcc's (astride = the left operand's width: a is one
+// of its columns). The AVX2 kernel does the same IEEE multiplies and adds
+// four columns per instruction, never fused, so the sums are the scalar
+// loop's to the last bit; the n mod 4 columns it leaves are done here.
+// Only called when useAVX2 is set.
+func mulRow(dst, a []float64, astride int, w []float64, k, n int) {
+	// The kernel works on raw pointers: these are its bounds checks.
+	_, _, _ = dst[n-1], a[(k-1)*astride], w[k*n-1]
+	n4 := n &^ 3
+	if n4 > 0 {
+		mulRowAVX2(&dst[0], &a[0], astride, &w[0], k, n)
+	}
+	for j := n4; j < n; j++ {
+		var s float64
+		for kk := 0; kk < k; kk++ {
+			if av := a[kk*astride]; av != 0 {
+				s += av * w[kk*n+j]
+			}
+		}
+		dst[j] = s
+	}
 }
 
 // matMulTCore writes a×bᵀ into out, overwriting every element.
@@ -203,88 +239,6 @@ func dotRow(arow, brow []float64) float64 {
 		s += av * brow[k]
 	}
 	return s
-}
-
-// dotSkipRow is dotRow with matMulAcc's exact-zero skip: a zero arow
-// entry contributes nothing rather than adding ±0.
-func dotSkipRow(arow, brow []float64) float64 {
-	brow = brow[:len(arow)]
-	var s float64
-	for k, av := range arow {
-		if av != 0 {
-			s += av * brow[k]
-		}
-	}
-	return s
-}
-
-// matMulViaTInto computes a×b into dst given bt = bᵀ. Every dst element
-// is a register-resident dot accumulated k ascending with exact-zero a
-// entries skipped — the same adds, in the same order, as matMulAcc over
-// a zeroed dst, so MatMul(a, b) and matMulViaTInto(dst, a, bᵀ) are
-// bit-identical. The transposed layout turns the hot inner loop from
-// load-add-store (axpyRow) into four independent register accumulations.
-func matMulViaTInto(dst, a, bt *Tensor) *Tensor {
-	if a.Cols != bt.Cols {
-		panic(fmt.Sprintf("nn: matmulViaT %dx%d × (%dx%d)ᵀᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != bt.Rows {
-		panic(fmt.Sprintf("nn: matmulViaT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		j := 0
-		// 8 accumulator chains keep the FP adders busy across the
-		// ~4-cycle add latency; each chain is still k-ascending.
-		for ; j+7 < len(drow); j += 8 {
-			b0 := bt.Row(j)[:len(arow)]
-			b1 := bt.Row(j + 1)[:len(arow)]
-			b2 := bt.Row(j + 2)[:len(arow)]
-			b3 := bt.Row(j + 3)[:len(arow)]
-			b4 := bt.Row(j + 4)[:len(arow)]
-			b5 := bt.Row(j + 5)[:len(arow)]
-			b6 := bt.Row(j + 6)[:len(arow)]
-			b7 := bt.Row(j + 7)[:len(arow)]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-				s4 += av * b4[k]
-				s5 += av * b5[k]
-				s6 += av * b6[k]
-				s7 += av * b7[k]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
-		}
-		for ; j+3 < len(drow); j += 4 {
-			b0 := bt.Row(j)[:len(arow)]
-			b1 := bt.Row(j + 1)[:len(arow)]
-			b2 := bt.Row(j + 2)[:len(arow)]
-			b3 := bt.Row(j + 3)[:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < len(drow); j++ {
-			drow[j] = dotSkipRow(arow, bt.Row(j))
-		}
-	}
-	return dst
 }
 
 // MatMulT returns a×bᵀ.
@@ -342,6 +296,12 @@ func TMatMulInto(dst, a, b *Tensor) *Tensor {
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: tmatmul dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
+	}
+	if useAVX2 {
+		for i := 0; i < a.Cols; i++ {
+			mulRow(dst.Row(i), a.Data[i:], a.Cols, b.Data, a.Rows, b.Cols)
+		}
+		return dst
 	}
 	dst.Zero()
 	tMatMulAcc(dst, a, b)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -24,14 +25,19 @@ func buildNet(seed int64) *Sequential {
 	}}
 }
 
-func equalTensors(t *testing.T, name string, a, b *Tensor) {
+// equalTensors fails unless a and b agree in shape and, element by
+// element, in IEEE bits — NaNs aside, which only have to both be NaN
+// (which operand's payload a NaN×NaN keeps is not part of the contract).
+func equalTensors(t testing.TB, name string, a, b *Tensor) {
 	t.Helper()
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		t.Fatalf("%s: shape %dx%d != %dx%d", name, a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("%s: element %d = %v != %v (must be bit-identical)", name, i, a.Data[i], b.Data[i])
+	for i, av := range a.Data {
+		bv := b.Data[i]
+		if math.Float64bits(av) != math.Float64bits(bv) && !(math.IsNaN(av) && math.IsNaN(bv)) {
+			t.Fatalf("%s: element %d = %v (%#x) != %v (%#x) (must be bit-identical)",
+				name, i, av, math.Float64bits(av), bv, math.Float64bits(bv))
 		}
 	}
 }
@@ -73,20 +79,16 @@ func TestIntoOpsMatchAllocatingOps(t *testing.T) {
 		}
 	}
 
-	// The dot-form forward kernel: a×b via bᵀ must reproduce MatMul
-	// bit-for-bit, across the 4-wide unrolled columns and the remainder
-	// tail, with and without exact zeros in a.
+	// The forward products: a×b by MatMulInto against the untransposed b
+	// must reproduce MatMul bit-for-bit, across a 4-wide column block and
+	// the remainder tail, with and without exact zeros in a.
 	for _, cols := range []int{1, 3, 4, 5, 9} {
 		bb := NewTensor(6, cols).Randn(rng, 1)
-		bt := NewTensor(cols, 6)
-		TransposeInto(bt, bb)
-		equalTensors(t, "matMulViaTInto", matMulViaTInto(NewTensor(4, cols), a, bt), MatMul(a, bb))
+		equalTensors(t, "MatMulInto/untransposed", MatMulInto(NewTensor(4, cols), a, bb), MatMul(a, bb))
 	}
 	az := NewTensor(4, 6) // all-zero lhs: dst rows must come out +0
 	bb := NewTensor(6, 5).Randn(rng, 1)
-	bt := NewTensor(5, 6)
-	TransposeInto(bt, bb)
-	equalTensors(t, "matMulViaTInto/zero-lhs", matMulViaTInto(NewTensor(4, 5), az, bt), MatMul(az, bb))
+	equalTensors(t, "MatMulInto/zero-lhs", MatMulInto(NewTensor(4, 5), az, bb), MatMul(az, bb))
 }
 
 // TestCachedTransposeMatMulMatchesMatMulT locks the identity the Linear

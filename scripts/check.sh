@@ -32,6 +32,12 @@ else
     go test -race -short ./...
 fi
 
+echo "== nn row kernel: 5 s of FuzzMatMulKernel (assembly against the Go definition) =="
+go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
+
+echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
+GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
+
 echo "== scheduler × evictor grid smoke (every registered eviction policy) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -evictor all > /dev/null
 
