@@ -8,11 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Static analysis: the standard go vet plus mlcr-vet, the project's
-# ten analyzers enforcing the determinism and hot-path contracts over
-# the typed module call graph (DESIGN.md §9, §14). Machine-readable
-# output via `go run ./cmd/mlcr-vet -json ./...` (or -sarif). Also
-# part of make check via scripts/check.sh.
+# Static analysis: the standard go vet plus mlcr-vet, the project's six
+# per-file analyzers enforcing the determinism and construction
+# contracts (DESIGN.md §9); the hot-path and lifetime contracts belong
+# to runtime tests (§14). Also part of make check via scripts/check.sh.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mlcr-vet ./...

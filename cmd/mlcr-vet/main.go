@@ -1,30 +1,21 @@
 // Command mlcr-vet runs the repository's project-specific static
-// analyzers — the determinism and hot-path contract checks in
+// analyzers — the determinism and construction contract checks in
 // internal/lint — over the module and exits non-zero on any finding.
 //
 // Usage:
 //
-//	mlcr-vet [-run analyzers] [-list] [-json|-sarif] [-Wunused-allow] [-parallel n] [packages]
+//	mlcr-vet [-run analyzers] [-list] [packages]
 //
 // Packages default to ./... resolved from the current directory.
 // Findings print one per line as "file:line: analyzer: message"; the
 // run ends with a CI-friendly summary line and exit status 1 when
 // anything was found. Suppress individual findings with
 // "//mlcr:allow <analyzer> <reason>" on the offending line or the
-// line above (see DESIGN.md §9, §14).
-//
-// -json emits one finding per line as a JSON object (file, line,
-// analyzer, message, suppressed) including the suppressed findings, so
-// CI and editors can audit what the directives absorb; -sarif emits a
-// SARIF 2.1.0 log for code-scanning consumers. Both exit 1 only on
-// unsuppressed findings, like the human format. -Wunused-allow
-// additionally reports //mlcr:allow directives that no longer suppress
-// anything. -parallel caps the per-package analysis parallelism
-// (output order is identical at any value).
+// line above (see DESIGN.md §9). A directive that no longer suppresses
+// anything is a finding too, judged only when its analyzer ran.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +27,6 @@ import (
 func main() {
 	runList := flag.String("run", "", "comma-separated analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON lines (includes suppressed findings)")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log (includes suppressed findings)")
-	unusedAllow := flag.Bool("Wunused-allow", false, "report //mlcr:allow directives that suppress nothing")
-	parallel := flag.Int("parallel", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
@@ -47,9 +34,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fatal(fmt.Errorf("-json and -sarif are mutually exclusive"))
 	}
 
 	analyzers := lint.All()
@@ -73,19 +57,14 @@ func main() {
 		fatal(err)
 	}
 
-	res := lint.CheckAll(pkgs, analyzers, lint.Options{
-		Parallelism: *parallel,
-		UnusedAllow: *unusedAllow,
-	})
-	switch {
-	case *jsonOut:
-		printJSON(cwd, res)
-	case *sarifOut:
-		printSARIF(cwd, analyzers, res)
-	default:
-		for _, f := range res.Findings {
-			fmt.Println(relativize(cwd, f).String())
+	res := lint.Check(pkgs, analyzers)
+	for _, f := range res.Findings {
+		// Paths relative to the working directory, as the compiler and
+		// go vet print them.
+		if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
+			f.Pos.Filename = rel
 		}
+		fmt.Println(f)
 	}
 	summary := fmt.Sprintf("mlcr-vet: %d finding(s), %d suppressed, %d package(s), %d analyzer(s)",
 		len(res.Findings), res.Suppressed, res.Packages, res.Analyzers)
@@ -93,143 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, summary)
 		os.Exit(1)
 	}
-	if !*jsonOut && !*sarifOut {
-		fmt.Println("ok\t" + summary)
-	} else {
-		fmt.Fprintln(os.Stderr, "ok\t"+summary)
-	}
-}
-
-// jsonFinding is the -json line schema: the machine-readable contract
-// consumed by CI annotations and editor integrations.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-// printJSON writes one finding per line, suppressed ones included and
-// flagged — the audit trail of what the //mlcr:allow directives absorb.
-func printJSON(cwd string, res lint.Result) {
-	enc := json.NewEncoder(os.Stdout)
-	for _, f := range res.All {
-		f = relativize(cwd, f)
-		if err := enc.Encode(jsonFinding{
-			File:       f.Pos.Filename,
-			Line:       f.Pos.Line,
-			Analyzer:   f.Analyzer,
-			Message:    f.Message,
-			Suppressed: f.Suppressed,
-		}); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// Minimal SARIF 2.1.0 structures — only the fields code-scanning
-// consumers require.
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID   string `json:"id"`
-	Desc struct {
-		Text string `json:"text"`
-	} `json:"shortDescription"`
-}
-
-type sarifResult struct {
-	RuleID  string `json:"ruleId"`
-	Level   string `json:"level"`
-	Message struct {
-		Text string `json:"text"`
-	} `json:"message"`
-	Locations    []sarifLocation    `json:"locations"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
-}
-
-type sarifSuppression struct {
-	Kind string `json:"kind"`
-}
-
-type sarifLocation struct {
-	Physical struct {
-		Artifact struct {
-			URI string `json:"uri"`
-		} `json:"artifactLocation"`
-		Region struct {
-			StartLine   int `json:"startLine"`
-			StartColumn int `json:"startColumn,omitempty"`
-		} `json:"region"`
-	} `json:"physicalLocation"`
-}
-
-// printSARIF writes the whole run as one SARIF log. Suppressed
-// findings carry an inSource suppression object, matching how SARIF
-// consumers hide-but-retain them.
-func printSARIF(cwd string, analyzers []*lint.Analyzer, res lint.Result) {
-	log := sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-	}
-	driver := sarifDriver{Name: "mlcr-vet"}
-	for _, a := range analyzers {
-		rule := sarifRule{ID: a.Name}
-		rule.Desc.Text = a.Doc
-		driver.Rules = append(driver.Rules, rule)
-	}
-	run := sarifRun{Tool: sarifTool{Driver: driver}}
-	if res.All == nil {
-		run.Results = []sarifResult{} // SARIF requires the array
-	}
-	for _, f := range res.All {
-		f = relativize(cwd, f)
-		r := sarifResult{RuleID: f.Analyzer, Level: "error"}
-		r.Message.Text = f.Message
-		var loc sarifLocation
-		loc.Physical.Artifact.URI = filepath.ToSlash(f.Pos.Filename)
-		loc.Physical.Region.StartLine = f.Pos.Line
-		loc.Physical.Region.StartColumn = f.Pos.Column
-		r.Locations = []sarifLocation{loc}
-		if f.Suppressed {
-			r.Suppressions = []sarifSuppression{{Kind: "inSource"}}
-		}
-		run.Results = append(run.Results, r)
-	}
-	log.Runs = []sarifRun{run}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(log); err != nil {
-		fatal(err)
-	}
-}
-
-// relativize rewrites the finding's path relative to the working
-// directory, matching compiler and go vet output.
-func relativize(cwd string, f lint.Finding) lint.Finding {
-	if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
-		f.Pos.Filename = rel
-	}
-	return f
+	fmt.Println("ok\t" + summary)
 }
 
 func fatal(err error) {

@@ -275,9 +275,10 @@ func evictorFor(s platform.Scheduler) pool.Evictor {
 // reset.
 func (g *Gateway) now(st *gwState) time.Duration { return g.clock() - st.epoch }
 
-// serve is the gateway's per-invocation hot path — a declared hotalloc
-// vet root: the steady-state warm path (fast-layer claim, completion
-// re-registration, shard-pool reuse) performs zero heap allocations.
+// serve is the gateway's per-invocation hot path: the steady-state warm
+// path (fast-layer claim, completion re-registration, shard-pool reuse)
+// performs zero heap allocations, pinned by
+// TestGatewayWarmSteadyStateAllocs.
 func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Container, s container.Startup, lvl core.MatchLevel) {
 	sh := gf.shard
 	// Reclaim any completions due by now. One atomic load in the common

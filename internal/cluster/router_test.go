@@ -93,6 +93,13 @@ func TestPinnedRoutingFingerprints(t *testing.T) {
 // Router determinism contract: every registered router must yield
 // identical partitions — and therefore identical per-worker replay
 // fingerprints — at Parallelism 1, 8 and GOMAXPROCS.
+//
+// It is the only owner of the Shards() contract (DESIGN.md §14). A
+// sharded router whose shards share state diverges in the isolation
+// replay below, which routes every shard with a fresh router of its
+// own; a stateless router that writes shared state returns the same
+// answer and is caught only when scripts/check.sh runs this test under
+// -race -short, as a data race. It must keep running under -short.
 func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{Count: 400})
 	for _, name := range RouterNames() {
@@ -102,6 +109,20 @@ func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 			cfg.RouterSeed = 11
 			cfg.Parallelism = par
 			return cfg
+		}
+		rc := RouterConfig{Workers: 9, Seed: 11}
+		if k := MustNewRouter(name, rc).Shards(); k > 1 {
+			want := routeTargets(MustNewRouter(name, rc), w, rc.Workers, 1, nil)
+			for s := 0; s < k; s++ {
+				r := MustNewRouter(name, rc)
+				r.Begin(w)
+				for i := s; i < len(w.Invocations); i += k {
+					if got := r.Route(s, i, &w.Invocations[i]); got != int(want[i]) {
+						t.Fatalf("router %s: shard %d routed alone sends invocation %d to worker %d, shared run to %d",
+							name, s, i, got, want[i])
+					}
+				}
+			}
 		}
 		seq := Run(mk(1), w)
 		seqFP := clusterFingerprint(seq)

@@ -68,7 +68,7 @@ func (cl *Cleaner) Repack(c *Container, f *workload.Function, level core.MatchLe
 	// level is on the writable layer, not a volume, so only language and
 	// runtime volumes are managed.
 	op := SwapOp{ContainerID: c.ID, FromFn: c.FnID, ToFn: f.ID, Level: level}
-	swap := func(l image.Level) { //mlcr:allow hotalloc locally-called closure; does not escape, so it is stack-allocated
+	swap := func(l image.Level) {
 		if len(c.Image.AtLevel(l)) > 0 {
 			cl.unmounts++
 			op.Unmounts++

@@ -124,7 +124,7 @@ func Estimate(f *workload.Function, level core.MatchLevel, crossFunction bool) S
 	case core.MatchL1:
 		s.Clean = f.Clean
 		s.RuntimeInit = f.RuntimeInit
-		for _, l := range []image.Level{image.Language, image.Runtime} { //mlcr:allow hotalloc non-escaping range literal; stays on the stack
+		for _, l := range []image.Level{image.Language, image.Runtime} {
 			s.Pull += f.Image.PullTime(l)
 			s.Install += f.Image.InstallTime(l)
 		}
@@ -147,8 +147,6 @@ func Estimate(f *workload.Function, level core.MatchLevel, crossFunction bool) S
 // registry when starting at the given match level: everything above the
 // matched prefix (all three levels for a cold start, none for a full
 // match).
-//
-//mlcr:allow hotalloc cold-start pull modeling: the returned level list exists only while a registry pull is simulated, never on the warm reuse path
 func PulledLevels(level core.MatchLevel) []image.Level {
 	switch level {
 	case core.NoMatch:
@@ -175,8 +173,6 @@ func EstimateFor(f *workload.Function, c *Container) (Startup, core.MatchLevel) 
 
 // NewCold creates a fresh Busy container for invocation inv arriving at
 // now, returning the container and its cold-start breakdown.
-//
-//mlcr:allow hotalloc a cold start allocates its container by definition; the warm steady-state path reuses pooled containers and never reaches this
 func NewCold(id int, inv *workload.Invocation, now time.Duration) (*Container, Startup) {
 	s := Estimate(inv.Fn, core.NoMatch, false)
 	c := &Container{

@@ -167,8 +167,6 @@ func (a *Agent) Observe(t Transition) { a.replay.Add(t) }
 //
 // It returns the mean absolute TD error, or 0 when the replay pool is
 // still empty.
-//
-//mlcr:allow hotalloc training step: its allocation budget is per-update (backward passes, optimizer wiring), not per-invocation; serving runs never train
 func (a *Agent) TrainStep() float64 {
 	if a.replay.Len() == 0 {
 		return 0

@@ -10,9 +10,11 @@
 // OnAdd/OnUse/OnRemove/OnTick and each policy maintains its own
 // intrusive bookkeeping (heap, ring, slice) so PickVictim is O(1) or
 // O(log n) and the whole callback surface is allocation-free in steady
-// state. Policies key their structures through Container.PolicyCookie,
-// an int slot the pool reserves for whichever policy currently tracks
-// the container.
+// state (pinned by TestPickVictimZeroAllocs). Policies key their
+// structures through Container.PolicyCookie, an int slot the pool
+// reserves for whichever policy currently tracks the container; only
+// this package touches it, and a foreign write corrupts a heap or ring
+// that the every-policy property harness (evictionScript) replays.
 //
 // Determinism contract: policies may hold only virtual-time state and
 // seeded RNG state. Tie-breaks must be resolved by stable container

@@ -307,43 +307,67 @@ func TestTTLDisplacesAndExpires(t *testing.T) {
 	}
 }
 
-// TestPickVictimZeroAllocs locks the tentpole claim: a full pool's
-// Add→evict cycle allocates nothing for any displacing policy once its
-// bookkeeping is warm.
+// refuseAll is a displacing policy that refuses every eviction: Admit
+// says yes and PickVictim says nil, so a full pool's Add takes the
+// nil-victim rejection branch.
+type refuseAll struct{ evict.Policy }
+
+func (refuseAll) PickVictim(time.Duration) *container.Container { return nil }
+
+// TestPickVictimZeroAllocs locks the tentpole claim: once its bookkeeping
+// is warm, a full pool's Add allocates nothing under any policy — the
+// Add→PickVictim→evict cycle of every displacing policy, and the refused
+// Add of the keep-alive policies and of a policy whose PickVictim
+// returns nil.
 func TestPickVictimZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	const n = 256
+	type policyCase struct {
+		name    string
+		new     func() evict.Policy
+		refuses bool
+	}
+	var cases []policyCase
 	for _, name := range evict.Names() {
-		pol := evict.MustNew(name, 1)
-		if !pol.Admit() {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			pol := evict.MustNew(name, 1)
+		newPol := func() evict.Policy { return evict.MustNew(name, 1) }
+		cases = append(cases, policyCase{name, newPol, !newPol().Admit()})
+	}
+	cases = append(cases, policyCase{"nil-victim", func() evict.Policy { return refuseAll{evict.NewLRU()} }, true})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			f := rtFn(1, 64, time.Second)
-			p := pool.New(n*64, pol)
+			p := pool.New(n*64, tc.new())
 			for i := 1; i <= n; i++ {
 				c := idleContainer(i, f, time.Duration(i)*time.Second)
 				if !p.Add(c, time.Second, c.IdleSince) {
 					t.Fatalf("prefill rejected container %d", i)
 				}
 			}
-			var evicted *container.Container
-			p.OnEvict = func(c *container.Container, _ string, _ time.Duration) { evicted = c }
 			now := time.Duration(n) * time.Second
 			cur := idleContainer(n+1, f, now)
 			cycle := func() {
 				now += time.Second
-				if !p.Add(cur, time.Second, now) {
-					panic("cycle Add rejected")
+				cur.State = container.Idle
+				if p.Add(cur, time.Second, now) {
+					panic("full pool admitted the offer")
 				}
-				v := evicted
-				v.State = container.Idle
-				v.LastUsedAt = now
-				v.IdleSince = now
-				cur = v
+			}
+			if !tc.refuses {
+				var evicted *container.Container
+				p.OnEvict = func(c *container.Container, _ string, _ time.Duration) { evicted = c }
+				cycle = func() {
+					now += time.Second
+					if !p.Add(cur, time.Second, now) {
+						panic("cycle Add rejected")
+					}
+					v := evicted
+					v.State = container.Idle
+					v.LastUsedAt = now
+					v.IdleSince = now
+					cur = v
+				}
 			}
 			// Warm ring/heap/freelist capacity (FIFO's ring grows to 2n
 			// before its in-place compaction reaches steady state).
@@ -351,7 +375,7 @@ func TestPickVictimZeroAllocs(t *testing.T) {
 				cycle()
 			}
 			if got := testing.AllocsPerRun(200, cycle); got != 0 {
-				t.Fatalf("%s Add→PickVictim→evict cycle allocates %v per run, want 0", name, got)
+				t.Fatalf("%s full-pool Add cycle allocates %v per run, want 0", tc.name, got)
 			}
 		})
 	}

@@ -173,7 +173,7 @@ func (im Image) AtLevel(l Level) []Package {
 	var out []Package
 	for _, p := range im.Pkgs {
 		if p.Level == l {
-			out = append(out, p) //mlcr:allow hotalloc un-interned fallback; interned images (every real workload) return the precomputed level slice above
+			out = append(out, p)
 		}
 	}
 	return out
@@ -188,7 +188,6 @@ func (im Image) LevelKey(l Level) string {
 	return im.computeLevelKey(l)
 }
 
-//mlcr:allow hotalloc fallback for un-interned images only; interned catalogs (every real workload) hit the precomputed levelKeys fast path
 func (im Image) computeLevelKey(l Level) string {
 	ps := im.AtLevel(l)
 	keys := make([]string, len(ps))

@@ -2,51 +2,12 @@ package lint_test
 
 import (
 	"reflect"
-	"sort"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mlcr/internal/lint"
 )
-
-// TestHotAllocFixture: the hot-path allocation contract. The fixture
-// is loaded as mlcr/internal/evict so its PickVictim methods become
-// hot roots; the planted allocations — including the one reachable
-// only through a call of indirection (LRU.indirect) — must be flagged
-// at their exact lines, while the amortized idioms, cold branches,
-// carved-out functions and unreachable code stay silent.
-func TestHotAllocFixture(t *testing.T) {
-	d, suppressed := checkFixture(t, "hotalloc", "mlcr/internal/evict", []*lint.Analyzer{lint.HotAlloc})
-	noDirectives(t, d)
-	if suppressed != 0 {
-		t.Errorf("suppressed = %d, want 0 (the carve-out prunes, it does not suppress)", suppressed)
-	}
-}
-
-// TestShardSafeFixture: the three Shards() regimes in one package —
-// stateless routers write nothing, sharded routers write only
-// shard-indexed state, sequential routers are exempt, non-Routers are
-// out of scope.
-func TestShardSafeFixture(t *testing.T) {
-	d, _ := checkFixture(t, "shardsafe", "mlcr/internal/cluster", []*lint.Analyzer{lint.ShardSafe})
-	noDirectives(t, d)
-}
-
-// TestPooledLifeFixture: use-after-release of pooled events (with
-// revival and branch-confinement) and PolicyCookie ownership.
-func TestPooledLifeFixture(t *testing.T) {
-	d, _ := checkFixture(t, "pooledlife", "mlcr/internal/sim", []*lint.Analyzer{lint.PooledLife})
-	noDirectives(t, d)
-}
-
-// TestRegistryCheckFixture: names entering the registry via Register
-// calls and a New* name-switch must appear in the fixture's own test
-// corpus and in a fingerprint/parallel pinning file; each missing leg
-// is a separate finding at the registration site.
-func TestRegistryCheckFixture(t *testing.T) {
-	d, _ := checkFixture(t, "registrycheck", "mlcr/internal/evict", []*lint.Analyzer{lint.RegistryCheck})
-	noDirectives(t, d)
-}
 
 // TestDirectiveAnchoring pins the anchoring contract: a trailing
 // //mlcr:allow suppresses its own line only (the next line's
@@ -60,9 +21,8 @@ func TestDirectiveAnchoring(t *testing.T) {
 	}
 }
 
-// TestUnusedAllow: a directive that suppresses nothing is flagged by
-// the -Wunused-allow pass — but only when its analyzer actually ran,
-// and never by default.
+// TestUnusedAllow: a directive that suppresses nothing is a finding —
+// but only when its analyzer actually ran.
 func TestUnusedAllow(t *testing.T) {
 	load := func() *lint.Package {
 		pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir("unusedallow"), "mlcr/internal/sim")
@@ -72,7 +32,7 @@ func TestUnusedAllow(t *testing.T) {
 		return pkg
 	}
 
-	res := lint.CheckAll([]*lint.Package{load()}, []*lint.Analyzer{lint.Walltime}, lint.Options{UnusedAllow: true})
+	res := lint.Check([]*lint.Package{load()}, []*lint.Analyzer{lint.Walltime})
 	if len(res.Findings) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(res.Findings), res.Findings)
 	}
@@ -82,67 +42,22 @@ func TestUnusedAllow(t *testing.T) {
 	}
 
 	// The analyzer the directive names did not run: no verdict.
-	res = lint.CheckAll([]*lint.Package{load()}, []*lint.Analyzer{lint.DetRand}, lint.Options{UnusedAllow: true})
+	res = lint.Check([]*lint.Package{load()}, []*lint.Analyzer{lint.DetRand})
 	if len(res.Findings) != 0 {
 		t.Errorf("partial -run judged a foreign directive: %v", res.Findings)
 	}
 
-	// Default options: stale directives are tolerated silently.
-	res = lint.CheckAll([]*lint.Package{load()}, []*lint.Analyzer{lint.Walltime}, lint.Options{})
-	if len(res.Findings) != 0 {
-		t.Errorf("UnusedAllow off still reported: %v", res.Findings)
-	}
-}
-
-// TestCallGraphInterfaceResolution pins the resolution the registry
-// architecture depends on: an interface call site expands to every
-// loaded implementation (value and pointer receivers), and calls
-// inside panic guards are cold edges while the steady-state call is
-// hot.
-func TestCallGraphInterfaceResolution(t *testing.T) {
-	pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir("callgraph"), "mlcr/internal/evict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := lint.NewModule([]*lint.Package{pkg}).CallGraph()
-
-	dispatch := g.Lookup("mlcr/internal/evict", "", "Dispatch")
-	if dispatch == nil {
-		t.Fatal("Lookup(Dispatch) = nil")
-	}
-	var callees []string
-	for _, e := range dispatch.Edges {
-		callees = append(callees, e.Callee.Label())
-	}
-	sort.Strings(callees)
-	want := []string{"evict.(*Cost).PickVictim", "evict.(LRU).PickVictim"}
-	if !reflect.DeepEqual(callees, want) {
-		t.Errorf("Dispatch edges = %v, want %v (interface call must expand to every implementation)", callees, want)
-	}
-
-	guarded := g.Lookup("mlcr/internal/evict", "", "Guarded")
-	if guarded == nil {
-		t.Fatal("Lookup(Guarded) = nil")
-	}
-	cold := map[string]bool{}
-	for _, e := range guarded.Edges {
-		cold[e.Callee.Label()] = e.Cold
-	}
-	if !cold["evict.describe"] {
-		t.Error("describe (inside the panic argument) should be a cold edge")
-	}
-	if c, ok := cold["evict.step"]; !ok || c {
-		t.Errorf("step should be a hot edge (present=%v cold=%v)", ok, c)
-	}
-
-	if n := g.Lookup("mlcr/internal/evict", "Cost", "PickVictim"); n == nil {
-		t.Error("Lookup by receiver type name failed for Cost.PickVictim")
+	// mlcr-vet's default run (every analyzer) reports the stale directive.
+	res = lint.Check([]*lint.Package{load()}, lint.All())
+	if len(res.Findings) != 1 || res.Findings[0].Analyzer != "unused-allow" {
+		t.Errorf("default run: got %v, want the one unused-allow finding", res.Findings)
 	}
 }
 
 // TestCheckAllDeterministic: the parallel runner's output contract —
-// identical findings (including suppressed ones, in order) at any
-// parallelism.
+// identical findings, in order, and the same suppressed count at any
+// GOMAXPROCS. The module is clean, so fixtures with findings ride along
+// to give the order something to get wrong.
 func TestCheckAllDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide load; covered by the full suite")
@@ -151,17 +66,26 @@ func TestCheckAllDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := lint.CheckAll(pkgs, lint.All(), lint.Options{Parallelism: 1})
-	par := lint.CheckAll(pkgs, lint.All(), lint.Options{Parallelism: 8})
-	if !reflect.DeepEqual(seq.All, par.All) {
-		t.Errorf("findings differ across parallelism:\nseq: %v\npar: %v", seq.All, par.All)
+	for _, name := range []string{"walltime", "maprange", "errcheck", "badallow"} {
+		pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir(name), "mlcr/internal/"+name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := lint.Check(pkgs, lint.All())
+	runtime.GOMAXPROCS(8)
+	par := lint.Check(pkgs, lint.All())
+	if len(seq.Findings) == 0 || !reflect.DeepEqual(seq.Findings, par.Findings) {
+		t.Errorf("findings differ across GOMAXPROCS:\nseq: %v\npar: %v", seq.Findings, par.Findings)
 	}
 	if seq.Suppressed != par.Suppressed {
 		t.Errorf("suppressed count differs: %d vs %d", seq.Suppressed, par.Suppressed)
 	}
 }
 
-// BenchmarkVetModule times one full CheckAll sweep of the module —
+// BenchmarkVetModule times one full Check sweep of the module —
 // the cost scripts/check.sh pays on every run. Loading (go list +
 // parse + type-check) is excluded; the directive cache warms on the
 // first iteration like any steady-state run.
@@ -174,8 +98,7 @@ func BenchmarkVetModule(b *testing.B) {
 	analyzers := lint.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := lint.CheckAll(pkgs, analyzers, lint.Options{})
-		if len(res.Findings) != 0 {
+		if res := lint.Check(pkgs, analyzers); len(res.Findings) != 0 {
 			b.Fatalf("module not vet-clean: %v", res.Findings)
 		}
 	}

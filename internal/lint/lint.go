@@ -1,16 +1,14 @@
 // Package lint is the repository's project-specific static-analysis
 // framework: an analyzer runner built on the standard library's
-// go/parser and go/types (the module stays dependency-free), a typed
-// cross-package call graph with conservative interface resolution
-// (callgraph.go), and the ten mlcr-vet analyzers that mechanically
-// enforce the simulator's determinism and hot-path contracts
-// (DESIGN.md §9, §14).
+// go/parser and go/types (the module stays dependency-free) and the six
+// per-file mlcr-vet analyzers that mechanically enforce the simulator's
+// determinism and construction contracts (DESIGN.md §9). The hot-path,
+// shard, pooled-event and registry contracts are owned by runtime tests
+// instead (DESIGN.md §14).
 //
 // An Analyzer inspects one type-checked package at a time through a
-// Pass and reports Findings; module-wide facilities (the call graph,
-// the raw test-file corpus) are shared through the Pass's Module.
-// Findings can be suppressed — explicitly and auditably — with a
-// directive comment:
+// Pass and reports Findings. Findings can be suppressed — explicitly and
+// auditably — with a directive comment:
 //
 //	//mlcr:allow <analyzer> <reason>
 //
@@ -18,9 +16,9 @@
 // directive trailing code suppresses findings on its own line only
 // (so an allow on one declaration can never silently absorb a finding
 // on the following one). A directive with a missing or unknown
-// analyzer name, or no reason, is itself reported as a finding, so
-// suppressions cannot rot silently; Options.UnusedAllow additionally
-// reports directives that no longer suppress anything.
+// analyzer name, or no reason, is itself reported as a finding, and so
+// is a directive that no longer suppresses anything, so suppressions
+// cannot rot silently.
 package lint
 
 import (
@@ -32,7 +30,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Analyzer is one project-specific check. Run inspects the package in
@@ -50,14 +47,8 @@ type Pass struct {
 	Path     string // package import path (decides deterministic scope)
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
-	// Mod exposes the module-wide facilities — call graph, sibling
-	// packages, test corpus — shared by every pass of one Check run.
-	Mod *Module
-
-	pkg      *Package
 	findings *[]Finding
 }
 
@@ -70,32 +61,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Allowed reports whether an //mlcr:allow directive for this pass's
-// analyzer anchors at pos (trailing on its line, or whole-line on the
-// line above), marking the directive used. Analyzers use it for
-// structural carve-outs that are cheaper than reporting-and-
-// suppressing — hotalloc prunes whole functions from its hot-path
-// walk when the function declaration carries an allow.
-func (p *Pass) Allowed(pos token.Pos) bool {
-	f := p.Fset.Position(pos)
-	for _, d := range p.pkg.packageDirectives(nil) {
-		if d.analyzer == p.Analyzer.Name && d.file == f.Filename && d.suppressesLine(f.Line) {
-			d.used.Store(true)
-			return true
-		}
-	}
-	return false
-}
-
 // Finding is one reported contract violation.
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Suppressed marks findings absorbed by an //mlcr:allow directive.
-	// The default human output drops them; -json and -sarif keep them,
-	// flagged, so consumers can audit what the directives absorb.
-	Suppressed bool
 }
 
 // String renders the finding in the canonical
@@ -108,7 +78,6 @@ func (f Finding) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime, DetRand, MapRange, MarkUpdated, ErrCheck, NewImage,
-		HotAlloc, ShardSafe, PooledLife, RegistryCheck,
 	}
 }
 
@@ -149,11 +118,7 @@ type directive struct {
 	line       int
 	analyzer   string
 	standalone bool // whole-line comment (only whitespace precedes it)
-
-	// used flips when the directive suppresses a finding or answers an
-	// Allowed query. atomic: the hot-path walk (built once, module-
-	// wide) and per-package suppression run on different goroutines.
-	used atomic.Bool
+	used       bool // suppressed a finding in this Check run
 }
 
 // suppressesLine reports whether the directive anchors to line.
@@ -164,60 +129,50 @@ func (d *directive) suppressesLine(line int) bool {
 	return line == d.line
 }
 
-// packageDirectives parses (once) every //mlcr:allow directive in the
-// package. Malformed directives (missing analyzer, unknown analyzer,
-// missing reason) are reported as findings under the "directive"
-// analyzer name so they fail the build instead of silently allowing —
-// or silently not allowing — anything; report receives them (nil
-// report callers get the cached directives only).
-func (pkg *Package) packageDirectives(report func(f Finding)) []*directive {
-	pkg.dirOnce.Do(func() {
-		known := make(map[string]bool)
-		for _, a := range All() {
-			known[a.Name] = true
-		}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, allowPrefix) {
-						continue
-					}
-					rest := strings.TrimPrefix(c.Text, allowPrefix)
-					if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-						continue // some other //mlcr:allowX token, not ours
-					}
-					badf := func(msg string) {
-						pkg.dirBroken = append(pkg.dirBroken, Finding{
-							Pos: pkg.Fset.Position(c.Pos()), Analyzer: "directive", Message: msg,
-						})
-					}
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) == 0:
-						badf("directive needs an analyzer name and a reason: //mlcr:allow <analyzer> <reason>")
-					case !known[fields[0]]:
-						badf(fmt.Sprintf("directive names unknown analyzer %q", fields[0]))
-					case len(fields) == 1:
-						badf(fmt.Sprintf("//mlcr:allow %s needs a reason — suppressions must be auditable", fields[0]))
-					default:
-						pos := pkg.Fset.Position(c.Pos())
-						pkg.dirs = append(pkg.dirs, &directive{
-							file:       pos.Filename,
-							line:       pos.Line,
-							analyzer:   fields[0],
-							standalone: startsLine(pkg.Src[pos.Filename], pos),
-						})
-					}
+// parseDirectives parses every //mlcr:allow directive in the package.
+// Malformed directives (missing analyzer, unknown analyzer, missing
+// reason) come back as findings under the "directive" analyzer name so
+// they fail the build instead of silently allowing — or silently not
+// allowing — anything.
+func parseDirectives(pkg *Package) (dirs []*directive, bad []Finding) {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, allowPrefix) {
+					continue
+				}
+				rest := strings.TrimPrefix(c.Text, allowPrefix)
+				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+					continue // some other //mlcr:allowX token, not ours
+				}
+				pos := pkg.Fset.Position(c.Pos())
+				badf := func(msg string) {
+					bad = append(bad, Finding{Pos: pos, Analyzer: "directive", Message: msg})
+				}
+				fields := strings.Fields(rest)
+				switch {
+				case len(fields) == 0:
+					badf("directive needs an analyzer name and a reason: //mlcr:allow <analyzer> <reason>")
+				case !known[fields[0]]:
+					badf(fmt.Sprintf("directive names unknown analyzer %q", fields[0]))
+				case len(fields) == 1:
+					badf(fmt.Sprintf("//mlcr:allow %s needs a reason — suppressions must be auditable", fields[0]))
+				default:
+					dirs = append(dirs, &directive{
+						file:       pos.Filename,
+						line:       pos.Line,
+						analyzer:   fields[0],
+						standalone: startsLine(pkg.Src[pos.Filename], pos),
+					})
 				}
 			}
 		}
-	})
-	if report != nil {
-		for _, f := range pkg.dirBroken {
-			report(f)
-		}
 	}
-	return pkg.dirs
+	return dirs, bad
 }
 
 // startsLine reports whether only whitespace precedes the position on
@@ -241,68 +196,31 @@ func startsLine(src []byte, pos token.Position) bool {
 	return true // first line of the file
 }
 
-// Options tunes a CheckAll run.
-type Options struct {
-	// Parallelism caps concurrent per-package analysis; <= 0 means
-	// GOMAXPROCS. Output is deterministic at any value: findings are
-	// sorted by (file, line, column, analyzer, message) after the
-	// parallel phase.
-	Parallelism int
-	// UnusedAllow reports //mlcr:allow directives that suppressed no
-	// finding (and answered no analyzer carve-out query) as findings
-	// under the "unused-allow" name, so stale suppressions are flushed
-	// out when the code they excused improves.
-	UnusedAllow bool
-}
-
-// Result is the outcome of a CheckAll run.
+// Result is the outcome of a Check run.
 type Result struct {
 	// Findings are the surviving findings, position-sorted.
 	Findings []Finding
-	// All additionally includes the suppressed findings (flagged), in
-	// the same order — the -json/-sarif payload.
-	All []Finding
 	// Suppressed counts findings absorbed by //mlcr:allow directives.
 	Suppressed int
 	// Packages and Analyzers echo the run's scope for summaries.
 	Packages, Analyzers int
 }
 
-// Check runs the analyzers over every package with default options and
-// returns the surviving findings plus the suppressed count — the
-// historical two-value surface most tests consume.
-func Check(pkgs []*Package, analyzers []*Analyzer) (findings []Finding, suppressed int) {
-	res := CheckAll(pkgs, analyzers, Options{})
-	return res.Findings, res.Suppressed
-}
-
-// CheckAll runs the analyzers over every package — in parallel across
-// packages — applies //mlcr:allow suppressions, de-duplicates, and
-// returns the findings sorted by position. Module-wide facilities
-// (call graph, hot-path reachability) are built once, on first use,
-// and shared by every pass.
-func CheckAll(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
-	mod := NewModule(pkgs)
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pkgs) {
-		par = len(pkgs)
-	}
-	if par < 1 {
-		par = 1
-	}
-
+// Check runs the analyzers over every package, GOMAXPROCS packages at a
+// time, applies the //mlcr:allow directives and returns the surviving
+// findings sorted by (file, line, column, analyzer, message), so the
+// output is the same at any GOMAXPROCS.
+func Check(pkgs []*Package, analyzers []*Analyzer) Result {
 	perPkg := make([][]Finding, len(pkgs))
+	suppressed := make([]int, len(pkgs))
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < par; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(pkgs)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				perPkg[i] = checkPackage(mod, pkgs[i], analyzers, opts)
+				perPkg[i], suppressed[i] = checkPackage(pkgs[i], analyzers)
 			}
 		}()
 	}
@@ -312,73 +230,58 @@ func CheckAll(pkgs []*Package, analyzers []*Analyzer, opts Options) Result {
 	close(next)
 	wg.Wait()
 
-	var all []Finding
-	for _, fs := range perPkg {
-		all = append(all, fs...)
+	res := Result{Packages: len(pkgs), Analyzers: len(analyzers)}
+	for i, fs := range perPkg {
+		res.Findings = append(res.Findings, fs...)
+		res.Suppressed += suppressed[i]
 	}
-	sortFindings(all)
-	all = dedupFindings(all)
-
-	res := Result{All: all, Packages: len(pkgs), Analyzers: len(analyzers)}
-	for _, f := range all {
-		if f.Suppressed {
-			res.Suppressed++
-		} else {
-			res.Findings = append(res.Findings, f)
-		}
-	}
+	sortFindings(res.Findings)
 	return res
 }
 
-// checkPackage runs every analyzer over one package and applies the
-// package's directives. Unused-allow evaluation is safe here even
-// though the hot-path walk marks prune directives from another
-// goroutine: the walk is built (once) synchronously inside this
-// package's own hotalloc pass, which runs before the evaluation below.
-func checkPackage(mod *Module, pkg *Package, analyzers []*Analyzer, opts Options) []Finding {
+// checkPackage runs every analyzer over one package, applies the
+// package's directives and returns the surviving findings plus the
+// suppressed count. A directive that suppressed nothing is a finding
+// too, but only when its analyzer ran: a partial -run cannot tell
+// whether the other analyzers' directives still earn their keep.
+func checkPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, int) {
 	var raw []Finding
-	dirs := pkg.packageDirectives(func(f Finding) { raw = append(raw, f) })
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer: a,
 			Path:     pkg.Path,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
-			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Mod:      mod,
-			pkg:      pkg,
 			findings: &raw,
-		}
-		a.Run(pass)
+		})
 	}
-	for i := range raw {
-		if d := allowedBy(dirs, &raw[i]); d != nil {
-			d.used.Store(true)
-			raw[i].Suppressed = true
-		}
-	}
-	if opts.UnusedAllow {
-		for _, d := range dirs {
-			// Only judge directives whose analyzer actually ran: a
-			// partial -run invocation cannot tell whether the others'
-			// directives still earn their keep.
-			if ran[d.analyzer] && !d.used.Load() {
-				raw = append(raw, Finding{
-					Pos:      token.Position{Filename: d.file, Line: d.line},
-					Analyzer: "unused-allow",
-					Message:  fmt.Sprintf("//mlcr:allow %s suppresses nothing — the finding it excused is gone; delete the directive", d.analyzer),
-				})
-			}
+	dirs, out := parseDirectives(pkg)
+	suppressed := 0
+	for _, f := range raw {
+		if d := allowedBy(dirs, f); d != nil {
+			d.used = true
+			suppressed++
+		} else {
+			out = append(out, f)
 		}
 	}
-	return raw
+	for _, d := range dirs {
+		if ran[d.analyzer] && !d.used {
+			out = append(out, Finding{
+				Pos:      token.Position{Filename: d.file, Line: d.line},
+				Analyzer: "unused-allow",
+				Message:  fmt.Sprintf("//mlcr:allow %s suppresses nothing — the finding it excused is gone; delete the directive", d.analyzer),
+			})
+		}
+	}
+	return out, suppressed
 }
 
 // sortFindings orders findings by (file, line, column, analyzer,
-// message) — the deterministic output contract at any parallelism.
+// message).
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -398,30 +301,8 @@ func sortFindings(findings []Finding) {
 	})
 }
 
-// dedupFindings drops exact duplicates (same position, analyzer and
-// message) from a sorted slice. Two analyzers sharing a helper, or one
-// site reachable along two call paths, must cost the reader one line.
-func dedupFindings(findings []Finding) []Finding {
-	out := findings[:0]
-	for i, f := range findings {
-		if i > 0 {
-			p := findings[i-1]
-			if p.Pos == f.Pos && p.Analyzer == f.Analyzer && p.Message == f.Message {
-				continue
-			}
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
 // allowedBy returns the directive that suppresses the finding, or nil.
-// Directive and unused-allow findings themselves are never
-// suppressible.
-func allowedBy(dirs []*directive, f *Finding) *directive {
-	if f.Analyzer == "directive" || f.Analyzer == "unused-allow" {
-		return nil
-	}
+func allowedBy(dirs []*directive, f Finding) *directive {
 	for _, d := range dirs {
 		if d.analyzer == f.Analyzer && d.file == f.Pos.Filename && d.suppressesLine(f.Pos.Line) {
 			return d

@@ -60,18 +60,19 @@ func wantsOf(t *testing.T, pkg *lint.Package) map[string][]*regexp.Regexp {
 // checkFixture loads the fixture as import path `as`, runs the
 // analyzers, and matches non-directive findings against the fixture's
 // // want comments: every finding needs a matching want on its line
-// and every want needs a matching finding. It returns the directive
-// findings (asserted by the caller) and the suppressed count.
+// and every want needs a matching finding. It returns the findings
+// about directives themselves — malformed or stale — for the caller to
+// assert, and the suppressed count.
 func checkFixture(t *testing.T, name, as string, analyzers []*lint.Analyzer) (directives []lint.Finding, suppressed int) {
 	t.Helper()
 	pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir(name), as)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	findings, suppressed := lint.Check([]*lint.Package{pkg}, analyzers)
+	res := lint.Check([]*lint.Package{pkg}, analyzers)
 	wants := wantsOf(t, pkg)
-	for _, f := range findings {
-		if f.Analyzer == "directive" {
+	for _, f := range res.Findings {
+		if f.Analyzer == "directive" || f.Analyzer == "unused-allow" {
 			directives = append(directives, f)
 			continue
 		}
@@ -94,7 +95,7 @@ func checkFixture(t *testing.T, name, as string, analyzers []*lint.Analyzer) (di
 			t.Errorf("%s: expected finding matching %q, got none", key, re)
 		}
 	}
-	return directives, suppressed
+	return directives, res.Suppressed
 }
 
 // noDirectives fails the test when the fixture produced directive
@@ -165,8 +166,7 @@ func TestNewImageScope(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading fixture as %s: %v", as, err)
 		}
-		findings, _ := lint.Check([]*lint.Package{pkg}, []*lint.Analyzer{lint.NewImage})
-		for _, f := range findings {
+		for _, f := range lint.Check([]*lint.Package{pkg}, []*lint.Analyzer{lint.NewImage}).Findings {
 			t.Errorf("as %s: unexpected finding %s", as, f)
 		}
 	}
@@ -181,15 +181,14 @@ func TestOutOfScopeIgnored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loading fixture as %s: %v", as, err)
 		}
-		findings, _ := lint.Check([]*lint.Package{pkg}, []*lint.Analyzer{lint.Walltime, lint.DetRand, lint.MapRange})
-		for _, f := range findings {
+		for _, f := range lint.Check([]*lint.Package{pkg}, []*lint.Analyzer{lint.Walltime, lint.DetRand, lint.MapRange}).Findings {
 			t.Errorf("as %s: unexpected finding %s", as, f)
 		}
 	}
 }
 
-// TestAllowSuppresses is the suppression fixture: one violation per
-// analyzer, each carrying an //mlcr:allow directive (trailing and
+// TestAllowSuppresses is the suppression fixture: one violation for
+// each of the six analyzers, each carrying an //mlcr:allow directive (trailing and
 // line-above placements both appear), so zero findings survive and
 // exactly six were suppressed.
 func TestAllowSuppresses(t *testing.T) {
@@ -202,8 +201,9 @@ func TestAllowSuppresses(t *testing.T) {
 
 // TestMalformedDirectives is the unsuppressed fixture: directives with
 // a missing analyzer, missing reason, unknown analyzer, or the wrong
-// analyzer must not suppress anything, and the malformed ones are
-// findings in their own right.
+// analyzer must not suppress anything, and each is a finding in its
+// own right (the wrong-analyzer one as a directive that suppresses
+// nothing).
 func TestMalformedDirectives(t *testing.T) {
 	directives, suppressed := checkFixture(t, "badallow", "mlcr/internal/platform", lint.All())
 	if suppressed != 0 {
@@ -213,6 +213,7 @@ func TestMalformedDirectives(t *testing.T) {
 		"needs an analyzer name",
 		"needs a reason",
 		"unknown analyzer",
+		"suppresses nothing",
 	}
 	if len(directives) != len(wantMsgs) {
 		t.Fatalf("got %d directive findings, want %d: %v", len(directives), len(wantMsgs), directives)
@@ -278,8 +279,7 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, _ := lint.Check(pkgs, lint.All())
-	for _, f := range findings {
+	for _, f := range lint.Check(pkgs, lint.All()).Findings {
 		t.Errorf("%s", f)
 	}
 }

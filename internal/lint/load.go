@@ -25,7 +25,6 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 
 	// Src holds each parsed file's source bytes, keyed by filename.
@@ -33,39 +32,16 @@ type Package struct {
 	// //mlcr:allow (suppresses its own line) from a whole-line one
 	// (suppresses the next line).
 	Src map[string][]byte
-
-	// TestFiles are the package's _test.go file paths (internal and
-	// external test files). They are never parsed or type-checked —
-	// benchmarks legitimately time things — but registrycheck scans
-	// their raw text to prove every registered policy/router name is
-	// exercised by the test harness.
-	TestFiles []string
-
-	// directives caches the package's parsed //mlcr:allow comments
-	// (built on first use by Check or an analyzer's Allowed query).
-	dirOnce    sync.Once
-	dirs       []*directive
-	dirBroken  []Finding
-	testOnce   sync.Once
-	testCorpus []testFile
-}
-
-// testFile is one raw test source the registrycheck corpus scans.
-type testFile struct {
-	path string
-	text string
 }
 
 // listedPkg mirrors the `go list -json` fields the loader consumes.
 type listedPkg struct {
-	ImportPath   string
-	Dir          string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Export       string
-	DepOnly      bool
-	Standard     bool
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Standard   bool
 }
 
 // listCache memoizes `go list` runs and the union of every listed
@@ -100,7 +76,7 @@ func goList(dir string, patterns ...string) ([]listedPkg, error) {
 
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Export,DepOnly,Standard",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -169,26 +145,6 @@ func exportImporter(fset *token.FileSet, listed []listedPkg) types.Importer {
 	})
 }
 
-// moduleImporter resolves imports of already source-checked module
-// packages to those exact *types.Package values, falling back to
-// export data for everything else. Object identity is what makes the
-// cross-package call graph work: platform's reference to
-// sim.(*Engine).ScheduleKindSeq must be the same *types.Func the sim
-// package declared, or the graph would stop at every package boundary.
-// `go list -deps` streams dependencies before dependents, so by the
-// time a package is checked its module imports are all in source.
-type moduleImporter struct {
-	gc     types.Importer
-	source map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.source[path]; ok {
-		return p, nil
-	}
-	return m.gc.Import(path)
-}
-
 // newInfo allocates the types.Info maps the analyzers consume.
 func newInfo() *types.Info {
 	return &types.Info{
@@ -224,10 +180,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		gc:     exportImporter(fset, listed),
-		source: make(map[string]*types.Package),
-	}
+	imp := exportImporter(fset, listed)
 	var out []*Package
 	for _, lp := range listed {
 		if lp.DepOnly || lp.Standard {
@@ -243,27 +196,16 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			files = append(files, f)
 		}
 		info := newInfo()
-		tpkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
-		if err != nil {
+		if _, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info); err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 		}
-		imp.source[lp.ImportPath] = tpkg
-		var tests []string
-		for _, name := range lp.TestGoFiles {
-			tests = append(tests, filepath.Join(lp.Dir, name))
-		}
-		for _, name := range lp.XTestGoFiles {
-			tests = append(tests, filepath.Join(lp.Dir, name))
-		}
 		out = append(out, &Package{
-			Path:      lp.ImportPath,
-			Dir:       lp.Dir,
-			Fset:      fset,
-			Files:     files,
-			Types:     tpkg,
-			Info:      info,
-			Src:       src,
-			TestFiles: tests,
+			Path:  lp.ImportPath,
+			Dir:   lp.Dir,
+			Fset:  fset,
+			Files: files,
+			Info:  info,
+			Src:   src,
 		})
 	}
 	if len(out) == 0 {
@@ -276,10 +218,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // fixture under testdata/, invisible to the go tool) as though its
 // import path were as — the path decides analyzer scoping, so tests
 // place fixtures inside or outside the deterministic package set at
-// will. Files named *_test.go in the fixture directory are not parsed;
-// they become the fixture's raw test corpus, exactly as real _test.go
-// files do for Load. Imports are resolved exactly like Load resolves
-// them, with moduleDir as the go list working directory.
+// will. Imports are resolved exactly like Load resolves them, with
+// moduleDir as the go list working directory.
 func LoadFixture(moduleDir, fixtureDir, as string) (*Package, error) {
 	entries, err := os.ReadDir(fixtureDir)
 	if err != nil {
@@ -287,19 +227,13 @@ func LoadFixture(moduleDir, fixtureDir, as string) (*Package, error) {
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
-	var tests []string
 	src := make(map[string][]byte)
 	imports := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
 			continue
 		}
-		path := filepath.Join(fixtureDir, e.Name())
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			tests = append(tests, path)
-			continue
-		}
-		f, err := parseInto(fset, path, src)
+		f, err := parseInto(fset, filepath.Join(fixtureDir, e.Name()), src)
 		if err != nil {
 			return nil, err
 		}
@@ -333,26 +267,11 @@ func LoadFixture(moduleDir, fixtureDir, as string) (*Package, error) {
 	}
 	info := newInfo()
 	imp := exportImporter(fset, listed)
-	tpkg, err := (&types.Config{Importer: imp}).Check(as, fset, files, info)
-	if err != nil {
+	if _, err := (&types.Config{Importer: imp}).Check(as, fset, files, info); err != nil {
 		return nil, fmt.Errorf("type-checking fixture %s: %v", fixtureDir, err)
 	}
 	return &Package{
 		Path: as, Dir: fixtureDir, Fset: fset, Files: files,
-		Types: tpkg, Info: info, Src: src, TestFiles: tests,
+		Info: info, Src: src,
 	}, nil
-}
-
-// testCorpusOf lazily reads the package's raw test files.
-func (pkg *Package) testCorpusOf() []testFile {
-	pkg.testOnce.Do(func() {
-		for _, path := range pkg.TestFiles {
-			text, err := os.ReadFile(path)
-			if err != nil {
-				continue // deleted mid-run; registrycheck treats it as absent
-			}
-			pkg.testCorpus = append(pkg.testCorpus, testFile{path: path, text: string(text)})
-		}
-	})
-	return pkg.testCorpus
 }

@@ -1,7 +1,7 @@
-// Package allowed carries one violation per analyzer, each suppressed
-// by an //mlcr:allow directive — the fixture behind the test that
-// suppression works in both placements (same line and line above) and
-// that the suppressed count is reported.
+// Package allowed carries one violation for each of the six analyzers,
+// each suppressed by an //mlcr:allow directive — the fixture behind the
+// test that suppression works in both placements (same line and line
+// above) and that the suppressed count is reported.
 package allowed
 
 import (

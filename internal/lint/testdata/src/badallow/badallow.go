@@ -1,7 +1,8 @@
 // Package badallow carries malformed suppression directives plus one
 // violation whose directive names the wrong analyzer — none of them
-// may suppress anything, and each malformed directive is itself a
-// finding.
+// may suppress anything, and each is itself a finding: the malformed
+// ones as such, the wrong-analyzer one as a directive that suppresses
+// nothing.
 package badallow
 
 import "time"

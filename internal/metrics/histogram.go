@@ -48,7 +48,7 @@ func NewHistogram(boundaries []time.Duration) *Histogram {
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	idx := sort.Search(len(h.boundaries), func(i int) bool { return d <= h.boundaries[i] }) //mlcr:allow hotalloc sort.Search predicate does not escape; stack-allocated
+	idx := sort.Search(len(h.boundaries), func(i int) bool { return d <= h.boundaries[i] })
 	h.counts[idx]++
 	h.total++
 	h.sum += d

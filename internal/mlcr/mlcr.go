@@ -286,7 +286,7 @@ func (s *Scheduler) Schedule(env platform.Env, inv *workload.Invocation) int {
 				Action:   s.pend.action,
 				Reward:   s.shapedReward(state.GreedyEst),
 				Next:     next,
-				NextMask: append([]bool(nil), state.Mask...), //mlcr:allow hotalloc training-only transition capture (s.training branch); serving never enters
+				NextMask: append([]bool(nil), state.Mask...),
 				Done:     false,
 			})
 			s.steps++

@@ -52,8 +52,6 @@ func (t *Tensor) Set(r, c int, v float64) { t.Data[r*t.Cols+c] = v }
 func (t *Tensor) Row(r int) []float64 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
 
 // Clone returns a deep copy.
-//
-//mlcr:allow hotalloc a deep copy allocates by definition; hot paths clone only in training mode (transition capture), never while serving
 func (t *Tensor) Clone() *Tensor {
 	out := NewTensor(t.Rows, t.Cols)
 	copy(out.Data, t.Data)
@@ -88,8 +86,6 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) *Tensor {
 // same storage and never touch the heap. The returned tensor's contents
 // are unspecified — callers that need zeros must Zero it (the *Into ops
 // below do their own zeroing where the naive op started from zeros).
-//
-//mlcr:allow hotalloc grow-on-shape-change workspace: allocates only when the requested shape outgrows the cached tensor; steady state reslices in place
 func EnsureTensor(t *Tensor, rows, cols int) *Tensor {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("nn: invalid tensor shape %dx%d", rows, cols))

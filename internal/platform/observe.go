@@ -140,8 +140,6 @@ func (p *Platform) wireObservability() {
 // cost and — for containers the DQN mask would never offer — the prune
 // reason. It also emits one MatchAttempted trace event per container.
 // Only called when auditing or tracing is enabled.
-//
-//mlcr:allow hotalloc observability capture: runs only when auditing or tracing is enabled, never on the benchmarked serving configuration
 func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration) []obs.Candidate {
 	o := p.obs
 	idle := p.pool.Idle()

@@ -336,6 +336,22 @@ func TestApply(t *testing.T) {
 			}
 		})
 	}
+
+	// A policy error costs what the cold start it becomes costs: the new
+	// sandbox and nothing more.
+	pl := pool.New(1000, evict.NewLRU())
+	idle, _ := container.NewCold(7, &workload.Invocation{Fn: target}, 0)
+	idle.Complete(time.Second)
+	pl.Add(idle, target.ColdStartTime(), time.Second)
+	inv := &workload.Invocation{Fn: target, Arrival: now, Exec: target.Exec}
+	cl := &container.Cleaner{}
+	newID := func() int { return 99 }
+	allocs := func(choice int) float64 {
+		return testing.AllocsPerRun(100, func() { Apply(pl, cl, inv, now, choice, newID) })
+	}
+	if cold, bad := allocs(ColdStart), allocs(42); bad != cold {
+		t.Fatalf("unknown-ID choice allocates %v per call, a cold start %v; want equal", bad, cold)
+	}
 }
 
 // schedulerFunc adapts a function to platform.Scheduler.

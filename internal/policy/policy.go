@@ -24,7 +24,7 @@ import (
 func sameFunction(env platform.Env, inv *workload.Invocation) int {
 	best := platform.ColdStart
 	var bestUsed time.Duration = -1
-	env.Pool.RangeIdle(func(c *container.Container) bool { //mlcr:allow hotalloc RangeIdle callback does not escape; stack-allocated (decision path is pinned alloc-free by bench)
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		if c.FnID == inv.Fn.ID && c.LastUsedAt > bestUsed {
 			best, bestUsed = c.ID, c.LastUsedAt
 		}
@@ -134,7 +134,7 @@ func (*GreedyMatch) Schedule(env platform.Env, inv *workload.Invocation) int {
 	best := platform.ColdStart
 	bestLv := core.NoMatch
 	var bestUsed time.Duration = -1
-	env.Pool.RangeIdle(func(c *container.Container) bool { //mlcr:allow hotalloc RangeIdle callback does not escape; stack-allocated (decision path is pinned alloc-free by bench)
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		lv := core.Match(inv.Fn.Image, c.Image)
 		if lv == core.NoMatch {
 			return true
@@ -171,7 +171,7 @@ func (*CostGreedy) Schedule(env platform.Env, inv *workload.Invocation) int {
 	best := platform.ColdStart
 	var bestCost time.Duration
 	var bestUsed time.Duration = -1
-	env.Pool.RangeIdle(func(c *container.Container) bool { //mlcr:allow hotalloc RangeIdle callback does not escape; stack-allocated (decision path is pinned alloc-free by bench)
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		est, lv := container.EstimateFor(inv.Fn, c)
 		if lv == core.NoMatch {
 			return true

@@ -92,7 +92,7 @@ func pressureBucket(env platform.Env) int {
 func bestCandidate(env platform.Env, inv *workload.Invocation) (int, core.MatchLevel) {
 	best, bestLv := platform.ColdStart, core.NoMatch
 	var bestCost time.Duration
-	env.Pool.RangeIdle(func(c *container.Container) bool { //mlcr:allow hotalloc RangeIdle callback does not escape; stack-allocated (decision path is pinned alloc-free by bench)
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		est, lv := container.EstimateFor(inv.Fn, c)
 		if lv == core.NoMatch {
 			return true

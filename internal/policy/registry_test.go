@@ -10,8 +10,8 @@ import (
 // TestNewByNameCoversRegistry builds every scheduler the registry
 // names — the grid set via GridSchedulers plus the paired aliases —
 // and sanity-checks the construction contract: fresh instances, a
-// usable evictor pairing, and a stable Name. This is the fixture the
-// registrycheck analyzer demands for each registered name: a policy
+// usable evictor pairing, and a stable Name. Because it ranges over the
+// registry, a newly registered name is covered without edits: a policy
 // that can be named but not built (or built broken) must fail here,
 // not in the first grid sweep that happens to select it.
 func TestNewByNameCoversRegistry(t *testing.T) {

@@ -214,7 +214,7 @@ func (p *Pool) Expire(now time.Duration) []*container.Container {
 			if p.OnEvict != nil {
 				p.OnEvict(c, ReasonExpired, now)
 			}
-			out = append(out, c) //mlcr:allow hotalloc expired-container batch; bounded by expirations per scan, empty in alloc-pinned steady state
+			out = append(out, c)
 		}
 		e = next
 	}
@@ -324,7 +324,7 @@ func (p *Pool) newEntry(c *container.Container) *entry {
 		p.free = e.next
 		*e = entry{}
 	} else {
-		e = &entry{} //mlcr:allow hotalloc freelist miss; the entry recycles through p.free for the rest of the run
+		e = &entry{}
 	}
 	e.c = c
 	ids := c.Image.LevelIDs()

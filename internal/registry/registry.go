@@ -71,8 +71,6 @@ func (c *Cache) Stats() Stats { return Stats{Hits: c.hits, Misses: c.misses, Use
 // costs pull/localRate, a miss costs the full pull and inserts the
 // package (evicting LRU entries as needed). Packages larger than the
 // whole cache are fetched but never cached.
-//
-//mlcr:allow hotalloc registry pulls happen on cold starts only; the key string and miss bookkeeping are per-pull costs, not per-invocation ones
 func (c *Cache) Pull(p image.Package) time.Duration {
 	if c.capacityMB <= 0 {
 		c.misses++

@@ -296,7 +296,7 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	slab := make([]Event, eventSlab) //mlcr:allow hotalloc slab refill: one allocation amortized over eventSlab pooled events
+	slab := make([]Event, eventSlab)
 	for i := 1; i < len(slab); i++ {
 		slab[i].pos = -1
 		e.free = append(e.free, &slab[i])
@@ -304,14 +304,12 @@ func (e *Engine) alloc() *Event {
 	return &slab[0]
 }
 
-// recycle clears an event's references (so the pool does not retain
-// closures) and bumps its generation, invalidating every outstanding
-// EventRef to it, before returning it to the free list.
+// recycle zeroes an event (so the pool retains no closures, and a read
+// after recycle sees zeros instead of plausible stale values) and bumps
+// its generation, invalidating every outstanding EventRef to it, before
+// returning it to the free list.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
-	ev.name = ""
-	ev.pos = -1
-	ev.gen++
+	*ev = Event{pos: -1, gen: ev.gen + 1}
 	e.free = append(e.free, ev)
 }
 

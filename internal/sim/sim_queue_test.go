@@ -280,6 +280,32 @@ func TestCancelledStructReuseInvalidatesRef(t *testing.T) {
 	_ = kept
 }
 
+// TestRecycledEventReadsZero makes use-after-recycle observable: once an
+// event fires or is cancelled, its pooled struct reads zero on every
+// field but pos and gen, so a stale read of at, seq, arg or kind yields
+// nothing plausible and the sim, golden and fingerprint tests fail.
+func TestRecycledEventReadsZero(t *testing.T) {
+	e := NewEngine()
+	kind := e.RegisterKind(func(*Engine, Time, int64) {})
+	for _, tc := range []struct {
+		name string
+		ref  func() EventRef
+		end  func(EventRef)
+	}{
+		{"fired typed", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 42) }, func(EventRef) { e.Run() }},
+		{"fired closure", func() EventRef { return e.After(time.Second, "closure", func(*Engine) {}) }, func(EventRef) { e.Run() }},
+		{"cancelled typed", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 7) }, func(r EventRef) { e.Cancel(r) }},
+	} {
+		ref := tc.ref()
+		tc.end(ref)
+		ev := ref.ev
+		if ev.at != 0 || ev.seq != 0 || ev.arg != 0 || ev.fn != nil || ev.name != "" || ev.kind != 0 ||
+			ev.pos != -1 || ev.gen != ref.gen+1 {
+			t.Errorf("%s: recycled event %+v, want zero but pos -1, gen %d", tc.name, *ev, ref.gen+1)
+		}
+	}
+}
+
 // TestCancelMiddleOfQueue removes events from interior heap positions
 // and verifies the remaining order is untouched.
 func TestCancelMiddleOfQueue(t *testing.T) {

@@ -4,8 +4,12 @@
 # The default run uses -short, which skips the long DQN training
 # experiments but still exercises every concurrency-sensitive path (the
 # parallel run harness, cluster workers, the gateway hammer test and
-# observability registries all race-test in the short set). Set FULL=1
-# for the complete race suite including training runs (~10 min).
+# observability registries all race-test in the short set). The race
+# step is also the sole owner of the router shard contract: a stateless
+# router that writes shared state returns the right answer and is caught
+# only as a data race in TestEveryRouterParallelMatchesSequential
+# (DESIGN.md §14). Set FULL=1 for the complete race suite including
+# training runs (~10 min).
 # Performance is not gated here: `make bench-ab` needs a parent commit
 # and minutes of host time.
 # Run from the repository root, or via `make check` / `make check-full`.
@@ -21,14 +25,14 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== make vet (go vet + mlcr-vet: determinism + hot-path contracts, DESIGN.md §9, §14) =="
+echo "== make vet (go vet + mlcr-vet: determinism + construction contracts, DESIGN.md §9) =="
 ${MAKE:-make} vet
 
 if [ "${FULL:-}" = "1" ]; then
-    echo "== go test -race (all packages, full) =="
+    echo "== go test -race (all packages, full; owns the router shard contract, DESIGN.md §14) =="
     go test -race ./...
 else
-    echo "== go test -race -short (all packages) =="
+    echo "== go test -race -short (all packages; owns the router shard contract, DESIGN.md §14) =="
     go test -race -short ./...
 fi
 
