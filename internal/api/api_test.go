@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"mlcr/internal/evict"
+	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
@@ -93,6 +95,47 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if stats.WarmByLevel[3] != 1 {
 		t.Fatalf("warm levels = %v", stats.WarmByLevel)
+	}
+}
+
+// TestServerReplaysSimulator: POSTing a Fig 8 trace to the server with
+// explicit timestamps reproduces platform.Run on the same workload. The
+// wire carries whole milliseconds, so the workload is rounded to them
+// before both replays.
+func TestServerReplaysSimulator(t *testing.T) {
+	w := fstartbench.BuildOverall(1, fstartbench.OverallOptions{})
+	for i := range w.Invocations {
+		inv := &w.Invocations[i]
+		inv.Arrival = inv.Arrival.Round(time.Millisecond)
+		inv.Exec = inv.Exec.Round(time.Millisecond)
+	}
+	poolMB := experiments.CalibrateLoose(w) * 0.5
+	want := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: evict.NewLRU()}, policy.NewGreedyMatch()).Run(w)
+
+	s, err := New(Config{
+		Functions:      fstartbench.Functions(),
+		PoolCapacityMB: poolMB,
+		NewScheduler:   func() platform.Scheduler { return policy.NewGreedyMatch() },
+		Clock:          func() time.Duration { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	for _, inv := range w.Invocations {
+		invoke(t, ts, InvokeRequest{FnID: inv.Fn.ID, AtMS: inv.Arrival.Milliseconds(), ExecMS: inv.Exec.Milliseconds()})
+	}
+	_, body := get(t, ts, "/stats")
+	var got StatsResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	m := &want.Metrics
+	if got.TotalStartupMS != m.TotalStartup().Milliseconds() || got.ColdStarts != m.ColdStarts() || got.WarmByLevel != m.ByLevel() {
+		t.Fatalf("server: %d ms total, %d cold, warm by level %v; platform.Run: %d ms, %d cold, %v",
+			got.TotalStartupMS, got.ColdStarts, got.WarmByLevel,
+			m.TotalStartup().Milliseconds(), m.ColdStarts(), m.ByLevel())
 	}
 }
 

@@ -219,7 +219,7 @@ func TestMetricsPhaseSummaries(t *testing.T) {
 	// The default GreedyMatch scheduler scans Pool.Idle() directly (only
 	// the DRL featurizer goes through the indexed pool_scan path), so the
 	// phases that fire here are schedule (one per invocation) and dispatch
-	// (the second invocation's RunUntil processes the first's finish event).
+	// (the second invocation's step runs the first's completion first).
 	for _, want := range []string{
 		"# TYPE mlcr_phase_seconds summary",
 		`mlcr_phase_seconds{phase="schedule",quantile="0.5"}`,

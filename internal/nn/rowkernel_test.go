@@ -82,6 +82,37 @@ func TestMatMulKernelMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestMatMulTMatchesDefinition: a×bᵀ, taken four columns at a time plus
+// a tail, is the one-accumulator k-ascending dot product of each pair of
+// rows to the last bit, for every tail length and with special values.
+func TestMatMulTMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, rows := range kernelRows {
+		for _, k := range kernelKs {
+			for n := 1; n <= 9; n++ {
+				a := NewTensor(rows, k).Randn(rng, 1)
+				b := NewTensor(n, k).Randn(rng, 1)
+				for round := 0; round < 2; round++ {
+					want := NewTensor(rows, n)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < n; j++ {
+							var s float64
+							for kk := 0; kk < k; kk++ {
+								s += a.At(i, kk) * b.At(j, kk)
+							}
+							want.Set(i, j, s)
+						}
+					}
+					equalTensors(t, "MatMulT", MatMulT(a, b), want)
+					equalTensors(t, "MatMulTInto", MatMulTInto(dirty(rows, n), a, b), want)
+					plant(a, rng)
+					plant(b, rng)
+				}
+			}
+		}
+	}
+}
+
 // goPath runs f with the dispatch forced to the pure-Go products, which
 // is how a machine with AVX2 executes the fallback.
 func goPath(f func()) {

@@ -215,26 +215,32 @@ func mulRow(dst, a []float64, astride int, w []float64, k, n int) {
 	}
 }
 
-// matMulTCore writes a×bᵀ into out, overwriting every element.
+// matMulTCore writes a×bᵀ into out, overwriting every element, four
+// columns per dotRow4 pass; a tail column passes its own row four times.
 func matMulTCore(out, a, b *Tensor) {
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = dotRow(arow, b.Row(j))
+		arow, orow := a.Row(i), out.Row(i)
+		j := 0
+		for ; j+4 <= len(orow); j += 4 {
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = dotRow4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+		}
+		for ; j < len(orow); j++ {
+			orow[j], _, _, _ = dotRow4(arow, b.Row(j), b.Row(j), b.Row(j), b.Row(j))
 		}
 	}
 }
 
-// dotRow returns the k-ascending dot product of two equal-length rows —
-// the exact accumulation order matMulTCore has always used.
-func dotRow(arow, brow []float64) float64 {
-	brow = brow[:len(arow)]
-	var s float64
+// dotRow4 returns the k-ascending dot products of arow with four rows of
+// its length, each from +0 in its own accumulator, so the chains overlap.
+func dotRow4(arow, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
+	b0, b1, b2, b3 = b0[:len(arow)], b1[:len(arow)], b2[:len(arow)], b3[:len(arow)]
 	for k, av := range arow {
-		s += av * brow[k]
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+		s2 += av * b2[k]
+		s3 += av * b3[k]
 	}
-	return s
+	return s0, s1, s2, s3
 }
 
 // MatMulT returns a×bᵀ.

@@ -51,34 +51,29 @@ func TestObservedRunDeterministic(t *testing.T) {
 }
 
 // TestObservedRunContent sanity-checks what one observed run collects:
-// engine events carry meaningful names, the audit covers every
-// invocation, and the headline counters line up with the workload.
+// every invocation arrives once, engine events are named completions,
+// the audit covers every invocation, and the headline counters line up
+// with the workload.
 func TestObservedRunContent(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	o := obs.NewObserver()
 	res := experiments.RunObserved(experiments.Baselines()[3], w, loose*0.5, o)
 
-	fired, arrivals, finishes := 0, 0, 0
+	arrivals, finishes := 0, 0
 	for _, ev := range o.Recording().Events() {
-		if ev.Kind != obs.KindEventFired {
-			continue
-		}
-		fired++
-		switch {
-		case strings.HasPrefix(ev.Detail, "arrival/"):
+		switch ev.Kind {
+		case obs.KindInvocationArrived:
 			arrivals++
-		case strings.HasPrefix(ev.Detail, "finish/c"):
+		case obs.KindEventFired:
+			if !strings.HasPrefix(ev.Detail, "finish/c") {
+				t.Fatalf("engine event with unexpected name %q", ev.Detail)
+			}
 			finishes++
-		default:
-			t.Fatalf("engine event with unexpected name %q", ev.Detail)
 		}
-	}
-	if fired == 0 {
-		t.Fatal("no engine events traced")
 	}
 	if want := len(w.Invocations); arrivals != want || finishes != want {
-		t.Errorf("got %d arrival / %d finish events, want %d each", arrivals, finishes, want)
+		t.Errorf("got %d arrivals / %d finish events, want %d each", arrivals, finishes, want)
 	}
 
 	if got := o.Audit.Len(); got != len(w.Invocations) {

@@ -33,7 +33,9 @@ type Kind uint8
 
 const (
 	// KindEventFired is emitted by the simulation engine for every event
-	// it executes; Detail holds the event name (e.g. "arrival/12").
+	// it executes. Engine events are completions, so Detail names the
+	// finishing container (e.g. "finish/c12"); arrivals are not engine
+	// events and appear as KindInvocationArrived.
 	KindEventFired Kind = iota + 1
 	// KindInvocationArrived marks an invocation reaching the platform.
 	KindInvocationArrived

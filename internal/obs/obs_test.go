@@ -11,13 +11,13 @@ import (
 // sampleEvents returns a small trace covering every event kind.
 func sampleEvents() []Event {
 	return []Event{
-		{Kind: KindEventFired, At: 0, Seq: -1, Fn: -1, Detail: "arrival/0"},
 		{Kind: KindInvocationArrived, At: 0, Seq: 0, Fn: 5},
 		{Kind: KindMatchAttempted, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
 		{Kind: KindMatchAttempted, At: 0, Seq: 0, Fn: 5, Container: 2, Level: 0, Detail: PruneNoMatch},
 		{Kind: KindScheduleDecided, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Action: 1, Dur: 800 * time.Millisecond},
 		{Kind: KindContainerReused, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
 		{Kind: KindContainerCreated, At: time.Second, Seq: 1, Fn: 6, Container: 3, Cold: true, Dur: 4 * time.Second},
+		{Kind: KindEventFired, At: 2 * time.Second, Seq: -1, Fn: -1, Detail: "finish/c1"},
 		{Kind: KindContainerEvicted, At: 2 * time.Second, Seq: -1, Fn: 6, Container: 2, Detail: EvictCapacity},
 		{Kind: KindVolumeSwapped, At: 3 * time.Second, Seq: -1, Fn: 7, Container: 1, Level: 2, Detail: "from=fn5 unmounts=1 mounts=2"},
 		{Kind: KindTrainStep, Seq: -1, Fn: -1, Step: 42, Value: 0.125},

@@ -77,29 +77,26 @@ func (p *Platform) wireObservability() {
 		p.pm = newPlatformMetrics(o.Metrics)
 	}
 	if o.Tracing() {
-		// Typed events carry no name; the trace label is formatted here,
-		// only when a tracer is attached, from the event's payload. The
-		// hook runs before the handler, so a finish event's slot record
-		// is still populated when its name is built.
-		p.engine.OnEvent = func(at sim.Time, kind sim.EventKind, arg int64, name string) {
-			switch kind {
-			case p.kindArrival:
-				name = "arrival/" + strconv.Itoa(p.runInvs[arg].Seq)
-			case p.kindFinish:
-				name = "finish/c" + strconv.Itoa(p.finishing[arg].c.ID)
-			}
-			o.Emit(obs.Event{Kind: obs.KindEventFired, At: at, Seq: -1, Fn: -1, Detail: name})
+		// Completions, the engine's only events, carry no name; the trace
+		// label is formatted here, only when a tracer is attached, from
+		// the event's slot. The hook runs before the handler, so the slot
+		// record is still populated when the name is built. Arrivals are
+		// not engine events: they appear as KindInvocationArrived.
+		p.engine.OnEvent = func(at sim.Time, _ sim.EventKind, arg int64) {
+			o.Emit(obs.Event{Kind: obs.KindEventFired, At: at, Seq: -1, Fn: -1,
+				Detail: "finish/c" + strconv.Itoa(p.finishing[arg].c.ID)})
 		}
 	}
 	if p.prof != nil {
-		// Bracket every event dispatch with a PhaseDispatch span: the
-		// engine's OnEvent hook (composed with the tracing hook above)
-		// opens it, AfterEvent closes it. Dispatch is single-threaded
-		// and non-reentrant, so one in-flight span slot suffices.
+		// Bracket every completion dispatch with a PhaseDispatch span:
+		// the engine's OnEvent hook (composed with the tracing hook
+		// above) opens it, AfterEvent closes it. Dispatch is
+		// single-threaded and non-reentrant, so one in-flight span slot
+		// suffices.
 		traceHook := p.engine.OnEvent
-		p.engine.OnEvent = func(at sim.Time, kind sim.EventKind, arg int64, name string) {
+		p.engine.OnEvent = func(at sim.Time, kind sim.EventKind, arg int64) {
 			if traceHook != nil {
-				traceHook(at, kind, arg, name)
+				traceHook(at, kind, arg)
 			}
 			p.dispatchSpan = p.prof.Start(perf.PhaseDispatch)
 		}

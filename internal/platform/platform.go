@@ -135,8 +135,8 @@ type RunResult struct {
 
 // finishRec is the payload of one in-flight completion event: the busy
 // container and the invocation it serves. Records live in a slot table
-// indexed by the typed event's int64 arg, so completions carry no
-// closure (DESIGN.md §10).
+// indexed by the event's int64 arg, so completions carry no closure
+// (DESIGN.md §10).
 type finishRec struct {
 	c   *container.Container
 	inv *workload.Invocation
@@ -152,15 +152,12 @@ type Platform struct {
 	obs     *obs.Observer
 	pm      *platformMetrics
 
-	// Typed-event wiring: arrivals carry an index into runInvs,
-	// completions an index into the finishing slot table. Slots are
-	// recycled through finishFree so steady state allocates nothing.
-	kindArrival sim.EventKind
-	kindFinish  sim.EventKind
-	runInvs     []workload.Invocation
-	arrivalBase int64
-	finishing   []finishRec
-	finishFree  []int32
+	// Completions are the engine's only events (arrivals enter through
+	// step): each carries an index into the finishing slot table. Slots
+	// are recycled through finishFree so steady state allocates nothing.
+	kindFinish sim.EventKind
+	finishing  []finishRec
+	finishFree []int32
 
 	nextID    int
 	runningMB float64
@@ -171,7 +168,7 @@ type Platform struct {
 
 	// prof is the observer's phase profiler (nil when perf is off),
 	// cached so hot paths pay one field read per scope. dispatchSpan is
-	// the in-flight event-dispatch span bracketed by the engine's
+	// the in-flight completion-dispatch span bracketed by the engine's
 	// OnEvent/AfterEvent hooks (dispatch is single-threaded and
 	// non-reentrant, so one slot suffices). memBefore brackets Run for
 	// the report's memory accounting.
@@ -206,9 +203,6 @@ func New(cfg Config, sched Scheduler) *Platform {
 	}
 	p.rate.Alpha = alpha
 	p.res.Policy = sched.Name()
-	p.kindArrival = p.engine.RegisterKind(func(_ *sim.Engine, _ sim.Time, arg int64) {
-		p.handleArrival(int(arg))
-	})
 	p.kindFinish = p.engine.RegisterKind(func(_ *sim.Engine, _ sim.Time, arg int64) {
 		p.handleFinish(int(arg))
 	})
@@ -236,34 +230,22 @@ func (p *Platform) Run(w workload.Workload) *RunResult {
 		panic("platform: Run called twice on one Platform; build a fresh instance per run")
 	}
 	p.ran = true
+	// Validate guarantees non-decreasing arrivals, which step requires.
 	if err := w.Validate(); err != nil {
 		panic(fmt.Sprintf("platform: %v", err))
 	}
-	// Arrivals are typed events scheduled lazily: sequence numbers for
-	// all of them are reserved up front — so simultaneous-event ordering
-	// is bit-identical to bulk pre-scheduling — but only one arrival is
-	// queued at a time (each schedules its successor). Validate has
-	// already guaranteed non-decreasing arrival times, which makes the
-	// lazy chain legal, and the queue stays bounded by the number of
-	// in-flight executions instead of the trace length.
-	p.runInvs = w.Invocations
 	// One metrics sample per invocation and at most two pool-series
 	// points (reuse + completion); reserving up front removes the
 	// repeated buffer-doubling copies from trace-scale runs.
 	p.res.Metrics.Reserve(len(w.Invocations))
 	p.res.PoolSeries.Reserve(2 * len(w.Invocations))
-	p.arrivalBase = p.engine.ReserveSeqs(int64(len(w.Invocations)))
-	if len(w.Invocations) > 0 {
-		p.engine.ScheduleKindSeq(w.Invocations[0].Arrival, p.kindArrival, 0, p.arrivalBase)
-	}
 	if p.prof != nil {
 		p.memBefore = perf.ReadMem()
 	}
-	p.engine.Run()
-	p.res.PoolStats = p.pool.Stats()
-	p.res.CleanerOps = p.cleaner.Ops()
-	p.finishPerf()
-	return &p.res
+	for i := range w.Invocations {
+		p.step(&w.Invocations[i])
+	}
+	return p.Drain()
 }
 
 // finishPerf snapshots the profiler into the result's PerfReport and
@@ -291,11 +273,10 @@ func (p *Platform) env() Env {
 	}
 }
 
-// Invoke processes a single invocation interactively: the engine first
-// drains completions up to the arrival time, then the invocation is
-// scheduled and its outcome returned. Arrival times must be
-// non-decreasing across calls. Mixing Invoke with Run on the same
-// platform is not supported.
+// Invoke processes a single invocation interactively, exactly as Run
+// would at the same point of a workload, and returns its outcome.
+// Arrival times must be non-decreasing across calls. Mixing Invoke with
+// Run on the same platform is not supported.
 func (p *Platform) Invoke(inv *workload.Invocation) Result {
 	if inv.Fn == nil {
 		panic("platform: Invoke with nil function")
@@ -303,28 +284,35 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 	if inv.Arrival < p.engine.Now() {
 		panic(fmt.Sprintf("platform: Invoke at %v before now %v", inv.Arrival, p.engine.Now()))
 	}
-	p.engine.RunUntil(inv.Arrival)
-	res := p.arrive(inv)
-	p.res.PoolStats = p.pool.Stats()
-	p.res.CleanerOps = p.cleaner.Ops()
-	return res
+	return p.step(inv)
 }
 
 // Drain completes all outstanding executions and returns the final
 // results (interactive mode's equivalent of Run finishing).
 func (p *Platform) Drain() *RunResult {
 	p.engine.Run()
-	p.res.PoolStats = p.pool.Stats()
-	p.res.CleanerOps = p.cleaner.Ops()
 	p.finishPerf()
-	return &p.res
+	return p.Results()
 }
 
 // Now returns the platform's current virtual time.
 func (p *Platform) Now() time.Duration { return p.engine.Now() }
 
 // Results returns the platform's accumulated results so far.
-func (p *Platform) Results() *RunResult { return &p.res }
+func (p *Platform) Results() *RunResult {
+	p.res.PoolStats = p.pool.Stats()
+	p.res.CleanerOps = p.cleaner.Ops()
+	return &p.res
+}
+
+// step is the one way an invocation enters the platform, shared by Run
+// and Invoke: the completions due strictly before the arrival run, the
+// clock moves to the arrival, and the invocation is scheduled. A
+// completion at the arrival's own instant runs after it (DESIGN.md §10).
+func (p *Platform) step(inv *workload.Invocation) Result {
+	p.engine.RunUntil(inv.Arrival)
+	return p.arrive(inv)
+}
 
 // Apply realises a scheduler's choice for one invocation against a warm
 // pool — the one step shared by every driver of the lifecycle (the
@@ -415,17 +403,6 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 
 	p.engine.ScheduleKind(c.BusyUntil, p.kindFinish, int64(p.finishSlot(c, inv)))
 	return res
-}
-
-// handleArrival fires invocation i of the current Run: it queues the
-// successor arrival under its pre-reserved sequence number, then
-// processes the invocation.
-func (p *Platform) handleArrival(i int) {
-	if next := i + 1; next < len(p.runInvs) {
-		p.engine.ScheduleKindSeq(p.runInvs[next].Arrival, p.kindArrival,
-			int64(next), p.arrivalBase+int64(next))
-	}
-	p.arrive(&p.runInvs[i])
 }
 
 // finishSlot stores a completion record and returns its slot index, the

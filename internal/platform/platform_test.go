@@ -487,24 +487,19 @@ func TestInteractiveInvoke(t *testing.T) {
 	}
 }
 
-func TestInteractiveInvokeMatchesBatchRun(t *testing.T) {
-	f1 := fn(1, "debian", "python", "flask", 128)
-	f2 := fn(2, "debian", "python", "numpy", 96)
-	w := mkWorkload([]*workload.Function{f1, f2}, 2*time.Second, 20)
-
-	batch := New(Config{PoolCapacityMB: 300}, bestMatch{}).Run(w)
-
-	inter := New(Config{PoolCapacityMB: 300}, bestMatch{})
-	for i := range w.Invocations {
-		inter.Invoke(&w.Invocations[i])
+// TestCompletionAtArrivalRunsAfterIt pins step's tie rule on both
+// drivers: a container that finishes at the very instant the next
+// invocation arrives is still busy for it.
+func TestCompletionAtArrivalRunsAfterIt(t *testing.T) {
+	f := fn(1, "debian", "python", "flask", 128)
+	w := mkWorkload([]*workload.Function{f}, f.ColdStartTime()+f.Exec, 2)
+	if res := New(Config{PoolCapacityMB: 1000}, bestMatch{}).Run(w); res.Metrics.ColdStarts() != 2 {
+		t.Fatalf("Run: %d cold starts, want 2", res.Metrics.ColdStarts())
 	}
-	interRes := inter.Drain()
-
-	if batch.Metrics.TotalStartup() != interRes.Metrics.TotalStartup() ||
-		batch.Metrics.ColdStarts() != interRes.Metrics.ColdStarts() {
-		t.Fatalf("interactive (%v/%d) diverges from batch (%v/%d)",
-			interRes.Metrics.TotalStartup(), interRes.Metrics.ColdStarts(),
-			batch.Metrics.TotalStartup(), batch.Metrics.ColdStarts())
+	p := New(Config{PoolCapacityMB: 1000}, bestMatch{})
+	p.Invoke(&w.Invocations[0])
+	if r := p.Invoke(&w.Invocations[1]); !r.Cold {
+		t.Fatalf("Invoke: second invocation %+v, want cold", r)
 	}
 }
 

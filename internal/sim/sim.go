@@ -6,15 +6,10 @@
 // deterministic (FIFO among equal timestamps), which keeps every
 // experiment in this repository reproducible bit-for-bit.
 //
-// Two event flavours share the queue (DESIGN.md §10):
-//
-//   - Closure events (Schedule, After) carry an arbitrary callback and a
-//     static name. They are the convenient general-purpose path.
-//   - Typed events (RegisterKind, ScheduleKind) carry only an EventKind
-//     and an int64 payload and dispatch through a handler table
-//     registered once per engine. They exist for trace-scale hot loops:
-//     no closure is allocated per event and no name string is built
-//     unless an observer is attached.
+// Events are typed (DESIGN.md §10): each carries only an EventKind and
+// an int64 payload and dispatches through a handler table registered
+// once per engine (RegisterKind, ScheduleKind). No closure is allocated
+// per event and no name string is built unless an observer formats one.
 //
 // Event structs are pooled on an internal free list and recycled as soon
 // as they fire or are cancelled, so a steady-state schedule/fire cycle
@@ -34,11 +29,8 @@ import (
 type Time = time.Duration
 
 // EventKind identifies a typed-event handler registered with
-// RegisterKind. Kind 0 (KindFunc) is reserved for closure events.
+// RegisterKind.
 type EventKind uint8
-
-// KindFunc is the kind of closure events created by Schedule and After.
-const KindFunc EventKind = 0
 
 // Handler executes one typed event. It receives the engine (so it can
 // schedule follow-up events), the firing time and the event's payload.
@@ -49,10 +41,8 @@ type Handler func(e *Engine, at Time, arg int64)
 // moment the event fires or is cancelled.
 type Event struct {
 	at   Time
-	seq  int64 // tie-break for deterministic ordering
-	arg  int64 // typed-event payload
-	fn   func(*Engine)
-	name string // static label of closure events ("" for typed)
+	seq  int64  // tie-break for deterministic ordering
+	arg  int64  // handler payload
 	pos  int32  // heap index; -1 while not queued
 	gen  uint32 // recycle generation (ABA guard for EventRef)
 	kind EventKind
@@ -75,8 +65,7 @@ func (r EventRef) Scheduled() bool {
 
 // eventSlab is how many Event structs the pool allocates at once when
 // the free list runs dry; slab allocation keeps the amortized
-// allocation count per scheduled event near zero even for runs that
-// never recycle (e.g. bulk pre-scheduling).
+// allocation count per scheduled event near zero.
 const eventSlab = 64
 
 // Engine runs events in virtual-time order.
@@ -87,30 +76,25 @@ type Engine struct {
 	steps   int64
 	stopped bool
 
-	handlers []Handler // typed-event dispatch table; [KindFunc] unused
+	handlers []Handler // typed-event dispatch table, indexed by kind
 	free     []*Event  // recycled Event structs
 
 	// OnEvent, when non-nil, observes every executed event just before
-	// its callback or handler runs. It is the engine-level tracing hook;
-	// the engine itself stays dependency-free. name is the static label
-	// of closure events and "" for typed events — observers that want a
-	// display name for a typed event format it themselves from (kind,
-	// arg), so unobserved runs never pay for name construction. A nil
-	// hook costs one branch per event.
-	OnEvent func(at Time, kind EventKind, arg int64, name string)
+	// its handler runs. It is the engine-level tracing hook; the engine
+	// itself stays dependency-free. Observers that want a display name
+	// format it themselves from (kind, arg), so unobserved runs never pay
+	// for name construction. A nil hook costs one branch per event.
+	OnEvent func(at Time, kind EventKind, arg int64)
 
 	// AfterEvent, when non-nil, observes every executed event just after
-	// its callback or handler returns. Together with OnEvent it brackets
-	// a dispatch, which is how the phase profiler times event dispatch
-	// without the engine importing anything. A nil hook costs one branch
-	// per event.
+	// its handler returns. Together with OnEvent it brackets a dispatch,
+	// which is how the phase profiler times event dispatch without the
+	// engine importing anything. A nil hook costs one branch per event.
 	AfterEvent func(at Time, kind EventKind, arg int64)
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine {
-	return &Engine{handlers: make([]Handler, 1)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -135,77 +119,23 @@ func (e *Engine) RegisterKind(h Handler) EventKind {
 	return EventKind(len(e.handlers) - 1)
 }
 
-// Schedule enqueues fn to run at absolute virtual time at. Scheduling in
-// the past (before Now) panics: it is always a logic error in a DES and
-// silently reordering the past would corrupt results. The name is a
-// static label for tracing and tests; it is stored, never formatted.
-func (e *Engine) Schedule(at Time, name string, fn func(*Engine)) EventRef {
-	if fn == nil {
-		panic("sim: Schedule with nil callback")
-	}
-	seq := e.nextSeq
-	e.nextSeq++
-	return e.schedule(at, KindFunc, 0, name, fn, seq)
-}
-
-// After enqueues fn to run d after the current time.
-func (e *Engine) After(d Time, name string, fn func(*Engine)) EventRef {
-	return e.Schedule(e.now+d, name, fn)
-}
-
-// ScheduleKind enqueues a typed event: at time at, the handler
-// registered for kind runs with payload arg. No closure and no name are
-// allocated; steady-state ScheduleKind/fire cycles are allocation-free.
+// ScheduleKind enqueues an event: at time at, the handler registered for
+// kind runs with payload arg. Scheduling in the past (before Now) panics:
+// it is always a logic error in a DES and silently reordering the past
+// would corrupt results. Steady-state ScheduleKind/fire cycles are
+// allocation-free.
 func (e *Engine) ScheduleKind(at Time, kind EventKind, arg int64) EventRef {
-	e.checkKind(kind)
-	seq := e.nextSeq
-	e.nextSeq++
-	return e.schedule(at, kind, arg, "", nil, seq)
-}
-
-// ReserveSeqs pre-allocates n consecutive sequence numbers and returns
-// the first. Combined with ScheduleKindSeq it lets a caller replay a
-// pre-ordered stream (e.g. a workload's arrivals) lazily — one event in
-// the queue at a time instead of all up front — while keeping exactly
-// the tie-break order bulk scheduling would have produced: the reserved
-// block orders before every seq handed out after the reservation.
-func (e *Engine) ReserveSeqs(n int64) int64 {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: ReserveSeqs(%d)", n))
-	}
-	base := e.nextSeq
-	e.nextSeq += n
-	return base
-}
-
-// ScheduleKindSeq is ScheduleKind with an explicit sequence number
-// previously obtained from ReserveSeqs. Each reserved seq must be used
-// at most once; the ordering of simultaneous events is undefined
-// otherwise. Scheduling with an unreserved seq panics.
-func (e *Engine) ScheduleKindSeq(at Time, kind EventKind, arg int64, seq int64) EventRef {
-	e.checkKind(kind)
-	if seq >= e.nextSeq {
-		panic(fmt.Sprintf("sim: ScheduleKindSeq with unreserved seq %d (next %d)", seq, e.nextSeq))
-	}
-	return e.schedule(at, kind, arg, "", nil, seq)
-}
-
-func (e *Engine) checkKind(kind EventKind) {
-	if kind == KindFunc || int(kind) >= len(e.handlers) {
+	if int(kind) >= len(e.handlers) {
 		panic(fmt.Sprintf("sim: unregistered event kind %d", kind))
 	}
-}
-
-func (e *Engine) schedule(at Time, kind EventKind, arg int64, name string, fn func(*Engine), seq int64) EventRef {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, at, e.now))
+		panic(fmt.Sprintf("sim: schedule kind %d at %v before now %v", kind, at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = seq
+	ev.seq = e.nextSeq
+	e.nextSeq++
 	ev.arg = arg
-	ev.fn = fn
-	ev.name = name
 	ev.kind = kind
 	e.heapPush(ev)
 	return EventRef{ev: ev, gen: ev.gen}
@@ -231,27 +161,27 @@ func (e *Engine) Stop() { e.stopped = true }
 // It returns the number of events executed by this call. The clock is left
 // at the time of the last executed event.
 func (e *Engine) Run() int64 {
-	return e.run(1<<62-1, false)
-}
-
-// RunUntil executes events with At <= deadline, advancing the clock. The
-// clock is left at the time of the last executed event (or deadline if no
-// event at deadline remains, so repeated calls make progress).
-func (e *Engine) RunUntil(deadline Time) int64 {
-	return e.run(deadline, true)
-}
-
-func (e *Engine) run(deadline Time, advance bool) int64 {
 	e.stopped = false
 	var n int64
 	for len(e.heap) > 0 && !e.stopped {
-		if e.heap[0].at > deadline {
-			break
-		}
 		e.dispatch(e.heapPop())
 		n++
 	}
-	if advance && e.now < deadline && len(e.heap) == 0 {
+	return n
+}
+
+// RunUntil executes the events due strictly before deadline, then
+// advances the clock to deadline (unless Stop was called). An event at
+// deadline itself stays queued, so it runs after whatever the caller
+// does at that instant. It returns the number of events executed.
+func (e *Engine) RunUntil(deadline Time) int64 {
+	e.stopped = false
+	var n int64
+	for len(e.heap) > 0 && !e.stopped && e.heap[0].at < deadline {
+		e.dispatch(e.heapPop())
+		n++
+	}
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 	return n
@@ -268,21 +198,16 @@ func (e *Engine) Step() bool {
 
 // dispatch advances the clock to the event, recycles its struct (the
 // fields are copied out first, so the handler may immediately reuse it
-// for follow-up events) and runs the observer hook and the callback.
+// for follow-up events) and runs the observer hooks around the handler.
 func (e *Engine) dispatch(ev *Event) {
 	at, kind, arg := ev.at, ev.kind, ev.arg
-	name, fn := ev.name, ev.fn
 	e.recycle(ev)
 	e.now = at
 	e.steps++
 	if e.OnEvent != nil {
-		e.OnEvent(at, kind, arg, name)
+		e.OnEvent(at, kind, arg)
 	}
-	if kind == KindFunc {
-		fn(e)
-	} else {
-		e.handlers[kind](e, at, arg)
-	}
+	e.handlers[kind](e, at, arg)
 	if e.AfterEvent != nil {
 		e.AfterEvent(at, kind, arg)
 	}
@@ -304,10 +229,9 @@ func (e *Engine) alloc() *Event {
 	return &slab[0]
 }
 
-// recycle zeroes an event (so the pool retains no closures, and a read
-// after recycle sees zeros instead of plausible stale values) and bumps
-// its generation, invalidating every outstanding EventRef to it, before
-// returning it to the free list.
+// recycle zeroes an event (so a read after recycle sees zeros instead of
+// plausible stale values) and bumps its generation, invalidating every
+// outstanding EventRef to it, before returning it to the free list.
 func (e *Engine) recycle(ev *Event) {
 	*ev = Event{pos: -1, gen: ev.gen + 1}
 	e.free = append(e.free, ev)

@@ -57,22 +57,22 @@ func TestOrderingFingerprintAgainstReference(t *testing.T) {
 			at Time
 			id int
 		}
-		// Engine execution.
+		// Engine execution: the payload is the event's identity.
 		var got []fired
 		e := NewEngine()
 		nextID := initial
-		for i := 0; i < initial; i++ {
-			i := i
-			e.Schedule(delays[i], "init", func(en *Engine) {
-				got = append(got, fired{en.Now(), i})
-				for _, d := range children[i] {
-					cid := nextID
+		var k EventKind
+		k = e.RegisterKind(func(en *Engine, at Time, id int64) {
+			got = append(got, fired{en.Now(), int(id)})
+			if id < initial {
+				for _, d := range children[id] {
+					en.ScheduleKind(at+d, k, int64(nextID))
 					nextID++
-					en.After(d, "child", func(en *Engine) {
-						got = append(got, fired{en.Now(), cid})
-					})
 				}
-			})
+			}
+		})
+		for i := 0; i < initial; i++ {
+			e.ScheduleKind(delays[i], k, int64(i))
 		}
 		e.Run()
 
@@ -112,45 +112,36 @@ func TestOrderingFingerprintAgainstReference(t *testing.T) {
 	}
 }
 
-// TestTypedEventsDispatchAndOrder checks the typed path end-to-end:
-// registered handlers receive (at, arg), interleave with closure events
-// in strict (time, seq) order, and the observer hook sees typed events
-// with an empty name.
+// TestTypedEventsDispatchAndOrder checks dispatch end-to-end: each
+// registered handler receives (at, arg), events of different kinds
+// interleave in strict (time, seq) order, and the observer hook sees
+// every event's kind and payload.
 func TestTypedEventsDispatchAndOrder(t *testing.T) {
 	e := NewEngine()
 	var log []string
-	kind := e.RegisterKind(func(en *Engine, at Time, arg int64) {
-		log = append(log, fmt.Sprintf("typed(%v,%d)", at, arg))
+	a := e.RegisterKind(func(en *Engine, at Time, arg int64) {
+		log = append(log, fmt.Sprintf("a(%v,%d)", at, arg))
+	})
+	b := e.RegisterKind(func(en *Engine, at Time, arg int64) {
+		log = append(log, fmt.Sprintf("b(%v,%d)", at, arg))
 	})
 	var hooked []string
-	e.OnEvent = func(at Time, k EventKind, arg int64, name string) {
-		if k == KindFunc {
-			hooked = append(hooked, name)
-		} else {
-			hooked = append(hooked, fmt.Sprintf("kind%d/%d", k, arg))
-			if name != "" {
-				t.Errorf("typed event carried name %q, want empty", name)
-			}
-		}
+	e.OnEvent = func(at Time, k EventKind, arg int64) {
+		hooked = append(hooked, fmt.Sprintf("kind%d/%d", k, arg))
 	}
-	e.ScheduleKind(2*time.Second, kind, 7)
-	e.Schedule(time.Second, "closure-a", func(*Engine) { log = append(log, "a") })
-	e.ScheduleKind(time.Second, kind, 9) // same time as closure-a, scheduled later
+	e.ScheduleKind(2*time.Second, a, 7)
+	e.ScheduleKind(time.Second, b, 3)
+	e.ScheduleKind(time.Second, a, 9) // same time as b/3, scheduled later
 	e.Run()
 
-	want := []string{"a", "typed(1s,9)", "typed(2s,7)"}
-	if len(log) != len(want) {
-		t.Fatalf("log = %v, want %v", log, want)
+	want := []string{"b(1s,3)", "a(1s,9)", "a(2s,7)"}
+	wantHook := []string{"kind1/3", "kind0/9", "kind0/7"}
+	if len(log) != len(want) || len(hooked) != len(wantHook) {
+		t.Fatalf("log = %v, hooked = %v", log, hooked)
 	}
 	for i := range want {
-		if log[i] != want[i] {
-			t.Fatalf("log = %v, want %v", log, want)
-		}
-	}
-	wantHook := []string{"closure-a", "kind1/9", "kind1/7"}
-	for i := range wantHook {
-		if hooked[i] != wantHook[i] {
-			t.Fatalf("hooked = %v, want %v", hooked, wantHook)
+		if log[i] != want[i] || hooked[i] != wantHook[i] {
+			t.Fatalf("log = %v, want %v; hooked = %v, want %v", log, want, hooked, wantHook)
 		}
 	}
 }
@@ -165,74 +156,14 @@ func TestScheduleKindUnregisteredPanics(t *testing.T) {
 	e.ScheduleKind(time.Second, 5, 0)
 }
 
-// TestReserveSeqsMatchesBulkScheduling locks the replay contract the
-// platform relies on: scheduling a pre-ordered stream lazily with
-// reserved sequence numbers produces exactly the execution order of
-// scheduling it in bulk up front, including FIFO ties between stream
-// events and follow-up events at equal timestamps.
-func TestReserveSeqsMatchesBulkScheduling(t *testing.T) {
-	// Arrivals with heavy duplication; each arrival schedules a
-	// "finish" zero and three ms later (colliding with later arrivals).
-	arrivals := []Time{0, 0, 1, 1, 1, 2, 4, 4, 4, 4, 7, 7}
-	run := func(lazy bool) []string {
-		var log []string
-		e := NewEngine()
-		finish := e.RegisterKind(func(en *Engine, at Time, arg int64) {
-			log = append(log, fmt.Sprintf("finish/%d@%v", arg, at))
-		})
-		var arrive Handler
-		kindArrival := EventKind(0)
-		var base int64
-		arrive = func(en *Engine, at Time, arg int64) {
-			log = append(log, fmt.Sprintf("arrive/%d@%v", arg, at))
-			en.ScheduleKind(at, finish, arg)
-			en.ScheduleKind(at+3*time.Millisecond, finish, 100+arg)
-			if lazy && int(arg+1) < len(arrivals) {
-				en.ScheduleKindSeq(arrivals[arg+1]*time.Millisecond, kindArrival, arg+1, base+arg+1)
-			}
-		}
-		kindArrival = e.RegisterKind(arrive)
-		if lazy {
-			base = e.ReserveSeqs(int64(len(arrivals)))
-			e.ScheduleKindSeq(arrivals[0]*time.Millisecond, kindArrival, 0, base)
-		} else {
-			for i, at := range arrivals {
-				e.ScheduleKind(at*time.Millisecond, kindArrival, int64(i))
-			}
-		}
-		e.Run()
-		return log
-	}
-	bulk, lazy := run(false), run(true)
-	if len(bulk) != len(lazy) {
-		t.Fatalf("bulk fired %d events, lazy %d", len(bulk), len(lazy))
-	}
-	for i := range bulk {
-		if bulk[i] != lazy[i] {
-			t.Fatalf("divergence at step %d: bulk %q, lazy %q\nbulk: %v\nlazy: %v",
-				i, bulk[i], lazy[i], bulk, lazy)
-		}
-	}
-}
-
-func TestScheduleKindSeqUnreservedPanics(t *testing.T) {
-	e := NewEngine()
-	kind := e.RegisterKind(func(*Engine, Time, int64) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ScheduleKindSeq with unreserved seq did not panic")
-		}
-	}()
-	e.ScheduleKindSeq(time.Second, kind, 0, 5)
-}
-
 // TestCancelStaleRefAfterRecycle is the ABA guard test: a ref to an
 // event that fired and whose pooled struct was recycled for a newer
 // event must not cancel — or double-fire — the newer event.
 func TestCancelStaleRefAfterRecycle(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	stale := e.Schedule(time.Second, "first", func(*Engine) { ran++ })
+	k := e.RegisterKind(func(*Engine, Time, int64) { ran++ })
+	stale := e.ScheduleKind(time.Second, k, 0)
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("first event ran %d times, want 1", ran)
@@ -241,7 +172,7 @@ func TestCancelStaleRefAfterRecycle(t *testing.T) {
 		t.Fatal("ref to fired event still reports Scheduled")
 	}
 	// The pool now holds the recycled struct; the next Schedule reuses it.
-	second := e.Schedule(2*time.Second, "second", func(*Engine) { ran++ })
+	second := e.ScheduleKind(2*time.Second, k, 1)
 	if e.Cancel(stale) {
 		t.Fatal("stale ref cancelled a recycled event (ABA)")
 	}
@@ -261,23 +192,23 @@ func TestCancelStaleRefAfterRecycle(t *testing.T) {
 // reschedule path of the same pooled struct.
 func TestCancelledStructReuseInvalidatesRef(t *testing.T) {
 	e := NewEngine()
-	ran := 0
-	ref := e.Schedule(time.Second, "doomed", func(*Engine) { t.Error("cancelled event ran") })
+	var ran []int64
+	k := logKind(e, &ran)
+	ref := e.ScheduleKind(time.Second, k, 13)
 	if !e.Cancel(ref) {
 		t.Fatal("Cancel of pending event returned false")
 	}
 	if e.Cancel(ref) {
 		t.Fatal("second Cancel of the same ref returned true")
 	}
-	kept := e.Schedule(time.Second, "kept", func(*Engine) { ran++ })
+	e.ScheduleKind(time.Second, k, 1)
 	if e.Cancel(ref) {
 		t.Fatal("stale ref cancelled the event reusing its struct")
 	}
 	e.Run()
-	if ran != 1 {
-		t.Fatalf("kept event ran %d times, want 1", ran)
+	if !equalLog(ran, 1) {
+		t.Fatalf("ran %v, want only the kept event [1]", ran)
 	}
-	_ = kept
 }
 
 // TestRecycledEventReadsZero makes use-after-recycle observable: once an
@@ -286,20 +217,20 @@ func TestCancelledStructReuseInvalidatesRef(t *testing.T) {
 // nothing plausible and the sim, golden and fingerprint tests fail.
 func TestRecycledEventReadsZero(t *testing.T) {
 	e := NewEngine()
-	kind := e.RegisterKind(func(*Engine, Time, int64) {})
+	e.RegisterKind(func(*Engine, Time, int64) {})
+	kind := e.RegisterKind(func(*Engine, Time, int64) {}) // non-zero kind
 	for _, tc := range []struct {
 		name string
 		ref  func() EventRef
 		end  func(EventRef)
 	}{
-		{"fired typed", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 42) }, func(EventRef) { e.Run() }},
-		{"fired closure", func() EventRef { return e.After(time.Second, "closure", func(*Engine) {}) }, func(EventRef) { e.Run() }},
-		{"cancelled typed", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 7) }, func(r EventRef) { e.Cancel(r) }},
+		{"fired", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 42) }, func(EventRef) { e.Run() }},
+		{"cancelled", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 7) }, func(r EventRef) { e.Cancel(r) }},
 	} {
 		ref := tc.ref()
 		tc.end(ref)
 		ev := ref.ev
-		if ev.at != 0 || ev.seq != 0 || ev.arg != 0 || ev.fn != nil || ev.name != "" || ev.kind != 0 ||
+		if ev.at != 0 || ev.seq != 0 || ev.arg != 0 || ev.kind != 0 ||
 			ev.pos != -1 || ev.gen != ref.gen+1 {
 			t.Errorf("%s: recycled event %+v, want zero but pos -1, gen %d", tc.name, *ev, ref.gen+1)
 		}
@@ -310,11 +241,11 @@ func TestRecycledEventReadsZero(t *testing.T) {
 // and verifies the remaining order is untouched.
 func TestCancelMiddleOfQueue(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	var order []int64
+	k := logKind(e, &order)
 	refs := make([]EventRef, 20)
-	for i := 0; i < 20; i++ {
-		i := i
-		refs[i] = e.Schedule(Time(i)*time.Millisecond, "x", func(*Engine) { order = append(order, i) })
+	for i := range refs {
+		refs[i] = e.ScheduleKind(Time(i)*time.Millisecond, k, int64(i))
 	}
 	for _, i := range []int{3, 11, 4, 17, 0, 19} {
 		if !e.Cancel(refs[i]) {
@@ -322,45 +253,45 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 		}
 	}
 	e.Run()
-	want := []int{1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 18}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if !equalLog(order, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 18) {
+		t.Fatalf("order = %v after cancelling 0, 3, 4, 11, 17, 19", order)
 	}
 }
 
-// TestRunUntilExactTimestamp: a deadline equal to an event's timestamp
-// executes that event (At <= deadline is inclusive) and leaves the
-// clock there; the next RunUntil resumes cleanly.
+// TestRunUntilExactTimestamp: RunUntil is strict. Events at the
+// deadline stay queued while the clock moves to the deadline, so the
+// caller acts at that instant before they run; the next RunUntil
+// resumes cleanly.
 func TestRunUntilExactTimestamp(t *testing.T) {
 	e := NewEngine()
-	var ran []Time
-	for _, d := range []Time{1, 2, 2, 3} {
-		e.Schedule(d*time.Second, "e", func(en *Engine) { ran = append(ran, en.Now()) })
+	var ran []int64
+	k := logKind(e, &ran)
+	for i, d := range []Time{1, 2, 2, 3} {
+		e.ScheduleKind(d*time.Second, k, int64(i))
 	}
-	if n := e.RunUntil(2 * time.Second); n != 3 {
-		t.Fatalf("RunUntil(2s) executed %d events, want 3 (deadline inclusive)", n)
+	if n := e.RunUntil(2 * time.Second); n != 1 {
+		t.Fatalf("RunUntil(2s) executed %d events, want 1 (deadline exclusive)", n)
 	}
 	if e.Now() != 2*time.Second {
 		t.Fatalf("Now = %v, want 2s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
-	// Deadline before the next event: no execution, clock stays put
-	// (events remain, so the clock must not jump to the deadline).
-	if n := e.RunUntil(2500 * time.Millisecond); n != 0 {
-		t.Fatalf("RunUntil(2.5s) executed %d events, want 0", n)
+	// Something scheduled at the deadline now runs after the two events
+	// already due there.
+	e.ScheduleKind(2*time.Second, k, 9)
+	if n := e.RunUntil(2500 * time.Millisecond); n != 3 {
+		t.Fatalf("RunUntil(2.5s) executed %d events, want 3", n)
 	}
-	if e.Now() != 2*time.Second {
-		t.Fatalf("Now = %v after empty RunUntil, want 2s", e.Now())
+	if e.Now() != 2500*time.Millisecond {
+		t.Fatalf("Now = %v, want 2.5s", e.Now())
 	}
-	if n := e.RunUntil(3 * time.Second); n != 1 {
-		t.Fatalf("RunUntil(3s) executed %d events, want 1", n)
+	if n := e.RunUntil(3 * time.Second); n != 0 {
+		t.Fatalf("RunUntil(3s) executed %d events, want 0", n)
+	}
+	if n := e.Run(); n != 1 || !equalLog(ran, 0, 1, 2, 9, 3) {
+		t.Fatalf("Run executed %d, order %v, want 1 and [0 1 2 9 3]", n, ran)
 	}
 }
 
@@ -369,15 +300,15 @@ func TestRunUntilExactTimestamp(t *testing.T) {
 // batch stays queued and a subsequent Run picks them up in FIFO order.
 func TestStopMidBatchOfSimultaneousEvents(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(time.Second, "batch", func(en *Engine) {
-			order = append(order, i)
-			if i == 1 {
-				en.Stop()
-			}
-		})
+	var order []int64
+	k := e.RegisterKind(func(en *Engine, _ Time, i int64) {
+		order = append(order, i)
+		if i == 1 {
+			en.Stop()
+		}
+	})
+	for i := int64(0); i < 5; i++ {
+		e.ScheduleKind(time.Second, k, i)
 	}
 	if n := e.Run(); n != 2 {
 		t.Fatalf("Run executed %d events after mid-batch Stop, want 2", n)
@@ -388,10 +319,8 @@ func TestStopMidBatchOfSimultaneousEvents(t *testing.T) {
 	if n := e.Run(); n != 3 {
 		t.Fatalf("resumed Run executed %d events, want 3", n)
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("batch order = %v, want FIFO 0..4", order)
-		}
+	if !equalLog(order, 0, 1, 2, 3, 4) {
+		t.Fatalf("batch order = %v, want FIFO 0..4", order)
 	}
 	if e.Now() != time.Second {
 		t.Fatalf("Now = %v, want 1s", e.Now())

@@ -6,20 +6,36 @@ import (
 	"time"
 )
 
+// logKind registers a handler that appends each fired event's payload to
+// *log and returns its kind.
+func logKind(e *Engine, log *[]int64) EventKind {
+	return e.RegisterKind(func(_ *Engine, _ Time, arg int64) { *log = append(*log, arg) })
+}
+
+func equalLog(got []int64, want ...int64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRunExecutesInTimeOrder(t *testing.T) {
 	e := NewEngine()
-	var order []string
-	e.Schedule(30*time.Millisecond, "c", func(*Engine) { order = append(order, "c") })
-	e.Schedule(10*time.Millisecond, "a", func(*Engine) { order = append(order, "a") })
-	e.Schedule(20*time.Millisecond, "b", func(*Engine) { order = append(order, "b") })
+	var order []int64
+	k := logKind(e, &order)
+	e.ScheduleKind(30*time.Millisecond, k, 3)
+	e.ScheduleKind(10*time.Millisecond, k, 1)
+	e.ScheduleKind(20*time.Millisecond, k, 2)
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run executed %d events, want 3", n)
 	}
-	want := []string{"a", "b", "c"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if !equalLog(order, 1, 2, 3) {
+		t.Fatalf("order = %v, want [1 2 3]", order)
 	}
 	if e.Now() != 30*time.Millisecond {
 		t.Errorf("Now = %v, want 30ms", e.Now())
@@ -28,28 +44,28 @@ func TestRunExecutesInTimeOrder(t *testing.T) {
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Second, "e", func(*Engine) { order = append(order, i) })
+	var order []int64
+	k := logKind(e, &order)
+	for i := int64(0); i < 10; i++ {
+		e.ScheduleKind(time.Second, k, i)
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events ran out of submission order: %v", order)
-		}
+	if !equalLog(order, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9) {
+		t.Fatalf("simultaneous events ran out of submission order: %v", order)
 	}
 }
 
 func TestEventsCanScheduleEvents(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
-	e.Schedule(time.Second, "outer", func(en *Engine) {
+	var k EventKind
+	k = e.RegisterKind(func(en *Engine, at Time, arg int64) {
 		fired = append(fired, en.Now())
-		en.After(500*time.Millisecond, "inner", func(en *Engine) {
-			fired = append(fired, en.Now())
-		})
+		if arg == 0 {
+			en.ScheduleKind(at+500*time.Millisecond, k, 1)
+		}
 	})
+	e.ScheduleKind(time.Second, k, 0)
 	e.Run()
 	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 1500*time.Millisecond {
 		t.Fatalf("fired = %v", fired)
@@ -58,20 +74,22 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(time.Second, "a", func(*Engine) {})
+	var log []int64
+	k := logKind(e, &log)
+	e.ScheduleKind(time.Second, k, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(500*time.Millisecond, "past", func(*Engine) {})
+	e.ScheduleKind(500*time.Millisecond, k, 1)
 }
 
 func TestCancel(t *testing.T) {
 	e := NewEngine()
-	ran := false
-	ev := e.Schedule(time.Second, "x", func(*Engine) { ran = true })
+	var ran []int64
+	ev := e.ScheduleKind(time.Second, logKind(e, &ran), 0)
 	if !e.Cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
@@ -79,7 +97,7 @@ func TestCancel(t *testing.T) {
 		t.Fatal("Cancel returned true twice for the same event")
 	}
 	e.Run()
-	if ran {
+	if len(ran) != 0 {
 		t.Fatal("cancelled event still ran")
 	}
 }
@@ -93,19 +111,23 @@ func TestCancelZeroRefIsFalse(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
-	var ran []string
-	for _, d := range []time.Duration{1, 2, 3, 4} {
-		d := d
-		e.Schedule(d*time.Second, "e", func(*Engine) { ran = append(ran, d.String()) })
+	var ran []int64
+	k := logKind(e, &ran)
+	for _, d := range []int64{1, 2, 3, 4} {
+		e.ScheduleKind(Time(d)*time.Second, k, d)
 	}
-	if n := e.RunUntil(2 * time.Second); n != 2 {
-		t.Fatalf("RunUntil executed %d, want 2", n)
+	// Strict: the event at the deadline itself stays queued.
+	if n := e.RunUntil(2 * time.Second); n != 1 {
+		t.Fatalf("RunUntil executed %d, want 1", n)
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
-	if n := e.Run(); n != 2 {
-		t.Fatalf("second Run executed %d, want 2", n)
+	if n := e.Run(); n != 3 {
+		t.Fatalf("second Run executed %d, want 3", n)
+	}
+	if !equalLog(ran, 1, 2, 3, 4) {
+		t.Fatalf("ran = %v", ran)
 	}
 }
 
@@ -120,13 +142,14 @@ func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
+	k := e.RegisterKind(func(en *Engine, _ Time, _ int64) {
+		count++
+		if count == 2 {
+			en.Stop()
+		}
+	})
 	for i := 1; i <= 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, "e", func(en *Engine) {
-			count++
-			if count == 2 {
-				en.Stop()
-			}
-		})
+		e.ScheduleKind(time.Duration(i)*time.Second, k, 0)
 	}
 	if n := e.Run(); n != 2 {
 		t.Fatalf("Run executed %d events after Stop, want 2", n)
@@ -141,7 +164,8 @@ func TestStep(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty queue returned true")
 	}
-	e.Schedule(time.Second, "a", func(*Engine) {})
+	var log []int64
+	e.ScheduleKind(time.Second, logKind(e, &log), 0)
 	if !e.Step() {
 		t.Fatal("Step returned false with pending event")
 	}
@@ -160,13 +184,12 @@ func TestPropertyOrdering(t *testing.T) {
 		e := NewEngine()
 		type rec struct {
 			at  time.Duration
-			seq int
+			seq int64
 		}
 		var got []rec
+		k := e.RegisterKind(func(en *Engine, _ Time, arg int64) { got = append(got, rec{en.Now(), arg}) })
 		for i, d := range delays {
-			at := time.Duration(d) * time.Millisecond
-			i := i
-			e.Schedule(at, "p", func(en *Engine) { got = append(got, rec{en.Now(), i}) })
+			e.ScheduleKind(time.Duration(d)*time.Millisecond, k, int64(i))
 		}
 		e.Run()
 		if len(got) != len(delays) {
@@ -188,24 +211,23 @@ func TestPropertyOrdering(t *testing.T) {
 }
 
 // TestEventHooksBracketDispatch: OnEvent fires before the handler,
-// AfterEvent after it, for both closure and typed events — the
-// bracketing contract the phase profiler relies on.
+// AfterEvent after it, for every kind — the bracketing contract the
+// phase profiler relies on.
 func TestEventHooksBracketDispatch(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.OnEvent = func(at Time, kind EventKind, arg int64, name string) {
+	e.OnEvent = func(at Time, kind EventKind, arg int64) {
 		order = append(order, "on")
 	}
 	e.AfterEvent = func(at Time, kind EventKind, arg int64) {
 		order = append(order, "after")
 	}
-	kind := e.RegisterKind(func(e *Engine, at Time, arg int64) {
-		order = append(order, "typed")
-	})
-	e.Schedule(1, "closure", func(e *Engine) { order = append(order, "closure") })
-	e.ScheduleKind(2, kind, 42)
+	a := e.RegisterKind(func(*Engine, Time, int64) { order = append(order, "a") })
+	b := e.RegisterKind(func(*Engine, Time, int64) { order = append(order, "b") })
+	e.ScheduleKind(1, a, 0)
+	e.ScheduleKind(2, b, 42)
 	e.Run()
-	want := []string{"on", "closure", "after", "on", "typed", "after"}
+	want := []string{"on", "a", "after", "on", "b", "after"}
 	if len(order) != len(want) {
 		t.Fatalf("hook order %v, want %v", order, want)
 	}
@@ -226,9 +248,13 @@ func TestAfterEventSeesFollowupSchedules(t *testing.T) {
 			pending = e.Pending()
 		}
 	}
-	e.Schedule(1, "parent", func(e *Engine) {
-		e.Schedule(5, "child", func(*Engine) {})
+	var k EventKind
+	k = e.RegisterKind(func(en *Engine, _ Time, arg int64) {
+		if arg == 0 {
+			en.ScheduleKind(5, k, 1)
+		}
 	})
+	e.ScheduleKind(1, k, 0)
 	e.Run()
 	if pending != 1 {
 		t.Fatalf("AfterEvent saw %d pending events after parent, want 1 (the child)", pending)

@@ -13,6 +13,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -22,6 +23,13 @@ import (
 
 // header is the canonical column order.
 var header = []string{"seq", "arrival_ms", "fn_id", "exec_ms"}
+
+// MaxMS bounds arrival_ms and exec_ms: a quarter of the largest
+// millisecond count a time.Duration holds (about 73 years). Arrival plus
+// execution then stays under half the Duration range, which leaves the
+// other half for startup, so the simulator's Arrival+startup+Exec cannot
+// overflow.
+const MaxMS = int64(math.MaxInt64/time.Millisecond) / 4
 
 // Write emits the workload's invocations as CSV.
 func Write(w io.Writer, wl workload.Workload) error {
@@ -49,7 +57,7 @@ func Write(w io.Writer, wl workload.Workload) error {
 
 // Read parses a CSV trace, resolving function IDs against catalog. Rows
 // are re-sorted by arrival time and re-sequenced, so hand-edited traces
-// load cleanly.
+// load cleanly. arrival_ms and exec_ms must lie in [0, MaxMS].
 func Read(r io.Reader, name string, catalog []*workload.Function) (workload.Workload, error) {
 	byID := make(map[int]*workload.Function, len(catalog))
 	for _, f := range catalog {
@@ -79,6 +87,10 @@ func Read(r io.Reader, name string, catalog []*workload.Function) (workload.Work
 		execMS, err3 := strconv.ParseInt(row[3], 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return workload.Workload{}, fmt.Errorf("trace: row %d: malformed values %v", i+start+1, row)
+		}
+		if arrivalMS < 0 || arrivalMS > MaxMS || execMS < 0 || execMS > MaxMS {
+			return workload.Workload{}, fmt.Errorf("trace: row %d: arrival_ms %d or exec_ms %d outside [0, %d]",
+				i+start+1, arrivalMS, execMS, MaxMS)
 		}
 		fn, ok := byID[fnID]
 		if !ok {

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/platform"
+	"mlcr/internal/policy"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -60,23 +63,39 @@ func TestReadNoHeader(t *testing.T) {
 	}
 }
 
+// readErrorCases are traces Read must reject; FuzzTraceRead seeds from
+// them.
+var readErrorCases = map[string]string{
+	"empty":            "",
+	"unknown fn":       "seq,arrival_ms,fn_id,exec_ms\n0,1000,99,100\n",
+	"malformed":        "seq,arrival_ms,fn_id,exec_ms\n0,abc,1,100\n",
+	"negative exec":    "0,0,1,-5000\n",
+	"negative arrival": "0,-1,1,100\n",
+	"huge arrival":     "0,9000000000000,1,100\n",
+	"huge exec":        "0,1000,1,9223372036000\n",
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"unknown fn":     "seq,arrival_ms,fn_id,exec_ms\n0,1000,99,100\n",
-		"malformed":      "seq,arrival_ms,fn_id,exec_ms\n0,abc,1,100\n",
-		"negative exec?": "seq,arrival_ms,fn_id,exec_ms\n0,100,1,-5\n",
-	}
-	for name, csv := range cases {
-		if name == "negative exec?" {
-			// Negative exec parses but yields an invalid workload only
-			// if Function validation catches it; here Exec belongs to
-			// the invocation, so it loads. Skip strictness.
-			continue
-		}
-		if _, err := Read(strings.NewReader(csv), "x", fstartbench.Functions()); err == nil {
+	for name, csv := range readErrorCases {
+		_, err := Read(strings.NewReader(csv), "x", fstartbench.Functions())
+		if err == nil {
 			t.Errorf("%s: no error", name)
+		} else if !strings.HasPrefix(err.Error(), "trace: ") {
+			t.Errorf("%s: error %q lacks the trace: prefix", name, err)
 		}
+	}
+}
+
+// TestReadBounds: MaxMS itself is accepted in both columns and replays.
+func TestReadBounds(t *testing.T) {
+	csv := fmt.Sprintf("0,%d,1,%d\n", MaxMS, MaxMS)
+	w, err := Read(strings.NewReader(csv), "x", fstartbench.Functions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := platform.New(platform.Config{}, policy.NewGreedyMatch()).Run(w)
+	if res.Metrics.Count() != 1 {
+		t.Fatalf("replayed %d invocations, want 1", res.Metrics.Count())
 	}
 }
 
@@ -131,4 +150,29 @@ func TestReplayLoadedTrace(t *testing.T) {
 	if loaded.Duration() == 0 {
 		t.Fatal("loaded trace has zero duration")
 	}
+}
+
+// FuzzTraceRead: Read never panics, and any workload it returns replays
+// through platform.Run without a panic.
+func FuzzTraceRead(f *testing.F) {
+	for _, csv := range readErrorCases {
+		f.Add(csv)
+	}
+	f.Add("seq,arrival_ms,fn_id,exec_ms\n5,2000,1,100\n9,1000,2,200\n")
+	f.Add("0,1000,1,100\n")
+	f.Add("0,1000,1\n")
+	f.Add(fmt.Sprintf("0,%d,13,%d\n1,%d,13,0\n", MaxMS, MaxMS, MaxMS))
+	var buf bytes.Buffer
+	if err := Write(&buf, fstartbench.Build(fstartbench.Peak, 3, fstartbench.Options{Count: 20})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	fns := fstartbench.Functions()
+	f.Fuzz(func(t *testing.T, csv string) {
+		w, err := Read(strings.NewReader(csv), "fuzz", fns)
+		if err != nil {
+			return
+		}
+		platform.New(platform.Config{PoolCapacityMB: 512}, policy.NewGreedyMatch()).Run(w)
+	})
 }

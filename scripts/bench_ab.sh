@@ -2,8 +2,9 @@
 # bench_ab.sh — the performance gate: the repository benchmark run as
 # alternating parent-vs-change pairs on this box, each pair judged by the
 # benchmark's own bounds (bench/run.sh -compare). The parent is REF
-# (default HEAD) checked out as a worktree under .bench_build/parent;
-# the change is the working tree. Pair i runs both sides on seed i and
+# (default HEAD) checked out under .bench_build/parent, as a worktree or,
+# where `git worktree add` fails, as a `git clone --shared`; the change
+# is the working tree. Pair i runs both sides on seed i and
 # swaps which side goes first, so neither side always gets the box's
 # faster state. Exit 1 when more than half of PAIRS (default 3) regress:
 # an exact simulated metric on sim_* or a real slow-down past the bound
@@ -28,7 +29,13 @@ trap 'exit 130' HUP INT TERM
 
 cleanup # what a killed run left behind
 mkdir -p "$out"
-git worktree add --detach "$parent" "${REF:-HEAD}"
+ref=$(git rev-parse --verify "${REF:-HEAD}^{commit}")
+if ! git worktree add --detach "$parent" "$ref"; then
+    echo "bench-ab: git worktree add failed; cloning $ref instead" >&2
+    rm -rf "$parent"
+    git clone --quiet --shared --no-checkout "$root" "$parent"
+    git -C "$parent" checkout --quiet --detach "$ref"
+fi
 
 # run <checkout> <seed> <result set> [bench/run.sh flags]
 run() {

@@ -39,6 +39,9 @@ fi
 echo "== nn row kernel: 5 s of FuzzMatMulKernel (assembly against the Go definition) =="
 go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 
+echo "== trace parser: 5 s of FuzzTraceRead (Read never panics; what it accepts replays) =="
+go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
+
 echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 
