@@ -248,7 +248,7 @@ func BenchmarkMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range fns {
-			core.Match(f.Image, g.Image)
+			core.Match(&f.Image, &g.Image)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func main() {
 
 	// The two services match at L2: a warm torch-serve container saves
 	// flask-api its OS and Python pulls.
-	lv := core.Match(api, torch)
+	lv := core.Match(&api, &torch)
 	fmt.Printf("\nmatch(flask-api, torch-serve container) = %v\n", lv)
 
 	// And against the FStartBench catalog: which benchmark containers
@@ -72,7 +72,7 @@ func main() {
 	fmt.Println("\nmatches against FStartBench warm containers:")
 	any := false
 	for _, f := range fstartbench.Functions() {
-		if l := core.Match(api, f.Image); l != core.NoMatch {
+		if l := core.Match(&api, &f.Image); l != core.NoMatch {
 			fmt.Printf("  flask-api x %-22s %v\n", f.Name, l)
 			any = true
 		}

@@ -29,7 +29,7 @@ func main() {
 	for _, f := range fns {
 		fmt.Printf("  F%-3d", f.ID)
 		for _, g := range fns {
-			lv := core.Match(f.Image, g.Image)
+			lv := core.Match(&f.Image, &g.Image)
 			sym := []string{"·", "1", "2", "3"}[int(lv)]
 			fmt.Printf("%-4s", sym)
 		}

@@ -190,7 +190,7 @@ func (f *faultySched) Schedule(env platform.Env, inv *workload.Invocation) int {
 		return f.Scheduler.Schedule(env, inv)
 	}
 	for _, c := range env.Pool.Idle() {
-		if core.Match(inv.Fn.Image, c.Image) == core.NoMatch {
+		if core.Match(&inv.Fn.Image, c.Image) == core.NoMatch {
 			f.noMatch.Add(1)
 			return c.ID
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -351,9 +352,10 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 // the observer's registry.
 func TestClusterRoutingObservability(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 90})
-	var tick time.Duration
+	// Routing blocks run in parallel and all read this clock.
+	var tick atomic.Int64
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
+	o.Perf = perf.New(func() time.Duration { return time.Duration(tick.Add(int64(time.Microsecond))) })
 	cfg := mkCfg(3, "round-robin", 3000)
 	cfg.Obs = o
 	res := Run(cfg, w)

@@ -43,10 +43,11 @@ func (s State) String() string {
 type Container struct {
 	// ID is unique within a simulation run.
 	ID int
-	// Image holds the packages currently installed in the container.
-	// It changes when the cleaner repacks the container for a different
-	// function.
-	Image image.Image
+	// Image points at the image of the function that last ran here,
+	// whose packages are the ones installed in the container. Images are
+	// immutable and owned by their functions; a cross-function reuse
+	// repoints it.
+	Image *image.Image
 	// FnID is the ID of the function that last ran (or is running) here.
 	FnID int
 	// MemoryMB is the current footprint, charged against pool capacity
@@ -164,7 +165,7 @@ func PulledLevels(level core.MatchLevel) []image.Level {
 // the startup breakdown of reusing it. The second result is the match
 // level; NoMatch means reuse is pointless and the caller should cold-start.
 func EstimateFor(f *workload.Function, c *Container) (Startup, core.MatchLevel) {
-	lv := core.Match(f.Image, c.Image)
+	lv := core.Match(&f.Image, c.Image)
 	if lv == core.NoMatch {
 		return Estimate(f, core.NoMatch, false), core.NoMatch
 	}
@@ -177,7 +178,7 @@ func NewCold(id int, inv *workload.Invocation, now time.Duration) (*Container, S
 	s := Estimate(inv.Fn, core.NoMatch, false)
 	c := &Container{
 		ID:         id,
-		Image:      inv.Fn.Image,
+		Image:      &inv.Fn.Image,
 		FnID:       inv.Fn.ID,
 		MemoryMB:   inv.Fn.MemoryMB,
 		CreatedAt:  now,
@@ -205,7 +206,7 @@ func (c *Container) Reuse(inv *workload.Invocation, level core.MatchLevel, now t
 	if cross && cl != nil {
 		cl.Repack(c, inv.Fn, level)
 	}
-	c.Image = inv.Fn.Image
+	c.Image = &inv.Fn.Image
 	c.FnID = inv.Fn.ID
 	c.MemoryMB = inv.Fn.MemoryMB
 	c.LastUsedAt = now

@@ -3,6 +3,7 @@ package container
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"mlcr/internal/core"
 	"mlcr/internal/image"
@@ -181,6 +182,30 @@ func TestReuseCrossFunctionRepacks(t *testing.T) {
 	}
 	if c.Image.LevelKey(image.Runtime) != g.Image.LevelKey(image.Runtime) {
 		t.Fatal("container image not updated to the new function")
+	}
+}
+
+// TestContainerPointsAtFunctionImage: a container holds a pointer to
+// its function's image rather than a copy, so it stays one small
+// object: a cold start allocates it alone, and a reuse repoints it.
+func TestContainerPointsAtFunctionImage(t *testing.T) {
+	if size := unsafe.Sizeof(Container{}); size > 128 {
+		t.Fatalf("Container is %d bytes, want <= 128", size)
+	}
+	f := fn(1, "debian", "python", "flask")
+	g := fn(2, "debian", "python", "numpy")
+	inv := &workload.Invocation{Fn: f, Exec: time.Second}
+	c, _ := NewCold(1, inv, 0)
+	if c.Image != &f.Image {
+		t.Fatal("cold start copied the function's image")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { NewCold(1, inv, 0) }); allocs != 1 {
+		t.Fatalf("NewCold allocates %v objects, want 1", allocs)
+	}
+	c.Complete(c.BusyUntil)
+	c.Reuse(&workload.Invocation{Fn: g, Exec: time.Second}, core.MatchL2, c.IdleSince, nil)
+	if c.Image != &g.Image {
+		t.Fatal("cross-function reuse did not repoint the container at the new image")
 	}
 }
 

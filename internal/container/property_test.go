@@ -95,7 +95,7 @@ func TestPropertyLifecycle(t *testing.T) {
 			return false
 		}
 		c.Complete(c.BusyUntil)
-		lv := core.Match(fb.Image, c.Image)
+		lv := core.Match(&fb.Image, c.Image)
 		if lv == core.NoMatch {
 			return true // nothing further to check
 		}
@@ -110,7 +110,7 @@ func TestPropertyLifecycle(t *testing.T) {
 			return false
 		}
 		// After reuse the container carries fb's image exactly.
-		if core.Match(fb.Image, c.Image) != core.MatchL3 {
+		if core.Match(&fb.Image, c.Image) != core.MatchL3 {
 			return false
 		}
 		return s2.Total() >= 0

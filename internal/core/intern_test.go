@@ -11,12 +11,13 @@ import (
 // fallback and still return the level the keys define.
 func TestMatchAcrossUniversesFallsBackToKeys(t *testing.T) {
 	ua, ub := image.NewUniverse(), image.NewUniverse()
-	mk := func(u *image.Universe, name, os, lang, rt string) image.Image {
-		return u.NewImage(name,
+	mk := func(u *image.Universe, name, os, lang, rt string) *image.Image {
+		im := u.NewImage(name,
 			image.Package{Name: os, Version: "1", Level: image.OS, SizeMB: 10},
 			image.Package{Name: lang, Version: "1", Level: image.Language, SizeMB: 50},
 			image.Package{Name: rt, Version: "1", Level: image.Runtime, SizeMB: 20},
 		)
+		return &im
 	}
 	// Interning order differs between the universes, so the same key
 	// strings carry different IDs — naive ID comparison would be wrong.
@@ -41,62 +42,8 @@ func TestMatchAcrossUniversesFallsBackToKeys(t *testing.T) {
 func TestMatchZeroValueImages(t *testing.T) {
 	raw := image.Image{Pkgs: []image.Package{{Name: "ubuntu", Version: "1", Level: image.OS}}}
 	built := img("c", "ubuntu", "", "")
-	if got := Match(raw, built); got != MatchL3 {
+	if got := Match(&raw, built); got != MatchL3 {
 		t.Fatalf("zero-value vs built Match = %v, want %v (all keys equal)", got, MatchL3)
-	}
-}
-
-// TestAppendRankMatchesRank: AppendRank with a nil dst is Rank; with a
-// prefilled dst it appends without disturbing existing entries and
-// sorts only the tail.
-func TestAppendRankMatchesRank(t *testing.T) {
-	fn := img("fn", "ubuntu", "python", "torch")
-	cts := []image.Image{
-		img("c0", "alpine", "python", "torch"), // no match
-		img("c1", "ubuntu", "node", "x"),       // L1
-		img("c2", "ubuntu", "python", "torch"), // L3
-		img("c3", "ubuntu", "python", "numpy"), // L2
-		img("c4", "ubuntu", "python", "torch"), // L3, ties broken FIFO
-	}
-	want := Rank(fn, cts)
-	got := AppendRank(nil, fn, cts)
-	if len(got) != len(want) {
-		t.Fatalf("AppendRank len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendRank[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	sentinel := Candidate{Index: -7, Level: NoMatch}
-	buf := append(make([]Candidate, 0, 8), sentinel)
-	buf = AppendRank(buf, fn, cts)
-	if buf[0] != sentinel {
-		t.Fatalf("AppendRank disturbed existing dst entry: %+v", buf[0])
-	}
-	for i := range want {
-		if buf[i+1] != want[i] {
-			t.Fatalf("AppendRank tail[%d] = %+v, want %+v", i, buf[i+1], want[i])
-		}
-	}
-}
-
-// TestAppendRankSteadyStateAllocationFree: reusing the returned slice
-// keeps ranking allocation-free, mirroring pool.AppendMatches.
-func TestAppendRankSteadyStateAllocationFree(t *testing.T) {
-	fn := img("fn", "ubuntu", "python", "torch")
-	cts := []image.Image{
-		img("c1", "ubuntu", "node", "x"),
-		img("c2", "ubuntu", "python", "torch"),
-		img("c3", "ubuntu", "python", "numpy"),
-	}
-	buf := AppendRank(nil, fn, cts)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendRank(buf[:0], fn, cts)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state AppendRank allocates %v per run, want 0", allocs)
 	}
 }
 

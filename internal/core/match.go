@@ -59,7 +59,7 @@ func (m MatchLevel) String() string {
 // traffic. Images without a shared universe (zero-value construction,
 // or deliberately separate universes whose IDs are incomparable) fall
 // back to the canonical key strings, which define equality either way.
-func Match(fn, ct image.Image) MatchLevel {
+func Match(fn, ct *image.Image) MatchLevel {
 	if fu, fids := fn.Interned(); fu != nil {
 		if cu, cids := ct.Interned(); fu == cu {
 			level := NoMatch
@@ -80,75 +80,4 @@ func Match(fn, ct image.Image) MatchLevel {
 		level++
 	}
 	return level
-}
-
-// MatchCounted is Match instrumented with the number of level comparisons
-// performed. It exists to demonstrate and test the pruning behaviour: a
-// differing OS level costs exactly one comparison regardless of how many
-// runtime packages the images contain.
-func MatchCounted(fn, ct image.Image) (MatchLevel, int) {
-	level := NoMatch
-	comparisons := 0
-	for _, l := range image.Levels {
-		comparisons++
-		if fn.LevelKey(l) != ct.LevelKey(l) {
-			return level, comparisons
-		}
-		level++
-	}
-	return level, comparisons
-}
-
-// Candidate pairs a container identifier with its match level for one
-// function invocation.
-type Candidate struct {
-	Index int // position in the slice passed to Rank
-	Level MatchLevel
-}
-
-// Rank matches fn against every container image and returns candidates
-// with Level > NoMatch, ordered best-first: deeper match level wins, ties
-// broken by the order given (callers pass containers in a deterministic
-// order, e.g. most-recently-used first). It allocates a fresh slice;
-// hot-path callers reuse a caller-owned slice via AppendRank.
-func Rank(fn image.Image, containers []image.Image) []Candidate {
-	return AppendRank(nil, fn, containers)
-}
-
-// AppendRank appends fn's ranked candidates to dst and returns it,
-// mirroring pool.AppendMatches: passing a reused dst slice (typically
-// dst[:0] of a retained buffer) makes steady-state calls
-// allocation-free. Ordering is exactly Rank's. Only the appended tail
-// is sorted; entries already in dst are left untouched.
-func AppendRank(dst []Candidate, fn image.Image, containers []image.Image) []Candidate {
-	start := len(dst)
-	for i, c := range containers {
-		if lv := Match(fn, c); lv > NoMatch {
-			dst = append(dst, Candidate{Index: i, Level: lv})
-		}
-	}
-	// Stable insertion sort by descending level; candidate lists are
-	// small (pool-sized) so O(n²) is irrelevant and stability is free.
-	out := dst[start:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Level > out[j-1].Level; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return dst
-}
-
-// Best returns the index of the best-matching container and its level, or
-// (-1, NoMatch) when no container matches at any level.
-func Best(fn image.Image, containers []image.Image) (int, MatchLevel) {
-	best, bestLevel := -1, NoMatch
-	for i, c := range containers {
-		if lv := Match(fn, c); lv > bestLevel {
-			best, bestLevel = i, lv
-			if lv == MatchL3 {
-				break // cannot do better than a full match
-			}
-		}
-	}
-	return best, bestLevel
 }

@@ -7,7 +7,7 @@ import (
 	"mlcr/internal/image"
 )
 
-func img(name string, os, lang, rt string) image.Image {
+func img(name string, os, lang, rt string) *image.Image {
 	var ps []image.Package
 	if os != "" {
 		ps = append(ps, image.Package{Name: os, Version: "1", Level: image.OS, SizeMB: 10})
@@ -18,7 +18,8 @@ func img(name string, os, lang, rt string) image.Image {
 	if rt != "" {
 		ps = append(ps, image.Package{Name: rt, Version: "1", Level: image.Runtime, SizeMB: 20})
 	}
-	return image.NewImage(name, ps...)
+	im := image.NewImage(name, ps...)
+	return &im
 }
 
 // TestMatchLevels verifies every row of Table I.
@@ -26,7 +27,7 @@ func TestMatchLevels(t *testing.T) {
 	fn := img("fn", "ubuntu", "python", "torch")
 	cases := []struct {
 		name string
-		ct   image.Image
+		ct   *image.Image
 		want MatchLevel
 	}{
 		{"different OS", img("c", "alpine", "python", "torch"), NoMatch},
@@ -41,22 +42,6 @@ func TestMatchLevels(t *testing.T) {
 	}
 }
 
-func TestMatchPruning(t *testing.T) {
-	fn := img("fn", "ubuntu", "python", "torch")
-	_, n := MatchCounted(fn, img("c", "alpine", "python", "torch"))
-	if n != 1 {
-		t.Errorf("OS mismatch used %d comparisons, want 1 (pruned)", n)
-	}
-	_, n = MatchCounted(fn, img("c", "ubuntu", "node", "torch"))
-	if n != 2 {
-		t.Errorf("language mismatch used %d comparisons, want 2", n)
-	}
-	_, n = MatchCounted(fn, img("c", "ubuntu", "python", "torch"))
-	if n != 3 {
-		t.Errorf("full match used %d comparisons, want 3", n)
-	}
-}
-
 func TestMatchEmptyLevels(t *testing.T) {
 	// Function with no runtime packages (e.g. FStartBench F9 C++ app).
 	fn := img("fn", "centos", "gcc", "")
@@ -65,56 +50,6 @@ func TestMatchEmptyLevels(t *testing.T) {
 	}
 	if got := Match(fn, img("c", "centos", "gcc", "boost")); got != MatchL2 {
 		t.Errorf("empty vs non-empty runtime = %v, want MatchL2", got)
-	}
-}
-
-func TestMatchCountedAgreesWithMatch(t *testing.T) {
-	f := func(a, b, c, d, e, g uint8) bool {
-		names := []string{"u", "v", "w"}
-		fn := img("f", names[a%3], names[b%3], names[c%3])
-		ct := img("c", names[d%3], names[e%3], names[g%3])
-		m1 := Match(fn, ct)
-		m2, _ := MatchCounted(fn, ct)
-		return m1 == m2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRankOrdersByLevel(t *testing.T) {
-	fn := img("fn", "ubuntu", "python", "torch")
-	cs := []image.Image{
-		img("c0", "alpine", "python", "torch"), // no match
-		img("c1", "ubuntu", "node", "x"),       // L1
-		img("c2", "ubuntu", "python", "torch"), // L3
-		img("c3", "ubuntu", "python", "numpy"), // L2
-		img("c4", "ubuntu", "go", "y"),         // L1
-	}
-	got := Rank(fn, cs)
-	wantIdx := []int{2, 3, 1, 4} // L3, L2, then L1s in original order
-	if len(got) != len(wantIdx) {
-		t.Fatalf("Rank returned %d candidates, want %d", len(got), len(wantIdx))
-	}
-	for i, w := range wantIdx {
-		if got[i].Index != w {
-			t.Errorf("Rank[%d].Index = %d, want %d", i, got[i].Index, w)
-		}
-	}
-}
-
-func TestBest(t *testing.T) {
-	fn := img("fn", "ubuntu", "python", "torch")
-	idx, lv := Best(fn, []image.Image{
-		img("c0", "alpine", "x", "y"),
-		img("c1", "ubuntu", "python", "pandas"),
-	})
-	if idx != 1 || lv != MatchL2 {
-		t.Fatalf("Best = (%d, %v), want (1, MatchL2)", idx, lv)
-	}
-	idx, lv = Best(fn, []image.Image{img("c0", "alpine", "x", "y")})
-	if idx != -1 || lv != NoMatch {
-		t.Fatalf("Best with no candidates = (%d, %v), want (-1, NoMatch)", idx, lv)
 	}
 }
 

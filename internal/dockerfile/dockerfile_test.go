@@ -23,6 +23,33 @@ RUN pip install torch==2.0.1+cpu torchvision==0.15.2+cpu
 WORKDIR /workspace
 `
 
+// The Dockerfiles of the parser tests below; they also seed
+// FuzzDockerfileParse.
+const managersDF = `FROM alpine:3.18
+RUN apk add --no-cache nodejs npm
+RUN npm install express body-parser
+RUN apk -U add curl
+`
+
+const yumGoDF = `FROM centos:7
+RUN yum install -y gcc libxml2
+RUN go install example.com/tool@v1.2.3
+`
+
+const noiseDF = `# build stage
+FROM debian:11
+ENV DEBIAN_FRONTEND=noninteractive
+WORKDIR /app
+COPY . .
+EXPOSE 8080
+CMD ["./serve"]
+RUN echo hello && ls -la
+`
+
+const dedupDF = `FROM alpine:3.18
+RUN apk add curl && apk add curl
+`
+
 func TestParseFig5(t *testing.T) {
 	res, err := ParseString(fig5)
 	if err != nil {
@@ -75,10 +102,10 @@ func TestFig5ImageMatchesHandTagged(t *testing.T) {
 	// the pip packages keeps an L2 match.
 	res2, _ := ParseString(strings.Replace(fig5, "torch==2.0.1+cpu torchvision==0.15.2+cpu", "numpy==1.24", 1))
 	other := res2.Image("variant")
-	if lv := core.Match(auto, auto); lv != core.MatchL3 {
+	if lv := core.Match(&auto, &auto); lv != core.MatchL3 {
 		t.Errorf("self match = %v", lv)
 	}
-	if lv := core.Match(auto, other); lv != core.MatchL2 {
+	if lv := core.Match(&auto, &other); lv != core.MatchL2 {
 		t.Errorf("runtime-variant match = %v, want MatchL2", lv)
 	}
 }
@@ -110,12 +137,7 @@ func TestClassifyLexicon(t *testing.T) {
 }
 
 func TestParsePackageManagers(t *testing.T) {
-	df := `FROM alpine:3.18
-RUN apk add --no-cache nodejs npm
-RUN npm install express body-parser
-RUN apk -U add curl
-`
-	res, err := ParseString(df)
+	res, err := ParseString(managersDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +157,7 @@ RUN apk -U add curl
 }
 
 func TestParseYumAndGo(t *testing.T) {
-	df := `FROM centos:7
-RUN yum install -y gcc libxml2
-RUN go install example.com/tool@v1.2.3
-`
-	res, err := ParseString(df)
+	res, err := ParseString(yumGoDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,16 +177,7 @@ RUN go install example.com/tool@v1.2.3
 }
 
 func TestParseIgnoresNoise(t *testing.T) {
-	df := `# build stage
-FROM debian:11
-ENV DEBIAN_FRONTEND=noninteractive
-WORKDIR /app
-COPY . .
-EXPOSE 8080
-CMD ["./serve"]
-RUN echo hello && ls -la
-`
-	res, err := ParseString(df)
+	res, err := ParseString(noiseDF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +201,7 @@ func TestParseUntaggedBase(t *testing.T) {
 }
 
 func TestImageDeduplicates(t *testing.T) {
-	df := `FROM alpine:3.18
-RUN apk add curl && apk add curl
-`
-	res, _ := ParseString(df)
+	res, _ := ParseString(dedupDF)
 	im := res.Image("dedup")
 	count := 0
 	for _, p := range im.Pkgs {
@@ -231,4 +237,24 @@ func TestImageSizes(t *testing.T) {
 			t.Fatalf("weirdlib size = %v, want runtime default 12", p.SizeMB)
 		}
 	}
+}
+
+// FuzzDockerfileParse: Parse never panics, and any image built from what
+// it returns matches itself at L3.
+func FuzzDockerfileParse(f *testing.F) {
+	for _, df := range []string{fig5, managersDF, yumGoDF, noiseDF, dedupDF,
+		"FROM registry.example.com/library/ubuntu:22.04\n", "FROM alpine\n",
+		"FROM alpine:3.18\nRUN pip install weirdlib\n", "FROM\n", "RUN \\\n", "\\"} {
+		f.Add(df)
+	}
+	f.Fuzz(func(t *testing.T, df string) {
+		res, err := ParseString(df)
+		if err != nil {
+			return
+		}
+		im := res.Image("fuzz")
+		if lv := core.Match(&im, &im); lv != core.MatchL3 {
+			t.Fatalf("image matches itself at %v, want %v", lv, core.MatchL3)
+		}
+	})
 }

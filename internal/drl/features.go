@@ -100,7 +100,7 @@ func hashBucket(s string) int {
 
 // levelBuckets writes the three level-identity one-hots for img into
 // dst[off:], one hashBuckets-wide group per level.
-func levelBuckets(dst []float64, off int, img image.Image) {
+func levelBuckets(dst []float64, off int, img *image.Image) {
 	for li, l := range image.Levels {
 		key := img.LevelKey(l)
 		if key == "" {
@@ -201,7 +201,7 @@ func (f *Featurizer) Build(env platform.Env, inv *workload.Invocation) State {
 	ft[7] = inv.Fn.Image.LevelSizeMB(image.OS) / normMB
 	ft[8] = inv.Fn.Image.LevelSizeMB(image.Language) / normMB
 	ft[9] = inv.Fn.Image.LevelSizeMB(image.Runtime) / normMB
-	levelBuckets(ft, 11, inv.Fn.Image)
+	levelBuckets(ft, 11, &inv.Fn.Image)
 
 	// Slot tokens.
 	if cap(f.ids) < f.Slots {

@@ -45,7 +45,7 @@ func Fig1() Fig1Result {
 		cold := container.Estimate(f, core.NoMatch, false)
 		res.Rows = append(res.Rows, Fig1Row{Fn: f.Name, Mode: "C", Level: core.NoMatch, Startup: cold})
 
-		lv := core.Match(f.Image, warm.Image)
+		lv := core.Match(&f.Image, &warm.Image)
 		var wStart container.Startup
 		if lv == core.NoMatch {
 			wStart = cold // no reusable level: W degenerates to a cold start

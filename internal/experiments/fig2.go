@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"mlcr/internal/core"
 	"mlcr/internal/image"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
@@ -166,22 +167,11 @@ func (f *fixedPlan) Schedule(env platform.Env, inv *workload.Invocation) int {
 		f.infeasible = true
 		return platform.ColdStart
 	}
-	if lv := coreMatch(inv, c.Image); lv == 0 {
+	if core.Match(&inv.Fn.Image, c.Image) == core.NoMatch {
 		f.infeasible = true
 		return platform.ColdStart
 	}
 	return id
-}
-
-func coreMatch(inv *workload.Invocation, img image.Image) int {
-	lv := 0
-	for _, l := range image.Levels {
-		if inv.Fn.Image.LevelKey(l) != img.LevelKey(l) {
-			return lv
-		}
-		lv++
-	}
-	return lv
 }
 
 func (f *fixedPlan) OnResult(_ platform.Env, inv *workload.Invocation, res platform.Result) {

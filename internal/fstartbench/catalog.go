@@ -14,6 +14,7 @@ package fstartbench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"mlcr/internal/image"
@@ -185,12 +186,32 @@ func concat(sets ...[]image.Package) []image.Package {
 	return out
 }
 
-// Functions returns the 13 FStartBench functions of Table II, freshly
-// allocated (callers may mutate their copies).
+// catalogue holds the 13 functions of Table II, built once per process:
+// their images are immutable, so every copy Functions hands out shares
+// one set of package slices, key sets and level keys.
+var (
+	catalogueOnce sync.Once
+	catalogue     []workload.Function
+)
+
+// Functions returns the 13 FStartBench functions of Table II as fresh
+// structs (callers may mutate their copies). Their Image fields share
+// the catalogue's backing arrays, which nobody mutates.
 func Functions() []*workload.Function {
+	catalogueOnce.Do(func() { catalogue = buildCatalogue() })
+	fs := make([]workload.Function, len(catalogue))
+	copy(fs, catalogue)
+	out := make([]*workload.Function, len(fs))
+	for i := range fs {
+		out[i] = &fs[i]
+	}
+	return out
+}
+
+func buildCatalogue() []workload.Function {
 	mk := func(id int, name, desc, lang string, pkgs []image.Package,
-		create, clean, fnInit, exec time.Duration, memMB float64) *workload.Function {
-		return &workload.Function{
+		create, clean, fnInit, exec time.Duration, memMB float64) workload.Function {
+		return workload.Function{
 			ID: id, Name: name, Description: desc,
 			Image:        image.NewImage(name, pkgs...),
 			Create:       create,
@@ -205,7 +226,7 @@ func Functions() []*workload.Function {
 		create = 300 * time.Millisecond // sandbox create + launch
 		clean  = 60 * time.Millisecond  // volume unmount + mount
 	)
-	return []*workload.Function{
+	return []workload.Function{
 		mk(1, "hello-java", "Hello", "java",
 			concat(alpinePkgs(), javaPkgs(), springbootPkgs()),
 			create, clean, 400*time.Millisecond, 60*time.Millisecond, 384),

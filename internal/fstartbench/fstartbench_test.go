@@ -24,6 +24,28 @@ func TestThirteenFunctionsValid(t *testing.T) {
 	}
 }
 
+// TestFunctionsSharesOneCatalogue: every call hands out fresh function
+// structs that callers may mutate, over one shared set of image arrays.
+func TestFunctionsSharesOneCatalogue(t *testing.T) {
+	a, b := Functions(), Functions()
+	for i := range a {
+		if a[i] == b[i] {
+			t.Fatalf("function %d: both calls returned the same *Function", a[i].ID)
+		}
+		if &a[i].Image.Pkgs[0] != &b[i].Image.Pkgs[0] {
+			t.Fatalf("function %d: image packages were rebuilt, not shared", a[i].ID)
+		}
+	}
+	want := *b[0]
+	a[0].ID, a[0].Name, a[0].Exec = 99, "mutated", time.Hour
+	if b[0].ID != want.ID || b[0].Name != want.Name || b[0].Exec != want.Exec {
+		t.Fatalf("mutating one call's function leaked into another's: %d %q %v", b[0].ID, b[0].Name, b[0].Exec)
+	}
+	if c := Functions()[0]; c.ID != want.ID || c.Name != want.Name || c.Exec != want.Exec {
+		t.Fatalf("mutating a returned function changed the catalogue: %d %q %v", c.ID, c.Name, c.Exec)
+	}
+}
+
 // TestTableII checks the OS/language/runtime composition of Table II.
 func TestTableII(t *testing.T) {
 	fns := Functions()
@@ -47,22 +69,22 @@ func TestTableII(t *testing.T) {
 	}
 	// Same-stack pairs of Table II: (1,12) Java/Springboot and
 	// (2,11) Node/Express are full L3 matches across functions.
-	if lv := core.Match(ByID(fns, 1).Image, ByID(fns, 12).Image); lv != core.MatchL3 {
+	if lv := core.Match(&ByID(fns, 1).Image, &ByID(fns, 12).Image); lv != core.MatchL3 {
 		t.Errorf("F1 vs F12 match = %v, want MatchL3", lv)
 	}
-	if lv := core.Match(ByID(fns, 2).Image, ByID(fns, 11).Image); lv != core.MatchL3 {
+	if lv := core.Match(&ByID(fns, 2).Image, &ByID(fns, 11).Image); lv != core.MatchL3 {
 		t.Errorf("F2 vs F11 match = %v, want MatchL3", lv)
 	}
 	// F5 and F10 share Debian/Python/Flask.
-	if lv := core.Match(ByID(fns, 5).Image, ByID(fns, 10).Image); lv != core.MatchL3 {
+	if lv := core.Match(&ByID(fns, 5).Image, &ByID(fns, 10).Image); lv != core.MatchL3 {
 		t.Errorf("F5 vs F10 match = %v, want MatchL3", lv)
 	}
 	// F6 extends F5's stack at the runtime level only.
-	if lv := core.Match(ByID(fns, 6).Image, ByID(fns, 5).Image); lv != core.MatchL2 {
+	if lv := core.Match(&ByID(fns, 6).Image, &ByID(fns, 5).Image); lv != core.MatchL2 {
 		t.Errorf("F6 vs F5 match = %v, want MatchL2", lv)
 	}
 	// F4 (Alpine) vs F5 (Debian): same language stack but OS mismatch.
-	if lv := core.Match(ByID(fns, 4).Image, ByID(fns, 5).Image); lv != core.NoMatch {
+	if lv := core.Match(&ByID(fns, 4).Image, &ByID(fns, 5).Image); lv != core.NoMatch {
 		t.Errorf("F4 vs F5 match = %v, want NoMatch", lv)
 	}
 }

@@ -75,7 +75,9 @@ func (p Package) Key() string { return p.Name + "@" + p.Version }
 // order, caches the canonical level keys and interns them to dense
 // LevelIDs — zero-value images recompute (and allocate) keys on every
 // comparison. mlcr-vet's newimage analyzer flags zero-value
-// construction in internal/ code.
+// construction in internal/ code. A built image is immutable and
+// shared by pointer: functions own their images, containers point at
+// them (DESIGN.md §10).
 type Image struct {
 	// Name is a human-readable identifier (e.g. "fn13-ml-inference").
 	Name string
@@ -166,7 +168,7 @@ func newNormalized(name string, pkgs []Package) Image {
 // NewImage-built images this is a subslice of Pkgs (no allocation —
 // container repacking calls it on every reuse); callers must not
 // mutate it. Zero-value images fall back to a filtering copy.
-func (im Image) AtLevel(l Level) []Package {
+func (im *Image) AtLevel(l Level) []Package {
 	if im.keysSet && l >= OS && l <= Runtime {
 		return im.Pkgs[im.levelOff[l-1]:im.levelOff[l]]
 	}
@@ -181,14 +183,14 @@ func (im Image) AtLevel(l Level) []Package {
 
 // LevelKey returns a canonical string identifying the package set of one
 // level. Two images share a level exactly when their LevelKeys are equal.
-func (im Image) LevelKey(l Level) string {
+func (im *Image) LevelKey(l Level) string {
 	if im.keysSet {
 		return im.levelKeys[int(l)-1]
 	}
 	return im.computeLevelKey(l)
 }
 
-func (im Image) computeLevelKey(l Level) string {
+func (im *Image) computeLevelKey(l Level) string {
 	ps := im.AtLevel(l)
 	keys := make([]string, len(ps))
 	for i, p := range ps {
@@ -198,7 +200,7 @@ func (im Image) computeLevelKey(l Level) string {
 }
 
 // LevelSizeMB returns the total package size of one level.
-func (im Image) LevelSizeMB(l Level) float64 {
+func (im *Image) LevelSizeMB(l Level) float64 {
 	if im.keysSet && l >= OS && l <= Runtime {
 		return im.levelSize[l-1]
 	}
@@ -222,7 +224,7 @@ func (im Image) SizeMB() float64 {
 
 // PullTime returns the total time to pull every package at the given
 // level from the registry.
-func (im Image) PullTime(l Level) time.Duration {
+func (im *Image) PullTime(l Level) time.Duration {
 	if im.keysSet && l >= OS && l <= Runtime {
 		return im.levelPull[l-1]
 	}
@@ -237,7 +239,7 @@ func (im Image) PullTime(l Level) time.Duration {
 
 // InstallTime returns the total time to install every package at the
 // given level.
-func (im Image) InstallTime(l Level) time.Duration {
+func (im *Image) InstallTime(l Level) time.Duration {
 	if im.keysSet && l >= OS && l <= Runtime {
 		return im.levelInstall[l-1]
 	}

@@ -95,7 +95,7 @@ func (u *Universe) NewImage(name string, pkgs ...Package) Image {
 // IDs (indexed OS, Language, Runtime). The universe is nil — and the
 // IDs meaningless — for zero-value images that skipped NewImage;
 // callers must fall back to LevelKey string comparison then.
-func (im Image) Interned() (*Universe, [3]LevelID) {
+func (im *Image) Interned() (*Universe, [3]LevelID) {
 	return im.uni, im.levelIDs
 }
 
@@ -105,7 +105,7 @@ func (im Image) Interned() (*Universe, [3]LevelID) {
 // newimage analyzer flags such construction in internal/ code). It
 // panics if the image was built in a different universe: its IDs would
 // be incomparable with default-universe IDs.
-func (im Image) LevelIDs() [3]LevelID {
+func (im *Image) LevelIDs() [3]LevelID {
 	if im.uni == DefaultUniverse {
 		return im.levelIDs
 	}

@@ -56,7 +56,7 @@ func BadPrint(m map[string]int) {
 }
 
 // BadEngineCall mutates engine state in map order.
-func BadEngineCall(m map[string]image.Image, fn image.Image) {
+func BadEngineCall(m map[string]*image.Image, fn *image.Image) {
 	for _, img := range m { // want `calls into mlcr/internal/core\.Match`
 		core.Match(fn, img)
 	}

@@ -327,7 +327,7 @@ func Apply(pl *pool.Pool, cl *container.Cleaner, inv *workload.Invocation, now t
 	choice int, newID func() int) (c *container.Container, s container.Startup, lvl core.MatchLevel, honoured bool) {
 	if choice != ColdStart {
 		if pooled := pl.Get(choice); pooled != nil {
-			if lvl = core.Match(inv.Fn.Image, pooled.Image); lvl != core.NoMatch {
+			if lvl = core.Match(&inv.Fn.Image, pooled.Image); lvl != core.NoMatch {
 				c = pl.Take(choice, now)
 				return c, c.Reuse(inv, lvl, now, cl), lvl, true
 			}

@@ -58,7 +58,7 @@ func (bestMatch) Name() string { return "best-match" }
 func (bestMatch) Schedule(env Env, inv *workload.Invocation) int {
 	best, bestLv := ColdStart, core.NoMatch
 	for _, c := range env.Pool.Idle() {
-		if lv := core.Match(inv.Fn.Image, c.Image); lv > bestLv {
+		if lv := core.Match(&inv.Fn.Image, c.Image); lv > bestLv {
 			best, bestLv = c.ID, lv
 		}
 	}

@@ -135,7 +135,7 @@ func (*GreedyMatch) Schedule(env platform.Env, inv *workload.Invocation) int {
 	bestLv := core.NoMatch
 	var bestUsed time.Duration = -1
 	env.Pool.RangeIdle(func(c *container.Container) bool {
-		lv := core.Match(inv.Fn.Image, c.Image)
+		lv := core.Match(&inv.Fn.Image, c.Image)
 		if lv == core.NoMatch {
 			return true
 		}

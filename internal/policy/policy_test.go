@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcr/internal/core"
 	"mlcr/internal/image"
 	"mlcr/internal/platform"
 	"mlcr/internal/workload"
@@ -254,22 +255,11 @@ func (o *oracle) Schedule(env platform.Env, inv *workload.Invocation) int {
 		o.infeasible = true
 		return platform.ColdStart
 	}
-	if lv := matchLevel(inv, c.Image); lv == 0 {
+	if core.Match(&inv.Fn.Image, c.Image) == core.NoMatch {
 		o.infeasible = true
 		return platform.ColdStart
 	}
 	return id
-}
-
-func matchLevel(inv *workload.Invocation, img image.Image) int {
-	lv := 0
-	for _, l := range image.Levels {
-		if inv.Fn.Image.LevelKey(l) != img.LevelKey(l) {
-			return lv
-		}
-		lv++
-	}
-	return lv
 }
 
 func (o *oracle) OnResult(env platform.Env, inv *workload.Invocation, res platform.Result) {

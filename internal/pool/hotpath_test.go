@@ -61,7 +61,7 @@ func TestAppendMatchesMatchesNaiveScan(t *testing.T) {
 
 		want := map[int]core.MatchLevel{}
 		for _, c := range p.Idle() {
-			if lv := core.Match(q.Image, c.Image); lv != core.NoMatch {
+			if lv := core.Match(&q.Image, c.Image); lv != core.NoMatch {
 				want[c.ID] = lv
 			}
 		}

@@ -82,7 +82,7 @@ func (f *Function) negative(field string, d time.Duration) error {
 // sandbox creation, pulling and installing every package level, runtime
 // and function initialization. It is the worst case against which warm
 // starts are compared.
-func (f Function) ColdStartTime() time.Duration {
+func (f *Function) ColdStartTime() time.Duration {
 	d := f.Create + f.RuntimeInit + f.FunctionInit
 	for _, l := range image.Levels {
 		d += f.Image.PullTime(l) + f.Image.InstallTime(l)

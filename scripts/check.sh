@@ -42,6 +42,9 @@ go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 echo "== trace parser: 5 s of FuzzTraceRead (Read never panics; what it accepts replays) =="
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
 
+echo "== Dockerfile parser: 5 s of FuzzDockerfileParse (Parse never panics; its image matches itself at L3) =="
+go test -run '^$' -fuzz '^FuzzDockerfileParse$' -fuzztime 5s ./internal/dockerfile
+
 echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 
