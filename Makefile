@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet check check-full bench-ab
+.PHONY: build test vet check check-full bench-ab size
 
 build:
 	$(GO) build ./...
@@ -33,3 +33,11 @@ check-full:
 # ARGS="-only sim_cluster --seconds 5".
 bench-ab:
 	sh scripts/bench_ab.sh $(ARGS)
+
+# Code size as ROADMAP aim 2 counts it, one filter for every PR:
+# non-test Go under internal/ outside testdata/, Go in cmd/ + examples/,
+# and test Go under internal/.
+size:
+	@printf '%7d  internal/ non-test (outside testdata/)\n' $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
+	@printf '%7d  cmd/ + examples/\n' $$(find cmd examples -name '*.go' -exec cat {} + | wc -l)
+	@printf '%7d  internal/ test\n' $$(find internal -name '*_test.go' -exec cat {} + | wc -l)

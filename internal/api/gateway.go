@@ -8,14 +8,18 @@
 //	layer 2: per-shard mutexed pool segment + scheduling policy
 //	layer 3: cold start (fresh sandbox, atomic ID allocation)
 //
-// Functions hash onto shards; each shard owns a pool segment, a
-// scheduler instance and a completion heap, so requests for different
+// Layer 1 is a cache in front of layer 2: a request that misses it
+// takes the shard lock, drains due completions and probes layer 1 once
+// more before it schedules. Functions hash onto shards; each shard owns
+// a pool segment, a scheduler instance and a completion queue (a
+// sim.Queue, the simulator's own heap), so requests for different
 // shards never contend and same-shard requests contend on one short
 // critical section instead of a platform-wide lock. Completions are
 // virtual-time driven, like the simulator: a container becomes
-// reclaimable once its BusyUntil has passed, and the next request that
+// reclaimable once its BusyUntil has passed, the next request that
 // observes the shard's earliest-completion watermark (one atomic load)
-// drains it. Fingerprint determinism does NOT extend to the gateway —
+// drains it, and equal-instant completions retire in start order.
+// Fingerprint determinism does NOT extend to the gateway —
 // concurrent arrival interleaving is inherently racy — but every
 // container still moves through the same lifecycle invariants, and
 // throughput and latency are measured by bench/'s http_warm and
@@ -37,6 +41,7 @@ import (
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
+	"mlcr/internal/sim"
 	"mlcr/internal/workload"
 )
 
@@ -86,14 +91,8 @@ type gwFn struct {
 	fastHits  atomic.Int64
 }
 
-// busyRec is one in-flight invocation's completion record.
-type busyRec struct {
-	c     *container.Container
-	until time.Duration
-}
-
 // gwShard owns one slice of the warm pool. The mutex guards the pool
-// segment, scheduler, completion heap and slow-path counters; the
+// segment, scheduler, completion queue and slow-path counters; the
 // atomics below it are the lock-free fast path's shared state.
 type gwShard struct {
 	mu      sync.Mutex
@@ -101,9 +100,9 @@ type gwShard struct {
 	sched   platform.Scheduler
 	cleaner *container.Cleaner
 	rate    workload.RateEMA
-	inv     workload.Invocation // slow-path scratch (never escapes the lock)
-	heap    []busyRec           // min-heap of in-flight completions by until
-	lastNow time.Duration       // per-shard monotone clamp for pool/evictor time
+	inv     workload.Invocation             // slow-path scratch (never escapes the lock)
+	busy    sim.Queue[*container.Container] // in-flight containers by BusyUntil
+	lastNow time.Duration                   // per-shard monotone clamp for pool/evictor time
 	seen    int
 	prevArr time.Duration
 	startup perf.HDR // slow-path startup latencies, ns
@@ -116,11 +115,12 @@ type gwShard struct {
 	fns map[int]*gwFn // this shard's functions
 
 	// Lock-free completion protocol: the fast path re-registers busy
-	// containers through doneq and publishes the earliest completion
-	// time in nextDone (ns; MaxInt64 = none known). Any request that
-	// observes nextDone <= now tries to drain — one TryLock, never a
-	// blocking wait on the fast path.
-	doneq    chan busyRec
+	// containers through doneq (a container's BusyUntil does not change
+	// while it is busy, so the container is its own completion record)
+	// and publishes the earliest completion time in nextDone (ns;
+	// MaxInt64 = none known). Any request that observes nextDone <= now
+	// tries to drain — one TryLock, never a blocking wait on the fast path.
+	doneq    chan *container.Container
 	nextDone atomic.Int64
 
 	runningKB   atomic.Int64 // memory held by busy containers
@@ -233,7 +233,7 @@ func (g *Gateway) buildState() *gwState {
 			cleaner: &container.Cleaner{},
 			rate:    workload.RateEMA{Alpha: 0.2},
 			fns:     make(map[int]*gwFn),
-			doneq:   make(chan busyRec, 1024),
+			doneq:   make(chan *container.Container, 1024),
 		}
 		if share > 0 {
 			sh.shareKB = int64(share * 1024)
@@ -285,12 +285,25 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 	// "nothing due" case; TryLock so the fast path never blocks — a
 	// lock-holding slow path drains on our behalf.
 	if sh.nextDone.Load() <= int64(now) {
-		sh.release(st, now)
+		sh.release(now)
 	}
 	// Layer 1: lock-free claim of an exact same-function L3 re-hit.
+	if c, s = st.claim(gf, now, exec); c != nil {
+		sh.finish(c)
+		return c, s, core.MatchL3
+	}
+	return st.slow(gf, now, exec)
+}
+
+// claim takes a container of gf's function from its fast channel and
+// reuses it as an exact L3 re-hit, discarding containers parked longer
+// than FastTTL. It returns nil when the channel holds no fresh one. The
+// caller registers the claimed container's completion.
+func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup) {
+	sh := gf.shard
 	for {
 		select {
-		case c = <-gf.fast:
+		case c := <-gf.fast:
 			sh.fastKB.Add(-gf.memKB)
 			if st.fastTTL > 0 && c.IdleFor(now) > st.fastTTL {
 				c.Kill()
@@ -298,16 +311,14 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 				continue
 			}
 			inv := workload.Invocation{Fn: gf.fn, Arrival: now, Exec: exec}
-			s = c.Reuse(&inv, core.MatchL3, now, nil)
+			s := c.Reuse(&inv, core.MatchL3, now, nil)
 			sh.runningKB.Add(gf.memKB)
 			gf.fastHits.Add(1)
-			sh.finish(busyRec{c: c, until: c.BusyUntil})
-			return c, s, core.MatchL3
+			return c, s
 		default:
+			return nil, container.Startup{}
 		}
-		break
 	}
-	return st.slow(gf, now, exec)
 }
 
 // slow serves one invocation through layers 2 and 3 — the shard's
@@ -323,6 +334,15 @@ func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (*container.Container
 	}
 	sh.lastNow = now
 	sh.releaseLocked(now)
+	// The drain may have parked a container of this very function in the
+	// fast layer: the slow path falls through it before scheduling. The
+	// completion is registered here, under the lock, not through finish,
+	// whose full-doneq branch takes the lock.
+	if c, s := st.claim(gf, now, exec); c != nil {
+		sh.busy.Push(c.BusyUntil, c)
+		sh.armNextDone(int64(c.BusyUntil))
+		return c, s, core.MatchL3
+	}
 	sh.pool.Expire(now)
 	sh.rate.Observe(now)
 	sh.inv = workload.Invocation{Seq: sh.seen, Fn: gf.fn, Arrival: now, Exec: exec}
@@ -350,7 +370,7 @@ func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (*container.Container
 	sh.seen++
 	sh.prevArr = now
 	sh.sched.OnResult(env, &sh.inv, platform.Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s})
-	sh.heapPush(busyRec{c: c, until: c.BusyUntil})
+	sh.busy.Push(c.BusyUntil, c)
 	sh.armNextDone(int64(c.BusyUntil))
 	return c, s, lvl
 }
@@ -360,16 +380,18 @@ func (st *gwState) newID() int { return int(st.nextID.Add(1)) }
 
 // finish re-registers a fast-path claim's completion without taking the
 // shard lock: enqueue on doneq and publish the completion watermark.
-// A full doneq (pathological backlog) falls back to the locked heap.
-func (sh *gwShard) finish(r busyRec) {
+// A full doneq (pathological backlog) falls back to the locked queue.
+// until is read before the send: once sent, the drainer owns c.
+func (sh *gwShard) finish(c *container.Container) {
+	until := c.BusyUntil
 	select {
-	case sh.doneq <- r:
+	case sh.doneq <- c:
 	default:
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		sh.heapPush(r)
+		sh.busy.Push(until, c)
 	}
-	sh.armNextDone(int64(r.until))
+	sh.armNextDone(int64(until))
 }
 
 // armNextDone lowers the completion watermark to v (CAS-min).
@@ -385,7 +407,7 @@ func (sh *gwShard) armNextDone(v int64) {
 // release opportunistically drains due completions. TryLock keeps the
 // fast path non-blocking: when the shard lock is held, the holder's own
 // releaseLocked covers the drain.
-func (sh *gwShard) release(st *gwState, now time.Duration) {
+func (sh *gwShard) release(now time.Duration) {
 	if !sh.mu.TryLock() {
 		return
 	}
@@ -393,28 +415,24 @@ func (sh *gwShard) release(st *gwState, now time.Duration) {
 	sh.releaseLocked(now)
 }
 
-// releaseLocked drains doneq into the completion heap and completes
-// everything due by now: each finished container goes back to its
-// function's fast channel when there is room and budget, else to the
-// shard pool segment. Caller holds sh.mu.
+// releaseLocked drains doneq into the completion queue and completes
+// everything due by now, equal instants in start order: each finished
+// container goes back to its function's fast channel when there is room
+// and budget, else to the shard pool segment. Caller holds sh.mu.
 func (sh *gwShard) releaseLocked(now time.Duration) {
 	// Claim the watermark first: fast-path pushes racing this drain
 	// re-arm it themselves, so a reclaimable completion is never left
 	// behind an already-passed watermark.
 	sh.nextDone.Store(math.MaxInt64)
-	for {
-		select {
-		case r := <-sh.doneq:
-			sh.heapPush(r)
-		default:
-			goto drained
-		}
+	// Only the lock holder receives from doneq, so none of these
+	// receives blocks; later sends re-arm the watermark themselves.
+	for n := len(sh.doneq); n > 0; n-- {
+		c := <-sh.doneq
+		sh.busy.Push(c.BusyUntil, c)
 	}
-drained:
-	for len(sh.heap) > 0 && sh.heap[0].until <= now {
-		r := sh.heapPop()
-		c := r.c
-		c.Complete(r.until)
+	for sh.busy.Len() > 0 && sh.busy.Next() <= now {
+		until, c := sh.busy.Pop()
+		c.Complete(until)
 		sh.runningKB.Add(-int64(c.MemoryMB * 1024))
 		gf := sh.fns[c.FnID]
 		// The fast layer and the pool segment share the shard's memory
@@ -432,8 +450,8 @@ drained:
 		}
 		sh.pool.Add(c, c2cost(gf, c), now)
 	}
-	if len(sh.heap) > 0 {
-		sh.armNextDone(int64(sh.heap[0].until))
+	if sh.busy.Len() > 0 {
+		sh.armNextDone(int64(sh.busy.Next()))
 	}
 }
 
@@ -444,46 +462,6 @@ func c2cost(gf *gwFn, c *container.Container) time.Duration {
 		return gf.fn.ColdStartTime()
 	}
 	return 0
-}
-
-// heapPush/heapPop maintain the min-heap of in-flight completions by
-// completion time. Manual sifts keep the path allocation-free.
-func (sh *gwShard) heapPush(r busyRec) {
-	sh.heap = append(sh.heap, r)
-	i := len(sh.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if sh.heap[p].until <= sh.heap[i].until {
-			break
-		}
-		sh.heap[p], sh.heap[i] = sh.heap[i], sh.heap[p]
-		i = p
-	}
-}
-
-func (sh *gwShard) heapPop() busyRec {
-	top := sh.heap[0]
-	n := len(sh.heap) - 1
-	sh.heap[0] = sh.heap[n]
-	sh.heap[n] = busyRec{}
-	sh.heap = sh.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && sh.heap[l].until < sh.heap[small].until {
-			small = l
-		}
-		if r < n && sh.heap[r].until < sh.heap[small].until {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		sh.heap[i], sh.heap[small] = sh.heap[small], sh.heap[i]
-		i = small
-	}
-	return top
 }
 
 // Do is the in-process hot entry: schedule fnID at time at (< 0 means

@@ -86,6 +86,48 @@ func TestGatewayFastPathL3(t *testing.T) {
 	}
 }
 
+// TestGatewaySlowPathClaimsFastLayer: the slow path's drain can park a
+// container of the requested function in the fast layer; the slow path
+// must then claim it as an exact L3 re-hit, not cold-start beside it.
+func TestGatewaySlowPathClaimsFastLayer(t *testing.T) {
+	var vc vclock
+	fns := testFunctions()
+	g := testGateway(t, GatewayConfig{Functions: fns, Clock: vc.Clock, Shards: 1})
+	fn := fns[0]
+	s, _, _ := g.Do(fn.ID, -1, 0)
+	st := g.state.Load()
+	c, s2, lvl := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
+	if s2.Cold || lvl != core.MatchL3 || c.ID != 1 {
+		t.Fatalf("slow path after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", c.ID, s2.Cold, lvl)
+	}
+	if got := g.Stats(); got.FastHits != 1 || got.ColdStarts != 1 || got.Invocations != 2 {
+		t.Fatalf("FastHits %d, ColdStarts %d, Invocations %d; want 1, 1, 2", got.FastHits, got.ColdStarts, got.Invocations)
+	}
+}
+
+// TestGatewayRetiresEqualCompletionsInStartOrder: containers that finish
+// at the same instant go back to the fast layer in the order their
+// invocations started, so later claims hand them out in that order.
+func TestGatewayRetiresEqualCompletionsInStartOrder(t *testing.T) {
+	var vc vclock
+	fns := testFunctions()
+	g := testGateway(t, GatewayConfig{Functions: fns, Clock: vc.Clock, Shards: 1})
+	fn := fns[0]
+	for want := 1; want <= 3; want++ {
+		out, err := g.Invoke(fn.ID, 0, 0)
+		if err != nil || !out.Cold || out.ContainerID != want {
+			t.Fatalf("start %d at t=0: %+v, err %v; want cold container %d", want, out, err, want)
+		}
+	}
+	done := fn.ColdStartTime() + fn.Exec + time.Second
+	for want := 1; want <= 3; want++ {
+		out, err := g.Invoke(fn.ID, done, 0)
+		if err != nil || out.Cold || out.ContainerID != want {
+			t.Fatalf("invoke %d after the equal completions: %+v, err %v; want warm container %d", want, out, err, want)
+		}
+	}
+}
+
 // TestGatewayFastTTLExpiry: a container parked in the fast layer longer
 // than FastTTL is discarded on claim, forcing a fresh cold start.
 func TestGatewayFastTTLExpiry(t *testing.T) {

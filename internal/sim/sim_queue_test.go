@@ -31,12 +31,13 @@ func (q *refQueue) Pop() any         { old := *q; n := len(old); e := old[n-1]; 
 func (q *refQueue) push(e refEvent)  { heap.Push(q, e) }
 func (q *refQueue) popMin() refEvent { return heap.Pop(q).(refEvent) }
 
-// TestOrderingFingerprintAgainstReference drives the 4-ary pooled queue
-// and a container/heap reference with identical randomized scenarios —
-// heavy timestamp collisions, events scheduling follow-up events — and
+// TestOrderingFingerprintAgainstReference drives the engine, a bare
+// Queue with pointer payloads (the gateway's instantiation) and a
+// container/heap reference with identical randomized scenarios — heavy
+// timestamp collisions, follow-up entries pushed between pops — and
 // requires the exact execution order (time and identity) to match. This
-// is the engine-ordering lock: (time, then seq, FIFO among equal
-// timestamps) survives the queue rebuild bit-for-bit.
+// is the ordering lock: (time, then push order, FIFO among equal
+// timestamps) holds bit-for-bit on both instantiations.
 func TestOrderingFingerprintAgainstReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -100,13 +101,37 @@ func TestOrderingFingerprintAgainstReference(t *testing.T) {
 			}
 		}
 
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: engine fired %d events, reference %d", trial, len(got), len(want))
+		// Pointer-payload execution: each value carries its own time, which
+		// must come back with it.
+		nextID = initial
+		var popped []fired
+		var pq Queue[*fired]
+		for i := 0; i < initial; i++ {
+			pq.Push(delays[i], &fired{delays[i], i})
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: divergence at step %d: engine %+v, reference %+v",
-					trial, i, got[i], want[i])
+		for pq.Len() > 0 {
+			at, f := pq.Pop()
+			if at != f.at {
+				t.Fatalf("trial %d: Queue popped %+v at %v", trial, *f, at)
+			}
+			popped = append(popped, *f)
+			if f.id < initial {
+				for _, d := range children[f.id] {
+					pq.Push(at+d, &fired{at + d, nextID})
+					nextID++
+				}
+			}
+		}
+
+		for name, run := range map[string][]fired{"engine": got, "Queue[*T]": popped} {
+			if len(run) != len(want) {
+				t.Fatalf("trial %d: %s fired %d events, reference %d", trial, name, len(run), len(want))
+			}
+			for i := range run {
+				if run[i] != want[i] {
+					t.Fatalf("trial %d: divergence at step %d: %s %+v, reference %+v",
+						trial, i, name, run[i], want[i])
+				}
 			}
 		}
 	}
@@ -154,108 +179,6 @@ func TestScheduleKindUnregisteredPanics(t *testing.T) {
 		}
 	}()
 	e.ScheduleKind(time.Second, 5, 0)
-}
-
-// TestCancelStaleRefAfterRecycle is the ABA guard test: a ref to an
-// event that fired and whose pooled struct was recycled for a newer
-// event must not cancel — or double-fire — the newer event.
-func TestCancelStaleRefAfterRecycle(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	k := e.RegisterKind(func(*Engine, Time, int64) { ran++ })
-	stale := e.ScheduleKind(time.Second, k, 0)
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("first event ran %d times, want 1", ran)
-	}
-	if stale.Scheduled() {
-		t.Fatal("ref to fired event still reports Scheduled")
-	}
-	// The pool now holds the recycled struct; the next Schedule reuses it.
-	second := e.ScheduleKind(2*time.Second, k, 1)
-	if e.Cancel(stale) {
-		t.Fatal("stale ref cancelled a recycled event (ABA)")
-	}
-	if !second.Scheduled() {
-		t.Fatal("second event lost after stale Cancel attempt")
-	}
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("events ran %d times, want 2 (second must fire exactly once)", ran)
-	}
-	if e.Cancel(second) {
-		t.Fatal("Cancel returned true for already-fired event")
-	}
-}
-
-// TestCancelledStructReuseInvalidatesRef covers the cancel → recycle →
-// reschedule path of the same pooled struct.
-func TestCancelledStructReuseInvalidatesRef(t *testing.T) {
-	e := NewEngine()
-	var ran []int64
-	k := logKind(e, &ran)
-	ref := e.ScheduleKind(time.Second, k, 13)
-	if !e.Cancel(ref) {
-		t.Fatal("Cancel of pending event returned false")
-	}
-	if e.Cancel(ref) {
-		t.Fatal("second Cancel of the same ref returned true")
-	}
-	e.ScheduleKind(time.Second, k, 1)
-	if e.Cancel(ref) {
-		t.Fatal("stale ref cancelled the event reusing its struct")
-	}
-	e.Run()
-	if !equalLog(ran, 1) {
-		t.Fatalf("ran %v, want only the kept event [1]", ran)
-	}
-}
-
-// TestRecycledEventReadsZero makes use-after-recycle observable: once an
-// event fires or is cancelled, its pooled struct reads zero on every
-// field but pos and gen, so a stale read of at, seq, arg or kind yields
-// nothing plausible and the sim, golden and fingerprint tests fail.
-func TestRecycledEventReadsZero(t *testing.T) {
-	e := NewEngine()
-	e.RegisterKind(func(*Engine, Time, int64) {})
-	kind := e.RegisterKind(func(*Engine, Time, int64) {}) // non-zero kind
-	for _, tc := range []struct {
-		name string
-		ref  func() EventRef
-		end  func(EventRef)
-	}{
-		{"fired", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 42) }, func(EventRef) { e.Run() }},
-		{"cancelled", func() EventRef { return e.ScheduleKind(e.Now()+time.Second, kind, 7) }, func(r EventRef) { e.Cancel(r) }},
-	} {
-		ref := tc.ref()
-		tc.end(ref)
-		ev := ref.ev
-		if ev.at != 0 || ev.seq != 0 || ev.arg != 0 || ev.kind != 0 ||
-			ev.pos != -1 || ev.gen != ref.gen+1 {
-			t.Errorf("%s: recycled event %+v, want zero but pos -1, gen %d", tc.name, *ev, ref.gen+1)
-		}
-	}
-}
-
-// TestCancelMiddleOfQueue removes events from interior heap positions
-// and verifies the remaining order is untouched.
-func TestCancelMiddleOfQueue(t *testing.T) {
-	e := NewEngine()
-	var order []int64
-	k := logKind(e, &order)
-	refs := make([]EventRef, 20)
-	for i := range refs {
-		refs[i] = e.ScheduleKind(Time(i)*time.Millisecond, k, int64(i))
-	}
-	for _, i := range []int{3, 11, 4, 17, 0, 19} {
-		if !e.Cancel(refs[i]) {
-			t.Fatalf("Cancel of pending event %d returned false", i)
-		}
-	}
-	e.Run()
-	if !equalLog(order, 1, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 18) {
-		t.Fatalf("order = %v after cancelling 0, 3, 4, 11, 17, 19", order)
-	}
 }
 
 // TestRunUntilExactTimestamp: RunUntil is strict. Events at the
@@ -328,8 +251,8 @@ func TestStopMidBatchOfSimultaneousEvents(t *testing.T) {
 }
 
 // TestSteadyStateScheduleFireAllocationFree: after warm-up, a typed
-// schedule/fire cycle must not allocate — the free list recycles the
-// popped struct for the next schedule.
+// schedule/fire cycle must not allocate — events are stored by value in
+// the queue's already-grown slice.
 func TestSteadyStateScheduleFireAllocationFree(t *testing.T) {
 	e := NewEngine()
 	var fired int64

@@ -86,29 +86,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.ScheduleKind(500*time.Millisecond, k, 1)
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	var ran []int64
-	ev := e.ScheduleKind(time.Second, logKind(e, &ran), 0)
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true twice for the same event")
-	}
-	e.Run()
-	if len(ran) != 0 {
-		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestCancelZeroRefIsFalse(t *testing.T) {
-	e := NewEngine()
-	if e.Cancel(EventRef{}) {
-		t.Fatal("Cancel of the zero EventRef returned true")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var ran []int64
