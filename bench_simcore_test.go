@@ -16,8 +16,8 @@ import (
 
 // simCorePoolMB is BenchmarkSimCore's warm-pool capacity: large enough
 // for healthy reuse, small enough that the per-invocation pool scan
-// stays bounded and the measurement tracks the engine+platform event
-// path rather than policy cost.
+// stays bounded and the measurement tracks the platform's arrival and
+// completion path rather than policy cost.
 const simCorePoolMB = 4096
 
 // simCoreWorkload builds an Azure-derived workload with exactly n
@@ -70,8 +70,8 @@ func (s *simCoreSched) Schedule(env platform.Env, inv *workload.Invocation) int 
 
 func (*simCoreSched) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
 
-// BenchmarkSimCore drives the full simulator core — engine, platform,
-// pool index, multi-level matching — through b.N invocations of an
+// BenchmarkSimCore drives the full simulator core — platform, completion
+// queue, pool index, multi-level matching — through b.N invocations of an
 // Azure-derived trace and reports per-invocation cost plus throughput.
 // Run it at trace scale with a fixed iteration count, e.g.
 //
@@ -79,7 +79,7 @@ func (*simCoreSched) OnResult(platform.Env, *workload.Invocation, platform.Resul
 //
 // so b.N is the invocation count (1M+) and ns/op is the per-invocation
 // cost. Steady state allocates nothing per invocation in the
-// engine+platform event path when no tracer is attached; residual
+// arrival and completion path when no tracer is attached; residual
 // allocs/op come from cold-started containers and amortized growth of
 // the metrics buffer, both well under one per invocation.
 func BenchmarkSimCore(b *testing.B) {

@@ -31,6 +31,7 @@ import (
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
+	"mlcr/internal/trace"
 	"mlcr/internal/workload"
 )
 
@@ -157,7 +158,7 @@ type InvokeRequest struct {
 	FnID int `json:"fn_id"`
 	// AtMS pins the virtual arrival time in milliseconds; omitted or
 	// zero means "wall-clock time since gateway start". Arrivals must
-	// be non-decreasing.
+	// be non-decreasing. AtMS and ExecMS must lie in [0, trace.MaxMS].
 	AtMS int64 `json:"at_ms,omitempty"`
 	// ExecMS overrides the function's mean execution time.
 	ExecMS int64 `json:"exec_ms,omitempty"`
@@ -210,12 +211,17 @@ const maxInvokeBody = 64 << 10
 
 // decodeInvoke reads a POST /invoke body of at most maxInvokeBody bytes
 // into req, shared between Server and Gateway. On failure it has
-// answered 413 (body over the cap) or 400 (malformed JSON) and returns
-// false.
+// answered 413 (body over the cap) or 400 (malformed JSON, or at_ms or
+// exec_ms outside [0, trace.MaxMS], the bound under which Arrival +
+// startup + Exec cannot overflow) and returns false.
 func decodeInvoke(w http.ResponseWriter, r *http.Request, req *InvokeRequest) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(req)
 	if err == nil {
-		return true
+		if req.AtMS >= 0 && req.AtMS <= trace.MaxMS && req.ExecMS >= 0 && req.ExecMS <= trace.MaxMS {
+			return true
+		}
+		httpError(w, http.StatusBadRequest, "at_ms %d and exec_ms %d must lie in [0, %d]", req.AtMS, req.ExecMS, trace.MaxMS)
+		return false
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {

@@ -3,8 +3,10 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 	"mlcr/internal/pool"
+	"mlcr/internal/trace"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -227,6 +230,87 @@ func TestInvokeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("time travel status = %d, want 409", resp.StatusCode)
 	}
+}
+
+// invokeHandlers returns a fresh Server and a fresh one-shard Gateway,
+// both on a virtual clock pinned at zero.
+func invokeHandlers(t *testing.T) map[string]http.Handler {
+	t.Helper()
+	s, err := New(Config{
+		Functions:    testFunctions(),
+		NewScheduler: func() platform.Scheduler { return policy.NewGreedyMatch() },
+		Clock:        func() time.Duration { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vc vclock
+	return map[string]http.Handler{"Server": s, "Gateway": testGateway(t, GatewayConfig{Clock: vc.Clock, Shards: 1})}
+}
+
+// postInvoke sends body to h's POST /invoke and returns the status.
+func postInvoke(h http.Handler, body string) int {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(body)))
+	return rec.Code
+}
+
+// outOfRange are POST /invoke bodies whose at_ms or exec_ms lies outside
+// [0, trace.MaxMS]: served, they would overflow Arrival + startup + Exec
+// or move the clock before zero.
+var outOfRange = []string{
+	`{"fn_id":5,"at_ms":1000,"exec_ms":9223372036854}`,
+	`{"fn_id":5,"at_ms":9223372036854}`,
+	fmt.Sprintf(`{"fn_id":5,"at_ms":%d}`, trace.MaxMS+1),
+	fmt.Sprintf(`{"fn_id":5,"at_ms":1000,"exec_ms":%d}`, trace.MaxMS+1),
+	`{"fn_id":5,"at_ms":-5}`,
+	`{"fn_id":5,"at_ms":1000,"exec_ms":-1}`,
+}
+
+// TestInvokeRejectsOutOfRangeTimes: both POST /invoke handlers answer
+// 400 to a time outside [0, trace.MaxMS] and stay serviceable: a valid
+// invoke afterwards is served.
+func TestInvokeRejectsOutOfRangeTimes(t *testing.T) {
+	for name, h := range invokeHandlers(t) {
+		for _, body := range outOfRange {
+			if code := postInvoke(h, body); code != http.StatusBadRequest {
+				t.Errorf("%s, %s: status %d, want 400", name, body, code)
+			}
+		}
+		if code := postInvoke(h, `{"fn_id":5,"at_ms":2000}`); code != http.StatusOK {
+			t.Errorf("%s: valid invoke after the rejected ones: status %d, want 200", name, code)
+		}
+	}
+}
+
+// FuzzInvokeRequest: no POST /invoke body panics either handler or
+// answers outside {200, 400, 404, 409, 413}, and whatever a body did, an
+// invoke at at_ms = trace.MaxMS is still served.
+func FuzzInvokeRequest(f *testing.F) {
+	for _, body := range append([]string{
+		`{"fn_id": 99}`,
+		`not json`,
+		`{"fn_id":5,"at_ms":1000}`,
+		`{"fn_id":4,"at_ms":1000,"exec_ms":5000}`,
+		`{"fn_id":1,"pad":"xx"}`,
+		`{`,
+		fmt.Sprintf(`{"fn_id":5,"at_ms":%d,"exec_ms":%d}`, trace.MaxMS, trace.MaxMS),
+	}, outOfRange...) {
+		f.Add(body)
+	}
+	last := fmt.Sprintf(`{"fn_id":5,"at_ms":%d}`, trace.MaxMS)
+	f.Fuzz(func(t *testing.T, body string) {
+		for name, h := range invokeHandlers(t) {
+			switch code := postInvoke(h, body); code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("%s, body %q: status %d", name, body, code)
+			}
+			if code := postInvoke(h, last); code != http.StatusOK {
+				t.Fatalf("%s, after body %q: invoke at trace.MaxMS: status %d, want 200", name, body, code)
+			}
+		}
+	})
 }
 
 func TestExecOverride(t *testing.T) {

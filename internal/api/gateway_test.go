@@ -491,10 +491,8 @@ func TestInvokeBodyLimit(t *testing.T) {
 			{"malformed body", "{", http.StatusBadRequest},
 			{"padded body under the cap", padded(maxInvokeBody / 2), http.StatusOK},
 		} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(tc.body)))
-			if rec.Code != tc.want {
-				t.Errorf("%s, %s: status %d, want %d", name, tc.what, rec.Code, tc.want)
+			if code := postInvoke(h, tc.body); code != tc.want {
+				t.Errorf("%s, %s: status %d, want %d", name, tc.what, code, tc.want)
 			}
 		}
 	}

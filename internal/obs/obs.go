@@ -32,10 +32,9 @@ import (
 type Kind uint8
 
 const (
-	// KindEventFired is emitted by the simulation engine for every event
-	// it executes. Engine events are completions, so Detail names the
-	// finishing container (e.g. "finish/c12"); arrivals are not engine
-	// events and appear as KindInvocationArrived.
+	// KindEventFired is emitted by the platform for every completion it
+	// retires; Detail names the finishing container (e.g. "finish/c12").
+	// Arrivals appear as KindInvocationArrived.
 	KindEventFired Kind = iota + 1
 	// KindInvocationArrived marks an invocation reaching the platform.
 	KindInvocationArrived
@@ -141,7 +140,7 @@ type Event struct {
 	Value float64
 	// Step is the training-step counter for KindTrainStep.
 	Step int
-	// Detail is a short string payload: engine event name, prune reason
+	// Detail is a short string payload: completion name, prune reason
 	// or eviction reason.
 	Detail string
 }

@@ -8,9 +8,9 @@ import "time"
 type Phase uint8
 
 const (
-	// PhaseDispatch is one completion-event dispatch in the sim engine:
-	// pop, handler, and bookkeeping (internal/sim). Arrivals are not
-	// engine events, so their scheduling is not inside it.
+	// PhaseDispatch is one completion retired by the platform: the
+	// container's return to the pool and its bookkeeping
+	// (internal/platform). An arrival's scheduling is not inside it.
 	PhaseDispatch Phase = iota
 	// PhaseSchedule is one scheduler decision: featurize + policy
 	// (internal/platform calling platform.Scheduler.Schedule).

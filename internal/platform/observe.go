@@ -7,9 +7,7 @@ import (
 	"mlcr/internal/container"
 	"mlcr/internal/core"
 	"mlcr/internal/obs"
-	"mlcr/internal/obs/perf"
 	"mlcr/internal/pool"
-	"mlcr/internal/sim"
 	"mlcr/internal/workload"
 )
 
@@ -65,9 +63,9 @@ func (m *platformMetrics) eviction(policy, reason string) *obs.Counter {
 	return c
 }
 
-// wireObservability connects the configured Observer to the engine,
-// pool and cleaner hooks. Called once from New; a nil observer leaves
-// every hook nil so unobserved runs take the zero-cost branches.
+// wireObservability connects the configured Observer to the pool and
+// cleaner hooks. Called once from New; a nil observer leaves every hook
+// nil so unobserved runs take the zero-cost branches.
 func (p *Platform) wireObservability() {
 	o := p.obs
 	if o == nil {
@@ -76,35 +74,7 @@ func (p *Platform) wireObservability() {
 	if o.Metrics != nil {
 		p.pm = newPlatformMetrics(o.Metrics)
 	}
-	if o.Tracing() {
-		// Completions, the engine's only events, carry no name; the trace
-		// label is formatted here, only when a tracer is attached, from
-		// the event's slot. The hook runs before the handler, so the slot
-		// record is still populated when the name is built. Arrivals are
-		// not engine events: they appear as KindInvocationArrived.
-		p.engine.OnEvent = func(at sim.Time, _ sim.EventKind, arg int64) {
-			o.Emit(obs.Event{Kind: obs.KindEventFired, At: at, Seq: -1, Fn: -1,
-				Detail: "finish/c" + strconv.Itoa(p.finishing[arg].c.ID)})
-		}
-	}
-	if p.prof != nil {
-		// Bracket every completion dispatch with a PhaseDispatch span:
-		// the engine's OnEvent hook (composed with the tracing hook
-		// above) opens it, AfterEvent closes it. Dispatch is
-		// single-threaded and non-reentrant, so one in-flight span slot
-		// suffices.
-		traceHook := p.engine.OnEvent
-		p.engine.OnEvent = func(at sim.Time, kind sim.EventKind, arg int64) {
-			if traceHook != nil {
-				traceHook(at, kind, arg)
-			}
-			p.dispatchSpan = p.prof.Start(perf.PhaseDispatch)
-		}
-		p.engine.AfterEvent = func(sim.Time, sim.EventKind, int64) {
-			p.dispatchSpan.End()
-		}
-		p.pool.Prof = p.prof
-	}
+	p.pool.Prof = p.prof
 	p.pool.OnEvict = func(c *container.Container, reason string, now time.Duration) {
 		if o.Tracing() {
 			o.Emit(obs.Event{
@@ -119,7 +89,7 @@ func (p *Platform) wireObservability() {
 	p.cleaner.OnSwap = func(op container.SwapOp) {
 		if o.Tracing() {
 			o.Emit(obs.Event{
-				Kind: obs.KindVolumeSwapped, At: p.engine.Now(), Seq: -1,
+				Kind: obs.KindVolumeSwapped, At: p.now, Seq: -1,
 				Fn: op.ToFn, Container: op.ContainerID, Level: int(op.Level),
 				Detail: "from=fn" + strconv.Itoa(op.FromFn) +
 					" unmounts=" + strconv.Itoa(op.Unmounts) +

@@ -10,6 +10,7 @@ package platform
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"mlcr/internal/container"
@@ -133,31 +134,28 @@ type RunResult struct {
 	Perf *perf.Report
 }
 
-// finishRec is the payload of one in-flight completion event: the busy
-// container and the invocation it serves. Records live in a slot table
-// indexed by the event's int64 arg, so completions carry no closure
-// (DESIGN.md §10).
+// finishRec is one in-flight completion: the busy container and the
+// function it serves. It is stored by value in the busy queue.
 type finishRec struct {
-	c   *container.Container
-	inv *workload.Invocation
+	c  *container.Container
+	fn *workload.Function
 }
 
 // Platform wires the simulator together for one run.
 type Platform struct {
 	cfg     Config
 	sched   Scheduler
-	engine  *sim.Engine
 	pool    *pool.Pool
 	cleaner *container.Cleaner
 	obs     *obs.Observer
 	pm      *platformMetrics
 
-	// Completions are the engine's only events (arrivals enter through
-	// step): each carries an index into the finishing slot table. Slots
-	// are recycled through finishFree so steady state allocates nothing.
-	kindFinish sim.EventKind
-	finishing  []finishRec
-	finishFree []int32
+	// now is the virtual clock. Between arrivals the only thing that
+	// happens is a busy container finishing, so busy, ordered by
+	// BusyUntil and then start order, is the whole event queue
+	// (DESIGN.md §10).
+	now  time.Duration
+	busy sim.Queue[finishRec]
 
 	nextID    int
 	runningMB float64
@@ -167,14 +165,10 @@ type Platform struct {
 	ran       bool
 
 	// prof is the observer's phase profiler (nil when perf is off),
-	// cached so hot paths pay one field read per scope. dispatchSpan is
-	// the in-flight completion-dispatch span bracketed by the engine's
-	// OnEvent/AfterEvent hooks (dispatch is single-threaded and
-	// non-reentrant, so one slot suffices). memBefore brackets Run for
-	// the report's memory accounting.
-	prof         *perf.Profiler
-	dispatchSpan perf.Span
-	memBefore    perf.MemSnapshot
+	// cached so hot paths pay one field read per scope. memBefore
+	// brackets Run for the report's memory accounting.
+	prof      *perf.Profiler
+	memBefore perf.MemSnapshot
 
 	res RunResult
 }
@@ -195,7 +189,6 @@ func New(cfg Config, sched Scheduler) *Platform {
 	p := &Platform{
 		cfg:     cfg,
 		sched:   sched,
-		engine:  sim.NewEngine(),
 		pool:    pool.New(cfg.PoolCapacityMB, ev),
 		cleaner: &container.Cleaner{},
 		obs:     cfg.Obs,
@@ -203,9 +196,6 @@ func New(cfg Config, sched Scheduler) *Platform {
 	}
 	p.rate.Alpha = alpha
 	p.res.Policy = sched.Name()
-	p.kindFinish = p.engine.RegisterKind(func(_ *sim.Engine, _ sim.Time, arg int64) {
-		p.handleFinish(int(arg))
-	})
 	p.prof = cfg.Obs.Profiler()
 	// Schedulers that can time interior phases (the MLCR scheduler's
 	// Q-network forward pass) take the run's profiler through this
@@ -264,7 +254,7 @@ func (p *Platform) finishPerf() {
 
 func (p *Platform) env() Env {
 	return Env{
-		Now:         p.engine.Now(),
+		Now:         p.now,
 		Pool:        p.pool,
 		RunningMB:   p.runningMB,
 		Seen:        p.seen,
@@ -281,8 +271,8 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 	if inv.Fn == nil {
 		panic("platform: Invoke with nil function")
 	}
-	if inv.Arrival < p.engine.Now() {
-		panic(fmt.Sprintf("platform: Invoke at %v before now %v", inv.Arrival, p.engine.Now()))
+	if inv.Arrival < p.now {
+		panic(fmt.Sprintf("platform: Invoke at %v before now %v", inv.Arrival, p.now))
 	}
 	return p.step(inv)
 }
@@ -290,13 +280,15 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 // Drain completes all outstanding executions and returns the final
 // results (interactive mode's equivalent of Run finishing).
 func (p *Platform) Drain() *RunResult {
-	p.engine.Run()
+	for p.busy.Len() > 0 {
+		p.retire()
+	}
 	p.finishPerf()
 	return p.Results()
 }
 
 // Now returns the platform's current virtual time.
-func (p *Platform) Now() time.Duration { return p.engine.Now() }
+func (p *Platform) Now() time.Duration { return p.now }
 
 // Results returns the platform's accumulated results so far.
 func (p *Platform) Results() *RunResult {
@@ -309,9 +301,28 @@ func (p *Platform) Results() *RunResult {
 // and Invoke: the completions due strictly before the arrival run, the
 // clock moves to the arrival, and the invocation is scheduled. A
 // completion at the arrival's own instant runs after it (DESIGN.md §10).
+// The clock never moves backwards, even for a negative first arrival.
 func (p *Platform) step(inv *workload.Invocation) Result {
-	p.engine.RunUntil(inv.Arrival)
+	for p.busy.Len() > 0 && p.busy.Next() < inv.Arrival {
+		p.retire()
+	}
+	p.now = max(p.now, inv.Arrival)
 	return p.arrive(inv)
+}
+
+// retire runs the earliest completion: the clock moves to it, a tracer
+// sees a "finish/c<ID>" event, and the container goes back to the pool
+// inside one PhaseDispatch span.
+func (p *Platform) retire() {
+	at, r := p.busy.Pop()
+	p.now = at
+	if p.obs.Tracing() {
+		p.obs.Emit(obs.Event{Kind: obs.KindEventFired, At: at, Seq: -1, Fn: -1,
+			Detail: "finish/c" + strconv.Itoa(r.c.ID)})
+	}
+	sp := p.prof.Start(perf.PhaseDispatch)
+	p.complete(r.c, r.fn)
+	sp.End()
 }
 
 // Apply realises a scheduler's choice for one invocation against a warm
@@ -347,7 +358,7 @@ func (p *Platform) newID() int {
 // arrive handles one invocation: expiry, scheduling, startup accounting
 // and completion scheduling.
 func (p *Platform) arrive(inv *workload.Invocation) Result {
-	now := p.engine.Now()
+	now := p.now
 	p.pool.Expire(now)
 	p.rate.Observe(now)
 
@@ -401,36 +412,13 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	p.prevArr = inv.Arrival
 	p.sched.OnResult(env, inv, res)
 
-	p.engine.ScheduleKind(c.BusyUntil, p.kindFinish, int64(p.finishSlot(c, inv)))
+	p.busy.Push(c.BusyUntil, finishRec{c: c, fn: inv.Fn})
 	return res
-}
-
-// finishSlot stores a completion record and returns its slot index, the
-// payload of the finish event. Freed slots are reused LIFO.
-func (p *Platform) finishSlot(c *container.Container, inv *workload.Invocation) int {
-	if n := len(p.finishFree); n > 0 {
-		s := p.finishFree[n-1]
-		p.finishFree = p.finishFree[:n-1]
-		p.finishing[s] = finishRec{c: c, inv: inv}
-		return int(s)
-	}
-	p.finishing = append(p.finishing, finishRec{c: c, inv: inv})
-	return len(p.finishing) - 1
-}
-
-// handleFinish releases the completion slot and returns the container
-// to the pool. The slot is cleared before complete runs so the table
-// never retains finished containers.
-func (p *Platform) handleFinish(slot int) {
-	rec := p.finishing[slot]
-	p.finishing[slot] = finishRec{}
-	p.finishFree = append(p.finishFree, int32(slot))
-	p.complete(rec.c, rec.inv)
 }
 
 // applyCache replaces the static registry pull time with the node-local
 // cache's realized time, adjusting the container's completion time to
-// match. It must run before the completion event is scheduled.
+// match. It must run before the completion is queued.
 func (p *Platform) applyCache(c *container.Container, s *container.Startup, lvl core.MatchLevel, inv *workload.Invocation) {
 	if p.cfg.PackageCache == nil {
 		return
@@ -444,13 +432,13 @@ func (p *Platform) applyCache(c *container.Container, s *container.Startup, lvl 
 }
 
 // complete returns a finished container to the pool.
-func (p *Platform) complete(c *container.Container, inv *workload.Invocation) {
-	now := p.engine.Now()
+func (p *Platform) complete(c *container.Container, fn *workload.Function) {
+	now := p.now
 	p.runningMB -= c.MemoryMB
 	c.Complete(now)
 	// The cost a warm copy of this container saves is its function's
 	// full cold-start latency; cost-aware evictors (FaasCache) use it.
-	p.pool.Add(c, inv.Fn.ColdStartTime(), now)
+	p.pool.Add(c, fn.ColdStartTime(), now)
 	p.res.PoolSeries.Observe(now, p.pool.UsedMB())
 	if alive := p.runningMB + p.pool.UsedMB(); alive > p.res.PeakAliveMB {
 		p.res.PeakAliveMB = alive

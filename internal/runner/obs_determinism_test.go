@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,15 +21,32 @@ func TestFingerprintUnchangedByObservability(t *testing.T) {
 	plain := runner.Run(sweepSpecs(t), runner.Options{Parallelism: 1})
 
 	specs := sweepSpecs(t)
+	observers := make([]*obs.Observer, len(specs))
 	for i := range specs {
 		specs[i].NewObserver = func() *obs.Observer {
 			o := obs.NewObserver()
 			var tick time.Duration
 			o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
+			observers[i] = o
 			return o
 		}
 	}
 	observed := runner.Run(specs, runner.Options{Parallelism: 8})
+
+	// Every invocation's completion is retired once: one PhaseDispatch
+	// span and one "finish/c" trace event each.
+	for i, o := range observers {
+		finishes := 0
+		for _, ev := range o.Recording().Events() {
+			if ev.Kind == obs.KindEventFired && strings.HasPrefix(ev.Detail, "finish/c") {
+				finishes++
+			}
+		}
+		n := int64(len(specs[i].Workload.Invocations))
+		if got := o.Perf.Phase(perf.PhaseDispatch).Count(); got != n || int64(finishes) != n {
+			t.Errorf("spec %d: %d dispatch spans, %d finish events, want %d each", i, got, finishes, n)
+		}
+	}
 
 	if len(plain) != len(observed) {
 		t.Fatalf("result lengths %d/%d", len(plain), len(observed))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -31,20 +30,19 @@ func (q *refQueue) Pop() any         { old := *q; n := len(old); e := old[n-1]; 
 func (q *refQueue) push(e refEvent)  { heap.Push(q, e) }
 func (q *refQueue) popMin() refEvent { return heap.Pop(q).(refEvent) }
 
-// TestOrderingFingerprintAgainstReference drives the engine, a bare
-// Queue with pointer payloads (the gateway's instantiation) and a
-// container/heap reference with identical randomized scenarios — heavy
-// timestamp collisions, follow-up entries pushed between pops — and
-// requires the exact execution order (time and identity) to match. This
-// is the ordering lock: (time, then push order, FIFO among equal
-// timestamps) holds bit-for-bit on both instantiations.
+// TestOrderingFingerprintAgainstReference drives a Queue with pointer
+// payloads (the gateway's instantiation) and a container/heap reference
+// with identical randomized scenarios — heavy timestamp collisions,
+// follow-up entries pushed between pops — and requires the exact pop
+// order (time and identity) to match. This is the ordering lock: (time,
+// then push order, FIFO among equal timestamps) holds bit-for-bit.
 func TestOrderingFingerprintAgainstReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		const initial = 200
 		// Pre-generate the scenario so both executions see identical
-		// input: initial timestamps plus, per initial event, follow-up
-		// delays; follow-up events schedule nothing themselves.
+		// input: initial timestamps plus, per initial entry, follow-up
+		// delays; follow-up entries push nothing themselves.
 		delays := make([]Time, initial)
 		children := make([][]Time, initial)
 		for i := range delays {
@@ -58,27 +56,8 @@ func TestOrderingFingerprintAgainstReference(t *testing.T) {
 			at Time
 			id int
 		}
-		// Engine execution: the payload is the event's identity.
-		var got []fired
-		e := NewEngine()
+		// Reference execution.
 		nextID := initial
-		var k EventKind
-		k = e.RegisterKind(func(en *Engine, at Time, id int64) {
-			got = append(got, fired{en.Now(), int(id)})
-			if id < initial {
-				for _, d := range children[id] {
-					en.ScheduleKind(at+d, k, int64(nextID))
-					nextID++
-				}
-			}
-		})
-		for i := 0; i < initial; i++ {
-			e.ScheduleKind(delays[i], k, int64(i))
-		}
-		e.Run()
-
-		// Reference execution over the identical scenario.
-		nextID = initial
 		var want []fired
 		var q refQueue
 		var seq int64
@@ -123,179 +102,48 @@ func TestOrderingFingerprintAgainstReference(t *testing.T) {
 			}
 		}
 
-		for name, run := range map[string][]fired{"engine": got, "Queue[*T]": popped} {
-			if len(run) != len(want) {
-				t.Fatalf("trial %d: %s fired %d events, reference %d", trial, name, len(run), len(want))
-			}
-			for i := range run {
-				if run[i] != want[i] {
-					t.Fatalf("trial %d: divergence at step %d: %s %+v, reference %+v",
-						trial, i, name, run[i], want[i])
-				}
+		if len(popped) != len(want) {
+			t.Fatalf("trial %d: Queue[*T] popped %d entries, reference %d", trial, len(popped), len(want))
+		}
+		for i := range popped {
+			if popped[i] != want[i] {
+				t.Fatalf("trial %d: divergence at step %d: Queue[*T] %+v, reference %+v",
+					trial, i, popped[i], want[i])
 			}
 		}
 	}
 }
 
-// TestTypedEventsDispatchAndOrder checks dispatch end-to-end: each
-// registered handler receives (at, arg), events of different kinds
-// interleave in strict (time, seq) order, and the observer hook sees
-// every event's kind and payload.
-func TestTypedEventsDispatchAndOrder(t *testing.T) {
-	e := NewEngine()
-	var log []string
-	a := e.RegisterKind(func(en *Engine, at Time, arg int64) {
-		log = append(log, fmt.Sprintf("a(%v,%d)", at, arg))
-	})
-	b := e.RegisterKind(func(en *Engine, at Time, arg int64) {
-		log = append(log, fmt.Sprintf("b(%v,%d)", at, arg))
-	})
-	var hooked []string
-	e.OnEvent = func(at Time, k EventKind, arg int64) {
-		hooked = append(hooked, fmt.Sprintf("kind%d/%d", k, arg))
-	}
-	e.ScheduleKind(2*time.Second, a, 7)
-	e.ScheduleKind(time.Second, b, 3)
-	e.ScheduleKind(time.Second, a, 9) // same time as b/3, scheduled later
-	e.Run()
-
-	want := []string{"b(1s,3)", "a(1s,9)", "a(2s,7)"}
-	wantHook := []string{"kind1/3", "kind0/9", "kind0/7"}
-	if len(log) != len(want) || len(hooked) != len(wantHook) {
-		t.Fatalf("log = %v, hooked = %v", log, hooked)
-	}
-	for i := range want {
-		if log[i] != want[i] || hooked[i] != wantHook[i] {
-			t.Fatalf("log = %v, want %v; hooked = %v, want %v", log, want, hooked, wantHook)
-		}
-	}
-}
-
-func TestScheduleKindUnregisteredPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ScheduleKind with unregistered kind did not panic")
-		}
-	}()
-	e.ScheduleKind(time.Second, 5, 0)
-}
-
-// TestRunUntilExactTimestamp: RunUntil is strict. Events at the
-// deadline stay queued while the clock moves to the deadline, so the
-// caller acts at that instant before they run; the next RunUntil
-// resumes cleanly.
-func TestRunUntilExactTimestamp(t *testing.T) {
-	e := NewEngine()
-	var ran []int64
-	k := logKind(e, &ran)
-	for i, d := range []Time{1, 2, 2, 3} {
-		e.ScheduleKind(d*time.Second, k, int64(i))
-	}
-	if n := e.RunUntil(2 * time.Second); n != 1 {
-		t.Fatalf("RunUntil(2s) executed %d events, want 1 (deadline exclusive)", n)
-	}
-	if e.Now() != 2*time.Second {
-		t.Fatalf("Now = %v, want 2s", e.Now())
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-	// Something scheduled at the deadline now runs after the two events
-	// already due there.
-	e.ScheduleKind(2*time.Second, k, 9)
-	if n := e.RunUntil(2500 * time.Millisecond); n != 3 {
-		t.Fatalf("RunUntil(2.5s) executed %d events, want 3", n)
-	}
-	if e.Now() != 2500*time.Millisecond {
-		t.Fatalf("Now = %v, want 2.5s", e.Now())
-	}
-	if n := e.RunUntil(3 * time.Second); n != 0 {
-		t.Fatalf("RunUntil(3s) executed %d events, want 0", n)
-	}
-	if n := e.Run(); n != 1 || !equalLog(ran, 0, 1, 2, 9, 3) {
-		t.Fatalf("Run executed %d, order %v, want 1 and [0 1 2 9 3]", n, ran)
-	}
-}
-
-// TestStopMidBatchOfSimultaneousEvents: Stop inside one of several
-// equal-timestamp events halts after the current event; the rest of the
-// batch stays queued and a subsequent Run picks them up in FIFO order.
-func TestStopMidBatchOfSimultaneousEvents(t *testing.T) {
-	e := NewEngine()
-	var order []int64
-	k := e.RegisterKind(func(en *Engine, _ Time, i int64) {
-		order = append(order, i)
-		if i == 1 {
-			en.Stop()
-		}
-	})
-	for i := int64(0); i < 5; i++ {
-		e.ScheduleKind(time.Second, k, i)
-	}
-	if n := e.Run(); n != 2 {
-		t.Fatalf("Run executed %d events after mid-batch Stop, want 2", n)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-	if n := e.Run(); n != 3 {
-		t.Fatalf("resumed Run executed %d events, want 3", n)
-	}
-	if !equalLog(order, 0, 1, 2, 3, 4) {
-		t.Fatalf("batch order = %v, want FIFO 0..4", order)
-	}
-	if e.Now() != time.Second {
-		t.Fatalf("Now = %v, want 1s", e.Now())
-	}
-}
-
-// TestSteadyStateScheduleFireAllocationFree: after warm-up, a typed
-// schedule/fire cycle must not allocate — events are stored by value in
-// the queue's already-grown slice.
+// TestSteadyStateScheduleFireAllocationFree: after warm-up, a push/pop
+// cycle must not allocate — entries are stored by value in the queue's
+// already-grown slice.
 func TestSteadyStateScheduleFireAllocationFree(t *testing.T) {
-	e := NewEngine()
-	var fired int64
-	kind := e.RegisterKind(func(en *Engine, at Time, arg int64) { fired++ })
-	// Warm-up: populate the event pool and the heap slice.
+	var q Queue[int64]
+	var now Time
 	for i := 0; i < 100; i++ {
-		e.ScheduleKind(e.Now()+time.Millisecond, kind, int64(i))
-		e.Run()
+		q.Push(now+time.Millisecond, int64(i))
+		now, _ = q.Pop()
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleKind(e.Now()+time.Millisecond, kind, 1)
-		e.Run()
+		q.Push(now+time.Millisecond, 1)
+		now, _ = q.Pop()
 	})
 	if avg != 0 {
-		t.Errorf("steady-state typed schedule/fire allocates %.2f per cycle, want 0", avg)
+		t.Errorf("steady-state push/pop allocates %.2f per cycle, want 0", avg)
 	}
 }
 
-func BenchmarkEngineTypedEvent(b *testing.B) {
-	e := NewEngine()
-	kind := e.RegisterKind(func(en *Engine, at Time, arg int64) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleKind(e.Now()+time.Millisecond, kind, int64(i))
-		e.Run()
-	}
-}
-
-func BenchmarkEngineQueueChurn(b *testing.B) {
-	// 1024 outstanding events at all times: each fire schedules a
-	// replacement, exercising heap sift depth at a realistic queue size.
-	e := NewEngine()
-	kind := EventKind(0)
-	kind = e.RegisterKind(func(en *Engine, at Time, arg int64) {
-		en.ScheduleKind(at+Time(1+arg%7)*time.Millisecond, kind, arg)
-	})
+func BenchmarkQueueChurn(b *testing.B) {
+	// 1024 queued entries at all times: each pop pushes a replacement,
+	// exercising heap sift depth at a realistic queue size.
+	var q Queue[int64]
 	for i := 0; i < 1024; i++ {
-		e.ScheduleKind(Time(i%13)*time.Millisecond, kind, int64(i))
+		q.Push(Time(i%13)*time.Millisecond, int64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		at, v := q.Pop()
+		q.Push(at+Time(1+v%7)*time.Millisecond, v)
 	}
 }

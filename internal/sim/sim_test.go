@@ -6,10 +6,14 @@ import (
 	"time"
 )
 
-// logKind registers a handler that appends each fired event's payload to
-// *log and returns its kind.
-func logKind(e *Engine, log *[]int64) EventKind {
-	return e.RegisterKind(func(_ *Engine, _ Time, arg int64) { *log = append(*log, arg) })
+// drain pops every queued value in order.
+func drain(q *Queue[int64]) []int64 {
+	var out []int64
+	for q.Len() > 0 {
+		_, v := q.Pop()
+		out = append(out, v)
+	}
+	return out
 }
 
 func equalLog(got []int64, want ...int64) bool {
@@ -25,150 +29,73 @@ func equalLog(got []int64, want ...int64) bool {
 }
 
 func TestRunExecutesInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []int64
-	k := logKind(e, &order)
-	e.ScheduleKind(30*time.Millisecond, k, 3)
-	e.ScheduleKind(10*time.Millisecond, k, 1)
-	e.ScheduleKind(20*time.Millisecond, k, 2)
-	if n := e.Run(); n != 3 {
-		t.Fatalf("Run executed %d events, want 3", n)
+	var q Queue[int64]
+	q.Push(30*time.Millisecond, 3)
+	q.Push(10*time.Millisecond, 1)
+	q.Push(20*time.Millisecond, 2)
+	if q.Next() != 10*time.Millisecond {
+		t.Fatalf("Next = %v, want 10ms", q.Next())
 	}
-	if !equalLog(order, 1, 2, 3) {
+	if order := drain(&q); !equalLog(order, 1, 2, 3) {
 		t.Fatalf("order = %v, want [1 2 3]", order)
-	}
-	if e.Now() != 30*time.Millisecond {
-		t.Errorf("Now = %v, want 30ms", e.Now())
 	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int64
-	k := logKind(e, &order)
+	var q Queue[int64]
 	for i := int64(0); i < 10; i++ {
-		e.ScheduleKind(time.Second, k, i)
+		q.Push(time.Second, i)
 	}
-	e.Run()
-	if !equalLog(order, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9) {
-		t.Fatalf("simultaneous events ran out of submission order: %v", order)
+	if order := drain(&q); !equalLog(order, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9) {
+		t.Fatalf("simultaneous entries came out of push order: %v", order)
 	}
 }
 
+// TestEventsCanScheduleEvents: a value pushed between pops, at an
+// instant already queued, comes out after the values queued there
+// before it.
 func TestEventsCanScheduleEvents(t *testing.T) {
-	e := NewEngine()
+	var q Queue[int64]
+	q.Push(time.Second, 0)
+	q.Push(1500*time.Millisecond, 1)
 	var fired []time.Duration
-	var k EventKind
-	k = e.RegisterKind(func(en *Engine, at Time, arg int64) {
-		fired = append(fired, en.Now())
-		if arg == 0 {
-			en.ScheduleKind(at+500*time.Millisecond, k, 1)
+	var ids []int64
+	for q.Len() > 0 {
+		at, v := q.Pop()
+		fired = append(fired, at)
+		ids = append(ids, v)
+		if v == 0 {
+			q.Push(at+500*time.Millisecond, 2)
 		}
-	})
-	e.ScheduleKind(time.Second, k, 0)
-	e.Run()
-	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 1500*time.Millisecond {
+	}
+	if len(fired) != 3 || fired[0] != time.Second || fired[1] != 1500*time.Millisecond || fired[2] != 1500*time.Millisecond {
 		t.Fatalf("fired = %v", fired)
 	}
-}
-
-func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	var log []int64
-	k := logKind(e, &log)
-	e.ScheduleKind(time.Second, k, 0)
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.ScheduleKind(500*time.Millisecond, k, 1)
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var ran []int64
-	k := logKind(e, &ran)
-	for _, d := range []int64{1, 2, 3, 4} {
-		e.ScheduleKind(Time(d)*time.Second, k, d)
-	}
-	// Strict: the event at the deadline itself stays queued.
-	if n := e.RunUntil(2 * time.Second); n != 1 {
-		t.Fatalf("RunUntil executed %d, want 1", n)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-	if n := e.Run(); n != 3 {
-		t.Fatalf("second Run executed %d, want 3", n)
-	}
-	if !equalLog(ran, 1, 2, 3, 4) {
-		t.Fatalf("ran = %v", ran)
+	if !equalLog(ids, 0, 1, 2) {
+		t.Fatalf("ids = %v, want [0 1 2]", ids)
 	}
 }
 
-func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(5 * time.Second)
-	if e.Now() != 5*time.Second {
-		t.Fatalf("Now = %v, want 5s", e.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	k := e.RegisterKind(func(en *Engine, _ Time, _ int64) {
-		count++
-		if count == 2 {
-			en.Stop()
-		}
-	})
-	for i := 1; i <= 5; i++ {
-		e.ScheduleKind(time.Duration(i)*time.Second, k, 0)
-	}
-	if n := e.Run(); n != 2 {
-		t.Fatalf("Run executed %d events after Stop, want 2", n)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-}
-
-func TestStep(t *testing.T) {
-	e := NewEngine()
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-	var log []int64
-	e.ScheduleKind(time.Second, logKind(e, &log), 0)
-	if !e.Step() {
-		t.Fatal("Step returned false with pending event")
-	}
-	if e.Steps() != 1 {
-		t.Fatalf("Steps = %d, want 1", e.Steps())
-	}
-}
-
-// Property: for any set of (time, id) pairs, Run visits them sorted by
-// time with ties broken by insertion order.
+// Property: for any set of (time, id) pairs, Pop visits them sorted by
+// time with ties broken by push order.
 func TestPropertyOrdering(t *testing.T) {
 	f := func(delays []uint16) bool {
 		if len(delays) > 200 {
 			delays = delays[:200]
 		}
-		e := NewEngine()
+		var q Queue[int64]
+		for i, d := range delays {
+			q.Push(time.Duration(d)*time.Millisecond, int64(i))
+		}
 		type rec struct {
 			at  time.Duration
 			seq int64
 		}
 		var got []rec
-		k := e.RegisterKind(func(en *Engine, _ Time, arg int64) { got = append(got, rec{en.Now(), arg}) })
-		for i, d := range delays {
-			e.ScheduleKind(time.Duration(d)*time.Millisecond, k, int64(i))
+		for q.Len() > 0 {
+			at, v := q.Pop()
+			got = append(got, rec{at, v})
 		}
-		e.Run()
 		if len(got) != len(delays) {
 			return false
 		}
@@ -184,56 +111,5 @@ func TestPropertyOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestEventHooksBracketDispatch: OnEvent fires before the handler,
-// AfterEvent after it, for every kind — the bracketing contract the
-// phase profiler relies on.
-func TestEventHooksBracketDispatch(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.OnEvent = func(at Time, kind EventKind, arg int64) {
-		order = append(order, "on")
-	}
-	e.AfterEvent = func(at Time, kind EventKind, arg int64) {
-		order = append(order, "after")
-	}
-	a := e.RegisterKind(func(*Engine, Time, int64) { order = append(order, "a") })
-	b := e.RegisterKind(func(*Engine, Time, int64) { order = append(order, "b") })
-	e.ScheduleKind(1, a, 0)
-	e.ScheduleKind(2, b, 42)
-	e.Run()
-	want := []string{"on", "a", "after", "on", "b", "after"}
-	if len(order) != len(want) {
-		t.Fatalf("hook order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("hook order %v, want %v", order, want)
-		}
-	}
-}
-
-// TestAfterEventSeesFollowupSchedules: AfterEvent runs after the
-// handler, so events the handler scheduled are already queued.
-func TestAfterEventSeesFollowupSchedules(t *testing.T) {
-	e := NewEngine()
-	pending := -1
-	e.AfterEvent = func(at Time, kind EventKind, arg int64) {
-		if pending == -1 {
-			pending = e.Pending()
-		}
-	}
-	var k EventKind
-	k = e.RegisterKind(func(en *Engine, _ Time, arg int64) {
-		if arg == 0 {
-			en.ScheduleKind(5, k, 1)
-		}
-	})
-	e.ScheduleKind(1, k, 0)
-	e.Run()
-	if pending != 1 {
-		t.Fatalf("AfterEvent saw %d pending events after parent, want 1 (the child)", pending)
 	}
 }

@@ -42,6 +42,9 @@ go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 echo "== trace parser: 5 s of FuzzTraceRead (Read never panics; what it accepts replays) =="
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
 
+echo "== POST /invoke: 5 s of FuzzInvokeRequest (no body panics either handler; an invoke at trace.MaxMS is still served) =="
+go test -run '^$' -fuzz '^FuzzInvokeRequest$' -fuzztime 5s ./internal/api
+
 echo "== Dockerfile parser: 5 s of FuzzDockerfileParse (Parse never panics; its image matches itself at L3) =="
 go test -run '^$' -fuzz '^FuzzDockerfileParse$' -fuzztime 5s ./internal/dockerfile
 
