@@ -10,15 +10,16 @@
 //
 // Layer 1 is a cache in front of layer 2: a request that misses it
 // takes the shard lock, drains due completions and probes layer 1 once
-// more before it schedules. Functions hash onto shards; each shard owns
-// a pool segment, a scheduler instance and a completion queue (a
-// sim.Queue, the simulator's own heap), so requests for different
-// shards never contend and same-shard requests contend on one short
-// critical section instead of a platform-wide lock. Completions are
-// virtual-time driven, like the simulator: a container becomes
-// reclaimable once its BusyUntil has passed, the next request that
-// observes the shard's earliest-completion watermark (one atomic load)
-// drains it, and equal-instant completions retire in start order.
+// more before it schedules. Functions hash onto shards; each shard's
+// layer 2 is a platform.Platform, the simulator's own invocation
+// lifecycle over the shard's pool segment, scheduler instance and
+// memory share, so requests for different shards never contend and
+// same-shard requests contend on one short critical section instead of
+// a platform-wide lock. Completions are virtual-time driven, through
+// the platform's own completion loop: a container becomes reclaimable
+// once its BusyUntil has passed, the next request that observes the
+// shard's earliest-completion watermark (one atomic load) drains it,
+// and equal-instant completions retire in start order.
 // Fingerprint determinism does NOT extend to the gateway —
 // concurrent arrival interleaving is inherently racy — but every
 // container still moves through the same lifecycle invariants, and
@@ -41,7 +42,6 @@ import (
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
-	"mlcr/internal/sim"
 	"mlcr/internal/workload"
 )
 
@@ -91,39 +91,29 @@ type gwFn struct {
 	fastHits  atomic.Int64
 }
 
-// gwShard owns one slice of the warm pool. The mutex guards the pool
-// segment, scheduler, completion queue and slow-path counters; the
-// atomics below it are the lock-free fast path's shared state.
+// gwShard owns one slice of the warm pool. Layer 2 is plat, the
+// simulator's own invocation lifecycle over the shard's scheduler,
+// evictor and memory share, guarded by mu; the fields after fns are the
+// lock-free fast layer's shared state.
 type gwShard struct {
-	mu      sync.Mutex
-	pool    *pool.Pool
-	sched   platform.Scheduler
-	cleaner *container.Cleaner
-	rate    workload.RateEMA
-	inv     workload.Invocation             // slow-path scratch (never escapes the lock)
-	busy    sim.Queue[*container.Container] // in-flight containers by BusyUntil
-	lastNow time.Duration                   // per-shard monotone clamp for pool/evictor time
-	seen    int
-	prevArr time.Duration
-	startup perf.HDR // slow-path startup latencies, ns
-	colds   int
-	warms   int
-	byLevel [4]int
-	// policyErrs counts scheduler choices platform.Apply did not honour.
-	policyErrs int
+	mu   sync.Mutex
+	plat *platform.Platform
+	inv  workload.Invocation // slow-path scratch (never escapes the lock)
+	// park is parkFast bound once, so a drain passes it to the platform
+	// without allocating.
+	park func(*container.Container) bool
 
 	fns map[int]*gwFn // this shard's functions
 
-	// Lock-free completion protocol: the fast path re-registers busy
-	// containers through doneq (a container's BusyUntil does not change
-	// while it is busy, so the container is its own completion record)
-	// and publishes the earliest completion time in nextDone (ns;
+	// Lock-free completion protocol: the fast path hands busy containers
+	// to the platform through doneq (a container's BusyUntil does not
+	// change while it is busy, so the container is its own completion
+	// record) and publishes the earliest completion time in nextDone (ns;
 	// MaxInt64 = none known). Any request that observes nextDone <= now
 	// tries to drain — one TryLock, never a blocking wait on the fast path.
 	doneq    chan *container.Container
 	nextDone atomic.Int64
 
-	runningKB   atomic.Int64 // memory held by busy containers
 	fastKB      atomic.Int64 // memory parked in fast channels
 	shareKB     int64        // shard memory share (pool + fast combined); 0 = unlimited
 	fastExpired atomic.Int64 // stale fast-layer discards
@@ -135,7 +125,6 @@ type gwShard struct {
 type gwState struct {
 	byID    map[int]*gwFn // immutable after build
 	shards  []*gwShard
-	policy  string
 	epoch   time.Duration // clock() at reset
 	fastTTL time.Duration
 	nextID  atomic.Int64 // container IDs
@@ -205,8 +194,8 @@ func shardOf(fnID int, mask uint64) int {
 	return int(x & mask)
 }
 
-// buildState constructs a fresh generation: shards, pool segments,
-// per-shard schedulers and the function→shard map.
+// buildState constructs a fresh generation: one platform per shard over
+// its pool segment and scheduler, and the function→shard map.
 func (g *Gateway) buildState() *gwState {
 	cfg := g.cfg
 	st := &gwState{
@@ -219,7 +208,10 @@ func (g *Gateway) buildState() *gwState {
 	if cfg.PoolCapacityMB > 0 {
 		share = cfg.PoolCapacityMB / float64(cfg.Shards)
 	}
+	newID := st.newID
 	for i := range st.shards {
+		// One NewScheduler call, then one NewEvictor call, per shard and
+		// in this order: bench/'s per-layer tracer pairs them by order.
 		sched := cfg.NewScheduler()
 		ev := pool.Evictor(nil)
 		if cfg.NewEvictor != nil {
@@ -229,20 +221,21 @@ func (g *Gateway) buildState() *gwState {
 			ev = evictorFor(sched)
 		}
 		sh := &gwShard{
-			sched:   sched,
-			cleaner: &container.Cleaner{},
-			rate:    workload.RateEMA{Alpha: 0.2},
-			fns:     make(map[int]*gwFn),
-			doneq:   make(chan *container.Container, 1024),
+			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID}, sched),
+			fns:   make(map[int]*gwFn),
+			doneq: make(chan *container.Container, 1024),
 		}
+		// A shard serves an unbounded stream: keep aggregates, not samples.
+		res := sh.plat.Results()
+		res.Metrics.SetRetainSamples(false)
+		res.PoolSeries.SetRetainPoints(false)
+		sh.park = sh.parkFast
 		if share > 0 {
 			sh.shareKB = int64(share * 1024)
 		}
-		sh.pool = pool.New(share, ev)
 		sh.nextDone.Store(math.MaxInt64)
 		st.shards[i] = sh
 	}
-	st.policy = st.shards[0].sched.Name()
 	mask := uint64(cfg.Shards - 1)
 	for _, f := range cfg.Functions {
 		sh := st.shards[shardOf(f.ID, mask)]
@@ -276,10 +269,10 @@ func evictorFor(s platform.Scheduler) pool.Evictor {
 func (g *Gateway) now(st *gwState) time.Duration { return g.clock() - st.epoch }
 
 // serve is the gateway's per-invocation hot path: the steady-state warm
-// path (fast-layer claim, completion re-registration, shard-pool reuse)
+// path (fast-layer claim, completion hand-off, shard-pool reuse)
 // performs zero heap allocations, pinned by
 // TestGatewayWarmSteadyStateAllocs.
-func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Container, s container.Startup, lvl core.MatchLevel) {
+func (st *gwState) serve(gf *gwFn, now, exec time.Duration) platform.Result {
 	sh := gf.shard
 	// Reclaim any completions due by now. One atomic load in the common
 	// "nothing due" case; TryLock so the fast path never blocks — a
@@ -288,9 +281,9 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 		sh.release(now)
 	}
 	// Layer 1: lock-free claim of an exact same-function L3 re-hit.
-	if c, s = st.claim(gf, now, exec); c != nil {
-		sh.finish(c)
-		return c, s, core.MatchL3
+	if c, s := st.claim(gf, now, exec); c != nil {
+		sh.finish(c, gf.fn)
+		return platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}
 	}
 	return st.slow(gf, now, exec)
 }
@@ -298,7 +291,7 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (c *container.Contai
 // claim takes a container of gf's function from its fast channel and
 // reuses it as an exact L3 re-hit, discarding containers parked longer
 // than FastTTL. It returns nil when the channel holds no fresh one. The
-// caller registers the claimed container's completion.
+// caller hands the claimed container to the shard's platform.
 func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup) {
 	sh := gf.shard
 	for {
@@ -312,7 +305,6 @@ func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Containe
 			}
 			inv := workload.Invocation{Fn: gf.fn, Arrival: now, Exec: exec}
 			s := c.Reuse(&inv, core.MatchL3, now, nil)
-			sh.runningKB.Add(gf.memKB)
 			gf.fastHits.Add(1)
 			return c, s
 		default:
@@ -321,75 +313,53 @@ func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Containe
 	}
 }
 
-// slow serves one invocation through layers 2 and 3 — the shard's
-// mutexed pool segment and cold start. The lock is released by defer:
-// a scheduler or evictor that panics fails its own request, not every
-// later request to the shard.
-func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup, core.MatchLevel) {
+// slow serves one invocation through layers 2 and 3, the shard's
+// platform: drain the fast path's hand-offs into it, retire what is due
+// by now, claim from layer 1 once more, then Invoke. The shard's time is
+// the platform's clock, which never moves backwards, so a request that
+// arrives behind it is served at the clock. The lock is released by
+// defer: a scheduler or evictor that panics fails its own request, not
+// every later request to the shard.
+func (st *gwState) slow(gf *gwFn, now, exec time.Duration) platform.Result {
 	sh := gf.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if now < sh.lastNow {
-		now = sh.lastNow // per-shard monotone time for pool/evictor hooks
-	}
-	sh.lastNow = now
+	now = max(now, sh.plat.Now())
 	sh.releaseLocked(now)
 	// The drain may have parked a container of this very function in the
 	// fast layer: the slow path falls through it before scheduling. The
-	// completion is registered here, under the lock, not through finish,
-	// whose full-doneq branch takes the lock.
+	// claim goes to the platform here, under the lock, not through
+	// finish, whose full-doneq branch takes the lock.
+	var res platform.Result
 	if c, s := st.claim(gf, now, exec); c != nil {
-		sh.busy.Push(c.BusyUntil, c)
-		sh.armNextDone(int64(c.BusyUntil))
-		return c, s, core.MatchL3
-	}
-	sh.pool.Expire(now)
-	sh.rate.Observe(now)
-	sh.inv = workload.Invocation{Seq: sh.seen, Fn: gf.fn, Arrival: now, Exec: exec}
-	env := platform.Env{
-		Now:         now,
-		Pool:        sh.pool,
-		RunningMB:   float64(sh.runningKB.Load()) / 1024,
-		Seen:        sh.seen,
-		PrevArrival: sh.prevArr,
-		Rate:        sh.rate.Rate(),
-	}
-	choice := sh.sched.Schedule(env, &sh.inv)
-	c, s, lvl, honoured := platform.Apply(sh.pool, sh.cleaner, &sh.inv, now, choice, st.newID)
-	if !honoured {
-		sh.policyErrs++
-	}
-	if s.Cold {
-		sh.colds++
+		sh.plat.Track(c, gf.fn)
+		res = platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}
 	} else {
-		sh.warms++
-		sh.byLevel[int(lvl)]++
+		sh.inv = workload.Invocation{Seq: sh.plat.Results().Metrics.Count(), Fn: gf.fn, Arrival: now, Exec: exec}
+		res = sh.plat.Invoke(&sh.inv)
 	}
-	sh.runningKB.Add(int64(c.MemoryMB * 1024))
-	sh.startup.Record(s.Total().Nanoseconds())
-	sh.seen++
-	sh.prevArr = now
-	sh.sched.OnResult(env, &sh.inv, platform.Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s})
-	sh.busy.Push(c.BusyUntil, c)
-	sh.armNextDone(int64(c.BusyUntil))
-	return c, s, lvl
+	// Everything due by now has retired, so this Retire only reads the
+	// earliest completion, which the new one may have become.
+	sh.armNextDone(int64(sh.plat.Retire(now, nil)))
+	return res
 }
 
 // newID hands out the next container ID.
 func (st *gwState) newID() int { return int(st.nextID.Add(1)) }
 
-// finish re-registers a fast-path claim's completion without taking the
-// shard lock: enqueue on doneq and publish the completion watermark.
-// A full doneq (pathological backlog) falls back to the locked queue.
-// until is read before the send: once sent, the drainer owns c.
-func (sh *gwShard) finish(c *container.Container) {
+// finish hands a fast-path claim's completion to the shard without
+// taking the lock: enqueue on doneq and publish the completion
+// watermark. A full doneq (pathological backlog) falls back to the
+// locked platform. until is read before the send: once sent, the
+// drainer owns c.
+func (sh *gwShard) finish(c *container.Container, fn *workload.Function) {
 	until := c.BusyUntil
 	select {
 	case sh.doneq <- c:
 	default:
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		sh.busy.Push(until, c)
+		sh.plat.Track(c, fn)
 	}
 	sh.armNextDone(int64(until))
 }
@@ -415,10 +385,10 @@ func (sh *gwShard) release(now time.Duration) {
 	sh.releaseLocked(now)
 }
 
-// releaseLocked drains doneq into the completion queue and completes
-// everything due by now, equal instants in start order: each finished
-// container goes back to its function's fast channel when there is room
-// and budget, else to the shard pool segment. Caller holds sh.mu.
+// releaseLocked hands doneq's containers to the platform and retires
+// everything due by now (the drain is inclusive; the simulator's step
+// is not, DESIGN.md §15), each finished container going to parkFast
+// before the pool. Caller holds sh.mu.
 func (sh *gwShard) releaseLocked(now time.Duration) {
 	// Claim the watermark first: fast-path pushes racing this drain
 	// re-arm it themselves, so a reclaimable completion is never left
@@ -428,40 +398,29 @@ func (sh *gwShard) releaseLocked(now time.Duration) {
 	// receives blocks; later sends re-arm the watermark themselves.
 	for n := len(sh.doneq); n > 0; n-- {
 		c := <-sh.doneq
-		sh.busy.Push(c.BusyUntil, c)
+		sh.plat.Track(c, sh.fns[c.FnID].fn)
 	}
-	for sh.busy.Len() > 0 && sh.busy.Next() <= now {
-		until, c := sh.busy.Pop()
-		c.Complete(until)
-		sh.runningKB.Add(-int64(c.MemoryMB * 1024))
-		gf := sh.fns[c.FnID]
-		// The fast layer and the pool segment share the shard's memory
-		// budget dynamically: park in the fast channel when combined
-		// parked memory stays within the share, else hand the container
-		// to the pool (which enforces the same cap with eviction).
-		if gf != nil && (sh.shareKB == 0 ||
-			sh.fastKB.Load()+gf.memKB+int64(sh.pool.UsedMB()*1024) <= sh.shareKB) {
-			select {
-			case gf.fast <- c:
-				sh.fastKB.Add(gf.memKB)
-				continue
-			default:
-			}
-		}
-		sh.pool.Add(c, c2cost(gf, c), now)
-	}
-	if sh.busy.Len() > 0 {
-		sh.armNextDone(int64(sh.busy.Next()))
-	}
+	sh.armNextDone(int64(sh.plat.Retire(now+1, sh.park)))
 }
 
-// c2cost is the warm-copy value passed to cost-aware evictors: the
-// container's function's full cold-start latency, as in the simulator.
-func c2cost(gf *gwFn, c *container.Container) time.Duration {
-	if gf != nil {
-		return gf.fn.ColdStartTime()
+// parkFast puts a finished container back in its function's fast
+// channel when there is room and the shard's budget allows. The fast
+// layer and the pool segment share that budget dynamically: a container
+// parks here when combined parked memory stays within the share, else
+// the platform offers it to the pool, which enforces the same cap with
+// eviction.
+func (sh *gwShard) parkFast(c *container.Container) bool {
+	gf := sh.fns[c.FnID]
+	if sh.shareKB != 0 && sh.fastKB.Load()+gf.memKB+int64(sh.plat.Pool().UsedMB()*1024) > sh.shareKB {
+		return false
 	}
-	return 0
+	select {
+	case gf.fast <- c:
+		sh.fastKB.Add(gf.memKB)
+		return true
+	default:
+		return false
+	}
 }
 
 // Do is the in-process hot entry: schedule fnID at time at (< 0 means
@@ -479,8 +438,8 @@ func (g *Gateway) Do(fnID int, at, exec time.Duration) (startup time.Duration, c
 	if exec <= 0 {
 		exec = gf.fn.Exec
 	}
-	_, s, _ := st.serve(gf, at, exec)
-	return s.Total(), s.Cold, nil
+	res := st.serve(gf, at, exec)
+	return res.Startup.Total(), res.Cold, nil
 }
 
 // errUnknownFn is Do's not-found error, preallocated so the hot entry
@@ -501,8 +460,7 @@ func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, erro
 	if exec <= 0 {
 		exec = gf.fn.Exec
 	}
-	c, s, lvl := st.serve(gf, at, exec)
-	res := platform.Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s}
+	res := st.serve(gf, at, exec)
 	return invokeResponse(int(st.seq.Add(1))-1, fnID, res, at), nil
 }
 
@@ -534,28 +492,30 @@ type GatewayStatsResponse struct {
 	FastParkedMB float64 `json:"fast_parked_mb"`
 }
 
-// Stats aggregates serving statistics across shards. Startup quantiles
-// merge the per-shard slow-path HDRs with the fast layer's counted
-// re-hits (every fast hit costs exactly the function's L3 re-hit
-// startup, so an O(1) RecordN per function reconstructs the full
-// population).
+// Stats aggregates serving statistics across shards: each shard
+// platform's RunResult, plus the fast layer's counted re-hits. Startup
+// quantiles merge the shards' startup HDRs with those re-hits (every
+// fast hit costs exactly the function's L3 re-hit startup, so an O(1)
+// RecordN per function reconstructs the full population).
 func (g *Gateway) Stats() GatewayStatsResponse {
 	st := g.state.Load()
 	var out GatewayStatsResponse
-	out.Policy = st.policy
 	out.Shards = len(st.shards)
 	var h perf.HDR
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		h.Merge(&sh.startup)
-		out.ColdStarts += sh.colds
-		out.WarmStarts += sh.warms
-		out.PolicyErrors += sh.policyErrs
-		for i, n := range sh.byLevel {
-			out.WarmByLevel[i] += n
+		res := sh.plat.Results()
+		res.Metrics.MergeStartupInto(&h)
+		out.Policy = res.Policy
+		out.ColdStarts += res.Metrics.ColdStarts()
+		out.WarmStarts += res.Metrics.WarmStarts()
+		out.PolicyErrors += res.PolicyErrors
+		lv := res.Metrics.ByLevel()
+		for i := 1; i < len(lv); i++ { // lv[0] counts cold starts
+			out.WarmByLevel[i] += lv[i]
 		}
-		ps := sh.pool.Stats()
-		out.PoolUsedMB += sh.pool.UsedMB()
+		ps := res.PoolStats
+		out.PoolUsedMB += sh.plat.Pool().UsedMB()
 		out.PoolPeakMB += ps.PeakUsedMB
 		out.Evictions += ps.Evictions
 		out.Rejections += ps.Rejections
@@ -628,7 +588,7 @@ func (g *Gateway) handlePool(w http.ResponseWriter, _ *http.Request) {
 	var out []PoolEntry
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		sh.pool.RangeIdle(func(c *container.Container) bool {
+		sh.plat.Pool().RangeIdle(func(c *container.Container) bool {
 			out = append(out, PoolEntry{
 				ContainerID: c.ID, FnID: c.FnID, MemoryMB: c.MemoryMB,
 				IdleSinceMS: int64(c.IdleSince / time.Millisecond), UseCount: c.UseCount,

@@ -2,9 +2,12 @@ package api
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,9 +18,11 @@ import (
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
+	"mlcr/internal/evict"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
+	"mlcr/internal/pool"
 	"mlcr/internal/workload"
 )
 
@@ -96,9 +101,9 @@ func TestGatewaySlowPathClaimsFastLayer(t *testing.T) {
 	fn := fns[0]
 	s, _, _ := g.Do(fn.ID, -1, 0)
 	st := g.state.Load()
-	c, s2, lvl := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
-	if s2.Cold || lvl != core.MatchL3 || c.ID != 1 {
-		t.Fatalf("slow path after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", c.ID, s2.Cold, lvl)
+	res := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
+	if res.Cold || res.Level != core.MatchL3 || res.ContainerID != 1 {
+		t.Fatalf("slow path after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", res.ContainerID, res.Cold, res.Level)
 	}
 	if got := g.Stats(); got.FastHits != 1 || got.ColdStarts != 1 || got.Invocations != 2 {
 		t.Fatalf("FastHits %d, ColdStarts %d, Invocations %d; want 1, 1, 2", got.FastHits, got.ColdStarts, got.Invocations)
@@ -215,6 +220,52 @@ func TestGatewayDeterministicUnderVirtualClock(t *testing.T) {
 	}
 	if a != want {
 		t.Fatalf("stats moved:\n got %+v\nwant %+v", a, want)
+	}
+}
+
+// TestGatewayReplayPinned replays 3,000 seeded invocations from one
+// goroutine on a virtual clock through four shards with one-deep fast
+// channels and a 750 MB share each, under four evictors and two fixed
+// gaps. Unlike TestGatewayDeterministicUnderVirtualClock (L3 re-hits
+// only, no evictions), the cells go through pool-segment evictions,
+// rejections and cross-function L1/L2 reuse. Each cell pins its stats
+// and a digest of its container-ID sequence, recorded before a gateway
+// shard became a platform.Platform.
+func TestGatewayReplayPinned(t *testing.T) {
+	want := map[string]string{
+		"lru/37ms":       "43a91c85803ea71d {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15758715 AvgStartupMS:5252 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1009 WarmStarts:1991 ReuseByLevel:{L1:147 L2:167 L3:1677} WarmByLevel:[0 147 167 1677] PoolUsedMB:2800 PoolPeakMB:2896 Evictions:672 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1032 FastExpired:0 FastParkedMB:560}",
+		"lru/1s":         "113a8cd6d08c75f6 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:9989215 AvgStartupMS:3329 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:437 WarmStarts:2563 ReuseByLevel:{L1:31 L2:55 L3:2477} WarmByLevel:[0 31 55 2477] PoolUsedMB:1792 PoolPeakMB:2680 Evictions:170 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:2015 FastExpired:0 FastParkedMB:1264}",
+		"faascache/37ms": "0fc1e10e4ef4700a {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15945685 AvgStartupMS:5315 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1068 WarmStarts:1932 ReuseByLevel:{L1:154 L2:167 L3:1611} WarmByLevel:[0 154 167 1611] PoolUsedMB:2824 PoolPeakMB:2896 Evictions:730 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1011 FastExpired:0 FastParkedMB:720}",
+		"faascache/1s":   "626f472798efdd01 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:10093500 AvgStartupMS:3364 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:464 WarmStarts:2536 ReuseByLevel:{L1:60 L2:56 L3:2420} WarmByLevel:[0 60 56 2420] PoolUsedMB:2008 PoolPeakMB:2656 Evictions:196 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1950 FastExpired:0 FastParkedMB:1480}",
+		"keepalive/37ms": "551143eb70210e82 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:16683395 AvgStartupMS:5561 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1152 WarmStarts:1848 ReuseByLevel:{L1:156 L2:148 L3:1544} WarmByLevel:[0 156 148 1544] PoolUsedMB:2320 PoolPeakMB:2896 Evictions:0 Rejections:994 Expirations:0 PolicyErrors:0} Shards:4 FastHits:935 FastExpired:0 FastParkedMB:560}",
+		"keepalive/1s":   "d281036d228b96d5 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:9902900 AvgStartupMS:3300 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:435 WarmStarts:2565 ReuseByLevel:{L1:41 L2:68 L3:2456} WarmByLevel:[0 41 68 2456] PoolUsedMB:1656 PoolPeakMB:2656 Evictions:0 Rejections:422 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1969 FastExpired:0 FastParkedMB:968}",
+		"cost/37ms":      "2eb556ff7f34478c {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15965490 AvgStartupMS:5321 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1060 WarmStarts:1940 ReuseByLevel:{L1:153 L2:161 L3:1626} WarmByLevel:[0 153 161 1626] PoolUsedMB:2040 PoolPeakMB:2896 Evictions:732 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1045 FastExpired:0 FastParkedMB:352}",
+		"cost/1s":        "d87d2eee4ea2f045 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:10002010 AvgStartupMS:3334 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:455 WarmStarts:2545 ReuseByLevel:{L1:81 L2:62 L3:2402} WarmByLevel:[0 81 62 2402] PoolUsedMB:1528 PoolPeakMB:2656 Evictions:189 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1916 FastExpired:0 FastParkedMB:968}",
+	}
+	for _, ev := range []string{"lru", "faascache", "keepalive", "cost"} {
+		for _, gap := range []time.Duration{37 * time.Millisecond, time.Second} {
+			var vc vclock
+			fns := testFunctions()
+			g := testGateway(t, GatewayConfig{
+				Functions: fns, Clock: vc.Clock, Shards: 4, FastDepth: 1, PoolCapacityMB: 3000,
+				NewEvictor: func() pool.Evictor { return evict.MustNew(ev, 1) },
+			})
+			rng := rand.New(rand.NewSource(1))
+			ids := sha256.New()
+			for i := 0; i < 3000; i++ {
+				vc.Set(time.Duration(i) * gap)
+				out, err := g.Invoke(fns[rng.Intn(len(fns))].ID, -1, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(ids, "%d,", out.ContainerID)
+			}
+			cell := ev + "/" + gap.String()
+			got := fmt.Sprintf("%x %+v", ids.Sum(nil)[:8], g.Stats())
+			if got != want[cell] {
+				t.Errorf("%s:\n got %s\nwant %s", cell, got, want[cell])
+			}
+		}
 	}
 }
 

@@ -103,6 +103,14 @@ func (c *Collector) StartupQuantile(q float64) time.Duration {
 	return time.Duration(c.hdr().Quantile(q))
 }
 
+// MergeStartupInto adds the startup-latency distribution, in
+// nanoseconds, to h: the gateway sums its shards' collectors this way.
+func (c *Collector) MergeStartupInto(h *perf.HDR) {
+	if c.count > 0 {
+		h.Merge(c.hdr())
+	}
+}
+
 // hdr returns the startup histogram, first building it from the
 // retained samples if it does not exist yet.
 func (c *Collector) hdr() *perf.HDR {
@@ -225,20 +233,6 @@ func Mean(values []float64) float64 {
 		s += v
 	}
 	return s / float64(len(values))
-}
-
-// Stddev returns the population standard deviation of values.
-func Stddev(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	m := Mean(values)
-	var s float64
-	for _, v := range values {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(values)))
 }
 
 // Series tracks the time evolution of a scalar (e.g. pool memory),

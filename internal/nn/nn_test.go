@@ -399,6 +399,66 @@ func TestSaveRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
+// FuzzNNLoad: on any input Load never panics, and either refuses it
+// with the parameters bit-for-bit as they were, or accepts it with
+// every value finite. Two targets are loaded from each input: the layer
+// stack of TestSaveLoadRoundtrip and loadTarget's two Linear layers. The
+// seeds are a Save of each, plus the rejection tests' snapshots.
+func FuzzNNLoad(f *testing.F) {
+	save := func(params []*Param) {
+		var buf bytes.Buffer
+		if err := Save(&buf, params); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	stack := func(rng *rand.Rand) []*Param {
+		return (&Sequential{Layers: []Layer{
+			NewLinear("l1", 3, 4, rng),
+			NewLayerNorm("ln", 4),
+			NewMultiHeadAttention("mha", 4, 2, rng),
+		}}).Params()
+	}
+	rng := rand.New(rand.NewSource(10))
+	save(stack(rng))
+	valid, _ := loadTarget(rng, 3)
+	save(valid)
+	wide, _ := loadTarget(rng, 4)
+	save(wide) // shape mismatch against loadTarget(rng, 3)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p, _ := loadTarget(rng, 3)
+		p[3].W.Data[2] = bad
+		save(p)
+	}
+	save(NewLinear("a", 2, 2, rng).Params()) // missing every wanted name
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rng := rand.New(rand.NewSource(17))
+		target, _ := loadTarget(rng, 3)
+		for _, params := range [][]*Param{stack(rng), target} {
+			var before [][]uint64
+			for _, p := range params {
+				bits := make([]uint64, len(p.W.Data))
+				for i, v := range p.W.Data {
+					bits[i] = math.Float64bits(v)
+				}
+				before = append(before, bits)
+			}
+			err := Load(bytes.NewReader(data), params)
+			for pi, p := range params {
+				for i, v := range p.W.Data {
+					if err != nil && math.Float64bits(v) != before[pi][i] {
+						t.Fatalf("refused Load (%v) changed %s[%d]", err, p.Name, i)
+					}
+					if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+						t.Fatalf("accepted Load left %s[%d] = %v", p.Name, i, v)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestCopyParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := NewLinear("a", 3, 3, rng)
@@ -413,25 +473,6 @@ func TestCopyParams(t *testing.T) {
 	a.Weight.W.Data[0] += 1
 	if b.Weight.W.Data[0] == a.Weight.W.Data[0] {
 		t.Fatal("CopyParams aliases storage")
-	}
-}
-
-func TestFileRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	l := NewLinear("f", 2, 2, rng)
-	path := t.TempDir() + "/model.gob"
-	if err := SaveFile(path, l.Params()); err != nil {
-		t.Fatal(err)
-	}
-	l2 := NewLinear("f", 2, 2, rng)
-	if err := LoadFile(path, l2.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if l2.Weight.W.Data[0] != l.Weight.W.Data[0] {
-		t.Fatal("file roundtrip lost data")
-	}
-	if err := LoadFile(path+"x", l2.Params()); err == nil {
-		t.Fatal("loading missing file succeeded")
 	}
 }
 

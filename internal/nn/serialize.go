@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // snapshot is the gob wire format: parameter values keyed by name.
@@ -37,7 +36,9 @@ func Save(w io.Writer, params []*Param) error {
 // out on the request path. The snapshot is validated whole before any
 // weight is copied, so a failed Load leaves params untouched.
 func Load(r io.Reader, params []*Param) error {
-	var s snapshot
+	// A non-nil map makes gob decode into it instead of allocating one
+	// sized by the entry count the input claims.
+	s := snapshot{Params: make(map[string]snapParam, len(params))}
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return fmt.Errorf("nn: decode snapshot: %w", err)
 	}
@@ -61,30 +62,6 @@ func Load(r io.Reader, params []*Param) error {
 		p.MarkUpdated()
 	}
 	return nil
-}
-
-// SaveFile writes parameters to path.
-func SaveFile(path string, params []*Param) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("nn: %w", err)
-	}
-	//mlcr:allow errcheck double-close guard; the explicit Close below surfaces the write error
-	defer f.Close()
-	if err := Save(f, params); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads parameters from path.
-func LoadFile(path string, params []*Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("nn: %w", err)
-	}
-	defer f.Close() //mlcr:allow errcheck read-only close; nothing to flush
-	return Load(f, params)
 }
 
 // CopyParams copies parameter values from src to dst by position. It is

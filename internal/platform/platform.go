@@ -10,6 +10,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -28,6 +29,10 @@ import (
 // ColdStart is the scheduler decision value meaning "create a new
 // container" rather than reusing a pooled one.
 const ColdStart = -1
+
+// rateAlpha is the smoothing factor of the arrival-rate EMA exposed to
+// schedulers (Env.Rate).
+const rateAlpha = 0.2
 
 // Env is the read-only view of the platform a scheduler sees when making
 // a decision. It corresponds to the paper's DRL "state": cluster-wide
@@ -86,9 +91,10 @@ type Config struct {
 	PoolCapacityMB float64
 	// Evictor is the pool eviction policy; nil defaults to LRU.
 	Evictor pool.Evictor
-	// RateAlpha is the smoothing factor of the arrival-rate EMA exposed
-	// to schedulers; 0 defaults to 0.2.
-	RateAlpha float64
+	// NewID, when non-nil, hands out container IDs; the gateway shares
+	// one source across its shards so IDs stay unique among them. Nil
+	// numbers the platform's own containers 1, 2, ….
+	NewID func() int
 	// PackageCache, when non-nil, is a node-local registry cache:
 	// realized pull times come from the cache (hits are served at local
 	// speed) instead of the static per-package registry times.
@@ -157,7 +163,6 @@ type Platform struct {
 	now  time.Duration
 	busy sim.Queue[finishRec]
 
-	nextID    int
 	runningMB float64
 	seen      int
 	prevArr   time.Duration
@@ -182,9 +187,9 @@ func New(cfg Config, sched Scheduler) *Platform {
 	if ev == nil {
 		ev = evict.NewLRU()
 	}
-	alpha := cfg.RateAlpha
-	if alpha == 0 {
-		alpha = 0.2
+	if cfg.NewID == nil {
+		n := 0
+		cfg.NewID = func() int { n++; return n }
 	}
 	p := &Platform{
 		cfg:     cfg,
@@ -192,9 +197,8 @@ func New(cfg Config, sched Scheduler) *Platform {
 		pool:    pool.New(cfg.PoolCapacityMB, ev),
 		cleaner: &container.Cleaner{},
 		obs:     cfg.Obs,
-		nextID:  1,
+		rate:    workload.RateEMA{Alpha: rateAlpha},
 	}
-	p.rate.Alpha = alpha
 	p.res.Policy = sched.Name()
 	p.prof = cfg.Obs.Profiler()
 	// Schedulers that can time interior phases (the MLCR scheduler's
@@ -280,9 +284,7 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 // Drain completes all outstanding executions and returns the final
 // results (interactive mode's equivalent of Run finishing).
 func (p *Platform) Drain() *RunResult {
-	for p.busy.Len() > 0 {
-		p.retire()
-	}
+	p.Retire(math.MaxInt64, nil) // BusyUntil stays far below it (trace.MaxMS)
 	p.finishPerf()
 	return p.Results()
 }
@@ -303,31 +305,67 @@ func (p *Platform) Results() *RunResult {
 // completion at the arrival's own instant runs after it (DESIGN.md §10).
 // The clock never moves backwards, even for a negative first arrival.
 func (p *Platform) step(inv *workload.Invocation) Result {
-	for p.busy.Len() > 0 && p.busy.Next() < inv.Arrival {
-		p.retire()
-	}
+	p.Retire(inv.Arrival, nil)
 	p.now = max(p.now, inv.Arrival)
 	return p.arrive(inv)
 }
 
-// retire runs the earliest completion: the clock moves to it, a tracer
-// sees a "finish/c<ID>" event, and the container goes back to the pool
-// inside one PhaseDispatch span.
-func (p *Platform) retire() {
+// Retire runs, in completion order, every completion due strictly
+// before due; equal instants retire in start order. It is the one
+// completion loop: step passes the arrival, Drain passes no bound, and
+// a gateway shard passes now+1 to retire everything due by now. park,
+// when non-nil, is offered each finished container before the pool, and
+// a container it keeps never enters the pool (the gateway's lock-free
+// layer takes exact re-hits this way). Retire returns the earliest
+// completion still pending, math.MaxInt64 when there is none.
+func (p *Platform) Retire(due time.Duration, park func(*container.Container) bool) time.Duration {
+	for p.busy.Len() > 0 {
+		if next := p.busy.Next(); next >= due {
+			return next
+		}
+		p.retire(park)
+	}
+	return math.MaxInt64
+}
+
+// retire runs the earliest completion: the clock moves to it unless it
+// is already later, a tracer sees a "finish/c<ID>" event, and the
+// container goes back inside one PhaseDispatch span.
+func (p *Platform) retire(park func(*container.Container) bool) {
 	at, r := p.busy.Pop()
-	p.now = at
+	p.now = max(p.now, at)
 	if p.obs.Tracing() {
 		p.obs.Emit(obs.Event{Kind: obs.KindEventFired, At: at, Seq: -1, Fn: -1,
 			Detail: "finish/c" + strconv.Itoa(r.c.ID)})
 	}
 	sp := p.prof.Start(perf.PhaseDispatch)
-	p.complete(r.c, r.fn)
+	p.complete(r.c, r.fn, park)
 	sp.End()
 }
 
+// Track makes the platform responsible for a busy container it did not
+// schedule itself — one the gateway's lock-free layer reused — so that
+// its memory counts as running and it retires like any other.
+func (p *Platform) Track(c *container.Container, fn *workload.Function) {
+	p.addRunning(c)
+	p.busy.Push(c.BusyUntil, finishRec{c: c, fn: fn})
+}
+
+// addRunning counts a busy container's memory as running, with the
+// peaks.
+func (p *Platform) addRunning(c *container.Container) {
+	p.runningMB += c.MemoryMB
+	if p.runningMB > p.res.PeakRunningMB {
+		p.res.PeakRunningMB = p.runningMB
+	}
+	if alive := p.runningMB + p.pool.UsedMB(); alive > p.res.PeakAliveMB {
+		p.res.PeakAliveMB = alive
+	}
+}
+
 // Apply realises a scheduler's choice for one invocation against a warm
-// pool — the one step shared by every driver of the lifecycle (the
-// simulator's arrive, the gateway's slow path): ColdStart creates a
+// pool — the one step where a choice becomes a container, taken by
+// arrive for both the simulator and gateway shards: ColdStart creates a
 // sandbox, the ID of an idle pooled container that matches inv at some
 // level is taken from the pool and re-packed through the cleaner. Any
 // other choice is a policy error and is not trusted: the pool stays
@@ -346,13 +384,6 @@ func Apply(pl *pool.Pool, cl *container.Cleaner, inv *workload.Invocation, now t
 	}
 	c, s = container.NewCold(newID(), inv, now)
 	return c, s, core.NoMatch, choice == ColdStart
-}
-
-// newID hands out the next sandbox ID.
-func (p *Platform) newID() int {
-	id := p.nextID
-	p.nextID++
-	return id
 }
 
 // arrive handles one invocation: expiry, scheduling, startup accounting
@@ -377,7 +408,7 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	choice := p.sched.Schedule(env, inv)
 	sp.End()
 
-	c, s, lvl, honoured := Apply(p.pool, p.cleaner, inv, now, choice, p.newID)
+	c, s, lvl, honoured := Apply(p.pool, p.cleaner, inv, now, choice, p.cfg.NewID)
 	if !honoured {
 		p.res.PolicyErrors++
 	}
@@ -388,13 +419,7 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 		p.res.PoolSeries.Observe(now, p.pool.UsedMB())
 	}
 
-	p.runningMB += c.MemoryMB
-	if p.runningMB > p.res.PeakRunningMB {
-		p.res.PeakRunningMB = p.runningMB
-	}
-	if alive := p.runningMB + p.pool.UsedMB(); alive > p.res.PeakAliveMB {
-		p.res.PeakAliveMB = alive
-	}
+	p.addRunning(c)
 
 	res := Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s}
 	p.res.Metrics.Record(metrics.Sample{
@@ -431,14 +456,17 @@ func (p *Platform) applyCache(c *container.Container, s *container.Startup, lvl 
 	s.Pull = cached
 }
 
-// complete returns a finished container to the pool.
-func (p *Platform) complete(c *container.Container, fn *workload.Function) {
+// complete returns a finished container to the pool, unless park keeps
+// it.
+func (p *Platform) complete(c *container.Container, fn *workload.Function, park func(*container.Container) bool) {
 	now := p.now
 	p.runningMB -= c.MemoryMB
 	c.Complete(now)
 	// The cost a warm copy of this container saves is its function's
 	// full cold-start latency; cost-aware evictors (FaasCache) use it.
-	p.pool.Add(c, fn.ColdStartTime(), now)
+	if park == nil || !park(c) {
+		p.pool.Add(c, fn.ColdStartTime(), now)
+	}
 	p.res.PoolSeries.Observe(now, p.pool.UsedMB())
 	if alive := p.runningMB + p.pool.UsedMB(); alive > p.res.PeakAliveMB {
 		p.res.PeakAliveMB = alive

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -500,6 +501,36 @@ func TestCompletionAtArrivalRunsAfterIt(t *testing.T) {
 	p.Invoke(&w.Invocations[0])
 	if r := p.Invoke(&w.Invocations[1]); !r.Cold {
 		t.Fatalf("Invoke: second invocation %+v, want cold", r)
+	}
+}
+
+// TestRetireTrackPark drives the platform the way a gateway shard does:
+// container IDs come from Config.NewID, a tracked container counts as
+// running and retires like a scheduled one, a completion older than the
+// clock does not move it back, park keeps a finished container out of
+// the pool, and Retire returns the next pending completion.
+func TestRetireTrackPark(t *testing.T) {
+	f := fn(1, "debian", "python", "flask", 128)
+	p := New(Config{PoolCapacityMB: 1000, NewID: func() int { return 42 }}, alwaysCold{})
+	if r := p.Invoke(&workload.Invocation{Fn: f, Arrival: time.Minute, Exec: f.Exec}); r.ContainerID != 42 {
+		t.Fatalf("cold start got container %d, want 42 from NewID", r.ContainerID)
+	}
+	done := time.Minute + f.ColdStartTime() + f.Exec
+	early, _ := container.NewCold(7, &workload.Invocation{Fn: f, Exec: f.Exec}, 0)
+	p.Track(early, f)
+	if next := p.Retire(time.Minute, nil); next != done || p.Now() != time.Minute || p.Pool().Get(7) != early {
+		t.Fatalf("Retire(1m) = %v, clock %v, pooled %v; want %v, 1m, the tracked container", next, p.Now(), p.Pool().Get(7), done)
+	}
+	var parked []*container.Container
+	keep := func(c *container.Container) bool { parked = append(parked, c); return true }
+	if next := p.Retire(done+1, keep); next != math.MaxInt64 || p.Now() != done {
+		t.Fatalf("Retire(done+1) = %v, clock %v; want none pending, clock %v", next, p.Now(), done)
+	}
+	if len(parked) != 1 || parked[0].ID != 42 || parked[0].State != container.Idle || p.Pool().Get(42) != nil {
+		t.Fatalf("parked %v; want container 42 idle and outside the pool", parked)
+	}
+	if res := p.Results(); res.PeakRunningMB != 256 {
+		t.Fatalf("peak running %v MB, want 256: the tracked container counts", res.PeakRunningMB)
 	}
 }
 

@@ -134,8 +134,6 @@ type Spec struct {
 	Workload workload.Workload
 	// PoolCapacityMB is the warm-pool size (<= 0 means unlimited).
 	PoolCapacityMB float64
-	// RateAlpha tunes the platform's arrival-rate EMA (0 = default).
-	RateAlpha float64
 	// New builds the run's scheduler and pool evictor. Required. It
 	// must return instances used by no other run, past or concurrent —
 	// schedulers and evictors are stateful. Run panics when two specs
@@ -165,7 +163,6 @@ func Run(specs []Spec, opts Options) []*platform.RunResult {
 		cfg := platform.Config{
 			PoolCapacityMB: s.PoolCapacityMB,
 			Evictor:        ev,
-			RateAlpha:      s.RateAlpha,
 		}
 		if s.NewCache != nil {
 			cfg.PackageCache = s.NewCache()

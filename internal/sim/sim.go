@@ -1,9 +1,9 @@
 // Package sim holds the simulator's virtual time and Queue, a min-heap
 // of timestamped values ordered by (time, push order). Simultaneous
 // entries come out first in, first out, which keeps every experiment in
-// this repository reproducible bit-for-bit; it is also the one
-// retirement order the platform's completion loop and the gateway's
-// completion queues share (DESIGN.md §10, §15). Entries are stored by
+// this repository reproducible bit-for-bit; it is also the retirement
+// order of the platform's completion loop, which the simulator and every
+// gateway shard share (DESIGN.md §10, §15). Entries are stored by
 // value, so a steady-state push/pop cycle allocates nothing once the
 // queue's slice has grown.
 package sim

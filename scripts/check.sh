@@ -48,6 +48,9 @@ go test -run '^$' -fuzz '^FuzzInvokeRequest$' -fuzztime 5s ./internal/api
 echo "== Dockerfile parser: 5 s of FuzzDockerfileParse (Parse never panics; its image matches itself at L3) =="
 go test -run '^$' -fuzz '^FuzzDockerfileParse$' -fuzztime 5s ./internal/dockerfile
 
+echo "== model loader: 5 s of FuzzNNLoad (Load never panics; a refused snapshot leaves the weights as they were, an accepted one leaves them finite) =="
+go test -run '^$' -fuzz '^FuzzNNLoad$' -fuzztime 5s ./internal/nn
+
 echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 
