@@ -280,18 +280,25 @@ func BenchmarkPoolAddTake(b *testing.B) {
 // matrix.
 func BenchmarkFeaturize(b *testing.B) {
 	feat := &drl.Featurizer{Slots: 8, NormMB: 2048}
-	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{Count: 40})
-	loose := experiments.CalibrateLoose(w)
-	cap := envCapture{feat: feat}
-	p := platform.New(platform.Config{PoolCapacityMB: loose, Evictor: evict.NewLRU()}, &cap)
-	p.Run(w)
-	if cap.inv == nil {
-		b.Fatal("no decision point captured")
-	}
+	cap := captureDecision(b, feat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		feat.Build(cap.env, cap.inv)
 	}
+}
+
+// captureDecision replays a small Uniform workload and returns its last
+// decision point with a warm pool.
+func captureDecision(b *testing.B, feat *drl.Featurizer) *envCapture {
+	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{Count: 40})
+	loose := experiments.CalibrateLoose(w)
+	cap := &envCapture{feat: feat}
+	p := platform.New(platform.Config{PoolCapacityMB: loose, Evictor: evict.NewLRU()}, cap)
+	p.Run(w)
+	if cap.inv == nil {
+		b.Fatal("no decision point captured")
+	}
+	return cap
 }
 
 // envCapture records the last decision point with a warm pool.
@@ -310,10 +317,16 @@ func (c *envCapture) Schedule(env platform.Env, inv *workload.Invocation) int {
 }
 func (*envCapture) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
 
+// BenchmarkQNetworkForward times one Q-network forward pass at
+// sim_mlcr's shape (4 slots: a 6×39 state, dim 24, 2 heads, hidden 48)
+// on a state featurized from a real decision point, so the embedding's
+// exact-zero skip sees the sparsity it sees in a run.
 func BenchmarkQNetworkForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	q := drl.NewQNetwork(drl.QConfig{Tokens: 6, Width: 39, Actions: 5, Dim: 24, Heads: 2, Hidden: 48}, rng)
-	x := nn.NewTensor(6, 39).Randn(rng, 1)
+	feat := &drl.Featurizer{Slots: 4, NormMB: 2048}
+	cap := captureDecision(b, feat)
+	x := feat.Build(cap.env, cap.inv).X
+	q := drl.NewQNetwork(drl.QConfig{Tokens: feat.Tokens(), Width: feat.Width(), Actions: feat.Actions(),
+		Dim: 24, Heads: 2, Hidden: 48}, rand.New(rand.NewSource(1)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Forward(x)

@@ -82,7 +82,6 @@ type Agent struct {
 	valid   []int        // ε-greedy valid-action scratch
 	batch   []Transition // minibatch scratch
 	targets []float64    // bootstrap-target scratch
-	idxs    []int        // prioritized-replay leaf-index scratch
 	grad    *nn.Tensor   // one-hot output-gradient scratch
 
 	// OnTrainStep, when non-nil, observes every gradient update — the

@@ -89,24 +89,16 @@ func satur(d time.Duration, norm time.Duration) float64 {
 	return float64(d) / float64(d+norm)
 }
 
-// hashBucket is FNV-1a (32-bit) of s, reduced to a bucket.
-func hashBucket(s string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return int(h % hashBuckets)
-}
-
 // levelBuckets writes the three level-identity one-hots for img into
-// dst[off:], one hashBuckets-wide group per level.
+// dst[off:], one hashBuckets-wide group per level: the bucket is the
+// image's cached FNV-1a hash of the level key, so no key is hashed per
+// decision.
 func levelBuckets(dst []float64, off int, img *image.Image) {
 	for li, l := range image.Levels {
-		key := img.LevelKey(l)
-		if key == "" {
+		if img.LevelKey(l) == "" {
 			continue
 		}
-		dst[off+li*hashBuckets+hashBucket(key)] = 1
+		dst[off+li*hashBuckets+int(img.LevelHash(l)%hashBuckets)] = 1
 	}
 }
 

@@ -84,21 +84,31 @@ func TestFeaturizerSlotOrderMatchesCostGreedy(t *testing.T) {
 	}
 }
 
-// TestHashBucketIsFNV1a: the inlined hash must put every level key where
-// hash/fnv's 32-bit FNV-1a put it — the buckets are features, so a
-// different hash would move every trained model's inputs.
+// TestHashBucketIsFNV1a: the level hash the featurizer buckets must be
+// hash/fnv's 32-bit FNV-1a of the level key — the buckets are features,
+// so a different hash would move every trained model's inputs. It holds
+// for image.KeyHash itself, and for the hash every catalogue image
+// caches at construction and a zero-value image computes on demand.
 func TestHashBucketIsFNV1a(t *testing.T) {
-	keys := []string{"", "x", strings.Repeat("level-key/", 30)}
-	for _, f := range fstartbench.Functions() {
-		for _, l := range image.Levels {
-			keys = append(keys, f.Image.LevelKey(l))
-		}
-	}
-	for _, k := range keys {
+	fnv1a := func(k string) uint32 {
 		h := fnv.New32a()
 		h.Write([]byte(k))
-		if got, want := hashBucket(k), int(h.Sum32()%hashBuckets); got != want {
-			t.Errorf("hashBucket(%q) = %d, fnv.New32a gives %d", k, got, want)
+		return h.Sum32()
+	}
+	for _, k := range []string{"", "x", strings.Repeat("level-key/", 30)} {
+		if got, want := image.KeyHash(k), fnv1a(k); got != want {
+			t.Errorf("image.KeyHash(%q) = %#x, fnv.New32a gives %#x", k, got, want)
+		}
+	}
+	images := []*image.Image{{Name: "zero", Pkgs: []image.Package{{Name: "debian", Version: "12", Level: image.OS}}}}
+	for _, f := range fstartbench.Functions() {
+		images = append(images, &f.Image)
+	}
+	for _, im := range images {
+		for _, l := range image.Levels {
+			if got, want := im.LevelHash(l), fnv1a(im.LevelKey(l)); got != want {
+				t.Errorf("%s: LevelHash(%v) = %#x, fnv.New32a of LevelKey gives %#x", im.Name, l, got, want)
+			}
 		}
 	}
 }

@@ -85,14 +85,17 @@ type Image struct {
 	// matching (levels are compared as sets) but kept stable for display.
 	Pkgs []Package
 
-	// levelKeys caches the canonical per-level identity strings and
-	// levelIDs their dense interned form in uni; level matching is the
-	// simulator's hottest path. Zero-value Images (uni == nil, keysSet
-	// false) compute keys on demand.
-	levelKeys [3]string
-	levelIDs  [3]LevelID
-	uni       *Universe
-	keysSet   bool
+	// levelKeys caches the canonical per-level identity strings,
+	// levelHashes their KeyHash and levelIDs their dense interned form
+	// in uni; level matching is the simulator's hottest path and the
+	// scheduler's featurizer reads the hashes on every decision.
+	// Zero-value Images (uni == nil, keysSet false) compute keys and
+	// hashes on demand.
+	levelKeys   [3]string
+	levelHashes [3]uint32
+	levelIDs    [3]LevelID
+	uni         *Universe
+	keysSet     bool
 
 	// levelOff marks the level boundaries in the sorted Pkgs slice:
 	// level l occupies Pkgs[levelOff[l-1]:levelOff[l]]. Lets AtLevel
@@ -141,6 +144,7 @@ func newNormalized(name string, pkgs []Package) Image {
 	}
 	for i, l := range Levels {
 		im.levelKeys[i] = im.computeLevelKey(l)
+		im.levelHashes[i] = KeyHash(im.levelKeys[i])
 	}
 	for _, p := range cp {
 		if p.Level >= OS && p.Level <= Runtime {
@@ -188,6 +192,23 @@ func (im *Image) LevelKey(l Level) string {
 		return im.levelKeys[int(l)-1]
 	}
 	return im.computeLevelKey(l)
+}
+
+// LevelHash returns KeyHash(LevelKey(l)), cached at construction.
+func (im *Image) LevelHash(l Level) uint32 {
+	if im.keysSet {
+		return im.levelHashes[int(l)-1]
+	}
+	return KeyHash(im.computeLevelKey(l))
+}
+
+// KeyHash is the 32-bit FNV-1a hash of a level key.
+func KeyHash(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h
 }
 
 func (im *Image) computeLevelKey(l Level) string {

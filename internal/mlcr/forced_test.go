@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"testing"
 	"time"
@@ -13,7 +14,9 @@ import (
 	"mlcr/internal/evict"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
+	"mlcr/internal/policy"
 	"mlcr/internal/pool"
+	"mlcr/internal/runner"
 	"mlcr/internal/workload"
 )
 
@@ -94,5 +97,60 @@ func TestForcedColdKeepsTrainingStream(t *testing.T) {
 	}
 	if a != parentDigest {
 		t.Fatalf("trained weights digest %s, parent commit had %s", a, parentDigest)
+	}
+}
+
+// qRecorder hashes the IEEE bits of every Q-vector its scheduler
+// computes: the scheduler serves its forward passes through a QBatcher,
+// so a request counted by the batcher is one Q-vector left in s.bq.
+type qRecorder struct {
+	*Scheduler
+	b       *drl.QBatcher
+	h       hash.Hash
+	vectors int
+}
+
+func (r *qRecorder) Schedule(env platform.Env, inv *workload.Invocation) int {
+	before := r.b.Requests()
+	id := r.Scheduler.Schedule(env, inv)
+	if r.b.Requests() != before {
+		var buf [8]byte
+		for _, v := range r.bq.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			r.h.Write(buf[:])
+		}
+		r.vectors++
+	}
+	return id
+}
+
+// TestQValuesPinned: a scheduler trained as in
+// TestForcedColdKeepsTrainingStream replays a 2,000-invocation
+// overall-mix trace at the Tight pool (0.2 × Loose). Every Q-vector it
+// computes, bit for bit, and the run's fingerprint are pinned: a change
+// to the forward pass that moves one rounding anywhere shows here. The
+// literals were recorded at 03ccd9b, before the attention and LayerNorm
+// forwards were rewritten to read rows in place.
+func TestQValuesPinned(t *testing.T) {
+	const (
+		parentQDigest      = "091702ecb8a5139406c84f4025315edc9f727cfb1cc7f35ab5a2c6754fba92ab"
+		parentFingerprint  = "e1a2780e93e3277d60bba7eca3705a626371c8ca11d9b1922079e6df1f146634"
+		parentVectorsCount = 1906
+	)
+	s := trainedOnOverall(31)
+	b := drl.NewQBatcher(s.Agent().Online(), 0)
+	s.SetBatcher(b)
+	rec := &qRecorder{Scheduler: s, b: b, h: sha256.New()}
+
+	w := fstartbench.BuildOverall(6, fstartbench.OverallOptions{Count: 2000})
+	lru := policy.NewLRU()
+	loose := platform.New(platform.Config{Evictor: lru.Evictor()}, lru).Run(w).PeakAliveMB
+	res := platform.New(platform.Config{PoolCapacityMB: 0.2 * loose, Evictor: s.Evictor()}, rec).Run(w)
+
+	q := fmt.Sprintf("%x", rec.h.Sum(nil))
+	fp := fmt.Sprintf("%x", sha256.Sum256([]byte(runner.Fingerprint(res))))
+	if rec.vectors != parentVectorsCount || q != parentQDigest || fp != parentFingerprint {
+		t.Fatalf("%d Q-vectors, digest %s, fingerprint %s; parent commit had %d, %s, %s",
+			rec.vectors, q, fp, parentVectorsCount, parentQDigest, parentFingerprint)
 	}
 }

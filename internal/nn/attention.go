@@ -26,11 +26,10 @@ type MultiHeadAttention struct {
 	headsOut *Tensor   // concatenated head outputs [seq, dim]
 
 	// Workspace: buffers reused across calls so steady-state
-	// Forward/Backward allocates nothing. Per-head scratches are reused
-	// sequentially (heads are processed one at a time).
+	// Forward/Backward allocates nothing. Backward's per-head scratches
+	// are reused sequentially (heads are processed one at a time).
 	out                    *Tensor // forward output
 	qh, kh, vh             *Tensor // per-head column slices
-	scores, hv             *Tensor // per-head score / weighted-value scratch
 	dx, dHeads, dq, dk, dv *Tensor // backward accumulators
 	dHh, dA, dVh           *Tensor // per-head backward scratches
 	dS, dQh, dKh           *Tensor
@@ -81,23 +80,19 @@ func addColSlice(dst, src *Tensor, start int) {
 	}
 }
 
-// ensureHeadScratch sizes the per-head scratch buffers for a seq×dim
-// input split into heads of width dk.
-func (m *MultiHeadAttention) ensureHeadScratch(rows, dk int) {
-	m.qh = EnsureTensor(m.qh, rows, dk)
-	m.kh = EnsureTensor(m.kh, rows, dk)
-	m.vh = EnsureTensor(m.vh, rows, dk)
-}
-
-// Forward implements Layer. x is [seq, dim].
+// Forward implements Layer. x is [seq, dim]. Each head reads its
+// columns of q, k and v in place: its scores, softmax and weighted sum
+// are written straight into attn[h] and headsOut, with every add and
+// multiply in the order of the products they replace (DESIGN.md §8).
 func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	if x.Cols != m.Dim {
 		panic(fmt.Sprintf("nn: attention expects width %d, got %d", m.Dim, x.Cols))
 	}
 	m.x = x
-	m.q = EnsureTensor(m.q, x.Rows, m.Dim)
-	m.k = EnsureTensor(m.k, x.Rows, m.Dim)
-	m.v = EnsureTensor(m.v, x.Rows, m.Dim)
+	rows := x.Rows
+	m.q = EnsureTensor(m.q, rows, m.Dim)
+	m.k = EnsureTensor(m.k, rows, m.Dim)
+	m.v = EnsureTensor(m.v, rows, m.Dim)
 	MatMulInto(m.q, x, m.Wq.W)
 	MatMulInto(m.k, x, m.Wk.W)
 	MatMulInto(m.v, x, m.Wv.W)
@@ -106,26 +101,61 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	if len(m.attn) != m.Heads {
 		m.attn = make([]*Tensor, m.Heads)
 	}
-	m.headsOut = EnsureTensor(m.headsOut, x.Rows, m.Dim)
-	m.headsOut.Zero()
-	m.ensureHeadScratch(x.Rows, dk)
-	m.scores = EnsureTensor(m.scores, x.Rows, x.Rows)
-	m.hv = EnsureTensor(m.hv, x.Rows, dk)
+	m.headsOut = EnsureTensor(m.headsOut, rows, m.Dim)
 	for h := 0; h < m.Heads; h++ {
 		start := h * dk
-		qh := colSliceInto(m.qh, m.q, start)
-		kh := colSliceInto(m.kh, m.k, start)
-		vh := colSliceInto(m.vh, m.v, start)
-		MatMulTInto(m.scores, qh, kh)
-		m.scores.Scale(scale) // [seq, seq]
-		m.attn[h] = EnsureTensor(m.attn[h], x.Rows, x.Rows)
-		a := SoftmaxRowsInto(m.attn[h], m.scores)
-		addColSlice(m.headsOut, MatMulInto(m.hv, a, vh), start)
+		m.attn[h] = EnsureTensor(m.attn[h], rows, rows)
+		for i := 0; i < rows; i++ {
+			a := m.attn[h].Data[i*rows : (i+1)*rows]
+			at := i*m.Dim + start
+			dotRowsInto(a, m.q.Data[at:at+dk], m.k.Data, m.Dim, start)
+			for j := range a {
+				a[j] *= scale
+			}
+			softmaxRow(a, a)
+			weightedSumInto(m.headsOut.Data[at:at+dk], a, m.v.Data, m.Dim, start)
+		}
 	}
-	m.out = EnsureTensor(m.out, x.Rows, m.Dim)
+	m.out = EnsureTensor(m.out, rows, m.Dim)
 	out := MatMulInto(m.out, m.headsOut, m.Wo.W)
 	AddInto(out, x) // residual
 	return out
+}
+
+// weightedSumInto writes out[c] = Σ_j w[j]·v[j·stride+off+c] for every
+// c < len(out): one head's columns of a row-major v, weighted by one
+// row of attention. Each sum starts from +0 with j ascending and skips
+// exact-zero weights — the order of a product (matMulAcc, mulRow) — so
+// out is MatMul(w, v's column block) bit for bit. The accumulator is
+// never −0, so writing it equals adding it to a zeroed row.
+func weightedSumInto(out, w, v []float64, stride, off int) {
+	c := 0
+	for ; c+4 <= len(out); c += 4 {
+		var s0, s1, s2, s3 float64
+		p := off + c
+		for _, wj := range w {
+			if wj != 0 {
+				vr := v[p : p+4 : p+4]
+				s0 += wj * vr[0]
+				s1 += wj * vr[1]
+				s2 += wj * vr[2]
+				s3 += wj * vr[3]
+			}
+			p += stride
+		}
+		out[c], out[c+1], out[c+2], out[c+3] = s0, s1, s2, s3
+	}
+	for ; c < len(out); c++ {
+		var s float64
+		p := off + c
+		for _, wj := range w {
+			if wj != 0 {
+				s += wj * v[p]
+			}
+			p += stride
+		}
+		out[c] = s
+	}
 }
 
 // Backward implements Layer.
@@ -151,7 +181,9 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 	dq.Zero()
 	dkT.Zero()
 	dv.Zero()
-	m.ensureHeadScratch(rows, dk)
+	m.qh = EnsureTensor(m.qh, rows, dk)
+	m.kh = EnsureTensor(m.kh, rows, dk)
+	m.vh = EnsureTensor(m.vh, rows, dk)
 	m.dHh = EnsureTensor(m.dHh, rows, dk)
 	m.dA = EnsureTensor(m.dA, rows, rows)
 	m.dVh = EnsureTensor(m.dVh, rows, dk)

@@ -102,9 +102,10 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	l.x = x
 	l.y = EnsureTensor(l.y, x.Rows, l.Out)
 	y := MatMulInto(l.y, x, l.Weight.W)
+	bias := l.Bias.W.Data[:y.Cols]
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
-		for j, b := range l.Bias.W.Data {
+		for j, b := range bias {
 			row[j] += b
 		}
 	}
@@ -213,29 +214,41 @@ func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 	}
 	ln.invStd = ln.invStd[:x.Rows]
 	ln.y = EnsureTensor(ln.y, x.Rows, x.Cols)
-	y := ln.y
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		var mean float64
-		for _, v := range row {
-			mean += v
+	// Rows are taken in pairs so that two rows' mean chains, and then
+	// their variance chains, overlap; each row's sums keep their own
+	// order. An odd last row pairs with itself and is written twice with
+	// the same values.
+	n := x.Cols
+	fn := float64(n)
+	gain, bias := ln.Gain.W.Data[:n], ln.Bias.W.Data[:n]
+	for r := 0; r < x.Rows; r += 2 {
+		r1 := min(r+1, x.Rows-1)
+		x0, x1 := x.Data[r*n:(r+1)*n], x.Data[r1*n:(r1+1)*n]
+		var mean0, mean1 float64
+		for i, v := range x0 {
+			mean0 += v
+			mean1 += x1[i]
 		}
-		mean /= float64(len(row))
-		var varsum float64
-		for _, v := range row {
-			d := v - mean
-			varsum += d * d
+		mean0 /= fn
+		mean1 /= fn
+		var var0, var1 float64
+		for i, v := range x0 {
+			d0, d1 := v-mean0, x1[i]-mean1
+			var0 += d0 * d0
+			var1 += d1 * d1
 		}
-		inv := 1 / math.Sqrt(varsum/float64(len(row))+ln.Eps)
-		ln.invStd[r] = inv
-		nrow, yrow := ln.norm.Row(r), y.Row(r)
-		for i, v := range row {
-			n := (v - mean) * inv
-			nrow[i] = n
-			yrow[i] = n*ln.Gain.W.Data[i] + ln.Bias.W.Data[i]
+		inv0 := 1 / math.Sqrt(var0/fn+ln.Eps)
+		inv1 := 1 / math.Sqrt(var1/fn+ln.Eps)
+		ln.invStd[r], ln.invStd[r1] = inv0, inv1
+		n0, n1 := ln.norm.Data[r*n:(r+1)*n], ln.norm.Data[r1*n:(r1+1)*n]
+		y0, y1 := ln.y.Data[r*n:(r+1)*n], ln.y.Data[r1*n:(r1+1)*n]
+		for i, v := range x0 {
+			a, b := (v-mean0)*inv0, (x1[i]-mean1)*inv1
+			n0[i], n1[i] = a, b
+			y0[i], y1[i] = a*gain[i]+bias[i], b*gain[i]+bias[i]
 		}
 	}
-	return y
+	return ln.y
 }
 
 // Backward implements Layer.

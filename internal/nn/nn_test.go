@@ -178,6 +178,36 @@ func TestSoftmaxRows(t *testing.T) {
 	if math.Abs(y.At(1, 0)-1.0/3) > 1e-12 {
 		t.Fatal("uniform row not 1/3 each (overflow?)")
 	}
+
+	// softmaxRow takes exp(v-max) = 1 without calling math.Exp when
+	// v-max is ±0: bit for bit the definition, on ties, signed zeros,
+	// infinities and NaN too.
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	special := FromSlice([]float64{
+		2, 2, negZero, 0, -800, 1,
+		0, negZero, 0, negZero, 0, negZero,
+		inf, 1, inf, -inf, 0, 3,
+		-inf, -inf, 1, -inf, -2, -1,
+		math.NaN(), 1, 2, 3, 4, 5,
+	}, 5, 6)
+	want := NewTensor(5, 6)
+	for r := 0; r < special.Rows; r++ {
+		row, max := special.Row(r), special.At(r, 0)
+		for _, v := range row {
+			if v > max {
+				max = v
+			}
+		}
+		var sum float64
+		for i, v := range row {
+			want.Set(r, i, math.Exp(v-max))
+			sum += want.At(r, i)
+		}
+		for i := range row {
+			want.Set(r, i, want.At(r, i)/sum)
+		}
+	}
+	equalTensors(t, "SoftmaxRows on specials", SoftmaxRows(special), want)
 }
 
 func TestArgmax(t *testing.T) {

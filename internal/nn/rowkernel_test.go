@@ -167,18 +167,13 @@ func TestNetworkBitIdenticalAcrossPaths(t *testing.T) {
 	}
 }
 
-// fuzzOperands decodes fuzz bytes into a product: three shape bytes, then
-// two bytes per value, cycled. A high byte of 0x80 selects a special
-// value; anything else is a sixteen-bit integer over three, so products
-// and sums round.
-func fuzzOperands(data []byte) (a, w *Tensor) {
-	if len(data) < 3 {
-		return nil, nil
-	}
-	rows, k, n := int(data[0])%6+1, int(data[1])%160+1, int(data[2])%80+1
-	vals := data[3:]
+// fuzzValues decodes fuzz bytes into a stream of values, two bytes per
+// value, cycled (all zeros when fewer than two bytes remain). A high
+// byte of 0x80 selects a special value; anything else is a sixteen-bit
+// integer over three, so products and sums round.
+func fuzzValues(vals []byte) func() float64 {
 	next := 0
-	value := func() float64 {
+	return func() float64 {
 		if len(vals) < 2 {
 			return 0
 		}
@@ -189,6 +184,16 @@ func fuzzOperands(data []byte) (a, w *Tensor) {
 		}
 		return float64(int16(uint16(lo)|uint16(hi)<<8)) / 3
 	}
+}
+
+// fuzzOperands decodes fuzz bytes into a product: three shape bytes, then
+// the values of fuzzValues.
+func fuzzOperands(data []byte) (a, w *Tensor) {
+	if len(data) < 3 {
+		return nil, nil
+	}
+	rows, k, n := int(data[0])%6+1, int(data[1])%160+1, int(data[2])%80+1
+	value := fuzzValues(data[3:])
 	a, w = NewTensor(rows, k), NewTensor(k, n)
 	for i := range a.Data {
 		a.Data[i] = value()

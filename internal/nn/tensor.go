@@ -215,18 +215,27 @@ func mulRow(dst, a []float64, astride int, w []float64, k, n int) {
 	}
 }
 
-// matMulTCore writes a×bᵀ into out, overwriting every element, four
-// columns per dotRow4 pass; a tail column passes its own row four times.
+// matMulTCore writes a×bᵀ into out, overwriting every element.
 func matMulTCore(out, a, b *Tensor) {
 	for i := 0; i < a.Rows; i++ {
-		arow, orow := a.Row(i), out.Row(i)
-		j := 0
-		for ; j+4 <= len(orow); j += 4 {
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = dotRow4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
-		}
-		for ; j < len(orow); j++ {
-			orow[j], _, _, _ = dotRow4(arow, b.Row(j), b.Row(j), b.Row(j), b.Row(j))
-		}
+		dotRowsInto(out.Row(i), a.Row(i), b.Data, b.Cols, 0)
+	}
+}
+
+// dotRowsInto writes orow[j] = arow · b[j·stride+off:][:len(arow)] for
+// every j < len(orow): the dot products of arow with len(orow) rows of
+// a row-major b, or with one column block of them (off > 0). It takes
+// four rows per dotRow4 pass; a short last pass repeats its final row
+// in the spare slots. Every slot has its own accumulator, so each
+// orow[j] is the one-accumulator k-ascending sum whichever pass makes
+// it.
+func dotRowsInto(orow, arow, b []float64, stride, off int) {
+	n, k := len(orow), len(arow)
+	row := func(j int) []float64 { p := j*stride + off; return b[p : p+k : p+k] }
+	for j := 0; j < n; j += 4 {
+		j1, j2, j3 := min(j+1, n-1), min(j+2, n-1), min(j+3, n-1)
+		s0, s1, s2, s3 := dotRow4(arow, row(j), row(j1), row(j2), row(j3))
+		orow[j], orow[j1], orow[j2], orow[j3] = s0, s1, s2, s3
 	}
 }
 
@@ -315,8 +324,9 @@ func AddInto(a, b *Tensor) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: add %dx%d += %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	ad := a.Data[:len(b.Data)]
 	for i, v := range b.Data {
-		a.Data[i] += v
+		ad[i] += v
 	}
 }
 
@@ -341,25 +351,33 @@ func SoftmaxRowsInto(out, t *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: softmax dst %dx%d, want %dx%d", out.Rows, out.Cols, t.Rows, t.Cols))
 	}
 	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		max := row[0]
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		var sum float64
-		orow := out.Row(r)
-		for i, v := range row {
-			e := math.Exp(v - max)
-			orow[i] = e
-			sum += e
-		}
-		for i := range orow {
-			orow[i] /= sum
-		}
+		softmaxRow(out.Row(r), t.Row(r))
 	}
 	return out
+}
+
+// softmaxRow writes the max-shifted softmax of row into out, which may
+// be row itself: each element is read before it is written.
+func softmaxRow(out, row []float64) {
+	out = out[:len(row)]
+	max := row[0]
+	for _, v := range row {
+		if v > max {
+			max = v
+		}
+	}
+	var sum float64
+	for i, v := range row {
+		e := 1.0 // math.Exp(±0), without the call: every row has its max
+		if d := v - max; d != 0 {
+			e = math.Exp(d)
+		}
+		out[i] = e
+		sum += e
+	}
+	for i := range out {
+		out[i] /= sum
+	}
 }
 
 // softmaxBackwardRows computes the gradient through a row-wise softmax:

@@ -39,6 +39,9 @@ fi
 echo "== nn row kernel: 5 s of FuzzMatMulKernel (assembly against the Go definition) =="
 go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 
+echo "== nn forward: 5 s of FuzzAttentionForward (in-place attention and paired LayerNorm against the copying forwards) =="
+go test -run '^$' -fuzz '^FuzzAttentionForward$' -fuzztime 5s ./internal/nn
+
 echo "== trace parser: 5 s of FuzzTraceRead (Read never panics; what it accepts replays) =="
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
 
