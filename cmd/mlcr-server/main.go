@@ -1,9 +1,9 @@
 // Command mlcr-server serves the FStartBench catalog over HTTP behind a
-// chosen scheduling policy, in two modes:
+// chosen scheduling policy, through api.Gateway in one of two modes:
 //
-//   - -mode sim (default): the deterministic single-platform gateway —
-//     every decision serialized onto one simulated platform, with full
-//     trace/audit endpoints. Reproducible, but one coarse lock.
+//   - -mode sim (default): one shard without the lock-free fast layer,
+//     observed — every decision is one simulator step on one platform,
+//     with /trace and /audit. Reproducible, but one lock.
 //   - -mode gateway: the concurrent serving path — sharded warm pool
 //     with a lock-free fast layer for exact L3 re-hits and (for the
 //     MLCR policy) batched DQN inference via a shared QBatcher.
@@ -32,7 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, served only under -pprof
 	"os"
 	"os/signal"
 	"syscall"
@@ -81,64 +81,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
 	}
-
-	// flush writes the shutdown artifacts; trace is sim-mode only (the
-	// concurrent gateway records no deterministic event recording).
-	var handler http.Handler
-	var flush func()
-	switch *mode {
-	case "sim":
-		srv, err := api.New(api.Config{
-			Functions:      fstartbench.Functions(),
-			PoolCapacityMB: *poolMB,
-			NewScheduler:   mkSched,
-			NewEvictor:     mkEvict,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
-			os.Exit(1)
-		}
-		handler = srv
-		flush = func() {
-			writeArtifact(*traceOut, "trace", srv.WriteTrace)
-			writeArtifact(*metricsOut, "metrics", srv.WriteMetricsText)
-		}
-	case "gateway":
-		gw, err := api.NewGateway(api.GatewayConfig{
-			Functions:      fstartbench.Functions(),
-			PoolCapacityMB: *poolMB,
-			NewScheduler:   mkSched,
-			NewEvictor:     mkEvict,
-			Shards:         *shards,
-			FastTTL:        *fastTTL,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
-			os.Exit(1)
-		}
-		handler = gw
-		flush = func() {
-			if *traceOut != "" {
-				fmt.Fprintln(os.Stderr, "mlcr-server: -trace-out ignored in gateway mode (no deterministic recording)")
-			}
-			writeArtifact(*metricsOut, "metrics", gw.WriteMetricsText)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mlcr-server: unknown mode %q\n", *mode)
+	handler, flush, err := newServer(*mode, api.GatewayConfig{
+		Functions:      fstartbench.Functions(),
+		PoolCapacityMB: *poolMB,
+		NewScheduler:   mkSched,
+		NewEvictor:     mkEvict,
+		Shards:         *shards,
+		FastTTL:        *fastTTL,
+	}, *traceOut, *metricsOut)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
 	}
 
 	if *pprofOn {
-		// Profiling shares the listener: /debug/pprof/* goes to pprof,
-		// everything else to the API server.
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
+		// Profiling shares the listener: net/http/pprof registers
+		// /debug/pprof/* on the default mux, and everything else goes to
+		// the API server.
+		http.DefaultServeMux.Handle("/", handler)
+		handler = http.DefaultServeMux
 	}
 
 	fmt.Printf("mlcr-server: %s mode, %s policy, %.0f MB pool, listening on %s\n",
@@ -174,6 +135,33 @@ func main() {
 	flush()
 }
 
+// newServer builds mode's gateway from cfg and the shutdown flush that
+// writes the -trace-out and -metrics-out artifacts. Sim mode is one
+// observed shard without the fast layer; the concurrent gateway records
+// no trace.
+func newServer(mode string, cfg api.GatewayConfig, traceOut, metricsOut string) (http.Handler, func(), error) {
+	switch mode {
+	case "sim":
+		cfg.Shards, cfg.FastDepth, cfg.Observe = 1, -1, true
+	case "gateway":
+	default:
+		return nil, nil, fmt.Errorf("unknown mode %q", mode)
+	}
+	gw, err := api.NewGateway(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	flush := func() {
+		if cfg.Observe {
+			writeArtifact(traceOut, "trace", gw.WriteTrace)
+		} else if traceOut != "" {
+			fmt.Fprintln(os.Stderr, "mlcr-server: -trace-out ignored in gateway mode (no deterministic recording)")
+		}
+		writeArtifact(metricsOut, "metrics", gw.WriteMetricsText)
+	}
+	return gw, flush, nil
+}
+
 // writeArtifact writes one shutdown artifact when a path is configured.
 func writeArtifact(path, kind string, write func(w io.Writer) error) {
 	if path == "" {
@@ -201,21 +189,10 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 // one QBatcher so concurrent shards coalesce their forward passes.
 func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, func() pool.Evictor, error) {
 	switch name {
-	case "LRU":
-		return func() platform.Scheduler { return policy.NewLRU() },
-			func() pool.Evictor { return policy.NewLRU().Evictor() }, nil
-	case "FaasCache":
-		return func() platform.Scheduler { return policy.NewFaasCache() },
-			func() pool.Evictor { return policy.NewFaasCache().Evictor() }, nil
-	case "KeepAlive":
-		return func() platform.Scheduler { return policy.NewKeepAlive() },
-			func() pool.Evictor { return policy.NewKeepAlive().Evictor() }, nil
-	case "Greedy-Match":
-		return func() platform.Scheduler { return policy.NewGreedyMatch() },
-			func() pool.Evictor { return policy.NewGreedyMatch().Evictor() }, nil
-	case "Cost-Greedy":
-		return func() platform.Scheduler { return policy.NewCostGreedy() },
-			func() pool.Evictor { return policy.NewCostGreedy().Evictor() }, nil
+	case "LRU", "FaasCache", "KeepAlive", "Greedy-Match", "Cost-Greedy":
+		mk := func() policy.Evictored { s, _ := policy.NewByName(name, 0); return s }
+		return func() platform.Scheduler { return mk() },
+			func() pool.Evictor { return mk().Evictor() }, nil
 	case "MLCR":
 		if model == "" {
 			return nil, nil, fmt.Errorf("-policy MLCR requires -model")

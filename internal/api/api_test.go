@@ -19,14 +19,21 @@ import (
 	"mlcr/internal/trace"
 )
 
+// simConfig is what mlcr-server -mode sim serves: one observed shard
+// without the fast layer.
+func simConfig(cfg GatewayConfig) GatewayConfig {
+	cfg.Shards, cfg.FastDepth, cfg.Observe = 1, -1, true
+	return cfg
+}
+
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{
+	s, err := NewGateway(simConfig(GatewayConfig{
 		Functions:      fstartbench.Functions(),
 		PoolCapacityMB: 4096,
 		NewScheduler:   func() platform.Scheduler { return policy.NewGreedyMatch() },
 		NewEvictor:     func() pool.Evictor { return evict.NewLRU() },
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats StatsResponse
+	var stats GatewayStatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +122,12 @@ func TestServerReplaysSimulator(t *testing.T) {
 	poolMB := experiments.CalibrateLoose(w) * 0.5
 	want := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: evict.NewLRU()}, policy.NewGreedyMatch()).Run(w)
 
-	s, err := New(Config{
+	s, err := NewGateway(simConfig(GatewayConfig{
 		Functions:      fstartbench.Functions(),
 		PoolCapacityMB: poolMB,
 		NewScheduler:   func() platform.Scheduler { return policy.NewGreedyMatch() },
 		Clock:          func() time.Duration { return 0 },
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestServerReplaysSimulator(t *testing.T) {
 		invoke(t, ts, InvokeRequest{FnID: inv.Fn.ID, AtMS: inv.Arrival.Milliseconds(), ExecMS: inv.Exec.Milliseconds()})
 	}
 	_, body := get(t, ts, "/stats")
-	var got StatsResponse
+	var got GatewayStatsResponse
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +202,7 @@ func TestResetEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	r2, _ := http.Get(ts.URL + "/stats")
-	var stats StatsResponse
+	var stats GatewayStatsResponse
 	json.NewDecoder(r2.Body).Decode(&stats)
 	r2.Body.Close()
 	if stats.Invocations != 0 {
@@ -222,30 +229,24 @@ func TestInvokeErrors(t *testing.T) {
 			t.Errorf("body %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
-	// Time travel: second invocation before the first.
+	// Time travel: the second invocation, before the first, is served at
+	// the shard clock.
 	invoke(t, ts, InvokeRequest{FnID: 1, AtMS: 50000})
-	body, _ := json.Marshal(InvokeRequest{FnID: 1, AtMS: 1000})
-	resp, _ := http.Post(ts.URL+"/invoke", "application/json", bytes.NewReader(body))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("time travel status = %d, want 409", resp.StatusCode)
+	if out := invoke(t, ts, InvokeRequest{FnID: 1, AtMS: 1000}); out.VirtualTimeMS != 50000 {
+		t.Fatalf("time travel served at %d ms, want the shard clock, 50000", out.VirtualTimeMS)
 	}
 }
 
-// invokeHandlers returns a fresh Server and a fresh one-shard Gateway,
-// both on a virtual clock pinned at zero.
+// invokeHandlers returns the two gateways mlcr-server builds, each
+// fresh and on a virtual clock pinned at zero: -mode sim's observed
+// shard without the fast layer, and -mode gateway's default.
 func invokeHandlers(t *testing.T) map[string]http.Handler {
 	t.Helper()
-	s, err := New(Config{
-		Functions:    testFunctions(),
-		NewScheduler: func() platform.Scheduler { return policy.NewGreedyMatch() },
-		Clock:        func() time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var vc vclock
-	return map[string]http.Handler{"Server": s, "Gateway": testGateway(t, GatewayConfig{Clock: vc.Clock, Shards: 1})}
+	return map[string]http.Handler{
+		"sim":     testGateway(t, simConfig(GatewayConfig{Clock: vc.Clock})),
+		"gateway": testGateway(t, GatewayConfig{Clock: vc.Clock}),
+	}
 }
 
 // postInvoke sends body to h's POST /invoke and returns the status.
@@ -283,9 +284,9 @@ func TestInvokeRejectsOutOfRangeTimes(t *testing.T) {
 	}
 }
 
-// FuzzInvokeRequest: no POST /invoke body panics either handler or
-// answers outside {200, 400, 404, 409, 413}, and whatever a body did, an
-// invoke at at_ms = trace.MaxMS is still served.
+// FuzzInvokeRequest: no POST /invoke body panics either gateway
+// mlcr-server builds or answers outside {200, 400, 404, 413}, and
+// whatever a body did, an invoke at at_ms = trace.MaxMS is still served.
 func FuzzInvokeRequest(f *testing.F) {
 	for _, body := range append([]string{
 		`{"fn_id": 99}`,
@@ -302,7 +303,7 @@ func FuzzInvokeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		for name, h := range invokeHandlers(t) {
 			switch code := postInvoke(h, body); code {
-			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
 			default:
 				t.Fatalf("%s, body %q: status %d", name, body, code)
 			}
@@ -324,26 +325,11 @@ func TestExecOverride(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	mk := func() platform.Scheduler { return policy.NewLRU() }
-	if _, err := New(Config{NewScheduler: mk}); err == nil {
-		t.Error("empty catalog accepted")
-	}
-	if _, err := New(Config{Functions: fstartbench.Functions()}); err == nil {
-		t.Error("nil scheduler factory accepted")
-	}
-	dup := fstartbench.Functions()
-	dup[1].ID = 1
-	if _, err := New(Config{Functions: dup, NewScheduler: mk}); err == nil {
-		t.Error("duplicate IDs accepted")
-	}
-}
-
 func TestConcurrentInvokes(t *testing.T) {
-	// Requests are serialized by the server mutex; fire a few with
+	// Requests are serialized by the shard lock; fire a few with
 	// increasing wall-clock-free timestamps from goroutines and make
-	// sure none panic and stats add up. (Arrival ordering conflicts
-	// are legitimate 409s.)
+	// sure none panic and stats add up. (An arrival behind the shard
+	// clock is served at the clock.)
 	ts := newServer(t)
 	done := make(chan bool, 8)
 	for i := 0; i < 8; i++ {
@@ -363,7 +349,7 @@ func TestConcurrentInvokes(t *testing.T) {
 		}
 	}
 	resp, _ := http.Get(ts.URL + "/stats")
-	var stats StatsResponse
+	var stats GatewayStatsResponse
 	json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
 	if stats.Invocations == 0 {

@@ -1,8 +1,6 @@
-// The concurrent serving path. Server (api.go) serializes every
-// decision onto one simulated platform and stays bit-deterministic;
-// Gateway trades that determinism for throughput: a sharded pool with
-// a lock-free fast path for exact same-function L3 re-hits, in the
-// shape of PoolX's three-layer hierarchy —
+// The serving path: a sharded pool with a lock-free fast path for
+// exact same-function L3 re-hits, in the shape of PoolX's three-layer
+// hierarchy —
 //
 //	layer 1: per-function buffered channel, lock-free claim (L3 exact)
 //	layer 2: per-shard mutexed pool segment + scheduling policy
@@ -16,18 +14,22 @@
 // memory share, so requests for different shards never contend and
 // same-shard requests contend on one short critical section instead of
 // a platform-wide lock. Completions are virtual-time driven, through
-// the platform's own completion loop: a container becomes reclaimable
-// once its BusyUntil has passed, the next request that observes the
-// shard's earliest-completion watermark (one atomic load) drains it,
-// and equal-instant completions retire in start order.
-// Fingerprint determinism does NOT extend to the gateway —
-// concurrent arrival interleaving is inherently racy — but every
-// container still moves through the same lifecycle invariants, and
-// throughput and latency are measured by bench/'s http_warm and
-// http_churn workloads (DESIGN.md §15).
+// the platform's own completion loop and under the simulator's tie
+// rule: a container becomes reclaimable once its BusyUntil lies
+// strictly before a request's instant, the next request that observes
+// the shard's earliest-completion watermark (one atomic load) drains
+// it, and equal-instant completions retire in start order. One shard
+// without layer 1 serves every request through one platform.Invoke, so
+// a single-threaded drive replays the simulator exactly; concurrent
+// arrival interleaving is racy, so fingerprint determinism does not
+// extend to concurrent drives, but every container still moves through
+// the same lifecycle invariants, and throughput and latency are
+// measured by bench/'s http_warm and http_churn workloads
+// (DESIGN.md §15).
 package api
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,13 +41,14 @@ import (
 	"mlcr/internal/container"
 	"mlcr/internal/core"
 	"mlcr/internal/evict"
+	"mlcr/internal/obs"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
 	"mlcr/internal/workload"
 )
 
-// GatewayConfig assembles a concurrent gateway.
+// GatewayConfig assembles a gateway.
 type GatewayConfig struct {
 	// Functions is the invocable catalog (IDs must be unique).
 	Functions []*workload.Function
@@ -56,10 +59,9 @@ type GatewayConfig struct {
 	// NewScheduler builds one scheduling-policy instance per shard
 	// (fresh set on every reset).
 	NewScheduler func() platform.Scheduler
-	// NewEvictor builds one pool eviction policy per shard; nil = LRU
-	// via the scheduler's preference (pool requires non-nil, so nil
-	// falls back to each scheduler's Evictor when it provides one, else
-	// LRU).
+	// NewEvictor builds one pool eviction policy per shard. When it is
+	// nil or returns nil, a shard takes its scheduler's Evictor() if the
+	// scheduler declares one, else LRU.
 	NewEvictor func() pool.Evictor
 	// Clock supplies elapsed time (monotone offset from an arbitrary
 	// origin). Nil means monotonic wall time since construction; tests
@@ -68,14 +70,23 @@ type GatewayConfig struct {
 	// Shards is the number of pool shards; rounded up to a power of
 	// two, default 16.
 	Shards int
-	// FastDepth is the per-function fast-channel depth (default 4):
-	// how many idle containers of one function can park in the
-	// lock-free layer.
+	// FastDepth is the per-function fast-channel depth: how many idle
+	// containers of one function can park in the lock-free layer. 0
+	// means 4. A negative depth means no fast layer: the channels hold
+	// nothing, so every request goes through its shard's platform.
 	FastDepth int
 	// FastTTL bounds how long a container may sit in the fast layer
 	// before a claim discards it as stale (0 = no bound). The mutexed
 	// pool segments use the evictor's TTL as usual.
 	FastTTL time.Duration
+	// Observe gives the shard platform an observer per generation —
+	// trace recorder, metrics registry, decision audit, and a phase
+	// profiler on the gateway clock — serves /trace and /audit from it
+	// and adds its registry to /metrics. The recorder and the audit grow
+	// with every invocation. It requires Shards 1 and a negative
+	// FastDepth, so that every decision passes through the observed
+	// platform.
+	Observe bool
 }
 
 // gwFn is one catalog entry resolved against its shard: the function,
@@ -109,7 +120,7 @@ type gwShard struct {
 	// to the platform through doneq (a container's BusyUntil does not
 	// change while it is busy, so the container is its own completion
 	// record) and publishes the earliest completion time in nextDone (ns;
-	// MaxInt64 = none known). Any request that observes nextDone <= now
+	// MaxInt64 = none known). Any request that observes nextDone < now
 	// tries to drain — one TryLock, never a blocking wait on the fast path.
 	doneq    chan *container.Container
 	nextDone atomic.Int64
@@ -127,12 +138,12 @@ type gwState struct {
 	shards  []*gwShard
 	epoch   time.Duration // clock() at reset
 	fastTTL time.Duration
-	nextID  atomic.Int64 // container IDs
-	seq     atomic.Int64 // response sequence numbers
+	obs     *obs.Observer // the one shard's observer; nil unless Observe
+	nextID  atomic.Int64  // container IDs
+	seq     atomic.Int64  // response sequence numbers
 }
 
-// Gateway is the concurrent HTTP serving layer. Safe for arbitrary
-// concurrent use.
+// Gateway is the HTTP serving layer. Safe for arbitrary concurrent use.
 type Gateway struct {
 	cfg   GatewayConfig
 	clock perf.Clock
@@ -140,16 +151,19 @@ type Gateway struct {
 	mux   *http.ServeMux
 }
 
-// NewGateway builds a concurrent gateway.
+// NewGateway builds a gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if _, err := catalogByID(cfg.Functions, cfg.NewScheduler); err != nil {
 		return nil, err
+	}
+	if cfg.Observe && (cfg.Shards != 1 || cfg.FastDepth >= 0) {
+		return nil, fmt.Errorf("api: Observe requires Shards 1 and a negative FastDepth")
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
 	cfg.Shards = nextPow2(cfg.Shards)
-	if cfg.FastDepth <= 0 {
+	if cfg.FastDepth == 0 {
 		cfg.FastDepth = 4
 	}
 	clock := cfg.Clock
@@ -166,6 +180,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	mux.HandleFunc("GET /pool", g.handlePool)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("POST /reset", g.handleReset)
+	if cfg.Observe {
+		mux.HandleFunc("GET /trace", g.handleTrace)
+		mux.HandleFunc("GET /audit", g.handleAudit)
+	}
 	g.mux = mux
 	return g, nil
 }
@@ -204,6 +222,10 @@ func (g *Gateway) buildState() *gwState {
 		epoch:   g.clock(),
 		fastTTL: cfg.FastTTL,
 	}
+	if cfg.Observe {
+		st.obs = obs.NewObserver()
+		st.obs.Perf = perf.New(func() time.Duration { return g.now(st) })
+	}
 	share := 0.0
 	if cfg.PoolCapacityMB > 0 {
 		share = cfg.PoolCapacityMB / float64(cfg.Shards)
@@ -221,7 +243,7 @@ func (g *Gateway) buildState() *gwState {
 			ev = evictorFor(sched)
 		}
 		sh := &gwShard{
-			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID}, sched),
+			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
 			fns:   make(map[int]*gwFn),
 			doneq: make(chan *container.Container, 1024),
 		}
@@ -242,7 +264,7 @@ func (g *Gateway) buildState() *gwState {
 		gf := &gwFn{
 			fn:        f,
 			shard:     sh,
-			fast:      make(chan *container.Container, cfg.FastDepth),
+			fast:      make(chan *container.Container, max(cfg.FastDepth, 0)),
 			fastStart: container.Estimate(f, core.MatchL3, false),
 			memKB:     int64(f.MemoryMB * 1024),
 		}
@@ -268,22 +290,24 @@ func evictorFor(s platform.Scheduler) pool.Evictor {
 // reset.
 func (g *Gateway) now(st *gwState) time.Duration { return g.clock() - st.epoch }
 
-// serve is the gateway's per-invocation hot path: the steady-state warm
-// path (fast-layer claim, completion hand-off, shard-pool reuse)
-// performs zero heap allocations, pinned by
+// serve is the gateway's per-invocation hot path. It returns the
+// outcome and the instant the invocation was served at: now on the
+// fast path, the shard's clock when the slow path finds it later. The
+// steady-state warm path (fast-layer claim, completion hand-off,
+// shard-pool reuse) performs zero heap allocations, pinned by
 // TestGatewayWarmSteadyStateAllocs.
-func (st *gwState) serve(gf *gwFn, now, exec time.Duration) platform.Result {
+func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (platform.Result, time.Duration) {
 	sh := gf.shard
-	// Reclaim any completions due by now. One atomic load in the common
-	// "nothing due" case; TryLock so the fast path never blocks — a
-	// lock-holding slow path drains on our behalf.
-	if sh.nextDone.Load() <= int64(now) {
+	// Reclaim any completions due before now. One atomic load in the
+	// common "nothing due" case; TryLock so the fast path never blocks —
+	// a lock-holding slow path drains on our behalf.
+	if sh.nextDone.Load() < int64(now) {
 		sh.release(now)
 	}
 	// Layer 1: lock-free claim of an exact same-function L3 re-hit.
 	if c, s := st.claim(gf, now, exec); c != nil {
 		sh.finish(c, gf.fn)
-		return platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}
+		return platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}, now
 	}
 	return st.slow(gf, now, exec)
 }
@@ -315,12 +339,13 @@ func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Containe
 
 // slow serves one invocation through layers 2 and 3, the shard's
 // platform: drain the fast path's hand-offs into it, retire what is due
-// by now, claim from layer 1 once more, then Invoke. The shard's time is
-// the platform's clock, which never moves backwards, so a request that
-// arrives behind it is served at the clock. The lock is released by
-// defer: a scheduler or evictor that panics fails its own request, not
-// every later request to the shard.
-func (st *gwState) slow(gf *gwFn, now, exec time.Duration) platform.Result {
+// before now, claim from layer 1 once more, then Invoke. The shard's
+// time is the platform's clock, which never moves backwards, so a
+// request that arrives behind it is served at the clock, and slow
+// returns that instant. The lock is released by defer: a scheduler or
+// evictor that panics fails its own request, not every later request to
+// the shard.
+func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (platform.Result, time.Duration) {
 	sh := gf.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -338,10 +363,10 @@ func (st *gwState) slow(gf *gwFn, now, exec time.Duration) platform.Result {
 		sh.inv = workload.Invocation{Seq: sh.plat.Results().Metrics.Count(), Fn: gf.fn, Arrival: now, Exec: exec}
 		res = sh.plat.Invoke(&sh.inv)
 	}
-	// Everything due by now has retired, so this Retire only reads the
-	// earliest completion, which the new one may have become.
+	// Everything due before now has retired, so this Retire only reads
+	// the earliest completion, which the new one may have become.
 	sh.armNextDone(int64(sh.plat.Retire(now, nil)))
-	return res
+	return res, now
 }
 
 // newID hands out the next container ID.
@@ -386,9 +411,10 @@ func (sh *gwShard) release(now time.Duration) {
 }
 
 // releaseLocked hands doneq's containers to the platform and retires
-// everything due by now (the drain is inclusive; the simulator's step
-// is not, DESIGN.md §15), each finished container going to parkFast
-// before the pool. Caller holds sh.mu.
+// every completion due strictly before now, the simulator's tie rule
+// (DESIGN.md §10): a completion at now runs after the request at now.
+// Each finished container goes to parkFast before the pool. Caller
+// holds sh.mu.
 func (sh *gwShard) releaseLocked(now time.Duration) {
 	// Claim the watermark first: fast-path pushes racing this drain
 	// re-arm it themselves, so a reclaimable completion is never left
@@ -400,7 +426,7 @@ func (sh *gwShard) releaseLocked(now time.Duration) {
 		c := <-sh.doneq
 		sh.plat.Track(c, sh.fns[c.FnID].fn)
 	}
-	sh.armNextDone(int64(sh.plat.Retire(now+1, sh.park)))
+	sh.armNextDone(int64(sh.plat.Retire(now, sh.park)))
 }
 
 // parkFast puts a finished container back in its function's fast
@@ -438,7 +464,7 @@ func (g *Gateway) Do(fnID int, at, exec time.Duration) (startup time.Duration, c
 	if exec <= 0 {
 		exec = gf.fn.Exec
 	}
-	res := st.serve(gf, at, exec)
+	res, _ := st.serve(gf, at, exec)
 	return res.Startup.Total(), res.Cold, nil
 }
 
@@ -447,7 +473,9 @@ func (g *Gateway) Do(fnID int, at, exec time.Duration) (startup time.Duration, c
 var errUnknownFn = fmt.Errorf("api: unknown function")
 
 // Invoke is the full in-process invocation: like POST /invoke but
-// without HTTP framing.
+// without HTTP framing. VirtualTimeMS reports the instant the
+// invocation was served at, which is later than at when the shard's
+// clock is.
 func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, error) {
 	st := g.state.Load()
 	gf := st.byID[fnID]
@@ -460,8 +488,8 @@ func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, erro
 	if exec <= 0 {
 		exec = gf.fn.Exec
 	}
-	res := st.serve(gf, at, exec)
-	return invokeResponse(int(st.seq.Add(1))-1, fnID, res, at), nil
+	res, served := st.serve(gf, at, exec)
+	return invokeResponse(int(st.seq.Add(1))-1, fnID, res, served), nil
 }
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
@@ -482,10 +510,28 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// GatewayStatsResponse extends the gateway's GET /stats body with the
-// serving-layer counters the coarse server does not have.
+// GatewayStatsResponse is the GET /stats body: the shards' run counters
+// summed, plus the fast layer's.
 type GatewayStatsResponse struct {
-	StatsResponse
+	Policy           string           `json:"policy"`
+	Invocations      int              `json:"invocations"`
+	TotalStartupMS   int64            `json:"total_startup_ms"`
+	AvgStartupMS     int64            `json:"avg_startup_ms"`
+	StartupQuantiles StartupQuantiles `json:"startup_quantiles_ms"`
+	ColdStarts       int              `json:"cold_starts"`
+	WarmStarts       int              `json:"warm_starts"`
+	ReuseByLevel     ReuseCounts      `json:"reuse_by_level"`
+	// WarmByLevel counts invocations by match level, as
+	// metrics.Collector.ByLevel does: index 0 holds the cold starts.
+	WarmByLevel [4]int  `json:"warm_by_level"`
+	PoolUsedMB  float64 `json:"pool_used_mb"`
+	PoolPeakMB  float64 `json:"pool_peak_mb"`
+	Evictions   int     `json:"evictions"`
+	Rejections  int     `json:"rejections"`
+	Expirations int     `json:"expirations"`
+	// PolicyErrors counts scheduler choices that named no reusable
+	// container and were served as cold starts instead.
+	PolicyErrors int     `json:"policy_errors"`
 	Shards       int     `json:"shards"`
 	FastHits     int64   `json:"fast_hits"`
 	FastExpired  int64   `json:"fast_expired"`
@@ -510,9 +556,8 @@ func (g *Gateway) Stats() GatewayStatsResponse {
 		out.ColdStarts += res.Metrics.ColdStarts()
 		out.WarmStarts += res.Metrics.WarmStarts()
 		out.PolicyErrors += res.PolicyErrors
-		lv := res.Metrics.ByLevel()
-		for i := 1; i < len(lv); i++ { // lv[0] counts cold starts
-			out.WarmByLevel[i] += lv[i]
+		for i, n := range res.Metrics.ByLevel() {
+			out.WarmByLevel[i] += n
 		}
 		ps := res.PoolStats
 		out.PoolUsedMB += sh.plat.Pool().UsedMB()
@@ -551,8 +596,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // WriteMetricsText writes gateway metrics in Prometheus text exposition
-// format — served by GET /metrics and flushed on graceful shutdown.
+// format — served by GET /metrics and flushed on graceful shutdown. An
+// observed gateway appends its platform's registry, with the phase
+// profiler's summaries (mlcr_phase_seconds) refreshed first.
 func (g *Gateway) WriteMetricsText(w io.Writer) error {
+	st := g.state.Load()
 	s := g.Stats()
 	var err error
 	p := func(format string, args ...any) {
@@ -571,12 +619,49 @@ func (g *Gateway) WriteMetricsText(w io.Writer) error {
 	p("mlcr_gateway_startup_ms{quantile=\"0.5\"} %d\n", s.StartupQuantiles.P50)
 	p("mlcr_gateway_startup_ms{quantile=\"0.95\"} %d\n", s.StartupQuantiles.P95)
 	p("mlcr_gateway_startup_ms{quantile=\"0.99\"} %d\n", s.StartupQuantiles.P99)
+	if o := st.obs; o != nil && err == nil {
+		// The platform writes the profiler under the shard lock; the
+		// registry itself is safe to export concurrently.
+		sh := st.shards[0]
+		sh.mu.Lock()
+		o.PublishPerf()
+		sh.mu.Unlock()
+		err = o.Metrics.WritePrometheus(w)
+	}
 	return err
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = g.WriteMetricsText(w)
+}
+
+// errNotObserved is WriteTrace's answer for a gateway built without
+// Observe.
+var errNotObserved = errors.New("api: gateway built without Observe records no trace")
+
+// WriteTrace writes the current generation's Chrome trace_event JSON —
+// served by GET /trace and flushed on graceful shutdown. It needs a
+// gateway built with Observe.
+func (g *Gateway) WriteTrace(w io.Writer) error {
+	o := g.state.Load().obs
+	if o == nil {
+		return errNotObserved
+	}
+	return o.Recording().WriteChromeTrace(w)
+}
+
+// handleTrace serves the run's trace in Chrome trace_event JSON,
+// openable in chrome://tracing or Perfetto.
+func (g *Gateway) handleTrace(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = g.WriteTrace(w)
+}
+
+// handleAudit serves the scheduler decision audit log as JSONL.
+func (g *Gateway) handleAudit(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/jsonl")
+	_ = g.state.Load().obs.Audit.WriteJSONL(w)
 }
 
 func (g *Gateway) handleFunctions(w http.ResponseWriter, _ *http.Request) {
@@ -604,8 +689,9 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// Reset swaps in a fresh generation: new shards, pools and schedulers.
-// In-flight requests complete against the old generation.
+// Reset swaps in a fresh generation: new shards, pools and schedulers
+// (and a fresh observer when observed). In-flight requests complete
+// against the old generation.
 func (g *Gateway) Reset() { g.state.Store(g.buildState()) }
 
 func (g *Gateway) handleReset(w http.ResponseWriter, _ *http.Request) {

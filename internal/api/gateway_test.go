@@ -101,7 +101,7 @@ func TestGatewaySlowPathClaimsFastLayer(t *testing.T) {
 	fn := fns[0]
 	s, _, _ := g.Do(fn.ID, -1, 0)
 	st := g.state.Load()
-	res := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
+	res, _ := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
 	if res.Cold || res.Level != core.MatchL3 || res.ContainerID != 1 {
 		t.Fatalf("slow path after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", res.ContainerID, res.Cold, res.Level)
 	}
@@ -207,15 +207,14 @@ func TestGatewayDeterministicUnderVirtualClock(t *testing.T) {
 	}
 	// Recorded at the commit before platform.Apply replaced the
 	// gateway's own copy of the choice-to-container step: the extraction
-	// must not move a single counter.
+	// must not move a single counter. WarmByLevel[0] counts the cold
+	// starts, as the simulator's ByLevel does.
 	want := GatewayStatsResponse{
-		StatsResponse: StatsResponse{
-			Policy: "Greedy-Match", Invocations: 200, TotalStartupMS: 456040, AvgStartupMS: 2280,
-			StartupQuantiles: StartupQuantiles{P50: 142, P95: 13153, P99: 30615},
-			ColdStarts:       31, WarmStarts: 169,
-			ReuseByLevel: ReuseCounts{L3: 169}, WarmByLevel: [4]int{0, 0, 0, 169},
-			PoolUsedMB: 12080, PoolPeakMB: 3300,
-		},
+		Policy: "Greedy-Match", Invocations: 200, TotalStartupMS: 456040, AvgStartupMS: 2280,
+		StartupQuantiles: StartupQuantiles{P50: 142, P95: 13153, P99: 30615},
+		ColdStarts:       31, WarmStarts: 169,
+		ReuseByLevel: ReuseCounts{L3: 169}, WarmByLevel: [4]int{31, 0, 0, 169},
+		PoolUsedMB: 12080, PoolPeakMB: 3300,
 		Shards: 4, FastHits: 169, FastParkedMB: 8780,
 	}
 	if a != want {
@@ -229,18 +228,20 @@ func TestGatewayDeterministicUnderVirtualClock(t *testing.T) {
 // gaps. Unlike TestGatewayDeterministicUnderVirtualClock (L3 re-hits
 // only, no evictions), the cells go through pool-segment evictions,
 // rejections and cross-function L1/L2 reuse. Each cell pins its stats
-// and a digest of its container-ID sequence, recorded before a gateway
-// shard became a platform.Platform.
+// and a digest of its container-ID sequence. The 1 s cells put
+// completions exactly on arrivals (the 37 ms cells never do), so their
+// values follow the tie rule: a completion at a request's instant runs
+// after it.
 func TestGatewayReplayPinned(t *testing.T) {
 	want := map[string]string{
-		"lru/37ms":       "43a91c85803ea71d {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15758715 AvgStartupMS:5252 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1009 WarmStarts:1991 ReuseByLevel:{L1:147 L2:167 L3:1677} WarmByLevel:[0 147 167 1677] PoolUsedMB:2800 PoolPeakMB:2896 Evictions:672 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1032 FastExpired:0 FastParkedMB:560}",
-		"lru/1s":         "113a8cd6d08c75f6 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:9989215 AvgStartupMS:3329 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:437 WarmStarts:2563 ReuseByLevel:{L1:31 L2:55 L3:2477} WarmByLevel:[0 31 55 2477] PoolUsedMB:1792 PoolPeakMB:2680 Evictions:170 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:2015 FastExpired:0 FastParkedMB:1264}",
-		"faascache/37ms": "0fc1e10e4ef4700a {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15945685 AvgStartupMS:5315 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1068 WarmStarts:1932 ReuseByLevel:{L1:154 L2:167 L3:1611} WarmByLevel:[0 154 167 1611] PoolUsedMB:2824 PoolPeakMB:2896 Evictions:730 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1011 FastExpired:0 FastParkedMB:720}",
-		"faascache/1s":   "626f472798efdd01 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:10093500 AvgStartupMS:3364 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:464 WarmStarts:2536 ReuseByLevel:{L1:60 L2:56 L3:2420} WarmByLevel:[0 60 56 2420] PoolUsedMB:2008 PoolPeakMB:2656 Evictions:196 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1950 FastExpired:0 FastParkedMB:1480}",
-		"keepalive/37ms": "551143eb70210e82 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:16683395 AvgStartupMS:5561 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1152 WarmStarts:1848 ReuseByLevel:{L1:156 L2:148 L3:1544} WarmByLevel:[0 156 148 1544] PoolUsedMB:2320 PoolPeakMB:2896 Evictions:0 Rejections:994 Expirations:0 PolicyErrors:0} Shards:4 FastHits:935 FastExpired:0 FastParkedMB:560}",
-		"keepalive/1s":   "d281036d228b96d5 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:9902900 AvgStartupMS:3300 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:435 WarmStarts:2565 ReuseByLevel:{L1:41 L2:68 L3:2456} WarmByLevel:[0 41 68 2456] PoolUsedMB:1656 PoolPeakMB:2656 Evictions:0 Rejections:422 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1969 FastExpired:0 FastParkedMB:968}",
-		"cost/37ms":      "2eb556ff7f34478c {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:15965490 AvgStartupMS:5321 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1060 WarmStarts:1940 ReuseByLevel:{L1:153 L2:161 L3:1626} WarmByLevel:[0 153 161 1626] PoolUsedMB:2040 PoolPeakMB:2896 Evictions:732 Rejections:182 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1045 FastExpired:0 FastParkedMB:352}",
-		"cost/1s":        "d87d2eee4ea2f045 {StatsResponse:{Policy:Greedy-Match Invocations:3000 TotalStartupMS:10002010 AvgStartupMS:3334 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:455 WarmStarts:2545 ReuseByLevel:{L1:81 L2:62 L3:2402} WarmByLevel:[0 81 62 2402] PoolUsedMB:1528 PoolPeakMB:2656 Evictions:189 Rejections:254 Expirations:0 PolicyErrors:0} Shards:4 FastHits:1916 FastExpired:0 FastParkedMB:968}",
+		"lru/37ms":       "43a91c85803ea71d {Policy:Greedy-Match Invocations:3000 TotalStartupMS:15758715 AvgStartupMS:5252 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1009 WarmStarts:1991 ReuseByLevel:{L1:147 L2:167 L3:1677} WarmByLevel:[1009 147 167 1677] PoolUsedMB:2800 PoolPeakMB:2896 Evictions:672 Rejections:182 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1032 FastExpired:0 FastParkedMB:560}",
+		"lru/1s":         "113a8cd6d08c75f6 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:9989215 AvgStartupMS:3329 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:437 WarmStarts:2563 ReuseByLevel:{L1:31 L2:55 L3:2477} WarmByLevel:[437 31 55 2477] PoolUsedMB:1792 PoolPeakMB:2680 Evictions:170 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:2015 FastExpired:0 FastParkedMB:1264}",
+		"faascache/37ms": "0fc1e10e4ef4700a {Policy:Greedy-Match Invocations:3000 TotalStartupMS:15945685 AvgStartupMS:5315 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1068 WarmStarts:1932 ReuseByLevel:{L1:154 L2:167 L3:1611} WarmByLevel:[1068 154 167 1611] PoolUsedMB:2824 PoolPeakMB:2896 Evictions:730 Rejections:182 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1011 FastExpired:0 FastParkedMB:720}",
+		"faascache/1s":   "06fbe88c7884cd58 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:10091200 AvgStartupMS:3363 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:463 WarmStarts:2537 ReuseByLevel:{L1:61 L2:56 L3:2420} WarmByLevel:[463 61 56 2420] PoolUsedMB:1952 PoolPeakMB:2656 Evictions:194 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1953 FastExpired:0 FastParkedMB:1104}",
+		"keepalive/37ms": "551143eb70210e82 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:16683395 AvgStartupMS:5561 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1152 WarmStarts:1848 ReuseByLevel:{L1:156 L2:148 L3:1544} WarmByLevel:[1152 156 148 1544] PoolUsedMB:2320 PoolPeakMB:2896 Evictions:0 Rejections:994 Expirations:0 PolicyErrors:0 Shards:4 FastHits:935 FastExpired:0 FastParkedMB:560}",
+		"keepalive/1s":   "6d9957c70f58ec58 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:9919400 AvgStartupMS:3306 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:441 WarmStarts:2559 ReuseByLevel:{L1:39 L2:71 L3:2449} WarmByLevel:[441 39 71 2449] PoolUsedMB:1656 PoolPeakMB:2656 Evictions:0 Rejections:428 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1970 FastExpired:0 FastParkedMB:968}",
+		"cost/37ms":      "2eb556ff7f34478c {Policy:Greedy-Match Invocations:3000 TotalStartupMS:15965490 AvgStartupMS:5321 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1060 WarmStarts:1940 ReuseByLevel:{L1:153 L2:161 L3:1626} WarmByLevel:[1060 153 161 1626] PoolUsedMB:2040 PoolPeakMB:2896 Evictions:732 Rejections:182 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1045 FastExpired:0 FastParkedMB:352}",
+		"cost/1s":        "8fdb70c8e90268e0 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:10002055 AvgStartupMS:3334 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:456 WarmStarts:2544 ReuseByLevel:{L1:80 L2:61 L3:2403} WarmByLevel:[456 80 61 2403] PoolUsedMB:1528 PoolPeakMB:2656 Evictions:190 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1913 FastExpired:0 FastParkedMB:968}",
 	}
 	for _, ev := range []string{"lru", "faascache", "keepalive", "cost"} {
 		for _, gap := range []time.Duration{37 * time.Millisecond, time.Second} {
@@ -521,19 +522,13 @@ func TestGatewayInvokeHTTPShape(t *testing.T) {
 	}
 }
 
-// TestInvokeBodyLimit: both POST /invoke handlers stop reading at
-// maxInvokeBody and answer 413, while malformed JSON under the cap
-// stays a 400 and a padded body under the cap is served.
+// TestInvokeBodyLimit: both gateways mlcr-server builds stop reading a
+// POST /invoke body at maxInvokeBody and answer 413, while malformed
+// JSON under the cap stays a 400 and a padded body under the cap is
+// served.
 func TestInvokeBodyLimit(t *testing.T) {
-	s, err := New(Config{
-		Functions:    testFunctions(),
-		NewScheduler: func() platform.Scheduler { return policy.NewGreedyMatch() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	padded := func(n int) string { return `{"fn_id":1,"pad":"` + strings.Repeat("x", n) + `"}` }
-	for name, h := range map[string]http.Handler{"Server": s, "Gateway": testGateway(t, GatewayConfig{})} {
+	for name, h := range invokeHandlers(t) {
 		for _, tc := range []struct {
 			what, body string
 			want       int
@@ -589,7 +584,9 @@ func TestGatewayMetricsText(t *testing.T) {
 	}
 }
 
-// TestGatewayConfigValidation mirrors the Server's constructor checks.
+// TestGatewayConfigValidation: NewGateway refuses an empty catalog, a
+// missing scheduler factory, duplicate IDs, and Observe on anything but
+// one shard without the fast layer.
 func TestGatewayConfigValidation(t *testing.T) {
 	if _, err := NewGateway(GatewayConfig{}); err == nil {
 		t.Fatal("empty catalog must fail")
@@ -598,12 +595,52 @@ func TestGatewayConfigValidation(t *testing.T) {
 	if _, err := NewGateway(GatewayConfig{Functions: fns}); err == nil {
 		t.Fatal("nil NewScheduler must fail")
 	}
+	mk := func() platform.Scheduler { return policy.NewGreedyMatch() }
 	dup := []*workload.Function{fns[0], fns[0]}
-	if _, err := NewGateway(GatewayConfig{
-		Functions:    dup,
-		NewScheduler: func() platform.Scheduler { return policy.NewGreedyMatch() },
-	}); err == nil {
+	if _, err := NewGateway(GatewayConfig{Functions: dup, NewScheduler: mk}); err == nil {
 		t.Fatal("duplicate IDs must fail")
+	}
+	for _, c := range []struct{ shards, depth int }{{0, -1}, {2, -1}, {1, 0}, {1, 1}} {
+		if _, err := NewGateway(GatewayConfig{Functions: fns, NewScheduler: mk, Observe: true, Shards: c.shards, FastDepth: c.depth}); err == nil {
+			t.Errorf("Observe with Shards %d, FastDepth %d accepted", c.shards, c.depth)
+		}
+	}
+	if _, err := NewGateway(simConfig(GatewayConfig{Functions: fns, NewScheduler: mk})); err != nil {
+		t.Fatalf("Observe with one shard and no fast layer: %v", err)
+	}
+}
+
+// TestGatewayCompletionAtArrivalRunsAfterIt pins the simulator's tie
+// rule on the gateway, with and without the fast layer: a container
+// that finishes at the very instant the next invocation arrives is
+// still busy for it.
+func TestGatewayCompletionAtArrivalRunsAfterIt(t *testing.T) {
+	fns := testFunctions()
+	fn := fns[0]
+	for _, depth := range []int{0, -1} {
+		g := testGateway(t, GatewayConfig{Functions: fns, Clock: func() time.Duration { return 0 }, Shards: 1, FastDepth: depth})
+		first, _ := g.Invoke(fn.ID, 0, 0)
+		done := fn.ColdStartTime() + fn.Exec
+		if out, _ := g.Invoke(fn.ID, done, 0); !out.Cold || out.ContainerID == first.ContainerID {
+			t.Errorf("FastDepth %d: invocation at the completion instant %v got %+v, want a cold start", depth, done, out)
+		}
+	}
+}
+
+// TestGatewayReportsServedInstant: an arrival behind its shard's clock
+// is served at the clock, and virtual_time_ms says so.
+func TestGatewayReportsServedInstant(t *testing.T) {
+	for name, h := range invokeHandlers(t) {
+		for _, c := range []struct{ body, want string }{
+			{`{"fn_id":1,"at_ms":50000}`, `"virtual_time_ms":50000`},
+			{`{"fn_id":1,"at_ms":1000}`, `"virtual_time_ms":50000`},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(c.body)))
+			if !strings.Contains(rec.Body.String(), c.want) {
+				t.Errorf("%s, %s: answered %s, want %s", name, c.body, rec.Body.String(), c.want)
+			}
+		}
 	}
 }
 

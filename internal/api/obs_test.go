@@ -128,7 +128,7 @@ func TestStatsQuantilesAndReuse(t *testing.T) {
 	invoke(t, ts, InvokeRequest{FnID: 6, AtMS: 120000})
 
 	_, body := get(t, ts, "/stats")
-	var stats StatsResponse
+	var stats GatewayStatsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestMetricsPhaseSummaries(t *testing.T) {
 // the /stats quantiles come from the fixed-footprint HDR, so a
 // long-serving gateway cannot grow an unbounded latency slice.
 func TestStatsMemoryBounded(t *testing.T) {
-	srv, err := New(Config{
+	srv, err := NewGateway(simConfig(GatewayConfig{
 		Functions:      fstartbench.Functions(),
 		PoolCapacityMB: 4096,
 		NewScheduler:   func() platform.Scheduler { return policy.NewGreedyMatch() },
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,15 @@ func TestStatsMemoryBounded(t *testing.T) {
 	for j := 0; j < 50; j++ {
 		invoke(t, ts, InvokeRequest{FnID: 5, AtMS: int64(1000 * (j + 1))})
 	}
-	if n := len(srv.plat.Results().Metrics.Samples()); n != 0 {
+	plat := srv.state.Load().shards[0].plat
+	if n := len(plat.Results().Metrics.Samples()); n != 0 {
 		t.Fatalf("gateway retained %d samples, want 0 (bounded mode)", n)
 	}
-	if got := srv.plat.Results().Metrics.Count(); got != 50 {
+	if got := plat.Results().Metrics.Count(); got != 50 {
 		t.Fatalf("aggregate count %d, want 50", got)
 	}
 	_, body := get(t, ts, "/stats")
-	var stats StatsResponse
+	var stats GatewayStatsResponse
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}

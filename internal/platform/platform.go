@@ -312,8 +312,8 @@ func (p *Platform) step(inv *workload.Invocation) Result {
 
 // Retire runs, in completion order, every completion due strictly
 // before due; equal instants retire in start order. It is the one
-// completion loop: step passes the arrival, Drain passes no bound, and
-// a gateway shard passes now+1 to retire everything due by now. park,
+// completion loop: step and a gateway shard pass the arrival, Drain
+// passes no bound. park,
 // when non-nil, is offered each finished container before the pool, and
 // a container it keeps never enters the pool (the gateway's lock-free
 // layer takes exact re-hits this way). Retire returns the earliest

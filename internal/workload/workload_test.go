@@ -24,8 +24,8 @@ func testFn(id int, name, os string) *Function {
 	}
 }
 
-// TestFunctionValidate pins every error string: api.New, api.NewGateway
-// and trace.Read wrap them into what their callers see.
+// TestFunctionValidate pins every error string: api.NewGateway and
+// trace.Read wrap them into what their callers see.
 func TestFunctionValidate(t *testing.T) {
 	if err := testFn(1, "a", "alpine").Validate(); err != nil {
 		t.Fatalf("valid function rejected: %v", err)

@@ -45,7 +45,7 @@ go test -run '^$' -fuzz '^FuzzAttentionForward$' -fuzztime 5s ./internal/nn
 echo "== trace parser: 5 s of FuzzTraceRead (Read never panics; what it accepts replays) =="
 go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
 
-echo "== POST /invoke: 5 s of FuzzInvokeRequest (no body panics either handler; an invoke at trace.MaxMS is still served) =="
+echo "== POST /invoke: 5 s of FuzzInvokeRequest (no body panics either gateway mlcr-server builds, sim or default; an invoke at trace.MaxMS is still served) =="
 go test -run '^$' -fuzz '^FuzzInvokeRequest$' -fuzztime 5s ./internal/api
 
 echo "== Dockerfile parser: 5 s of FuzzDockerfileParse (Parse never panics; its image matches itself at L3) =="
@@ -68,5 +68,8 @@ go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
 
 echo "== repository benchmark smoke (bench/ is its own module: per-lap fingerprint and exact-count output checks) =="
 (cd bench && GOFLAGS=-mod=readonly GOWORK=off go test .)
+
+echo "== make size (non-test internal/, cmd/ + examples/, internal/ tests) =="
+${MAKE:-make} size
 
 echo "check: all green"
