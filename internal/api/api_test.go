@@ -325,6 +325,23 @@ func TestExecOverride(t *testing.T) {
 	}
 }
 
+// TestNewValidation: the sim-mode configuration refuses an empty
+// catalog, a missing scheduler factory and duplicate IDs.
+func TestNewValidation(t *testing.T) {
+	mk := func() platform.Scheduler { return policy.NewLRU() }
+	if _, err := NewGateway(simConfig(GatewayConfig{NewScheduler: mk})); err == nil {
+		t.Error("empty catalog accepted")
+	}
+	if _, err := NewGateway(simConfig(GatewayConfig{Functions: fstartbench.Functions()})); err == nil {
+		t.Error("nil scheduler factory accepted")
+	}
+	dup := fstartbench.Functions()
+	dup[1].ID = 1
+	if _, err := NewGateway(simConfig(GatewayConfig{Functions: dup, NewScheduler: mk})); err == nil {
+		t.Error("duplicate IDs accepted")
+	}
+}
+
 func TestConcurrentInvokes(t *testing.T) {
 	// Requests are serialized by the shard lock; fire a few with
 	// increasing wall-clock-free timestamps from goroutines and make
