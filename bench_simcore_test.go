@@ -128,7 +128,7 @@ func TestSimCoreAllocsPerInvocation(t *testing.T) {
 		{"MLCR (untrained, inference)", func() platform.Scheduler { return mlcr.New(mlcr.Config{}) }},
 	}
 	for _, name := range policy.GridSchedulers() {
-		scheds = append(scheds, sched{name, func() platform.Scheduler { s, _ := policy.NewByName(name, 1); return s }})
+		scheds = append(scheds, sched{name, func() platform.Scheduler { s, _ := policy.New(name, 1); return s }})
 	}
 	for _, sc := range scheds {
 		// mallocs returns the heap objects, the cold starts and the heap

@@ -192,7 +192,7 @@ func BenchmarkDecisionEndToEnd(b *testing.B) {
 func BenchmarkAblationMatching(b *testing.B) {
 	w := fstartbench.BuildOverall(1, fstartbench.OverallOptions{})
 	loose := experiments.CalibrateLoose(w)
-	setups := append(experiments.Baselines(), experiments.CostGreedySetup())
+	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0))
 	for i := 0; i < b.N; i++ {
 		for _, s := range setups {
 			res := experiments.RunOnce(s, w, loose*0.2)
@@ -209,7 +209,8 @@ func BenchmarkAblationEviction(b *testing.B) {
 	w := fstartbench.BuildOverall(1, fstartbench.OverallOptions{})
 	loose := experiments.CalibrateLoose(w)
 	for i := 0; i < b.N; i++ {
-		for _, s := range experiments.Baselines()[:3] { // LRU, FaasCache, KeepAlive
+		for _, name := range []string{"LRU", "FaasCache", "KeepAlive"} {
+			s := experiments.SetupOf(name, 0)
 			res := experiments.RunOnce(s, w, loose*0.2)
 			if i == 0 {
 				b.ReportMetric(float64(res.PoolStats.Evictions), s.Name+"-evictions")
@@ -357,7 +358,7 @@ func BenchmarkPlatformRunGreedy(b *testing.B) {
 	loose := experiments.CalibrateLoose(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunOnce(experiments.Baselines()[3], w, loose*0.5)
+		experiments.RunOnce(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, served only under -pprof
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -64,7 +65,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	mode := flag.String("mode", "sim", "serving mode: sim (deterministic single platform) or gateway (concurrent sharded pool)")
 	policyName := flag.String("policy", "Greedy-Match",
-		"policy: LRU, FaasCache, KeepAlive, Greedy-Match, Cost-Greedy, MLCR")
+		"policy: "+strings.Join(policy.Names(), ", ")+", MLCR")
 	model := flag.String("model", "", "trained MLCR model path (required for -policy MLCR)")
 	slots := flag.Int("slots", 4, "MLCR candidate container slots (must match the trained model)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
@@ -188,40 +189,39 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 // gateway mode each shard gets a Clone sharing the master's weights and
 // one QBatcher so concurrent shards coalesce their forward passes.
 func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, func() pool.Evictor, error) {
-	switch name {
-	case "LRU", "FaasCache", "KeepAlive", "Greedy-Match", "Cost-Greedy":
-		mk := func() policy.Evictored { s, _ := policy.NewByName(name, 0); return s }
-		return func() platform.Scheduler { return mk() },
-			func() pool.Evictor { return mk().Evictor() }, nil
-	case "MLCR":
-		if model == "" {
-			return nil, nil, fmt.Errorf("-policy MLCR requires -model")
-		}
-		opts := experiments.Options{}
-		opts.MLCR.Slots = slots
-		opts = opts.WithDefaults()
-		master := mlcr.New(opts.MLCR)
-		f, err := os.Open(model)
-		if err != nil {
+	if name != "MLCR" {
+		if _, err := policy.New(name, 0); err != nil {
 			return nil, nil, err
 		}
-		lerr := master.Load(f)
-		f.Close()
-		if lerr != nil {
-			return nil, nil, fmt.Errorf("load model %s: %w", model, lerr)
-		}
-		if !gateway {
-			return func() platform.Scheduler { return master },
-				func() pool.Evictor { return master.Evictor() }, nil
-		}
-		qb := drl.NewQBatcher(master.Agent().Online(), batch)
-		return func() platform.Scheduler {
-				s := master.Clone()
-				s.SetBatcher(qb)
-				return s
-			},
-			func() pool.Evictor { return master.Evictor() }, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown policy %q", name)
+		mk := func() policy.Evictored { s, _ := policy.New(name, 0); return s }
+		return func() platform.Scheduler { return mk() },
+			func() pool.Evictor { return mk().Evictor() }, nil
 	}
+	if model == "" {
+		return nil, nil, fmt.Errorf("-policy MLCR requires -model")
+	}
+	opts := experiments.Options{}
+	opts.MLCR.Slots = slots
+	opts = opts.WithDefaults()
+	master := mlcr.New(opts.MLCR)
+	f, err := os.Open(model)
+	if err != nil {
+		return nil, nil, err
+	}
+	lerr := master.Load(f)
+	f.Close()
+	if lerr != nil {
+		return nil, nil, fmt.Errorf("load model %s: %w", model, lerr)
+	}
+	if !gateway {
+		return func() platform.Scheduler { return master },
+			func() pool.Evictor { return master.Evictor() }, nil
+	}
+	qb := drl.NewQBatcher(master.Agent().Online(), batch)
+	return func() platform.Scheduler {
+			s := master.Clone()
+			s.SetBatcher(qb)
+			return s
+		},
+		func() pool.Evictor { return master.Evictor() }, nil
 }

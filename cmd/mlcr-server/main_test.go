@@ -11,13 +11,20 @@ import (
 
 	"mlcr/internal/api"
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/policy"
 )
 
 // TestModes serves both modes over HTTP: an invoke, /stats and
 // /functions answer, and the shutdown flush writes the metrics file,
-// plus, in sim mode, a Chrome trace that parses.
+// plus, in sim mode, a Chrome trace that parses. Both modes take every
+// registered scheduler as -policy.
 func TestModes(t *testing.T) {
 	for mode, shards := range map[string]int{"sim": 1, "gateway": 16} {
+		for _, name := range policy.Names() {
+			if mk, _, err := factories(name, "", 4, 64, mode == "gateway"); err != nil || mk().Name() != name {
+				t.Fatalf("%s: factories(%q): %v", mode, name, err)
+			}
+		}
 		mkSched, mkEvict, err := factories("Greedy-Match", "", 4, 64, mode == "gateway")
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ func main() {
 	wname := flag.String("workload", "Overall",
 		"workload: Overall, LO-Sim, HI-Sim, LO-Var, HI-Var, Uniform, Peak, Random")
 	policyName := flag.String("policy", "Greedy-Match",
-		"policy: LRU, FaasCache, KeepAlive, Greedy-Match, Cost-Greedy, MLCR, or 'all' for a comparison table")
+		"policy: "+strings.Join(policy.Names(), ", ")+", MLCR, or 'all' for a comparison table")
 	parallel := flag.Int("parallel", 0,
 		"concurrent simulation runs for -policy all (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	workers := flag.Int("workers", 1,
@@ -136,9 +136,8 @@ func main() {
 		return
 	}
 
-	var res *platform.RunResult
-	switch *policyName {
-	case "MLCR":
+	var setup experiments.Setup
+	if *policyName == "MLCR" {
 		opts := experiments.Options{Seed: *seed, Episodes: *episodes}
 		var sched = experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts)
 		if *modelPath != "" {
@@ -151,23 +150,15 @@ func main() {
 			}
 			f.Close()
 		}
-		setup := experiments.WithEvictor([]experiments.Setup{experiments.MLCRSetup(sched)}, *evictorName, *seed)[0]
-		res = experiments.RunObserved(setup, w, poolMB, o)
-	default:
-		var setup *experiments.Setup
-		for _, s := range append(experiments.Baselines(), experiments.CostGreedySetup()) {
-			if s.Name == *policyName {
-				s := s
-				setup = &s
-				break
-			}
-		}
-		if setup == nil {
-			fmt.Fprintf(os.Stderr, "mlcr-sim: unknown policy %q\n", *policyName)
+		setup = experiments.MLCRSetup(sched)
+	} else {
+		if _, err := policy.New(*policyName, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
 			os.Exit(2)
 		}
-		res = experiments.RunObserved(experiments.WithEvictor([]experiments.Setup{*setup}, *evictorName, *seed)[0], w, poolMB, o)
+		setup = experiments.SetupOf(*policyName, *seed)
 	}
+	res := experiments.RunObserved(experiments.WithEvictor([]experiments.Setup{setup}, *evictorName, *seed)[0], w, poolMB, o)
 
 	if *traceOut != "" {
 		writeOut(*traceOut, func(f *os.File) error {
@@ -223,8 +214,9 @@ func main() {
 // -routing all. Per-worker schedulers come from the policy registry
 // (MLCR needs offline training and stays single-worker).
 func runCluster(w workload.Workload, workers int, routing, policyName, evictor string, poolMB, poolFrac, loose float64, seed int64, parallel int, o *obs.Observer, metricsOut string) {
-	if _, ok := policy.NewByName(policyName, seed); !ok {
-		fmt.Fprintf(os.Stderr, "mlcr-sim: policy %q is not available per-worker (cluster schedulers: Same-Function, Greedy-Match, Cost-Greedy, Tabular-Q, LRU, FaasCache, KeepAlive)\n", policyName)
+	if _, err := policy.New(policyName, seed); err != nil {
+		fmt.Fprintf(os.Stderr, "mlcr-sim: policy %q is not available per-worker (cluster schedulers: %s)\n",
+			policyName, strings.Join(policy.Names(), ", "))
 		os.Exit(2)
 	}
 	mkCfg := func(router string) cluster.Config {
@@ -234,7 +226,7 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 			Router:         router,
 			RouterSeed:     seed,
 			NewScheduler: func(worker int) platform.Scheduler {
-				sched, _ := policy.NewByName(policyName, seed+int64(worker))
+				sched, _ := policy.New(policyName, seed+int64(worker))
 				return sched
 			},
 			Evictor:     evictor,
@@ -328,7 +320,7 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 func compareAll(w workload.Workload, loose, poolMB, poolFrac float64, seed int64, episodes, parallel int, evictor string) {
 	opts := experiments.Options{Seed: seed, Episodes: episodes, Parallelism: parallel}
 	trained := experiments.TrainMLCR(w, loose, []float64{poolFrac}, opts)
-	setups := append(experiments.Baselines(), experiments.CostGreedySetup(), experiments.MLCRSetup(trained))
+	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0), experiments.MLCRSetup(trained))
 	setups = experiments.WithEvictor(setups, evictor, seed)
 
 	results := experiments.RunAll(setups, w, poolMB, opts)

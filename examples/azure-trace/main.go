@@ -62,7 +62,7 @@ func main() {
 		Title:  fmt.Sprintf("one-shot-heavy workload, pool = 50%% of Loose (%.0f MB)", loose),
 		Header: []string{"policy", "total startup", "avg startup", "cold starts", "warm L1/L2/L3"},
 	}
-	setups := append(experiments.Baselines(), experiments.CostGreedySetup())
+	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0))
 	results := experiments.RunAll(setups, w, loose*0.5, experiments.Options{})
 	for i, s := range setups {
 		lv := results[i].Metrics.ByLevel()

@@ -63,7 +63,7 @@ func main() {
 		Header: []string{"policy", "total startup", "cold starts", "cleaner repacks"},
 	}
 	setups := append(experiments.Baselines(),
-		experiments.CostGreedySetup(),
+		experiments.SetupOf("Cost-Greedy", 0),
 		experiments.Setup{Name: "Reserve-Deep", New: func() (platform.Scheduler, pool.Evictor) {
 			return reserveDeep{}, evict.NewLRU()
 		}},

@@ -31,10 +31,7 @@ func main() {
 		Title:  "LRU vs multi-level reuse",
 		Header: []string{"policy", "total startup", "avg startup", "cold starts", "L1/L2/L3 warm"},
 	}
-	setups := []experiments.Setup{
-		experiments.Baselines()[0], // LRU
-		experiments.Baselines()[3], // Greedy-Match
-	}
+	setups := []experiments.Setup{experiments.SetupOf("LRU", 0), experiments.SetupOf("Greedy-Match", 0)}
 	results := experiments.RunAll(setups, w, poolMB, experiments.Options{})
 	for i, s := range setups {
 		lv := results[i].Metrics.ByLevel()

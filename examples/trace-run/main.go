@@ -35,7 +35,7 @@ func main() {
 	// 3. Replay MLCR and the Greedy-Match baseline concurrently through
 	//    the parallel harness, each run observing into its own bundle
 	//    (observers are stateful and must never be shared across runs).
-	setups := []experiments.Setup{experiments.MLCRSetup(sched), experiments.Baselines()[3]}
+	setups := []experiments.Setup{experiments.MLCRSetup(sched), experiments.SetupOf("Greedy-Match", 0)}
 	observers := make([]*obs.Observer, len(setups))
 	specs := make([]runner.Spec, len(setups))
 	for i, s := range setups {

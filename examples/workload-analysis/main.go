@@ -59,7 +59,7 @@ func main() {
 	//    Uniform workload runs under multi-level reuse.
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
-	res := experiments.RunOnce(experiments.Baselines()[3], w, loose*0.5)
+	res := experiments.RunOnce(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5)
 	lv := res.Metrics.ByLevel()
 	fmt.Printf("\nUniform workload under Greedy-Match (pool 50%%):\n")
 	fmt.Printf("  cold starts: %d; warm starts at L1: %d, L2: %d, L3: %d\n", lv[0], lv[1], lv[2], lv[3])

@@ -58,7 +58,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 // without the fast layer and describes the first difference, "" when
 // there is none.
 func diffGateway(w workload.Workload, poolMB float64, sched, ev string) string {
-	newSched := func() platform.Scheduler { s, _ := policy.NewByName(sched, 1); return s }
+	newSched := func() platform.Scheduler { s, _ := policy.New(sched, 1); return s }
 	newEvictor := func() pool.Evictor { return evict.MustNew(ev, 1) }
 	p := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: newEvictor()}, newSched())
 	g, err := api.NewGateway(api.GatewayConfig{

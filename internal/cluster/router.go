@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
+	"mlcr/internal/named"
 	"mlcr/internal/workload"
 )
 
@@ -72,30 +72,11 @@ const DefaultRouteShards = 8
 // never be shared across runs.
 type RouterConstructor func(cfg RouterConfig) Router
 
-// routerRegistration pairs a registry name with its constructor; the
-// table is a sorted slice so RouterNames and iteration stay
-// deterministic without per-call sorting.
-type routerRegistration struct {
-	name string
-	mk   RouterConstructor
-}
-
-var routerRegistry []routerRegistration
+var routerRegistry = named.Table[RouterConstructor]{Kind: "cluster router"}
 
 // RegisterRouter adds a named router constructor. It panics on a
 // duplicate or empty name; call from package init or test setup only.
-func RegisterRouter(name string, mk RouterConstructor) {
-	if name == "" || mk == nil {
-		panic("cluster: RegisterRouter with empty name or nil constructor")
-	}
-	i := sort.Search(len(routerRegistry), func(i int) bool { return routerRegistry[i].name >= name })
-	if i < len(routerRegistry) && routerRegistry[i].name == name {
-		panic(fmt.Sprintf("cluster: duplicate router %q", name))
-	}
-	routerRegistry = append(routerRegistry, routerRegistration{})
-	copy(routerRegistry[i+1:], routerRegistry[i:])
-	routerRegistry[i] = routerRegistration{name: name, mk: mk}
-}
+func RegisterRouter(name string, mk RouterConstructor) { routerRegistry.Register(name, mk) }
 
 // NewRouter builds a fresh instance of the named router, or an error
 // naming the known routers.
@@ -103,11 +84,11 @@ func NewRouter(name string, cfg RouterConfig) (Router, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("cluster: router %q needs Workers >= 1, got %d", name, cfg.Workers)
 	}
-	i := sort.Search(len(routerRegistry), func(i int) bool { return routerRegistry[i].name >= name })
-	if i < len(routerRegistry) && routerRegistry[i].name == name {
-		return routerRegistry[i].mk(cfg), nil
+	mk, err := routerRegistry.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("cluster: unknown router %q (have %v)", name, RouterNames())
+	return mk(cfg), nil
 }
 
 // MustNewRouter is NewRouter for statically known names; panics on error.
@@ -121,13 +102,7 @@ func MustNewRouter(name string, cfg RouterConfig) Router {
 
 // RouterNames returns the registered router names in sorted order. The
 // slice is fresh; callers may keep it.
-func RouterNames() []string {
-	out := make([]string, len(routerRegistry))
-	for i, r := range routerRegistry {
-		out[i] = r.name
-	}
-	return out
-}
+func RouterNames() []string { return routerRegistry.Names() }
 
 // splitmix64 is the SplitMix64 finalizer: a fast, high-quality 64-bit
 // mixing function. All routing hashes go through it so placement is

@@ -1,9 +1,6 @@
 package evict
 
-import (
-	"fmt"
-	"sort"
-)
+import "mlcr/internal/named"
 
 // Constructor builds a fresh Policy instance. seed feeds policies with
 // RNG state (Random); deterministic policies ignore it. Constructors
@@ -11,50 +8,25 @@ import (
 // shared across pools.
 type Constructor func(seed int64) Policy
 
-// registration pairs a registry name with its constructor. The table is
-// a sorted slice, not a map, so Names() and any future iteration are
-// deterministic without sorting at call sites.
-type registration struct {
-	name string
-	mk   Constructor
-}
+var registry = named.Table[Constructor]{Kind: "evict policy"}
 
-var registry []registration
-
-// Register adds a named policy constructor to the zoo. It panics on a
-// duplicate name; call from package init or test setup only.
-func Register(name string, mk Constructor) {
-	if name == "" || mk == nil {
-		panic("evict: Register with empty name or nil constructor")
-	}
-	i := sort.Search(len(registry), func(i int) bool { return registry[i].name >= name })
-	if i < len(registry) && registry[i].name == name {
-		panic(fmt.Sprintf("evict: duplicate policy %q", name))
-	}
-	registry = append(registry, registration{})
-	copy(registry[i+1:], registry[i:])
-	registry[i] = registration{name: name, mk: mk}
-}
+// Register adds a named policy constructor to the zoo. It panics on an
+// empty or duplicate name; call from package init or test setup only.
+func Register(name string, mk Constructor) { registry.Register(name, mk) }
 
 // New builds a fresh instance of the named policy, or an error naming
-// the known policies. Lookup is a binary search over the sorted table.
+// the known policies.
 func New(name string, seed int64) (Policy, error) {
-	i := sort.Search(len(registry), func(i int) bool { return registry[i].name >= name })
-	if i < len(registry) && registry[i].name == name {
-		return registry[i].mk(seed), nil
+	mk, err := registry.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("evict: unknown policy %q (have %v)", name, Names())
+	return mk(seed), nil
 }
 
 // Names returns the registered policy names in sorted order. The slice
 // is fresh; callers may keep it.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, r := range registry {
-		out[i] = r.name
-	}
-	return out
-}
+func Names() []string { return registry.Names() }
 
 // MustNew is New for statically known names; it panics on error.
 func MustNew(name string, seed int64) Policy {

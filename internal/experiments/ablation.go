@@ -4,9 +4,6 @@ import (
 	"time"
 
 	"mlcr/internal/fstartbench"
-	"mlcr/internal/platform"
-	"mlcr/internal/policy"
-	"mlcr/internal/pool"
 	"mlcr/internal/report"
 	"mlcr/internal/runner"
 )
@@ -70,13 +67,10 @@ func Ablation(opts Options) AblationResult {
 		}
 	})...)
 	refs := []Setup{
-		CostGreedySetup(),
-		Baselines()[3], // Greedy-Match
-		Baselines()[0], // LRU
-		{Name: "Tabular-Q", New: func() (platform.Scheduler, pool.Evictor) {
-			s := policy.NewTabularQ(opts.Seed)
-			return s, s.Evictor()
-		}},
+		SetupOf("Cost-Greedy", 0),
+		SetupOf("Greedy-Match", 0),
+		SetupOf("LRU", 0),
+		SetupOf("Tabular-Q", opts.Seed),
 	}
 	results := RunAll(refs, w, poolMB, opts)
 	for i, s := range refs {

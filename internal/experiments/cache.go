@@ -43,7 +43,7 @@ func CacheStudy(opts Options) CacheResult {
 	}
 	var cells []cell
 	for _, cacheMB := range []float64{0, 256, 1024, 4096} {
-		for _, s := range []Setup{Baselines()[0], Baselines()[3]} { // LRU, Greedy-Match
+		for _, s := range []Setup{SetupOf("LRU", 0), SetupOf("Greedy-Match", 0)} {
 			cells = append(cells, cell{setup: s, cacheMB: cacheMB})
 		}
 	}

@@ -70,8 +70,8 @@ func ClusterGrid(w workload.Workload, workers int, poolMB float64, routers, sche
 			panic("experiments: " + err.Error())
 		}
 		for _, sn := range scheds {
-			if _, ok := policy.NewByName(sn, opts.Seed); !ok {
-				panic(fmt.Sprintf("experiments: unknown grid scheduler %q (have %v)", sn, policy.GridSchedulers()))
+			if _, err := policy.New(sn, opts.Seed); err != nil {
+				panic("experiments: " + err.Error())
 			}
 			res := cluster.Run(cluster.Config{
 				Workers:        workers,
@@ -79,7 +79,7 @@ func ClusterGrid(w workload.Workload, workers int, poolMB float64, routers, sche
 				Router:         rn,
 				RouterSeed:     opts.Seed,
 				NewScheduler: func(worker int) platform.Scheduler {
-					sched, _ := policy.NewByName(sn, opts.Seed+int64(worker))
+					sched, _ := policy.New(sn, opts.Seed+int64(worker))
 					return sched
 				},
 				Evictor:     opts.Evictor,

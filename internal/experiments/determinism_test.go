@@ -19,7 +19,7 @@ func endToEndSpecs(w, cfgSeed int64) []runner.Spec {
 	cfg := Options{Seed: cfgSeed}.WithDefaults().MLCR
 	cfg.Seed = cfgSeed
 	cfg.NormMB = 1024
-	setups := append(Baselines(), CostGreedySetup(), MLCRSetup(mlcr.New(cfg)))
+	setups := append(Baselines(), SetupOf("Cost-Greedy", 0), MLCRSetup(mlcr.New(cfg)))
 	specs := make([]runner.Spec, 0, len(setups)*2)
 	for _, s := range setups {
 		for _, poolMB := range []float64{1200, 3000} {

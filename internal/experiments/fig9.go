@@ -36,7 +36,7 @@ func Fig9(opts Options, step int) Fig9Result {
 
 	trained := TrainMLCR(w, loose, overallFracs(), opts)
 	TuneMargin(trained, w, loose, opts.Parallelism)
-	setups := []Setup{Baselines()[3], MLCRSetup(trained)}
+	setups := []Setup{SetupOf("Greedy-Match", 0), MLCRSetup(trained)}
 	results := RunAll(setups, w, loose, opts)
 	gRes, mRes := results[0], results[1]
 

@@ -65,8 +65,8 @@ func EvictionGrid(w workload.Workload, poolMB float64, scheds, evictors []string
 
 	var specs []runner.Spec
 	for _, sn := range scheds {
-		if _, ok := policy.NewByName(sn, opts.Seed); !ok {
-			panic(fmt.Sprintf("experiments: unknown grid scheduler %q (have %v)", sn, policy.GridSchedulers()))
+		if _, err := policy.New(sn, opts.Seed); err != nil {
+			panic("experiments: " + err.Error())
 		}
 		for _, en := range evictors {
 			if _, err := evict.New(en, opts.Seed); err != nil {
@@ -76,7 +76,7 @@ func EvictionGrid(w workload.Workload, poolMB float64, scheds, evictors []string
 			specs = append(specs, runner.Spec{
 				Name: sn + "/" + en, Workload: w, PoolCapacityMB: poolMB,
 				New: func() (platform.Scheduler, pool.Evictor) {
-					sched, _ := policy.NewByName(sn, opts.Seed)
+					sched, _ := policy.New(sn, opts.Seed)
 					return sched, evict.MustNew(en, opts.Seed)
 				},
 			})

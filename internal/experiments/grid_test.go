@@ -35,7 +35,7 @@ var pinnedFingerprints = map[string]string{
 // TestPinnedBaselineFingerprints replays the capture runs and compares
 // against the pre-refactor hashes.
 func TestPinnedBaselineFingerprints(t *testing.T) {
-	setups := append(Baselines(), CostGreedySetup())
+	setups := append(Baselines(), SetupOf("Cost-Greedy", 0))
 	for _, s := range setups {
 		for _, wname := range []string{fstartbench.Uniform, fstartbench.Peak} {
 			w := fstartbench.Build(wname, 3, fstartbench.Options{})
@@ -120,7 +120,7 @@ func TestEvictionGridParallelDeterministic(t *testing.T) {
 // and an LRU override must be a no-op for the LRU baseline.
 func TestWithEvictorOverrides(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{Count: 120})
-	base := append(Baselines(), CostGreedySetup())
+	base := append(Baselines(), SetupOf("Cost-Greedy", 0))
 	wrapped := WithEvictor(base, "lru", 3)
 	for i := range base {
 		if wrapped[i].Name != base[i].Name {

@@ -12,7 +12,7 @@ import (
 // given parallelism and returns one fingerprint per run, in spec order.
 func sweepFingerprints(t *testing.T, parallelism int) []string {
 	t.Helper()
-	setups := append(Baselines(), CostGreedySetup())
+	setups := append(Baselines(), SetupOf("Cost-Greedy", 0))
 	var out []string
 	for _, seed := range []int64{3, 9} {
 		w := fstartbench.Build(fstartbench.Uniform, seed, fstartbench.Options{Count: 120})

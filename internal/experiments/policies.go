@@ -42,26 +42,30 @@ func (s Setup) Spec(w workload.Workload, poolMB float64, o *obs.Observer) runner
 	return sp
 }
 
-// Baselines returns the paper's four comparison policies.
+// Baselines returns the paper's four comparison policies: PolicyNames
+// without MLCR, which needs training (see MLCRSetup).
 func Baselines() []Setup {
-	return []Setup{
-		{Name: "LRU", New: func() (platform.Scheduler, pool.Evictor) {
-			s := policy.NewLRU()
-			return s, s.Evictor()
-		}},
-		{Name: "FaasCache", New: func() (platform.Scheduler, pool.Evictor) {
-			s := policy.NewFaasCache()
-			return s, s.Evictor()
-		}},
-		{Name: "KeepAlive", New: func() (platform.Scheduler, pool.Evictor) {
-			s := policy.NewKeepAlive()
-			return s, s.Evictor()
-		}},
-		{Name: "Greedy-Match", New: func() (platform.Scheduler, pool.Evictor) {
-			s := policy.NewGreedyMatch()
-			return s, s.Evictor()
-		}},
+	var out []Setup
+	for _, name := range PolicyNames {
+		if name != "MLCR" {
+			out = append(out, SetupOf(name, 0))
+		}
 	}
+	return out
+}
+
+// SetupOf returns the Setup of a registered scheduler (policy.Names)
+// with its default evictor pairing; seed feeds learned schedulers
+// (Tabular-Q). It panics on an unknown name with the registry's list:
+// callers with a user-supplied name check policy.New first.
+func SetupOf(name string, seed int64) Setup {
+	if _, err := policy.New(name, seed); err != nil {
+		panic(err)
+	}
+	return Setup{Name: name, New: func() (platform.Scheduler, pool.Evictor) {
+		s, _ := policy.New(name, seed)
+		return s, s.Evictor()
+	}}
 }
 
 // Options tune the experiment harness. The zero value gives CPU-friendly
@@ -329,12 +333,4 @@ func avgInt(xs []int) int {
 		s += x
 	}
 	return (s + len(xs)/2) / len(xs)
-}
-
-// CostGreedySetup returns the cost-aware greedy ablation policy.
-func CostGreedySetup() Setup {
-	return Setup{Name: "Cost-Greedy", New: func() (platform.Scheduler, pool.Evictor) {
-		s := policy.NewCostGreedy()
-		return s, s.Evictor()
-	}}
 }

@@ -242,6 +242,7 @@ func TestIsDeterministic(t *testing.T) {
 		"mlcr/internal/obs":         true,
 		"mlcr/internal/obs/perf":    true,
 		"mlcr/internal/api":         true,
+		"mlcr/internal/named":       true,
 		"mlcr/internal/lint":        false,
 		"mlcr/cmd/mlcr-sim":         false,
 		"mlcr":                      false,

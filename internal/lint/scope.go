@@ -27,6 +27,7 @@ var deterministicPkgs = map[string]bool{
 	"image":       true,
 	"metrics":     true,
 	"mlcr":        true,
+	"named":       true,
 	"nn":          true,
 	"obs":         true,
 	"platform":    true,

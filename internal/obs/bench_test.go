@@ -21,7 +21,7 @@ func benchWorkload() (workload.Workload, float64) {
 // within noise (<5%).
 func BenchmarkDisabledTracer(b *testing.B) {
 	w, poolMB := benchWorkload()
-	greedy := experiments.Baselines()[3]
+	greedy := experiments.SetupOf("Greedy-Match", 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunObserved(greedy, w, poolMB, nil)
@@ -32,7 +32,7 @@ func BenchmarkDisabledTracer(b *testing.B) {
 // collecting, to quantify the cost of full observability.
 func BenchmarkEnabledTracer(b *testing.B) {
 	w, poolMB := benchWorkload()
-	greedy := experiments.Baselines()[3]
+	greedy := experiments.SetupOf("Greedy-Match", 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RunObserved(greedy, w, poolMB, obs.NewObserver())

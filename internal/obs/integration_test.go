@@ -17,7 +17,7 @@ func runObserved(t *testing.T) (trace, audit, metrics []byte, invocations int) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	o := obs.NewObserver()
-	greedy := experiments.Baselines()[3]
+	greedy := experiments.SetupOf("Greedy-Match", 0)
 	if greedy.Name != "Greedy-Match" {
 		t.Fatalf("baseline order changed: got %q", greedy.Name)
 	}
@@ -58,7 +58,7 @@ func TestObservedRunContent(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	o := obs.NewObserver()
-	res := experiments.RunObserved(experiments.Baselines()[3], w, loose*0.5, o)
+	res := experiments.RunObserved(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5, o)
 
 	arrivals, finishes := 0, 0
 	for _, ev := range o.Recording().Events() {

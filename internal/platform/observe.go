@@ -6,8 +6,8 @@ import (
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
+	"mlcr/internal/evict"
 	"mlcr/internal/obs"
-	"mlcr/internal/pool"
 	"mlcr/internal/workload"
 )
 
@@ -182,10 +182,10 @@ func (p *Platform) observeDecision(inv *workload.Invocation, now time.Duration,
 }
 
 func init() {
-	// The pool package defines its hook reasons without importing obs;
-	// keep the two constant sets from silently diverging.
-	if pool.ReasonCapacity != obs.EvictCapacity || pool.ReasonExpired != obs.EvictExpired ||
-		pool.ReasonRejected != obs.EvictRejected || pool.ReasonOversize != obs.EvictOversize {
-		panic("platform: pool/obs eviction reason constants diverged")
+	// The evict package defines the pool's hook reasons without
+	// importing obs; keep the two constant sets from silently diverging.
+	if evict.ReasonCapacity != obs.EvictCapacity || evict.ReasonExpired != obs.EvictExpired ||
+		evict.ReasonRejected != obs.EvictRejected || evict.ReasonOversize != obs.EvictOversize {
+		panic("platform: evict/obs eviction reason constants diverged")
 	}
 }

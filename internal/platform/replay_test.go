@@ -29,7 +29,7 @@ func TestInteractiveInvokeMatchesBatchRun(t *testing.T) {
 			for _, name := range []string{"Greedy-Match", "LRU"} {
 				t.Run(fmt.Sprintf("%s/%v/%s", w.Name, frac, name), func(t *testing.T) {
 					run := func() *platform.Platform {
-						s, _ := policy.NewByName(name, 1)
+						s, _ := policy.New(name, 1)
 						return platform.New(platform.Config{PoolCapacityMB: loose * frac, Evictor: s.Evictor()}, s)
 					}
 					batch := runner.Fingerprint(run().Run(w))

@@ -16,12 +16,44 @@ import (
 	"mlcr/internal/workload"
 )
 
-// sameFunction returns the ID of the most-recently-used idle container
-// that last served this exact function, or platform.ColdStart.
-//
-// This is the reuse rule of today's clouds (Figure 1's "C" mode): a warm
-// container serves only re-invocations of the same function.
-func sameFunction(env platform.Env, inv *workload.Invocation) int {
+// SameFunction reuses a warm container only for re-invocations of the
+// exact function that created it, picking the most-recently-used one:
+// the reuse rule of today's clouds (Figure 1's "C" mode). The paper's
+// LRU, FaasCache and KeepAlive baselines are this one rule under
+// different names and eviction pairings; the bare rule, Same-Function,
+// is what the scheduler × evictor grid crosses with every evictor.
+type SameFunction struct {
+	name    string
+	evictor string // evict registry name of the default pairing
+}
+
+// NewSameFunction returns the bare same-function scheduler (default LRU
+// eviction, like the paper's LRU baseline).
+func NewSameFunction() *SameFunction { return &SameFunction{"Same-Function", "lru"} }
+
+// NewLRU returns the LRU baseline: a full pool evicts the
+// least-recently-used idle container.
+func NewLRU() *SameFunction { return &SameFunction{"LRU", "lru"} }
+
+// NewFaasCache returns the FaasCache baseline: eviction by the
+// greedy-dual priority of Fuerst & Sharma (ASPLOS'21), weighing
+// function frequency, startup cost and container size.
+func NewFaasCache() *SameFunction { return &SameFunction{"FaasCache", "faascache"} }
+
+// NewKeepAlive returns the KeepAlive baseline, the default warm-start
+// mechanism of public clouds: containers kept warm for
+// evict.DefaultKeepAlive (the paper's 10 minutes), keep-warm requests
+// rejected when the pool is full.
+func NewKeepAlive() *SameFunction { return &SameFunction{"KeepAlive", "keepalive"} }
+
+// Name implements platform.Scheduler.
+func (s *SameFunction) Name() string { return s.name }
+
+// Evictor returns a fresh instance of the paired eviction policy.
+func (s *SameFunction) Evictor() pool.Evictor { return evict.MustNew(s.evictor, 0) }
+
+// Schedule implements platform.Scheduler.
+func (*SameFunction) Schedule(env platform.Env, inv *workload.Invocation) int {
 	best := platform.ColdStart
 	var bestUsed time.Duration = -1
 	env.Pool.RangeIdle(func(c *container.Container) bool {
@@ -33,76 +65,8 @@ func sameFunction(env platform.Env, inv *workload.Invocation) int {
 	return best
 }
 
-// LRU keeps finished containers warm and reuses them for re-invocations
-// of the same function; a full pool evicts the least-recently-used idle
-// container.
-type LRU struct{}
-
-// NewLRU returns the LRU baseline scheduler.
-func NewLRU() *LRU { return &LRU{} }
-
-// Name implements platform.Scheduler.
-func (*LRU) Name() string { return "LRU" }
-
-// Evictor returns the pool eviction policy this scheduler is paired with.
-func (*LRU) Evictor() pool.Evictor { return evict.NewLRU() }
-
-// Schedule implements platform.Scheduler.
-func (*LRU) Schedule(env platform.Env, inv *workload.Invocation) int {
-	return sameFunction(env, inv)
-}
-
 // OnResult implements platform.Scheduler.
-func (*LRU) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
-
-// FaasCache reuses same-function containers like LRU but evicts by the
-// greedy-dual priority of Fuerst & Sharma (ASPLOS'21), weighing function
-// frequency, startup cost and container size.
-type FaasCache struct{}
-
-// NewFaasCache returns the FaasCache baseline scheduler.
-func NewFaasCache() *FaasCache { return &FaasCache{} }
-
-// Name implements platform.Scheduler.
-func (*FaasCache) Name() string { return "FaasCache" }
-
-// Evictor returns the greedy-dual eviction policy.
-func (*FaasCache) Evictor() pool.Evictor { return evict.NewFaasCache() }
-
-// Schedule implements platform.Scheduler.
-func (*FaasCache) Schedule(env platform.Env, inv *workload.Invocation) int {
-	return sameFunction(env, inv)
-}
-
-// OnResult implements platform.Scheduler.
-func (*FaasCache) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
-
-// KeepAlive mirrors the default warm-start mechanism of public clouds:
-// same-function reuse, containers kept warm for a fixed time (the paper
-// uses 10 minutes), keep-warm requests rejected when the pool is full.
-type KeepAlive struct {
-	// Alive is the keep-warm duration; zero defaults to 10 minutes.
-	Alive time.Duration
-}
-
-// NewKeepAlive returns the KeepAlive baseline with the paper's window
-// (evict.DefaultKeepAlive, 10 minutes).
-func NewKeepAlive() *KeepAlive { return &KeepAlive{Alive: evict.DefaultKeepAlive} }
-
-// Name implements platform.Scheduler.
-func (*KeepAlive) Name() string { return "KeepAlive" }
-
-// Evictor returns the TTL-based non-displacing eviction policy. A zero
-// Alive falls back to evict.DefaultKeepAlive inside the policy itself.
-func (k *KeepAlive) Evictor() pool.Evictor { return evict.KeepAlive{Alive: k.Alive} }
-
-// Schedule implements platform.Scheduler.
-func (*KeepAlive) Schedule(env platform.Env, inv *workload.Invocation) int {
-	return sameFunction(env, inv)
-}
-
-// OnResult implements platform.Scheduler.
-func (*KeepAlive) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
+func (*SameFunction) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
 
 // GreedyMatch adopts multi-level container reuse like MLCR but commits to
 // the warm container with the best *matching result* according to Table I

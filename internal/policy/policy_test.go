@@ -141,13 +141,8 @@ func TestKeepAliveName(t *testing.T) {
 }
 
 func TestKeepAliveDefaultTTL(t *testing.T) {
-	k := &KeepAlive{}
-	if got := k.Evictor().TTL(); got != 10*time.Minute {
+	if got := NewKeepAlive().Evictor().TTL(); got != 10*time.Minute {
 		t.Fatalf("default TTL = %v, want 10m", got)
-	}
-	k2 := &KeepAlive{Alive: time.Minute}
-	if got := k2.Evictor().TTL(); got != time.Minute {
-		t.Fatalf("TTL = %v, want 1m", got)
 	}
 }
 

@@ -1,10 +1,9 @@
 package policy
 
 import (
-	"mlcr/internal/evict"
+	"mlcr/internal/named"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
-	"mlcr/internal/workload"
 )
 
 // Evictored is a scheduler bundled with its default eviction policy —
@@ -14,30 +13,35 @@ type Evictored interface {
 	Evictor() pool.Evictor
 }
 
-// SameFunction is the bare same-function reuse rule (Figure 1's "C"
-// mode) with no policy identity of its own: the scheduling behaviour
-// shared by the LRU, FaasCache and KeepAlive baselines, exposed
-// separately so the scheduler × evictor grid can cross it with any
-// eviction policy without implying a specific one.
-type SameFunction struct{}
+// schedulers is the scheduler registry. Each constructor returns a
+// fresh instance; seed feeds learned schedulers' RNGs (Tabular-Q), and
+// deterministic schedulers ignore it. MLCR is not here: it needs
+// offline training (or a model file) and lives in package mlcr.
+var schedulers = named.Table[func(seed int64) Evictored]{Kind: "scheduler"}
 
-// NewSameFunction returns the same-function scheduler (default LRU
-// eviction, like the paper's LRU baseline).
-func NewSameFunction() *SameFunction { return &SameFunction{} }
-
-// Name implements platform.Scheduler.
-func (*SameFunction) Name() string { return "Same-Function" }
-
-// Evictor returns the default pairing (LRU).
-func (*SameFunction) Evictor() pool.Evictor { return evict.NewLRU() }
-
-// Schedule implements platform.Scheduler.
-func (*SameFunction) Schedule(env platform.Env, inv *workload.Invocation) int {
-	return sameFunction(env, inv)
+func init() {
+	schedulers.Register("Cost-Greedy", func(int64) Evictored { return NewCostGreedy() })
+	schedulers.Register("FaasCache", func(int64) Evictored { return NewFaasCache() })
+	schedulers.Register("Greedy-Match", func(int64) Evictored { return NewGreedyMatch() })
+	schedulers.Register("KeepAlive", func(int64) Evictored { return NewKeepAlive() })
+	schedulers.Register("LRU", func(int64) Evictored { return NewLRU() })
+	schedulers.Register("Same-Function", func(int64) Evictored { return NewSameFunction() })
+	schedulers.Register("Tabular-Q", func(seed int64) Evictored { return NewTabularQ(seed) })
 }
 
-// OnResult implements platform.Scheduler.
-func (*SameFunction) OnResult(platform.Env, *workload.Invocation, platform.Result) {}
+// New builds a fresh scheduler, with its default evictor pairing, by
+// registry name, or an error naming the known schedulers.
+func New(name string, seed int64) (Evictored, error) {
+	mk, err := schedulers.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return mk(seed), nil
+}
+
+// Names returns the registered scheduler names in sorted order. The
+// slice is fresh; callers may keep it.
+func Names() []string { return schedulers.Names() }
 
 // GridSchedulers lists the scheduler names crossed with the eviction
 // zoo in grid mode: the non-learned schedulers (cheap enough to run
@@ -45,29 +49,4 @@ func (*SameFunction) OnResult(platform.Env, *workload.Invocation, platform.Resul
 // offline training and keeps its LRU pairing outside the grid.
 func GridSchedulers() []string {
 	return []string{"Same-Function", "Greedy-Match", "Cost-Greedy", "Tabular-Q"}
-}
-
-// NewByName builds a fresh scheduler (with its default evictor pairing)
-// by grid name. seed feeds learned schedulers' RNGs (Tabular-Q);
-// deterministic schedulers ignore it. The second result is false for
-// unknown names.
-func NewByName(name string, seed int64) (Evictored, bool) {
-	switch name {
-	case "Same-Function":
-		return NewSameFunction(), true
-	case "Greedy-Match":
-		return NewGreedyMatch(), true
-	case "Cost-Greedy":
-		return NewCostGreedy(), true
-	case "Tabular-Q":
-		return NewTabularQ(seed), true
-	case "LRU":
-		return NewLRU(), true
-	case "FaasCache":
-		return NewFaasCache(), true
-	case "KeepAlive":
-		return NewKeepAlive(), true
-	default:
-		return nil, false
-	}
 }

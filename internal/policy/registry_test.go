@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"reflect"
 	"testing"
 
 	"mlcr/internal/fstartbench"
@@ -8,36 +9,40 @@ import (
 )
 
 // TestNewByNameCoversRegistry builds every scheduler the registry
-// names — the grid set via GridSchedulers plus the paired aliases —
-// and sanity-checks the construction contract: fresh instances, a
-// usable evictor pairing, and a stable Name. Because it ranges over the
-// registry, a newly registered name is covered without edits: a policy
+// names and sanity-checks the construction contract: a known name, a
+// matching Name, and a usable evictor pairing. Because it ranges over
+// Names(), a newly registered name is covered without edits: a policy
 // that can be named but not built (or built broken) must fail here,
 // not in the first grid sweep that happens to select it.
 func TestNewByNameCoversRegistry(t *testing.T) {
-	names := append(GridSchedulers(), "LRU", "FaasCache", "KeepAlive")
-	for _, name := range names {
-		s, ok := NewByName(name, 1)
-		if !ok {
-			t.Fatalf("NewByName(%q) unknown", name)
+	want := []string{"Cost-Greedy", "FaasCache", "Greedy-Match", "KeepAlive", "LRU", "Same-Function", "Tabular-Q"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	for _, name := range Names() {
+		s, err := New(name, 1)
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
 		}
-		if s == nil {
-			t.Fatalf("NewByName(%q) returned nil scheduler", name)
+		if s.Name() != name {
+			t.Fatalf("New(%q) built a scheduler named %q", name, s.Name())
 		}
 		if s.Evictor() == nil {
-			t.Fatalf("NewByName(%q): nil evictor pairing", name)
+			t.Fatalf("New(%q): nil evictor pairing", name)
 		}
-		if s.Name() == "" {
-			t.Fatalf("NewByName(%q): empty scheduler name", name)
+	}
+	for _, name := range GridSchedulers() {
+		if _, err := New(name, 1); err != nil {
+			t.Fatalf("grid scheduler %q is not registered: %v", name, err)
 		}
 	}
 }
 
-// TestNewByNameUnknown pins the miss behaviour the grid driver relies
-// on to reject typo'd cell names.
+// TestNewByNameUnknown pins the miss behaviour the grid driver and the
+// CLIs rely on to reject typo'd names.
 func TestNewByNameUnknown(t *testing.T) {
-	if _, ok := NewByName("no-such-scheduler", 0); ok {
-		t.Fatal("NewByName accepted an unknown name")
+	if _, err := New("no-such-scheduler", 0); err == nil {
+		t.Fatal("New accepted an unknown name")
 	}
 }
 
@@ -46,9 +51,9 @@ func TestNewByNameUnknown(t *testing.T) {
 func TestGridSchedulersServe(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Names[0], 2, fstartbench.Options{})
 	for _, name := range GridSchedulers() {
-		s, ok := NewByName(name, 1)
-		if !ok {
-			t.Fatalf("NewByName(%q) unknown", name)
+		s, err := New(name, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
 		res := platform.New(platform.Config{PoolCapacityMB: 0, Evictor: s.Evictor()}, s).Run(w)
 		if res.Metrics.Count() != len(w.Invocations) {

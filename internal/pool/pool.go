@@ -40,19 +40,6 @@ type Stats struct {
 	PeakUsedMB float64
 }
 
-// Reasons passed to a Pool's OnEvict hook, aliased from the policy
-// contract package so pool and policies agree by construction.
-const (
-	// ReasonCapacity: displaced by the evictor to make room.
-	ReasonCapacity = evict.ReasonCapacity
-	// ReasonExpired: exceeded the idle TTL.
-	ReasonExpired = evict.ReasonExpired
-	// ReasonRejected: a keep-warm request refused by a full pool.
-	ReasonRejected = evict.ReasonRejected
-	// ReasonOversize: the container alone exceeds the pool capacity.
-	ReasonOversize = evict.ReasonOversize
-)
-
 // entry is a pool slot: a node of the intrusive insertion-ordered list
 // plus the container's match-index keys and bucket positions. Entries are
 // recycled through a freelist so steady-state Add/Take/remove cycles do
@@ -97,8 +84,8 @@ type Pool struct {
 
 	// OnEvict, when non-nil, observes every container the pool kills —
 	// evictions, TTL expiries and rejected keep-warm offers — with one
-	// of the Reason* constants and the current virtual time. It is the
-	// pool-level observability hook; a nil hook costs one branch.
+	// of the evict.Reason* constants and the current virtual time. It is
+	// the pool-level observability hook; a nil hook costs one branch.
 	OnEvict func(c *container.Container, reason string, now time.Duration)
 
 	// Prof, when non-nil, times the pool's hot phases (index scans,
@@ -209,10 +196,10 @@ func (p *Pool) Expire(now time.Duration) []*container.Container {
 		if ttl > 0 && c.IdleFor(now) > ttl {
 			p.remove(e)
 			c.Kill()
-			p.evictor.OnRemove(c, ReasonExpired)
+			p.evictor.OnRemove(c, evict.ReasonExpired)
 			p.stats.Expirations++
 			if p.OnEvict != nil {
-				p.OnEvict(c, ReasonExpired, now)
+				p.OnEvict(c, evict.ReasonExpired, now)
 			}
 			out = append(out, c)
 		}
@@ -237,7 +224,7 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 		c.Kill()
 		p.stats.Rejections++
 		if p.OnEvict != nil {
-			p.OnEvict(c, ReasonOversize, now)
+			p.OnEvict(c, evict.ReasonOversize, now)
 		}
 		return false
 	}
@@ -246,7 +233,7 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 			c.Kill()
 			p.stats.Rejections++
 			if p.OnEvict != nil {
-				p.OnEvict(c, ReasonRejected, now)
+				p.OnEvict(c, evict.ReasonRejected, now)
 			}
 			return false
 		}
@@ -257,7 +244,7 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 			c.Kill()
 			p.stats.Rejections++
 			if p.OnEvict != nil {
-				p.OnEvict(c, ReasonRejected, now)
+				p.OnEvict(c, evict.ReasonRejected, now)
 			}
 			return false
 		}
@@ -267,10 +254,10 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 		}
 		p.remove(ve)
 		victim.Kill()
-		p.evictor.OnRemove(victim, ReasonCapacity)
+		p.evictor.OnRemove(victim, evict.ReasonCapacity)
 		p.stats.Evictions++
 		if p.OnEvict != nil {
-			p.OnEvict(victim, ReasonCapacity, now)
+			p.OnEvict(victim, evict.ReasonCapacity, now)
 		}
 	}
 	e := p.newEntry(c)

@@ -186,8 +186,8 @@ type useGuard struct {
 // claim registers the scheduler for spec i. Only pointer-shaped
 // schedulers with state are tracked: value copies cannot alias each
 // other through the interface, and all pointers to a zero-size struct
-// (e.g. *policy.LRU) share one address by construction while carrying
-// no state to corrupt.
+// (e.g. *policy.GreedyMatch) share one address by construction while
+// carrying no state to corrupt.
 func (g *useGuard) claim(sched platform.Scheduler, i int, name string) {
 	if sched == nil {
 		panic(fmt.Sprintf("runner: spec %d (%q) New returned a nil scheduler", i, name))

@@ -60,6 +60,9 @@ GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 echo "== scheduler × evictor grid smoke (every registered eviction policy) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -evictor all > /dev/null
 
+echo "== single-platform smoke of a registry-only scheduler (every CLI resolves -policy through policy.New) =="
+go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy Tabular-Q > /dev/null
+
 echo "== cluster routing smoke (every registered router × evictor, race-enabled) =="
 go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -evictor lfu > /dev/null
 
