@@ -25,7 +25,6 @@ import (
 	"mlcr/internal/evict"
 	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
-	"mlcr/internal/metrics"
 	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
@@ -187,7 +186,9 @@ func main() {
 	t.AddRow("invocations", m.Count())
 	t.AddRow("total startup latency", m.TotalStartup())
 	t.AddRow("average startup latency", m.AvgStartup())
-	t.AddRow("p99 startup latency", m.StartupQuantile(0.99))
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+		t.AddRow(fmt.Sprintf("p%.3g startup latency", q*100), m.StartupQuantile(q))
+	}
 	t.AddRow("cold starts", m.ColdStarts())
 	lv := m.ByLevel()
 	t.AddRow("warm starts (L1/L2/L3)", fmt.Sprintf("%d/%d/%d", lv[1], lv[2], lv[3]))
@@ -199,14 +200,6 @@ func main() {
 	t.AddRow("peak running memory (MB)", fmt.Sprintf("%.0f", res.PeakRunningMB))
 	t.AddRow("cleaner repacks", res.CleanerOps.Repacks)
 	t.Render(os.Stdout)
-
-	// Startup-latency distribution.
-	h := metrics.NewLatencyHistogram()
-	for _, s := range res.Metrics.Samples() {
-		h.Observe(s.Startup)
-	}
-	fmt.Printf("\nstartup latency distribution (P50 ≤ %v, P99 ≤ %v):\n%s",
-		h.Quantile(0.5), h.Quantile(0.99), h)
 }
 
 // runCluster replays the workload through the multi-worker deployment:

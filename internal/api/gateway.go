@@ -53,8 +53,11 @@ type GatewayConfig struct {
 	// Functions is the invocable catalog (IDs must be unique).
 	Functions []*workload.Function
 	// PoolCapacityMB is the total warm-pool budget, split evenly across
-	// shards (<= 0 unlimited). Within a shard the lock-free fast layer
-	// and the pool segment share the budget dynamically.
+	// shards (<= 0 unlimited). Within a shard the budget is not shared:
+	// the pool is capped at the full share on its own, and the fast
+	// layer is checked against it only when a container parks (see
+	// parkFast), so parked plus pooled memory can approach twice the
+	// share (ROADMAP item 12).
 	PoolCapacityMB float64
 	// NewScheduler builds one scheduling-policy instance per shard
 	// (fresh set on every reset).
@@ -430,11 +433,11 @@ func (sh *gwShard) releaseLocked(now time.Duration) {
 }
 
 // parkFast puts a finished container back in its function's fast
-// channel when there is room and the shard's budget allows. The fast
-// layer and the pool segment share that budget dynamically: a container
-// parks here when combined parked memory stays within the share, else
-// the platform offers it to the pool, which enforces the same cap with
-// eviction.
+// channel when there is room and layer 1 plus the pool stays within the
+// shard's share, else the platform offers it to the pool. The check
+// holds only at parking time: the pool enforces the full share on its
+// own, so later pool admissions can push parked plus pooled memory
+// towards twice the share (ROADMAP items 5(c) and 12).
 func (sh *gwShard) parkFast(c *container.Container) bool {
 	gf := sh.fns[c.FnID]
 	if sh.shareKB != 0 && sh.fastKB.Load()+gf.memKB+int64(sh.plat.Pool().UsedMB()*1024) > sh.shareKB {

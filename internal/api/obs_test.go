@@ -47,7 +47,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mlcr_invocations_total 2",
 		"mlcr_cold_starts_total 1",
 		`mlcr_warm_starts_total{level="3"} 1`,
-		"# TYPE mlcr_startup_seconds histogram",
+		"# TYPE mlcr_startup_seconds summary",
+		`mlcr_startup_seconds{quantile="0.5"} `,
+		`mlcr_startup_seconds{quantile="0.99"} `,
 		"mlcr_startup_seconds_count 2",
 	} {
 		if !strings.Contains(text, want) {

@@ -59,19 +59,16 @@ type Config struct {
 	// worker simulations. <=0 means GOMAXPROCS, 1 forces sequential.
 	// Results are bit-identical at any setting.
 	Parallelism int
-	// Prof, when non-nil, times each front-end routing decision
-	// (perf.PhaseRoute). Parallel routing shards record into private
-	// profilers built from Prof's clock and merge into Prof at the
-	// end-of-route barrier, so the caller-owned profiler itself is
-	// never written concurrently; worker-side phases are profiled per
-	// worker through each platform's own Observer, never through this
-	// one. When nil, Obs.Perf (if any) takes its place.
-	Prof *perf.Profiler
 	// Obs, when non-nil, receives cluster-level observability: the
 	// per-worker mlcr_cluster_routed_total counters and the route-phase
 	// latency summary land in Obs.Metrics, so cluster runs publish the
-	// same Prometheus surface as single-worker runs. Worker simulations
-	// do not share it — per-worker observers stay per-platform.
+	// same Prometheus surface as single-worker runs. Obs.Perf, when
+	// non-nil, times each front-end routing decision (perf.PhaseRoute):
+	// parallel routing shards record into private profilers built from
+	// its clock and merge into it at the end-of-route barrier, so the
+	// caller-owned profiler is never written concurrently. Worker
+	// simulations do not share Obs — per-worker observers stay
+	// per-platform.
 	Obs *obs.Observer
 }
 
@@ -145,10 +142,7 @@ func Run(cfg Config, w workload.Workload) Result {
 	if err := (workload.Workload{Name: w.Name, Functions: w.Functions}).Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
-	prof := cfg.Prof
-	if prof == nil {
-		prof = cfg.Obs.Profiler()
-	}
+	prof := cfg.Obs.Profiler()
 	targets := routeTargets(router, w, cfg.Workers, cfg.Parallelism, prof)
 	parts, routed := partition(w, targets, cfg.Workers)
 	publishRouting(cfg.Obs, routed, prof)

@@ -1,7 +1,8 @@
 // Package metrics collects and summarizes simulation results: startup
-// latency distributions, cold-start counts, per-level reuse counts and
-// time series, in the forms the paper's figures report (totals, averages,
-// box-plot statistics and cumulative curves).
+// latency totals and quantiles (from one streaming perf.HDR, the same
+// type the obs registry exports), cold-start counts, per-level reuse
+// counts and time series, in the forms the paper's figures report
+// (totals, averages, box-plot statistics and cumulative curves).
 package metrics
 
 import (

@@ -226,3 +226,73 @@ func TestCollectorQuantileEmpty(t *testing.T) {
 		t.Fatal("empty collector must report zero quantiles")
 	}
 }
+
+// TestHistogramBasics: the collector's startup histogram counts every
+// sample, sums them exactly and reports the observed maximum as P100.
+func TestHistogramBasics(t *testing.T) {
+	var c Collector
+	for i, d := range []time.Duration{5 * time.Millisecond, 50 * time.Millisecond, 500 * time.Millisecond, 5 * time.Second} {
+		c.Record(Sample{Seq: i, Startup: d})
+	}
+	if c.Count() != 4 {
+		t.Fatalf("Count = %d", c.Count())
+	}
+	if want := 5*time.Millisecond + 50*time.Millisecond + 500*time.Millisecond + 5*time.Second; c.TotalStartup() != want {
+		t.Fatalf("TotalStartup = %v, want %v", c.TotalStartup(), want)
+	}
+	if got := c.StartupQuantile(1); got != 5*time.Second {
+		t.Fatalf("P100 = %v, want the observed max", got)
+	}
+}
+
+// TestHistogramQuantile: one outlier above 99 equal samples moves P100
+// only; P50 and P99 stay within the HDR bucket bound (1/32) of 1ms.
+func TestHistogramQuantile(t *testing.T) {
+	var c Collector
+	for i := 0; i < 99; i++ {
+		c.Record(Sample{Seq: i, Startup: time.Millisecond})
+	}
+	c.Record(Sample{Seq: 99, Startup: 10 * time.Second})
+	for _, q := range []float64{0.5, 0.99} {
+		if got := c.StartupQuantile(q); got < time.Millisecond || got > time.Millisecond+time.Millisecond/32 {
+			t.Fatalf("P%v = %v, want 1ms within 1/32", q*100, got)
+		}
+	}
+	if got := c.StartupQuantile(1); got != 10*time.Second {
+		t.Fatalf("P100 = %v, want max", got)
+	}
+}
+
+// Property: the startup histogram counts every sample, its quantiles
+// are monotone in q, and P100 is the exact maximum.
+func TestPropertyHistogram(t *testing.T) {
+	f := func(samples []uint32) bool {
+		var c Collector
+		maxD := time.Duration(0)
+		for i, s := range samples {
+			d := time.Duration(s%300_000_000) * time.Microsecond
+			c.Record(Sample{Seq: i, Startup: d})
+			if d > maxD {
+				maxD = d
+			}
+		}
+		if c.Count() != len(samples) {
+			return false
+		}
+		if c.Count() == 0 {
+			return true
+		}
+		prev := time.Duration(0)
+		for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
+			v := c.StartupQuantile(q)
+			if v < prev {
+				return false
+			}
+			prev = v
+		}
+		return prev == maxD
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -99,8 +100,14 @@ func TestObservedRunContent(t *testing.T) {
 	for _, want := range []string{
 		"mlcr_invocations_total",
 		"mlcr_cold_starts_total",
-		"mlcr_startup_seconds_bucket",
+		"# TYPE mlcr_startup_seconds summary",
+		`mlcr_startup_seconds{quantile="0.5"} `,
+		`mlcr_startup_seconds{quantile="0.999"} `,
 		`mlcr_warm_starts_total{level="1"}`,
+		// The registry's startup summary and the run's collector are two
+		// records of one run: their count and sum must agree exactly.
+		"mlcr_startup_seconds_count " + strconv.Itoa(res.Metrics.Count()) + "\n",
+		"mlcr_startup_seconds_sum " + strconv.FormatFloat(res.Metrics.TotalStartup().Seconds(), 'g', -1, 64) + "\n",
 	} {
 		if !strings.Contains(snap, want) {
 			t.Errorf("metrics snapshot missing %q", want)

@@ -4,10 +4,10 @@
 //   - a structured trace: typed events (Event) with virtual timestamps,
 //     collected by a pluggable Tracer and exportable as JSONL or as the
 //     Chrome trace_event format (viewable in chrome://tracing/Perfetto);
-//   - a metrics registry (Registry): named counters, gauges, histograms
-//     and HDR-backed summaries with allocation-free hot-path updates, a
-//     deterministic text snapshot and Prometheus exposition-format
-//     export;
+//   - a metrics registry (Registry): named counters, gauges and
+//     HDR-backed summaries (every latency distribution is a perf.HDR)
+//     with allocation-free counter and gauge updates, a deterministic
+//     text snapshot and Prometheus exposition-format export;
 //   - a scheduler decision audit log (Audit): for every invocation, the
 //     candidate set the policy saw, per-candidate match levels and prune
 //     reasons, the chosen action and the realized reward;

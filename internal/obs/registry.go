@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mlcr/internal/metrics"
 	"mlcr/internal/obs/perf"
 )
 
@@ -40,34 +39,14 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a duration histogram backed by metrics.Histogram, made
-// safe for the gateway's concurrent observe/scrape with a small mutex.
-type Histogram struct {
-	mu sync.Mutex
-	h  *metrics.Histogram
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	h.h.Observe(d)
-	h.mu.Unlock()
-}
-
-// snapshot copies the bucket state under the lock.
-func (h *Histogram) snapshot() (bounds []time.Duration, counts []int, sum time.Duration, total int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Boundaries(), h.h.Counts(), h.h.Sum(), h.h.Count()
-}
-
 // summaryQuantiles are the quantile labels every Summary exports.
 var summaryQuantiles = [...]float64{0.5, 0.9, 0.99, 0.999}
 
 // Summary is a quantile summary backed by a perf.HDR: fixed ~15 KiB
 // footprint regardless of sample count, ≤3.1% quantile error, exported
-// in the Prometheus summary format. It is fed either by Observe (live
-// gateway paths) or wholesale via SetHDR (per-run profiler exports).
+// in the Prometheus summary format. It is fed either by Observe (the
+// platform's per-decision startup latency) or wholesale via SetHDR
+// (per-run profiler exports).
 // A small mutex makes observe/scrape safe concurrently.
 type Summary struct {
 	mu sync.Mutex
@@ -131,7 +110,6 @@ type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
 	summaries map[string]*Summary
 	help      map[string]string // base name -> help text
 	typ       map[string]string // base name -> prometheus type
@@ -142,7 +120,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:  map[string]*Counter{},
 		gauges:    map[string]*Gauge{},
-		hists:     map[string]*Histogram{},
 		summaries: map[string]*Summary{},
 		help:      map[string]string{},
 		typ:       map[string]string{},
@@ -188,27 +165,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram returns the duration histogram with the given name,
-// creating it on first use with the given bucket boundaries (nil means
-// the standard latency buckets of metrics.NewLatencyHistogram).
-func (r *Registry) Histogram(name, help string, boundaries []time.Duration) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, help, "histogram")
-	h, ok := r.hists[name]
-	if !ok {
-		var mh *metrics.Histogram
-		if boundaries == nil {
-			mh = metrics.NewLatencyHistogram()
-		} else {
-			mh = metrics.NewHistogram(boundaries)
-		}
-		h = &Histogram{h: mh}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Summary returns the quantile summary with the given name, creating
 // it on first use.
 func (r *Registry) Summary(name, help string) *Summary {
@@ -238,7 +194,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	type series struct {
 		name string
-		kind string // counter | gauge | histogram
+		kind string // counter | gauge | summary
 	}
 	families := map[string][]series{}
 	for name := range r.counters {
@@ -248,10 +204,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name := range r.gauges {
 		base, _ := splitName(name)
 		families[base] = append(families[base], series{name, "gauge"})
-	}
-	for name := range r.hists {
-		base, _ := splitName(name)
-		families[base] = append(families[base], series{name, "histogram"})
 	}
 	for name := range r.summaries {
 		base, _ := splitName(name)
@@ -277,8 +229,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s %d\n", s.name, r.counters[s.name].Value())
 			case "gauge":
 				fmt.Fprintf(bw, "%s %s\n", s.name, formatFloat(r.gauges[s.name].Value()))
-			case "histogram":
-				writeHistogram(bw, s.name, r.hists[s.name])
 			case "summary":
 				writeSummary(bw, s.name, r.summaries[s.name])
 			}
@@ -288,29 +238,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHistogram expands one histogram into cumulative _bucket series
-// plus _sum and _count, with le boundaries in seconds.
-func writeHistogram(w io.Writer, name string, h *Histogram) {
-	base, labels := splitName(name)
-	bounds, counts, sum, total := h.snapshot()
-	joined := func(extra string) string {
-		if labels == "" {
-			return "{" + extra + "}"
-		}
-		return labels[:len(labels)-1] + "," + extra + "}"
-	}
-	cum := 0
-	for i, b := range bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket%s %d\n", base, joined(`le="`+formatFloat(b.Seconds())+`"`), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", base, joined(`le="+Inf"`), total)
-	fmt.Fprintf(w, "%s_sum%s %s\n", base, labels, formatFloat(sum.Seconds()))
-	fmt.Fprintf(w, "%s_count%s %d\n", base, labels, total)
-}
-
 // writeSummary expands one summary into quantile series plus _sum and
-// _count, with values in seconds (HDR records nanoseconds).
+// _count, with values in seconds (HDR records nanoseconds). _sum goes
+// through time.Duration.Seconds, so it prints exactly what the run's
+// summed latency does (metrics.Collector.TotalStartup).
 func writeSummary(w io.Writer, name string, s *Summary) {
 	base, labels := splitName(name)
 	h := s.snapshot()
@@ -324,7 +255,7 @@ func writeSummary(w io.Writer, name string, s *Summary) {
 		v := float64(h.Quantile(q)) / 1e9
 		fmt.Fprintf(w, "%s%s %s\n", base, joined(`quantile="`+formatFloat(q)+`"`), formatFloat(v))
 	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", base, labels, formatFloat(float64(h.Sum())/1e9))
+	fmt.Fprintf(w, "%s_sum%s %s\n", base, labels, formatFloat(time.Duration(h.Sum()).Seconds()))
 	fmt.Fprintf(w, "%s_count%s %d\n", base, labels, h.Count())
 }
 

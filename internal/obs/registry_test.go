@@ -5,30 +5,46 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlcr/internal/obs/perf"
 )
 
 // TestPrometheusGolden pins the exposition output of a small registry
 // byte-for-byte: family ordering, HELP/TYPE lines, label handling and
-// histogram expansion are all load-bearing for scrapers.
+// summary expansion (quantiles, _sum, _count; plain and labelled) are
+// all load-bearing for scrapers.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Requests served.").Add(3)
 	r.Counter(`test_warm_total{level="1"}`, "Warm starts.").Add(2)
 	r.Counter(`test_warm_total{level="2"}`, "Warm starts.").Inc()
 	r.Gauge("test_pool_mb", "Pool memory.").Set(512.5)
-	h := r.Histogram("test_latency_seconds", "Latency.",
-		[]time.Duration{10 * time.Millisecond, 100 * time.Millisecond})
-	h.Observe(5 * time.Millisecond)
-	h.Observe(50 * time.Millisecond)
-	h.Observe(250 * time.Millisecond)
+	s := r.Summary("test_latency_seconds", "Latency.")
+	s.Observe(5 * time.Millisecond)
+	s.Observe(50 * time.Millisecond)
+	s.Observe(250 * time.Millisecond)
+	var h perf.HDR
+	for _, d := range []time.Duration{700 * time.Nanosecond, 3 * time.Microsecond, 40 * time.Microsecond} {
+		h.RecordDuration(d)
+	}
+	r.Summary(`test_phase_seconds{phase="route"}`, "Phase latency.").SetHDR(&h)
 
 	const want = `# HELP test_latency_seconds Latency.
-# TYPE test_latency_seconds histogram
-test_latency_seconds_bucket{le="0.01"} 1
-test_latency_seconds_bucket{le="0.1"} 2
-test_latency_seconds_bucket{le="+Inf"} 3
+# TYPE test_latency_seconds summary
+test_latency_seconds{quantile="0.5"} 0.050331647
+test_latency_seconds{quantile="0.9"} 0.25
+test_latency_seconds{quantile="0.99"} 0.25
+test_latency_seconds{quantile="0.999"} 0.25
 test_latency_seconds_sum 0.305
 test_latency_seconds_count 3
+# HELP test_phase_seconds Phase latency.
+# TYPE test_phase_seconds summary
+test_phase_seconds{phase="route",quantile="0.5"} 3.007e-06
+test_phase_seconds{phase="route",quantile="0.9"} 4e-05
+test_phase_seconds{phase="route",quantile="0.99"} 4e-05
+test_phase_seconds{phase="route",quantile="0.999"} 4e-05
+test_phase_seconds_sum{phase="route"} 4.37e-05
+test_phase_seconds_count{phase="route"} 3
 # HELP test_pool_mb Pool memory.
 # TYPE test_pool_mb gauge
 test_pool_mb 512.5
@@ -52,13 +68,17 @@ var sampleLineRe = regexp.MustCompile(
 		`[-+]?([0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?|Inf|NaN)$`)
 
 // TestPrometheusFormatValid runs a lightweight exposition-format
-// validator over the platform-shaped metric set: every sample line must
+// validator over the platform-shaped metric set (counters, a gauge, the
+// startup summary and one PublishPerf-shaped phase summary): every sample line must
 // parse, and every sample must be preceded by its family's TYPE line.
 func TestPrometheusFormatValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mlcr_invocations_total", "Invocations scheduled.").Add(10)
 	r.Gauge("mlcr_pool_used_mb", "Idle pool memory.").Set(0)
-	r.Histogram("mlcr_startup_seconds", "Startup latency.", nil).Observe(3 * time.Second)
+	r.Summary("mlcr_startup_seconds", "Startup latency.").Observe(3 * time.Second)
+	var h perf.HDR
+	h.RecordDuration(40 * time.Microsecond)
+	r.Summary(`mlcr_phase_seconds{phase="schedule"}`, "Hot-path phase latency by profiler phase.").SetHDR(&h)
 	for _, lv := range []string{"1", "2", "3"} {
 		r.Counter(`mlcr_warm_starts_total{level="`+lv+`"}`, "Warm starts by level.").Inc()
 	}
@@ -71,7 +91,7 @@ func TestPrometheusFormatValid(t *testing.T) {
 				t.Fatalf("line %d: malformed TYPE: %q", i+1, line)
 			}
 			switch f[3] {
-			case "counter", "gauge", "histogram":
+			case "counter", "gauge", "summary":
 			default:
 				t.Errorf("line %d: unknown type %q", i+1, f[3])
 			}
@@ -86,7 +106,7 @@ func TestPrometheusFormatValid(t *testing.T) {
 			continue
 		}
 		name := line[:strings.IndexAny(line, "{ ")]
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
+		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
 		if !typed[name] && !typed[base] {
 			t.Errorf("line %d: sample %q has no preceding TYPE", i+1, name)
 		}

@@ -22,7 +22,7 @@ type platformMetrics struct {
 	created     *obs.Counter
 	reused      *obs.Counter
 	swaps       *obs.Counter
-	startup     *obs.Histogram
+	startup     *obs.Summary
 	poolUsedMB  *obs.Gauge
 	runningMB   *obs.Gauge
 	evicted     map[string]*obs.Counter // by reason, lazily registered
@@ -36,7 +36,7 @@ func newPlatformMetrics(reg *obs.Registry) *platformMetrics {
 		created:     reg.Counter("mlcr_containers_created_total", "Sandboxes created."),
 		reused:      reg.Counter("mlcr_containers_reused_total", "Warm-container reuses."),
 		swaps:       reg.Counter("mlcr_volume_swaps_total", "Container-cleaner repacks."),
-		startup:     reg.Histogram("mlcr_startup_seconds", "Startup latency distribution.", nil),
+		startup:     reg.Summary("mlcr_startup_seconds", "Startup latency distribution."),
 		poolUsedMB:  reg.Gauge("mlcr_pool_used_mb", "Memory held by idle pooled containers."),
 		runningMB:   reg.Gauge("mlcr_running_mb", "Memory held by busy containers."),
 		evicted:     map[string]*obs.Counter{},

@@ -63,6 +63,12 @@ go run ./cmd/mlcr-sim -workload Uniform -count 200 -evictor all > /dev/null
 echo "== single-platform smoke of a registry-only scheduler (every CLI resolves -policy through policy.New) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy Tabular-Q > /dev/null
 
+echo "== metrics export smoke (-metrics-out writes the startup latency as an HDR-backed summary) =="
+tmp=$(mktemp)
+trap 'rm -f "$tmp"' EXIT
+go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null
+grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
+
 echo "== cluster routing smoke (every registered router × evictor, race-enabled) =="
 go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -evictor lfu > /dev/null
 
