@@ -8,7 +8,7 @@
 //	mlcr-bench -fig 8 -repeats 3        # overall evaluation
 //	mlcr-bench -fig 11a -episodes 48    # similarity panel, longer training
 //	mlcr-bench -fig 8 -csv out.csv      # also emit CSV
-//	mlcr-bench -fig 8 -evictor lfu      # rerun fig 8 under LFU eviction
+//	mlcr-bench -fig 8 -evictor clean    # rerun fig 8 under clean-first eviction
 //	mlcr-bench -fig grid                # scheduler × evictor grid
 //	mlcr-bench -fig cluster             # routing × scheduler grid
 package main
@@ -39,7 +39,7 @@ func main() {
 	flag.Parse()
 
 	if *evictorName != "" {
-		if _, err := evict.New(*evictorName, *seed); err != nil {
+		if _, err := evict.New(*evictorName); err != nil {
 			fmt.Fprintf(os.Stderr, "mlcr-bench: %v\n", err)
 			os.Exit(2)
 		}
@@ -93,8 +93,8 @@ func main() {
 	if want("cache") {
 		run("cache", func() *report.Table { return experiments.CacheStudy(opts).Table() })
 	}
-	// The scheduler × evictor grid is opt-in (-fig grid): it adds 40+
-	// cells and is a zoo-wide sweep rather than a paper figure.
+	// The scheduler × evictor grid is opt-in (-fig grid): it adds 16
+	// cells and is an every-policy sweep rather than a paper figure.
 	if *fig == "grid" {
 		run("grid", func() *report.Table {
 			w := fstartbench.BuildOverall(*seed, fstartbench.OverallOptions{})

@@ -8,10 +8,10 @@
 //	mlcr-sim -workload Overall -policy MLCR -episodes 36
 //	mlcr-sim -workload LO-Sim -policy MLCR -model mlcr.gob
 //	mlcr-sim -workload Overall -policy all -parallel 8
-//	mlcr-sim -workload Peak -policy Greedy-Match -evictor lfu
+//	mlcr-sim -workload Peak -policy Greedy-Match -evictor faascache
 //	mlcr-sim -workload Uniform -evictor all -count 200
 //	mlcr-sim -workers 1000 -routing p2c
-//	mlcr-sim -workers 8 -routing all -evictor lfu
+//	mlcr-sim -workers 8 -routing all -evictor faascache
 package main
 
 import (
@@ -96,7 +96,7 @@ func main() {
 	}
 
 	if *evictorName != "" && *evictorName != "all" {
-		if _, err := evict.New(*evictorName, *seed); err != nil {
+		if _, err := evict.New(*evictorName); err != nil {
 			fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
 			os.Exit(2)
 		}
@@ -157,7 +157,7 @@ func main() {
 		}
 		setup = experiments.SetupOf(*policyName, *seed)
 	}
-	res := experiments.RunObserved(experiments.WithEvictor([]experiments.Setup{setup}, *evictorName, *seed)[0], w, poolMB, o)
+	res := experiments.RunObserved(experiments.WithEvictor([]experiments.Setup{setup}, *evictorName)[0], w, poolMB, o)
 
 	if *traceOut != "" {
 		writeOut(*traceOut, func(f *os.File) error {
@@ -223,7 +223,6 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 				return sched
 			},
 			Evictor:     evictor,
-			EvictorSeed: seed,
 			Parallelism: parallel,
 		}
 	}
@@ -314,7 +313,7 @@ func compareAll(w workload.Workload, loose, poolMB, poolFrac float64, seed int64
 	opts := experiments.Options{Seed: seed, Episodes: episodes, Parallelism: parallel}
 	trained := experiments.TrainMLCR(w, loose, []float64{poolFrac}, opts)
 	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0), experiments.MLCRSetup(trained))
-	setups = experiments.WithEvictor(setups, evictor, seed)
+	setups = experiments.WithEvictor(setups, evictor)
 
 	results := experiments.RunAll(setups, w, poolMB, opts)
 

@@ -59,7 +59,7 @@ func TestGatewayMatchesSimulator(t *testing.T) {
 // there is none.
 func diffGateway(w workload.Workload, poolMB float64, sched, ev string) string {
 	newSched := func() platform.Scheduler { s, _ := policy.New(sched, 1); return s }
-	newEvictor := func() pool.Evictor { return evict.MustNew(ev, 1) }
+	newEvictor := func() pool.Evictor { return evict.MustNew(ev) }
 	p := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: newEvictor()}, newSched())
 	g, err := api.NewGateway(api.GatewayConfig{
 		Functions: fstartbench.Functions(), PoolCapacityMB: poolMB,

@@ -240,16 +240,16 @@ func TestGatewayReplayPinned(t *testing.T) {
 		"faascache/1s":   "06fbe88c7884cd58 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:10091200 AvgStartupMS:3363 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:463 WarmStarts:2537 ReuseByLevel:{L1:61 L2:56 L3:2420} WarmByLevel:[463 61 56 2420] PoolUsedMB:1952 PoolPeakMB:2656 Evictions:194 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1953 FastExpired:0 FastParkedMB:1104}",
 		"keepalive/37ms": "551143eb70210e82 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:16683395 AvgStartupMS:5561 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1152 WarmStarts:1848 ReuseByLevel:{L1:156 L2:148 L3:1544} WarmByLevel:[1152 156 148 1544] PoolUsedMB:2320 PoolPeakMB:2896 Evictions:0 Rejections:994 Expirations:0 PolicyErrors:0 Shards:4 FastHits:935 FastExpired:0 FastParkedMB:560}",
 		"keepalive/1s":   "6d9957c70f58ec58 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:9919400 AvgStartupMS:3306 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:441 WarmStarts:2559 ReuseByLevel:{L1:39 L2:71 L3:2449} WarmByLevel:[441 39 71 2449] PoolUsedMB:1656 PoolPeakMB:2656 Evictions:0 Rejections:428 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1970 FastExpired:0 FastParkedMB:968}",
-		"cost/37ms":      "2eb556ff7f34478c {Policy:Greedy-Match Invocations:3000 TotalStartupMS:15965490 AvgStartupMS:5321 StartupQuantiles:{P50:402 P95:30615 P99:30615} ColdStarts:1060 WarmStarts:1940 ReuseByLevel:{L1:153 L2:161 L3:1626} WarmByLevel:[1060 153 161 1626] PoolUsedMB:2040 PoolPeakMB:2896 Evictions:732 Rejections:182 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1045 FastExpired:0 FastParkedMB:352}",
-		"cost/1s":        "8fdb70c8e90268e0 {Policy:Greedy-Match Invocations:3000 TotalStartupMS:10002055 AvgStartupMS:3334 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:456 WarmStarts:2544 ReuseByLevel:{L1:80 L2:61 L3:2403} WarmByLevel:[456 80 61 2403] PoolUsedMB:1528 PoolPeakMB:2656 Evictions:190 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1913 FastExpired:0 FastParkedMB:968}",
+		"clean/37ms":     "a3e87c795455388c {Policy:Greedy-Match Invocations:3000 TotalStartupMS:16093315 AvgStartupMS:5364 StartupQuantiles:{P50:503 P95:30615 P99:30615} ColdStarts:1104 WarmStarts:1896 ReuseByLevel:{L1:171 L2:182 L3:1543} WarmByLevel:[1104 171 182 1543] PoolUsedMB:2184 PoolPeakMB:2888 Evictions:769 Rejections:182 Expirations:0 PolicyErrors:0 Shards:4 FastHits:999 FastExpired:0 FastParkedMB:544}",
+		"clean/1s":       "72b377e92be823dc {Policy:Greedy-Match Invocations:3000 TotalStartupMS:10160965 AvgStartupMS:3386 StartupQuantiles:{P50:142 P95:30615 P99:30615} ColdStarts:469 WarmStarts:2531 ReuseByLevel:{L1:54 L2:72 L3:2405} WarmByLevel:[469 54 72 2405] PoolUsedMB:1848 PoolPeakMB:2680 Evictions:202 Rejections:254 Expirations:0 PolicyErrors:0 Shards:4 FastHits:1976 FastExpired:0 FastParkedMB:1320}",
 	}
-	for _, ev := range []string{"lru", "faascache", "keepalive", "cost"} {
+	for _, ev := range []string{"lru", "faascache", "keepalive", "clean"} {
 		for _, gap := range []time.Duration{37 * time.Millisecond, time.Second} {
 			var vc vclock
 			fns := testFunctions()
 			g := testGateway(t, GatewayConfig{
 				Functions: fns, Clock: vc.Clock, Shards: 4, FastDepth: 1, PoolCapacityMB: 3000,
-				NewEvictor: func() pool.Evictor { return evict.MustNew(ev, 1) },
+				NewEvictor: func() pool.Evictor { return evict.MustNew(ev) },
 			})
 			rng := rand.New(rand.NewSource(1))
 			ids := sha256.New()

@@ -49,11 +49,8 @@ type Config struct {
 	NewEvictor func(worker int) pool.Evictor
 	// Evictor names a registered eviction policy (see evict.Names())
 	// applied to every worker when NewEvictor is nil. Each worker gets a
-	// fresh instance seeded EvictorSeed+worker so randomized policies
-	// stay independent yet reproducible.
+	// fresh instance.
 	Evictor string
-	// EvictorSeed seeds per-worker policy instances built via Evictor.
-	EvictorSeed int64
 	// Parallelism bounds concurrency for both phases of a run: routing
 	// shards (as far as the router's Shards() contract allows) and
 	// worker simulations. <=0 means GOMAXPROCS, 1 forces sequential.
@@ -116,13 +113,11 @@ func Run(cfg Config, w workload.Workload) Result {
 		panic("cluster: NewScheduler required")
 	}
 	if cfg.NewEvictor == nil && cfg.Evictor != "" {
-		name, seed := cfg.Evictor, cfg.EvictorSeed
-		if _, err := evict.New(name, seed); err != nil {
+		name := cfg.Evictor
+		if _, err := evict.New(name); err != nil {
 			panic("cluster: " + err.Error())
 		}
-		cfg.NewEvictor = func(worker int) pool.Evictor {
-			return evict.MustNew(name, seed+int64(worker))
-		}
+		cfg.NewEvictor = func(int) pool.Evictor { return evict.MustNew(name) }
 	}
 	perPool := cfg.PoolCapacityMB
 	if perPool > 0 {

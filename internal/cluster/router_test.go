@@ -394,19 +394,17 @@ func TestConfigRouterPrecedence(t *testing.T) {
 	Run(bad, w)
 }
 
-// mkClusterSetups is shared by the grid smoke below.
 func TestRoutingEvictorGridSmoke(t *testing.T) {
 	// Small routing × evictor grid: every registered router crossed
-	// with a few eviction policies, exercised under -race by check.sh.
+	// with every eviction policy, exercised under -race by check.sh.
 	w := fstartbench.Build(fstartbench.Uniform, 6, fstartbench.Options{Count: 120})
 	for _, router := range RouterNames() {
-		for _, ev := range []string{"lru", "lfu", "random"} {
+		for _, ev := range evict.Names() {
 			cfg := Config{
 				Workers:        4,
 				PoolCapacityMB: 4000,
 				Router:         router,
 				Evictor:        ev,
-				EvictorSeed:    3,
 				NewScheduler:   func(int) platform.Scheduler { return policy.NewGreedyMatch() },
 				Parallelism:    0,
 			}
@@ -423,4 +421,3 @@ func TestRoutingEvictorGridSmoke(t *testing.T) {
 }
 
 var _ = pool.Evictor(nil) // keep the pool import for mkCfg's evictor factory
-var _ = evict.Names

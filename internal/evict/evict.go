@@ -1,27 +1,25 @@
 // Package evict defines the event-driven eviction-policy contract of the
-// warm-container pool and a zoo of policies implementing it: the paper's
-// three baselines (LRU, FaasCache greedy-dual, fixed KeepAlive) plus
-// LFU, FIFO, Random, a displacing TTL variant, size-based largest-first,
-// a clean/dirty-aware policy preferring victims that need no volume
-// swap, and a hybrid cost policy (Section VI-A; DESIGN.md §12).
+// warm-container pool and the four policies implementing it: the
+// paper's three baselines (LRU, FaasCache greedy-dual, fixed KeepAlive)
+// plus the clean/dirty-aware policy of Fig 1, which prefers victims
+// that need no volume swap (Section VI-A; DESIGN.md §12).
 //
 // Unlike the pre-refactor Evictor.Victim(idle []…) contract, a Policy
 // never sees the idle set. The pool narrates membership changes through
-// OnAdd/OnUse/OnRemove/OnTick and each policy maintains its own
-// intrusive bookkeeping (heap, ring, slice) so PickVictim is O(1) or
-// O(log n) and the whole callback surface is allocation-free in steady
-// state (pinned by TestPickVictimZeroAllocs). Policies key their
-// structures through Container.PolicyCookie, an int slot the pool
-// reserves for whichever policy currently tracks the container; only
-// this package touches it, and a foreign write corrupts a heap or ring
-// that the every-policy property harness (evictionScript) replays.
+// OnAdd/OnUse/OnRemove/OnTick and each displacing policy keeps its own
+// intrusive victim heap, so PickVictim is O(1) or O(log n) and the
+// whole callback surface is allocation-free in steady state (pinned by
+// TestPickVictimZeroAllocs). Policies key the heap through
+// Container.PolicyCookie, an int slot the pool reserves for whichever
+// policy currently tracks the container; only this package touches it,
+// and a foreign write corrupts a heap that the every-policy property
+// harness (evictionScript) replays.
 //
-// Determinism contract: policies may hold only virtual-time state and
-// seeded RNG state. Tie-breaks must be resolved by stable container
-// fields — (LastUsedAt, ID) or insertion sequence — never by map
-// iteration or pointer order. The package is in mlcr-vet's
-// deterministic scope: wall-clock and global math/rand calls are
-// build-gate errors.
+// Determinism contract: policies hold only virtual-time state and no
+// RNG. Tie-breaks must be resolved by stable container fields —
+// (LastUsedAt, ID) or insertion sequence — never by map iteration or
+// pointer order. The package is in mlcr-vet's deterministic scope:
+// wall-clock and global math/rand calls are build-gate errors.
 package evict
 
 import (
@@ -85,18 +83,18 @@ type Policy interface {
 	// OnRemove records a container killed by the pool with one of the
 	// Reason* constants (capacity or expired).
 	OnRemove(c *container.Container, reason string)
-	// OnTick observes virtual time advancing; most policies ignore it.
+	// OnTick observes virtual time advancing; no policy reads it.
 	OnTick(now time.Duration)
 	// PickVictim returns the container the policy sacrifices next, or
 	// nil to refuse eviction. O(1)/O(log n); must not allocate.
 	PickVictim(now time.Duration) *container.Container
 }
 
-// PerContainerTTL is an optional Policy refinement: policies that
-// implement it expire each container on its own schedule instead of the
-// single global TTL.
+// PerContainerTTL once let a policy expire each container on its own
+// schedule. No policy implements it and the pool no longer consults it:
+// Expire uses the single TTL. It remains only because the benchmark's
+// tracing wrapper names it, and it leaves with OnTick in the next
+// change to the benchmark.
 type PerContainerTTL interface {
-	// TTLFor returns the idle lifetime for one container; zero means
-	// unlimited.
 	TTLFor(c *container.Container) time.Duration
 }

@@ -6,7 +6,7 @@ import "mlcr/internal/container"
 // (f, a, b), compared lexicographically with the minimum evicted first.
 // Policies encode their ordering into the three fields at push time —
 // e.g. LRU uses (0, LastUsedAt, addSeq), FaasCache (priority, ID, 0) —
-// so one heap implementation serves the whole zoo.
+// so one heap implementation serves every displacing policy.
 type vitem struct {
 	c    *container.Container
 	f    float64

@@ -45,29 +45,3 @@ func (*LRU) OnTick(time.Duration) {}
 
 // PickVictim implements Policy: the minimum (LastUsedAt, addSeq) key.
 func (l *LRU) PickVictim(time.Duration) *container.Container { return l.h.min() }
-
-// TTL combines LRU displacement with a fixed idle lifetime: like
-// KeepAlive it expires containers after Alive, but a full pool displaces
-// the least-recently-used container instead of rejecting the offer —
-// the "TTL variant" between pure LRU (no expiry) and pure KeepAlive
-// (no displacement).
-type TTL struct {
-	LRU
-	// Alive is the idle lifetime; zero falls back to DefaultKeepAlive.
-	Alive time.Duration
-}
-
-// NewTTL returns a TTL policy with the given idle lifetime (zero means
-// DefaultKeepAlive).
-func NewTTL(alive time.Duration) *TTL { return &TTL{Alive: alive} }
-
-// Name implements Policy.
-func (*TTL) Name() string { return "ttl" }
-
-// TTL implements Policy.
-func (t *TTL) TTL() time.Duration {
-	if t.Alive == 0 {
-		return DefaultKeepAlive
-	}
-	return t.Alive
-}

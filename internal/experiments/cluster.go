@@ -83,7 +83,6 @@ func ClusterGrid(w workload.Workload, workers int, poolMB float64, routers, sche
 					return sched
 				},
 				Evictor:     opts.Evictor,
-				EvictorSeed: opts.Seed,
 				Parallelism: opts.Parallelism,
 			}, w)
 			cell := ClusterCell{Router: rn, Scheduler: sn}

@@ -80,7 +80,7 @@ func Fig11(group string, opts Options) Fig11Result {
 			for _, scale := range PoolScales {
 				poolMB := loose * scale.Frac
 				TuneMargin(trained, w, poolMB, opts.Parallelism)
-				setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor, repOpts.Seed)
+				setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor)
 				results := RunAll(setups, w, poolMB, opts)
 				for i, s := range setups {
 					rows = append(rows, obsRow{policy: s.Name, total: results[i].Metrics.TotalStartup().Seconds()})

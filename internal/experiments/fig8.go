@@ -84,7 +84,7 @@ func Fig8(opts Options) Fig8Result {
 		for _, ps := range OverallPools {
 			poolMB := loose * ps.Frac
 			TuneMargin(trained, w, poolMB, opts.Parallelism)
-			setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor, repOpts.Seed)
+			setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor)
 			results := RunAll(setups, w, poolMB, opts)
 			for i, s := range setups {
 				out.rows = append(out.rows, obsRow{

@@ -26,10 +26,9 @@ type GridCell struct {
 }
 
 // GridResult is the full scheduler × evictor comparison of one
-// workload at one pool size — the strategy-space map the eviction-policy
-// zoo exists for: every reuse scheduler crossed with every eviction
-// policy, so MLCR's margin can be read against the whole space instead
-// of three fixed pairings.
+// workload at one pool size: every reuse scheduler crossed with every
+// eviction policy, so MLCR's margin can be read against the whole space
+// instead of three fixed pairings.
 type GridResult struct {
 	PoolMB     float64
 	Schedulers []string
@@ -69,7 +68,7 @@ func EvictionGrid(w workload.Workload, poolMB float64, scheds, evictors []string
 			panic("experiments: " + err.Error())
 		}
 		for _, en := range evictors {
-			if _, err := evict.New(en, opts.Seed); err != nil {
+			if _, err := evict.New(en); err != nil {
 				panic(err)
 			}
 			sn, en := sn, en
@@ -77,7 +76,7 @@ func EvictionGrid(w workload.Workload, poolMB float64, scheds, evictors []string
 				Name: sn + "/" + en, Workload: w, PoolCapacityMB: poolMB,
 				New: func() (platform.Scheduler, pool.Evictor) {
 					sched, _ := policy.New(sn, opts.Seed)
-					return sched, evict.MustNew(en, opts.Seed)
+					return sched, evict.MustNew(en)
 				},
 			})
 		}

@@ -67,7 +67,7 @@ func zooFingerprints(t *testing.T, parallelism int) []string {
 		specs = append(specs, runner.Spec{
 			Name: name, Workload: w, PoolCapacityMB: 1200,
 			New: func() (platform.Scheduler, pool.Evictor) {
-				return policy.NewSameFunction(), evict.MustNew(name, 5)
+				return policy.NewSameFunction(), evict.MustNew(name)
 			},
 		})
 	}
@@ -79,9 +79,8 @@ func zooFingerprints(t *testing.T, parallelism int) []string {
 	return out
 }
 
-// TestZooParallelMatchesSequential: every policy in the eviction zoo —
-// including the seeded random one — must be bit-identical at
-// parallelism 1 and 8.
+// TestZooParallelMatchesSequential: every registered eviction policy
+// must be bit-identical at parallelism 1 and 8.
 func TestZooParallelMatchesSequential(t *testing.T) {
 	seq := zooFingerprints(t, 1)
 	for _, par := range []int{8, 0} {
@@ -121,7 +120,7 @@ func TestEvictionGridParallelDeterministic(t *testing.T) {
 func TestWithEvictorOverrides(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{Count: 120})
 	base := append(Baselines(), SetupOf("Cost-Greedy", 0))
-	wrapped := WithEvictor(base, "lru", 3)
+	wrapped := WithEvictor(base, "lru")
 	for i := range base {
 		if wrapped[i].Name != base[i].Name {
 			t.Fatalf("WithEvictor renamed %q to %q", base[i].Name, wrapped[i].Name)
@@ -138,7 +137,7 @@ func TestWithEvictorOverrides(t *testing.T) {
 	if runner.Fingerprint(a) != runner.Fingerprint(b) {
 		t.Fatal("lru override changed the LRU baseline's run")
 	}
-	if got := WithEvictor(base, "", 3); reflect.ValueOf(got).Pointer() != reflect.ValueOf(base).Pointer() {
+	if got := WithEvictor(base, ""); reflect.ValueOf(got).Pointer() != reflect.ValueOf(base).Pointer() {
 		t.Fatal("empty evictor name must return the setups unchanged")
 	}
 }

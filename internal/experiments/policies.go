@@ -133,14 +133,14 @@ func (o Options) WithDefaults() Options {
 // WithEvictor re-pairs each setup's scheduler with the named eviction
 // policy from the evict registry, keeping setup names (the policy axis
 // is reported separately). An empty name returns the setups unchanged;
-// an unknown one panics with the registry's name list. seed feeds
-// RNG-bearing policies (random); every run constructs its own policy
-// instance, so results stay bit-identical at any parallelism.
-func WithEvictor(setups []Setup, name string, seed int64) []Setup {
+// an unknown one panics with the registry's name list. Every run
+// constructs its own policy instance, so results stay bit-identical at
+// any parallelism.
+func WithEvictor(setups []Setup, name string) []Setup {
 	if name == "" {
 		return setups
 	}
-	if _, err := evict.New(name, seed); err != nil {
+	if _, err := evict.New(name); err != nil {
 		panic(err)
 	}
 	out := make([]Setup, len(setups))
@@ -148,7 +148,7 @@ func WithEvictor(setups []Setup, name string, seed int64) []Setup {
 		mk := s.New
 		out[i] = Setup{Name: s.Name, New: func() (platform.Scheduler, pool.Evictor) {
 			sched, _ := mk()
-			return sched, evict.MustNew(name, seed)
+			return sched, evict.MustNew(name)
 		}}
 	}
 	return out

@@ -50,7 +50,7 @@ func NewKeepAlive() *SameFunction { return &SameFunction{"KeepAlive", "keepalive
 func (s *SameFunction) Name() string { return s.name }
 
 // Evictor returns a fresh instance of the paired eviction policy.
-func (s *SameFunction) Evictor() pool.Evictor { return evict.MustNew(s.evictor, 0) }
+func (s *SameFunction) Evictor() pool.Evictor { return evict.MustNew(s.evictor) }
 
 // Schedule implements platform.Scheduler.
 func (*SameFunction) Schedule(env platform.Env, inv *workload.Invocation) int {

@@ -1,7 +1,7 @@
 // Package pool implements the fix-sized warm-container resource pool.
 // Eviction is delegated to an event-driven policy from internal/evict
-// (LRU, FaasCache greedy-dual, KeepAlive and the rest of the zoo —
-// Section VI-A, DESIGN.md §12): the pool narrates membership changes
+// (LRU, FaasCache greedy-dual, KeepAlive and clean-first — Section
+// VI-A, DESIGN.md §12): the pool narrates membership changes
 // through the policy's OnAdd/OnUse/OnRemove/OnTick callbacks and asks
 // PickVictim when full, so victim selection is O(1)/O(log n) instead of
 // scanning the idle set.
@@ -171,16 +171,13 @@ func (p *Pool) Get(id int) *container.Container {
 }
 
 // Expire removes idle containers whose idle time exceeds the evictor's
-// TTL — the per-container TTL when the evictor implements
-// evict.PerContainerTTL, the global one otherwise. It returns the
-// expired containers. Call with the current virtual time before making
+// TTL and returns them. Call with the current virtual time before making
 // scheduling decisions; the call delivers the policy's OnTick even when
 // no TTL is configured.
 func (p *Pool) Expire(now time.Duration) []*container.Container {
 	p.evictor.OnTick(now)
-	perC, adaptive := p.evictor.(evict.PerContainerTTL)
-	globalTTL := p.evictor.TTL()
-	if globalTTL <= 0 && !adaptive {
+	ttl := p.evictor.TTL()
+	if ttl <= 0 {
 		return nil
 	}
 	// Walk the intrusive list directly (no per-call snapshot copy),
@@ -188,12 +185,7 @@ func (p *Pool) Expire(now time.Duration) []*container.Container {
 	var out []*container.Container
 	for e := p.head; e != nil; {
 		next := e.next
-		c := e.c
-		ttl := globalTTL
-		if adaptive {
-			ttl = perC.TTLFor(c)
-		}
-		if ttl > 0 && c.IdleFor(now) > ttl {
+		if c := e.c; c.IdleFor(now) > ttl {
 			p.remove(e)
 			c.Kill()
 			p.evictor.OnRemove(c, evict.ReasonExpired)

@@ -70,7 +70,7 @@ go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/nu
 grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
 
 echo "== cluster routing smoke (every registered router × evictor, race-enabled) =="
-go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -evictor lfu > /dev/null
+go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -evictor faascache > /dev/null
 
 echo "== BenchmarkSimCore smoke (1 invocation) =="
 go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
