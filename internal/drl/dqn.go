@@ -58,6 +58,10 @@ type TrainStepStats struct {
 	ReplayLen int
 	// Synced reports whether this step synchronized the target network.
 	Synced bool
+	// TargetsCached counts the minibatch's bootstrap targets whose
+	// target-network Q-vector came from the cache rather than a forward
+	// pass.
+	TargetsCached int
 }
 
 // Agent is a DQN learner: an online Q-network, a periodically synced
@@ -78,11 +82,20 @@ type Agent struct {
 	// the steady-state hot path performs zero heap allocations. They hold
 	// no logical state between calls and are skipped by Save/Load and
 	// CopyWeightsFrom.
-	qvals   *nn.Tensor   // inference output (ForwardInto destination)
-	valid   []int        // ε-greedy valid-action scratch
-	batch   []Transition // minibatch scratch
-	targets []float64    // bootstrap-target scratch
-	grad    *nn.Tensor   // one-hot output-gradient scratch
+	qvals   *nn.Tensor // inference output (ForwardInto destination)
+	valid   []int      // ε-greedy valid-action scratch
+	slots   []int      // minibatch replay-slot scratch
+	targets []float64  // bootstrap-target scratch
+	grad    *nn.Tensor // one-hot output-gradient scratch
+
+	// Target cache: the target network's Q-vector of each replay slot's
+	// Next state (Actions values per slot), current while the slot's
+	// stamp equals targetVersion. Stamp 0 marks an empty slot. Allocated
+	// by the first TrainStep, so an inference-only agent never holds it;
+	// like the workspaces it is not model state.
+	targetQ      []float64
+	targetStamp  []uint64
+	targetParams []*nn.Param
 
 	// OnTrainStep, when non-nil, observes every gradient update — the
 	// training-loop telemetry hook (loss/ε/reward reporting is wired by
@@ -102,19 +115,22 @@ func NewAgent(cfg AgentConfig, seed int64) *Agent {
 		opt.ClipNorm = cfg.ClipNorm
 	}
 	return &Agent{
-		cfg:    cfg,
-		online: online,
-		target: target,
-		opt:    opt,
-		replay: NewReplay(cfg.ReplayCapacity),
-		rng:    rng,
+		cfg:          cfg,
+		online:       online,
+		target:       target,
+		opt:          opt,
+		replay:       NewReplay(cfg.ReplayCapacity),
+		rng:          rng,
+		targetParams: target.Params(),
 	}
 }
 
 // Config returns the agent configuration (with defaults applied).
 func (a *Agent) Config() AgentConfig { return a.cfg }
 
-// Replay exposes the experience pool.
+// Replay exposes the experience pool. Store transitions through
+// Observe, not Replay().Add: Observe also drops the written slot's
+// cached target Q-values.
 func (a *Agent) Replay() *Replay { return a.replay }
 
 // Online exposes the online Q-network — the weights a QBatcher shares
@@ -155,8 +171,16 @@ func (a *Agent) SelectAction(s State, epsilon float64) int {
 	return act
 }
 
-// Observe stores a transition in the replay pool.
-func (a *Agent) Observe(t Transition) { a.replay.Add(t) }
+// Observe stores a transition in the replay pool. The pool keeps the
+// transition's tensors, not copies, and caches the target network's
+// Q-values of t.Next: neither t.State nor t.Next may be mutated
+// afterwards.
+func (a *Agent) Observe(t Transition) {
+	slot := a.replay.Add(t)
+	if a.targetStamp != nil {
+		a.targetStamp[slot] = 0
+	}
+}
 
 // TrainStep samples a minibatch and applies one DQN update:
 //
@@ -170,13 +194,16 @@ func (a *Agent) TrainStep() float64 {
 	if a.replay.Len() == 0 {
 		return 0
 	}
-	a.batch = a.replay.SampleInto(a.batch, a.cfg.BatchSize, a.rng)
-	batch := a.batch
-	targets := a.ensureTargets(len(batch))
+	a.slots = a.replay.SampleSlots(a.slots, a.cfg.BatchSize, a.rng)
+	slots := a.slots
+	targets := a.ensureTargets(len(slots))
+	version := a.targetVersion()
+	cached := 0
 	// Pass 1 — bootstrap targets for the whole minibatch. Weights do not
 	// change until opt.Step, so batching the next-state passes ahead of
 	// the gradient passes produces exactly the per-sample values.
-	for i, tr := range batch {
+	for i, slot := range slots {
+		tr := a.replay.At(slot)
 		targets[i] = tr.Reward
 		if !tr.Done {
 			// Double DQN: the online network selects the next action,
@@ -184,20 +211,24 @@ func (a *Agent) TrainStep() float64 {
 			// operator's overestimation bias.
 			oq := a.online.Forward(tr.Next)
 			next, _ := MaskedArgmax(oq, tr.NextMask)
-			nq := a.target.Forward(tr.Next)
-			targets[i] += a.cfg.Gamma * nq.Data[next]
+			nq, hit := a.targetQValues(slot, tr.Next, version)
+			if hit {
+				cached++
+			}
+			targets[i] += a.cfg.Gamma * nq[next]
 		}
 	}
 	// Pass 2 — forward/backward per sample through the reused workspaces,
 	// accumulating gradients in the original sample order.
 	var tdSum float64
-	for i, tr := range batch {
+	for i, slot := range slots {
+		tr := a.replay.At(slot)
 		q := a.online.Forward(tr.State)
 		td := q.Data[tr.Action] - targets[i]
 		tdSum += abs(td)
 		// dL/dQ — nonzero only at the taken action; scaled by batch.
 		grad := a.ensureGrad(q.Cols)
-		grad.Data[tr.Action] = 2 * td / float64(len(batch))
+		grad.Data[tr.Action] = 2 * td / float64(len(slots))
 		a.online.Backward(grad)
 		grad.Data[tr.Action] = 0
 	}
@@ -208,13 +239,14 @@ func (a *Agent) TrainStep() float64 {
 		a.SyncTarget()
 		synced = true
 	}
-	a.lastTD = tdSum / float64(len(batch))
+	a.lastTD = tdSum / float64(len(slots))
 	if a.OnTrainStep != nil {
 		a.OnTrainStep(TrainStepStats{
-			Update:    a.updates,
-			TDError:   a.lastTD,
-			ReplayLen: a.replay.Len(),
-			Synced:    synced,
+			Update:        a.updates,
+			TDError:       a.lastTD,
+			ReplayLen:     a.replay.Len(),
+			Synced:        synced,
+			TargetsCached: cached,
 		})
 	}
 	return a.lastTD
@@ -244,6 +276,39 @@ func (a *Agent) Load(r io.Reader) error {
 	}
 	a.SyncTarget()
 	return nil
+}
+
+// targetVersion sums the target parameters' versions. Only nn.CopyParams
+// and nn.Load write the target weights (in NewAgent, SyncTarget, Load
+// and CopyWeightsFrom), and each bumps every version, so the sum grows
+// with every write and is at least 1 from NewAgent on: no write leaves
+// a stamp current, and stamp 0 never is.
+func (a *Agent) targetVersion() uint64 {
+	var v uint64
+	for _, p := range a.targetParams {
+		v += p.Version()
+	}
+	return v
+}
+
+// targetQValues returns the target network's Q-values of next, the Next
+// state stored in replay slot slot, and whether they came from the
+// cache. A forward pass depends only on the weights and its input, and
+// Observe clears a slot's stamp when it is rewritten, so a current stamp
+// means the cached values are the ones a forward pass would compute.
+func (a *Agent) targetQValues(slot int, next *nn.Tensor, version uint64) ([]float64, bool) {
+	actions := a.target.Config().Actions
+	if a.targetStamp == nil {
+		a.targetStamp = make([]uint64, a.replay.Cap())
+		a.targetQ = make([]float64, a.replay.Cap()*actions)
+	}
+	q := a.targetQ[slot*actions : (slot+1)*actions]
+	if a.targetStamp[slot] == version {
+		return q, true
+	}
+	copy(q, a.target.Forward(next).Data)
+	a.targetStamp[slot] = version
+	return q, false
 }
 
 // ensureTargets sizes the bootstrap-target scratch.

@@ -229,8 +229,8 @@ func TestReplayCircular(t *testing.T) {
 	seen := map[int]bool{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
-		for _, tr := range r.Sample(3, rng) {
-			seen[tr.Action] = true
+		for _, slot := range r.SampleSlots(nil, 3, rng) {
+			seen[r.At(slot).Action] = true
 		}
 	}
 	if seen[0] || seen[1] {
@@ -247,7 +247,7 @@ func TestReplayPanics(t *testing.T) {
 			t.Fatal("empty sample did not panic")
 		}
 	}()
-	NewReplay(2).Sample(1, rand.New(rand.NewSource(1)))
+	NewReplay(2).SampleSlots(nil, 1, rand.New(rand.NewSource(1)))
 }
 
 func TestReplayZeroCapPanics(t *testing.T) {

@@ -46,36 +46,37 @@ func (r *Replay) Len() int {
 // Cap returns the buffer capacity.
 func (r *Replay) Cap() int { return cap(r.buf) }
 
-// Add stores a transition, overwriting the oldest once full.
-func (r *Replay) Add(t Transition) {
+// Add stores a transition, overwriting the oldest once full, and
+// returns the slot it wrote.
+func (r *Replay) Add(t Transition) int {
 	if r.full {
-		r.buf[r.next] = t
+		slot := r.next
+		r.buf[slot] = t
 		r.next = (r.next + 1) % cap(r.buf)
-		return
+		return slot
 	}
 	r.buf = append(r.buf, t)
 	if len(r.buf) == cap(r.buf) {
 		r.full = true
 		r.next = 0
 	}
+	return len(r.buf) - 1
 }
 
-// Sample draws n transitions uniformly with replacement. It panics on an
-// empty buffer.
-func (r *Replay) Sample(n int, rng *rand.Rand) []Transition {
-	return r.SampleInto(make([]Transition, 0, n), n, rng)
-}
+// At returns the transition stored in slot i, one of the slots
+// SampleSlots draws.
+func (r *Replay) At(i int) Transition { return r.buf[i] }
 
-// SampleInto is Sample into a caller-provided slice (reused when its
-// capacity suffices), drawing the identical rng sequence. It returns the
-// filled slice.
-func (r *Replay) SampleInto(dst []Transition, n int, rng *rand.Rand) []Transition {
+// SampleSlots draws n slots uniformly with replacement into dst (reused
+// when its capacity suffices) and returns it. Each draw is one
+// rng.Intn(Len()). It panics on an empty buffer.
+func (r *Replay) SampleSlots(dst []int, n int, rng *rand.Rand) []int {
 	if r.Len() == 0 {
 		panic("drl: sampling from empty replay buffer")
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
-		dst = append(dst, r.buf[rng.Intn(r.Len())])
+		dst = append(dst, rng.Intn(r.Len()))
 	}
 	return dst
 }

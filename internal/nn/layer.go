@@ -79,7 +79,7 @@ type Linear struct {
 	// Backward are owned by the layer and valid until its next call.
 	y  *Tensor        // forward output
 	dx *Tensor        // input gradient
-	dw *Tensor        // weight-gradient scratch (summed into Weight.Grad)
+	dw *Tensor        // multi-row weight-gradient scratch (summed into Weight.Grad)
 	wT paramTranspose // cached Weightᵀ for Backward's input-gradient matmul; Forward never builds it
 }
 
@@ -114,8 +114,22 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dy *Tensor) *Tensor {
-	l.dw = EnsureTensor(l.dw, l.In, l.Out)
-	AddInto(l.Weight.Grad, TMatMulInto(l.dw, l.x, dy))
+	if l.x.Rows == 1 {
+		// One row: xᵀ×dy would hold +0 + x[i]·dy[j], or +0 where x[i] is
+		// an exact zero. Grad starts at +0 and a sum is −0 only when both
+		// operands are, so Grad is never −0: adding the product straight
+		// in, and skipping x[i] == 0 as the product does, is bit-identical.
+		dyr := dy.Data[:l.Out]
+		for i, xv := range l.x.Data {
+			if xv != 0 {
+				axpyRow(l.Weight.Grad.Row(i), dyr, xv)
+			}
+		}
+	} else {
+		// Each weight's sum over rows is formed first, then added once.
+		l.dw = EnsureTensor(l.dw, l.In, l.Out)
+		AddInto(l.Weight.Grad, TMatMulInto(l.dw, l.x, dy))
+	}
 	for r := 0; r < dy.Rows; r++ {
 		row := dy.Row(r)
 		for j, v := range row {

@@ -129,7 +129,39 @@ func TestGoPathFallback(t *testing.T) {
 		t.Run("into ops", TestIntoOpsMatchAllocatingOps)
 		t.Run("workspace network", TestWorkspaceNetworkMatchesFreshNetwork)
 		t.Run("zero allocs", TestForwardBackwardZeroAllocs)
+		t.Run("one-row weight gradient", TestLinearOneRowGradMatchesProduct)
 	})
+}
+
+// TestLinearOneRowGradMatchesProduct holds Linear.Backward's one-row
+// weight gradient, added into Weight.Grad row by row, to the
+// accumulation it replaces: Grad += xᵀ×dy through TMatMul, over several
+// steps with exact zeros of both signs, NaN and infinities planted in x
+// and dy.
+func TestLinearOneRowGradMatchesProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, in := range kernelKs {
+		for _, out := range kernelNs {
+			l := NewLinear("l", in, out, rng)
+			want := NewTensor(in, out)
+			for step := 0; step < 4; step++ {
+				x := NewTensor(1, in).Randn(rng, 1)
+				dy := NewTensor(1, out).Randn(rng, 1)
+				if step > 0 {
+					plant(x, rng)
+					plant(dy, rng)
+				}
+				if step == 2 { // the DQN's one-hot output gradient
+					dy.Zero()
+					dy.Data[rng.Intn(out)] = rng.NormFloat64()
+				}
+				l.Forward(x)
+				l.Backward(dy)
+				AddInto(want, TMatMul(x, dy))
+				equalTensors(t, "one-row weight gradient", l.Weight.Grad, want)
+			}
+		}
+	}
 }
 
 // netRun is what a few forward/backward cycles of the Q-network-shaped

@@ -225,17 +225,24 @@ func matMulTCore(out, a, b *Tensor) {
 // dotRowsInto writes orow[j] = arow · b[j·stride+off:][:len(arow)] for
 // every j < len(orow): the dot products of arow with len(orow) rows of
 // a row-major b, or with one column block of them (off > 0). It takes
-// four rows per dotRow4 pass; a short last pass repeats its final row
-// in the spare slots. Every slot has its own accumulator, so each
-// orow[j] is the one-accumulator k-ascending sum whichever pass makes
-// it.
+// four rows per dotRow4 pass while three or more are left, and the last
+// one or two in a dotRow2 pass; a pass short of rows repeats its final
+// row once, so no pass computes more than one product twice. Every slot
+// has its own accumulator, so each orow[j] is the one-accumulator
+// k-ascending sum whichever pass makes it.
 func dotRowsInto(orow, arow, b []float64, stride, off int) {
 	n, k := len(orow), len(arow)
 	row := func(j int) []float64 { p := j*stride + off; return b[p : p+k : p+k] }
-	for j := 0; j < n; j += 4 {
-		j1, j2, j3 := min(j+1, n-1), min(j+2, n-1), min(j+3, n-1)
-		s0, s1, s2, s3 := dotRow4(arow, row(j), row(j1), row(j2), row(j3))
-		orow[j], orow[j1], orow[j2], orow[j3] = s0, s1, s2, s3
+	j := 0
+	for ; j+2 < n; j += 4 {
+		j3 := min(j+3, n-1)
+		s0, s1, s2, s3 := dotRow4(arow, row(j), row(j+1), row(j+2), row(j3))
+		orow[j], orow[j+1], orow[j+2], orow[j3] = s0, s1, s2, s3
+	}
+	if j < n {
+		j1 := min(j+1, n-1)
+		s0, s1 := dotRow2(arow, row(j), row(j1))
+		orow[j], orow[j1] = s0, s1
 	}
 }
 
@@ -250,6 +257,16 @@ func dotRow4(arow, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 		s3 += av * b3[k]
 	}
 	return s0, s1, s2, s3
+}
+
+// dotRow2 is dotRow4 over two rows.
+func dotRow2(arow, b0, b1 []float64) (s0, s1 float64) {
+	b0, b1 = b0[:len(arow)], b1[:len(arow)]
+	for k, av := range arow {
+		s0 += av * b0[k]
+		s1 += av * b1[k]
+	}
+	return s0, s1
 }
 
 // MatMulT returns a×bᵀ.

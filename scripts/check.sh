@@ -75,6 +75,9 @@ go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all
 echo "== BenchmarkSimCore smoke (1 invocation) =="
 go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
 
+echo "== BenchmarkTrainStep smoke (1 DQN update at the benchmark's training shape) =="
+go test -run '^$' -bench '^BenchmarkTrainStep$' -benchtime 1x -count 1 ./internal/drl
+
 echo "== repository benchmark smoke (bench/ is its own module: per-lap fingerprint and exact-count output checks) =="
 (cd bench && GOFLAGS=-mod=readonly GOWORK=off go test .)
 
