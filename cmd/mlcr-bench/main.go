@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 3, 8, 9, 10, 11a, 11b, 11c, overhead, ablation, cache, grid, cluster, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 3, 8, 9, 10, 11a, 11b, 11c, overhead, ablation, grid, cluster, all")
 	workers := flag.Int("workers", 8, "cluster size for -fig cluster")
 	seed := flag.Int64("seed", 1, "base random seed")
 	repeats := flag.Int("repeats", 0, "workload seeds per data point (0 = default 3)")
@@ -43,6 +43,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mlcr-bench: %v\n", err)
 			os.Exit(2)
 		}
+	}
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "mlcr-bench: -workers must be >= 1, got %d\n", *workers)
+		os.Exit(2)
 	}
 	opts := experiments.Options{Seed: *seed, Repeats: *repeats, Episodes: *episodes,
 		Parallelism: *parallel, Evictor: *evictorName}
@@ -89,9 +93,6 @@ func main() {
 	}
 	if want("ablation") {
 		run("ablation", func() *report.Table { return experiments.Ablation(opts).Table() })
-	}
-	if want("cache") {
-		run("cache", func() *report.Table { return experiments.CacheStudy(opts).Table() })
 	}
 	// The scheduler × evictor grid is opt-in (-fig grid): it adds 16
 	// cells and is an every-policy sweep rather than a paper figure.

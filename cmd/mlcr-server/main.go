@@ -70,7 +70,6 @@ func main() {
 	slots := flag.Int("slots", 4, "MLCR candidate container slots (must match the trained model)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
 	shards := flag.Int("shards", 16, "gateway mode: pool shards (rounded up to a power of two)")
-	fastTTL := flag.Duration("fast-ttl", 0, "gateway mode: max idle age in the lock-free fast layer (0 = unbounded)")
 	batch := flag.Int("batch", 64, "gateway mode: max coalesced DQN inference batch (MLCR policy)")
 	traceOut := flag.String("trace-out", "", "sim mode: write the run's Chrome trace JSON here on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format metrics snapshot here on shutdown")
@@ -88,7 +87,6 @@ func main() {
 		NewScheduler:   mkSched,
 		NewEvictor:     mkEvict,
 		Shards:         *shards,
-		FastTTL:        *fastTTL,
 	}, *traceOut, *metricsOut)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)

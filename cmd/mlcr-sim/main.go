@@ -28,6 +28,7 @@ import (
 	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
+	"mlcr/internal/pool"
 	"mlcr/internal/report"
 	"mlcr/internal/trace"
 	"mlcr/internal/workload"
@@ -85,7 +86,7 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" || *auditOut != "" {
 		o = &obs.Observer{}
 		if *traceOut != "" {
-			o.Tracer = obs.NewRecorder()
+			o.Trace = obs.NewRecorder()
 		}
 		if *metricsOut != "" {
 			o.Metrics = obs.NewRegistry()
@@ -161,13 +162,12 @@ func main() {
 
 	if *traceOut != "" {
 		writeOut(*traceOut, func(f *os.File) error {
-			rec := o.Recording()
 			if strings.HasSuffix(*traceOut, ".json") {
-				return rec.WriteChromeTrace(f)
+				return o.Trace.WriteChromeTrace(f)
 			}
-			return rec.WriteJSONL(f)
+			return o.Trace.WriteJSONL(f)
 		})
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *traceOut, o.Recording().Len())
+		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *traceOut, o.Trace.Len())
 	}
 	if *metricsOut != "" {
 		writeOut(*metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
@@ -212,6 +212,10 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 			policyName, strings.Join(policy.Names(), ", "))
 		os.Exit(2)
 	}
+	var newEvictor func(int) pool.Evictor
+	if evictor != "" {
+		newEvictor = func(int) pool.Evictor { return evict.MustNew(evictor) }
+	}
 	mkCfg := func(router string) cluster.Config {
 		return cluster.Config{
 			Workers:        workers,
@@ -222,7 +226,7 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 				sched, _ := policy.New(policyName, seed+int64(worker))
 				return sched
 			},
-			Evictor:     evictor,
+			NewEvictor:  newEvictor,
 			Parallelism: parallel,
 		}
 	}

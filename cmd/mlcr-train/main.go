@@ -67,7 +67,7 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		o = &obs.Observer{}
 		if *traceOut != "" {
-			o.Tracer = obs.NewRecorder()
+			o.Trace = obs.NewRecorder()
 		}
 		if *metricsOut != "" {
 			o.Metrics = obs.NewRegistry()
@@ -121,8 +121,8 @@ func main() {
 	fmt.Printf("model saved to %s\n", *out)
 
 	if *traceOut != "" {
-		writeOut(*traceOut, func(f *os.File) error { return o.Recording().WriteJSONL(f) })
-		fmt.Printf("training trace written to %s (%d events)\n", *traceOut, o.Recording().Len())
+		writeOut(*traceOut, func(f *os.File) error { return o.Trace.WriteJSONL(f) })
+		fmt.Printf("training trace written to %s (%d events)\n", *traceOut, o.Trace.Len())
 	}
 	if *metricsOut != "" {
 		writeOut(*metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })

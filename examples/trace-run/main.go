@@ -46,19 +46,19 @@ func main() {
 	for i, s := range setups {
 		fmt.Printf("%s: total startup %v, cold starts %d, %d trace events, %d audited decisions\n",
 			s.Name, results[i].Metrics.TotalStartup(), results[i].Metrics.ColdStarts(),
-			observers[i].Recording().Len(), observers[i].Audit.Len())
+			observers[i].Trace.Len(), observers[i].Audit.Len())
 	}
 	o := observers[0] // the MLCR run's bundle drives the exports below
 
 	// 4. Export: Chrome trace_event JSON plus a Prometheus snapshot.
-	write("trace.json", func(f *os.File) error { return o.Recording().WriteChromeTrace(f) })
+	write("trace.json", func(f *os.File) error { return o.Trace.WriteChromeTrace(f) })
 	write("metrics.prom", func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
 	fmt.Println("wrote trace.json (open in chrome://tracing) and metrics.prom")
 
 	// 5. Mine the trace: top eviction reasons, straight from the
 	//    recorded events.
 	byReason := map[string]int{}
-	for _, e := range o.Recording().Events() {
+	for _, e := range o.Trace.Events() {
 		if e.Kind == obs.KindContainerEvicted {
 			byReason[e.Detail]++
 		}

@@ -78,10 +78,6 @@ type GatewayConfig struct {
 	// means 4. A negative depth means no fast layer: the channels hold
 	// nothing, so every request goes through its shard's platform.
 	FastDepth int
-	// FastTTL bounds how long a container may sit in the fast layer
-	// before a claim discards it as stale (0 = no bound). The mutexed
-	// pool segments use the evictor's TTL as usual.
-	FastTTL time.Duration
 	// Observe gives the shard platform an observer per generation —
 	// trace recorder, metrics registry, decision audit, and a phase
 	// profiler on the gateway clock — serves /trace and /audit from it
@@ -128,22 +124,22 @@ type gwShard struct {
 	doneq    chan *container.Container
 	nextDone atomic.Int64
 
-	fastKB      atomic.Int64 // memory parked in fast channels
-	shareKB     int64        // shard memory share (pool + fast combined); 0 = unlimited
-	fastExpired atomic.Int64 // stale fast-layer discards
+	fastKB      atomic.Int64  // memory parked in fast channels
+	shareKB     int64         // shard memory share (pool + fast combined); 0 = unlimited
+	fastTTL     time.Duration // the evictor's TTL, read once; 0 = no bound
+	fastExpired atomic.Int64  // stale fast-layer discards
 }
 
 // gwState is one immutable-topology generation of the gateway. Reset
 // swaps the whole state atomically; requests in flight on the old
 // generation finish against it.
 type gwState struct {
-	byID    map[int]*gwFn // immutable after build
-	shards  []*gwShard
-	epoch   time.Duration // clock() at reset
-	fastTTL time.Duration
-	obs     *obs.Observer // the one shard's observer; nil unless Observe
-	nextID  atomic.Int64  // container IDs
-	seq     atomic.Int64  // response sequence numbers
+	byID   map[int]*gwFn // immutable after build
+	shards []*gwShard
+	epoch  time.Duration // clock() at reset
+	obs    *obs.Observer // the one shard's observer; nil unless Observe
+	nextID atomic.Int64  // container IDs
+	seq    atomic.Int64  // response sequence numbers
 }
 
 // Gateway is the HTTP serving layer. Safe for arbitrary concurrent use.
@@ -220,10 +216,9 @@ func shardOf(fnID int, mask uint64) int {
 func (g *Gateway) buildState() *gwState {
 	cfg := g.cfg
 	st := &gwState{
-		byID:    make(map[int]*gwFn, len(cfg.Functions)),
-		shards:  make([]*gwShard, cfg.Shards),
-		epoch:   g.clock(),
-		fastTTL: cfg.FastTTL,
+		byID:   make(map[int]*gwFn, len(cfg.Functions)),
+		shards: make([]*gwShard, cfg.Shards),
+		epoch:  g.clock(),
 	}
 	if cfg.Observe {
 		st.obs = obs.NewObserver()
@@ -246,9 +241,10 @@ func (g *Gateway) buildState() *gwState {
 			ev = evictorFor(sched)
 		}
 		sh := &gwShard{
-			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
-			fns:   make(map[int]*gwFn),
-			doneq: make(chan *container.Container, 1024),
+			plat:    platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
+			fns:     make(map[int]*gwFn),
+			doneq:   make(chan *container.Container, 1024),
+			fastTTL: ev.TTL(),
 		}
 		// A shard serves an unbounded stream: keep aggregates, not samples.
 		res := sh.plat.Results()
@@ -316,8 +312,9 @@ func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (platform.Result, ti
 }
 
 // claim takes a container of gf's function from its fast channel and
-// reuses it as an exact L3 re-hit, discarding containers parked longer
-// than FastTTL. It returns nil when the channel holds no fresh one. The
+// reuses it as an exact L3 re-hit, discarding containers idle longer
+// than the shard evictor's TTL, the bound Pool.Expire applies to the
+// shard pool. It returns nil when the channel holds no fresh one. The
 // caller hands the claimed container to the shard's platform.
 func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup) {
 	sh := gf.shard
@@ -325,7 +322,7 @@ func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Containe
 		select {
 		case c := <-gf.fast:
 			sh.fastKB.Add(-gf.memKB)
-			if st.fastTTL > 0 && c.IdleFor(now) > st.fastTTL {
+			if sh.fastTTL > 0 && c.IdleFor(now) > sh.fastTTL {
 				c.Kill()
 				sh.fastExpired.Add(1)
 				continue
@@ -651,7 +648,7 @@ func (g *Gateway) WriteTrace(w io.Writer) error {
 	if o == nil {
 		return errNotObserved
 	}
-	return o.Recording().WriteChromeTrace(w)
+	return o.Trace.WriteChromeTrace(w)
 }
 
 // handleTrace serves the run's trace in Chrome trace_event JSON,

@@ -133,25 +133,42 @@ func TestGatewayRetiresEqualCompletionsInStartOrder(t *testing.T) {
 	}
 }
 
-// TestGatewayFastTTLExpiry: a container parked in the fast layer longer
-// than FastTTL is discarded on claim, forcing a fresh cold start.
-func TestGatewayFastTTLExpiry(t *testing.T) {
-	var vc vclock
-	fns := testFunctions()
-	g := testGateway(t, GatewayConfig{
-		Functions: fns, Clock: vc.Clock, Shards: 1, FastTTL: 2 * time.Second,
-	})
-	fn := fns[0]
-	s, _, _ := g.Do(fn.ID, -1, 0)
-	vc.Set(s + fn.Exec + time.Second) // complete, park in fast layer
-	// Sit well past the TTL, then invoke: the parked container is stale.
-	vc.Advance(time.Minute)
-	_, cold, _ := g.Do(fn.ID, -1, 0)
-	if !cold {
-		t.Fatal("stale fast-layer container must not be reused past FastTTL")
-	}
-	if st := g.Stats(); st.FastExpired != 1 {
-		t.Fatalf("FastExpired = %d, want 1", st.FastExpired)
+// TestGatewayFastLayerExpiresAtEvictorTTL: a container parked in the
+// fast layer expires at the shard evictor's TTL with Pool.Expire's
+// strict bound — still warm after exactly TTL idle, discarded on claim
+// 1 ns later. Under LRU (TTL 0) the same sequence stays warm.
+func TestGatewayFastLayerExpiresAtEvictorTTL(t *testing.T) {
+	const ttl = 2 * time.Second
+	for _, tc := range []struct {
+		name        string
+		newEvictor  func() pool.Evictor
+		lastCold    bool
+		fastExpired int64
+	}{
+		{"keepalive", func() pool.Evictor { return evict.KeepAlive{Alive: ttl} }, true, 1},
+		{"lru", func() pool.Evictor { return evict.NewLRU() }, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var vc vclock
+			fns := testFunctions()
+			g := testGateway(t, GatewayConfig{
+				Functions: fns, Clock: vc.Clock, Shards: 1, NewEvictor: tc.newEvictor,
+			})
+			fn := fns[0]
+			s, _, _ := g.Do(fn.ID, 0, 0)
+			done := s + fn.Exec // parks in the fast layer
+			s, cold, _ := g.Do(fn.ID, done+ttl, 0)
+			if cold {
+				t.Fatal("container idle for exactly the TTL must still be warm")
+			}
+			done += ttl + s + fn.Exec
+			if _, cold, _ = g.Do(fn.ID, done+ttl+time.Nanosecond, 0); cold != tc.lastCold {
+				t.Fatalf("cold = %v after TTL + 1 ns idle, want %v", cold, tc.lastCold)
+			}
+			if got := g.Stats().FastExpired; got != tc.fastExpired {
+				t.Fatalf("FastExpired = %d, want %d", got, tc.fastExpired)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"time"
 
-	"mlcr/internal/evict"
 	"mlcr/internal/obs"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
@@ -43,14 +42,9 @@ type Config struct {
 	// is distributed by cloning it per worker.
 	NewScheduler func(worker int) platform.Scheduler
 	// NewEvictor builds one pool evictor per worker. The same concurrency
-	// contract as NewScheduler applies. When nil, Evictor (below) names
-	// the registry policy built per worker; when that is also empty the
-	// workers default to LRU.
+	// contract as NewScheduler applies. When nil, the workers default to
+	// LRU.
 	NewEvictor func(worker int) pool.Evictor
-	// Evictor names a registered eviction policy (see evict.Names())
-	// applied to every worker when NewEvictor is nil. Each worker gets a
-	// fresh instance.
-	Evictor string
 	// Parallelism bounds concurrency for both phases of a run: routing
 	// shards (as far as the router's Shards() contract allows) and
 	// worker simulations. <=0 means GOMAXPROCS, 1 forces sequential.
@@ -111,13 +105,6 @@ func Run(cfg Config, w workload.Workload) Result {
 	}
 	if cfg.NewScheduler == nil {
 		panic("cluster: NewScheduler required")
-	}
-	if cfg.NewEvictor == nil && cfg.Evictor != "" {
-		name := cfg.Evictor
-		if _, err := evict.New(name); err != nil {
-			panic("cluster: " + err.Error())
-		}
-		cfg.NewEvictor = func(int) pool.Evictor { return evict.MustNew(name) }
 	}
 	perPool := cfg.PoolCapacityMB
 	if perPool > 0 {

@@ -261,33 +261,3 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestNamedEvictorConfig(t *testing.T) {
-	// Naming a registry policy must behave exactly like supplying an
-	// equivalent NewEvictor factory.
-	w := bench(90)
-	named := mkCfg(3, "round-robin", 3000)
-	named.NewEvictor = nil
-	named.Evictor = "faascache"
-	manual := mkCfg(3, "round-robin", 3000)
-	manual.NewEvictor = func(int) pool.Evictor { return evict.MustNew("faascache") }
-	a := Run(named, w)
-	b := Run(manual, w)
-	for i := range a.PerWorker {
-		if runner.Fingerprint(a.PerWorker[i]) != runner.Fingerprint(b.PerWorker[i]) {
-			t.Fatalf("worker %d: named-evictor run diverged from factory run", i)
-		}
-	}
-}
-
-func TestUnknownEvictorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown Evictor name did not panic")
-		}
-	}()
-	cfg := mkCfg(2, "round-robin", 1000)
-	cfg.NewEvictor = nil
-	cfg.Evictor = "nope"
-	Run(cfg, bench(10))
-}

@@ -404,7 +404,7 @@ func TestRoutingEvictorGridSmoke(t *testing.T) {
 				Workers:        4,
 				PoolCapacityMB: 4000,
 				Router:         router,
-				Evictor:        ev,
+				NewEvictor:     func(int) pool.Evictor { return evict.MustNew(ev) },
 				NewScheduler:   func(int) platform.Scheduler { return policy.NewGreedyMatch() },
 				Parallelism:    0,
 			}
@@ -419,5 +419,3 @@ func TestRoutingEvictorGridSmoke(t *testing.T) {
 		}
 	}
 }
-
-var _ = pool.Evictor(nil) // keep the pool import for mkCfg's evictor factory

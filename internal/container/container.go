@@ -144,23 +144,6 @@ func Estimate(f *workload.Function, level core.MatchLevel, crossFunction bool) S
 	return s
 }
 
-// PulledLevels returns the image levels that must be pulled from the
-// registry when starting at the given match level: everything above the
-// matched prefix (all three levels for a cold start, none for a full
-// match).
-func PulledLevels(level core.MatchLevel) []image.Level {
-	switch level {
-	case core.NoMatch:
-		return []image.Level{image.OS, image.Language, image.Runtime}
-	case core.MatchL1:
-		return []image.Level{image.Language, image.Runtime}
-	case core.MatchL2:
-		return []image.Level{image.Runtime}
-	default:
-		return nil
-	}
-}
-
 // EstimateFor matches f against the container's current image and returns
 // the startup breakdown of reusing it. The second result is the match
 // level; NoMatch means reuse is pointless and the caller should cold-start.

@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"mlcr/internal/cluster"
+	"mlcr/internal/evict"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
+	"mlcr/internal/pool"
 	"mlcr/internal/report"
 	"mlcr/internal/workload"
 )
@@ -64,6 +66,13 @@ func ClusterGrid(w workload.Workload, workers int, poolMB float64, routers, sche
 		scheds = policy.GridSchedulers()
 	}
 	out := ClusterGridResult{Workers: workers, PoolMB: poolMB, Routers: routers, Schedulers: scheds}
+	var newEvictor func(int) pool.Evictor
+	if name := opts.Evictor; name != "" {
+		if _, err := evict.New(name); err != nil {
+			panic("experiments: " + err.Error())
+		}
+		newEvictor = func(int) pool.Evictor { return evict.MustNew(name) }
+	}
 
 	for _, rn := range routers {
 		if _, err := cluster.NewRouter(rn, cluster.RouterConfig{Workers: workers}); err != nil {
@@ -82,7 +91,7 @@ func ClusterGrid(w workload.Workload, workers int, poolMB float64, routers, sche
 					sched, _ := policy.New(sn, opts.Seed+int64(worker))
 					return sched
 				},
-				Evictor:     opts.Evictor,
+				NewEvictor:  newEvictor,
 				Parallelism: opts.Parallelism,
 			}, w)
 			cell := ClusterCell{Router: rn, Scheduler: sn}

@@ -255,33 +255,3 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Fatalf("MLCR dim default missing: %+v", c)
 	}
 }
-
-func TestCacheStudyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload sweep")
-	}
-	r := CacheStudy(tiny())
-	if len(r.Rows) != 8 { // 4 cache sizes × 2 policies
-		t.Fatalf("got %d rows", len(r.Rows))
-	}
-	// A bigger cache never hurts a policy.
-	byPolicy := map[string][]CacheRow{}
-	for _, row := range r.Rows {
-		byPolicy[row.Policy] = append(byPolicy[row.Policy], row)
-	}
-	for p, rows := range byPolicy {
-		for i := 1; i < len(rows); i++ {
-			if rows[i].TotalStartup > rows[i-1].TotalStartup {
-				t.Errorf("%s: cache %v (%v) slower than %v (%v)", p,
-					rows[i].CacheMB, rows[i].TotalStartup, rows[i-1].CacheMB, rows[i-1].TotalStartup)
-			}
-		}
-	}
-	// With no cache, hit rate column is zero.
-	if r.Rows[0].HitRate != 0 {
-		t.Error("cache-less row has a hit rate")
-	}
-	if !strings.Contains(r.Table().String(), "cache hit rate") {
-		t.Error("table missing header")
-	}
-}

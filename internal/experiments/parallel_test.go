@@ -105,20 +105,3 @@ func TestFig10ParallelDeterministic(t *testing.T) {
 		t.Fatalf("Fig10 diverged:\nseq: %+v\npar: %+v", seq, par)
 	}
 }
-
-// TestCacheStudyParallelDeterministic: the cache sweep builds per-run
-// caches through factories; rows must be identical at any parallelism.
-func TestCacheStudyParallelDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload sweep")
-	}
-	seqOpts := tiny()
-	seqOpts.Parallelism = 1
-	parOpts := tiny()
-	parOpts.Parallelism = 0
-	seq := CacheStudy(seqOpts)
-	par := CacheStudy(parOpts)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("CacheStudy diverged:\nseq: %+v\npar: %+v", seq, par)
-	}
-}

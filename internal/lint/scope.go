@@ -33,7 +33,6 @@ var deterministicPkgs = map[string]bool{
 	"platform":    true,
 	"policy":      true,
 	"pool":        true,
-	"registry":    true,
 	"report":      true,
 	"runner":      true,
 	"sim":         true,

@@ -25,7 +25,7 @@ func runObserved(t *testing.T) (trace, audit, metrics []byte, invocations int) {
 	experiments.RunObserved(greedy, w, loose*0.5, o)
 
 	var tb, ab bytes.Buffer
-	if err := o.Recording().WriteJSONL(&tb); err != nil {
+	if err := o.Trace.WriteJSONL(&tb); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Audit.WriteJSONL(&ab); err != nil {
@@ -62,7 +62,7 @@ func TestObservedRunContent(t *testing.T) {
 	res := experiments.RunObserved(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5, o)
 
 	arrivals, finishes := 0, 0
-	for _, ev := range o.Recording().Events() {
+	for _, ev := range o.Trace.Events() {
 		switch ev.Kind {
 		case obs.KindInvocationArrived:
 			arrivals++

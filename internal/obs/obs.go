@@ -2,7 +2,7 @@
 // shared by the simulator, the HTTP gateway and the training loop:
 //
 //   - a structured trace: typed events (Event) with virtual timestamps,
-//     collected by a pluggable Tracer and exportable as JSONL or as the
+//     collected by a Recorder and exportable as JSONL or as the
 //     Chrome trace_event format (viewable in chrome://tracing/Perfetto);
 //   - a metrics registry (Registry): named counters, gauges and
 //     HDR-backed summaries (every latency distribution is a perf.HDR)
@@ -145,19 +145,12 @@ type Event struct {
 	Detail string
 }
 
-// Tracer receives trace events. Implementations must tolerate events
-// arriving from a single goroutine at a time per emitting component; the
-// Recorder is additionally safe for fully concurrent use.
-type Tracer interface {
-	Emit(Event)
-}
-
 // Observer bundles the four pillars. Any field may be nil to disable
 // that pillar; a nil *Observer disables everything. All methods are
 // nil-receiver safe so instrumented code needs no nil checks beyond the
 // guards below.
 type Observer struct {
-	Tracer  Tracer
+	Trace   *Recorder
 	Metrics *Registry
 	Audit   *Audit
 	// Perf aggregates scoped hot-path timings. Unlike the other pillars
@@ -171,33 +164,23 @@ type Observer struct {
 // enabled: a fresh Recorder, Registry and Audit. Perf stays nil until
 // the caller injects a clock.
 func NewObserver() *Observer {
-	return &Observer{Tracer: NewRecorder(), Metrics: NewRegistry(), Audit: &Audit{}}
+	return &Observer{Trace: NewRecorder(), Metrics: NewRegistry(), Audit: &Audit{}}
 }
 
-// Emit forwards the event to the tracer; a no-op when disabled.
+// Emit records the event in the trace; a no-op when disabled.
 func (o *Observer) Emit(ev Event) {
-	if o == nil || o.Tracer == nil {
+	if o == nil || o.Trace == nil {
 		return
 	}
-	o.Tracer.Emit(ev)
+	o.Trace.Emit(ev)
 }
 
 // Tracing reports whether trace events are being collected. Hot paths
 // use it to skip event construction entirely.
-func (o *Observer) Tracing() bool { return o != nil && o.Tracer != nil }
+func (o *Observer) Tracing() bool { return o != nil && o.Trace != nil }
 
 // Auditing reports whether scheduler decisions are being audited.
 func (o *Observer) Auditing() bool { return o != nil && o.Audit != nil }
-
-// Recording returns the Tracer as a *Recorder when it is one, for
-// exporting collected events; nil otherwise.
-func (o *Observer) Recording() *Recorder {
-	if o == nil {
-		return nil
-	}
-	r, _ := o.Tracer.(*Recorder)
-	return r
-}
 
 // Perfing reports whether hot-path phases are being profiled.
 func (o *Observer) Perfing() bool { return o != nil && o.Perf != nil }

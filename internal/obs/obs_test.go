@@ -138,17 +138,11 @@ func TestNilObserver(t *testing.T) {
 	if o.Tracing() || o.Auditing() {
 		t.Error("nil observer claims to be active")
 	}
-	if o.Recording() != nil {
-		t.Error("nil observer returned a recorder")
-	}
 
 	empty := &Observer{}
 	empty.Emit(Event{Kind: KindEventFired})
 	if empty.Tracing() || empty.Auditing() {
 		t.Error("empty observer claims to be active")
-	}
-	if empty.Recording() != nil {
-		t.Error("empty observer returned a recorder")
 	}
 }
 

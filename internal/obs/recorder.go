@@ -10,9 +10,9 @@ import (
 	"sync"
 )
 
-// Recorder is a Tracer that retains every event in memory for later
-// export. It is safe for concurrent use (the HTTP gateway emits under
-// its own lock but exports concurrently).
+// Recorder is the trace pillar: it retains every event in memory for
+// later export. It is safe for concurrent use (the HTTP gateway emits
+// under its own lock but exports concurrently).
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -21,7 +21,7 @@ type Recorder struct {
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Emit implements Tracer.
+// Emit appends ev to the recording.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)

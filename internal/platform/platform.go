@@ -21,7 +21,6 @@ import (
 	"mlcr/internal/obs"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/pool"
-	"mlcr/internal/registry"
 	"mlcr/internal/sim"
 	"mlcr/internal/workload"
 )
@@ -95,12 +94,6 @@ type Config struct {
 	// one source across its shards so IDs stay unique among them. Nil
 	// numbers the platform's own containers 1, 2, ….
 	NewID func() int
-	// PackageCache, when non-nil, is a node-local registry cache:
-	// realized pull times come from the cache (hits are served at local
-	// speed) instead of the static per-package registry times.
-	// Schedulers still decide on the static estimates, modelling that
-	// the platform cannot know cache contents ahead of admission.
-	PackageCache *registry.Cache
 	// Obs, when non-nil, observes the run: trace events, metrics and
 	// the scheduler decision audit (see internal/obs). Nil disables all
 	// instrumentation at near-zero cost.
@@ -412,7 +405,6 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	if !honoured {
 		p.res.PolicyErrors++
 	}
-	p.applyCache(c, &s, lvl, inv)
 	if s.Cold {
 		p.res.ContainersCreated++
 	} else {
@@ -439,21 +431,6 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 
 	p.busy.Push(c.BusyUntil, finishRec{c: c, fn: inv.Fn})
 	return res
-}
-
-// applyCache replaces the static registry pull time with the node-local
-// cache's realized time, adjusting the container's completion time to
-// match. It must run before the completion is queued.
-func (p *Platform) applyCache(c *container.Container, s *container.Startup, lvl core.MatchLevel, inv *workload.Invocation) {
-	if p.cfg.PackageCache == nil {
-		return
-	}
-	var cached time.Duration
-	for _, l := range container.PulledLevels(lvl) {
-		cached += p.cfg.PackageCache.PullLevel(inv.Fn.Image, l)
-	}
-	c.BusyUntil += cached - s.Pull
-	s.Pull = cached
 }
 
 // complete returns a finished container to the pool, unless park keeps

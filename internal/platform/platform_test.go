@@ -11,7 +11,6 @@ import (
 	"mlcr/internal/image"
 	"mlcr/internal/obs"
 	"mlcr/internal/pool"
-	"mlcr/internal/registry"
 	"mlcr/internal/workload"
 )
 
@@ -429,39 +428,6 @@ func TestPoolSeriesObserved(t *testing.T) {
 	}
 	if peak != 128 {
 		t.Fatalf("pool series peak = %v, want 128", peak)
-	}
-}
-
-func TestPackageCacheAcceleratesRepeatColds(t *testing.T) {
-	f := fn(1, "debian", "python", "flask", 128)
-	// Two sequential cold starts of the same function under alwaysCold:
-	// the second one's pulls hit the node-local cache.
-	w := mkWorkload([]*workload.Function{f}, 30*time.Second, 2)
-	cache := registry.NewCache(10000)
-	res := New(Config{PoolCapacityMB: 1000, PackageCache: cache}, alwaysCold{}).Run(w)
-	s := res.Metrics.Samples()
-	if s[1].Startup >= s[0].Startup {
-		t.Fatalf("second cold start %v not faster than first %v (cache miss?)", s[1].Startup, s[0].Startup)
-	}
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("cache stats = %+v", st)
-	}
-	// The completion time must reflect the accelerated pull: a third
-	// invocation right after the second completes can reuse it warm.
-	if res.Metrics.ColdStarts() != 2 {
-		t.Fatalf("cold starts = %d", res.Metrics.ColdStarts())
-	}
-}
-
-func TestPackageCacheDoesNotAffectWarmL3(t *testing.T) {
-	f := fn(1, "debian", "python", "flask", 128)
-	w := mkWorkload([]*workload.Function{f}, 30*time.Second, 2)
-	cache := registry.NewCache(10000)
-	res := New(Config{PoolCapacityMB: 1000, PackageCache: cache}, bestMatch{}).Run(w)
-	// Second start is a same-function L3 reuse: no pulls at all.
-	if got := res.Metrics.Samples()[1].Startup; got != f.FunctionInit {
-		t.Fatalf("L3 startup = %v, want %v", got, f.FunctionInit)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestFingerprintUnchangedByObservability(t *testing.T) {
 	// span and one "finish/c" trace event each.
 	for i, o := range observers {
 		finishes := 0
-		for _, ev := range o.Recording().Events() {
+		for _, ev := range o.Trace.Events() {
 			if ev.Kind == obs.KindEventFired && strings.HasPrefix(ev.Detail, "finish/c") {
 				finishes++
 			}

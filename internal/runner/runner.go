@@ -1,6 +1,6 @@
 // Package runner is the repository's parallel run harness: a declarative
 // Spec describing one self-contained simulation (scheduler setup ×
-// workload × pool/evictor/cache/observer configuration) and a
+// workload × pool/evictor/observer configuration) and a
 // deterministic bounded-parallel executor that fans specs out across
 // worker goroutines and returns results in spec order.
 //
@@ -9,10 +9,10 @@
 // Run and Map produce output bit-identical to sequential execution at
 // any parallelism, because every run is self-contained:
 //
-//   - Mutable per-run state — the platform, pool, scheduler, evictor,
-//     registry cache and observer — is built inside the worker goroutine
-//     executing the spec, via the Spec's factories, and never shared
-//     between runs. Run panics when two specs return the same scheduler
+//   - Mutable per-run state — the platform, pool, scheduler, evictor
+//     and observer — is built inside the worker goroutine executing
+//     the spec, via the Spec's factories, and never shared between
+//     runs. Run panics when two specs return the same scheduler
 //     instance (see the double-use guard below).
 //   - Read-only inputs — workload.Workload, its *workload.Function
 //     values and their image data — may be shared freely across
@@ -24,10 +24,10 @@
 //     order once all workers finish.
 //
 // Anything violating the first rule (a trained *mlcr.Scheduler used by
-// two runs, a shared *registry.Cache, a shared *obs.Observer) breaks
-// both determinism and memory safety: schedulers carry per-run mutable
-// state (pending transitions, forward-pass activation caches), so they
-// must be fresh — or cloned via mlcr's Scheduler.Clone — per run.
+// two runs, a shared *obs.Observer) breaks both determinism and memory
+// safety: schedulers carry per-run mutable state (pending transitions,
+// forward-pass activation caches), so they must be fresh — or cloned
+// via mlcr's Scheduler.Clone — per run.
 package runner
 
 import (
@@ -40,7 +40,6 @@ import (
 	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
-	"mlcr/internal/registry"
 	"mlcr/internal/workload"
 )
 
@@ -139,9 +138,6 @@ type Spec struct {
 	// schedulers and evictors are stateful. Run panics when two specs
 	// of one call share a scheduler instance.
 	New func() (platform.Scheduler, pool.Evictor)
-	// NewCache, when non-nil, builds the run's node-local registry
-	// cache (fresh per run; caches are mutable).
-	NewCache func() *registry.Cache
 	// NewObserver, when non-nil, builds the run's observability bundle
 	// (fresh per run; observers record mutable state). Keep the
 	// returned pointer in the closure to inspect it after Run returns.
@@ -163,9 +159,6 @@ func Run(specs []Spec, opts Options) []*platform.RunResult {
 		cfg := platform.Config{
 			PoolCapacityMB: s.PoolCapacityMB,
 			Evictor:        ev,
-		}
-		if s.NewCache != nil {
-			cfg.PackageCache = s.NewCache()
 		}
 		if s.NewObserver != nil {
 			cfg.Obs = s.NewObserver()

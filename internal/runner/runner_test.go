@@ -184,7 +184,7 @@ func TestRunObserverPerRun(t *testing.T) {
 		if got := o.Audit.Len(); got != len(w.Invocations) {
 			t.Fatalf("spec %d: audited %d decisions, want %d", i, got, len(w.Invocations))
 		}
-		if o.Recording().Len() == 0 {
+		if o.Trace.Len() == 0 {
 			t.Fatalf("spec %d: no trace events recorded", i)
 		}
 	}
