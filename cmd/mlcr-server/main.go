@@ -46,7 +46,6 @@ import (
 	"mlcr/internal/mlcr"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
-	"mlcr/internal/pool"
 )
 
 // Listener limits. Requests are small JSON bodies and responses are
@@ -69,14 +68,14 @@ func main() {
 	model := flag.String("model", "", "trained MLCR model path (required for -policy MLCR)")
 	slots := flag.Int("slots", 4, "MLCR candidate container slots (must match the trained model)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
-	shards := flag.Int("shards", 16, "gateway mode: pool shards (rounded up to a power of two)")
+	shards := flag.Int("shards", 16, "gateway mode: pool shards, each function placed by the by-function router")
 	batch := flag.Int("batch", 64, "gateway mode: max coalesced DQN inference batch (MLCR policy)")
 	traceOut := flag.String("trace-out", "", "sim mode: write the run's Chrome trace JSON here on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format metrics snapshot here on shutdown")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	flag.Parse()
 
-	mkSched, mkEvict, err := factories(*policyName, *model, *slots, *batch, *mode == "gateway")
+	mkSched, err := factories(*policyName, *model, *slots, *batch, *mode == "gateway")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
@@ -85,7 +84,6 @@ func main() {
 		Functions:      fstartbench.Functions(),
 		PoolCapacityMB: *poolMB,
 		NewScheduler:   mkSched,
-		NewEvictor:     mkEvict,
 		Shards:         *shards,
 	}, *traceOut, *metricsOut)
 	if err != nil {
@@ -182,21 +180,20 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 	fmt.Printf("mlcr-server: wrote %s to %s\n", kind, path)
 }
 
-// factories resolves the policy name into per-platform scheduler and
-// evictor constructors. For MLCR the trained model is loaded once; in
+// factories resolves the policy name into a per-platform scheduler
+// constructor; each platform pairs its scheduler with the scheduler's
+// own default evictor. For MLCR the trained model is loaded once; in
 // gateway mode each shard gets a Clone sharing the master's weights and
 // one QBatcher so concurrent shards coalesce their forward passes.
-func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, func() pool.Evictor, error) {
+func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, error) {
 	if name != "MLCR" {
 		if _, err := policy.New(name, 0); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		mk := func() policy.Evictored { s, _ := policy.New(name, 0); return s }
-		return func() platform.Scheduler { return mk() },
-			func() pool.Evictor { return mk().Evictor() }, nil
+		return func() platform.Scheduler { s, _ := policy.New(name, 0); return s }, nil
 	}
 	if model == "" {
-		return nil, nil, fmt.Errorf("-policy MLCR requires -model")
+		return nil, fmt.Errorf("-policy MLCR requires -model")
 	}
 	opts := experiments.Options{}
 	opts.MLCR.Slots = slots
@@ -204,22 +201,20 @@ func factories(name, model string, slots, batch int, gateway bool) (func() platf
 	master := mlcr.New(opts.MLCR)
 	f, err := os.Open(model)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lerr := master.Load(f)
 	f.Close()
 	if lerr != nil {
-		return nil, nil, fmt.Errorf("load model %s: %w", model, lerr)
+		return nil, fmt.Errorf("load model %s: %w", model, lerr)
 	}
 	if !gateway {
-		return func() platform.Scheduler { return master },
-			func() pool.Evictor { return master.Evictor() }, nil
+		return func() platform.Scheduler { return master }, nil
 	}
 	qb := drl.NewQBatcher(master.Agent().Online(), batch)
 	return func() platform.Scheduler {
-			s := master.Clone()
-			s.SetBatcher(qb)
-			return s
-		},
-		func() pool.Evictor { return master.Evictor() }, nil
+		s := master.Clone()
+		s.SetBatcher(qb)
+		return s
+	}, nil
 }

@@ -21,11 +21,11 @@ import (
 func TestModes(t *testing.T) {
 	for mode, shards := range map[string]int{"sim": 1, "gateway": 16} {
 		for _, name := range policy.Names() {
-			if mk, _, err := factories(name, "", 4, 64, mode == "gateway"); err != nil || mk().Name() != name {
+			if mk, err := factories(name, "", 4, 64, mode == "gateway"); err != nil || mk().Name() != name {
 				t.Fatalf("%s: factories(%q): %v", mode, name, err)
 			}
 		}
-		mkSched, mkEvict, err := factories("Greedy-Match", "", 4, 64, mode == "gateway")
+		mkSched, err := factories("Greedy-Match", "", 4, 64, mode == "gateway")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestModes(t *testing.T) {
 		traceOut, metricsOut := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.prom")
 		h, flush, err := newServer(mode, api.GatewayConfig{
 			Functions: fstartbench.Functions(), PoolCapacityMB: 4096,
-			NewScheduler: mkSched, NewEvictor: mkEvict, Shards: 16,
+			NewScheduler: mkSched, Shards: 16,
 		}, traceOut, metricsOut)
 		if err != nil {
 			t.Fatal(err)

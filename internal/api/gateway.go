@@ -38,9 +38,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mlcr/internal/cluster"
 	"mlcr/internal/container"
 	"mlcr/internal/core"
-	"mlcr/internal/evict"
 	"mlcr/internal/obs"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
@@ -63,15 +63,15 @@ type GatewayConfig struct {
 	// (fresh set on every reset).
 	NewScheduler func() platform.Scheduler
 	// NewEvictor builds one pool eviction policy per shard. When it is
-	// nil or returns nil, a shard takes its scheduler's Evictor() if the
-	// scheduler declares one, else LRU.
+	// nil or returns nil, platform.New pairs the shard's scheduler with
+	// its default evictor, as it does for every platform.
 	NewEvictor func() pool.Evictor
 	// Clock supplies elapsed time (monotone offset from an arbitrary
 	// origin). Nil means monotonic wall time since construction; tests
 	// inject virtual clocks.
 	Clock perf.Clock
-	// Shards is the number of pool shards; rounded up to a power of
-	// two, default 16.
+	// Shards is the number of pool shards, default 16. Each function
+	// sits on the shard the cluster's by-function router names.
 	Shards int
 	// FastDepth is the per-function fast-channel depth: how many idle
 	// containers of one function can park in the lock-free layer. 0
@@ -161,7 +161,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
 	}
-	cfg.Shards = nextPow2(cfg.Shards)
 	if cfg.FastDepth == 0 {
 		cfg.FastDepth = 4
 	}
@@ -190,29 +189,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
 
-// nextPow2 rounds n up to a power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shardOf maps a function ID to its shard by a splitmix64 finalizer —
-// cheap, well-mixed, and independent of catalog ordering.
-func shardOf(fnID int, mask uint64) int {
-	x := uint64(fnID) + 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x & mask)
-}
-
 // buildState constructs a fresh generation: one platform per shard over
-// its pool segment and scheduler, and the function→shard map.
+// its pool segment and scheduler, and the function→shard map, which the
+// cluster's by-function router draws.
 func (g *Gateway) buildState() *gwState {
 	cfg := g.cfg
 	st := &gwState{
@@ -233,19 +212,16 @@ func (g *Gateway) buildState() *gwState {
 		// One NewScheduler call, then one NewEvictor call, per shard and
 		// in this order: bench/'s per-layer tracer pairs them by order.
 		sched := cfg.NewScheduler()
-		ev := pool.Evictor(nil)
+		var ev pool.Evictor
 		if cfg.NewEvictor != nil {
 			ev = cfg.NewEvictor()
 		}
-		if ev == nil {
-			ev = evictorFor(sched)
-		}
 		sh := &gwShard{
-			plat:    platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
-			fns:     make(map[int]*gwFn),
-			doneq:   make(chan *container.Container, 1024),
-			fastTTL: ev.TTL(),
+			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
+			fns:   make(map[int]*gwFn),
+			doneq: make(chan *container.Container, 1024),
 		}
+		sh.fastTTL = sh.plat.Pool().Evictor().TTL()
 		// A shard serves an unbounded stream: keep aggregates, not samples.
 		res := sh.plat.Results()
 		res.Metrics.SetRetainSamples(false)
@@ -257,9 +233,10 @@ func (g *Gateway) buildState() *gwState {
 		sh.nextDone.Store(math.MaxInt64)
 		st.shards[i] = sh
 	}
-	mask := uint64(cfg.Shards - 1)
-	for _, f := range cfg.Functions {
-		sh := st.shards[shardOf(f.ID, mask)]
+	router := cluster.MustNewRouter("by-function", cluster.RouterConfig{Workers: cfg.Shards})
+	router.Begin(workload.Workload{Functions: cfg.Functions})
+	for i, f := range cfg.Functions {
+		sh := st.shards[router.Route(0, i, &workload.Invocation{Fn: f})]
 		gf := &gwFn{
 			fn:        f,
 			shard:     sh,
@@ -272,17 +249,6 @@ func (g *Gateway) buildState() *gwState {
 		sh.fns[f.ID] = gf
 	}
 	return st
-}
-
-// evictorFor resolves the default eviction policy: the scheduler's
-// preferred one when it declares it (the MLCR pairing), LRU otherwise.
-func evictorFor(s platform.Scheduler) pool.Evictor {
-	if p, ok := s.(interface{ Evictor() pool.Evictor }); ok {
-		if ev := p.Evictor(); ev != nil {
-			return ev
-		}
-	}
-	return evict.NewLRU()
 }
 
 // now returns the gateway's elapsed time since the current generation's

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcr/internal/cluster"
 	"mlcr/internal/container"
 	"mlcr/internal/core"
 	"mlcr/internal/evict"
@@ -661,10 +662,42 @@ func TestGatewayReportsServedInstant(t *testing.T) {
 	}
 }
 
-// TestGatewayShardRounding: shard counts round up to powers of two.
+// TestGatewayShardRounding: a shard count is taken as given, not
+// rounded, and every function sits on the shard the cluster's
+// by-function router names. At 16 shards that placement is the
+// power-of-two mask the gateway used before it shared the router,
+// splitmix64(id) & 15, kept here as a literal.
 func TestGatewayShardRounding(t *testing.T) {
-	g := testGateway(t, GatewayConfig{Shards: 5})
-	if n := len(g.state.Load().shards); n != 8 {
-		t.Fatalf("5 shards rounded to %d, want 8", n)
+	shardIndex := func(st *gwState, gf *gwFn) int {
+		for i, sh := range st.shards {
+			if sh == gf.shard {
+				return i
+			}
+		}
+		t.Fatalf("function %d sits on no shard", gf.fn.ID)
+		return -1
+	}
+	for _, shards := range []int{5, 16} {
+		st := testGateway(t, GatewayConfig{Shards: shards}).state.Load()
+		if len(st.shards) != shards {
+			t.Fatalf("Shards %d built %d shards", shards, len(st.shards))
+		}
+		r := cluster.MustNewRouter("by-function", cluster.RouterConfig{Workers: shards})
+		for i, f := range testFunctions() {
+			want := r.Route(0, i, &workload.Invocation{Fn: f})
+			if got := shardIndex(st, st.byID[f.ID]); got != want {
+				t.Errorf("Shards %d: function %d on shard %d, by-function names %d", shards, f.ID, got, want)
+			}
+		}
+	}
+	mask16 := map[int]int{1: 1, 2: 14, 3: 13, 4: 10, 5: 10, 6: 0, 7: 7, 8: 6, 9: 4, 10: 10, 11: 13, 12: 3, 13: 15}
+	st := testGateway(t, GatewayConfig{Shards: 16}).state.Load()
+	if len(st.byID) != len(mask16) {
+		t.Fatalf("catalogue has %d functions, the literal %d", len(st.byID), len(mask16))
+	}
+	for id, want := range mask16 {
+		if got := shardIndex(st, st.byID[id]); got != want {
+			t.Errorf("16 shards: function %d on shard %d, splitmix64 & 15 put it on %d", id, got, want)
+		}
 	}
 }

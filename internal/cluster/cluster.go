@@ -42,8 +42,9 @@ type Config struct {
 	// is distributed by cloning it per worker.
 	NewScheduler func(worker int) platform.Scheduler
 	// NewEvictor builds one pool evictor per worker. The same concurrency
-	// contract as NewScheduler applies. When nil, the workers default to
-	// LRU.
+	// contract as NewScheduler applies. When nil, platform.New pairs each
+	// worker's scheduler with its default evictor, the one the gateway's
+	// shards take too.
 	NewEvictor func(worker int) pool.Evictor
 	// Parallelism bounds concurrency for both phases of a run: routing
 	// shards (as far as the router's Shards() contract allows) and

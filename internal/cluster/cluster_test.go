@@ -40,6 +40,33 @@ func TestSingleWorkerMatchesPlatform(t *testing.T) {
 	}
 }
 
+// TestSingleWorkerPairsLikePlatform: without NewEvictor, a worker pairs
+// its scheduler with the evictor the scheduler declares, as
+// platform.New does for any caller. Under pool pressure a one-worker
+// run of every registered scheduler fingerprints equal to the platform
+// run given that pairing explicitly; KeepAlive (TTL keep-warm) and
+// FaasCache (greedy-dual) are the schedulers whose evictor is not LRU.
+func TestSingleWorkerPairsLikePlatform(t *testing.T) {
+	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{})
+	const poolMB = 3000
+	for _, name := range policy.Names() {
+		res := Run(Config{
+			Workers:        1,
+			PoolCapacityMB: poolMB,
+			NewScheduler:   func(int) platform.Scheduler { s, _ := policy.New(name, 7); return s },
+		}, w)
+		s, err := policy.New(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: s.Evictor()}, s).Run(w)
+		if got := res.PerWorker[0]; runner.Fingerprint(got) != runner.Fingerprint(want) {
+			t.Errorf("%s: 1-worker cluster run (%d evictions, %d rejections) differs from the paired platform run (%d, %d)",
+				name, got.PoolStats.Evictions, got.PoolStats.Rejections, want.PoolStats.Evictions, want.PoolStats.Rejections)
+		}
+	}
+}
+
 func TestAllInvocationsRouted(t *testing.T) {
 	w := bench(90)
 	for _, r := range []string{"round-robin", "by-function", "least-loaded"} {

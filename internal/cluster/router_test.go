@@ -46,16 +46,18 @@ func TestRouterRegistry(t *testing.T) {
 // pinnedRoutingFingerprints are sha256[:12] hashes over the routed
 // counts and per-worker runner.Fingerprints of six cluster runs
 // (Uniform and Peak, seed 3, 5 workers, pool 3000 MB, Greedy-Match +
-// LRU) captured BEFORE the Router refactor, when routing was one
-// sequential switch in route(). The refactor's contract is that the
-// re-expressed round-robin / by-function / least-loaded routers replay
-// those runs bit-for-bit — any drift in target selection, partition
-// order or per-worker Seq numbering changes a hash here.
+// LRU). The round-robin and least-loaded cells were captured before
+// the Router refactor, when routing was one sequential switch in
+// route(), and the re-expressed routers replay them bit-for-bit. The
+// by-function cells were re-recorded when its home worker became
+// splitmix64(id) mod workers, the gateway's placement, instead of
+// id mod workers. Any drift in target selection, partition order or
+// per-worker Seq numbering changes a hash here.
 var pinnedRoutingFingerprints = map[[2]string]string{
 	{"round-robin", "Uniform"}:  "d8f5ddb6dfa804443163e8f9",
 	{"round-robin", "Peak"}:     "7bc335fe6fb3735afa9c8d87",
-	{"by-function", "Uniform"}:  "7d54bde86eba328e0b547c18",
-	{"by-function", "Peak"}:     "b59f9c9f21d6e93f9750e043",
+	{"by-function", "Uniform"}:  "250bd620297ac1dc50b7f62a",
+	{"by-function", "Peak"}:     "14ddc44a37bac58d298170b9",
 	{"least-loaded", "Uniform"}: "d636371f295ba01f8e5eb812",
 	{"least-loaded", "Peak"}:    "8dad0b493d71307ad30515da",
 }
@@ -79,7 +81,7 @@ func TestPinnedRoutingFingerprints(t *testing.T) {
 		cfg.Parallelism = 1
 		res := Run(cfg, w)
 		if got := clusterFingerprint(res); got != want {
-			t.Errorf("%s/%s fingerprint %s, pinned pre-refactor %s", router, wname, got, want)
+			t.Errorf("%s/%s fingerprint %s, pinned %s", router, wname, got, want)
 		}
 		// A silent cold-start fallback must never flatter a figure.
 		for i, pr := range res.PerWorker {
@@ -171,7 +173,8 @@ func TestRouteTargetsMatchPartition(t *testing.T) {
 
 // TestHomeWorkerGuard is the regression test for the by-function
 // modulo panic: negative IDs (raw id % workers would index out of
-// range) and sparse IDs must route deterministically in range.
+// range) and sparse IDs must route in range, and every ID takes the
+// one placement hash, splitmix64(id) mod workers.
 func TestHomeWorkerGuard(t *testing.T) {
 	for _, workers := range []int{1, 3, 7, 1000} {
 		for _, id := range []int{-1, -13, -1 << 40, 0, 1, 12, 1000, 1 << 40} {
@@ -179,11 +182,8 @@ func TestHomeWorkerGuard(t *testing.T) {
 			if got < 0 || got >= workers {
 				t.Fatalf("homeWorker(%d, %d) = %d out of range", id, workers, got)
 			}
-			if got != homeWorker(id, workers) {
-				t.Fatalf("homeWorker(%d, %d) not deterministic", id, workers)
-			}
-			if id >= 0 && got != id%workers {
-				t.Fatalf("homeWorker(%d, %d) = %d, want legacy dense mapping %d", id, workers, got, id%workers)
+			if want := int(splitmix64(uint64(id)) % uint64(workers)); got != want {
+				t.Fatalf("homeWorker(%d, %d) = %d, want splitmix64 mod workers %d", id, workers, got, want)
 			}
 		}
 	}
@@ -235,7 +235,7 @@ func TestRingBalancesSparseIDs(t *testing.T) {
 	const workers = 8
 	ids := make([]int, 64)
 	for i := range ids {
-		ids[i] = (i + 1) * workers // by-function would send every one to worker 0
+		ids[i] = (i + 1) * workers // id mod workers would send every one to worker 0
 	}
 	w := negativeIDWorkload(ids)
 	cfg := mkCfg(workers, "round-robin", 0)

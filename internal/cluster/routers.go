@@ -24,13 +24,12 @@ func (r *roundRobinRouter) Route(_, i int, _ *workload.Invocation) int {
 // --- by-function ---
 
 // byFunctionRouter gives every function a home worker whose pool
-// accumulates its containers. Non-negative IDs keep the historical
-// dense mapping id mod workers — pinned by the pre-refactor replay
-// fingerprints — while negative IDs, which the old raw modulo turned
-// into an index panic, are mixed through splitmix64 so pathological
-// catalogs still route in range. Sparse positive catalogs keep the
-// legacy (possibly skewed) dense mapping by the same replay contract;
-// the "hash" router is the distribution-robust affinity policy.
+// accumulates its containers: splitmix64 of the function ID, mod the
+// worker count. It is the placement of both the cluster and the
+// gateway, which places each catalogue function on a shard through it
+// (DESIGN.md §13, §15). Any ID, negative or sparse, maps in range; the
+// "hash" router is the affinity policy that is also stable under
+// worker-count changes.
 type byFunctionRouter struct{ workers int }
 
 func (r *byFunctionRouter) Name() string            { return "by-function" }
@@ -40,12 +39,8 @@ func (r *byFunctionRouter) Route(_, _ int, inv *workload.Invocation) int {
 	return homeWorker(inv.Fn.ID, r.workers)
 }
 
-// homeWorker maps a function ID to its by-function home worker; see
-// byFunctionRouter for the two regimes.
+// homeWorker maps a function ID to its by-function home worker.
 func homeWorker(id, workers int) int {
-	if id >= 0 {
-		return id % workers
-	}
 	return int(splitmix64(uint64(id)) % uint64(workers))
 }
 

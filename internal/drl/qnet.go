@@ -129,9 +129,3 @@ func MaskedArgmax(qvals *nn.Tensor, mask []bool) (int, float64) {
 	}
 	return bi, best
 }
-
-// MaskedMax returns the highest Q-value among valid actions.
-func MaskedMax(qvals *nn.Tensor, mask []bool) float64 {
-	_, v := MaskedArgmax(qvals, mask)
-	return v
-}

@@ -289,9 +289,7 @@ func MLCRSetup(s *mlcr.Scheduler) Setup {
 // running containers in the cluster"; keep-alive containers remain
 // running). The LRU policy drives the probe run.
 func CalibrateLoose(w workload.Workload) float64 {
-	s := policy.NewLRU()
-	res := platform.New(platform.Config{PoolCapacityMB: 0, Evictor: s.Evictor()}, s).Run(w)
-	return res.PeakAliveMB
+	return platform.New(platform.Config{}, policy.NewLRU()).Run(w).PeakAliveMB
 }
 
 // PoolScales are the benchmark-evaluation pool sizes as fractions of

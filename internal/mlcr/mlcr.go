@@ -455,7 +455,7 @@ func (s *Scheduler) Train(opts TrainOptions) []EpisodeStats {
 		if opts.PoolForEpisode != nil {
 			poolMB = opts.PoolForEpisode(ep)
 		}
-		p := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: s.Evictor()}, s)
+		p := platform.New(platform.Config{PoolCapacityMB: poolMB}, s)
 		res := p.Run(w)
 		s.EndEpisode()
 		st := EpisodeStats{

@@ -13,8 +13,8 @@
 //     reasons, the chosen action and the realized reward;
 //   - a phase profiler (obs/perf.Profiler): scoped timers with an
 //     injected clock around the simulator's hot phases, aggregated into
-//     fixed-footprint HDR histograms and exported as a per-run
-//     PerfReport plus Prometheus summaries (see PublishPerf).
+//     fixed-footprint HDR histograms and exported as Prometheus
+//     summaries (see PublishPerf).
 //
 // All four are optional and nil-safe: a disabled Observer costs a nil
 // check per instrumentation point, so determinism and performance of
@@ -101,18 +101,6 @@ const (
 	PruneWorseThanCold = "worse-than-cold"
 )
 
-// Eviction reasons attached to KindContainerEvicted events.
-const (
-	// EvictCapacity means the container was displaced to make room.
-	EvictCapacity = "capacity"
-	// EvictExpired means the container exceeded its idle TTL.
-	EvictExpired = "expired"
-	// EvictRejected means a keep-warm request was refused by a full pool.
-	EvictRejected = "rejected"
-	// EvictOversize means the container exceeds the whole pool capacity.
-	EvictOversize = "oversize"
-)
-
 // Event is one structured trace record. It is a flat struct — no
 // interfaces, no allocations — so constructing and discarding one when
 // tracing is disabled is nearly free. Fields not applicable to a Kind
@@ -141,7 +129,7 @@ type Event struct {
 	// Step is the training-step counter for KindTrainStep.
 	Step int
 	// Detail is a short string payload: completion name, prune reason
-	// or eviction reason.
+	// or eviction reason (one of evict.Reason*).
 	Detail string
 }
 
@@ -181,9 +169,6 @@ func (o *Observer) Tracing() bool { return o != nil && o.Trace != nil }
 
 // Auditing reports whether scheduler decisions are being audited.
 func (o *Observer) Auditing() bool { return o != nil && o.Audit != nil }
-
-// Perfing reports whether hot-path phases are being profiled.
-func (o *Observer) Perfing() bool { return o != nil && o.Perf != nil }
 
 // Profiler returns the perf pillar (nil when disabled), for handing to
 // components that take a *perf.Profiler directly.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlcr/internal/evict"
 )
 
 // sampleEvents returns a small trace covering every event kind.
@@ -18,7 +20,7 @@ func sampleEvents() []Event {
 		{Kind: KindContainerReused, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
 		{Kind: KindContainerCreated, At: time.Second, Seq: 1, Fn: 6, Container: 3, Cold: true, Dur: 4 * time.Second},
 		{Kind: KindEventFired, At: 2 * time.Second, Seq: -1, Fn: -1, Detail: "finish/c1"},
-		{Kind: KindContainerEvicted, At: 2 * time.Second, Seq: -1, Fn: 6, Container: 2, Detail: EvictCapacity},
+		{Kind: KindContainerEvicted, At: 2 * time.Second, Seq: -1, Fn: 6, Container: 2, Detail: evict.ReasonCapacity},
 		{Kind: KindVolumeSwapped, At: 3 * time.Second, Seq: -1, Fn: 7, Container: 1, Level: 2, Detail: "from=fn5 unmounts=1 mounts=2"},
 		{Kind: KindTrainStep, Seq: -1, Fn: -1, Step: 42, Value: 0.125},
 	}

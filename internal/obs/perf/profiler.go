@@ -122,9 +122,6 @@ func (p *Profiler) Phase(phase Phase) *HDR {
 	return &p.phases[phase]
 }
 
-// Enabled reports whether the profiler records anything.
-func (p *Profiler) Enabled() bool { return p != nil }
-
 // Clock returns the injected clock (nil on a nil profiler). Callers
 // that fan work out across goroutines use it to build one private
 // Profiler per shard — the Profiler itself is not concurrency-safe —

@@ -6,7 +6,6 @@ import (
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
-	"mlcr/internal/evict"
 	"mlcr/internal/obs"
 	"mlcr/internal/workload"
 )
@@ -178,14 +177,5 @@ func (p *Platform) observeDecision(inv *workload.Invocation, now time.Duration,
 			Candidates: cands, Chosen: choice, Cold: s.Cold, Level: int(lvl),
 			StartupUS: s.Total().Microseconds(), Reward: -s.Total().Seconds(),
 		})
-	}
-}
-
-func init() {
-	// The evict package defines the pool's hook reasons without
-	// importing obs; keep the two constant sets from silently diverging.
-	if evict.ReasonCapacity != obs.EvictCapacity || evict.ReasonExpired != obs.EvictExpired ||
-		evict.ReasonRejected != obs.EvictRejected || evict.ReasonOversize != obs.EvictOversize {
-		panic("platform: evict/obs eviction reason constants diverged")
 	}
 }

@@ -88,7 +88,10 @@ type Config struct {
 	// PoolCapacityMB is the warm pool size; <= 0 means unlimited (used
 	// to calibrate the Loose setting).
 	PoolCapacityMB float64
-	// Evictor is the pool eviction policy; nil defaults to LRU.
+	// Evictor is the pool eviction policy. Nil pairs the scheduler with
+	// its own default: the Evictor() it declares when that is non-nil,
+	// else LRU. The cluster's workers and the gateway's shards take the
+	// same pairing this way.
 	Evictor pool.Evictor
 	// NewID, when non-nil, hands out container IDs; the gateway shares
 	// one source across its shards so IDs stay unique among them. Nil
@@ -126,11 +129,6 @@ type RunResult struct {
 	// PolicyErrors counts scheduler choices Apply could not honour and
 	// served as cold starts instead (see Scheduler.Schedule).
 	PolicyErrors int
-	// Perf is the per-run phase breakdown with memory bracketing,
-	// non-nil only when the run's Observer carried a phase profiler.
-	// It reports measurement (host time, host memory), not simulation
-	// state, so it is deliberately excluded from runner.Fingerprint.
-	Perf *perf.Report
 }
 
 // finishRec is one in-flight completion: the busy container and the
@@ -163,10 +161,8 @@ type Platform struct {
 	ran       bool
 
 	// prof is the observer's phase profiler (nil when perf is off),
-	// cached so hot paths pay one field read per scope. memBefore
-	// brackets Run for the report's memory accounting.
-	prof      *perf.Profiler
-	memBefore perf.MemSnapshot
+	// cached so hot paths pay one field read per scope.
+	prof *perf.Profiler
 
 	res RunResult
 }
@@ -178,7 +174,7 @@ func New(cfg Config, sched Scheduler) *Platform {
 	}
 	ev := cfg.Evictor
 	if ev == nil {
-		ev = evict.NewLRU()
+		ev = defaultEvictor(sched)
 	}
 	if cfg.NewID == nil {
 		n := 0
@@ -205,6 +201,17 @@ func New(cfg Config, sched Scheduler) *Platform {
 	return p
 }
 
+// defaultEvictor is the eviction policy a scheduler pairs with: the one
+// it declares (KeepAlive's TTL, FaasCache's greedy-dual), LRU otherwise.
+func defaultEvictor(s Scheduler) pool.Evictor {
+	if d, ok := s.(interface{ Evictor() pool.Evictor }); ok {
+		if ev := d.Evictor(); ev != nil {
+			return ev
+		}
+	}
+	return evict.NewLRU()
+}
+
 // Pool exposes the warm pool (read-only use by callers/tests).
 func (p *Platform) Pool() *pool.Pool { return p.pool }
 
@@ -226,27 +233,10 @@ func (p *Platform) Run(w workload.Workload) *RunResult {
 	// repeated buffer-doubling copies from trace-scale runs.
 	p.res.Metrics.Reserve(len(w.Invocations))
 	p.res.PoolSeries.Reserve(2 * len(w.Invocations))
-	if p.prof != nil {
-		p.memBefore = perf.ReadMem()
-	}
 	for i := range w.Invocations {
 		p.step(&w.Invocations[i])
 	}
 	return p.Drain()
-}
-
-// finishPerf snapshots the profiler into the result's PerfReport and
-// publishes per-phase summaries to the metrics registry. A no-op
-// without a profiler; safe to call more than once (Drain after
-// Invoke), the later report superseding the earlier.
-func (p *Platform) finishPerf() {
-	if p.prof == nil {
-		return
-	}
-	rep := p.prof.Report()
-	rep.Mem = &perf.MemDelta{Before: p.memBefore, After: perf.ReadMem()}
-	p.res.Perf = rep
-	p.obs.PublishPerf()
 }
 
 func (p *Platform) env() Env {
@@ -274,11 +264,13 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 	return p.step(inv)
 }
 
-// Drain completes all outstanding executions and returns the final
-// results (interactive mode's equivalent of Run finishing).
+// Drain completes all outstanding executions, publishes the phase
+// profiler's summaries to the metrics registry (mlcr_phase_seconds) and
+// returns the final results (interactive mode's equivalent of Run
+// finishing).
 func (p *Platform) Drain() *RunResult {
 	p.Retire(math.MaxInt64, nil) // BusyUntil stays far below it (trace.MaxMS)
-	p.finishPerf()
+	p.obs.PublishPerf()
 	return p.Results()
 }
 

@@ -117,15 +117,6 @@ func (p *Pool) CapacityMB() float64 { return p.capacityMB }
 // UsedMB returns the memory currently held by idle containers.
 func (p *Pool) UsedMB() float64 { return p.usedMB }
 
-// FreeMB returns remaining capacity, or +Inf-like large value when
-// unlimited (callers treat capacity <= 0 as unlimited via CapacityMB).
-func (p *Pool) FreeMB() float64 {
-	if p.capacityMB <= 0 {
-		return 0
-	}
-	return p.capacityMB - p.usedMB
-}
-
 // Len returns the number of idle containers in the pool.
 func (p *Pool) Len() int { return p.count }
 

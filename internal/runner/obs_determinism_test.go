@@ -15,8 +15,9 @@ import (
 // observer bundle — tracer, registry, audit AND the phase profiler on
 // a deterministic counter clock — must produce identical result
 // fingerprints at any parallelism. Fingerprint serializes the
-// simulation outcome only (RunResult.Perf is deliberately excluded),
-// so turning profiling on can never change what a run computes.
+// simulation outcome only, so turning profiling on can never change
+// what a run computes. The per-observer dispatch-span count proves the
+// compared runs were instrumented, not disabled.
 func TestFingerprintUnchangedByObservability(t *testing.T) {
 	plain := runner.Run(sweepSpecs(t), runner.Options{Parallelism: 1})
 
@@ -51,22 +52,11 @@ func TestFingerprintUnchangedByObservability(t *testing.T) {
 	if len(plain) != len(observed) {
 		t.Fatalf("result lengths %d/%d", len(plain), len(observed))
 	}
-	profiled := 0
 	for i := range plain {
 		a, b := runner.Fingerprint(plain[i]), runner.Fingerprint(observed[i])
 		if a != b {
 			t.Errorf("spec %d (%s): observed run fingerprint differs from bare run:\nbare:     %.200s\nobserved: %.200s",
 				i, specs[i].Name, a, b)
 		}
-		if rep := observed[i].Perf; rep != nil && len(rep.Phases) > 0 {
-			profiled++
-		}
-		if plain[i].Perf != nil {
-			t.Errorf("spec %d: bare run grew a perf report", i)
-		}
-	}
-	if profiled != len(observed) {
-		t.Errorf("only %d/%d observed runs produced a perf report — the guard must compare instrumented runs, not disabled ones",
-			profiled, len(observed))
 	}
 }

@@ -87,6 +87,9 @@ done
 echo "== cluster routing smoke (every registered router × evictor, race-enabled) =="
 go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -evictor faascache > /dev/null
 
+echo "== cluster pairing smoke (no -evictor: each worker pairs KeepAlive with its own TTL evictor, race-enabled) =="
+go run -race ./cmd/mlcr-sim -workload Uniform -count 200 -workers 8 -routing all -policy KeepAlive > /dev/null
+
 echo "== BenchmarkSimCore smoke (1 invocation) =="
 go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
 
