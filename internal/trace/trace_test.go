@@ -52,6 +52,51 @@ func TestReadSortsAndResequences(t *testing.T) {
 	}
 }
 
+// TestReadKeepsTiesInFileOrder: rows at the same instant load in the
+// order they appear in the file, whatever their function or exec.
+func TestReadKeepsTiesInFileOrder(t *testing.T) {
+	csv := "seq,arrival_ms,fn_id,exec_ms\n" +
+		"0,2000,3,30\n1,1000,5,50\n2,2000,1,10\n3,1000,2,20\n4,2000,3,31\n5,0,7,70\n"
+	w, err := Read(strings.NewReader(csv), "x", fstartbench.Functions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ at, fn, exec int }{
+		{0, 7, 70}, {1000, 5, 50}, {1000, 2, 20}, {2000, 3, 30}, {2000, 1, 10}, {2000, 3, 31},
+	}
+	if len(w.Invocations) != len(want) {
+		t.Fatalf("got %d invocations, want %d", len(w.Invocations), len(want))
+	}
+	for i, inv := range w.Invocations {
+		wi := want[i]
+		if inv.Seq != i || inv.Arrival != time.Duration(wi.at)*time.Millisecond ||
+			inv.Fn.ID != wi.fn || inv.Exec != time.Duration(wi.exec)*time.Millisecond {
+			t.Errorf("invocation %d = {Seq %d, %v, fn %d, exec %v}, want {%d, %dms, fn %d, exec %dms}",
+				i, inv.Seq, inv.Arrival, inv.Fn.ID, inv.Exec, i, wi.at, wi.fn, wi.exec)
+		}
+	}
+	if got := []int{w.Functions[0].ID, w.Functions[1].ID, w.Functions[2].ID}; got[0] != 3 || got[1] != 5 || got[2] != 1 {
+		t.Errorf("Functions start %v, want first-seen file order [3 5 1 …]", got)
+	}
+
+	// Long enough that an unstable sort would reorder ties: 300 rows
+	// over four instants, each row's exec_ms its row number.
+	var b strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&b, "%d,%d,%d,%d\n", i, (i*7)%4*1000, i%13+1, i)
+	}
+	if w, err = Read(strings.NewReader(b.String()), "x", fstartbench.Functions()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(w.Invocations); i++ {
+		p, q := w.Invocations[i-1], w.Invocations[i]
+		if p.Arrival == q.Arrival && p.Exec >= q.Exec {
+			t.Fatalf("invocations %d and %d at %v: rows %d then %d, want file order",
+				i-1, i, q.Arrival, p.Exec.Milliseconds(), q.Exec.Milliseconds())
+		}
+	}
+}
+
 func TestReadNoHeader(t *testing.T) {
 	csv := "0,1000,1,100\n"
 	w, err := Read(strings.NewReader(csv), "x", fstartbench.Functions())

@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -107,41 +107,45 @@ func (p PoissonWindow) Times(n int) []time.Duration {
 	for i := range out {
 		out[i] = time.Duration(p.Rng.Float64() * float64(p.Window))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Merge combines several per-function arrival streams into one workload,
-// ordering invocations globally by arrival time (stable for ties). Each
-// stream pairs a function with its arrival times. Exec jitter of ±jitter
-// (fraction of the mean, e.g. 0.1) is applied per invocation using rng;
-// pass jitter = 0 for deterministic execution times.
+// ordering invocations globally by arrival time. Streams need not be
+// sorted. Ties keep input order: equal instants of different streams
+// follow the order of streams, equal instants within a stream its
+// order. Functions lists each function ID once, at its first stream.
+// Exec jitter of ±jitter (fraction of the mean, e.g. 0.1) is applied per
+// invocation using rng, drawn in arrival order; pass jitter = 0 for
+// deterministic execution times.
 func Merge(name string, streams []Stream, jitter float64, rng *rand.Rand) Workload {
-	type item struct {
-		fn *Function
-		at time.Duration
-	}
-	var items []item
-	fns := make([]*Function, 0, len(streams))
-	seen := map[int]bool{}
+	n := 0
 	for _, s := range streams {
+		n += len(s.Times)
+	}
+	keys := make([]Arrival, 0, n)
+	fns := make([]*Function, 0, len(streams))
+	seen := make(map[int]bool, len(streams))
+	for i, s := range streams {
 		if !seen[s.Fn.ID] {
 			seen[s.Fn.ID] = true
 			fns = append(fns, s.Fn)
 		}
 		for _, at := range s.Times {
-			items = append(items, item{s.Fn, at})
+			keys = append(keys, Arrival{At: at, Of: i})
 		}
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].at < items[j].at })
-	invs := make([]Invocation, len(items))
-	for i, it := range items {
-		exec := it.fn.Exec
+	SortArrivals(keys)
+	invs := make([]Invocation, n)
+	for i, k := range keys {
+		fn := streams[k.Of].Fn
+		exec := fn.Exec
 		if jitter > 0 && rng != nil {
 			f := 1 + (rng.Float64()*2-1)*jitter
 			exec = time.Duration(float64(exec) * f)
 		}
-		invs[i] = Invocation{Seq: i, Fn: it.fn, Arrival: it.at, Exec: exec}
+		invs[i] = Invocation{Seq: i, Fn: fn, Arrival: k.At, Exec: exec}
 	}
 	return Workload{Name: name, Functions: fns, Invocations: invs}
 }

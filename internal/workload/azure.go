@@ -3,7 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -71,15 +71,14 @@ func (a AzureMix) Build(name string, fns []*Function, jitter float64) Workload {
 	if window == 0 {
 		window = 24 * time.Hour
 	}
-	var streams []Stream
+	streams := make([]Stream, len(fns))
 	for i, f := range fns {
-		n := counts[i]
-		times := make([]time.Duration, n)
+		times := make([]time.Duration, counts[i])
 		for j := range times {
 			times[j] = time.Duration(a.Rng.Float64() * float64(window))
 		}
-		sort.Slice(times, func(x, y int) bool { return times[x] < times[y] })
-		streams = append(streams, Stream{Fn: f, Times: times})
+		slices.Sort(times)
+		streams[i] = Stream{Fn: f, Times: times}
 	}
 	return Merge(name, streams, jitter, a.Rng)
 }

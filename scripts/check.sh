@@ -96,6 +96,9 @@ go test -run '^$' -bench '^BenchmarkSimCore$' -benchtime 1x -count 1 .
 echo "== BenchmarkTrainStep smoke (1 DQN update at the benchmark's training shape) =="
 go test -run '^$' -bench '^BenchmarkTrainStep$' -benchtime 1x -count 1 ./internal/drl
 
+echo "== BenchmarkMerge smoke (1 merge of the benchmark's sim_cluster trace shape) =="
+go test -run '^$' -bench '^BenchmarkMerge$' -benchmem -benchtime 1x -count 1 ./internal/workload
+
 echo "== repository benchmark smoke (bench/ is its own module: per-lap fingerprint and exact-count output checks) =="
 (cd bench && GOFLAGS=-mod=readonly GOWORK=off go test .)
 
