@@ -70,7 +70,7 @@ func BenchmarkFig3DockerHub(b *testing.B) {
 
 func BenchmarkFig8Overall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8(benchOpts())
+		r := experiments.NewStudy(benchOpts()).Fig8()
 		if i == 0 {
 			for _, p := range experiments.PolicyNames {
 				c := r.Cell(p, "Tight")
@@ -82,7 +82,7 @@ func BenchmarkFig8Overall(b *testing.B) {
 
 func BenchmarkFig9Cumulative(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig9(benchOpts(), 50)
+		r := experiments.NewStudy(benchOpts()).Fig9(50)
 		if i == 0 {
 			b.ReportMetric(r.GreedyTotal.Seconds(), "greedy-s")
 			b.ReportMetric(r.MLCRTotal.Seconds(), "mlcr-s")
@@ -92,7 +92,7 @@ func BenchmarkFig9Cumulative(b *testing.B) {
 
 func BenchmarkFig10Memory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig10(benchOpts())
+		r := experiments.NewStudy(benchOpts()).Fig10()
 		if i == 0 {
 			for _, row := range r.Rows {
 				b.ReportMetric(row.PeakPoolMB, row.Policy+"-peak-mb")
@@ -103,7 +103,7 @@ func BenchmarkFig10Memory(b *testing.B) {
 
 func benchmarkFig11(b *testing.B, group string) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig11(group, benchOpts())
+		r := experiments.NewStudy(benchOpts()).Fig11(group)
 		if i == 0 {
 			for _, c := range r.Cells {
 				if c.Policy == "MLCR" {

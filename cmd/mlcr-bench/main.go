@@ -50,6 +50,7 @@ func main() {
 	}
 	opts := experiments.Options{Seed: *seed, Repeats: *repeats, Episodes: *episodes,
 		Parallelism: *parallel, Evictor: *evictorName}
+	study := experiments.NewStudy(opts) // -fig all trains each model once
 
 	var tables []*report.Table
 	run := func(name string, f func() *report.Table) {
@@ -72,27 +73,27 @@ func main() {
 		run("fig 3", func() *report.Table { return experiments.Fig3(*seed).Table() })
 	}
 	if want("8") {
-		run("fig 8", func() *report.Table { return experiments.Fig8(opts).Table() })
+		run("fig 8", func() *report.Table { return study.Fig8().Table() })
 	}
 	if want("9") {
-		run("fig 9", func() *report.Table { return experiments.Fig9(opts, 50).Table() })
+		run("fig 9", func() *report.Table { return study.Fig9(50).Table() })
 	}
 	if want("10") {
-		run("fig 10", func() *report.Table { return experiments.Fig10(opts).Table() })
+		run("fig 10", func() *report.Table { return study.Fig10().Table() })
 	}
 	for _, panel := range []struct{ suffix, group string }{
 		{"11a", "similarity"}, {"11b", "variance"}, {"11c", "arrival"},
 	} {
 		if want(panel.suffix) {
 			group := panel.group
-			run("fig "+panel.suffix, func() *report.Table { return experiments.Fig11(group, opts).Table() })
+			run("fig "+panel.suffix, func() *report.Table { return study.Fig11(group).Table() })
 		}
 	}
 	if want("overhead") {
-		run("overhead", func() *report.Table { return experiments.Overhead(opts).Table() })
+		run("overhead", func() *report.Table { return study.Overhead().Table() })
 	}
 	if want("ablation") {
-		run("ablation", func() *report.Table { return experiments.Ablation(opts).Table() })
+		run("ablation", func() *report.Table { return study.Ablation().Table() })
 	}
 	// The scheduler × evictor grid is opt-in (-fig grid): it adds 16
 	// cells and is an every-policy sweep rather than a paper figure.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"mlcr/internal/fstartbench"
 	"mlcr/internal/report"
 	"mlcr/internal/runner"
 )
@@ -22,24 +21,21 @@ type AblationResult struct {
 	Rows   []AblationRow
 }
 
-// Ablation trains and evaluates MLCR variants that each disable one
+// Ablation trains and evaluates MLCR variants that each change one
 // design choice:
 //
 //	full            — the shipped configuration
 //	no-greedy-expl  — exploration is uniform over valid actions instead
 //	                  of biased toward the greedy heuristic
-//	no-margin       — the inference-time confidence gate is disabled
+//	no-margin       — the confidence gate is disabled, in training and
+//	                  at inference
 //	shaped-reward   — potential-based reward shaping on (off by default)
-//	greedy-fallback — margin = ∞: the DQN is never consulted
 //
-// plus the two greedy reference policies.
-func Ablation(opts Options) AblationResult {
-	opts = opts.WithDefaults()
-	w := fstartbench.BuildOverall(opts.Seed, fstartbench.OverallOptions{})
-	loose := CalibrateLoose(w)
-	poolMB := loose * 0.2 // Tight
-
-	out := AblationResult{PoolMB: poolMB}
+// Only MLCR/full is margin-tuned (on the trace it is scored on); the
+// other variants run at the configured margin. So "each design choice
+// contributes" compares a tuned model with untuned ones. Four reference
+// rows follow: Cost-Greedy, Greedy-Match, LRU and Tabular-Q.
+func (s *Study) Ablation() AblationResult {
 	variants := []struct {
 		name   string
 		mutate func(*Options)
@@ -49,15 +45,16 @@ func Ablation(opts Options) AblationResult {
 		{"no-margin", func(o *Options) { o.MLCR.DeviationMargin = -1 }},
 		{"shaped-reward", func(o *Options) { o.MLCR.ShapingWeight = 1 }},
 	}
-	// Each variant trains its own model, so variants run concurrently;
+	// Each variant has its own model, so variants run concurrently;
 	// results land in variant order regardless of completion order.
-	out.Rows = append(out.Rows, runner.Map(len(variants), opts.runnerOpts(), func(i int) AblationRow {
+	rows := runner.Map(len(variants), s.opts.runnerOpts(), func(i int) AblationRow {
 		v := variants[i]
-		vo := opts
+		vo := s.opts
 		v.mutate(&vo)
-		trained := TrainMLCR(w, loose, overallFracs(), vo)
+		w, loose, trained := s.overall(vo)
+		poolMB := loose * 0.2 // Tight
 		if v.name == "full" {
-			TuneMargin(trained, w, poolMB, opts.Parallelism)
+			TuneMargin(trained, w, poolMB, s.opts.Parallelism)
 		}
 		res := RunOnce(MLCRSetup(trained), w, poolMB)
 		return AblationRow{
@@ -65,17 +62,19 @@ func Ablation(opts Options) AblationResult {
 			TotalStartup: res.Metrics.TotalStartup(),
 			ColdStarts:   res.Metrics.ColdStarts(),
 		}
-	})...)
+	})
+	w, loose, _ := s.overall(s.opts)
+	out := AblationResult{PoolMB: loose * 0.2, Rows: rows}
 	refs := []Setup{
 		SetupOf("Cost-Greedy", 0),
 		SetupOf("Greedy-Match", 0),
 		SetupOf("LRU", 0),
-		SetupOf("Tabular-Q", opts.Seed),
+		SetupOf("Tabular-Q", s.opts.Seed),
 	}
-	results := RunAll(refs, w, poolMB, opts)
-	for i, s := range refs {
+	results := RunAll(refs, w, out.PoolMB, s.opts)
+	for i, r := range refs {
 		out.Rows = append(out.Rows, AblationRow{
-			Variant:      s.Name,
+			Variant:      r.Name,
 			TotalStartup: results[i].Metrics.TotalStartup(),
 			ColdStarts:   results[i].Metrics.ColdStarts(),
 		})

@@ -79,7 +79,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := Fig8(tiny())
+	r := NewStudy(tiny()).Fig8()
 	if len(r.Cells) != len(PolicyNames)*len(OverallPools) {
 		t.Fatalf("got %d cells", len(r.Cells))
 	}
@@ -123,7 +123,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := Fig9(tiny(), 100)
+	r := NewStudy(tiny()).Fig9(100)
 	if len(r.Points) < 4 {
 		t.Fatalf("got %d points", len(r.Points))
 	}
@@ -146,7 +146,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := Fig10(tiny())
+	r := NewStudy(tiny()).Fig10()
 	if len(r.Rows) != 5 {
 		t.Fatalf("got %d rows", len(r.Rows))
 	}
@@ -167,7 +167,7 @@ func TestFig11SimilarityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := Fig11("similarity", tiny())
+	r := NewStudy(tiny()).Fig11("similarity")
 	if len(r.Cells) != 2*len(PolicyNames) {
 		t.Fatalf("got %d cells", len(r.Cells))
 	}
@@ -193,14 +193,14 @@ func TestFig11UnknownGroupPanics(t *testing.T) {
 			t.Fatal("unknown group did not panic")
 		}
 	}()
-	Fig11("nope", tiny())
+	NewStudy(tiny()).Fig11("nope")
 }
 
 func TestOverheadMeasures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := Overhead(tiny())
+	r := NewStudy(tiny()).Overhead()
 	if r.Decisions != 400 {
 		t.Fatalf("timed %d decisions, want 400", r.Decisions)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"mlcr/internal/fstartbench"
 	"mlcr/internal/report"
 )
 
@@ -24,19 +23,16 @@ type Fig10Result struct {
 
 // Fig10 measures peak warm-pool memory and eviction activity of every
 // policy on the overall workload at the Loose pool size.
-func Fig10(opts Options) Fig10Result {
-	opts = opts.WithDefaults()
-	w := fstartbench.BuildOverall(opts.Seed, fstartbench.OverallOptions{})
-	loose := CalibrateLoose(w)
-	trained := TrainMLCR(w, loose, overallFracs(), opts)
-	TuneMargin(trained, w, loose, opts.Parallelism)
+func (s *Study) Fig10() Fig10Result {
+	w, loose, trained := s.overall(s.opts)
+	TuneMargin(trained, w, loose, s.opts.Parallelism)
 
 	out := Fig10Result{LooseMB: loose}
 	setups := append(Baselines(), MLCRSetup(trained))
-	results := RunAll(setups, w, loose, opts)
-	for i, s := range setups {
+	results := RunAll(setups, w, loose, s.opts)
+	for i, su := range setups {
 		out.Rows = append(out.Rows, Fig10Row{
-			Policy:      s.Name,
+			Policy:      su.Name,
 			PeakPoolMB:  results[i].PoolStats.PeakUsedMB,
 			Evictions:   results[i].PoolStats.Evictions,
 			Rejections:  results[i].PoolStats.Rejections,

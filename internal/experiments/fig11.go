@@ -7,7 +7,6 @@ import (
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/metrics"
 	"mlcr/internal/report"
-	"mlcr/internal/runner"
 )
 
 // Fig11Groups maps each panel of Figure 11 to its workloads.
@@ -51,52 +50,25 @@ func (r Fig11Result) Cell(workload, policy string) *Fig11Cell {
 // for every workload in the group and every policy, the workload is
 // replayed at pool sizes of 25–100% of Loose for Options.Repeats seeds;
 // each run contributes one total-startup-latency observation to the box.
-// MLCR is trained once per (workload, repeat) at the 50% pool size.
-// Repeats run concurrently (Options.Parallelism), each owning its
-// workload and trained model; observations are merged in repeat order
-// so the box statistics are bit-identical to a sequential run.
-func Fig11(group string, opts Options) Fig11Result {
+// MLCR is trained once per (workload, repeat) with the four pool sizes
+// as curriculum. Observations are taken from the sweep in repeat order,
+// then pool order, so the box statistics are bit-identical at any
+// Options.Parallelism.
+func (s *Study) Fig11(group string) Fig11Result {
 	names, ok := Fig11Groups[group]
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown Fig 11 group %q", group))
 	}
-	opts = opts.WithDefaults()
-
 	out := Fig11Result{Group: group}
 	for _, wname := range names {
-		type obsRow struct {
-			policy string
-			total  float64
-		}
-		reps := runner.Map(opts.Repeats, opts.runnerOpts(), func(rep int) []obsRow {
-			w := fstartbench.Build(wname, opts.Seed+int64(rep)*211, fstartbench.Options{})
-			loose := CalibrateLoose(w)
-
-			repOpts := opts
-			repOpts.Seed = opts.Seed + int64(rep)*409
-			trained := TrainMLCR(w, loose, scaleFracs(), repOpts)
-
-			var rows []obsRow
-			for _, scale := range PoolScales {
-				poolMB := loose * scale.Frac
-				TuneMargin(trained, w, poolMB, opts.Parallelism)
-				setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor)
-				results := RunAll(setups, w, poolMB, opts)
-				for i, s := range setups {
-					rows = append(rows, obsRow{policy: s.Name, total: results[i].Metrics.TotalStartup().Seconds()})
+		reps := s.sweep(wname, 211, 409, PoolScales)
+		for j, p := range PolicyNames {
+			var obs []float64 // total startup (s) per repeat × pool
+			for _, rep := range reps {
+				for _, runs := range rep.runs {
+					obs = append(obs, runs[j].Metrics.TotalStartup().Seconds())
 				}
 			}
-			return rows
-		})
-
-		totals := map[string][]float64{} // policy -> total startup (s) observations
-		for _, rows := range reps {
-			for _, row := range rows {
-				totals[row.policy] = append(totals[row.policy], row.total)
-			}
-		}
-		for _, p := range PolicyNames {
-			obs := totals[p]
 			out.Cells = append(out.Cells, Fig11Cell{
 				Workload:  wname,
 				Policy:    p,

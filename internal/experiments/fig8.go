@@ -7,7 +7,6 @@ import (
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/metrics"
 	"mlcr/internal/report"
-	"mlcr/internal/runner"
 )
 
 // Fig8Cell is one bar of Figure 8: a policy's average result at one pool
@@ -43,83 +42,33 @@ func (r Fig8Result) Cell(policy, pool string) *Fig8Cell {
 // over Options.Repeats seeds, for every policy × pool setting. MLCR is
 // trained offline per repeat with a Tight/Moderate/Loose pool-size
 // curriculum and evaluated on all three settings, matching the paper's
-// offline-training/online-use split. Repeats execute concurrently
-// (Options.Parallelism); each repeat owns its workload and trained
-// model, and per-repeat observations are merged in repeat order so the
-// averages are bit-identical to a sequential run.
-func Fig8(opts Options) Fig8Result {
-	opts = opts.WithDefaults()
-
-	type accum struct {
-		totals []time.Duration
-		avgs   []time.Duration
-		colds  []int
-	}
-	acc := map[string]map[string]*accum{} // policy -> pool -> accum
-	for _, p := range PolicyNames {
-		acc[p] = map[string]*accum{}
-		for _, ps := range OverallPools {
-			acc[p][ps.Name] = &accum{}
-		}
-	}
-
-	type obsRow struct {
-		policy, pool string
-		total, avg   time.Duration
-		colds        int
-	}
-	type repOut struct {
-		loose float64
-		rows  []obsRow
-	}
-	reps := runner.Map(opts.Repeats, opts.runnerOpts(), func(rep int) repOut {
-		w := fstartbench.BuildOverall(opts.Seed+int64(rep)*101, fstartbench.OverallOptions{})
-		loose := CalibrateLoose(w)
-
-		repOpts := opts
-		repOpts.Seed = opts.Seed + int64(rep)*977
-		trained := TrainMLCR(w, loose, overallFracs(), repOpts)
-
-		out := repOut{loose: loose}
-		for _, ps := range OverallPools {
-			poolMB := loose * ps.Frac
-			TuneMargin(trained, w, poolMB, opts.Parallelism)
-			setups := WithEvictor(append(Baselines(), MLCRSetup(trained)), opts.Evictor)
-			results := RunAll(setups, w, poolMB, opts)
-			for i, s := range setups {
-				out.rows = append(out.rows, obsRow{
-					policy: s.Name,
-					pool:   ps.Name,
-					total:  results[i].Metrics.TotalStartup(),
-					avg:    results[i].Metrics.AvgStartup(),
-					colds:  results[i].Metrics.ColdStarts(),
-				})
-			}
-		}
-		return out
-	})
-
-	var looseSum float64
+// offline-training/online-use split. Each cell averages the sweep's
+// repeats in repeat order, so the result is bit-identical at any
+// Options.Parallelism.
+func (s *Study) Fig8() Fig8Result {
+	reps := s.sweep(fstartbench.Overall, 101, 977, OverallPools)
+	n := len(reps)
+	var out Fig8Result
 	for _, rep := range reps {
-		looseSum += rep.loose
-		for _, row := range rep.rows {
-			a := acc[row.policy][row.pool]
-			a.totals = append(a.totals, row.total)
-			a.avgs = append(a.avgs, row.avg)
-			a.colds = append(a.colds, row.colds)
-		}
+		out.LooseMB += rep.loose
 	}
-
-	out := Fig8Result{LooseMB: looseSum / float64(opts.Repeats)}
-	for _, ps := range OverallPools {
-		for _, p := range PolicyNames {
-			a := acc[p][ps.Name]
+	out.LooseMB /= float64(n)
+	for i, ps := range OverallPools {
+		for j, p := range PolicyNames {
+			var total, avg time.Duration
+			colds := 0
+			for _, rep := range reps {
+				m := rep.runs[i][j].Metrics
+				total += m.TotalStartup()
+				avg += m.AvgStartup()
+				colds += m.ColdStarts()
+			}
 			out.Cells = append(out.Cells, Fig8Cell{
 				Policy:       p,
 				Pool:         ps.Name,
-				TotalStartup: avgDuration(a.totals),
-				AvgStartup:   avgDuration(a.avgs),
-				ColdStarts:   avgInt(a.colds),
+				TotalStartup: total / time.Duration(n),
+				AvgStartup:   avg / time.Duration(n),
+				ColdStarts:   (colds + n/2) / n, // nearest integer
 			})
 		}
 	}

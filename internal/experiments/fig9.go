@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"mlcr/internal/fstartbench"
 	"mlcr/internal/report"
 )
 
@@ -26,18 +25,14 @@ type Fig9Result struct {
 
 // Fig9 runs the overall workload at Loose and samples the cumulative
 // total startup latency and cold-start count every step invocations.
-func Fig9(opts Options, step int) Fig9Result {
-	opts = opts.WithDefaults()
+func (s *Study) Fig9(step int) Fig9Result {
 	if step <= 0 {
 		step = 50
 	}
-	w := fstartbench.BuildOverall(opts.Seed, fstartbench.OverallOptions{})
-	loose := CalibrateLoose(w)
-
-	trained := TrainMLCR(w, loose, overallFracs(), opts)
-	TuneMargin(trained, w, loose, opts.Parallelism)
+	w, loose, trained := s.overall(s.opts)
+	TuneMargin(trained, w, loose, s.opts.Parallelism)
 	setups := []Setup{SetupOf("Greedy-Match", 0), MLCRSetup(trained)}
-	results := RunAll(setups, w, loose, opts)
+	results := RunAll(setups, w, loose, s.opts)
 	gRes, mRes := results[0], results[1]
 
 	gLat, gCold := gRes.Metrics.Cumulative()

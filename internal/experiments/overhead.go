@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"mlcr/internal/fstartbench"
-	"mlcr/internal/mlcr"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/report"
@@ -32,12 +30,9 @@ type OverheadResult struct {
 // Overhead measures decision latency by replaying the overall workload
 // through a trained MLCR scheduler and timing every Schedule call with
 // the wall clock (the one experiment where wall time is the measurand).
-func Overhead(opts Options) OverheadResult {
-	opts = opts.WithDefaults()
-	w := fstartbench.BuildOverall(opts.Seed, fstartbench.OverallOptions{})
-	loose := CalibrateLoose(w)
-	trained := TrainMLCR(w, loose, overallFracs(), opts)
-	TuneMargin(trained, w, loose, opts.Parallelism)
+func (s *Study) Overhead() OverheadResult {
+	w, loose, trained := s.overall(s.opts)
+	TuneMargin(trained, w, loose, s.opts.Parallelism)
 
 	// The replay below stays sequential and off the harness: wall-clock
 	// decision latency is the measurand, and concurrent runs would
@@ -47,9 +42,9 @@ func Overhead(opts Options) OverheadResult {
 
 	var saved time.Duration
 	warm := 0
-	for i, s := range res.Metrics.Samples() {
-		if !s.Cold {
-			saved += w.Invocations[i].Fn.ColdStartTime() - s.Startup
+	for i, smp := range res.Metrics.Samples() {
+		if !smp.Cold {
+			saved += w.Invocations[i].Fn.ColdStartTime() - smp.Startup
 			warm++
 		}
 	}
@@ -62,64 +57,47 @@ func Overhead(opts Options) OverheadResult {
 		out.P50Inference = time.Duration(timer.times.Quantile(0.50))
 		out.P99Inference = time.Duration(timer.times.Quantile(0.99))
 	}
-	out.AllocsPerDecision = allocsPerDecision(trained, w, loose)
+	out.AllocsPerDecision = allocsPerDecision(timer)
 	return out
 }
 
-// allocsPerDecision replays a short prefix of the workload to warm the
-// scheduler's workspaces, then measures the steady-state heap allocations
-// of repeated inference decisions on a live environment.
-func allocsPerDecision(s *mlcr.Scheduler, w workload.Workload, poolMB float64) float64 {
-	probe := &probeScheduler{inner: s}
-	platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: s.Evictor()}, probe).Run(w)
-	if probe.env.Pool == nil || probe.inv == nil {
+// allocsPerDecision measures the steady-state heap allocations of
+// repeated inference decisions at the last decision point of the timed
+// replay, which has warmed the scheduler's workspaces.
+func allocsPerDecision(t *timingScheduler) float64 {
+	if t.env.Pool == nil || t.inv == nil {
 		return 0
 	}
 	// One extra decision warms any lazily grown workspace, then the
 	// steady state is measured over repeated decisions at the captured
 	// decision point.
-	probe.inner.Schedule(probe.env, probe.inv)
+	t.inner.Schedule(t.env, t.inv)
 	const rounds = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		probe.inner.Schedule(probe.env, probe.inv)
+		t.inner.Schedule(t.env, t.inv)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / rounds
 }
 
-// probeScheduler delegates to the real scheduler while capturing the last
-// decision point, so the allocation probe can re-issue a realistic
-// Schedule call outside the simulation.
-type probeScheduler struct {
-	inner platform.Scheduler
-	env   platform.Env
-	inv   *workload.Invocation
-}
-
-func (p *probeScheduler) Name() string { return p.inner.Name() }
-
-func (p *probeScheduler) Schedule(env platform.Env, inv *workload.Invocation) int {
-	p.env, p.inv = env, inv
-	return p.inner.Schedule(env, inv)
-}
-
-func (p *probeScheduler) OnResult(env platform.Env, inv *workload.Invocation, res platform.Result) {
-	p.inner.OnResult(env, inv, res)
-}
-
 // timingScheduler wraps a scheduler and records wall-clock decision
 // times into a streaming HDR, so timing a trace-scale replay costs a
-// fixed ~15 KiB instead of one slice slot per decision.
+// fixed ~15 KiB instead of one slice slot per decision. It keeps the
+// last decision point, so the allocation probe can re-issue a realistic
+// Schedule call outside the simulation.
 type timingScheduler struct {
 	inner platform.Scheduler
 	times perf.HDR
+	env   platform.Env
+	inv   *workload.Invocation
 }
 
 func (t *timingScheduler) Name() string { return t.inner.Name() }
 
 func (t *timingScheduler) Schedule(env platform.Env, inv *workload.Invocation) int {
+	t.env, t.inv = env, inv
 	start := time.Now() //mlcr:allow walltime the overhead experiment measures real per-decision latency
 	choice := t.inner.Schedule(env, inv)
 	t.times.RecordDuration(time.Since(start)) //mlcr:allow walltime real latency measurement, reported not simulated

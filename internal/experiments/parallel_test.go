@@ -99,8 +99,8 @@ func TestFig10ParallelDeterministic(t *testing.T) {
 	seqOpts.Parallelism = 1
 	parOpts := tiny()
 	parOpts.Parallelism = 0
-	seq := Fig10(seqOpts)
-	par := Fig10(parOpts)
+	seq := NewStudy(seqOpts).Fig10()
+	par := NewStudy(parOpts).Fig10()
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Fig10 diverged:\nseq: %+v\npar: %+v", seq, par)
 	}

@@ -3,6 +3,9 @@
 // Sections I–III. Each driver returns structured results and can render
 // them as a report.Table; cmd/mlcr-bench and the repository benchmarks
 // call these drivers to regenerate every figure.
+//
+// The trained figures (Fig 8–11, the overhead table and the ablation)
+// are methods on a Study, which trains each model once.
 package experiments
 
 import (
@@ -221,10 +224,10 @@ var MarginCandidates = []float64{0.05, 0.1, 0.2, 0.5, math.Inf(1)}
 
 // TuneMargin selects the deviation margin that minimizes total startup
 // latency for a trained scheduler on one pool size, by replaying the
-// training workload — validation-based model selection within the
-// paper's protocol (training and evaluation use the same FStartBench
-// traces). It leaves the scheduler configured with the winning margin
-// and returns it.
+// training workload. The figures score MLCR on that same trace, so the
+// gate is chosen in-sample, not validated on held-out data (ROADMAP item
+// 21). It leaves the scheduler configured with the winning margin and
+// returns it.
 // Candidates are evaluated concurrently on weight-copied clones (the
 // margin travels with each clone), and ties break toward the earlier
 // candidate — the same selection the sequential loop made.
@@ -252,19 +255,11 @@ func TuneMargin(s *mlcr.Scheduler, w workload.Workload, poolMB float64, parallel
 	return best
 }
 
-// overallFracs and scaleFracs are the curriculum fractions matching the
-// two evaluation pool grids.
-func overallFracs() []float64 {
-	out := make([]float64, len(OverallPools))
-	for i, p := range OverallPools {
-		out[i] = p.Frac
-	}
-	return out
-}
-
-func scaleFracs() []float64 {
-	out := make([]float64, len(PoolScales))
-	for i, p := range PoolScales {
+// fracsOf returns the pools' fractions of Loose: the training curriculum
+// matching an evaluation pool grid.
+func fracsOf(pools []PoolSize) []float64 {
+	out := make([]float64, len(pools))
+	for i, p := range pools {
 		out[i] = p.Frac
 	}
 	return out
@@ -292,43 +287,15 @@ func CalibrateLoose(w workload.Workload) float64 {
 	return platform.New(platform.Config{}, policy.NewLRU()).Run(w).PeakAliveMB
 }
 
+// PoolSize is one evaluated pool capacity, as a fraction of Loose.
+type PoolSize struct {
+	Name string
+	Frac float64
+}
+
 // PoolScales are the benchmark-evaluation pool sizes as fractions of
 // Loose (Section VI-A): 25%, 50%, 75% and 100%.
-var PoolScales = []struct {
-	Name string
-	Frac float64
-}{
-	{"25%", 0.25}, {"50%", 0.50}, {"75%", 0.75}, {"100%", 1.00},
-}
+var PoolScales = []PoolSize{{"25%", 0.25}, {"50%", 0.50}, {"75%", 0.75}, {"100%", 1.00}}
 
 // OverallPools are the Section VI-B pool settings.
-var OverallPools = []struct {
-	Name string
-	Frac float64
-}{
-	{"Tight", 0.2}, {"Moderate", 0.5}, {"Loose", 1.0},
-}
-
-// avgDuration returns the mean of ds.
-func avgDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, d := range ds {
-		s += d
-	}
-	return s / time.Duration(len(ds))
-}
-
-// avgInt returns the mean of xs rounded to the nearest integer.
-func avgInt(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return (s + len(xs)/2) / len(xs)
-}
+var OverallPools = []PoolSize{{"Tight", 0.2}, {"Moderate", 0.5}, {"Loose", 1.0}}

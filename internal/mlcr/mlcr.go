@@ -364,7 +364,7 @@ func (s *Scheduler) Clone() *Scheduler {
 }
 
 // SetDeviationMargin adjusts the inference-time confidence gate. The
-// experiment harness selects the margin per pool size by validation on
+// experiment harness selects the margin per pool size in-sample, on
 // the training workload (a larger margin gates more learned deviations;
 // +Inf degrades the policy to its cost-aware greedy fallback).
 func (s *Scheduler) SetDeviationMargin(m float64) { s.cfg.DeviationMargin = m }

@@ -69,12 +69,13 @@ trap 'rm -f "$tmp"' EXIT
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null
 grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
 
-echo "== mlcr-bench smoke (figure 1 renders; an unknown figure and -workers 0 exit 2) =="
+echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure and -workers 0 exit 2) =="
 # Built, not run through go run, which reports every failure as exit 1.
 bench_bin=$(mktemp -d)
 trap 'rm -f "$tmp"; rm -rf "$bench_bin"' EXIT
 go build -o "$bench_bin/mlcr-bench" ./cmd/mlcr-bench
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
+"$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
 for args in "-fig cache" "-fig cluster -workers 0"; do
     status=0
     "$bench_bin/mlcr-bench" $args > /dev/null 2>&1 || status=$?
