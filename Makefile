@@ -8,8 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Static analysis: the standard go vet plus mlcr-vet, the project's six
-# per-file analyzers enforcing the determinism and construction
+# Static analysis: the standard go vet plus mlcr-vet, the project's five
+# per-file analyzers enforcing the determinism, invalidation and error
 # contracts (DESIGN.md §9); the hot-path and lifetime contracts belong
 # to runtime tests (§14). Also part of make check via scripts/check.sh.
 vet:

@@ -118,7 +118,7 @@ func splitmix64(x uint64) uint64 {
 // fnv64 hashes a string with FNV-1a. Routing keys derive from the
 // canonical level-key strings rather than interned image.LevelIDs
 // because LevelID values depend on process-wide interning order (see
-// internal/image/universe.go); the strings are stable across runs, so
+// internal/image/intern.go); the strings are stable across runs, so
 // ring placement is too. Each function is hashed once per run in
 // Begin, never on the per-invocation path.
 func fnv64(s string) uint64 {

@@ -52,29 +52,13 @@ func (m MatchLevel) String() string {
 }
 
 // Match returns the match level between a function's required image and a
-// container's installed image, comparing level-by-level with pruning.
-//
-// Images built by image.NewImage in the same universe compare their
-// interned dense LevelIDs — three integer comparisons, no string
-// traffic. Images without a shared universe (zero-value construction,
-// or deliberately separate universes whose IDs are incomparable) fall
-// back to the canonical key strings, which define equality either way.
+// container's installed image, comparing level-by-level with pruning:
+// three compares of interned LevelIDs, no string traffic.
 func Match(fn, ct *image.Image) MatchLevel {
-	if fu, fids := fn.Interned(); fu != nil {
-		if cu, cids := ct.Interned(); fu == cu {
-			level := NoMatch
-			for i := range fids {
-				if fids[i] != cids[i] {
-					return level // prune: deeper levels cannot be reused
-				}
-				level++
-			}
-			return level
-		}
-	}
+	f, c := fn.LevelIDs(), ct.LevelIDs()
 	level := NoMatch
-	for _, l := range image.Levels {
-		if fn.LevelKey(l) != ct.LevelKey(l) {
+	for i := range f {
+		if f[i] != c[i] {
 			return level // prune: deeper levels cannot be reused
 		}
 		level++

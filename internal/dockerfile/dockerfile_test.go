@@ -204,7 +204,7 @@ func TestImageDeduplicates(t *testing.T) {
 	res, _ := ParseString(dedupDF)
 	im := res.Image("dedup")
 	count := 0
-	for _, p := range im.Pkgs {
+	for _, p := range im.Packages() {
 		if p.Name == "curl" {
 			count++
 		}
@@ -218,7 +218,7 @@ func TestImageSizes(t *testing.T) {
 	res, _ := ParseString(fig5)
 	im := res.Image("fig5")
 	var torch image.Package
-	for _, p := range im.Pkgs {
+	for _, p := range im.Packages() {
 		if p.Name == "torch" {
 			torch = p
 		}
@@ -232,7 +232,7 @@ func TestImageSizes(t *testing.T) {
 	// Unknown packages get level defaults.
 	res2, _ := ParseString("FROM alpine:3.18\nRUN pip install weirdlib\n")
 	im2 := res2.Image("x")
-	for _, p := range im2.Pkgs {
+	for _, p := range im2.Packages() {
 		if p.Name == "weirdlib" && p.SizeMB != 12 {
 			t.Fatalf("weirdlib size = %v, want runtime default 12", p.SizeMB)
 		}

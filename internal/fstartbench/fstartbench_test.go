@@ -32,7 +32,7 @@ func TestFunctionsSharesOneCatalogue(t *testing.T) {
 		if a[i] == b[i] {
 			t.Fatalf("function %d: both calls returned the same *Function", a[i].ID)
 		}
-		if &a[i].Image.Pkgs[0] != &b[i].Image.Pkgs[0] {
+		if &a[i].Image.Packages()[0] != &b[i].Image.Packages()[0] {
 			t.Fatalf("function %d: image packages were rebuilt, not shared", a[i].ID)
 		}
 	}

@@ -70,36 +70,30 @@ type Package struct {
 func (p Package) Key() string { return p.Name + "@" + p.Version }
 
 // Image is a container image described by its three package levels.
-// The zero value is an empty image, but real images must be built with
-// NewImage (or Universe.NewImage): construction normalizes package
-// order, caches the canonical level keys and interns them to dense
-// LevelIDs — zero-value images recompute (and allocate) keys on every
-// comparison. mlcr-vet's newimage analyzer flags zero-value
-// construction in internal/ code. A built image is immutable and
-// shared by pointer: functions own their images, containers point at
-// them (DESIGN.md §10).
+// NewImage is the only way to build an image that holds packages: the
+// packages are unexported, so construction always normalizes their
+// order, caches the canonical level keys, their hashes and interned
+// LevelIDs, and the per-level cost sums. The zero Image is the empty
+// image and agrees with NewImage("") on every accessor. A built image
+// is immutable and shared by pointer: functions own their images,
+// containers point at them (DESIGN.md §10).
 type Image struct {
 	// Name is a human-readable identifier (e.g. "fn13-ml-inference").
 	Name string
-	// Pkgs holds all packages; order within a level is irrelevant for
-	// matching (levels are compared as sets) but kept stable for display.
-	Pkgs []Package
+	// pkgs holds all packages sorted by level, then key.
+	pkgs []Package
 
 	// levelKeys caches the canonical per-level identity strings,
-	// levelHashes their KeyHash and levelIDs their dense interned form
-	// in uni; level matching is the simulator's hottest path and the
+	// levelHashes their KeyHash and levelIDs their interned form;
+	// level matching is the simulator's hottest path and the
 	// scheduler's featurizer reads the hashes on every decision.
-	// Zero-value Images (uni == nil, keysSet false) compute keys and
-	// hashes on demand.
 	levelKeys   [3]string
 	levelHashes [3]uint32
 	levelIDs    [3]LevelID
-	uni         *Universe
-	keysSet     bool
 
-	// levelOff marks the level boundaries in the sorted Pkgs slice:
-	// level l occupies Pkgs[levelOff[l-1]:levelOff[l]]. Lets AtLevel
-	// return a shared subslice instead of allocating per call.
+	// levelOff marks the level boundaries in pkgs: level l occupies
+	// pkgs[levelOff[l-1]:levelOff[l]]. Lets AtLevel return a shared
+	// subslice instead of allocating per call.
 	levelOff [4]int
 
 	// Per-level cost sums, cached because startup estimation reads
@@ -113,17 +107,10 @@ type Image struct {
 	keySet []string
 }
 
-// NewImage builds an image in the default universe and normalizes
-// package order (by level, then key) so that images constructed from
-// differently-ordered slices compare equal.
+// NewImage builds an image and normalizes package order (by level,
+// then key) so that images constructed from differently-ordered slices
+// compare equal. It copies pkgs; the caller keeps its slice.
 func NewImage(name string, pkgs ...Package) Image {
-	return DefaultUniverse.NewImage(name, pkgs...)
-}
-
-// newNormalized is the shared construction path: it copies and sorts
-// the packages, caches the canonical level keys and the sorted distinct
-// key set. Interning is the caller's (the universe's) job.
-func newNormalized(name string, pkgs []Package) Image {
 	cp := make([]Package, len(pkgs))
 	copy(cp, pkgs)
 	sort.Slice(cp, func(i, j int) bool {
@@ -132,7 +119,7 @@ func newNormalized(name string, pkgs []Package) Image {
 		}
 		return cp[i].Key() < cp[j].Key()
 	})
-	im := Image{Name: name, Pkgs: cp}
+	im := Image{Name: name, pkgs: cp}
 	for i, l := range Levels {
 		for im.levelOff[i] < len(cp) && cp[im.levelOff[i]].Level < l {
 			im.levelOff[i]++
@@ -142,21 +129,22 @@ func newNormalized(name string, pkgs []Package) Image {
 			im.levelOff[i+1]++
 		}
 	}
-	for i, l := range Levels {
-		im.levelKeys[i] = im.computeLevelKey(l)
-		im.levelHashes[i] = KeyHash(im.levelKeys[i])
-	}
-	for _, p := range cp {
+	keys := make([]string, len(cp))
+	for i, p := range cp {
+		keys[i] = p.Key()
 		if p.Level >= OS && p.Level <= Runtime {
 			im.levelPull[p.Level-1] += p.Pull
 			im.levelInstall[p.Level-1] += p.Install
 			im.levelSize[p.Level-1] += p.SizeMB
 		}
 	}
-	im.keysSet = true
-	keys := make([]string, len(cp))
-	for i, p := range cp {
-		keys[i] = p.Key()
+	for i := range Levels {
+		key := strings.Join(keys[im.levelOff[i]:im.levelOff[i+1]], ",")
+		im.levelKeys[i] = key
+		if key != "" {
+			im.levelHashes[i] = KeyHash(key)
+		}
+		im.levelIDs[i] = intern(key)
 	}
 	sort.Strings(keys)
 	im.keySet = keys[:0]
@@ -168,39 +156,26 @@ func newNormalized(name string, pkgs []Package) Image {
 	return im
 }
 
-// AtLevel returns the packages of one level, in normalized order. For
-// NewImage-built images this is a subslice of Pkgs (no allocation —
+// Packages returns every package of the image, sorted by level, then
+// key. The slice is shared with the image; callers must not mutate it.
+func (im *Image) Packages() []Package { return im.pkgs }
+
+// AtLevel returns the packages of one level (OS, Language or Runtime),
+// in normalized order. It is a subslice of Packages (no allocation —
 // container repacking calls it on every reuse); callers must not
-// mutate it. Zero-value images fall back to a filtering copy.
+// mutate it.
 func (im *Image) AtLevel(l Level) []Package {
-	if im.keysSet && l >= OS && l <= Runtime {
-		return im.Pkgs[im.levelOff[l-1]:im.levelOff[l]]
-	}
-	var out []Package
-	for _, p := range im.Pkgs {
-		if p.Level == l {
-			out = append(out, p)
-		}
-	}
-	return out
+	return im.pkgs[im.levelOff[l-1]:im.levelOff[l]]
 }
 
 // LevelKey returns a canonical string identifying the package set of one
-// level. Two images share a level exactly when their LevelKeys are equal.
-func (im *Image) LevelKey(l Level) string {
-	if im.keysSet {
-		return im.levelKeys[int(l)-1]
-	}
-	return im.computeLevelKey(l)
-}
+// level. Two images share a level exactly when their LevelKeys are equal;
+// an empty level's key is "".
+func (im *Image) LevelKey(l Level) string { return im.levelKeys[l-1] }
 
-// LevelHash returns KeyHash(LevelKey(l)), cached at construction.
-func (im *Image) LevelHash(l Level) uint32 {
-	if im.keysSet {
-		return im.levelHashes[int(l)-1]
-	}
-	return KeyHash(im.computeLevelKey(l))
-}
+// LevelHash returns KeyHash(LevelKey(l)) for a non-empty level and 0
+// for an empty one, cached at construction.
+func (im *Image) LevelHash(l Level) uint32 { return im.levelHashes[l-1] }
 
 // KeyHash is the 32-bit FNV-1a hash of a level key.
 func KeyHash(key string) uint32 {
@@ -211,33 +186,13 @@ func KeyHash(key string) uint32 {
 	return h
 }
 
-func (im *Image) computeLevelKey(l Level) string {
-	ps := im.AtLevel(l)
-	keys := make([]string, len(ps))
-	for i, p := range ps {
-		keys[i] = p.Key()
-	}
-	return strings.Join(keys, ",")
-}
-
 // LevelSizeMB returns the total package size of one level.
-func (im *Image) LevelSizeMB(l Level) float64 {
-	if im.keysSet && l >= OS && l <= Runtime {
-		return im.levelSize[l-1]
-	}
-	var s float64
-	for _, p := range im.Pkgs {
-		if p.Level == l {
-			s += p.SizeMB
-		}
-	}
-	return s
-}
+func (im *Image) LevelSizeMB(l Level) float64 { return im.levelSize[l-1] }
 
 // SizeMB returns the total size of all packages in the image.
 func (im Image) SizeMB() float64 {
 	var s float64
-	for _, p := range im.Pkgs {
+	for _, p := range im.pkgs {
 		s += p.SizeMB
 	}
 	return s
@@ -245,55 +200,20 @@ func (im Image) SizeMB() float64 {
 
 // PullTime returns the total time to pull every package at the given
 // level from the registry.
-func (im *Image) PullTime(l Level) time.Duration {
-	if im.keysSet && l >= OS && l <= Runtime {
-		return im.levelPull[l-1]
-	}
-	var d time.Duration
-	for _, p := range im.Pkgs {
-		if p.Level == l {
-			d += p.Pull
-		}
-	}
-	return d
-}
+func (im *Image) PullTime(l Level) time.Duration { return im.levelPull[l-1] }
 
 // InstallTime returns the total time to install every package at the
 // given level.
-func (im *Image) InstallTime(l Level) time.Duration {
-	if im.keysSet && l >= OS && l <= Runtime {
-		return im.levelInstall[l-1]
-	}
-	var d time.Duration
-	for _, p := range im.Pkgs {
-		if p.Level == l {
-			d += p.Install
-		}
-	}
-	return d
-}
-
-// PackageSet returns the set of package keys across all levels.
-func (im Image) PackageSet() map[string]bool {
-	s := make(map[string]bool, len(im.Pkgs))
-	for _, p := range im.Pkgs {
-		s[p.Key()] = true
-	}
-	return s
-}
+func (im *Image) InstallTime(l Level) time.Duration { return im.levelInstall[l-1] }
 
 // Jaccard computes the Jaccard similarity coefficient |A∩B|/|A∪B| between
 // the package sets of two images (Section V, Metric 1). Two empty images
 // have similarity 1.
 //
-// For NewImage-built images the sets are intersected by merging the
-// cached sorted key slices — no per-pair map allocation, which matters
-// because workload labeling evaluates O(n²) pairs. Zero-value images
-// fall back to the map-based computation.
+// The sets are intersected by merging the cached sorted key slices —
+// no per-pair map allocation, which matters because workload labeling
+// evaluates O(n²) pairs.
 func Jaccard(a, b Image) float64 {
-	if !a.keysSet || !b.keysSet {
-		return jaccardMaps(a, b)
-	}
 	ka, kb := a.keySet, b.keySet
 	if len(ka) == 0 && len(kb) == 0 {
 		return 1
@@ -312,23 +232,6 @@ func Jaccard(a, b Image) float64 {
 		}
 	}
 	union := len(ka) + len(kb) - inter
-	return float64(inter) / float64(union)
-}
-
-// jaccardMaps is the allocating fallback for images that skipped
-// NewImage normalization (their package order is unknown).
-func jaccardMaps(a, b Image) float64 {
-	sa, sb := a.PackageSet(), b.PackageSet()
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for k := range sa {
-		if sb[k] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
 	return float64(inter) / float64(union)
 }
 
@@ -358,7 +261,7 @@ func AveragePairwiseJaccard(images []Image) float64 {
 func SizeVariance(images []Image) float64 {
 	var sizes []float64
 	for _, im := range images {
-		for _, p := range im.Pkgs {
+		for _, p := range im.pkgs {
 			sizes = append(sizes, p.SizeMB)
 		}
 	}

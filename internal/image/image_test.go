@@ -18,8 +18,8 @@ func TestNewImageNormalizesOrder(t *testing.T) {
 	if a.LevelKey(OS) != b.LevelKey(OS) || a.LevelKey(Language) != b.LevelKey(Language) {
 		t.Fatal("images built from reordered packages have different level keys")
 	}
-	if a.Pkgs[0].Level != OS {
-		t.Fatalf("first package level = %v, want OS", a.Pkgs[0].Level)
+	if a.Packages()[0].Level != OS {
+		t.Fatalf("first package level = %v, want OS", a.Packages()[0].Level)
 	}
 }
 

@@ -77,7 +77,7 @@ func (f Finding) String() string {
 // All returns the full mlcr-vet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Walltime, DetRand, MapRange, MarkUpdated, ErrCheck, NewImage,
+		Walltime, DetRand, MapRange, MarkUpdated, ErrCheck,
 	}
 }
 

@@ -152,26 +152,6 @@ func TestEvictScopeFixture(t *testing.T) {
 	noDirectives(t, d)
 }
 
-func TestNewImageFixture(t *testing.T) {
-	d, _ := checkFixture(t, "newimage", "mlcr/internal/cluster", []*lint.Analyzer{lint.NewImage})
-	noDirectives(t, d)
-}
-
-// TestNewImageScope: the analyzer covers all of internal/ except the
-// image package itself (the construction path), and nothing outside
-// internal/.
-func TestNewImageScope(t *testing.T) {
-	for _, as := range []string{"mlcr/internal/image", "mlcr/cmd/mlcr-sim", "mlcr/examples/demo"} {
-		pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir("newimage"), as)
-		if err != nil {
-			t.Fatalf("loading fixture as %s: %v", as, err)
-		}
-		for _, f := range lint.Check([]*lint.Package{pkg}, []*lint.Analyzer{lint.NewImage}).Findings {
-			t.Errorf("as %s: unexpected finding %s", as, f)
-		}
-	}
-}
-
 // TestOutOfScopeIgnored reruns the walltime fixture under import
 // paths outside the deterministic set: nothing may be reported even
 // though the files are riddled with time.Now.
@@ -188,14 +168,14 @@ func TestOutOfScopeIgnored(t *testing.T) {
 }
 
 // TestAllowSuppresses is the suppression fixture: one violation for
-// each of the six analyzers, each carrying an //mlcr:allow directive (trailing and
+// each of the five analyzers, each carrying an //mlcr:allow directive (trailing and
 // line-above placements both appear), so zero findings survive and
-// exactly six were suppressed.
+// exactly five were suppressed.
 func TestAllowSuppresses(t *testing.T) {
 	d, suppressed := checkFixture(t, "allowed", "mlcr/internal/nn", lint.All())
 	noDirectives(t, d)
-	if suppressed != 6 {
-		t.Errorf("suppressed = %d, want 6", suppressed)
+	if suppressed != 5 {
+		t.Errorf("suppressed = %d, want 5", suppressed)
 	}
 }
 

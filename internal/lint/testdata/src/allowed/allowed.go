@@ -1,4 +1,4 @@
-// Package allowed carries one violation for each of the six analyzers,
+// Package allowed carries one violation for each of the five analyzers,
 // each suppressed by an //mlcr:allow directive — the fixture behind the
 // test that suppression works in both placements (same line and line
 // above) and that the suppressed count is reported.
@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"time"
 
-	"mlcr/internal/image"
 	"mlcr/internal/nn"
 )
 
@@ -31,9 +30,6 @@ func Suppressed(p *nn.Param, m map[string]int) []string {
 	}
 
 	p.W.Data[0] = 1 //mlcr:allow markupdated fixture: caller invalidates
-
-	im := image.Image{Name: "raw"} //mlcr:allow newimage fixture: deliberate zero-value image
-	_ = im
 
 	mayFail() //mlcr:allow errcheck fixture: error intentionally dropped
 	return keys

@@ -71,7 +71,7 @@ func TestKeepAliveMatchesReferenceModel(t *testing.T) {
 	const exec = time.Millisecond
 	fn := fstartbench.Functions()[0]
 	cold := fn.Create + fn.RuntimeInit + fn.FunctionInit
-	for _, p := range fn.Image.Pkgs {
+	for _, p := range fn.Image.Packages() {
 		cold += p.Pull + p.Install
 	}
 	ttl := evict.DefaultKeepAlive

@@ -43,9 +43,9 @@ type Stats struct {
 // entry is a pool slot: a node of the intrusive insertion-ordered list
 // plus the container's match-index keys and bucket positions. Entries are
 // recycled through a freelist so steady-state Add/Take/remove cycles do
-// not allocate. Index keys are interned image.LevelIDs — dense integers
-// from the default universe — so bucket lookup hashes and compares
-// machine words instead of canonical key strings.
+// not allocate. Index keys are interned image.LevelIDs — dense
+// integers — so bucket lookup hashes and compares machine words instead
+// of canonical key strings.
 type entry struct {
 	c          *container.Container
 	prev, next *entry
@@ -75,7 +75,7 @@ type Pool struct {
 	// Multi-level match index: containers bucketed by their level-key
 	// prefixes, so candidate enumeration touches only containers sharing
 	// at least the OS level with the function instead of the whole pool.
-	// Buckets are keyed by interned image.LevelIDs (default universe).
+	// Buckets are keyed by interned image.LevelIDs.
 	// Emptied buckets keep their (zero-length, capacity-retaining) slices
 	// so steady-state churn does not allocate.
 	l1 map[image.LevelID][]*entry

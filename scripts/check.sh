@@ -25,7 +25,7 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== make vet (go vet + mlcr-vet: determinism + construction contracts, DESIGN.md §9) =="
+echo "== make vet (go vet + mlcr-vet: determinism, invalidation and error contracts, DESIGN.md §9) =="
 ${MAKE:-make} vet
 
 if [ "${FULL:-}" = "1" ]; then
@@ -76,7 +76,7 @@ trap 'rm -f "$tmp"; rm -rf "$bench_bin"' EXIT
 go build -o "$bench_bin/mlcr-bench" ./cmd/mlcr-bench
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
 "$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
-for args in "-fig cache" "-fig cluster -workers 0"; do
+for args in "-fig no-such-figure" "-fig cluster -workers 0"; do
     status=0
     "$bench_bin/mlcr-bench" $args > /dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then
