@@ -35,9 +35,9 @@ bench-ab:
 	sh scripts/bench_ab.sh $(ARGS)
 
 # Code size as ROADMAP aim 2 counts it, one filter for every PR:
-# non-test Go under internal/ outside testdata/, Go in cmd/ + examples/,
-# and test Go under internal/.
+# non-test Go under internal/ outside testdata/, Go in cmd/, and test Go
+# under internal/.
 size:
 	@printf '%7d  internal/ non-test (outside testdata/)\n' $$(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
-	@printf '%7d  cmd/ + examples/\n' $$(find cmd examples -name '*.go' -exec cat {} + | wc -l)
+	@printf '%7d  cmd/\n' $$(find cmd -name '*.go' -exec cat {} + | wc -l)
 	@printf '%7d  internal/ test\n' $$(find internal -name '*_test.go' -exec cat {} + | wc -l)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"mlcr/internal/dockerfile"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/image"
 	"mlcr/internal/report"
@@ -27,17 +26,13 @@ func main() {
 	table := flag.Bool("table", false, "print Table II (the 13 functions)")
 	workloads := flag.Bool("workloads", false, "print the seven workloads and their metrics")
 	emit := flag.String("emit", "", "emit one workload's invocations as CSV")
-	dfPath := flag.String("dockerfile", "", "classify a Dockerfile's packages into MLCR levels")
 	seed := flag.Int64("seed", 1, "workload seed")
 	parallel := flag.Int("parallel", 0, "concurrent workload builds for -workloads (0 = GOMAXPROCS, 1 = sequential)")
 	flag.Parse()
 
-	if !*table && !*workloads && *emit == "" && *dfPath == "" {
+	if !*table && !*workloads && *emit == "" {
 		*table = true
 		*workloads = true
-	}
-	if *dfPath != "" {
-		classifyDockerfile(*dfPath)
 	}
 
 	if *table {
@@ -63,37 +58,6 @@ func printTable() {
 	}
 	t.Render(os.Stdout)
 	fmt.Println()
-}
-
-// classifyDockerfile parses a Dockerfile and prints the automated
-// three-level package classification (the paper's future-work tool).
-func classifyDockerfile(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fstartbench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	res, err := dockerfile.Parse(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fstartbench: %v\n", err)
-		os.Exit(1)
-	}
-	t := &report.Table{
-		Title:  "Dockerfile package classification — " + path,
-		Header: []string{"package", "version", "level", "installer"},
-	}
-	for _, p := range res.Packages {
-		v := p.Version
-		if v == "" {
-			v = "latest"
-		}
-		t.AddRow(p.Name, v, p.Level.String(), p.Installer)
-	}
-	t.Render(os.Stdout)
-	im := res.Image(path)
-	fmt.Printf("estimated image size: %.0f MB (OS %.0f, language %.0f, runtime %.0f)\n\n",
-		im.SizeMB(), im.LevelSizeMB(image.OS), im.LevelSizeMB(image.Language), im.LevelSizeMB(image.Runtime))
 }
 
 // mainPkg names a level by its largest package (the base image or the

@@ -67,16 +67,18 @@ const ShardsStateless = 0
 // load accumulator sees, and therefore the routing itself.
 const DefaultRouteShards = 8
 
-// RouterConstructor builds a fresh Router instance for one cluster
-// run. Routers are stateful (load accumulators, key caches) and must
-// never be shared across runs.
-type RouterConstructor func(cfg RouterConfig) Router
+// routerRegistry is the router registry. Each constructor returns a
+// fresh Router for one cluster run: routers are stateful (load
+// accumulators, key caches) and never shared across runs.
+var routerRegistry = named.Table[func(cfg RouterConfig) Router]{Kind: "cluster router"}
 
-var routerRegistry = named.Table[RouterConstructor]{Kind: "cluster router"}
-
-// RegisterRouter adds a named router constructor. It panics on a
-// duplicate or empty name; call from package init or test setup only.
-func RegisterRouter(name string, mk RouterConstructor) { routerRegistry.Register(name, mk) }
+func init() {
+	routerRegistry.Register("round-robin", func(cfg RouterConfig) Router { return &roundRobinRouter{workers: cfg.Workers} })
+	routerRegistry.Register("by-function", func(cfg RouterConfig) Router { return &byFunctionRouter{workers: cfg.Workers} })
+	routerRegistry.Register("least-loaded", func(cfg RouterConfig) Router { return newLeastLoaded(cfg) })
+	routerRegistry.Register("hash", func(cfg RouterConfig) Router { return newRing(cfg) })
+	routerRegistry.Register("p2c", func(cfg RouterConfig) Router { return newP2C(cfg) })
+}
 
 // NewRouter builds a fresh instance of the named router, or an error
 // naming the known routers.
@@ -132,12 +134,4 @@ func fnv64(s string) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-func init() {
-	RegisterRouter("round-robin", func(cfg RouterConfig) Router { return &roundRobinRouter{workers: cfg.Workers} })
-	RegisterRouter("by-function", func(cfg RouterConfig) Router { return &byFunctionRouter{workers: cfg.Workers} })
-	RegisterRouter("least-loaded", func(cfg RouterConfig) Router { return newLeastLoaded(cfg) })
-	RegisterRouter("hash", func(cfg RouterConfig) Router { return newRing(cfg) })
-	RegisterRouter("p2c", func(cfg RouterConfig) Router { return newP2C(cfg) })
 }

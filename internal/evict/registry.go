@@ -2,17 +2,17 @@ package evict
 
 import "mlcr/internal/named"
 
-// Constructor builds a fresh Policy instance. Constructors must return
-// independent instances — policies are stateful and never shared across
+// registry is the eviction-policy registry. Each constructor returns an
+// independent instance: policies are stateful and never shared across
 // pools.
-type Constructor func() Policy
+var registry = named.Table[func() Policy]{Kind: "evict policy"}
 
-var registry = named.Table[Constructor]{Kind: "evict policy"}
-
-// Register adds a named policy constructor to the registry. It panics
-// on an empty or duplicate name; call from package init or test setup
-// only.
-func Register(name string, mk Constructor) { registry.Register(name, mk) }
+func init() {
+	registry.Register("clean", func() Policy { return NewCleanFirst() })
+	registry.Register("faascache", func() Policy { return NewFaasCache() })
+	registry.Register("keepalive", func() Policy { return KeepAlive{} })
+	registry.Register("lru", func() Policy { return NewLRU() })
+}
 
 // New builds a fresh instance of the named policy, or an error naming
 // the known policies.
@@ -35,11 +35,4 @@ func MustNew(name string) Policy {
 		panic(err)
 	}
 	return p
-}
-
-func init() {
-	Register("clean", func() Policy { return NewCleanFirst() })
-	Register("faascache", func() Policy { return NewFaasCache() })
-	Register("keepalive", func() Policy { return KeepAlive{} })
-	Register("lru", func() Policy { return NewLRU() })
 }

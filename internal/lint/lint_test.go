@@ -156,7 +156,7 @@ func TestEvictScopeFixture(t *testing.T) {
 // paths outside the deterministic set: nothing may be reported even
 // though the files are riddled with time.Now.
 func TestOutOfScopeIgnored(t *testing.T) {
-	for _, as := range []string{"mlcr/internal/lint", "mlcr/cmd/mlcr-sim", "mlcr/examples/demo"} {
+	for _, as := range []string{"mlcr/internal/lint", "mlcr/cmd/mlcr-sim", "mlcr"} {
 		pkg, err := lint.LoadFixture(moduleRoot(t), fixtureDir("walltime"), as)
 		if err != nil {
 			t.Fatalf("loading fixture as %s: %v", as, err)

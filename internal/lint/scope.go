@@ -18,7 +18,6 @@ var deterministicPkgs = map[string]bool{
 	"cluster":     true,
 	"container":   true,
 	"core":        true,
-	"dockerfile":  true,
 	"drl":         true,
 	"evict":       true,
 	"experiments": true,
@@ -43,8 +42,9 @@ var deterministicPkgs = map[string]bool{
 const internalPrefix = "mlcr/internal/"
 
 // IsDeterministic reports whether the import path belongs to the
-// deterministic engine. cmd/, examples/ and the repo root are CLI
-// territory (wall-clock progress timing is fine there).
+// deterministic engine. cmd/ and the repo root (its benchmarks and
+// Example functions) are CLI territory: wall-clock progress timing is
+// fine there.
 func IsDeterministic(path string) bool {
 	if !strings.HasPrefix(path, internalPrefix) {
 		return false

@@ -20,6 +20,13 @@ import (
 	"mlcr/internal/workload"
 )
 
+// replayCapacity is the experience-pool size, and epsilonStart the
+// exploration rate of the first training episode.
+const (
+	replayCapacity = 8192
+	epsilonStart   = 1.0
+)
+
 // Config parameterizes the MLCR scheduler and its DQN.
 type Config struct {
 	// Slots is the number of candidate container slots n; the action
@@ -34,8 +41,6 @@ type Config struct {
 	LR float64
 	// BatchSize is the DQN minibatch (default 32).
 	BatchSize int
-	// ReplayCapacity is the experience-pool size (default 8192).
-	ReplayCapacity int
 	// TargetSync is updates between target syncs (default 200).
 	TargetSync int
 	// TrainEvery is environment steps per gradient update during
@@ -44,10 +49,10 @@ type Config struct {
 	// WarmupObservations delays training until the replay pool holds
 	// this many transitions (default 64).
 	WarmupObservations int
-	// EpsilonStart/EpsilonEnd bound the linear exploration decay over
-	// EpsilonDecayEpisodes episodes (defaults 1.0 / 0.05 / 20).
-	EpsilonStart, EpsilonEnd float64
-	EpsilonDecayEpisodes     int
+	// Exploration decays linearly from epsilonStart to EpsilonEnd over
+	// EpsilonDecayEpisodes episodes (defaults 0.05 / 20).
+	EpsilonEnd           float64
+	EpsilonDecayEpisodes int
 	// RewardScale divides the negative startup latency in seconds
 	// (default 10).
 	RewardScale float64
@@ -100,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
 	}
-	if c.ReplayCapacity == 0 {
-		c.ReplayCapacity = 8192
-	}
 	if c.TargetSync == 0 {
 		c.TargetSync = 200
 	}
@@ -111,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WarmupObservations == 0 {
 		c.WarmupObservations = 64
-	}
-	if c.EpsilonStart == 0 {
-		c.EpsilonStart = 1
 	}
 	if c.EpsilonEnd == 0 {
 		c.EpsilonEnd = 0.05
@@ -210,13 +209,13 @@ func New(cfg Config) *Scheduler {
 		Gamma:          cfg.Gamma,
 		LR:             cfg.LR,
 		BatchSize:      cfg.BatchSize,
-		ReplayCapacity: cfg.ReplayCapacity,
+		ReplayCapacity: replayCapacity,
 		TargetSync:     cfg.TargetSync,
 	}, cfg.Seed)
 	return &Scheduler{
 		cfg: cfg, feat: feat, agent: agent,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		epsilon: cfg.EpsilonStart,
+		epsilon: epsilonStart,
 	}
 }
 
@@ -265,7 +264,7 @@ func (s *Scheduler) EndEpisode() {
 	if frac > 1 {
 		frac = 1
 	}
-	s.epsilon = s.cfg.EpsilonStart + (s.cfg.EpsilonEnd-s.cfg.EpsilonStart)*frac
+	s.epsilon = epsilonStart + (s.cfg.EpsilonEnd-epsilonStart)*frac
 }
 
 // Schedule implements platform.Scheduler.

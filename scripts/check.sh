@@ -48,9 +48,6 @@ go test -run '^$' -fuzz '^FuzzTraceRead$' -fuzztime 5s ./internal/trace
 echo "== POST /invoke: 5 s of FuzzInvokeRequest (no body panics either gateway mlcr-server builds, sim or default; an invoke at trace.MaxMS is still served) =="
 go test -run '^$' -fuzz '^FuzzInvokeRequest$' -fuzztime 5s ./internal/api
 
-echo "== Dockerfile parser: 5 s of FuzzDockerfileParse (Parse never panics; its image matches itself at L3) =="
-go test -run '^$' -fuzz '^FuzzDockerfileParse$' -fuzztime 5s ./internal/dockerfile
-
 echo "== model loader: 5 s of FuzzNNLoad (Load never panics; a refused snapshot leaves the weights as they were, an accepted one leaves them finite) =="
 go test -run '^$' -fuzz '^FuzzNNLoad$' -fuzztime 5s ./internal/nn
 
@@ -103,7 +100,7 @@ go test -run '^$' -bench '^BenchmarkMerge$' -benchmem -benchtime 1x -count 1 ./i
 echo "== repository benchmark smoke (bench/ is its own module: per-lap fingerprint and exact-count output checks) =="
 (cd bench && GOFLAGS=-mod=readonly GOWORK=off go test .)
 
-echo "== make size (non-test internal/, cmd/ + examples/, internal/ tests) =="
+echo "== make size (non-test internal/, cmd/, internal/ tests) =="
 ${MAKE:-make} size
 
 echo "check: all green"
