@@ -8,10 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Static analysis: the standard go vet plus mlcr-vet, the project's five
-# per-file analyzers enforcing the determinism, invalidation and error
-# contracts (DESIGN.md §9); the hot-path and lifetime contracts belong
-# to runtime tests (§14). Also part of make check via scripts/check.sh.
+# Static analysis: the standard go vet plus mlcr-vet, the project's four
+# per-file analyzers enforcing the determinism and error contracts
+# (DESIGN.md §9); the hot-path and lifetime contracts belong to runtime
+# tests, and weight invalidation to nn's unexported weights (§14). Also
+# part of make check via scripts/check.sh.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mlcr-vet ./...

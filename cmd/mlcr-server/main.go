@@ -41,7 +41,6 @@ import (
 
 	"mlcr/internal/api"
 	"mlcr/internal/drl"
-	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/mlcr"
 	"mlcr/internal/platform"
@@ -66,7 +65,6 @@ func main() {
 	policyName := flag.String("policy", "Greedy-Match",
 		"policy: "+strings.Join(policy.Names(), ", ")+", MLCR")
 	model := flag.String("model", "", "trained MLCR model path (required for -policy MLCR)")
-	slots := flag.Int("slots", 4, "MLCR candidate container slots (must match the trained model)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
 	shards := flag.Int("shards", 16, "gateway mode: pool shards, each function placed by the by-function router")
 	batch := flag.Int("batch", 64, "gateway mode: max coalesced DQN inference batch (MLCR policy)")
@@ -75,7 +73,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	flag.Parse()
 
-	mkSched, err := factories(*policyName, *model, *slots, *batch, *mode == "gateway")
+	mkSched, err := factories(*policyName, *model, *batch, *mode == "gateway")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
@@ -182,10 +180,11 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 
 // factories resolves the policy name into a per-platform scheduler
 // constructor; each platform pairs its scheduler with the scheduler's
-// own default evictor. For MLCR the trained model is loaded once; in
-// gateway mode each shard gets a Clone sharing the master's weights and
-// one QBatcher so concurrent shards coalesce their forward passes.
-func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, error) {
+// own default evictor. For MLCR the trained model is loaded once, with
+// the configuration it was saved with; in gateway mode each shard gets a
+// Clone sharing the master's weights and one QBatcher so concurrent
+// shards coalesce their forward passes.
+func factories(name, model string, batch int, gateway bool) (func() platform.Scheduler, error) {
 	if name != "MLCR" {
 		if _, err := policy.New(name, 0); err != nil {
 			return nil, err
@@ -195,18 +194,14 @@ func factories(name, model string, slots, batch int, gateway bool) (func() platf
 	if model == "" {
 		return nil, fmt.Errorf("-policy MLCR requires -model")
 	}
-	opts := experiments.Options{}
-	opts.MLCR.Slots = slots
-	opts = opts.WithDefaults()
-	master := mlcr.New(opts.MLCR)
 	f, err := os.Open(model)
 	if err != nil {
 		return nil, err
 	}
-	lerr := master.Load(f)
+	master, err := mlcr.Load(f)
 	f.Close()
-	if lerr != nil {
-		return nil, fmt.Errorf("load model %s: %w", model, lerr)
+	if err != nil {
+		return nil, fmt.Errorf("load model %s: %w", model, err)
 	}
 	if !gateway {
 		return func() platform.Scheduler { return master }, nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"mlcr/internal/api"
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/mlcr"
 	"mlcr/internal/policy"
 )
 
@@ -21,11 +23,11 @@ import (
 func TestModes(t *testing.T) {
 	for mode, shards := range map[string]int{"sim": 1, "gateway": 16} {
 		for _, name := range policy.Names() {
-			if mk, err := factories(name, "", 4, 64, mode == "gateway"); err != nil || mk().Name() != name {
+			if mk, err := factories(name, "", 64, mode == "gateway"); err != nil || mk().Name() != name {
 				t.Fatalf("%s: factories(%q): %v", mode, name, err)
 			}
 		}
-		mkSched, err := factories("Greedy-Match", "", 4, 64, mode == "gateway")
+		mkSched, err := factories("Greedy-Match", "", 64, mode == "gateway")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,6 +70,23 @@ func TestModes(t *testing.T) {
 		}
 		if mode == "gateway" && err == nil {
 			t.Error("gateway: trace file written")
+		}
+	}
+}
+
+// TestServesSavedConfig: -policy MLCR serves, in both modes, the model
+// with the configuration it was saved with, memory norm included.
+func TestServesSavedConfig(t *testing.T) {
+	saved := mlcr.New(mlcr.Config{Slots: 3, Dim: 8, Hidden: 16, NormMB: 6726, DeviationMargin: 0.2})
+	var buf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "m.gob")
+	if err := saved.Save(&buf); err != nil || os.WriteFile(path, buf.Bytes(), 0o644) != nil {
+		t.Fatal("cannot write the model", err)
+	}
+	for _, gateway := range []bool{false, true} {
+		mk, err := factories("MLCR", path, 64, gateway)
+		if err != nil || mk().(*mlcr.Scheduler).Config() != saved.Config() {
+			t.Fatalf("gateway %v: %v, or a config other than %+v", gateway, err, saved.Config())
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"mlcr/internal/evict"
 	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/mlcr"
 	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
@@ -53,7 +54,7 @@ func main() {
 	count := flag.Int("count", 0, "invocation count for generated workloads (0 = workload default)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	episodes := flag.Int("episodes", 0, "MLCR training episodes (MLCR policy only; 0 = default)")
-	modelPath := flag.String("model", "", "load a pre-trained MLCR model instead of training")
+	modelPath := flag.String("model", "", "replay a pre-trained MLCR model (as saved by mlcr-train) instead of training one")
 	tracePath := flag.String("trace", "", "replay a CSV trace (seq,arrival_ms,fn_id,exec_ms) instead of a generated workload")
 	traceOut := flag.String("trace-out", "", "write a structured event trace of the run (.json → Chrome trace_event for chrome://tracing, otherwise JSONL)")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format metrics snapshot of the run")
@@ -137,21 +138,22 @@ func main() {
 	}
 
 	var setup experiments.Setup
-	if *policyName == "MLCR" {
-		opts := experiments.Options{Seed: *seed, Episodes: *episodes}
-		var sched = experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts)
-		if *modelPath != "" {
-			f, err := os.Open(*modelPath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := sched.Load(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
+	switch {
+	case *policyName == "MLCR" && *modelPath != "":
+		f, err := os.Open(*modelPath)
+		if err != nil {
+			fatal(err)
+		}
+		sched, err := mlcr.Load(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
 		}
 		setup = experiments.MLCRSetup(sched)
-	} else {
+	case *policyName == "MLCR":
+		opts := experiments.Options{Seed: *seed, Episodes: *episodes}
+		setup = experiments.MLCRSetup(experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts))
+	default:
 		if _, err := policy.New(*policyName, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
 			os.Exit(2)
@@ -243,20 +245,7 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 		}
 		for _, router := range cluster.RouterNames() {
 			res := cluster.Run(mkCfg(router), w)
-			busiest := 0
-			for _, n := range res.Routed {
-				if n > busiest {
-					busiest = n
-				}
-			}
-			var avg time.Duration
-			count := 0
-			for _, pr := range res.PerWorker {
-				count += pr.Metrics.Count()
-			}
-			if count > 0 {
-				avg = res.TotalStartup() / time.Duration(count)
-			}
+			_, avg, busiest, _ := spread(res)
 			t.AddRow(router, res.TotalStartup(), avg, res.ColdStarts(), busiest)
 		}
 		t.Render(os.Stdout)
@@ -281,25 +270,12 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 			policyName, routing, w.Name, workers, poolMB, poolFrac*100, loose),
 		Header: []string{"metric", "value"},
 	}
-	count, created, evictions := 0, 0, 0
-	busiest, idle := 0, 0
+	created, evictions := 0, 0
 	for _, pr := range res.PerWorker {
-		count += pr.Metrics.Count()
 		created += pr.ContainersCreated
 		evictions += pr.PoolStats.Evictions
 	}
-	for _, n := range res.Routed {
-		if n > busiest {
-			busiest = n
-		}
-		if n == 0 {
-			idle++
-		}
-	}
-	var avg time.Duration
-	if count > 0 {
-		avg = res.TotalStartup() / time.Duration(count)
-	}
+	count, avg, busiest, idle := spread(res)
 	t.AddRow("invocations", count)
 	t.AddRow("total startup latency", res.TotalStartup())
 	t.AddRow("average startup latency", avg)
@@ -309,6 +285,24 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 	t.AddRow("busiest worker (invocations)", busiest)
 	t.AddRow("idle workers", idle)
 	t.Render(os.Stdout)
+}
+
+// spread returns a cluster run's invocation count and mean startup, the
+// busiest worker's invocation count and the number of idle workers.
+func spread(res cluster.Result) (count int, avg time.Duration, busiest, idle int) {
+	for _, pr := range res.PerWorker {
+		count += pr.Metrics.Count()
+	}
+	for _, n := range res.Routed {
+		busiest = max(busiest, n)
+		if n == 0 {
+			idle++
+		}
+	}
+	if count > 0 {
+		avg = res.TotalStartup() / time.Duration(count)
+	}
+	return count, avg, busiest, idle
 }
 
 // compareAll evaluates every policy on the workload concurrently and

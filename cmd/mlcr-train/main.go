@@ -1,6 +1,6 @@
 // Command mlcr-train trains the MLCR DQN scheduler offline (Algorithm 1)
-// on an FStartBench workload and saves the model weights for later use by
-// mlcr-sim.
+// on an FStartBench workload and saves the model, its configuration with
+// its weights, for mlcr-sim and mlcr-server to load.
 //
 // Usage:
 //
@@ -47,13 +47,7 @@ func main() {
 
 	opts := experiments.Options{Seed: *seed, Episodes: *episodes}
 	opts.MLCR.Slots = *slots
-	opts = opts.WithDefaults()
-
-	cfg := opts.MLCR
-	cfg.Seed = *seed
-	cfg.NormMB = loose * 0.5
-	cfg.EpsilonDecayEpisodes = *episodes * 2 / 3
-	s := mlcr.New(cfg)
+	s := mlcr.New(experiments.TrainConfig(loose, opts))
 
 	// Training telemetry: every DQN gradient update becomes a TrainStep
 	// trace event plus registry metrics, exported after training.
@@ -108,16 +102,7 @@ func main() {
 	fmt.Printf("trained %d episodes in %v (%d DQN updates)\n",
 		*episodes, time.Since(start).Round(time.Second), s.Agent().Updates())
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	if err := s.Save(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	writeOut(*out, func(f *os.File) error { return s.Save(f) })
 	fmt.Printf("model saved to %s\n", *out)
 
 	if *traceOut != "" {

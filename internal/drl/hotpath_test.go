@@ -105,8 +105,9 @@ func TestTrainStepWithWorkspaces(t *testing.T) {
 	}
 	pa, pb := a.online.Params(), b.online.Params()
 	for i := range pa {
-		for j := range pa[i].W.Data {
-			if pa[i].W.Data[j] != pb[i].W.Data[j] {
+		wa, wb := pa[i].Weights(), pb[i].Weights()
+		for j := range wa {
+			if wa[j] != wb[j] {
 				t.Fatalf("param %s[%d] diverged between identical training runs", pa[i].Name, j)
 			}
 		}

@@ -57,9 +57,10 @@ func drawn(a *Agent) (live, distinct int) {
 func sameParams(t *testing.T, what string, got, want []*nn.Param) {
 	t.Helper()
 	for i := range want {
-		for j, v := range want[i].W.Data {
-			if got[i].W.Data[j] != v {
-				t.Fatalf("%s %s[%d] = %v, want %v", what, got[i].Name, j, got[i].W.Data[j], v)
+		g := got[i].Weights()
+		for j, v := range want[i].Weights() {
+			if g[j] != v {
+				t.Fatalf("%s %s[%d] = %v, want %v", what, got[i].Name, j, g[j], v)
 			}
 		}
 	}

@@ -16,9 +16,7 @@ import (
 // mutable state.
 func endToEndSpecs(w, cfgSeed int64) []runner.Spec {
 	wl := fstartbench.Build(fstartbench.HiSim, w, fstartbench.Options{Count: 150})
-	cfg := Options{Seed: cfgSeed}.WithDefaults().MLCR
-	cfg.Seed = cfgSeed
-	cfg.NormMB = 1024
+	cfg := mlcr.Config{Seed: cfgSeed, NormMB: 1024}
 	setups := append(Baselines(), SetupOf("Cost-Greedy", 0), MLCRSetup(mlcr.New(cfg)))
 	specs := make([]runner.Spec, 0, len(setups)*2)
 	for _, s := range setups {

@@ -245,13 +245,25 @@ func TestTrainMLCRReturnsInferenceMode(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults: Options fill only the harness fields, and
+// TrainConfig is the one resolution of a trained model's configuration:
+// mlcr's defaults plus the seed, the memory norm at half of Loose and
+// the ε decay over 2/3 of the budget (at least one episode).
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
-	if o.Repeats <= 0 || o.Episodes <= 0 || o.MLCR.Slots <= 0 {
-		t.Fatalf("defaults not filled: %+v", o)
+	if o.Seed != 1 || o.Repeats != 3 || o.Episodes != 36 || o.MLCR != (mlcr.Config{}) {
+		t.Fatalf("defaults: %+v", o)
 	}
-	var c mlcr.Config
-	if c = o.MLCR; c.Dim <= 0 {
-		t.Fatalf("MLCR dim default missing: %+v", c)
+	want := mlcr.Config{Seed: 1, NormMB: 500, EpsilonDecayEpisodes: 24}.WithDefaults()
+	if c := TrainConfig(1000, Options{}); c != want || c.Slots != 4 || c.Dim != 24 || c.Hidden != 48 || c.DeviationMargin != 0.1 {
+		t.Fatalf("TrainConfig = %+v, want %+v", c, want)
+	}
+	if c := TrainConfig(1000, Options{Episodes: 1}); c.EpsilonDecayEpisodes != 1 {
+		t.Fatalf("one-episode budget decays over %d episodes, want 1", c.EpsilonDecayEpisodes)
+	}
+	o = Options{Seed: 2}
+	o.MLCR.NormMB, o.MLCR.Seed = 64, 9
+	if c := TrainConfig(1000, o); c.NormMB != 64 || c.Seed != 9 {
+		t.Fatalf("explicit NormMB/Seed overwritten: %+v", c)
 	}
 }

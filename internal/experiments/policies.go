@@ -81,9 +81,10 @@ type Options struct {
 	// (the paper repeats 50×; default 3).
 	Repeats int
 	// Episodes is the MLCR training budget per trained model
-	// (default 16).
+	// (default 36).
 	Episodes int
-	// MLCR overrides the scheduler configuration (Slots etc.).
+	// MLCR overrides the scheduler configuration (Slots etc.); unset
+	// fields take mlcr's defaults, or TrainConfig's derivations.
 	MLCR mlcr.Config
 	// Parallelism bounds concurrent simulation runs inside the harness
 	// (internal/runner): <=0 means GOMAXPROCS, 1 forces sequential.
@@ -101,10 +102,9 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Parallelism: o.Parallelism}
 }
 
-// WithDefaults fills unset fields. The MLCR defaults (4 slots, a 24-wide
-// embedding, 36 curriculum episodes, deviation margin 0.1) were selected
-// by a sweep on the overall workload; they balance CPU training time
-// against solution quality.
+// WithDefaults fills unset fields. The 36 curriculum episodes were
+// selected with the MLCR defaults by a sweep on the overall workload;
+// they balance CPU training time against solution quality.
 func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -114,21 +114,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Episodes == 0 {
 		o.Episodes = 36
-	}
-	if o.MLCR.Slots == 0 {
-		o.MLCR.Slots = 4
-	}
-	if o.MLCR.Dim == 0 {
-		o.MLCR.Dim = 24
-	}
-	if o.MLCR.Hidden == 0 {
-		o.MLCR.Hidden = 48
-	}
-	if o.MLCR.TrainEvery == 0 {
-		o.MLCR.TrainEvery = 2
-	}
-	if o.MLCR.DeviationMargin == 0 {
-		o.MLCR.DeviationMargin = 0.1
 	}
 	return o
 }
@@ -191,31 +176,35 @@ func TrainMLCR(w workload.Workload, looseMB float64, fracs []float64, opts Optio
 	if len(fracs) == 0 {
 		fracs = []float64{1}
 	}
-	cfg := opts.MLCR
-	if cfg.Seed == 0 {
-		cfg.Seed = opts.Seed
-	}
-	if cfg.NormMB == 0 {
-		cfg.NormMB = looseMB * 0.5
-		if cfg.NormMB <= 0 {
-			cfg.NormMB = 2048
-		}
-	}
-	if cfg.EpsilonDecayEpisodes == 0 {
-		// Decay over ~2/3 of the budget, leaving greedy-refinement
-		// episodes at the end.
-		cfg.EpsilonDecayEpisodes = opts.Episodes * 2 / 3
-		if cfg.EpsilonDecayEpisodes == 0 {
-			cfg.EpsilonDecayEpisodes = 1
-		}
-	}
-	s := mlcr.New(cfg)
+	s := mlcr.New(TrainConfig(looseMB, opts))
 	s.Train(mlcr.TrainOptions{
 		Episodes:       opts.Episodes,
 		PoolForEpisode: func(ep int) float64 { return looseMB * fracs[ep%len(fracs)] },
 		Workload:       func(int) workload.Workload { return w },
 	})
 	return s
+}
+
+// TrainConfig is the resolved MLCR configuration that TrainMLCR trains
+// under opts on a workload whose Loose pool is looseMB, and so the one a
+// trained model carries. Unset, the seed is the training seed, the
+// featurizer's memory norm is half of Loose (0, the featurizer's own
+// default, when Loose is 0), and ε decays over 2/3 of the episode
+// budget, leaving greedy-refinement episodes at the end; mlcr's defaults
+// fill the rest.
+func TrainConfig(looseMB float64, opts Options) mlcr.Config {
+	opts = opts.WithDefaults()
+	cfg := opts.MLCR
+	if cfg.Seed == 0 {
+		cfg.Seed = opts.Seed
+	}
+	if cfg.NormMB == 0 {
+		cfg.NormMB = looseMB * 0.5
+	}
+	if cfg.EpsilonDecayEpisodes == 0 {
+		cfg.EpsilonDecayEpisodes = max(opts.Episodes*2/3, 1)
+	}
+	return cfg.WithDefaults()
 }
 
 // MarginCandidates are the deviation-margin values considered by

@@ -29,16 +29,18 @@ type Study struct {
 }
 
 // modelKey is everything TrainMLCR reads: the workload (family and
-// seed), the training seed, the curriculum, the budget and the whole
-// defaulted MLCR configuration. DeviationMargin is part of it because
-// training applies the gate on exploit steps; Parallelism and Evictor
-// are not, because training reads neither.
+// seed), the curriculum, the budget and the resolved MLCR configuration,
+// training seed included. DeviationMargin is part of it because training
+// applies the gate on exploit steps; Parallelism and Evictor are not,
+// because training reads neither. The configuration is resolved at
+// Loose 0: Loose follows from the family and seed, so an unset NormMB
+// stays 0 here and only an explicit one tells two keys apart.
 type modelKey struct {
-	family       string
-	wSeed, tSeed int64
-	fracs        string
-	episodes     int
-	cfg          mlcr.Config
+	family   string
+	wSeed    int64
+	fracs    string
+	episodes int
+	cfg      mlcr.Config
 }
 
 // trainedModel is one memo entry: the workload, its calibrated Loose
@@ -61,7 +63,7 @@ func NewStudy(opts Options) *Study {
 // the training seed). The caller owns the clone: TuneMargin and
 // Overhead change the model they are given.
 func (s *Study) model(family string, wSeed int64, fracs []float64, o Options) (workload.Workload, float64, *mlcr.Scheduler) {
-	k := modelKey{family, wSeed, o.Seed, fmt.Sprint(fracs), o.Episodes, o.MLCR}
+	k := modelKey{family, wSeed, fmt.Sprint(fracs), o.Episodes, TrainConfig(0, o)}
 	s.mu.Lock()
 	e := s.models[k]
 	if e == nil {

@@ -1,10 +1,11 @@
 // Package lint is the repository's project-specific static-analysis
 // framework: an analyzer runner built on the standard library's
-// go/parser and go/types (the module stays dependency-free) and the six
+// go/parser and go/types (the module stays dependency-free) and the four
 // per-file mlcr-vet analyzers that mechanically enforce the simulator's
-// determinism and construction contracts (DESIGN.md §9). The hot-path,
-// shard, pooled-event and registry contracts are owned by runtime tests
-// instead (DESIGN.md §14).
+// determinism contract and its dropped-error rule (DESIGN.md §9). The
+// hot-path, shard and registry contracts are owned by runtime tests, and
+// the weight-invalidation contract by nn's unexported weights (DESIGN.md
+// §14).
 //
 // An Analyzer inspects one type-checked package at a time through a
 // Pass and reports Findings. Findings can be suppressed — explicitly and
@@ -77,7 +78,7 @@ func (f Finding) String() string {
 // All returns the full mlcr-vet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Walltime, DetRand, MapRange, MarkUpdated, ErrCheck,
+		Walltime, DetRand, MapRange, ErrCheck,
 	}
 }
 

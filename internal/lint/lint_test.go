@@ -134,11 +134,6 @@ func TestMapRangeFixture(t *testing.T) {
 	noDirectives(t, d)
 }
 
-func TestMarkUpdatedFixture(t *testing.T) {
-	d, _ := checkFixture(t, "markupdated", "mlcr/internal/drl", []*lint.Analyzer{lint.MarkUpdated})
-	noDirectives(t, d)
-}
-
 func TestErrCheckFixture(t *testing.T) {
 	d, _ := checkFixture(t, "errcheck", "mlcr/internal/hub", []*lint.Analyzer{lint.ErrCheck})
 	noDirectives(t, d)
@@ -168,14 +163,14 @@ func TestOutOfScopeIgnored(t *testing.T) {
 }
 
 // TestAllowSuppresses is the suppression fixture: one violation for
-// each of the five analyzers, each carrying an //mlcr:allow directive (trailing and
+// each of the four analyzers, each carrying an //mlcr:allow directive (trailing and
 // line-above placements both appear), so zero findings survive and
-// exactly five were suppressed.
+// exactly four were suppressed.
 func TestAllowSuppresses(t *testing.T) {
 	d, suppressed := checkFixture(t, "allowed", "mlcr/internal/nn", lint.All())
 	noDirectives(t, d)
-	if suppressed != 5 {
-		t.Errorf("suppressed = %d, want 5", suppressed)
+	if suppressed != 4 {
+		t.Errorf("suppressed = %d, want 4", suppressed)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package allowed carries one violation for each of the five analyzers,
+// Package allowed carries one violation for each of the four analyzers,
 // each suppressed by an //mlcr:allow directive — the fixture behind the
 // test that suppression works in both placements (same line and line
 // above) and that the suppressed count is reported.
@@ -8,14 +8,12 @@ import (
 	"errors"
 	"math/rand"
 	"time"
-
-	"mlcr/internal/nn"
 )
 
 func mayFail() error { return errors.New("boom") }
 
 // Suppressed exercises every analyzer with a directive on the line.
-func Suppressed(p *nn.Param, m map[string]int) []string {
+func Suppressed(m map[string]int) []string {
 	t := time.Now() //mlcr:allow walltime fixture: trailing-directive placement
 	_ = t
 
@@ -28,8 +26,6 @@ func Suppressed(p *nn.Param, m map[string]int) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-
-	p.W.Data[0] = 1 //mlcr:allow markupdated fixture: caller invalidates
 
 	mayFail() //mlcr:allow errcheck fixture: error intentionally dropped
 	return keys

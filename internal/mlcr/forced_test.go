@@ -66,7 +66,7 @@ func weightsDigest(s *Scheduler) string {
 	var buf [8]byte
 	for _, p := range s.Agent().Online().Params() {
 		h.Write([]byte(p.Name))
-		for _, v := range p.W.Data {
+		for _, v := range p.Weights() {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h.Write(buf[:])
 		}

@@ -6,8 +6,11 @@
 package mlcr
 
 import (
+	"bufio"
+	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -20,20 +23,23 @@ import (
 	"mlcr/internal/workload"
 )
 
-// replayCapacity is the experience-pool size, and epsilonStart the
-// exploration rate of the first training episode.
+// replayCapacity is the experience-pool size, and exploration decays
+// from epsilonStart in the first training episode to epsilonEnd.
 const (
 	replayCapacity = 8192
 	epsilonStart   = 1.0
+	epsilonEnd     = 0.05
 )
 
 // Config parameterizes the MLCR scheduler and its DQN.
 type Config struct {
 	// Slots is the number of candidate container slots n; the action
-	// space is n+1 (default 8).
+	// space is n+1 (default 4).
 	Slots int
-	// Dim, Heads, Hidden size the Q-network (defaults 32/2/64; the
-	// paper's reference GPU configuration uses 512/2).
+	// Dim, Heads, Hidden size the Q-network (defaults 24/2/48, picked
+	// by a sweep on the overall workload to balance CPU training time
+	// against solution quality; the paper's reference GPU configuration
+	// uses 512/2).
 	Dim, Heads, Hidden int
 	// Gamma is the discount factor (default 0.9).
 	Gamma float64
@@ -49,9 +55,8 @@ type Config struct {
 	// WarmupObservations delays training until the replay pool holds
 	// this many transitions (default 64).
 	WarmupObservations int
-	// Exploration decays linearly from epsilonStart to EpsilonEnd over
-	// EpsilonDecayEpisodes episodes (defaults 0.05 / 20).
-	EpsilonEnd           float64
+	// Exploration decays linearly from epsilonStart to epsilonEnd over
+	// EpsilonDecayEpisodes episodes (default 20).
 	EpsilonDecayEpisodes int
 	// RewardScale divides the negative startup latency in seconds
 	// (default 10).
@@ -74,7 +79,7 @@ type Config struct {
 	// units). It extends the paper's mask — filtering decisions the
 	// network itself is not confident about — and makes an
 	// under-trained model degrade gracefully to Greedy-Match instead
-	// of to noise (default 0.05; negative disables).
+	// of to noise (default 0.1; negative disables).
 	DeviationMargin float64
 	// NormMB and NormTime feed the featurizer's normalizers.
 	NormMB   float64
@@ -83,18 +88,19 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset fields: the one set of MLCR defaults.
+func (c Config) WithDefaults() Config {
 	if c.Slots == 0 {
-		c.Slots = 8
+		c.Slots = 4
 	}
 	if c.Dim == 0 {
-		c.Dim = 32
+		c.Dim = 24
 	}
 	if c.Heads == 0 {
 		c.Heads = 2
 	}
 	if c.Hidden == 0 {
-		c.Hidden = 64
+		c.Hidden = 48
 	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.9
@@ -114,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.WarmupObservations == 0 {
 		c.WarmupObservations = 64
 	}
-	if c.EpsilonEnd == 0 {
-		c.EpsilonEnd = 0.05
-	}
 	if c.EpsilonDecayEpisodes == 0 {
 		c.EpsilonDecayEpisodes = 20
 	}
@@ -127,9 +130,38 @@ func (c Config) withDefaults() Config {
 		c.GreedyExploreBias = 0.5
 	}
 	if c.DeviationMargin == 0 {
-		c.DeviationMargin = 0.05
+		c.DeviationMargin = 0.1
 	}
 	return c
+}
+
+// maxSize bounds each network size of a loaded Config, and maxWeights
+// the Q-network it asks for (the paper's 512-wide reference network fits).
+const maxSize, maxWeights = 1 << 12, 1 << 22
+
+// check refuses a Config that New cannot build, that training would
+// divide by, or that makes the featurizer emit non-finite features. Load
+// runs it on the file's config before allocating anything.
+func (c Config) check() error {
+	for _, n := range []int{c.Slots, c.Dim, c.Heads, c.Hidden} {
+		if n <= 0 || n > maxSize {
+			return fmt.Errorf("mlcr: config network sizes must lie in [1, %d]: %+v", maxSize, c)
+		}
+	}
+	if c.BatchSize <= 0 || c.TargetSync <= 0 || c.TrainEvery <= 0 || c.EpsilonDecayEpisodes <= 0 {
+		return fmt.Errorf("mlcr: config training counts must be positive: %+v", c)
+	}
+	if c.Dim%c.Heads != 0 {
+		return fmt.Errorf("mlcr: config Dim %d not divisible by %d heads", c.Dim, c.Heads)
+	}
+	if n := 8*c.Dim*c.Dim + (c.Slots+2)*c.Dim*c.Hidden; n > maxWeights {
+		return fmt.Errorf("mlcr: config asks for about %d weights, more than %d", n, maxWeights)
+	}
+	if !(c.NormMB >= 0) || math.IsInf(c.NormMB, 1) || c.NormTime < 0 || math.IsNaN(c.DeviationMargin) {
+		return fmt.Errorf("mlcr: config norms must be finite and non-negative, and the margin a number: NormMB %v, NormTime %v, DeviationMargin %v",
+			c.NormMB, c.NormTime, c.DeviationMargin)
+	}
+	return nil
 }
 
 // pending holds the half-built transition awaiting the next state. The
@@ -192,10 +224,12 @@ func (s *Scheduler) SetBatcher(b *drl.QBatcher) {
 }
 
 // New creates an MLCR scheduler in inference mode with randomly
-// initialized weights; call Train (or Load) before using it for real
-// scheduling.
-func New(cfg Config) *Scheduler {
-	cfg = cfg.withDefaults()
+// initialized weights; call Train before using it for real scheduling,
+// or build a trained one with Load.
+func New(cfg Config) *Scheduler { return build(cfg.WithDefaults()) }
+
+// build creates the scheduler for a resolved configuration.
+func build(cfg Config) *Scheduler {
 	feat := &drl.Featurizer{Slots: cfg.Slots, NormMB: cfg.NormMB, NormTime: cfg.NormTime}
 	agent := drl.NewAgent(drl.AgentConfig{
 		Q: drl.QConfig{
@@ -264,7 +298,7 @@ func (s *Scheduler) EndEpisode() {
 	if frac > 1 {
 		frac = 1
 	}
-	s.epsilon = epsilonStart + (s.cfg.EpsilonEnd-epsilonStart)*frac
+	s.epsilon = epsilonStart + (epsilonEnd-epsilonStart)*frac
 }
 
 // Schedule implements platform.Scheduler.
@@ -355,7 +389,7 @@ func (s *Scheduler) Schedule(env platform.Env, inv *workload.Invocation) int {
 // replay/optimizer state is not carried over, so clones are for
 // inference (or fresh fine-tuning), not for resuming training.
 func (s *Scheduler) Clone() *Scheduler {
-	c := New(s.cfg)
+	c := build(s.cfg)
 	c.agent.CopyWeightsFrom(s.agent)
 	c.epsilon = s.epsilon
 	c.episode = s.episode
@@ -401,11 +435,38 @@ func (s *Scheduler) shapedReward(nextGreedyEst time.Duration) float64 {
 	return r / s.cfg.RewardScale
 }
 
-// Save writes the trained Q-network weights.
-func (s *Scheduler) Save(w io.Writer) error { return s.agent.Save(w) }
+// Save writes the model: the resolved Config, then the Q-network
+// weights. The file describes itself, so Load needs nothing else.
+func (s *Scheduler) Save(w io.Writer) error {
+	if err := gob.NewEncoder(w).Encode(s.cfg); err != nil {
+		return err
+	}
+	return s.agent.Save(w)
+}
 
-// Load restores Q-network weights trained with an identical Config.
-func (s *Scheduler) Load(r io.Reader) error { return s.agent.Load(r) }
+// Load builds an inference-mode scheduler from a model written by Save.
+// The file's own Config sizes the network and sets the featurizer norms
+// and the deviation margin, so a served model sees the state encoding it
+// was trained on. The Config is checked before anything is allocated,
+// and the weights as nn.Load checks them.
+func Load(r io.Reader) (*Scheduler, error) {
+	// Both gob streams read through one buffered reader: gob reads a
+	// ByteReader message by message, so the config decoder leaves the
+	// weights unread.
+	br := bufio.NewReader(r)
+	var cfg Config
+	if err := gob.NewDecoder(br).Decode(&cfg); err != nil {
+		return nil, fmt.Errorf("mlcr: decode config: %w", err)
+	}
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	s := build(cfg)
+	if err := s.agent.Load(br); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // EpisodeStats summarizes one training episode.
 type EpisodeStats struct {

@@ -119,12 +119,13 @@ func TestOnlineFineTuning(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Slots != 8 || c.Gamma != 0.9 || c.DeviationMargin != 0.05 {
+	c := Config{}.WithDefaults()
+	if c.Slots != 4 || c.Dim != 24 || c.Heads != 2 || c.Hidden != 48 || c.TrainEvery != 2 ||
+		c.Gamma != 0.9 || c.DeviationMargin != 0.1 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{Slots: 3, DeviationMargin: -1}.withDefaults()
+	c2 := Config{Slots: 3, DeviationMargin: -1}.WithDefaults()
 	if c2.Slots != 3 || c2.DeviationMargin != -1 {
 		t.Fatalf("explicit values overwritten: %+v", c2)
 	}

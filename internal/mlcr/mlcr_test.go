@@ -53,7 +53,7 @@ func smallCfg(seed int64) Config {
 		Slots: 4, Dim: 16, Heads: 2, Hidden: 32,
 		Gamma: 0.9, LR: 2e-3, BatchSize: 16,
 		TargetSync: 50, TrainEvery: 1, WarmupObservations: 32,
-		EpsilonDecayEpisodes: 10, Seed: seed,
+		EpsilonDecayEpisodes: 10, DeviationMargin: 0.05, Seed: seed,
 	}
 }
 
@@ -89,8 +89,8 @@ func TestEpsilonDecay(t *testing.T) {
 		s.BeginEpisode()
 		s.EndEpisode()
 	}
-	if got := s.Epsilon(); got < s.cfg.EpsilonEnd-1e-9 || got > s.cfg.EpsilonEnd+1e-9 {
-		t.Fatalf("epsilon after full decay = %v, want %v", got, s.cfg.EpsilonEnd)
+	if got := s.Epsilon(); got < epsilonEnd-1e-9 || got > epsilonEnd+1e-9 {
+		t.Fatalf("epsilon after full decay = %v, want %v", got, epsilonEnd)
 	}
 }
 
@@ -160,24 +160,40 @@ func TestTrainedBeatsGreedyOnFig2Pattern(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundtrip: a model describes itself. Load rebuilds the
+// scheduler from the file alone — the same Config, the featurizer norm
+// and a tuned margin included — and it makes the original's decisions.
 func TestSaveLoadRoundtrip(t *testing.T) {
 	f1 := fn(1, "debian", "python", "flask", 300*time.Millisecond)
-	w := seq([]*workload.Function{f1, f1, f1, f1}, 5*time.Second)
-	a := New(smallCfg(7))
+	f2 := fn(2, "debian", "python", "numpy", 500*time.Millisecond)
+	w := seq([]*workload.Function{f1, f2, f1, f1, f2, f1, f2, f2}, 2*time.Second)
+	cfg := smallCfg(7)
+	cfg.NormMB, cfg.NormTime = 777, 3*time.Second
+	a := New(cfg)
 	a.Train(TrainOptions{Episodes: 3, PoolCapacityMB: 500,
 		Workload: func(int) workload.Workload { return w }})
+	a.SetDeviationMargin(0.2)
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := New(smallCfg(8))
-	if err := b.Load(&buf); err != nil {
+	b, err := Load(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if b.Config() != a.Config() || b.Config().NormMB != 777 || b.DeviationMargin() != 0.2 {
+		t.Fatalf("loaded config %+v, saved %+v", b.Config(), a.Config())
 	}
 	ra := platform.New(platform.Config{PoolCapacityMB: 500, Evictor: a.Evictor()}, a).Run(w)
 	rb := platform.New(platform.Config{PoolCapacityMB: 500, Evictor: b.Evictor()}, b).Run(w)
-	if ra.Metrics.TotalStartup() != rb.Metrics.TotalStartup() {
-		t.Fatal("loaded scheduler behaves differently")
+	as, bs := ra.Metrics.Samples(), rb.Metrics.Samples()
+	if len(as) != len(bs) {
+		t.Fatalf("sample counts differ: %d vs %d", len(as), len(bs))
+	}
+	for i := range as {
+		if as[i] != bs[i] {
+			t.Fatalf("decision %d differs: saved %+v, loaded %+v", i, as[i], bs[i])
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	a.m = make([]*Tensor, len(params))
 	a.v = make([]*Tensor, len(params))
 	for i, p := range params {
-		a.m[i] = NewTensor(p.W.Rows, p.W.Cols)
-		a.v[i] = NewTensor(p.W.Rows, p.W.Cols)
+		a.m[i] = NewTensor(p.w.Rows, p.w.Cols)
+		a.v[i] = NewTensor(p.w.Rows, p.w.Cols)
 	}
 	return a
 }
@@ -61,9 +61,9 @@ func (a *Adam) Step() {
 			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
 			mHat := m.Data[j] / bc1
 			vHat := v.Data[j] / bc2
-			p.W.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
+			p.w.Data[j] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
 		}
-		p.MarkUpdated()
+		p.markUpdated()
 	}
 	a.ZeroGrad()
 }

@@ -56,8 +56,8 @@ func NewMultiHeadAttention(name string, dim, heads int, rng *rand.Rand) *MultiHe
 	}
 	std := math.Sqrt(1 / float64(dim))
 	for _, p := range []*Param{m.Wq, m.Wk, m.Wv, m.Wo} {
-		p.W.Randn(rng, std)
-		p.MarkUpdated()
+		p.w.Randn(rng, std)
+		p.markUpdated()
 	}
 	return m
 }
@@ -93,9 +93,9 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	m.q = EnsureTensor(m.q, rows, m.Dim)
 	m.k = EnsureTensor(m.k, rows, m.Dim)
 	m.v = EnsureTensor(m.v, rows, m.Dim)
-	MatMulInto(m.q, x, m.Wq.W)
-	MatMulInto(m.k, x, m.Wk.W)
-	MatMulInto(m.v, x, m.Wv.W)
+	MatMulInto(m.q, x, m.Wq.w)
+	MatMulInto(m.k, x, m.Wk.w)
+	MatMulInto(m.v, x, m.Wv.w)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	if len(m.attn) != m.Heads {
@@ -117,7 +117,7 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 		}
 	}
 	m.out = EnsureTensor(m.out, rows, m.Dim)
-	out := MatMulInto(m.out, m.headsOut, m.Wo.W)
+	out := MatMulInto(m.out, m.headsOut, m.Wo.w)
 	AddInto(out, x) // residual
 	return out
 }

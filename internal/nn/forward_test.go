@@ -16,7 +16,7 @@ import (
 // columns copied out, scores = MatMulT(qh, kh) scaled, a = SoftmaxRows,
 // and MatMul(a, vh) added into a zeroed concatenation.
 func refAttention(m *MultiHeadAttention, x *Tensor) (out, headsOut *Tensor, attn []*Tensor) {
-	q, k, v := MatMul(x, m.Wq.W), MatMul(x, m.Wk.W), MatMul(x, m.Wv.W)
+	q, k, v := MatMul(x, m.Wq.w), MatMul(x, m.Wk.w), MatMul(x, m.Wv.w)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	headsOut = NewTensor(x.Rows, m.Dim)
@@ -29,7 +29,7 @@ func refAttention(m *MultiHeadAttention, x *Tensor) (out, headsOut *Tensor, attn
 		attn = append(attn, a)
 		addColSlice(headsOut, MatMul(a, vh), start)
 	}
-	out = MatMul(headsOut, m.Wo.W)
+	out = MatMul(headsOut, m.Wo.w)
 	AddInto(out, x)
 	return out, headsOut, attn
 }
@@ -54,7 +54,7 @@ func refLayerNorm(ln *LayerNorm, x *Tensor) (y, norm *Tensor, invStd []float64) 
 		for i, v := range row {
 			n := (v - mean) * inv
 			norm.Set(r, i, n)
-			y.Set(r, i, n*ln.Gain.W.Data[i]+ln.Bias.W.Data[i])
+			y.Set(r, i, n*ln.Gain.w.Data[i]+ln.Bias.w.Data[i])
 		}
 	}
 	return y, norm, invStd
@@ -96,8 +96,8 @@ func TestForwardMatchesReference(t *testing.T) {
 					dim := heads * dk
 					m := NewMultiHeadAttention("mha", dim, heads, rng)
 					ln := NewLayerNorm("ln", dim)
-					ln.Gain.W.Randn(rng, 1)
-					ln.Bias.W.Randn(rng, 1)
+					ln.Gain.w.Randn(rng, 1)
+					ln.Bias.w.Randn(rng, 1)
 					x := NewTensor(rows, dim).Randn(rng, 1)
 					checkForwards(t, "dense", m, ln, x)
 
@@ -105,10 +105,10 @@ func TestForwardMatchesReference(t *testing.T) {
 					checkForwards(t, "underflowing softmax", m, ln, huge)
 					// An infinite value weighted by an underflowed zero
 					// is skipped, not a NaN.
-					plant(m.Wv.W, rng)
+					plant(m.Wv.w, rng)
 					checkForwards(t, "underflowing softmax, specials in Wv", m, ln, huge)
 
-					for _, w := range []*Tensor{x, m.Wq.W, m.Wk.W, m.Wo.W, ln.Gain.W} {
+					for _, w := range []*Tensor{x, m.Wq.w, m.Wk.w, m.Wo.w, ln.Gain.w} {
 						plant(w, rng)
 					}
 					checkForwards(t, "specials", m, ln, x)
@@ -140,7 +140,7 @@ func FuzzAttentionForward(f *testing.F) {
 		m := NewMultiHeadAttention("mha", heads*dk, heads, rand.New(rand.NewSource(1)))
 		ln := NewLayerNorm("ln", heads*dk)
 		x := NewTensor(rows, heads*dk)
-		for _, w := range []*Tensor{x, m.Wq.W, m.Wk.W, m.Wv.W, m.Wo.W, ln.Gain.W, ln.Bias.W} {
+		for _, w := range []*Tensor{x, m.Wq.w, m.Wk.w, m.Wv.w, m.Wo.w, ln.Gain.w, ln.Bias.w} {
 			for i := range w.Data {
 				w.Data[i] = value()
 			}

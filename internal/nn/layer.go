@@ -7,29 +7,33 @@ import (
 )
 
 // Param is a trainable tensor together with its gradient accumulator.
+// Its weights are unexported: only this package writes them (the layer
+// constructors, Adam.Step, Load and CopyParams), and each writer bumps
+// the version, so no derived cache can go stale unseen.
 type Param struct {
 	Name string
-	W    *Tensor
+	w    *Tensor
 	Grad *Tensor
 
-	// version counts weight updates; derived caches (weight transposes)
-	// compare it to decide whether they are stale. Optimizer steps,
-	// CopyParams and Load bump it. Code that mutates W.Data directly must
-	// call MarkUpdated afterwards or stale caches will be served.
+	// version counts weight updates; derived caches (weight transposes,
+	// drl's target cache) compare it to decide whether they are stale.
 	version uint64
 }
 
 // newParam allocates a parameter and its zeroed gradient.
 func newParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, W: NewTensor(rows, cols), Grad: NewTensor(rows, cols)}
+	return &Param{Name: name, w: NewTensor(rows, cols), Grad: NewTensor(rows, cols)}
 }
 
-// MarkUpdated records that the parameter's weights changed, invalidating
+// markUpdated records that the parameter's weights changed, invalidating
 // derived caches (e.g. a layer's cached weight transpose).
-func (p *Param) MarkUpdated() { p.version++ }
+func (p *Param) markUpdated() { p.version++ }
 
 // Version returns the weight-update counter.
 func (p *Param) Version() uint64 { return p.version }
+
+// Weights returns a copy of the weight values in row-major order.
+func (p *Param) Weights() []float64 { return append([]float64(nil), p.w.Data...) }
 
 // paramTranspose lazily caches a parameter's weight transpose, revalidated
 // against the parameter's update version. The cache belongs to one layer
@@ -44,8 +48,8 @@ type paramTranspose struct {
 // of returns pᵀ, recomputing it only when p changed since the last call.
 func (c *paramTranspose) of(p *Param) *Tensor {
 	if !c.valid || c.version != p.version {
-		c.t = EnsureTensor(c.t, p.W.Cols, p.W.Rows)
-		TransposeInto(c.t, p.W)
+		c.t = EnsureTensor(c.t, p.w.Cols, p.w.Rows)
+		TransposeInto(c.t, p.w)
 		c.version = p.version
 		c.valid = true
 	}
@@ -89,8 +93,8 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		Weight: newParam(name+".weight", in, out),
 		Bias:   newParam(name+".bias", 1, out),
 	}
-	l.Weight.W.Randn(rng, math.Sqrt(2/float64(in)))
-	l.Weight.MarkUpdated()
+	l.Weight.w.Randn(rng, math.Sqrt(2/float64(in)))
+	l.Weight.markUpdated()
 	return l
 }
 
@@ -101,8 +105,8 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	}
 	l.x = x
 	l.y = EnsureTensor(l.y, x.Rows, l.Out)
-	y := MatMulInto(l.y, x, l.Weight.W)
-	bias := l.Bias.W.Data[:y.Cols]
+	y := MatMulInto(l.y, x, l.Weight.w)
+	bias := l.Bias.w.Data[:y.Cols]
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
 		for j, b := range bias {
@@ -211,8 +215,8 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 		Gain: newParam(name+".gain", 1, dim),
 		Bias: newParam(name+".bias", 1, dim),
 	}
-	ln.Gain.W.Fill(1)
-	ln.Gain.MarkUpdated()
+	ln.Gain.w.Fill(1)
+	ln.Gain.markUpdated()
 	return ln
 }
 
@@ -234,7 +238,7 @@ func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 	// the same values.
 	n := x.Cols
 	fn := float64(n)
-	gain, bias := ln.Gain.W.Data[:n], ln.Bias.W.Data[:n]
+	gain, bias := ln.Gain.w.Data[:n], ln.Bias.w.Data[:n]
 	for r := 0; r < x.Rows; r += 2 {
 		r1 := min(r+1, x.Rows-1)
 		x0, x1 := x.Data[r*n:(r+1)*n], x.Data[r1*n:(r1+1)*n]
@@ -281,7 +285,7 @@ func (ln *LayerNorm) Backward(dy *Tensor) *Tensor {
 		for i := range dyr {
 			ln.Gain.Grad.Data[i] += dyr[i] * nr[i]
 			ln.Bias.Grad.Data[i] += dyr[i]
-			dn[i] = dyr[i] * ln.Gain.W.Data[i]
+			dn[i] = dyr[i] * ln.Gain.w.Data[i]
 			sumDn += dn[i]
 			sumDnN += dn[i] * nr[i]
 		}

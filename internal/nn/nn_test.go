@@ -44,19 +44,19 @@ func checkGrads(t *testing.T, l Layer, x *Tensor, tol float64) {
 			t.Fatalf("input grad[%d] = %v, numeric %v", i, dx.Data[i], num)
 		}
 	}
-	// Parameter gradients. Direct W.Data writes must MarkUpdated so the
+	// Parameter gradients. Direct w.Data writes must markUpdated so the
 	// forward pass drops its cached transpose (DESIGN.md §8).
 	for _, p := range l.Params() {
-		for i := range p.W.Data {
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + h
-			p.MarkUpdated()
+		for i := range p.w.Data {
+			orig := p.w.Data[i]
+			p.w.Data[i] = orig + h
+			p.markUpdated()
 			lp := lossOf(l.Forward(x), r)
-			p.W.Data[i] = orig - h
-			p.MarkUpdated()
+			p.w.Data[i] = orig - h
+			p.markUpdated()
 			lm := lossOf(l.Forward(x), r)
-			p.W.Data[i] = orig
-			p.MarkUpdated()
+			p.w.Data[i] = orig
+			p.markUpdated()
 			num := (lp - lm) / (2 * h)
 			if math.Abs(num-p.Grad.Data[i]) > tol*(1+math.Abs(num)) {
 				t.Fatalf("%s grad[%d] = %v, numeric %v", p.Name, i, p.Grad.Data[i], num)
@@ -236,8 +236,8 @@ func TestLayerNormGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ln := NewLayerNorm("ln", 6)
 	// Perturb gain/bias away from identity for a stronger check.
-	ln.Gain.W.Randn(rng, 1)
-	ln.Bias.W.Randn(rng, 1)
+	ln.Gain.w.Randn(rng, 1)
+	ln.Bias.w.Randn(rng, 1)
 	x := NewTensor(3, 6).Randn(rng, 1)
 	checkGrads(t, ln, x, 1e-4)
 }
@@ -308,13 +308,13 @@ func TestAdamClipNorm(t *testing.T) {
 	l := NewLinear("clip", 2, 2, rng)
 	opt := NewAdam(l.Params(), 0.1)
 	opt.ClipNorm = 1e-6
-	before := append([]float64(nil), l.Weight.W.Data...)
+	before := append([]float64(nil), l.Weight.w.Data...)
 	l.Weight.Grad.Fill(1e9)
 	opt.Step()
 	for i := range before {
 		// With tiny clip norm the update is bounded by ~lr.
-		if math.Abs(l.Weight.W.Data[i]-before[i]) > 0.2 {
-			t.Fatalf("clipped update too large: %v -> %v", before[i], l.Weight.W.Data[i])
+		if math.Abs(l.Weight.w.Data[i]-before[i]) > 0.2 {
+			t.Fatalf("clipped update too large: %v -> %v", before[i], l.Weight.w.Data[i])
 		}
 	}
 	// Gradients must be zeroed after Step.
@@ -358,7 +358,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 func loadTarget(rng *rand.Rand, in int) (params []*Param, before [][]float64) {
 	params = append(NewLinear("first", 2, 2, rng).Params(), NewLinear("l", in, 4, rng).Params()...)
 	for _, p := range params {
-		before = append(before, append([]float64(nil), p.W.Data...))
+		before = append(before, append([]float64(nil), p.w.Data...))
 	}
 	return params, before
 }
@@ -366,7 +366,7 @@ func loadTarget(rng *rand.Rand, in int) (params []*Param, before [][]float64) {
 func assertUntouched(t *testing.T, params []*Param, before [][]float64) {
 	t.Helper()
 	for pi, p := range params {
-		for i, v := range p.W.Data {
+		for i, v := range p.w.Data {
 			if v != before[pi][i] {
 				t.Fatalf("refused Load overwrote %s[%d]", p.Name, i)
 			}
@@ -394,7 +394,7 @@ func TestLoadRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		rng := rand.New(rand.NewSource(16))
 		saved, _ := loadTarget(rng, 3)
-		saved[3].W.Data[2] = bad // l.bias
+		saved[3].w.Data[2] = bad // l.bias
 		var buf bytes.Buffer
 		if err := Save(&buf, saved); err != nil {
 			t.Fatal(err)
@@ -457,7 +457,7 @@ func FuzzNNLoad(f *testing.F) {
 	save(wide) // shape mismatch against loadTarget(rng, 3)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p, _ := loadTarget(rng, 3)
-		p[3].W.Data[2] = bad
+		p[3].w.Data[2] = bad
 		save(p)
 	}
 	save(NewLinear("a", 2, 2, rng).Params()) // missing every wanted name
@@ -468,15 +468,15 @@ func FuzzNNLoad(f *testing.F) {
 		for _, params := range [][]*Param{stack(rng), target} {
 			var before [][]uint64
 			for _, p := range params {
-				bits := make([]uint64, len(p.W.Data))
-				for i, v := range p.W.Data {
+				bits := make([]uint64, len(p.w.Data))
+				for i, v := range p.w.Data {
 					bits[i] = math.Float64bits(v)
 				}
 				before = append(before, bits)
 			}
 			err := Load(bytes.NewReader(data), params)
 			for pi, p := range params {
-				for i, v := range p.W.Data {
+				for i, v := range p.w.Data {
 					if err != nil && math.Float64bits(v) != before[pi][i] {
 						t.Fatalf("refused Load (%v) changed %s[%d]", err, p.Name, i)
 					}
@@ -494,14 +494,14 @@ func TestCopyParams(t *testing.T) {
 	a := NewLinear("a", 3, 3, rng)
 	b := NewLinear("b", 3, 3, rng)
 	CopyParams(b.Params(), a.Params())
-	for i := range a.Weight.W.Data {
-		if b.Weight.W.Data[i] != a.Weight.W.Data[i] {
+	for i := range a.Weight.w.Data {
+		if b.Weight.w.Data[i] != a.Weight.w.Data[i] {
 			t.Fatal("CopyParams did not copy")
 		}
 	}
 	// Mutating the source must not affect the copy.
-	a.Weight.W.Data[0] += 1
-	if b.Weight.W.Data[0] == a.Weight.W.Data[0] {
+	a.Weight.w.Data[0] += 1
+	if b.Weight.w.Data[0] == a.Weight.w.Data[0] {
 		t.Fatal("CopyParams aliases storage")
 	}
 }
@@ -509,8 +509,8 @@ func TestCopyParams(t *testing.T) {
 func TestDeterministicInit(t *testing.T) {
 	a := NewLinear("d", 5, 5, rand.New(rand.NewSource(42)))
 	b := NewLinear("d", 5, 5, rand.New(rand.NewSource(42)))
-	for i := range a.Weight.W.Data {
-		if a.Weight.W.Data[i] != b.Weight.W.Data[i] {
+	for i := range a.Weight.w.Data {
+		if a.Weight.w.Data[i] != b.Weight.w.Data[i] {
 			t.Fatal("same seed produced different weights")
 		}
 	}

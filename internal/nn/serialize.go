@@ -24,7 +24,7 @@ func Save(w io.Writer, params []*Param) error {
 		if _, dup := s.Params[p.Name]; dup {
 			return fmt.Errorf("nn: duplicate parameter name %q", p.Name)
 		}
-		s.Params[p.Name] = snapParam{Rows: p.W.Rows, Cols: p.W.Cols, Data: append([]float64(nil), p.W.Data...)}
+		s.Params[p.Name] = snapParam{Rows: p.w.Rows, Cols: p.w.Cols, Data: append([]float64(nil), p.w.Data...)}
 	}
 	return gob.NewEncoder(w).Encode(s)
 }
@@ -47,9 +47,9 @@ func Load(r io.Reader, params []*Param) error {
 		if !ok {
 			return fmt.Errorf("nn: snapshot missing parameter %q", p.Name)
 		}
-		if sp.Rows != p.W.Rows || sp.Cols != p.W.Cols || len(sp.Data) != len(p.W.Data) {
+		if sp.Rows != p.w.Rows || sp.Cols != p.w.Cols || len(sp.Data) != len(p.w.Data) {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot has %dx%d (%d values)",
-				p.Name, p.W.Rows, p.W.Cols, sp.Rows, sp.Cols, len(sp.Data))
+				p.Name, p.w.Rows, p.w.Cols, sp.Rows, sp.Cols, len(sp.Data))
 		}
 		for i, v := range sp.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -58,8 +58,8 @@ func Load(r io.Reader, params []*Param) error {
 		}
 	}
 	for _, p := range params {
-		copy(p.W.Data, s.Params[p.Name].Data)
-		p.MarkUpdated()
+		copy(p.w.Data, s.Params[p.Name].Data)
+		p.markUpdated()
 	}
 	return nil
 }
@@ -71,10 +71,10 @@ func CopyParams(dst, src []*Param) {
 		panic(fmt.Sprintf("nn: copy %d params from %d", len(dst), len(src)))
 	}
 	for i := range dst {
-		if dst[i].W.Rows != src[i].W.Rows || dst[i].W.Cols != src[i].W.Cols {
+		if dst[i].w.Rows != src[i].w.Rows || dst[i].w.Cols != src[i].w.Cols {
 			panic(fmt.Sprintf("nn: param %d shape mismatch", i))
 		}
-		copy(dst[i].W.Data, src[i].W.Data)
-		dst[i].MarkUpdated()
+		copy(dst[i].w.Data, src[i].w.Data)
+		dst[i].markUpdated()
 	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -140,30 +141,53 @@ func TestWorkspaceNetworkMatchesFreshNetwork(t *testing.T) {
 }
 
 // TestTransposeCacheInvalidatedOnStep verifies the cached weight
-// transposes are refreshed after every optimizer update, Load and
-// CopyParams: backward through the workspace path must match the naive
-// dy×Wᵀ computed from the current weights.
+// transposes are refreshed after every weight write — an optimizer
+// update, Load and CopyParams — on a Linear layer and on a
+// MultiHeadAttention, which caches the transposes of all four
+// projections: backward through the cached path must match, bit for
+// bit, a fresh layer holding the current weights.
 func TestTransposeCacheInvalidatedOnStep(t *testing.T) {
-	for _, opt := range []string{"adam", "copy"} {
-		rng := rand.New(rand.NewSource(11))
-		l := NewLinear("l", 6, 4, rng)
-		x := NewTensor(2, 6).Randn(rng, 1)
-		dy := NewTensor(2, 4).Randn(rng, 1)
-		l.Forward(x)
-		l.Backward(dy) // populate and cache Wᵀ
+	layers := []struct {
+		name string
+		mk   func(seed int64) Layer
+	}{
+		{"linear", func(seed int64) Layer { return NewLinear("l", 6, 6, rand.New(rand.NewSource(seed))) }},
+		{"attention", func(seed int64) Layer { return NewMultiHeadAttention("a", 6, 2, rand.New(rand.NewSource(seed))) }},
+	}
+	for _, layer := range layers {
+		for _, write := range []string{"adam", "load", "copy"} {
+			t.Run(layer.name+"/"+write, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(11))
+				l := layer.mk(11)
+				x := NewTensor(3, 6).Randn(rng, 1)
+				dy := NewTensor(3, 6).Randn(rng, 1)
+				l.Forward(x)
+				l.Backward(dy) // populate and cache the transposes
 
-		switch opt {
-		case "adam":
-			NewAdam(l.Params(), 0.05).Step()
-		case "copy":
-			other := NewLinear("l", 6, 4, rand.New(rand.NewSource(12)))
-			CopyParams(l.Params(), other.Params())
+				switch write {
+				case "adam":
+					NewAdam(l.Params(), 0.05).Step()
+				case "load":
+					var buf bytes.Buffer
+					if err := Save(&buf, layer.mk(12).Params()); err != nil {
+						t.Fatal(err)
+					}
+					if err := Load(&buf, l.Params()); err != nil {
+						t.Fatal(err)
+					}
+				case "copy":
+					CopyParams(l.Params(), layer.mk(12).Params())
+				}
+
+				fresh := layer.mk(13)
+				for i, p := range fresh.Params() {
+					copy(p.w.Data, l.Params()[i].w.Data)
+				}
+				l.Forward(x)
+				fresh.Forward(x)
+				equalTensors(t, "post-update dx", l.Backward(dy), fresh.Backward(dy))
+			})
 		}
-
-		l.Forward(x)
-		got := l.Backward(dy)
-		want := MatMulT(dy, l.Weight.W)
-		equalTensors(t, opt+" post-update dx", got, want)
 	}
 }
 

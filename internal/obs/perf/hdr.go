@@ -1,7 +1,7 @@
 // Package perf is the performance-measurement leaf of the
 // observability layer: a fixed-footprint HDR histogram for latency
-// distributions, a nil-safe phase profiler with an injected clock, and
-// process-memory snapshots. It imports only the standard library so
+// distributions and a nil-safe phase profiler with an injected clock.
+// It imports only the standard library so
 // every layer of the simulator — metrics, pool, scheduler, platform,
 // cluster — can depend on it without cycles.
 //

@@ -25,7 +25,7 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== make vet (go vet + mlcr-vet: determinism, invalidation and error contracts, DESIGN.md §9) =="
+echo "== make vet (go vet + mlcr-vet: determinism and error contracts, DESIGN.md §9) =="
 ${MAKE:-make} vet
 
 if [ "${FULL:-}" = "1" ]; then
@@ -51,6 +51,9 @@ go test -run '^$' -fuzz '^FuzzInvokeRequest$' -fuzztime 5s ./internal/api
 echo "== model loader: 5 s of FuzzNNLoad (Load never panics; a refused snapshot leaves the weights as they were, an accepted one leaves them finite) =="
 go test -run '^$' -fuzz '^FuzzNNLoad$' -fuzztime 5s ./internal/nn
 
+echo "== MLCR model loader: 5 s of FuzzMLCRLoad (Load never panics; it refuses a config it cannot build before allocating the network) =="
+go test -run '^$' -fuzz '^FuzzMLCRLoad$' -fuzztime 5s ./internal/mlcr
+
 echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 
@@ -66,10 +69,16 @@ trap 'rm -f "$tmp"' EXIT
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null
 grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
 
+echo "== train -> replay smoke (mlcr-train saves a self-describing model; mlcr-sim -model replays it without training) =="
+model=$(mktemp)
+trap 'rm -f "$tmp" "$model"' EXIT
+go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out "$model" > /dev/null
+go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy MLCR -model "$model" > /dev/null
+
 echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure and -workers 0 exit 2) =="
 # Built, not run through go run, which reports every failure as exit 1.
 bench_bin=$(mktemp -d)
-trap 'rm -f "$tmp"; rm -rf "$bench_bin"' EXIT
+trap 'rm -f "$tmp" "$model"; rm -rf "$bench_bin"' EXIT
 go build -o "$bench_bin/mlcr-bench" ./cmd/mlcr-bench
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
 "$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
