@@ -167,7 +167,7 @@ func BenchmarkInferenceLatency(b *testing.B) {
 	agent := inferSched.Agent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.SelectAction(inferState, 0)
+		drl.MaskedArgmax(agent.QValues(inferState.X), inferState.Mask)
 	}
 }
 
@@ -335,21 +335,19 @@ func BenchmarkQNetworkForward(b *testing.B) {
 }
 
 func BenchmarkDQNTrainStep(b *testing.B) {
-	cfg := drl.AgentConfig{
-		Q:         drl.QConfig{Tokens: 6, Width: 39, Actions: 5, Dim: 24, Heads: 2, Hidden: 48},
-		BatchSize: 32,
-	}
-	agent := drl.NewAgent(cfg, 1)
+	q := drl.QConfig{Tokens: 6, Width: 39, Actions: 5, Dim: 24, Heads: 2, Hidden: 48}
+	l := drl.NewLearner(drl.NewAgent(q, 1),
+		drl.LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 32, ReplayCapacity: 10000, TargetSync: 100}, 1)
 	rng := rand.New(rand.NewSource(2))
 	mask := []bool{true, true, true, true, true}
 	for i := 0; i < 256; i++ {
 		s := nn.NewTensor(6, 39).Randn(rng, 1)
 		next := nn.NewTensor(6, 39).Randn(rng, 1)
-		agent.Observe(drl.Transition{State: s, Action: i % 5, Reward: rng.Float64(), Next: next, NextMask: mask})
+		l.Observe(drl.Transition{State: s, Action: i % 5, Reward: rng.Float64(), Next: next, NextMask: mask})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.TrainStep()
+		l.TrainStep()
 	}
 }
 

@@ -29,11 +29,14 @@ func main() {
 	episodes := flag.Int("episodes", 36, "training episodes")
 	seed := flag.Int64("seed", 1, "random seed (workload + weights + exploration)")
 	out := flag.String("out", "mlcr.gob", "output model path")
-	slots := flag.Int("slots", 4, "candidate container slots (action space = slots+1)")
 	verbose := flag.Bool("v", false, "print per-episode training stats")
 	traceOut := flag.String("trace-out", "", "write per-update training telemetry as a JSONL event trace")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format snapshot of training metrics")
 	flag.Parse()
+	if *episodes < 1 {
+		fmt.Fprintf(os.Stderr, "mlcr-train: -episodes must be >= 1, got %d\n", *episodes)
+		os.Exit(2)
+	}
 
 	var w workload.Workload
 	if *wname == fstartbench.Overall {
@@ -45,18 +48,17 @@ func main() {
 	fmt.Printf("workload %s: %d invocations over %v; Loose pool %.0f MB\n",
 		w.Name, len(w.Invocations), w.Duration().Round(time.Second), loose)
 
-	opts := experiments.Options{Seed: *seed, Episodes: *episodes}
-	opts.MLCR.Slots = *slots
-	s := mlcr.New(experiments.TrainConfig(loose, opts))
+	s := mlcr.New(experiments.TrainConfig(loose, experiments.Options{Seed: *seed, Episodes: *episodes}))
 
 	// Training telemetry: every DQN gradient update becomes a TrainStep
 	// trace event plus registry metrics, exported after training.
 	var (
-		o        *obs.Observer
-		steps    *obs.Counter
-		epCount  *obs.Counter
-		tdGauge  *obs.Gauge
-		epsGauge *obs.Gauge
+		o           *obs.Observer
+		steps       *obs.Counter
+		epCount     *obs.Counter
+		tdGauge     *obs.Gauge
+		epsGauge    *obs.Gauge
+		onTrainStep func(drl.TrainStepStats)
 	)
 	if *traceOut != "" || *metricsOut != "" {
 		o = &obs.Observer{}
@@ -70,7 +72,7 @@ func main() {
 			tdGauge = o.Metrics.Gauge("mlcr_train_td_error", "Mean absolute TD error of the latest update.")
 			epsGauge = o.Metrics.Gauge("mlcr_train_epsilon", "Current exploration rate.")
 		}
-		s.Agent().OnTrainStep = func(st drl.TrainStepStats) {
+		onTrainStep = func(st drl.TrainStepStats) {
 			o.Emit(obs.Event{
 				Kind: obs.KindTrainStep, Seq: -1, Fn: -1,
 				Step: st.Update, Value: st.TDError,
@@ -88,6 +90,7 @@ func main() {
 		Episodes:       *episodes,
 		PoolForEpisode: func(ep int) float64 { return loose * fracs[ep%len(fracs)] },
 		Workload:       func(int) workload.Workload { return w },
+		OnTrainStep:    onTrainStep,
 		OnEpisode: func(e mlcr.EpisodeStats) {
 			if epCount != nil {
 				epCount.Inc()

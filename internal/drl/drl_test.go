@@ -269,14 +269,14 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 		tokens  = slots + 2
 		actions = slots + 1
 	)
-	cfg := AgentConfig{
-		Q:          QConfig{Tokens: tokens, Width: tokenWidth, Actions: actions, Dim: 16, Heads: 2, Hidden: 32},
-		Gamma:      0, // bandit: no bootstrapping
-		LR:         3e-3,
-		BatchSize:  16,
-		TargetSync: 50,
-	}
-	agent := NewAgent(cfg, 7)
+	agent := NewAgent(QConfig{Tokens: tokens, Width: tokenWidth, Actions: actions, Dim: 16, Heads: 2, Hidden: 32}, 7)
+	l := NewLearner(agent, LearnerConfig{
+		Gamma:          0, // bandit: no bootstrapping
+		LR:             3e-3,
+		BatchSize:      16,
+		ReplayCapacity: 10000,
+		TargetSync:     50,
+	}, 7)
 	rng := rand.New(rand.NewSource(8))
 
 	mkState := func(correct int) State {
@@ -293,6 +293,10 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 		}
 		return State{X: x, Mask: mask}
 	}
+	greedy := func(st State) int {
+		act, _ := MaskedArgmax(agent.QValues(st.X), st.Mask)
+		return act
+	}
 
 	for step := 0; step < 600; step++ {
 		correct := rng.Intn(slots)
@@ -301,14 +305,19 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 		if eps < 0.05 {
 			eps = 0.05
 		}
-		act := agent.SelectAction(st, eps)
+		var act int
+		if rng.Float64() < eps {
+			act = l.Explore(st.Mask)
+		} else {
+			act = greedy(st)
+		}
 		reward := -1.0
 		if act == correct {
 			reward = 0
 		}
-		agent.Observe(Transition{State: st.X, Action: act, Reward: reward, Done: true})
+		l.Observe(Transition{State: st.X, Action: act, Reward: reward, Done: true})
 		if step > 32 {
-			agent.TrainStep()
+			l.TrainStep()
 		}
 	}
 
@@ -316,7 +325,7 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 	const trials = 100
 	for i := 0; i < trials; i++ {
 		correct := rng.Intn(slots)
-		if agent.SelectAction(mkState(correct), 0) == correct {
+		if greedy(mkState(correct)) == correct {
 			good++
 		}
 	}
@@ -333,26 +342,26 @@ func TestAgentBootstrapsFutureReward(t *testing.T) {
 	// best value is +1 under the target net; TrainStep must propagate
 	// the discounted value. We verify mechanically: after many updates
 	// on a fixed transition, Q(s0, a0) approaches gamma * maxQ(s1).
-	cfg := AgentConfig{
-		Q:         QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16},
-		Gamma:     0.9,
-		LR:        5e-3,
-		BatchSize: 8,
+	agent := NewAgent(QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16}, 3)
+	l := NewLearner(agent, LearnerConfig{
+		Gamma:          0.9,
+		LR:             5e-3,
+		BatchSize:      8,
+		ReplayCapacity: 10000,
 		// Sync every step so the target tracks online.
 		TargetSync: 1,
-	}
-	agent := NewAgent(cfg, 3)
+	}, 3)
 	s0 := nn.NewTensor(3, tokenWidth)
 	s1 := nn.NewTensor(3, tokenWidth)
 	s1.Fill(0.5)
 	mask := []bool{true, true}
 	// Terminal transition pins Q(s1, a) ≈ +1.
-	agent.Observe(Transition{State: s1, Action: 0, Reward: 1, Done: true})
-	agent.Observe(Transition{State: s1, Action: 1, Reward: 1, Done: true})
+	l.Observe(Transition{State: s1, Action: 0, Reward: 1, Done: true})
+	l.Observe(Transition{State: s1, Action: 1, Reward: 1, Done: true})
 	// Non-terminal transition from s0.
-	agent.Observe(Transition{State: s0, Action: 0, Reward: 0, Next: s1, NextMask: mask})
+	l.Observe(Transition{State: s0, Action: 0, Reward: 0, Next: s1, NextMask: mask})
 	for i := 0; i < 500; i++ {
-		agent.TrainStep()
+		l.TrainStep()
 	}
 	q0 := agent.QValues(s0).Data[0]
 	if q0 < 0.5 || q0 > 1.2 {
@@ -361,13 +370,13 @@ func TestAgentBootstrapsFutureReward(t *testing.T) {
 }
 
 func TestAgentSaveLoad(t *testing.T) {
-	cfg := AgentConfig{Q: QConfig{Tokens: 4, Width: tokenWidth, Actions: 3, Dim: 8, Heads: 2, Hidden: 16}}
-	a := NewAgent(cfg, 1)
+	q := QConfig{Tokens: 4, Width: tokenWidth, Actions: 3, Dim: 8, Heads: 2, Hidden: 16}
+	a := NewAgent(q, 1)
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := NewAgent(cfg, 99) // different init
+	b := NewAgent(q, 99) // different init
 	if err := b.Load(&buf); err != nil {
 		t.Fatal(err)
 	}

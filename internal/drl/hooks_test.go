@@ -10,25 +10,22 @@ import (
 // per gradient update with a monotone update counter and the same TD
 // error TrainStep returns, and that target syncs are flagged.
 func TestOnTrainStepHook(t *testing.T) {
-	cfg := AgentConfig{
-		Q:          QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16},
-		BatchSize:  4,
-		TargetSync: 2,
-	}
-	agent := NewAgent(cfg, 1)
+	q := QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16}
+	cfg := LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 4, ReplayCapacity: 10000, TargetSync: 2}
+	l := NewLearner(NewAgent(q, 1), cfg, 1)
 	s := nn.NewTensor(3, tokenWidth)
-	agent.Observe(Transition{State: s, Action: 0, Reward: 1, Done: true})
+	l.Observe(Transition{State: s, Action: 0, Reward: 1, Done: true})
 
 	var got []TrainStepStats
-	agent.OnTrainStep = func(st TrainStepStats) { got = append(got, st) }
+	l.OnTrainStep = func(st TrainStepStats) { got = append(got, st) }
 
 	// An empty-replay TrainStep is a no-op and must not fire the hook.
-	empty := NewAgent(cfg, 1)
+	empty := NewLearner(NewAgent(q, 1), cfg, 1)
 	empty.OnTrainStep = func(TrainStepStats) { t.Error("hook fired with empty replay") }
 	empty.TrainStep()
 
 	for i := 0; i < 4; i++ {
-		td := agent.TrainStep()
+		td := l.TrainStep()
 		if last := got[len(got)-1]; last.TDError != td {
 			t.Errorf("update %d: hook TD %v != returned TD %v", i+1, last.TDError, td)
 		}

@@ -55,22 +55,23 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
-// TestSelectActionZeroAllocs asserts the inference decision (greedy
-// action selection over a featurized state) allocates nothing once the
-// network workspaces are warm.
-func TestSelectActionZeroAllocs(t *testing.T) {
+// TestServingDecisionZeroAllocs asserts the served decision (the online
+// network's Q-values over a featurized state, then the masked argmax)
+// allocates nothing once the network workspaces are warm.
+func TestServingDecisionZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	st := hotpathState(t)
 	f := &Featurizer{Slots: 4}
-	agent := NewAgent(AgentConfig{Q: QConfig{
+	agent := NewAgent(QConfig{
 		Tokens: f.Tokens(), Width: f.Width(), Actions: f.Actions(),
 		Dim: 16, Heads: 2, Hidden: 32,
-	}}, 1)
-	agent.SelectAction(st, 0) // warm workspaces
-	if n := testing.AllocsPerRun(100, func() { agent.SelectAction(st, 0) }); n != 0 {
-		t.Fatalf("steady-state SelectAction allocates %v per run, want 0", n)
+	}, 1)
+	decide := func() { MaskedArgmax(agent.QValues(st.X), st.Mask) }
+	decide() // warm workspaces
+	if n := testing.AllocsPerRun(100, decide); n != 0 {
+		t.Fatalf("steady-state serving decision allocates %v per run, want 0", n)
 	}
 }
 
@@ -80,17 +81,17 @@ func TestSelectActionZeroAllocs(t *testing.T) {
 // reusable gradient scratch leaves no residue between samples.
 func TestTrainStepWithWorkspaces(t *testing.T) {
 	st := hotpathState(t)
-	mkAgent := func() *Agent {
+	mkLearner := func() *Learner {
 		f := &Featurizer{Slots: 4}
-		return NewAgent(AgentConfig{Q: QConfig{
+		return NewLearner(NewAgent(QConfig{
 			Tokens: f.Tokens(), Width: f.Width(), Actions: f.Actions(),
 			Dim: 16, Heads: 2, Hidden: 32,
-		}, BatchSize: 8, TargetSync: 3}, 7)
+		}, 7), LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 8, ReplayCapacity: 10000, TargetSync: 3}, 7)
 	}
-	a, b := mkAgent(), mkAgent()
-	for _, ag := range []*Agent{a, b} {
+	a, b := mkLearner(), mkLearner()
+	for _, l := range []*Learner{a, b} {
 		for i := 0; i < 20; i++ {
-			ag.Observe(Transition{
+			l.Observe(Transition{
 				State:    st.X,
 				Action:   i % f4Actions(st),
 				Reward:   float64(i%3) - 1,
@@ -100,10 +101,10 @@ func TestTrainStepWithWorkspaces(t *testing.T) {
 			})
 		}
 		for i := 0; i < 6; i++ {
-			ag.TrainStep()
+			l.TrainStep()
 		}
 	}
-	pa, pb := a.online.Params(), b.online.Params()
+	pa, pb := a.agent.online.Params(), b.agent.online.Params()
 	for i := range pa {
 		wa, wb := pa[i].Weights(), pb[i].Weights()
 		for j := range wa {

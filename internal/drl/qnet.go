@@ -1,15 +1,16 @@
 package drl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"mlcr/internal/nn"
 )
 
-// QConfig sizes the policy network. The paper's reference configuration
-// uses an embedding of 512 and two attention heads; the defaults here are
-// CPU-friendly while keeping the exact architecture shape.
+// QConfig sizes the policy network. Every field must be set: the caller
+// (mlcr.Config) owns the defaults. The paper's reference configuration
+// uses an embedding of 512 and two attention heads.
 type QConfig struct {
 	// Tokens and Width describe the input state (from the Featurizer).
 	Tokens, Width int
@@ -21,20 +22,6 @@ type QConfig struct {
 	Heads int
 	// Hidden is the width of the penultimate linear layer.
 	Hidden int
-}
-
-// withDefaults fills unset fields.
-func (c QConfig) withDefaults() QConfig {
-	if c.Dim == 0 {
-		c.Dim = 32
-	}
-	if c.Heads == 0 {
-		c.Heads = 2
-	}
-	if c.Hidden == 0 {
-		c.Hidden = 64
-	}
-	return c
 }
 
 // QNetwork is the paper's policy network (Figure 7): the normalized state
@@ -50,9 +37,8 @@ type QNetwork struct {
 // NewQNetwork builds a Q-network with deterministic initialization from
 // rng.
 func NewQNetwork(cfg QConfig, rng *rand.Rand) *QNetwork {
-	cfg = cfg.withDefaults()
-	if cfg.Tokens <= 0 || cfg.Width <= 0 || cfg.Actions <= 0 {
-		panic("drl: QConfig missing Tokens/Width/Actions")
+	if cfg.Tokens <= 0 || cfg.Width <= 0 || cfg.Actions <= 0 || cfg.Dim <= 0 || cfg.Heads <= 0 || cfg.Hidden <= 0 {
+		panic(fmt.Sprintf("drl: QConfig fields must all be positive: %+v", cfg))
 	}
 	return &QNetwork{
 		cfg: cfg,

@@ -40,13 +40,13 @@ func cacheStream(q QConfig, n int, seed int64) []Transition {
 	return out
 }
 
-// drawn counts the non-terminal draws of the agent's latest minibatch
+// drawn counts the non-terminal draws of the learner's latest minibatch
 // and the distinct slots among them: the target forwards that minibatch
 // needs when no cache entry is current at its start.
-func drawn(a *Agent) (live, distinct int) {
+func drawn(l *Learner) (live, distinct int) {
 	seen := map[int]bool{}
-	for _, s := range a.slots {
-		if !a.replay.At(s).Done {
+	for _, s := range l.slots {
+		if !l.replay.At(s).Done {
 			live++
 			seen[s] = true
 		}
@@ -66,21 +66,21 @@ func sameParams(t *testing.T, what string, got, want []*nn.Param) {
 	}
 }
 
-// TestTargetCacheInvisible trains two identically seeded agents on one
-// transition stream, through replay overwrites, scheduled target syncs
-// and every other write to the target network (SyncTarget, Load,
-// CopyWeightsFrom). One agent's cache is emptied before every update,
-// so it runs the target forward of every distinct sampled slot; the
-// other serves what it can from the cache. Their weights must end bit
-// for bit equal, and the cached agent must have both served hits and
-// missed on every slot after each write to the target weights.
+// TestTargetCacheInvisible trains two identically seeded learners on
+// one transition stream, through replay overwrites, scheduled target
+// syncs, a Load of the online weights (which leaves the target, and so
+// the cache, current) and a Load followed by SyncTarget (which writes
+// the target as NewLearner does). One learner's cache is emptied before
+// every update, so it runs the target forward of every distinct sampled
+// slot; the other serves what it can from the cache. Their weights must
+// end bit for bit equal, and the cached learner must have both served
+// hits and missed on every slot after each write to the target weights.
 func TestTargetCacheInvisible(t *testing.T) {
 	q := QConfig{Tokens: 6, Width: tokenWidth, Actions: 5, Dim: 16, Heads: 2, Hidden: 32}
-	cfg := AgentConfig{Q: q, ReplayCapacity: 16, TargetSync: 3, BatchSize: 8}
-	cached, fresh := NewAgent(cfg, 7), NewAgent(cfg, 7)
-	donor := NewAgent(cfg, 99)
+	cfg := LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 8, ReplayCapacity: 16, TargetSync: 3}
+	cached, fresh := NewLearner(NewAgent(q, 7), cfg, 7), NewLearner(NewAgent(q, 7), cfg, 7)
 	var snapshot bytes.Buffer
-	if err := donor.Save(&snapshot); err != nil {
+	if err := NewAgent(q, 99).Save(&snapshot); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,27 +95,30 @@ func TestTargetCacheInvisible(t *testing.T) {
 		cached.Observe(tr)
 		fresh.Observe(tr)
 	}
-	hits, written := 0, true // NewAgent wrote the target weights
+	hits, written := 0, true // NewLearner wrote the target weights
+	load := func() {
+		for _, l := range []*Learner{cached, fresh} {
+			if err := l.agent.Load(bytes.NewReader(snapshot.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sync := func() {
+		cached.SyncTarget()
+		fresh.SyncTarget()
+		written = true
+	}
 	for u := 0; u < updates; u++ {
 		cached.Observe(stream[u+8])
 		fresh.Observe(stream[u+8])
 		switch u {
-		case 20:
-			cached.SyncTarget()
-			fresh.SyncTarget()
-			written = true
-		case 40:
-			if err := cached.Load(bytes.NewReader(snapshot.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Load(bytes.NewReader(snapshot.Bytes())); err != nil {
-				t.Fatal(err)
-			}
-			written = true
-		case 55:
-			cached.CopyWeightsFrom(donor)
-			fresh.CopyWeightsFrom(donor)
-			written = true
+		case 20: // a sync off the TargetSync schedule
+			sync()
+		case 40: // new online weights; the target, and its cache, stay current
+			load()
+		case 55: // online and target both take the snapshot
+			load()
+			sync()
 		}
 		clear(fresh.targetStamp)
 		tdCached, tdFresh := cached.TrainStep(), fresh.TrainStep()
@@ -124,7 +127,7 @@ func TestTargetCacheInvisible(t *testing.T) {
 		}
 		live, distinct := drawn(cached)
 		if freshLive, freshDistinct := drawn(fresh); freshLive-freshCached != freshDistinct {
-			t.Fatalf("update %d: uncached agent ran %d target forwards, want %d",
+			t.Fatalf("update %d: uncached learner ran %d target forwards, want %d",
 				u+1, freshLive-freshCached, freshDistinct)
 		}
 		misses := live - last.TargetsCached
@@ -141,42 +144,30 @@ func TestTargetCacheInvisible(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no target was served from an earlier update's cache entry; the test is vacuous")
 	}
-	sameParams(t, "online", cached.online.Params(), fresh.online.Params())
+	sameParams(t, "online", cached.agent.online.Params(), fresh.agent.online.Params())
 	sameParams(t, "target", cached.target.Params(), fresh.target.Params())
 }
 
 // TestTrainStepZeroAllocs checks that a warm TrainStep allocates
-// nothing (the target cache is sized once, at the first update) and
-// that an agent that never trains never allocates the cache.
+// nothing: the target cache is sized once, by NewLearner.
 func TestTrainStepZeroAllocs(t *testing.T) {
 	q := QConfig{Tokens: 6, Width: tokenWidth, Actions: 5, Dim: 16, Heads: 2, Hidden: 32}
-	cfg := AgentConfig{Q: q, ReplayCapacity: 32, TargetSync: 1000, BatchSize: 8}
-	a := NewAgent(cfg, 1)
+	l := NewLearner(NewAgent(q, 1), LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 8, ReplayCapacity: 32, TargetSync: 1000}, 1)
 	for _, tr := range cacheStream(q, 32, 2) {
-		a.Observe(tr)
+		l.Observe(tr)
 	}
-	a.TrainStep()
-	cache := &a.targetQ[0]
+	l.TrainStep()
+	cache := &l.targetQ[0]
 	if !raceEnabled {
-		if n := testing.AllocsPerRun(50, func() { a.TrainStep() }); n != 0 {
+		if n := testing.AllocsPerRun(50, func() { l.TrainStep() }); n != 0 {
 			t.Fatalf("steady-state TrainStep allocates %v per run, want 0", n)
 		}
 	}
-	a.SyncTarget()
-	a.Observe(cacheStream(q, 1, 4)[0])
-	a.TrainStep()
-	if &a.targetQ[0] != cache {
-		t.Fatal("target cache reallocated after its first update")
-	}
-
-	clone := NewAgent(cfg, 2)
-	clone.CopyWeightsFrom(a)
-	st := cacheStream(q, 1, 5)[0]
-	clone.SelectAction(State{X: st.State, Mask: st.NextMask}, 0)
-	clone.QValues(st.Next)
-	clone.Observe(st)
-	if clone.targetQ != nil || clone.targetStamp != nil {
-		t.Fatal("an agent that never trained allocated the target cache")
+	l.SyncTarget()
+	l.Observe(cacheStream(q, 1, 4)[0])
+	l.TrainStep()
+	if &l.targetQ[0] != cache {
+		t.Fatal("target cache reallocated after a target sync")
 	}
 }
 
@@ -189,18 +180,18 @@ func TestTrainStepZeroAllocs(t *testing.T) {
 func BenchmarkTrainStep(b *testing.B) {
 	f := &Featurizer{Slots: 4}
 	q := QConfig{Tokens: f.Tokens(), Width: f.Width(), Actions: f.Actions(), Dim: 24, Heads: 2, Hidden: 48}
-	cfg := AgentConfig{Q: q, BatchSize: 32, ReplayCapacity: 1600, TargetSync: 200}
-	a := NewAgent(cfg, 1)
+	cfg := LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 32, ReplayCapacity: 1600, TargetSync: 200}
+	l := NewLearner(NewAgent(q, 1), cfg, 1)
 	for _, tr := range cacheStream(q, cfg.ReplayCapacity, 1) {
 		tr.Done = false
-		a.Observe(tr)
+		l.Observe(tr)
 	}
 	cached := 0
-	a.OnTrainStep = func(st TrainStepStats) { cached += st.TargetsCached }
+	l.OnTrainStep = func(st TrainStepStats) { cached += st.TargetsCached }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.TrainStep()
+		l.TrainStep()
 	}
 	b.ReportMetric(float64(b.N*cfg.BatchSize-cached)/float64(b.N), "target-fwd/update")
 }

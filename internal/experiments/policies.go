@@ -169,8 +169,8 @@ func RunAll(setups []Setup, w workload.Workload, poolMB float64, opts Options) [
 // TrainMLCR trains one MLCR scheduler on the given workload with a
 // pool-size curriculum (Algorithm 1, offline): training episodes cycle
 // through looseMB×fracs so a single model is robust across the pool
-// settings it will be evaluated on. It returns the scheduler in
-// inference mode.
+// settings it will be evaluated on. It returns the trained scheduler,
+// which holds no training state.
 func TrainMLCR(w workload.Workload, looseMB float64, fracs []float64, opts Options) *mlcr.Scheduler {
 	opts = opts.WithDefaults()
 	if len(fracs) == 0 {
@@ -255,9 +255,9 @@ func fracsOf(pools []PoolSize) []float64 {
 }
 
 // MLCRSetup wraps a trained scheduler as a Setup. Each New call returns
-// a weight-copied clone, never s itself: inference mutates scheduler
-// state (forward-pass activation caches, the pending transition), so
-// concurrent runs must not share one instance. A clone makes exactly
+// a weight-copied clone, never s itself: inference reuses the
+// scheduler's featurizer and forward-pass workspaces, so concurrent runs
+// must not share one instance. A clone makes exactly
 // the decisions the original would, including its deviation margin at
 // clone time.
 func MLCRSetup(s *mlcr.Scheduler) Setup {

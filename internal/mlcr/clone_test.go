@@ -1,10 +1,12 @@
 package mlcr
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"mlcr/internal/evict"
+	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
 	"mlcr/internal/workload"
@@ -64,20 +66,16 @@ func TestCloneCarriesDeviationMargin(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependentState: running the clone must not disturb the
-// original's pending-transition state (each has its own).
+// TestCloneIsIndependentState: a clone holds weight copies, not
+// aliases, so training the clone must not move the original's Q-values
+// (probed on a fixed state).
 func TestCloneIsIndependentState(t *testing.T) {
 	w := cloneWorkload()
 	s := New(smallCfg(13))
 	s.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 512, Workload: func(int) workload.Workload { return w }})
 	c := s.Clone()
 	runInference(c, w)
-	if s.pend.have {
-		t.Fatal("running the clone left pending state on the original")
-	}
 
-	// Weight copies, not aliases: training the clone must not move the
-	// original's Q-values (probed on a fixed state).
 	inv := &w.Invocations[0]
 	env := platform.Env{Pool: pool.New(0, evict.NewLRU())}
 	state := s.feat.Build(env, inv)
@@ -89,4 +87,44 @@ func TestCloneIsIndependentState(t *testing.T) {
 			t.Fatalf("training the clone changed the original's weights: Q[%d] %v -> %v", i, before[i], after[i])
 		}
 	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestServingSchedulerHeap: a served scheduler is a featurizer and one
+// Q-network (weights and gradient buffers, ≈221 KB at the default
+// Config). Neither a clone of a default model nor the scheduler Train
+// leaves may hold a target network, Adam moments, a replay pool or the
+// backward passes' workspaces.
+func TestServingSchedulerHeap(t *testing.T) {
+	const bound = 250 << 10
+	master := New(Config{Seed: 1})
+	before := liveHeap()
+	c := master.Clone()
+	if n := liveHeap() - before; n > bound {
+		t.Errorf("one clone of a default model holds %d KB live, want <= %d KB", n>>10, bound>>10)
+	}
+	runtime.KeepAlive(master)
+	runtime.KeepAlive(c)
+
+	w := fstartbench.BuildOverall(5, fstartbench.OverallOptions{Count: 200})
+	before = liveHeap()
+	s := New(Config{Seed: 1})
+	s.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 1024,
+		Workload: func(int) workload.Workload { return w }})
+	n := liveHeap() - before
+	if s.Agent().Updates() == 0 {
+		t.Fatal("training applied no updates; the bound would not see backward workspaces")
+	}
+	if n > bound {
+		t.Errorf("a trained default model holds %d KB live, want <= %d KB", n>>10, bound>>10)
+	}
+	runtime.KeepAlive(s)
 }

@@ -39,9 +39,6 @@ func TestForcedColdSkipsForward(t *testing.T) {
 	if n := b.Requests(); n != 0 {
 		t.Fatalf("forced cold start made %d batcher requests, want 0", n)
 	}
-	if !s.pend.have || s.pend.action != s.cfg.Slots {
-		t.Fatalf("forced cold start left pend = %+v, want action %d recorded", s.pend, s.cfg.Slots)
-	}
 
 	c, startup := container.NewCold(7, inv, time.Second)
 	c.Complete(2 * time.Second)

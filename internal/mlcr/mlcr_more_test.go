@@ -46,26 +46,24 @@ func TestMarginGateDegradesToCostGreedy(t *testing.T) {
 func TestShapedRewardMath(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.RewardScale = 2
-	s := New(cfg)
-	s.pend = pending{
+	tr := &trainer{s: New(cfg), pend: pending{
 		greedyEst: 3 * time.Second,
 		startup:   4 * time.Second,
-		have:      true,
-	}
+	}}
 	// Default: raw reward -startup/scale.
-	if got, want := s.shapedReward(5*time.Second), -4.0/2; math.Abs(got-want) > 1e-12 {
+	if got, want := tr.shapedReward(5*time.Second), -4.0/2; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("raw reward = %v, want %v", got, want)
 	}
 	// Full shaping: r + γΦ(s') − Φ(s), Φ = −greedyEst.
-	s.cfg.ShapingWeight = 1
-	gamma := s.cfg.Gamma
+	tr.s.cfg.ShapingWeight = 1
+	gamma := tr.s.cfg.Gamma
 	want := (-4.0 + gamma*(-5.0) - (-3.0)) / 2
-	if got := s.shapedReward(5 * time.Second); math.Abs(got-want) > 1e-12 {
+	if got := tr.shapedReward(5 * time.Second); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("shaped reward = %v, want %v", got, want)
 	}
 	// Terminal: Φ(s') = 0.
 	want = (-4.0 - (-3.0)) / 2
-	if got := s.shapedReward(0); math.Abs(got-want) > 1e-12 {
+	if got := tr.shapedReward(0); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("terminal shaped reward = %v, want %v", got, want)
 	}
 }
@@ -90,8 +88,9 @@ func TestPoolCurriculum(t *testing.T) {
 	}
 }
 
-// TestOnlineFineTuning: a scheduler can keep learning while serving
-// (training mode on a live stream), as Section VI-C describes.
+// TestOnlineFineTuning: a trained scheduler can be fine-tuned on a new
+// stream, as Section VI-C describes: a second Train starts a fresh
+// learner over the trained weights and applies further updates.
 func TestOnlineFineTuning(t *testing.T) {
 	f1 := fn(1, "debian", "python", "flask", 300*time.Millisecond)
 	f2 := fn(2, "debian", "python", "numpy", time.Second)
@@ -106,13 +105,9 @@ func TestOnlineFineTuning(t *testing.T) {
 		Workload: func(int) workload.Workload { return w }})
 	before := s.Agent().Updates()
 
-	// Online fine-tune: re-enable training with small epsilon.
-	s.SetTraining(true)
-	s.BeginEpisode()
-	platform.New(platform.Config{PoolCapacityMB: 400, Evictor: s.Evictor()}, s).Run(w)
-	s.EndEpisode()
-	s.SetTraining(false)
-
+	// Two episodes: the fresh replay must refill past WarmupObservations.
+	s.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 400,
+		Workload: func(int) workload.Workload { return w }})
 	if s.Agent().Updates() <= before {
 		t.Fatal("online fine-tuning applied no updates")
 	}

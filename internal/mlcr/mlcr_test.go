@@ -65,8 +65,8 @@ func TestSchedulerInterfaceBasics(t *testing.T) {
 	if s.Evictor().Name() != "lru" {
 		t.Fatalf("Evictor = %q, want lru", s.Evictor().Name())
 	}
-	if s.Epsilon() != 1 {
-		t.Fatalf("initial epsilon = %v, want 1", s.Epsilon())
+	if eps := newTrainer(s).epsilon; eps != 1 {
+		t.Fatalf("initial training epsilon = %v, want 1", eps)
 	}
 }
 
@@ -84,12 +84,11 @@ func TestUntrainedSchedulerRunsLegally(t *testing.T) {
 }
 
 func TestEpsilonDecay(t *testing.T) {
-	s := New(smallCfg(3))
+	tr := newTrainer(New(smallCfg(3)))
 	for i := 0; i < 20; i++ {
-		s.BeginEpisode()
-		s.EndEpisode()
+		tr.endEpisode()
 	}
-	if got := s.Epsilon(); got < epsilonEnd-1e-9 || got > epsilonEnd+1e-9 {
+	if got := tr.epsilon; got < epsilonEnd-1e-9 || got > epsilonEnd+1e-9 {
 		t.Fatalf("epsilon after full decay = %v, want %v", got, epsilonEnd)
 	}
 }
@@ -117,11 +116,11 @@ func TestTrainImprovesOverRandomPolicy(t *testing.T) {
 	// Evaluate greedily after training.
 	res := platform.New(platform.Config{PoolCapacityMB: 256, Evictor: s.Evictor()}, s).Run(w)
 
-	// A random-but-legal policy baseline: epsilon forced to 1.
-	r := New(smallCfg(5))
-	r.SetTraining(true)
+	// A random-but-legal policy baseline: a trainer whose epsilon is
+	// held at 1 explores on every decision.
+	r := newTrainer(New(smallCfg(5)))
 	r.epsilon = 1
-	rRes := platform.New(platform.Config{PoolCapacityMB: 256, Evictor: r.Evictor()}, r).Run(w)
+	rRes := platform.New(platform.Config{PoolCapacityMB: 256, Evictor: r.s.Evictor()}, r).Run(w)
 
 	if res.Metrics.TotalStartup() >= rRes.Metrics.TotalStartup() {
 		t.Fatalf("trained MLCR (%v) not better than random policy (%v)",

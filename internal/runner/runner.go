@@ -25,9 +25,9 @@
 //
 // Anything violating the first rule (a trained *mlcr.Scheduler used by
 // two runs, a shared *obs.Observer) breaks both determinism and memory
-// safety: schedulers carry per-run mutable state (pending transitions,
-// forward-pass activation caches), so they must be fresh — or cloned
-// via mlcr's Scheduler.Clone — per run.
+// safety: schedulers carry per-run mutable state (featurizer and
+// forward-pass workspaces, policy tables), so they must be fresh — or
+// cloned via mlcr's Scheduler.Clone — per run.
 package runner
 
 import (

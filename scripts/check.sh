@@ -75,18 +75,18 @@ trap 'rm -f "$tmp" "$model"' EXIT
 go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out "$model" > /dev/null
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy MLCR -model "$model" > /dev/null
 
-echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure and -workers 0 exit 2) =="
+echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure, -workers 0 and mlcr-train -episodes 0 exit 2) =="
 # Built, not run through go run, which reports every failure as exit 1.
 bench_bin=$(mktemp -d)
 trap 'rm -f "$tmp" "$model"; rm -rf "$bench_bin"' EXIT
-go build -o "$bench_bin/mlcr-bench" ./cmd/mlcr-bench
+go build -o "$bench_bin/" ./cmd/mlcr-bench ./cmd/mlcr-train
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
 "$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
-for args in "-fig no-such-figure" "-fig cluster -workers 0"; do
+for cmd in "mlcr-bench -fig no-such-figure" "mlcr-bench -fig cluster -workers 0" "mlcr-train -episodes 0"; do
     status=0
-    "$bench_bin/mlcr-bench" $args > /dev/null 2>&1 || status=$?
+    "$bench_bin/"$cmd > /dev/null 2>&1 || status=$?
     if [ "$status" -ne 2 ]; then
-        echo "mlcr-bench $args: exit status $status, want 2" >&2
+        echo "$cmd: exit status $status, want 2" >&2
         exit 1
     fi
 done

@@ -6,8 +6,8 @@
 # median ns/op of each benchmark at each shift. The shift comes from a
 # `go build -overlay` padding file in internal/nn: N empty //go:noinline
 # functions called from an init, which sort before every other nn file;
-# the script reads the actual shift of (*Agent).TrainStep off `go tool
-# nm` and keeps the first N that lands on each shift mod 128. The root
+# the script reads the actual shift of (*Learner).TrainStep off `go
+# tool nm` and keeps the first N that lands on each shift mod 128. The root
 # binary is built through the same overlay; its fwd_shift column is the
 # shift of (*QNetwork).Forward read the same way.
 #
@@ -21,7 +21,11 @@ set -eu
 here=$(cd "$(dirname "$0")/.." && pwd)
 tree=$(cd "${1:-$here}" && pwd)
 runs=7
-train_sym='mlcr/internal/drl.(*Agent).TrainStep'
+# The DQN update is a method of drl.Learner; trees older than the
+# learner (a parent of an A/B, say) have it on drl.Agent.
+train_sym='mlcr/internal/drl.(*Learner).TrainStep'
+grep -q 'func (l \*Learner) TrainStep' "$tree/internal/drl/dqn.go" ||
+    train_sym='mlcr/internal/drl.(*Agent).TrainStep'
 fwd_sym='mlcr/internal/drl.(*QNetwork).Forward'
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
