@@ -44,8 +44,9 @@ type TrainStepStats struct {
 }
 
 // Agent is a served DQN policy: the online Q-network, its inference
-// scratch and the number of updates that trained it. Training state
-// lives in a Learner, which exists only while one trains the agent.
+// scratch and the number of updates that trained it. An agent never
+// writes its weights, so clones share them: training state lives in a
+// Learner, which trains a copy of the weights that only it holds.
 type Agent struct {
 	online  *QNetwork
 	qvals   *nn.Tensor // QValues destination, reused across decisions
@@ -58,9 +59,20 @@ func NewAgent(q QConfig, seed int64) *Agent {
 	return &Agent{online: NewQNetwork(q, rand.New(rand.NewSource(seed)))}
 }
 
+// LoadAgent builds an agent of shape q from weights written by Save, as
+// nn.Load checks them: no other agent holds them.
+func LoadAgent(q QConfig, r io.Reader) (*Agent, error) {
+	a := NewAgent(q, 0) // weights overwritten below
+	if err := nn.Load(r, a.online.Params()); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // Online exposes the online Q-network — the weights a QBatcher shares
-// across concurrent inference clients. Mutating it while serving is the
-// caller's race to avoid.
+// across concurrent inference clients. They are frozen while served:
+// nothing outside a Learner writes them, and a Learner writes only its
+// own copy.
 func (a *Agent) Online() *QNetwork { return a.online }
 
 // Updates returns the number of gradient updates applied.
@@ -74,26 +86,23 @@ func (a *Agent) QValues(state *nn.Tensor) *nn.Tensor {
 	return a.qvals
 }
 
-// Clone returns an agent with a copy of the online parameters and the
-// update count. The copy has fresh workspaces: no forward or backward
-// scratch of a is carried over.
+// Clone returns an agent over the same online parameters, not a copy,
+// with the update count and fresh workspaces: no forward or backward
+// scratch of a is carried over. A clone and a may run on different
+// goroutines.
 func (a *Agent) Clone() *Agent {
-	c := NewAgent(a.online.Config(), 0) // weights overwritten below
-	nn.CopyParams(c.online.Params(), a.online.Params())
-	c.updates = a.updates
-	return c
+	online := &QNetwork{cfg: a.online.cfg, net: a.online.net.Share()}
+	return &Agent{online: online, updates: a.updates}
 }
 
 // Save writes the online network weights.
 func (a *Agent) Save(w io.Writer) error { return nn.Save(w, a.online.Params()) }
 
-// Load restores the online network weights.
-func (a *Agent) Load(r io.Reader) error { return nn.Load(r, a.online.Params()) }
-
-// Learner trains an Agent's online network in place: a periodically
-// synced target network, Adam, an experience-replay pool and the TD(0)
-// update of Algorithm 1. Build one per training run and drop it after;
-// the agent keeps the trained weights and the update count.
+// Learner trains its own copy of an Agent's online network: a
+// periodically synced target network, Adam, an experience-replay pool
+// and the TD(0) update of Algorithm 1. Build one per training run; its
+// Agent keeps the trained weights and the update count after the
+// learner is dropped.
 type Learner struct {
 	cfg    LearnerConfig
 	agent  *Agent
@@ -123,22 +132,25 @@ type Learner struct {
 	OnTrainStep func(TrainStepStats)
 }
 
-// NewLearner starts training a with target = online and an empty
-// replay. Its random stream is the one NewAgent(…, seed) started: it
-// redraws the online initialization, then initializes the target
-// network, so replay sampling and Explore continue the stream of an
-// agent built from the same seed.
+// NewLearner starts training a copy of a's weights and update count,
+// with target = online and an empty replay; a itself is never written,
+// so its clones keep serving what they served. Its random stream is the
+// one NewAgent(…, seed) started: the copy is built on the online
+// initialization's draws, then the target network initializes, so
+// replay sampling and Explore continue the stream of an agent built
+// from the same seed.
 func NewLearner(a *Agent, cfg LearnerConfig, seed int64) *Learner {
 	q := a.online.Config()
 	rng := rand.New(rand.NewSource(seed))
-	NewQNetwork(q, rng) // the online network's initialization draws
+	own := &Agent{online: NewQNetwork(q, rng), updates: a.updates}
+	nn.CopyParams(own.online.Params(), a.online.Params())
 	target := NewQNetwork(q, rng)
 	nn.CopyParams(target.Params(), a.online.Params())
-	opt := nn.NewAdam(a.online.Params(), cfg.LR)
+	opt := nn.NewAdam(own.online.Params(), cfg.LR)
 	opt.ClipNorm = clipNorm
 	return &Learner{
 		cfg:          cfg,
-		agent:        a,
+		agent:        own,
 		target:       target,
 		opt:          opt,
 		replay:       NewReplay(cfg.ReplayCapacity),
@@ -148,6 +160,9 @@ func NewLearner(a *Agent, cfg LearnerConfig, seed int64) *Learner {
 		targetParams: target.Params(),
 	}
 }
+
+// Agent returns the agent being trained: the learner's own copy.
+func (l *Learner) Agent() *Agent { return l.agent }
 
 // ReplayLen returns the number of stored transitions.
 func (l *Learner) ReplayLen() int { return l.replay.Len() }
@@ -185,7 +200,10 @@ func (l *Learner) Observe(t Transition) {
 //	L   = Σ_i (Q(s_i, a_i) - y_i)² / batch
 //
 // It returns the mean absolute TD error, or 0 when the replay pool is
-// still empty.
+// still empty. A next state with one valid action (a forced cold start)
+// needs no online forward pass to select it, and runs none: its target
+// is the target network's value of that action, so an online Q-vector
+// that would be NaN there no longer panics in MaskedArgmax.
 func (l *Learner) TrainStep() float64 {
 	if l.replay.Len() == 0 {
 		return 0
@@ -205,9 +223,12 @@ func (l *Learner) TrainStep() float64 {
 		if !tr.Done {
 			// Double DQN: the online network selects the next action,
 			// the target network evaluates it — reducing the max-
-			// operator's overestimation bias.
-			oq := online.Forward(tr.Next)
-			next, _ := MaskedArgmax(oq, tr.NextMask)
+			// operator's overestimation bias. The argmax over a
+			// one-action mask is that action, forward pass or not.
+			next, forced := onlyAction(tr.NextMask)
+			if !forced {
+				next, _ = MaskedArgmax(online.Forward(tr.Next), tr.NextMask)
+			}
 			nq, hit := l.targetQValues(slot, tr.Next, version)
 			if hit {
 				cached++
@@ -299,6 +320,21 @@ func (l *Learner) ensureGrad(cols int) *nn.Tensor {
 		l.grad = nn.NewTensor(1, cols)
 	}
 	return l.grad
+}
+
+// onlyAction returns the valid action of a mask with exactly one, and
+// false for any other mask.
+func onlyAction(mask []bool) (int, bool) {
+	only := -1
+	for i, ok := range mask {
+		if ok {
+			if only >= 0 {
+				return 0, false
+			}
+			only = i
+		}
+	}
+	return only, only >= 0
 }
 
 func abs(x float64) float64 {

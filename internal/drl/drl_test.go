@@ -269,14 +269,14 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 		tokens  = slots + 2
 		actions = slots + 1
 	)
-	agent := NewAgent(QConfig{Tokens: tokens, Width: tokenWidth, Actions: actions, Dim: 16, Heads: 2, Hidden: 32}, 7)
-	l := NewLearner(agent, LearnerConfig{
+	l := NewLearner(NewAgent(QConfig{Tokens: tokens, Width: tokenWidth, Actions: actions, Dim: 16, Heads: 2, Hidden: 32}, 7), LearnerConfig{
 		Gamma:          0, // bandit: no bootstrapping
 		LR:             3e-3,
 		BatchSize:      16,
 		ReplayCapacity: 10000,
 		TargetSync:     50,
 	}, 7)
+	agent := l.Agent()
 	rng := rand.New(rand.NewSource(8))
 
 	mkState := func(correct int) State {
@@ -342,8 +342,7 @@ func TestAgentBootstrapsFutureReward(t *testing.T) {
 	// best value is +1 under the target net; TrainStep must propagate
 	// the discounted value. We verify mechanically: after many updates
 	// on a fixed transition, Q(s0, a0) approaches gamma * maxQ(s1).
-	agent := NewAgent(QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16}, 3)
-	l := NewLearner(agent, LearnerConfig{
+	l := NewLearner(NewAgent(QConfig{Tokens: 3, Width: tokenWidth, Actions: 2, Dim: 8, Heads: 2, Hidden: 16}, 3), LearnerConfig{
 		Gamma:          0.9,
 		LR:             5e-3,
 		BatchSize:      8,
@@ -363,7 +362,7 @@ func TestAgentBootstrapsFutureReward(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		l.TrainStep()
 	}
-	q0 := agent.QValues(s0).Data[0]
+	q0 := l.Agent().QValues(s0).Data[0]
 	if q0 < 0.5 || q0 > 1.2 {
 		t.Fatalf("Q(s0,a0) = %v, want ≈ 0.9 (bootstrapped)", q0)
 	}
@@ -376,8 +375,8 @@ func TestAgentSaveLoad(t *testing.T) {
 	if err := a.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := NewAgent(q, 99) // different init
-	if err := b.Load(&buf); err != nil {
+	b, err := LoadAgent(q, &buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	x := nn.NewTensor(4, tokenWidth).Randn(rand.New(rand.NewSource(5)), 1)
@@ -386,5 +385,46 @@ func TestAgentSaveLoad(t *testing.T) {
 		if qa.Data[i] != qb.Data[i] {
 			t.Fatal("loaded agent diverges")
 		}
+	}
+}
+
+// TestLearnerTrainsItsOwnCopy: a clone reads its agent's parameters
+// themselves, and a learner trains a copy, so neither the agent it
+// started from nor that agent's clones see an update.
+func TestLearnerTrainsItsOwnCopy(t *testing.T) {
+	q := QConfig{Tokens: 6, Width: tokenWidth, Actions: 5, Dim: 16, Heads: 2, Hidden: 32}
+	a := NewAgent(q, 4)
+	c := a.Clone()
+	for i, p := range a.online.Params() {
+		if c.online.Params()[i] != p {
+			t.Fatalf("clone param %d is a copy, want the agent's own", i)
+		}
+	}
+	var before [][]float64
+	for _, p := range a.online.Params() {
+		before = append(before, p.Weights())
+	}
+	l := NewLearner(a, LearnerConfig{Gamma: 0.95, LR: 1e-2, BatchSize: 8, ReplayCapacity: 32, TargetSync: 3}, 4)
+	for _, tr := range cacheStream(q, 32, 1) {
+		l.Observe(tr)
+	}
+	for i := 0; i < 10; i++ {
+		l.TrainStep()
+	}
+	if a.Updates() != 0 || l.Agent().Updates() != 10 {
+		t.Fatalf("updates: agent %d, learner's %d; want 0 and 10", a.Updates(), l.Agent().Updates())
+	}
+	moved := false
+	for i, p := range a.online.Params() {
+		trained := l.Agent().online.Params()[i].Weights()
+		for j, v := range p.Weights() {
+			if v != before[i][j] {
+				t.Fatalf("training wrote the agent's %s[%d]", p.Name, j)
+			}
+			moved = moved || trained[j] != v
+		}
+	}
+	if !moved {
+		t.Fatal("the learner's copy did not move; the test is vacuous")
 	}
 }

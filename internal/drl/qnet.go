@@ -31,7 +31,7 @@ type QConfig struct {
 // Q-value per action. Action masking is applied outside the network.
 type QNetwork struct {
 	cfg QConfig
-	net *nn.Sequential
+	net nn.Layer
 }
 
 // NewQNetwork builds a Q-network with deterministic initialization from

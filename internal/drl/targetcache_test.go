@@ -98,7 +98,7 @@ func TestTargetCacheInvisible(t *testing.T) {
 	hits, written := 0, true // NewLearner wrote the target weights
 	load := func() {
 		for _, l := range []*Learner{cached, fresh} {
-			if err := l.agent.Load(bytes.NewReader(snapshot.Bytes())); err != nil {
+			if err := nn.Load(bytes.NewReader(snapshot.Bytes()), l.agent.online.Params()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,4 +194,73 @@ func BenchmarkTrainStep(b *testing.B) {
 		l.TrainStep()
 	}
 	b.ReportMetric(float64(b.N*cfg.BatchSize-cached)/float64(b.N), "target-fwd/update")
+}
+
+// trainStepForwardingEveryNext is TrainStep as it was before a forced
+// next state skipped its online forward: pass 1 runs the online network
+// on every non-terminal Next and takes the masked argmax.
+func trainStepForwardingEveryNext(l *Learner) {
+	online := l.agent.online
+	l.slots = l.replay.SampleSlots(l.slots, l.cfg.BatchSize, l.rng)
+	targets := l.ensureTargets(len(l.slots))
+	version := l.targetVersion()
+	for i, slot := range l.slots {
+		tr := l.replay.At(slot)
+		targets[i] = tr.Reward
+		if !tr.Done {
+			next, _ := MaskedArgmax(online.Forward(tr.Next), tr.NextMask)
+			nq, _ := l.targetQValues(slot, tr.Next, version)
+			targets[i] += l.cfg.Gamma * nq[next]
+		}
+	}
+	for i, slot := range l.slots {
+		tr := l.replay.At(slot)
+		q := online.Forward(tr.State)
+		grad := l.ensureGrad(q.Cols)
+		grad.Data[tr.Action] = 2 * (q.Data[tr.Action] - targets[i]) / float64(len(l.slots))
+		online.Backward(grad)
+		grad.Data[tr.Action] = 0
+	}
+	l.opt.Step()
+	l.agent.updates++
+	if l.agent.updates%l.cfg.TargetSync == 0 {
+		l.SyncTarget()
+	}
+}
+
+// TestForcedNextSkipsOnlineForward: over a replay where 40% of next
+// states can only cold-start, 50 updates that select a forced next
+// action without an online forward end with the weights, bit for bit,
+// of 50 updates that run it.
+func TestForcedNextSkipsOnlineForward(t *testing.T) {
+	q := QConfig{Tokens: 6, Width: tokenWidth, Actions: 5, Dim: 16, Heads: 2, Hidden: 32}
+	cfg := LearnerConfig{Gamma: 0.95, LR: 1e-3, BatchSize: 8, ReplayCapacity: 32, TargetSync: 7}
+	cut, full := NewLearner(NewAgent(q, 5), cfg, 5), NewLearner(NewAgent(q, 5), cfg, 5)
+	const updates = 50
+	stream := cacheStream(q, updates+32, 6)
+	forced := 0
+	for i := range stream {
+		if i%5 < 2 {
+			stream[i].NextMask = make([]bool, q.Actions)
+			stream[i].NextMask[q.Actions-1] = true
+		}
+		if _, ok := onlyAction(stream[i].NextMask); ok && !stream[i].Done {
+			forced++
+		}
+	}
+	if share := float64(forced) / float64(len(stream)); share < 0.3 {
+		t.Fatalf("%.0f%% of the stream's next states are forced, want >= 30%%", 100*share)
+	}
+	for _, tr := range stream[:32] {
+		cut.Observe(tr)
+		full.Observe(tr)
+	}
+	for u := 0; u < updates; u++ {
+		cut.Observe(stream[32+u])
+		full.Observe(stream[32+u])
+		cut.TrainStep()
+		trainStepForwardingEveryNext(full)
+	}
+	sameParams(t, "online", cut.agent.online.Params(), full.agent.online.Params())
+	sameParams(t, "target", cut.target.Params(), full.target.Params())
 }

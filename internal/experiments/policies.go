@@ -217,9 +217,10 @@ var MarginCandidates = []float64{0.05, 0.1, 0.2, 0.5, math.Inf(1)}
 // gate is chosen in-sample, not validated on held-out data (ROADMAP item
 // 21). It leaves the scheduler configured with the winning margin and
 // returns it.
-// Candidates are evaluated concurrently on weight-copied clones (the
-// margin travels with each clone), and ties break toward the earlier
-// candidate — the same selection the sequential loop made.
+// Candidates are evaluated concurrently on clones that share the
+// trained weights (the margin travels with each clone), and ties break
+// toward the earlier candidate — the same selection the sequential loop
+// made. The +Inf candidate runs no forward pass at all.
 func TuneMargin(s *mlcr.Scheduler, w workload.Workload, poolMB float64, parallelism int) float64 {
 	specs := make([]runner.Spec, len(MarginCandidates))
 	for i, m := range MarginCandidates {
@@ -255,11 +256,11 @@ func fracsOf(pools []PoolSize) []float64 {
 }
 
 // MLCRSetup wraps a trained scheduler as a Setup. Each New call returns
-// a weight-copied clone, never s itself: inference reuses the
-// scheduler's featurizer and forward-pass workspaces, so concurrent runs
-// must not share one instance. A clone makes exactly
-// the decisions the original would, including its deviation margin at
-// clone time.
+// a clone, never s itself: inference reuses the scheduler's featurizer
+// and forward-pass workspaces, so concurrent runs must not share one
+// instance, while the frozen weights they read are shared. A clone makes
+// exactly the decisions the original would, including its deviation
+// margin at clone time.
 func MLCRSetup(s *mlcr.Scheduler) Setup {
 	return Setup{Name: "MLCR", New: func() (platform.Scheduler, pool.Evictor) {
 		c := s.Clone()

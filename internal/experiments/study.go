@@ -60,8 +60,9 @@ func NewStudy(opts Options) *Study {
 
 // model returns family's workload at wSeed, its Loose size and a clone
 // of the model trained on it with curriculum fracs under o (o.Seed is
-// the training seed). The caller owns the clone: TuneMargin and
-// Overhead change the model they are given.
+// the training seed). The caller owns the clone's margin and workspaces,
+// which TuneMargin and Overhead change; the memo's weights, which every
+// clone reads, change for nobody.
 func (s *Study) model(family string, wSeed int64, fracs []float64, o Options) (workload.Workload, float64, *mlcr.Scheduler) {
 	k := modelKey{family, wSeed, fmt.Sprint(fracs), o.Episodes, TrainConfig(0, o)}
 	s.mu.Lock()

@@ -2,13 +2,16 @@ package mlcr
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"mlcr/internal/drl"
 	"mlcr/internal/evict"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
+	"mlcr/internal/runner"
 	"mlcr/internal/workload"
 )
 
@@ -66,55 +69,128 @@ func TestCloneCarriesDeviationMargin(t *testing.T) {
 	}
 }
 
-// TestCloneIsIndependentState: a clone holds weight copies, not
-// aliases, so training the clone must not move the original's Q-values
-// (probed on a fixed state).
+// TestCloneIsIndependentState: a clone reads the weights it was taken
+// over, and Train writes only a copy of its own, so training the clone
+// must not move the original's Q-values, nor training the original
+// move a clone's (probed on a fixed state).
 func TestCloneIsIndependentState(t *testing.T) {
 	w := cloneWorkload()
+	train := func(s *Scheduler) {
+		s.Train(TrainOptions{Episodes: 4, PoolCapacityMB: 512, Workload: func(int) workload.Workload { return w }})
+	}
 	s := New(smallCfg(13))
-	s.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 512, Workload: func(int) workload.Workload { return w }})
-	c := s.Clone()
-	runInference(c, w)
-
+	train(s)
 	inv := &w.Invocations[0]
 	env := platform.Env{Pool: pool.New(0, evict.NewLRU())}
 	state := s.feat.Build(env, inv)
-	before := append([]float64(nil), s.agent.QValues(state.X).Data...)
-	c.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 512, Workload: func(int) workload.Workload { return w }})
-	after := s.agent.QValues(state.X).Data
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("training the clone changed the original's weights: Q[%d] %v -> %v", i, before[i], after[i])
+	qvalues := func(s *Scheduler) []float64 { return append([]float64(nil), s.agent.QValues(state.X).Data...) }
+	unmoved := func(what string, before, after []float64) {
+		t.Helper()
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%s: Q[%d] %v -> %v", what, i, before[i], after[i])
+			}
+		}
+	}
+
+	c := s.Clone()
+	runInference(c, w)
+	before := qvalues(s)
+	train(c)
+	unmoved("training the clone moved the original", before, qvalues(s))
+
+	c = s.Clone()
+	before = qvalues(c)
+	train(s)
+	if after := qvalues(s); after[0] == before[0] {
+		t.Fatal("training the original did not move its Q-values; the test is vacuous")
+	}
+	unmoved("training the original moved its clone", before, qvalues(c))
+}
+
+// TestSharedClonesReplayConcurrently owns the contract that served
+// weights are read-only: four clones of one trained master read the
+// master's weights while each replays the trace on its own goroutine,
+// and each run's fingerprint must equal the master's sequential replay.
+// A serving path that wrote the shared parameters would show as a data
+// race under scripts/check.sh's -race -short step, so the test runs
+// under -short.
+func TestSharedClonesReplayConcurrently(t *testing.T) {
+	train := cloneWorkload()
+	master := New(smallCfg(14))
+	master.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 512, Workload: func(int) workload.Workload { return train }})
+	w := fstartbench.BuildOverall(6, fstartbench.OverallOptions{Count: 200})
+	res := runInference(master, w)
+	if res.Metrics.WarmStarts() == 0 {
+		t.Fatal("the replay reused no container, so no decision ran the network; the test is vacuous")
+	}
+	want := runner.Fingerprint(res)
+
+	clones := make([]*Scheduler, 4)
+	got := make([]string, len(clones))
+	var wg sync.WaitGroup
+	for i := range clones {
+		clones[i] = master.Clone()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = runner.Fingerprint(runInference(clones[i], w))
+		}(i)
+	}
+	wg.Wait()
+	for i := range clones {
+		if got[i] != want {
+			t.Fatalf("clone %d's concurrent replay differs from the master's sequential one", i)
 		}
 	}
 }
 
-// liveHeap returns the bytes of live heap objects after a full
-// collection.
+// liveHeap returns the bytes of live heap objects after two full
+// collections: after New, one collection reads ≈38 KB more than a
+// second, twice a batched clone's bound.
 func liveHeap() int64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
 }
 
-// TestServingSchedulerHeap: a served scheduler is a featurizer and one
+// TestServingSchedulerHeap: a served scheduler is a featurizer and the
+// workspaces of one forward pass over weights it shares. A clone with a
+// batcher attached that never runs holds next to nothing, an unbatched
+// clone after a replay holds its workspaces and no weights, and the
+// scheduler Train leaves holds one
 // Q-network (weights and gradient buffers, ≈221 KB at the default
-// Config). Neither a clone of a default model nor the scheduler Train
-// leaves may hold a target network, Adam moments, a replay pool or the
-// backward passes' workspaces.
+// Config) but no target network, Adam moments, replay pool or backward
+// workspaces.
 func TestServingSchedulerHeap(t *testing.T) {
-	const bound = 250 << 10
+	const batchedBound, replayedBound, trainedBound = 16 << 10, 48 << 10, 250 << 10
 	master := New(Config{Seed: 1})
+	qb := drl.NewQBatcher(master.Agent().Online(), 0)
 	before := liveHeap()
 	c := master.Clone()
-	if n := liveHeap() - before; n > bound {
-		t.Errorf("one clone of a default model holds %d KB live, want <= %d KB", n>>10, bound>>10)
+	c.SetBatcher(qb)
+	batched := liveHeap() - before
+	if batched > batchedBound {
+		t.Errorf("a batched clone of a default model holds %d KB live, want <= %d KB", batched>>10, batchedBound>>10)
 	}
-	runtime.KeepAlive(master)
 	runtime.KeepAlive(c)
 
 	w := fstartbench.BuildOverall(5, fstartbench.OverallOptions{Count: 200})
+	before = liveHeap()
+	c = master.Clone()
+	if runInference(c, w).Metrics.WarmStarts() == 0 {
+		t.Fatal("the replay reused no container, so no decision ran the network; the bound would not see its workspaces")
+	}
+	replayed := liveHeap() - before
+	if replayed > replayedBound {
+		t.Errorf("an unbatched clone after a %d-invocation replay holds %d KB live, want <= %d KB",
+			len(w.Invocations), replayed>>10, replayedBound>>10)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(master)
+
 	before = liveHeap()
 	s := New(Config{Seed: 1})
 	s.Train(TrainOptions{Episodes: 2, PoolCapacityMB: 1024,
@@ -123,8 +199,9 @@ func TestServingSchedulerHeap(t *testing.T) {
 	if s.Agent().Updates() == 0 {
 		t.Fatal("training applied no updates; the bound would not see backward workspaces")
 	}
-	if n > bound {
-		t.Errorf("a trained default model holds %d KB live, want <= %d KB", n>>10, bound>>10)
+	if n > trainedBound {
+		t.Errorf("a trained default model holds %d KB live, want <= %d KB", n>>10, trainedBound>>10)
 	}
+	t.Logf("live heap: batched clone %d B, replayed clone %d B, trained model %d B", batched, replayed, n)
 	runtime.KeepAlive(s)
 }

@@ -4,6 +4,12 @@
 // (found by multi-level matching) or to cold-start. Train runs
 // Algorithm 1 offline; the Scheduler it leaves behind serves the frozen
 // greedy policy and holds nothing but the trained Q-network.
+//
+// Served weights are immutable. A Scheduler and every Clone of it read
+// one copy of the weights, each through workspaces of its own, so clones
+// serve on separate goroutines; the two writers, Train and Load, write
+// weights that they alone hold (Train a copy it takes first, Load a
+// network it builds).
 package mlcr
 
 import (
@@ -157,9 +163,10 @@ func (c Config) check() error {
 }
 
 // Scheduler is the MLCR container scheduler as it is served: the
-// featurizer, a Q-network (its own, or a shared one behind a QBatcher)
-// and the deviation-margin gate. It implements platform.Scheduler. It
-// holds no training state: Train builds that for the length of one call.
+// featurizer, a Q-network over frozen weights that its clones share (or
+// a QBatcher running a shared network instead) and the deviation-margin
+// gate. It implements platform.Scheduler. It holds no training state:
+// Train builds that for the length of one call.
 type Scheduler struct {
 	cfg   Config
 	feat  *drl.Featurizer
@@ -184,11 +191,11 @@ func (s *Scheduler) SetProfiler(p *perf.Profiler) { s.prof = p }
 
 // SetBatcher routes this scheduler's forward passes through a shared
 // QBatcher — typically wrapping the master model's online network
-// (Agent().Online()) while per-shard clones carry the same weights, so
+// (Agent().Online()) while per-shard clones read the same weights, so
 // batched Q-values and hence decisions are bit-identical to each
-// clone's own sequential inference. Train's exploit steps decide
-// through the same path, so do not train a scheduler with a batcher
-// attached. Nil detaches.
+// clone's own sequential inference. Train decides through a scheduler
+// of its own, so a batcher never serves a model while it trains. Nil
+// detaches.
 func (s *Scheduler) SetBatcher(b *drl.QBatcher) {
 	s.batcher = b
 	if b != nil && s.btok == nil {
@@ -199,23 +206,32 @@ func (s *Scheduler) SetBatcher(b *drl.QBatcher) {
 // New creates an MLCR scheduler with randomly initialized weights; call
 // Train before using it for real scheduling, or build a trained one
 // with Load.
-func New(cfg Config) *Scheduler { return build(cfg.WithDefaults(), nil) }
+func New(cfg Config) *Scheduler {
+	cfg = cfg.WithDefaults()
+	return build(cfg, drl.NewAgent(qconfig(cfg), cfg.Seed))
+}
 
-// build creates the scheduler for a resolved configuration around
-// agent, or around an agent initialized from cfg.Seed when agent is nil.
-func build(cfg Config, agent *drl.Agent) *Scheduler {
-	feat := &drl.Featurizer{Slots: cfg.Slots, NormMB: cfg.NormMB, NormTime: cfg.NormTime}
-	if agent == nil {
-		agent = drl.NewAgent(drl.QConfig{
-			Tokens:  feat.Tokens(),
-			Width:   feat.Width(),
-			Actions: feat.Actions(),
-			Dim:     cfg.Dim,
-			Heads:   cfg.Heads,
-			Hidden:  cfg.Hidden,
-		}, cfg.Seed)
+// qconfig is the Q-network shape a resolved configuration asks for.
+func qconfig(cfg Config) drl.QConfig {
+	feat := featurizer(cfg)
+	return drl.QConfig{
+		Tokens:  feat.Tokens(),
+		Width:   feat.Width(),
+		Actions: feat.Actions(),
+		Dim:     cfg.Dim,
+		Heads:   cfg.Heads,
+		Hidden:  cfg.Hidden,
 	}
-	return &Scheduler{cfg: cfg, feat: feat, agent: agent}
+}
+
+// featurizer returns a fresh featurizer for a resolved configuration.
+func featurizer(cfg Config) *drl.Featurizer {
+	return &drl.Featurizer{Slots: cfg.Slots, NormMB: cfg.NormMB, NormTime: cfg.NormTime}
+}
+
+// build creates the scheduler for a resolved configuration around agent.
+func build(cfg Config, agent *drl.Agent) *Scheduler {
+	return &Scheduler{cfg: cfg, feat: featurizer(cfg), agent: agent}
 }
 
 // Name implements platform.Scheduler.
@@ -247,6 +263,12 @@ func (s *Scheduler) decide(state drl.State) int {
 		// gate has nothing to gate. No forward pass is run.
 		return s.cfg.Slots
 	}
+	if math.IsInf(s.cfg.DeviationMargin, 1) {
+		// No finite Q-value beats slot 0's by +Inf, so for finite
+		// Q-values the gate returns slot 0 whatever the network says
+		// (nn.Load refuses non-finite weights). No forward pass is run.
+		return 0
+	}
 	sp := s.prof.Start(perf.PhaseNNForward)
 	var q *nn.Tensor
 	if s.batcher != nil {
@@ -276,13 +298,14 @@ func (s *Scheduler) containerOf(state drl.State, action int) int {
 	return id
 }
 
-// Clone returns an independent scheduler with the same configuration
-// (including the current deviation margin), a copy of the network
-// weights and fresh workspaces. Inference through a scheduler mutates
-// its workspaces — the featurizer's and the network's forward-pass
-// buffers — so a trained model evaluated by concurrent runs must be
-// cloned once per run. A clone's decisions are identical to the
-// original's.
+// Clone returns a scheduler over the same frozen weights, with the same
+// configuration (including the current deviation margin) and fresh
+// workspaces; it carries no batcher or profiler. Inference through a
+// scheduler mutates its workspaces — the featurizer's and the network's
+// forward-pass buffers — so a trained model evaluated by concurrent runs
+// is cloned once per run, and the clones read one copy of the weights.
+// A clone's decisions are identical to the original's, and training
+// either one later leaves the other's weights alone (Train).
 func (s *Scheduler) Clone() *Scheduler { return build(s.cfg, s.agent.Clone()) }
 
 // SetDeviationMargin adjusts the inference-time confidence gate. The
@@ -311,7 +334,8 @@ func (s *Scheduler) Save(w io.Writer) error {
 // Config sizes the network and sets the featurizer norms and the
 // deviation margin, so a served model sees the state encoding it was
 // trained on. The Config is checked before anything is allocated, and
-// the weights as nn.Load checks them.
+// the weights as nn.Load checks them, into a network no other scheduler
+// holds.
 func Load(r io.Reader) (*Scheduler, error) {
 	// Both gob streams read through one buffered reader: gob reads a
 	// ByteReader message by message, so the config decoder leaves the
@@ -324,9 +348,9 @@ func Load(r io.Reader) (*Scheduler, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	s := build(cfg, nil)
-	if err := s.agent.Load(br); err != nil {
+	agent, err := drl.LoadAgent(qconfig(cfg), br)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return build(cfg, agent), nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"mlcr/internal/drl"
+	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 	"mlcr/internal/workload"
@@ -38,6 +40,56 @@ func TestMarginGateDegradesToCostGreedy(t *testing.T) {
 	if mRes.Metrics.ColdStarts() != gRes.Metrics.ColdStarts() {
 		t.Fatalf("gated MLCR colds %d != Cost-Greedy colds %d",
 			mRes.Metrics.ColdStarts(), gRes.Metrics.ColdStarts())
+	}
+}
+
+// gateOracle decides as its scheduler does and checks each decision
+// against the margin gate applied to a forward pass of its own.
+type gateOracle struct {
+	*Scheduler
+	t          *testing.T
+	deviations int // decisions whose unmasked argmax was not slot 0
+}
+
+func (g *gateOracle) Schedule(env platform.Env, inv *workload.Invocation) int {
+	state := g.feat.Build(env, inv)
+	got, want := g.decide(state), g.cfg.Slots
+	if state.Mask[0] {
+		q := g.agent.QValues(state.X)
+		best, bestV := drl.MaskedArgmax(q, state.Mask)
+		want = best
+		if best != 0 {
+			g.deviations++
+			if bestV < q.Data[0]+g.cfg.DeviationMargin {
+				want = 0
+			}
+		}
+	}
+	if got != want {
+		g.t.Fatalf("invocation %d: decide = %d, the gated forward picks %d", inv.Seq, got, want)
+	}
+	return g.containerOf(state, got)
+}
+
+// TestInfiniteMarginSkipsForward: with a +Inf margin decide runs no
+// forward pass, and on a replayed trace every decision equals what the
+// margin gate makes of the network's Q-values, including the decisions
+// where the network prefers another action.
+func TestInfiniteMarginSkipsForward(t *testing.T) {
+	cfg := smallCfg(8)
+	cfg.DeviationMargin = math.Inf(1)
+	s := New(cfg) // untrained: its argmax deviates from slot 0 often
+	b := drl.NewQBatcher(s.Agent().Online(), 0)
+	s.SetBatcher(b)
+	g := &gateOracle{Scheduler: s, t: t}
+	w := fstartbench.BuildOverall(3, fstartbench.OverallOptions{Count: 200})
+	res := platform.New(platform.Config{PoolCapacityMB: 512, Evictor: s.Evictor()}, g).Run(w)
+	if res.Metrics.WarmStarts() == 0 || g.deviations == 0 {
+		t.Fatalf("%d warm starts, %d decisions the gate overrode; the test is vacuous",
+			res.Metrics.WarmStarts(), g.deviations)
+	}
+	if n := b.Requests(); n != 0 {
+		t.Fatalf("a +Inf margin sent %d forward passes to the batcher, want 0", n)
 	}
 }
 

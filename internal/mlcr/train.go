@@ -49,11 +49,14 @@ type TrainOptions struct {
 
 // Train runs offline DQN training: each episode replays the workload
 // through a fresh platform environment while a trainer explores, stores
-// experiences and updates the scheduler's network. The trainer — target
-// network, optimizer, replay pool, exploration schedule — exists only
-// for this call: every Train starts from an empty replay and ε =
-// epsilonStart, and what is left afterwards is the trained weights and
-// the update count.
+// experiences and updates a copy of the scheduler's weights that only it
+// holds; when it returns, the scheduler serves the trained copy. The
+// trainer — that copy, target network, optimizer, replay pool,
+// exploration schedule — exists only for this call: every Train starts
+// from an empty replay and ε = epsilonStart, and what is left afterwards
+// is the trained weights and the update count. Clones taken before Train
+// keep the weights they were taken over, and training a clone leaves the
+// scheduler it came from as it was.
 func (s *Scheduler) Train(opts TrainOptions) []EpisodeStats {
 	if opts.Episodes <= 0 {
 		panic("mlcr: Episodes must be positive")
@@ -85,8 +88,8 @@ func (s *Scheduler) Train(opts TrainOptions) []EpisodeStats {
 		}
 	}
 	// Backward passes left gradient workspaces and weight transposes in
-	// the network's layers; a clone carries the weights alone.
-	s.agent = s.agent.Clone()
+	// the learner's layers; a clone carries the weights alone.
+	s.agent = t.learner.Agent().Clone()
 	return stats
 }
 
@@ -102,9 +105,10 @@ type pending struct {
 }
 
 // trainer is the platform.Scheduler Train runs: ε-greedy over the
-// served decision, feeding every transition to the learner. Its random
-// stream, seeded Seed+1, draws the ε test and the greedy-bias test; the
-// learner's, seeded Seed, the exploration pick.
+// served decision of s, a private scheduler over the learner's weights,
+// feeding every transition to the learner. Its random stream, seeded
+// Seed+1, draws the ε test and the greedy-bias test; the learner's,
+// seeded Seed, the exploration pick.
 type trainer struct {
 	s       *Scheduler
 	learner *drl.Learner
@@ -115,18 +119,19 @@ type trainer struct {
 	pend    pending
 }
 
-// newTrainer starts training s: a fresh learner over s's network and
-// ε = epsilonStart.
+// newTrainer starts training a copy of s's weights: a fresh learner,
+// a scheduler over the learner's agent and ε = epsilonStart.
 func newTrainer(s *Scheduler) *trainer {
+	learner := drl.NewLearner(s.agent, drl.LearnerConfig{
+		Gamma:          s.cfg.Gamma,
+		LR:             s.cfg.LR,
+		BatchSize:      s.cfg.BatchSize,
+		ReplayCapacity: replayCapacity,
+		TargetSync:     s.cfg.TargetSync,
+	}, s.cfg.Seed)
 	return &trainer{
-		s: s,
-		learner: drl.NewLearner(s.agent, drl.LearnerConfig{
-			Gamma:          s.cfg.Gamma,
-			LR:             s.cfg.LR,
-			BatchSize:      s.cfg.BatchSize,
-			ReplayCapacity: replayCapacity,
-			TargetSync:     s.cfg.TargetSync,
-		}, s.cfg.Seed),
+		s:       build(s.cfg, learner.Agent()),
+		learner: learner,
 		rng:     rand.New(rand.NewSource(s.cfg.Seed + 1)),
 		epsilon: epsilonStart,
 	}

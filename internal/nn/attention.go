@@ -224,3 +224,8 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 func (m *MultiHeadAttention) Params() []*Param {
 	return []*Param{m.Wq, m.Wk, m.Wv, m.Wo}
 }
+
+// Share implements Layer.
+func (m *MultiHeadAttention) Share() Layer {
+	return &MultiHeadAttention{Dim: m.Dim, Heads: m.Heads, Wq: m.Wq, Wk: m.Wk, Wv: m.Wv, Wo: m.Wo}
+}

@@ -38,7 +38,7 @@ func (p *Param) Weights() []float64 { return append([]float64(nil), p.w.Data...)
 // paramTranspose lazily caches a parameter's weight transpose, revalidated
 // against the parameter's update version. The cache belongs to one layer
 // instance (like all workspaces, it is not goroutine-safe) and is never
-// serialized — gob snapshots and Clone paths rebuild it on demand.
+// serialized or shared — gob snapshots and Share rebuild it on demand.
 type paramTranspose struct {
 	t       *Tensor
 	version uint64
@@ -59,6 +59,15 @@ func (c *paramTranspose) of(p *Param) *Tensor {
 // Layer is a differentiable transformation of a [rows, cols] tensor.
 // Forward caches whatever Backward needs; layers therefore process one
 // sample at a time and are not safe for concurrent use.
+//
+// Share is the one way to build a layer over existing parameters: it
+// returns a layer over the very *Params of this one (not copies) with
+// fresh, empty workspaces, which Forward and Backward allocate on first
+// use as they do for a new layer. Forward passes only read weights, so
+// layers sharing parameters may each run on its own goroutine. A weight
+// write (Adam.Step, Load, CopyParams) or a Backward, which accumulates
+// into the shared Grad, is seen by every sharer: train only parameters
+// no other layer holds.
 type Layer interface {
 	// Forward computes the layer output for x.
 	Forward(x *Tensor) *Tensor
@@ -68,6 +77,9 @@ type Layer interface {
 	Backward(dy *Tensor) *Tensor
 	// Params returns the trainable parameters (possibly empty).
 	Params() []*Param
+	// Share returns a layer over the same parameters with fresh
+	// workspaces.
+	Share() Layer
 }
 
 // Linear is a fully connected layer: y = xW + b, applied row-wise.
@@ -151,6 +163,9 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
+// Share implements Layer.
+func (l *Linear) Share() Layer { return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias} }
+
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	mask []bool
@@ -193,6 +208,9 @@ func (r *ReLU) Backward(dy *Tensor) *Tensor {
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
+
+// Share implements Layer.
+func (r *ReLU) Share() Layer { return &ReLU{} }
 
 // LayerNorm normalizes each row to zero mean and unit variance, then
 // applies a learned gain and bias.
@@ -300,6 +318,11 @@ func (ln *LayerNorm) Backward(dy *Tensor) *Tensor {
 // Params implements Layer.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gain, ln.Bias} }
 
+// Share implements Layer.
+func (ln *LayerNorm) Share() Layer {
+	return &LayerNorm{Dim: ln.Dim, Gain: ln.Gain, Bias: ln.Bias, Eps: ln.Eps}
+}
+
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer
@@ -330,6 +353,15 @@ func (s *Sequential) Params() []*Param {
 	return out
 }
 
+// Share implements Layer: every layer shared, in order.
+func (s *Sequential) Share() Layer {
+	layers := make([]Layer, len(s.Layers))
+	for i, l := range s.Layers {
+		layers[i] = l.Share()
+	}
+	return &Sequential{Layers: layers}
+}
+
 // Flatten reshapes an [rows, cols] tensor into [1, rows*cols] on the way
 // forward and restores the shape on the way back. It lets the Q-network
 // map per-token attention outputs to a single action-value vector.
@@ -354,3 +386,6 @@ func (f *Flatten) Backward(dy *Tensor) *Tensor {
 
 // Params implements Layer.
 func (f *Flatten) Params() []*Param { return nil }
+
+// Share implements Layer.
+func (f *Flatten) Share() Layer { return &Flatten{} }

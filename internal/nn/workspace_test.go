@@ -191,6 +191,39 @@ func TestTransposeCacheInvalidatedOnStep(t *testing.T) {
 	}
 }
 
+// TestShareReadsTheSameParams: a shared network holds the original's
+// *Params themselves and none of its workspaces, computes the same
+// forward and backward bits, and sees a weight write made through the
+// original (its own transpose caches revalidate on the version).
+func TestShareReadsTheSameParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	net := buildNet(21)
+	x := NewTensor(5, 12).Randn(rng, 1)
+	dy := NewTensor(1, 6).Randn(rng, 1)
+	net.Forward(x)
+	net.Backward(dy) // the original's workspaces and transposes are warm
+
+	sh := net.Share().(*Sequential)
+	for i, p := range net.Params() {
+		if sh.Params()[i] != p {
+			t.Fatalf("shared param %d is %p, want the original's %p", i, sh.Params()[i], p)
+		}
+	}
+	for i, l := range sh.Layers {
+		if l == net.Layers[i] {
+			t.Fatalf("layer %d is the original instance, not a share", i)
+		}
+	}
+	if sh.Layers[0].(*Linear).y != nil || sh.Layers[2].(*MultiHeadAttention).q != nil {
+		t.Fatal("a shared layer starts with the original's workspaces")
+	}
+	for step := 0; step < 2; step++ {
+		equalTensors(t, "forward", sh.Forward(x).Clone(), net.Forward(x))
+		equalTensors(t, "backward", sh.Backward(dy).Clone(), net.Backward(dy))
+		NewAdam(net.Params(), 0.05).Step() // seen by the share on the next step
+	}
+}
+
 // TestForwardBackwardZeroAllocs asserts the tentpole contract: after one
 // warm-up cycle, Forward and Forward+Backward of the full layer stack
 // perform zero heap allocations.
