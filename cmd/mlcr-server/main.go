@@ -3,7 +3,8 @@
 //
 //   - -mode sim (default): one shard without the lock-free fast layer,
 //     observed — every decision is one simulator step on one platform,
-//     with /trace and /audit. Reproducible, but one lock.
+//     with /trace and /audit (the decision audit, a reduction of the
+//     trace). Reproducible, but one lock.
 //   - -mode gateway: the concurrent serving path — sharded warm pool
 //     with a lock-free fast layer for exact L3 re-hits and (for the
 //     MLCR policy) batched DQN inference via a shared QBatcher.

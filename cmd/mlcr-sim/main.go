@@ -86,14 +86,12 @@ func main() {
 	var o *obs.Observer
 	if *traceOut != "" || *metricsOut != "" || *auditOut != "" {
 		o = &obs.Observer{}
-		if *traceOut != "" {
+		// The audit is a reduction of the trace, so -audit-out records one.
+		if *traceOut != "" || *auditOut != "" {
 			o.Trace = obs.NewRecorder()
 		}
 		if *metricsOut != "" {
 			o.Metrics = obs.NewRegistry()
-		}
-		if *auditOut != "" {
-			o.Audit = &obs.Audit{}
 		}
 	}
 
@@ -176,8 +174,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
 	}
 	if *auditOut != "" {
-		writeOut(*auditOut, func(f *os.File) error { return o.Audit.WriteJSONL(f) })
-		fmt.Fprintf(os.Stderr, "audit log written to %s (%d decisions)\n", *auditOut, o.Audit.Len())
+		writeOut(*auditOut, func(f *os.File) error { return o.Trace.WriteAuditJSONL(f) })
+		fmt.Fprintf(os.Stderr, "audit log written to %s (%d decisions)\n", *auditOut, res.Metrics.Count())
 	}
 
 	t := &report.Table{

@@ -12,7 +12,7 @@
 //	GET  /stats             aggregate run metrics (incl. startup quantiles)
 //	GET  /metrics           Prometheus exposition-format metrics
 //	GET  /trace             Chrome trace_event JSON of the run so far (Observe only)
-//	GET  /audit             scheduler decision audit log, JSONL (Observe only)
+//	GET  /audit             scheduler decision audit log derived from the trace, JSONL (Observe only)
 //	GET  /functions         the function catalog
 //	GET  /pool              current warm-pool contents
 //	GET  /healthz           liveness

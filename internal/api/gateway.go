@@ -79,10 +79,10 @@ type GatewayConfig struct {
 	// nothing, so every request goes through its shard's platform.
 	FastDepth int
 	// Observe gives the shard platform an observer per generation —
-	// trace recorder, metrics registry, decision audit, and a phase
-	// profiler on the gateway clock — serves /trace and /audit from it
-	// and adds its registry to /metrics. The recorder and the audit grow
-	// with every invocation. It requires Shards 1 and a negative
+	// trace recorder, metrics registry and a phase profiler on the
+	// gateway clock — serves /trace and /audit (a reduction of the
+	// trace) from it and adds its registry to /metrics. The recorder
+	// grows with every invocation. It requires Shards 1 and a negative
 	// FastDepth, so that every decision passes through the observed
 	// platform.
 	Observe bool
@@ -624,10 +624,11 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	_ = g.WriteTrace(w)
 }
 
-// handleAudit serves the scheduler decision audit log as JSONL.
+// handleAudit serves the scheduler decision audit log as JSONL, derived
+// from the generation's trace.
 func (g *Gateway) handleAudit(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
-	_ = g.state.Load().obs.Audit.WriteJSONL(w)
+	_ = g.state.Load().obs.Trace.WriteAuditJSONL(w)
 }
 
 func (g *Gateway) handleFunctions(w http.ResponseWriter, _ *http.Request) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Candidate is one idle container considered for an invocation: the
@@ -48,44 +47,51 @@ type Decision struct {
 	Reward float64 `json:"reward"`
 }
 
-// Audit is the scheduler decision audit log: an append-only sequence of
-// Decisions in arrival order. Safe for concurrent record/export.
-type Audit struct {
-	mu        sync.Mutex
-	decisions []Decision
-}
-
-// Record appends one decision.
-func (a *Audit) Record(d Decision) {
-	a.mu.Lock()
-	a.decisions = append(a.decisions, d)
-	a.mu.Unlock()
-}
-
-// Len returns the number of recorded decisions.
-func (a *Audit) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.decisions)
-}
-
-// Decisions returns a copy of the recorded decisions in arrival order.
-func (a *Audit) Decisions() []Decision {
-	if a == nil {
-		return nil
+// Decisions reduces a trace to its decision audit: one Decision per
+// KindScheduleDecided, in trace order. A decision's candidates are the
+// KindMatchAttempted events with its Seq since the previous decision;
+// every other kind between them is ignored. A decision that saw an
+// empty pool has nil Candidates.
+func Decisions(events []Event) []Decision {
+	var out []Decision
+	var cands []Candidate
+	seq := -1
+	for _, ev := range events {
+		switch ev.Kind {
+		case KindMatchAttempted:
+			if ev.Seq != seq {
+				cands, seq = nil, ev.Seq
+			}
+			cands = append(cands, Candidate{
+				Container: ev.Container, Level: ev.Level, EstUS: ev.Dur.Microseconds(), Pruned: ev.Detail,
+			})
+		case KindScheduleDecided:
+			if ev.Seq != seq {
+				cands = nil
+			}
+			out = append(out, Decision{
+				Seq: ev.Seq, Fn: ev.Fn, AtUS: ev.At.Microseconds(),
+				Candidates: cands, Chosen: ev.Action, Cold: ev.Cold, Level: ev.Level,
+				StartupUS: ev.Dur.Microseconds(), Reward: -ev.Dur.Seconds(),
+			})
+			cands, seq = nil, -1
+		}
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Decision(nil), a.decisions...)
+	return out
 }
 
-// WriteJSONL writes one JSON object per decision in arrival order. The
-// encoding is deterministic, so two identical seeded runs produce
-// byte-identical logs.
-func (a *Audit) WriteJSONL(w io.Writer) error {
+// WriteAuditJSONL writes the recording's decision audit (Decisions),
+// one JSON object per decision in arrival order. The encoding is
+// deterministic, so two identical seeded runs produce byte-identical
+// logs. The reduction reads the recording in place, under the lock,
+// rather than a copy of it; only the encoding runs unlocked.
+func (r *Recorder) WriteAuditJSONL(w io.Writer) error {
+	r.mu.Lock()
+	ds := Decisions(r.events)
+	r.mu.Unlock()
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, d := range a.Decisions() {
+	for _, d := range ds {
 		if err := enc.Encode(d); err != nil {
 			return fmt.Errorf("obs: audit: %w", err)
 		}

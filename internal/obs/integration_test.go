@@ -2,6 +2,8 @@ package obs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,9 +13,14 @@ import (
 	"mlcr/internal/obs"
 )
 
+// exports is every file one observed run writes.
+type exports struct {
+	trace, chrome, audit, metrics []byte
+}
+
 // runObserved replays one seeded Peak workload under Greedy-Match with
-// the full observability bundle and returns the three exports.
-func runObserved(t *testing.T) (trace, audit, metrics []byte, invocations int) {
+// the full observability bundle and returns its exports.
+func runObserved(t *testing.T) exports {
 	t.Helper()
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
@@ -24,30 +31,52 @@ func runObserved(t *testing.T) (trace, audit, metrics []byte, invocations int) {
 	}
 	experiments.RunObserved(greedy, w, loose*0.5, o)
 
-	var tb, ab bytes.Buffer
+	var tb, cb, ab bytes.Buffer
 	if err := o.Trace.WriteJSONL(&tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Audit.WriteJSONL(&ab); err != nil {
+	if err := o.Trace.WriteChromeTrace(&cb); err != nil {
 		t.Fatal(err)
 	}
-	return tb.Bytes(), ab.Bytes(), []byte(o.Metrics.Snapshot()), len(w.Invocations)
+	if err := o.Trace.WriteAuditJSONL(&ab); err != nil {
+		t.Fatal(err)
+	}
+	return exports{tb.Bytes(), cb.Bytes(), ab.Bytes(), []byte(o.Metrics.Snapshot())}
 }
 
 // TestObservedRunDeterministic: two identical seeded runs produce
 // byte-identical JSONL traces, audit logs and metrics snapshots — the
 // repository's reproducibility bar extended to the observability layer.
 func TestObservedRunDeterministic(t *testing.T) {
-	t1, a1, m1, _ := runObserved(t)
-	t2, a2, m2, _ := runObserved(t)
-	if !bytes.Equal(t1, t2) {
+	x, y := runObserved(t), runObserved(t)
+	if !bytes.Equal(x.trace, y.trace) {
 		t.Error("JSONL traces of identical runs differ")
 	}
-	if !bytes.Equal(a1, a2) {
+	if !bytes.Equal(x.audit, y.audit) {
 		t.Error("audit logs of identical runs differ")
 	}
-	if !bytes.Equal(m1, m2) {
+	if !bytes.Equal(x.metrics, y.metrics) {
 		t.Error("metrics snapshots of identical runs differ")
+	}
+}
+
+// TestObservedExportsPinned pins the audit JSONL and the Chrome trace of
+// runObserved by sha256. Both are user-facing files: a change to how
+// events are stored or derived must leave them byte for byte as they
+// are. The JSONL trace is not pinned; its line set is the event model.
+func TestObservedExportsPinned(t *testing.T) {
+	x := runObserved(t)
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"audit JSONL", x.audit, "894766d75e9463d9969cc3e9997b6121bbfdb0296ef6b00220d7df90ad4eed46"},
+		{"Chrome trace", x.chrome, "08ef74383149b5df2ed1f7ad1099643aa5f99d324dbf6261a2ecafc09e2da249"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.got)); got != c.want {
+			t.Errorf("%s sha256 = %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 
@@ -77,11 +106,12 @@ func TestObservedRunContent(t *testing.T) {
 		t.Errorf("got %d arrivals / %d finish events, want %d each", arrivals, finishes, want)
 	}
 
-	if got := o.Audit.Len(); got != len(w.Invocations) {
+	decisions := obs.Decisions(o.Trace.Events())
+	if got := len(decisions); got != len(w.Invocations) {
 		t.Errorf("audit has %d decisions, want %d", got, len(w.Invocations))
 	}
 	cold := 0
-	for _, d := range o.Audit.Decisions() {
+	for _, d := range decisions {
 		if d.Cold {
 			cold++
 			if d.Chosen != -1 {

@@ -1,22 +1,23 @@
-// Package obs is the repository's observability layer, four pillars
+// Package obs is the repository's observability layer, three pillars
 // shared by the simulator, the HTTP gateway and the training loop:
 //
 //   - a structured trace: typed events (Event) with virtual timestamps,
 //     collected by a Recorder and exportable as JSONL or as the
-//     Chrome trace_event format (viewable in chrome://tracing/Perfetto);
+//     Chrome trace_event format (viewable in chrome://tracing/Perfetto).
+//     The scheduler decision audit is a reduction of that one stream
+//     (Decisions, Recorder.WriteAuditJSONL): for every invocation, the
+//     candidate set the policy saw, per-candidate match levels and prune
+//     reasons, the chosen action and the realized reward;
 //   - a metrics registry (Registry): named counters, gauges and
 //     HDR-backed summaries (every latency distribution is a perf.HDR)
 //     with allocation-free counter and gauge updates, a deterministic
 //     text snapshot and Prometheus exposition-format export;
-//   - a scheduler decision audit log (Audit): for every invocation, the
-//     candidate set the policy saw, per-candidate match levels and prune
-//     reasons, the chosen action and the realized reward;
 //   - a phase profiler (obs/perf.Profiler): scoped timers with an
 //     injected clock around the simulator's hot phases, aggregated into
 //     fixed-footprint HDR histograms and exported as Prometheus
 //     summaries (see PublishPerf).
 //
-// All four are optional and nil-safe: a disabled Observer costs a nil
+// All three are optional and nil-safe: a disabled Observer costs a nil
 // check per instrumentation point, so determinism and performance of
 // unobserved runs are unchanged (see BenchmarkDisabledTracer and
 // perf.BenchmarkDisabledSpan).
@@ -43,16 +44,12 @@ const (
 	// reason (PruneNoMatch, PruneWorseThanCold) or "" for a viable
 	// candidate, Dur the estimated startup of reusing it.
 	KindMatchAttempted
-	// KindScheduleDecided records the scheduler's decision; Action is
-	// the chosen container ID or -1 for a cold start, Dur the realized
+	// KindScheduleDecided records one invocation's decision and its
+	// outcome: Action is the chosen container ID or -1 for a cold start,
+	// Container the container that served it, Cold whether it was
+	// created, Level the realized match level and Dur the realized
 	// startup latency.
 	KindScheduleDecided
-	// KindContainerCreated marks a cold-started sandbox; Dur is the
-	// cold-start latency.
-	KindContainerCreated
-	// KindContainerReused marks a warm start; Level is the match level,
-	// Dur the warm-start latency.
-	KindContainerReused
 	// KindContainerEvicted marks a container leaving the pool
 	// involuntarily; Detail holds the reason (capacity, expired,
 	// rejected, oversize).
@@ -76,10 +73,6 @@ func (k Kind) String() string {
 		return "match_attempted"
 	case KindScheduleDecided:
 		return "schedule_decided"
-	case KindContainerCreated:
-		return "container_created"
-	case KindContainerReused:
-		return "container_reused"
 	case KindContainerEvicted:
 		return "container_evicted"
 	case KindVolumeSwapped:
@@ -91,7 +84,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Prune reasons attached to KindMatchAttempted events and audit
+// Prune reasons attached to KindMatchAttempted events, and so to audit
 // candidates.
 const (
 	// PruneNoMatch means the OS level differs: reuse is impossible.
@@ -133,14 +126,14 @@ type Event struct {
 	Detail string
 }
 
-// Observer bundles the four pillars. Any field may be nil to disable
-// that pillar; a nil *Observer disables everything. All methods are
-// nil-receiver safe so instrumented code needs no nil checks beyond the
-// guards below.
+// Observer bundles the three pillars. Any field may be nil to disable
+// that pillar; a nil *Observer disables everything. The decision audit
+// is derived from Trace, so auditing a run means tracing it. All
+// methods are nil-receiver safe so instrumented code needs no nil
+// checks beyond the guards below.
 type Observer struct {
 	Trace   *Recorder
 	Metrics *Registry
-	Audit   *Audit
 	// Perf aggregates scoped hot-path timings. Unlike the other pillars
 	// it needs a clock, so NewObserver leaves it nil; enable it with
 	// perf.New and an injected clock (a deterministic counter in tests,
@@ -148,11 +141,12 @@ type Observer struct {
 	Perf *perf.Profiler
 }
 
-// NewObserver returns an Observer with the three clock-free pillars
-// enabled: a fresh Recorder, Registry and Audit. Perf stays nil until
-// the caller injects a clock.
+// NewObserver returns an Observer with the two clock-free pillars
+// enabled: a fresh Recorder (the trace and, derived from it, the
+// decision audit) and Registry. Perf stays nil until the caller injects
+// a clock.
 func NewObserver() *Observer {
-	return &Observer{Trace: NewRecorder(), Metrics: NewRegistry(), Audit: &Audit{}}
+	return &Observer{Trace: NewRecorder(), Metrics: NewRegistry()}
 }
 
 // Emit records the event in the trace; a no-op when disabled.
@@ -166,9 +160,6 @@ func (o *Observer) Emit(ev Event) {
 // Tracing reports whether trace events are being collected. Hot paths
 // use it to skip event construction entirely.
 func (o *Observer) Tracing() bool { return o != nil && o.Trace != nil }
-
-// Auditing reports whether scheduler decisions are being audited.
-func (o *Observer) Auditing() bool { return o != nil && o.Audit != nil }
 
 // Profiler returns the perf pillar (nil when disabled), for handing to
 // components that take a *perf.Profiler directly.

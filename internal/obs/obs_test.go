@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,18 +11,24 @@ import (
 	"mlcr/internal/evict"
 )
 
-// sampleEvents returns a small trace covering every event kind.
+// sampleEvents returns a small trace covering every event kind: three
+// decisions, the second with two candidates and, between them and the
+// decision, a completion, an eviction and a volume swap.
 func sampleEvents() []Event {
 	return []Event{
 		{Kind: KindInvocationArrived, At: 0, Seq: 0, Fn: 5},
-		{Kind: KindMatchAttempted, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
-		{Kind: KindMatchAttempted, At: 0, Seq: 0, Fn: 5, Container: 2, Level: 0, Detail: PruneNoMatch},
-		{Kind: KindScheduleDecided, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Action: 1, Dur: 800 * time.Millisecond},
-		{Kind: KindContainerReused, At: 0, Seq: 0, Fn: 5, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
-		{Kind: KindContainerCreated, At: time.Second, Seq: 1, Fn: 6, Container: 3, Cold: true, Dur: 4 * time.Second},
-		{Kind: KindEventFired, At: 2 * time.Second, Seq: -1, Fn: -1, Detail: "finish/c1"},
-		{Kind: KindContainerEvicted, At: 2 * time.Second, Seq: -1, Fn: 6, Container: 2, Detail: evict.ReasonCapacity},
-		{Kind: KindVolumeSwapped, At: 3 * time.Second, Seq: -1, Fn: 7, Container: 1, Level: 2, Detail: "from=fn5 unmounts=1 mounts=2"},
+		{Kind: KindScheduleDecided, At: 0, Seq: 0, Fn: 5, Container: 1, Action: -1, Cold: true, Dur: 4 * time.Second},
+		{Kind: KindInvocationArrived, At: 5 * time.Second, Seq: 1, Fn: 6},
+		{Kind: KindMatchAttempted, At: 5 * time.Second, Seq: 1, Fn: 6, Container: 1, Level: 2, Dur: 800 * time.Millisecond},
+		{Kind: KindMatchAttempted, At: 5 * time.Second, Seq: 1, Fn: 6, Container: 2, Level: 0, Dur: 9 * time.Second, Detail: PruneNoMatch},
+		{Kind: KindEventFired, At: 5 * time.Second, Seq: -1, Fn: -1, Detail: "finish/c3"},
+		{Kind: KindContainerEvicted, At: 5 * time.Second, Seq: -1, Fn: 4, Container: 2, Detail: evict.ReasonCapacity},
+		{Kind: KindVolumeSwapped, At: 5 * time.Second, Seq: -1, Fn: 6, Container: 1, Level: 2, Detail: "from=fn5 unmounts=1 mounts=2"},
+		{Kind: KindScheduleDecided, At: 5 * time.Second, Seq: 1, Fn: 6, Container: 1, Level: 2, Action: 1, Dur: 800 * time.Millisecond},
+		// A policy error: the policy chose container 42, which is not
+		// in the pool, and the platform served a cold start instead.
+		{Kind: KindInvocationArrived, At: 6 * time.Second, Seq: 2, Fn: 7},
+		{Kind: KindScheduleDecided, At: 6 * time.Second, Seq: 2, Fn: 7, Container: 3, Action: 42, Cold: true, Dur: 3 * time.Second},
 		{Kind: KindTrainStep, Seq: -1, Fn: -1, Step: 42, Value: 0.125},
 	}
 }
@@ -82,7 +89,8 @@ func TestWriteJSONLDeterministic(t *testing.T) {
 }
 
 // TestWriteChromeTrace: the export is valid Chrome trace_event JSON with
-// thread metadata and one renderable entry per event.
+// thread metadata, one renderable entry per event and one more per
+// decision.
 func TestWriteChromeTrace(t *testing.T) {
 	rec := NewRecorder()
 	evs := sampleEvents()
@@ -121,8 +129,10 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Errorf("traceEvents[%d] has unexpected phase %v", i, ce["ph"])
 		}
 	}
-	if len(trace.TraceEvents)-meta != len(evs) {
-		t.Errorf("got %d non-metadata entries, want %d", len(trace.TraceEvents)-meta, len(evs))
+	// A decision renders twice: on the scheduler row and as its
+	// container's startup span.
+	if want := len(evs) + len(Decisions(evs)); len(trace.TraceEvents)-meta != want {
+		t.Errorf("got %d non-metadata entries, want %d", len(trace.TraceEvents)-meta, want)
 	}
 	// Engine, scheduler and the touched containers each get a named row.
 	for _, want := range []string{"sim-engine", "scheduler", "c1", "c2", "c3"} {
@@ -137,46 +147,81 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestNilObserver(t *testing.T) {
 	var o *Observer
 	o.Emit(Event{Kind: KindEventFired})
-	if o.Tracing() || o.Auditing() {
+	if o.Tracing() {
 		t.Error("nil observer claims to be active")
 	}
 
 	empty := &Observer{}
 	empty.Emit(Event{Kind: KindEventFired})
-	if empty.Tracing() || empty.Auditing() {
+	if empty.Tracing() {
 		t.Error("empty observer claims to be active")
 	}
 }
 
-// TestAuditJSONLDeterministic: the audit export is byte-stable and
-// round-trips through JSON.
+// TestAuditJSONLDeterministic: the audit is a reduction of the trace,
+// one decision per ScheduleDecided with the MatchAttempted candidates
+// of its own invocation, and its export is byte-stable and round-trips
+// through JSON.
 func TestAuditJSONLDeterministic(t *testing.T) {
-	a := &Audit{}
-	a.Record(Decision{
-		Seq: 0, Fn: 5, AtUS: 0,
-		Candidates: []Candidate{
-			{Container: 1, Level: 2, EstUS: 800_000},
-			{Container: 2, Level: 0, EstUS: 9_000_000, Pruned: PruneNoMatch},
+	want := []Decision{
+		{Seq: 0, Fn: 5, AtUS: 0, Chosen: -1, Cold: true, StartupUS: 4_000_000, Reward: -4},
+		{
+			Seq: 1, Fn: 6, AtUS: 5_000_000,
+			Candidates: []Candidate{
+				{Container: 1, Level: 2, EstUS: 800_000},
+				{Container: 2, Level: 0, EstUS: 9_000_000, Pruned: PruneNoMatch},
+			},
+			Chosen: 1, Level: 2, StartupUS: 800_000, Reward: -0.8,
 		},
-		Chosen: 1, Level: 2, StartupUS: 800_000, Reward: -0.8,
-	})
-	a.Record(Decision{Seq: 1, Fn: 6, AtUS: 1_000_000, Chosen: -1, Cold: true,
-		StartupUS: 4_000_000, Reward: -4})
+		// The policy's raw choice stays beside what was served, and the
+		// previous decision's candidates do not carry over.
+		{Seq: 2, Fn: 7, AtUS: 6_000_000, Chosen: 42, Cold: true, StartupUS: 3_000_000, Reward: -3},
+	}
+	if got := Decisions(sampleEvents()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Decisions(sampleEvents()) =\n%+v\nwant\n%+v", got, want)
+	}
+	// Candidates whose decision is missing (a trace cut inside
+	// invocation 1) or already made (decision 1 repeated) go to no later
+	// decision.
+	evs := sampleEvents()
+	cut := append(evs[:4:4], evs[9:]...)
+	if got := Decisions(cut); len(got) != 2 || got[1].Candidates != nil {
+		t.Errorf("Decisions(cut trace) = %+v, want decision 2 without candidates", got)
+	}
+	repeated := append(evs[:9:9], evs[8])
+	if got := Decisions(repeated); len(got) != 3 || got[2].Candidates != nil {
+		t.Errorf("Decisions(repeated decision) = %+v, want the repeat without candidates", got)
+	}
 
+	rec := NewRecorder()
+	for _, ev := range sampleEvents() {
+		rec.Emit(ev)
+	}
 	var x, y bytes.Buffer
-	if err := a.WriteJSONL(&x); err != nil {
+	if err := rec.WriteAuditJSONL(&x); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteJSONL(&y); err != nil {
+	if err := rec.WriteAuditJSONL(&y); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(x.Bytes(), y.Bytes()) {
 		t.Fatal("two audit exports differ")
 	}
-	for i, line := range strings.Split(strings.TrimSuffix(x.String(), "\n"), "\n") {
+	lines := strings.Split(strings.TrimSuffix(x.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("got %d audit lines, want %d", len(lines), len(want))
+	}
+	// A decision on an empty pool has no candidate set: null, not [].
+	if !strings.Contains(lines[0], `"candidates":null`) {
+		t.Errorf("first decision %s, want \"candidates\":null", lines[0])
+	}
+	for i, line := range lines {
 		var d Decision
 		if err := json.Unmarshal([]byte(line), &d); err != nil {
 			t.Fatalf("audit line %d does not round-trip: %v", i+1, err)
+		}
+		if !reflect.DeepEqual(d, want[i]) {
+			t.Errorf("audit line %d = %+v, want %+v", i+1, d, want[i])
 		}
 	}
 }

@@ -120,8 +120,10 @@ type chromeTrace struct {
 
 // WriteChromeTrace writes the recorded events in Chrome trace_event
 // JSON, openable in chrome://tracing or Perfetto. Instant events map to
-// ph "i", container startups to complete spans ("X") on the container's
-// own row, and TrainStep TD errors to a counter track ("C").
+// ph "i", and TrainStep TD errors to a counter track ("C"). A decision
+// maps to two entries: an instant on the scheduler row and its
+// container's startup as a complete span ("X") on the container's own
+// row.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.Events()
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
@@ -133,7 +135,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	var ids []int
 	for _, ev := range events {
 		switch ev.Kind {
-		case KindContainerCreated, KindContainerReused, KindContainerEvicted, KindVolumeSwapped:
+		case KindScheduleDecided, KindContainerEvicted, KindVolumeSwapped:
 			if !seen[ev.Container] {
 				seen[ev.Container] = true
 				ids = append(ids, ev.Container)
@@ -145,9 +147,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		out.TraceEvents = append(out.TraceEvents, threadName(containerTIDBase+id, "c"+strconv.Itoa(id)))
 	}
 	for _, ev := range events {
-		if ce, ok := toChrome(ev); ok {
-			out.TraceEvents = append(out.TraceEvents, ce)
-		}
+		out.TraceEvents = appendChrome(out.TraceEvents, ev)
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(out); err != nil {
@@ -163,61 +163,59 @@ func threadName(tid int, name string) chromeEvent {
 	}
 }
 
-func toChrome(ev Event) (chromeEvent, bool) {
+// appendChrome appends ev's Chrome entries to out: none for an unknown
+// kind, two for a decision, one otherwise.
+func appendChrome(out []chromeEvent, ev Event) []chromeEvent {
 	ts := ev.At.Microseconds()
 	switch ev.Kind {
 	case KindEventFired:
-		return chromeEvent{Name: ev.Detail, Ph: "i", TS: ts, Pid: 1, Tid: engineTID, Cat: "engine", Scope: "t"}, true
+		return append(out, chromeEvent{Name: ev.Detail, Ph: "i", TS: ts, Pid: 1, Tid: engineTID, Cat: "engine", Scope: "t"})
 	case KindInvocationArrived:
-		return chromeEvent{
+		return append(out, chromeEvent{
 			Name: "invoke fn" + strconv.Itoa(ev.Fn), Ph: "i", TS: ts, Pid: 1, Tid: schedulerTID,
 			Cat: "scheduler", Scope: "t", Args: map[string]any{"seq": ev.Seq},
-		}, true
+		})
 	case KindMatchAttempted:
 		args := map[string]any{"level": ev.Level, "est_us": ev.Dur.Microseconds()}
 		if ev.Detail != "" {
 			args["pruned"] = ev.Detail
 		}
-		return chromeEvent{
+		return append(out, chromeEvent{
 			Name: "match c" + strconv.Itoa(ev.Container), Ph: "i", TS: ts, Pid: 1, Tid: schedulerTID,
 			Cat: "scheduler", Scope: "t", Args: args,
-		}, true
+		})
 	case KindScheduleDecided:
-		return chromeEvent{
+		span := "reuse L" + strconv.Itoa(ev.Level) + " fn" + strconv.Itoa(ev.Fn)
+		if ev.Cold {
+			span = "cold-start fn" + strconv.Itoa(ev.Fn)
+		}
+		return append(out, chromeEvent{
 			Name: "decide fn" + strconv.Itoa(ev.Fn), Ph: "i", TS: ts, Pid: 1, Tid: schedulerTID,
 			Cat: "scheduler", Scope: "t",
 			Args: map[string]any{"action": ev.Action, "cold": ev.Cold, "level": ev.Level, "startup_us": ev.Dur.Microseconds()},
-		}, true
-	case KindContainerCreated:
-		return chromeEvent{
-			Name: "cold-start fn" + strconv.Itoa(ev.Fn), Ph: "X", TS: ts, Dur: ev.Dur.Microseconds(),
+		}, chromeEvent{
+			Name: span, Ph: "X", TS: ts, Dur: ev.Dur.Microseconds(),
 			Pid: 1, Tid: containerTIDBase + ev.Container, Cat: "container",
 			Args: map[string]any{"seq": ev.Seq},
-		}, true
-	case KindContainerReused:
-		return chromeEvent{
-			Name: "reuse L" + strconv.Itoa(ev.Level) + " fn" + strconv.Itoa(ev.Fn), Ph: "X", TS: ts,
-			Dur: ev.Dur.Microseconds(), Pid: 1, Tid: containerTIDBase + ev.Container, Cat: "container",
-			Args: map[string]any{"seq": ev.Seq},
-		}, true
+		})
 	case KindContainerEvicted:
-		return chromeEvent{
+		return append(out, chromeEvent{
 			Name: "evict (" + ev.Detail + ")", Ph: "i", TS: ts, Pid: 1,
 			Tid: containerTIDBase + ev.Container, Cat: "pool", Scope: "t",
-		}, true
+		})
 	case KindVolumeSwapped:
-		return chromeEvent{
+		return append(out, chromeEvent{
 			Name: "volume-swap", Ph: "i", TS: ts, Pid: 1,
 			Tid: containerTIDBase + ev.Container, Cat: "cleaner", Scope: "t",
 			Args: map[string]any{"detail": ev.Detail},
-		}, true
+		})
 	case KindTrainStep:
 		// Counter track: Perfetto plots the TD error over train steps.
-		return chromeEvent{
+		return append(out, chromeEvent{
 			Name: "td_error", Ph: "C", TS: int64(ev.Step), Pid: 1, Tid: schedulerTID,
 			Args: map[string]any{"td": ev.Value},
-		}, true
+		})
 	default:
-		return chromeEvent{}, false
+		return out
 	}
 }

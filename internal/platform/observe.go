@@ -101,19 +101,16 @@ func (p *Platform) wireObservability() {
 	}
 }
 
-// observeCandidates scans the idle pool the way the decision audit
-// reports it: every container with its match level, estimated reuse
-// cost and — for containers the DQN mask would never offer — the prune
-// reason. It also emits one MatchAttempted trace event per container.
-// Only called when auditing or tracing is enabled.
-func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration) []obs.Candidate {
-	o := p.obs
+// observeCandidates emits one MatchAttempted trace event per idle
+// container: its match level, estimated reuse cost and — for containers
+// the DQN mask would never offer — the prune reason. The decision audit
+// reads its candidate set from these events. Only called when tracing.
+func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration) {
 	idle := p.pool.Idle()
 	if len(idle) == 0 {
-		return nil
+		return
 	}
 	coldEst := container.Estimate(inv.Fn, core.NoMatch, false).Total()
-	out := make([]obs.Candidate, 0, len(idle))
 	for _, c := range idle {
 		est, lv := container.EstimateFor(inv.Fn, c)
 		reason := ""
@@ -123,37 +120,22 @@ func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration
 		case est.Total() >= coldEst:
 			reason = obs.PruneWorseThanCold
 		}
-		out = append(out, obs.Candidate{
-			Container: c.ID, Level: int(lv), EstUS: est.Total().Microseconds(), Pruned: reason,
+		p.obs.Emit(obs.Event{
+			Kind: obs.KindMatchAttempted, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
+			Container: c.ID, Level: int(lv), Dur: est.Total(), Detail: reason,
 		})
-		if o.Tracing() {
-			o.Emit(obs.Event{
-				Kind: obs.KindMatchAttempted, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
-				Container: c.ID, Level: int(lv), Dur: est.Total(), Detail: reason,
-			})
-		}
 	}
-	return out
 }
 
 // observeDecision records the realized outcome of one scheduling
-// decision across all three pillars. choice is the scheduler's raw
-// action (container ID or ColdStart).
+// decision: one ScheduleDecided trace event and the metrics. choice is
+// the scheduler's raw action (container ID or ColdStart).
 func (p *Platform) observeDecision(inv *workload.Invocation, now time.Duration,
-	cands []obs.Candidate, choice int, c *container.Container, s container.Startup, lvl core.MatchLevel) {
-	o := p.obs
-	if o.Tracing() {
-		o.Emit(obs.Event{
+	choice int, c *container.Container, s container.Startup, lvl core.MatchLevel) {
+	if p.obs.Tracing() {
+		p.obs.Emit(obs.Event{
 			Kind: obs.KindScheduleDecided, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
 			Container: c.ID, Level: int(lvl), Action: choice, Cold: s.Cold, Dur: s.Total(),
-		})
-		kind := obs.KindContainerReused
-		if s.Cold {
-			kind = obs.KindContainerCreated
-		}
-		o.Emit(obs.Event{
-			Kind: kind, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
-			Container: c.ID, Level: int(lvl), Cold: s.Cold, Dur: s.Total(),
 		})
 	}
 	if p.pm != nil {
@@ -170,12 +152,5 @@ func (p *Platform) observeDecision(inv *workload.Invocation, now time.Duration,
 		p.pm.startup.Observe(s.Total())
 		p.pm.poolUsedMB.Set(p.pool.UsedMB())
 		p.pm.runningMB.Set(p.runningMB)
-	}
-	if o.Auditing() {
-		o.Audit.Record(obs.Decision{
-			Seq: inv.Seq, Fn: inv.Fn.ID, AtUS: now.Microseconds(),
-			Candidates: cands, Chosen: choice, Cold: s.Cold, Level: int(lvl),
-			StartupUS: s.Total().Microseconds(), Reward: -s.Total().Seconds(),
-		})
 	}
 }

@@ -97,9 +97,9 @@ type Config struct {
 	// one source across its shards so IDs stay unique among them. Nil
 	// numbers the platform's own containers 1, 2, ….
 	NewID func() int
-	// Obs, when non-nil, observes the run: trace events, metrics and
-	// the scheduler decision audit (see internal/obs). Nil disables all
-	// instrumentation at near-zero cost.
+	// Obs, when non-nil, observes the run: trace events (from which the
+	// scheduler decision audit derives) and metrics (see internal/obs).
+	// Nil disables all instrumentation at near-zero cost.
 	Obs *obs.Observer
 }
 
@@ -378,14 +378,11 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	p.pool.Expire(now)
 	p.rate.Observe(now)
 
-	if p.obs.Tracing() {
-		p.obs.Emit(obs.Event{Kind: obs.KindInvocationArrived, At: now, Seq: inv.Seq, Fn: inv.Fn.ID})
-	}
 	// The audited candidate set must be captured before the scheduler
 	// runs: it is the pool state the policy saw.
-	var cands []obs.Candidate
-	if p.obs.Auditing() || p.obs.Tracing() {
-		cands = p.observeCandidates(inv, now)
+	if p.obs.Tracing() {
+		p.obs.Emit(obs.Event{Kind: obs.KindInvocationArrived, At: now, Seq: inv.Seq, Fn: inv.Fn.ID})
+		p.observeCandidates(inv, now)
 	}
 
 	env := p.env()
@@ -415,7 +412,7 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 		Level:   int(lvl),
 	})
 	if p.obs != nil {
-		p.observeDecision(inv, now, cands, choice, c, s, lvl)
+		p.observeDecision(inv, now, choice, c, s, lvl)
 	}
 	p.seen++
 	p.prevArr = inv.Arrival

@@ -227,11 +227,11 @@ func TestBadIDFallsBackToColdStart(t *testing.T) {
 		},
 		onResult: func(r Result) { seen = append(seen, r) },
 	}
-	o := &obs.Observer{Audit: &obs.Audit{}}
+	o := &obs.Observer{Trace: obs.NewRecorder()}
 	res := New(Config{PoolCapacityMB: 1000, Obs: o}, bad).Run(w)
 	checkFallback(t, res, 3, 2)
 	// The audit keeps the policy's raw choice beside what was served.
-	if d := o.Audit.Decisions()[1]; d.Chosen != 42 || !d.Cold || d.Level != 0 {
+	if d := obs.Decisions(o.Trace.Events())[1]; d.Chosen != 42 || !d.Cold || d.Level != 0 {
 		t.Fatalf("audit record %+v, want chosen 42 served cold", d)
 	}
 	if r := seen[1]; !r.Cold || r.Level != core.NoMatch || r.Startup.Total() != f.ColdStartTime() {

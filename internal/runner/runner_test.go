@@ -181,7 +181,7 @@ func TestRunObserverPerRun(t *testing.T) {
 		if o == nil {
 			t.Fatalf("spec %d: observer factory never called", i)
 		}
-		if got := o.Audit.Len(); got != len(w.Invocations) {
+		if got := len(obs.Decisions(o.Trace.Events())); got != len(w.Invocations) {
 			t.Fatalf("spec %d: audited %d decisions, want %d", i, got, len(w.Invocations))
 		}
 		if o.Trace.Len() == 0 {

@@ -73,16 +73,28 @@ trap 'rm -f "$tmp"' EXIT
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null
 grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
 
+echo "== audit derivation smoke (the audit is a reduction of the trace: -audit-out alone and beside -trace-out write the same 300 decisions) =="
+audit=$(mktemp -d)
+trap 'rm -f "$tmp"; rm -rf "$audit"' EXIT
+go run ./cmd/mlcr-sim -workload Peak -seed 7 -policy Greedy-Match -audit-out "$audit/alone.jsonl" > /dev/null 2>&1
+go run ./cmd/mlcr-sim -workload Peak -seed 7 -policy Greedy-Match -trace-out "$audit/x.jsonl" -audit-out "$audit/traced.jsonl" > /dev/null 2>&1
+cmp "$audit/alone.jsonl" "$audit/traced.jsonl"
+lines=$(wc -l < "$audit/alone.jsonl")
+if [ "$lines" -ne 300 ]; then
+    echo "audit has $lines decisions, want 300" >&2
+    exit 1
+fi
+
 echo "== train -> replay smoke (mlcr-train saves a self-describing model; mlcr-sim -model replays it without training) =="
 model=$(mktemp)
-trap 'rm -f "$tmp" "$model"' EXIT
+trap 'rm -f "$tmp" "$model"; rm -rf "$audit"' EXIT
 go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out "$model" > /dev/null
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy MLCR -model "$model" > /dev/null
 
 echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure, -workers 0 and mlcr-train -episodes 0 exit 2) =="
 # Built, not run through go run, which reports every failure as exit 1.
 bench_bin=$(mktemp -d)
-trap 'rm -f "$tmp" "$model"; rm -rf "$bench_bin"' EXIT
+trap 'rm -f "$tmp" "$model"; rm -rf "$audit" "$bench_bin"' EXIT
 go build -o "$bench_bin/" ./cmd/mlcr-bench ./cmd/mlcr-train
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
 "$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
