@@ -81,19 +81,15 @@ func main() {
 	loose := experiments.CalibrateLoose(w)
 	poolMB := loose * *poolFrac
 
-	// Observability: build the bundle only when an output was requested,
-	// so plain runs stay on the zero-cost disabled path.
+	// Observability: record a trace only when one is exported (the
+	// audit is a reduction of the trace, so -audit-out records one), so
+	// plain runs stay on the zero-cost disabled path. -metrics-out needs
+	// no observer: the export is derived from the run's result.
 	var o *obs.Observer
-	if *traceOut != "" || *metricsOut != "" || *auditOut != "" {
-		o = &obs.Observer{}
-		// The audit is a reduction of the trace, so -audit-out records one.
-		if *traceOut != "" || *auditOut != "" {
-			o.Trace = obs.NewRecorder()
-		}
-		if *metricsOut != "" {
-			o.Metrics = obs.NewRegistry()
-		}
+	if *traceOut != "" || *auditOut != "" {
+		o = obs.NewObserver()
 	}
+	observed := o != nil || *metricsOut != ""
 
 	if *evictorName != "" && *evictorName != "all" {
 		if _, err := evict.New(*evictorName); err != nil {
@@ -111,12 +107,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mlcr-sim: pick one evictor for cluster runs (or use -routing all for the router comparison)")
 			os.Exit(2)
 		}
-		runCluster(w, *workers, *routing, *policyName, *evictorName, poolMB, *poolFrac, loose, *seed, *parallel, o, *metricsOut)
+		runCluster(w, *workers, *routing, *policyName, *evictorName, poolMB, *poolFrac, loose, *seed, *parallel, *metricsOut)
 		return
 	}
 
 	if *evictorName == "all" {
-		if o != nil {
+		if observed {
 			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single run, not -evictor all")
 			os.Exit(2)
 		}
@@ -127,7 +123,7 @@ func main() {
 	}
 
 	if *policyName == "all" {
-		if o != nil {
+		if observed {
 			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single policy, not -policy all")
 			os.Exit(2)
 		}
@@ -170,7 +166,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", *traceOut, o.Trace.Len())
 	}
 	if *metricsOut != "" {
-		writeOut(*metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
+		writeOut(*metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, res.ExportMetrics()) })
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
 	}
 	if *auditOut != "" {
@@ -206,7 +202,7 @@ func main() {
 // one run under the named router, or the full router comparison with
 // -routing all. Per-worker schedulers come from the policy registry
 // (MLCR needs offline training and stays single-worker).
-func runCluster(w workload.Workload, workers int, routing, policyName, evictor string, poolMB, poolFrac, loose float64, seed int64, parallel int, o *obs.Observer, metricsOut string) {
+func runCluster(w workload.Workload, workers int, routing, policyName, evictor string, poolMB, poolFrac, loose float64, seed int64, parallel int, metricsOut string) {
 	if _, err := policy.New(policyName, seed); err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-sim: policy %q is not available per-worker (cluster schedulers: %s)\n",
 			policyName, strings.Join(policy.Names(), ", "))
@@ -232,7 +228,7 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 	}
 
 	if routing == "all" {
-		if o != nil {
+		if metricsOut != "" {
 			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single router, not -routing all")
 			os.Exit(2)
 		}
@@ -254,12 +250,10 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 		fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := mkCfg(routing)
-	cfg.Obs = o
-	res := cluster.Run(cfg, w)
+	res := cluster.Run(mkCfg(routing), w)
 
 	if metricsOut != "" {
-		writeOut(metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
+		writeOut(metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, res.ExportMetrics(nil)) })
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", metricsOut)
 	}
 

@@ -51,51 +51,30 @@ func main() {
 	s := mlcr.New(experiments.TrainConfig(loose, experiments.Options{Seed: *seed, Episodes: *episodes}))
 
 	// Training telemetry: every DQN gradient update becomes a TrainStep
-	// trace event plus registry metrics, exported after training.
+	// trace event. The metrics export is read off the last update and
+	// the last episode after training.
 	var (
 		o           *obs.Observer
-		steps       *obs.Counter
-		epCount     *obs.Counter
-		tdGauge     *obs.Gauge
-		epsGauge    *obs.Gauge
 		onTrainStep func(drl.TrainStepStats)
 	)
-	if *traceOut != "" || *metricsOut != "" {
-		o = &obs.Observer{}
-		if *traceOut != "" {
-			o.Trace = obs.NewRecorder()
-		}
-		if *metricsOut != "" {
-			o.Metrics = obs.NewRegistry()
-			steps = o.Metrics.Counter("mlcr_train_steps_total", "DQN gradient updates applied.")
-			epCount = o.Metrics.Counter("mlcr_train_episodes_total", "Training episodes completed.")
-			tdGauge = o.Metrics.Gauge("mlcr_train_td_error", "Mean absolute TD error of the latest update.")
-			epsGauge = o.Metrics.Gauge("mlcr_train_epsilon", "Current exploration rate.")
-		}
+	if *traceOut != "" {
+		o = obs.NewObserver()
 		onTrainStep = func(st drl.TrainStepStats) {
 			o.Emit(obs.Event{
 				Kind: obs.KindTrainStep, Seq: -1, Fn: -1,
 				Step: st.Update, Value: st.TDError,
 			})
-			if steps != nil {
-				steps.Inc()
-				tdGauge.Set(st.TDError)
-			}
 		}
 	}
 
 	start := time.Now()
 	fracs := []float64{0.2, 0.5, 1.0}
-	s.Train(mlcr.TrainOptions{
+	eps := s.Train(mlcr.TrainOptions{
 		Episodes:       *episodes,
 		PoolForEpisode: func(ep int) float64 { return loose * fracs[ep%len(fracs)] },
 		Workload:       func(int) workload.Workload { return w },
 		OnTrainStep:    onTrainStep,
 		OnEpisode: func(e mlcr.EpisodeStats) {
-			if epCount != nil {
-				epCount.Inc()
-				epsGauge.Set(e.Epsilon)
-			}
 			if *verbose {
 				fmt.Printf("  episode %3d: total startup %v, cold starts %d, ε=%.2f, TD=%.4f\n",
 					e.Episode, e.TotalStartup.Round(time.Second), e.ColdStarts, e.Epsilon, e.TDError)
@@ -113,7 +92,15 @@ func main() {
 		fmt.Printf("training trace written to %s (%d events)\n", *traceOut, o.Trace.Len())
 	}
 	if *metricsOut != "" {
-		writeOut(*metricsOut, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
+		last := eps[len(eps)-1]
+		writeOut(*metricsOut, func(f *os.File) error {
+			return obs.WritePrometheus(f, []obs.Metric{
+				{Name: "mlcr_train_steps_total", Help: "DQN gradient updates applied.", Type: obs.TypeCounter, Value: float64(s.Agent().Updates())},
+				{Name: "mlcr_train_episodes_total", Help: "Training episodes completed.", Type: obs.TypeCounter, Value: float64(len(eps))},
+				{Name: "mlcr_train_td_error", Help: "Mean absolute TD error of the latest update.", Type: obs.TypeGauge, Value: last.TDError},
+				{Name: "mlcr_train_epsilon", Help: "Current exploration rate.", Type: obs.TypeGauge, Value: last.Epsilon},
+			})
+		})
 		fmt.Printf("training metrics written to %s\n", *metricsOut)
 	}
 }

@@ -79,9 +79,9 @@ type GatewayConfig struct {
 	// nothing, so every request goes through its shard's platform.
 	FastDepth int
 	// Observe gives the shard platform an observer per generation —
-	// trace recorder, metrics registry and a phase profiler on the
-	// gateway clock — serves /trace and /audit (a reduction of the
-	// trace) from it and adds its registry to /metrics. The recorder
+	// trace recorder and a phase profiler on the gateway clock — serves
+	// /trace and /audit (a reduction of the trace) from it and adds the
+	// shard's run series and phase summaries to /metrics. The recorder
 	// grows with every invocation. It requires Shards 1 and a negative
 	// FastDepth, so that every decision passes through the observed
 	// platform.
@@ -562,39 +562,41 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // WriteMetricsText writes gateway metrics in Prometheus text exposition
-// format — served by GET /metrics and flushed on graceful shutdown. An
-// observed gateway appends its platform's registry, with the phase
-// profiler's summaries (mlcr_phase_seconds) refreshed first.
+// format — served by GET /metrics and flushed on graceful shutdown —
+// through obs.WritePrometheus: the gateway's series read off Stats, and
+// for an observed gateway its shard platform's (RunResult.ExportMetrics)
+// and phase profiler's (obs.PhaseMetrics), both read under the shard
+// lock.
 func (g *Gateway) WriteMetricsText(w io.Writer) error {
 	st := g.state.Load()
 	s := g.Stats()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
+	counter := func(name, help string, n int64) obs.Metric {
+		return obs.Metric{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(n)}
 	}
-	p("# HELP mlcr_gateway_invocations_total Invocations served.\n# TYPE mlcr_gateway_invocations_total counter\nmlcr_gateway_invocations_total %d\n", s.Invocations)
-	p("# HELP mlcr_gateway_fast_hits_total Lock-free fast-layer L3 re-hits.\n# TYPE mlcr_gateway_fast_hits_total counter\nmlcr_gateway_fast_hits_total %d\n", s.FastHits)
-	p("# HELP mlcr_gateway_cold_starts_total Cold starts.\n# TYPE mlcr_gateway_cold_starts_total counter\nmlcr_gateway_cold_starts_total %d\n", s.ColdStarts)
-	p("# HELP mlcr_gateway_warm_starts_total Warm starts (all levels).\n# TYPE mlcr_gateway_warm_starts_total counter\nmlcr_gateway_warm_starts_total %d\n", s.WarmStarts)
-	p("# HELP mlcr_gateway_evictions_total Pool evictions.\n# TYPE mlcr_gateway_evictions_total counter\nmlcr_gateway_evictions_total %d\n", s.Evictions)
-	p("# HELP mlcr_gateway_pool_used_mb Warm memory parked (pool segments + fast layer).\n# TYPE mlcr_gateway_pool_used_mb gauge\nmlcr_gateway_pool_used_mb %g\n", s.PoolUsedMB)
-	p("# HELP mlcr_gateway_shards Pool shards.\n# TYPE mlcr_gateway_shards gauge\nmlcr_gateway_shards %d\n", s.Shards)
-	p("# HELP mlcr_gateway_startup_ms Startup latency quantiles in milliseconds.\n# TYPE mlcr_gateway_startup_ms summary\n")
-	p("mlcr_gateway_startup_ms{quantile=\"0.5\"} %d\n", s.StartupQuantiles.P50)
-	p("mlcr_gateway_startup_ms{quantile=\"0.95\"} %d\n", s.StartupQuantiles.P95)
-	p("mlcr_gateway_startup_ms{quantile=\"0.99\"} %d\n", s.StartupQuantiles.P99)
-	if o := st.obs; o != nil && err == nil {
-		// The platform writes the profiler under the shard lock; the
-		// registry itself is safe to export concurrently.
+	startupMS := func(q string, ms int64) obs.Metric {
+		return obs.Metric{Name: `mlcr_gateway_startup_ms{quantile="` + q + `"}`,
+			Help: "Startup latency quantiles in milliseconds.", Type: obs.TypeSummary, Value: float64(ms)}
+	}
+	ms := []obs.Metric{
+		counter("mlcr_gateway_invocations_total", "Invocations served.", int64(s.Invocations)),
+		counter("mlcr_gateway_fast_hits_total", "Lock-free fast-layer L3 re-hits.", s.FastHits),
+		counter("mlcr_gateway_cold_starts_total", "Cold starts.", int64(s.ColdStarts)),
+		counter("mlcr_gateway_warm_starts_total", "Warm starts (all levels).", int64(s.WarmStarts)),
+		counter("mlcr_gateway_evictions_total", "Pool evictions.", int64(s.Evictions)),
+		{Name: "mlcr_gateway_pool_used_mb", Help: "Warm memory parked (pool segments + fast layer).", Type: obs.TypeGauge, Value: s.PoolUsedMB},
+		{Name: "mlcr_gateway_shards", Help: "Pool shards.", Type: obs.TypeGauge, Value: float64(s.Shards)},
+		startupMS("0.5", s.StartupQuantiles.P50),
+		startupMS("0.95", s.StartupQuantiles.P95),
+		startupMS("0.99", s.StartupQuantiles.P99),
+	}
+	if st.obs != nil {
 		sh := st.shards[0]
 		sh.mu.Lock()
-		o.PublishPerf()
+		ms = append(ms, sh.plat.Results().ExportMetrics()...)
+		ms = append(ms, obs.PhaseMetrics(st.obs.Perf)...)
 		sh.mu.Unlock()
-		err = o.Metrics.WritePrometheus(w)
 	}
-	return err
+	return obs.WritePrometheus(w, ms)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -598,6 +600,83 @@ func TestGatewayMetricsText(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestGatewayMetricsSeriesNames pins the series names of the observed
+// gateway's /metrics and of the unobserved one after 200 invocations
+// half a second apart over a 2 GB pool: scrapers key on them. The
+// order is the writer's (families by base name), so the test sorts.
+func TestGatewayMetricsSeriesNames(t *testing.T) {
+	gateway := []string{
+		"mlcr_gateway_cold_starts_total",
+		"mlcr_gateway_evictions_total",
+		"mlcr_gateway_fast_hits_total",
+		"mlcr_gateway_invocations_total",
+		"mlcr_gateway_pool_used_mb",
+		"mlcr_gateway_shards",
+		`mlcr_gateway_startup_ms{quantile="0.5"}`,
+		`mlcr_gateway_startup_ms{quantile="0.95"}`,
+		`mlcr_gateway_startup_ms{quantile="0.99"}`,
+		"mlcr_gateway_warm_starts_total",
+	}
+	shard := []string{
+		"mlcr_cold_starts_total",
+		"mlcr_containers_created_total",
+		"mlcr_containers_reused_total",
+		"mlcr_invocations_total",
+		`mlcr_pool_evictions_total{policy="lru",reason="capacity"}`,
+		"mlcr_pool_used_mb",
+		"mlcr_running_mb",
+		"mlcr_startup_seconds_count",
+		"mlcr_startup_seconds_sum",
+		"mlcr_volume_swaps_total",
+		`mlcr_warm_starts_total{level="1"}`,
+		`mlcr_warm_starts_total{level="2"}`,
+		`mlcr_warm_starts_total{level="3"}`,
+	}
+	summary := func(name, labels string) {
+		for _, q := range []string{"0.5", "0.9", "0.99", "0.999"} {
+			shard = append(shard, name+"{"+labels+`quantile="`+q+`"}`)
+		}
+	}
+	summary("mlcr_startup_seconds", "")
+	for _, ph := range []string{"dispatch", "pool_evict", "schedule"} {
+		labels := `phase="` + ph + `"`
+		summary("mlcr_phase_seconds", labels+",")
+		shard = append(shard, "mlcr_phase_seconds_count{"+labels+"}", "mlcr_phase_seconds_sum{"+labels+"}")
+	}
+
+	fns := testFunctions()
+	for _, c := range []struct {
+		name string
+		cfg  func(GatewayConfig) GatewayConfig
+		want []string
+	}{
+		{"unobserved", func(cfg GatewayConfig) GatewayConfig { return cfg }, gateway},
+		{"observed", simConfig, append(append([]string(nil), gateway...), shard...)},
+	} {
+		var vc vclock
+		g := testGateway(t, c.cfg(GatewayConfig{Clock: vc.Clock, PoolCapacityMB: 2048}))
+		for i := 0; i < 200; i++ {
+			vc.Set(time.Duration(i) * 500 * time.Millisecond)
+			g.Do(fns[(i*7)%len(fns)].ID, -1, 0)
+		}
+		var buf bytes.Buffer
+		if err := g.WriteMetricsText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				got = append(got, strings.Fields(line)[0])
+			}
+		}
+		sort.Strings(got)
+		sort.Strings(c.want)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s gateway series:\n got %q\nwant %q", c.name, got, c.want)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"time"
 
 	"mlcr/internal/obs"
@@ -51,16 +52,13 @@ type Config struct {
 	// worker simulations. <=0 means GOMAXPROCS, 1 forces sequential.
 	// Results are bit-identical at any setting.
 	Parallelism int
-	// Obs, when non-nil, receives cluster-level observability: the
-	// per-worker mlcr_cluster_routed_total counters and the route-phase
-	// latency summary land in Obs.Metrics, so cluster runs publish the
-	// same Prometheus surface as single-worker runs. Obs.Perf, when
+	// Obs, when non-nil, observes the front end: Obs.Perf, when
 	// non-nil, times each front-end routing decision (perf.PhaseRoute):
 	// parallel routing shards record into private profilers built from
 	// its clock and merge into it at the end-of-route barrier, so the
-	// caller-owned profiler is never written concurrently. Worker
-	// simulations do not share Obs — per-worker observers stay
-	// per-platform.
+	// caller-owned profiler is never written concurrently, and
+	// Result.ExportMetrics exports it. Worker simulations do not share
+	// Obs — per-worker observers stay per-platform.
 	Obs *obs.Observer
 }
 
@@ -128,7 +126,6 @@ func Run(cfg Config, w workload.Workload) Result {
 	prof := cfg.Obs.Profiler()
 	targets := routeTargets(router, w, cfg.Workers, cfg.Parallelism, prof)
 	parts, routed := partition(w, targets, cfg.Workers)
-	publishRouting(cfg.Obs, routed, prof)
 
 	res := Result{Routed: routed}
 	res.PerWorker = runner.Map(cfg.Workers, runner.Options{Parallelism: cfg.Parallelism}, func(i int) *platform.RunResult {
@@ -285,22 +282,18 @@ func partition(w workload.Workload, targets []uint32, workers int) ([][]workload
 	return parts, routed
 }
 
-// publishRouting emits the cluster routing surface into the observer's
-// metrics registry: one mlcr_cluster_routed_total{worker} counter per
-// worker and the route-phase latency summary (same series name and
-// quantiles as Observer.PublishPerf).
-func publishRouting(o *obs.Observer, routed []int, prof *perf.Profiler) {
-	if o == nil || o.Metrics == nil {
-		return
+// ExportMetrics derives the cluster's routing series: one
+// mlcr_cluster_routed_total{worker} counter per worker, read off
+// Routed, and the phase summaries of prof, the profiler the run's
+// Obs.Perf routed under (nil for none).
+func (r Result) ExportMetrics(prof *perf.Profiler) []obs.Metric {
+	out := obs.PhaseMetrics(prof)
+	for w, n := range r.Routed {
+		out = append(out, obs.Metric{
+			Name: `mlcr_cluster_routed_total{worker="` + strconv.Itoa(w) + `"}`,
+			Help: "Invocations routed to each cluster worker.",
+			Type: obs.TypeCounter, Value: float64(n),
+		})
 	}
-	for w, n := range routed {
-		o.Metrics.Counter(
-			fmt.Sprintf(`mlcr_cluster_routed_total{worker="%d"}`, w),
-			"Invocations routed to each cluster worker.",
-		).Add(int64(n))
-	}
-	if h := prof.Phase(perf.PhaseRoute); h != nil && h.Count() > 0 {
-		o.Metrics.Summary(`mlcr_phase_seconds{phase="route"}`,
-			"Hot-path phase latency by profiler phase.").SetHDR(h)
-	}
+	return out
 }

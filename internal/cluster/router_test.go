@@ -347,30 +347,40 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestClusterRoutingObservability: cluster runs must publish the
-// per-worker routed counters and the route-phase latency summary into
-// the observer's registry.
+// TestClusterRoutingObservability: a cluster run's export carries one
+// mlcr_cluster_routed_total counter per worker, read off Result.Routed,
+// and the route-phase latency summary of the observer's profiler.
 func TestClusterRoutingObservability(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 90})
 	// Routing blocks run in parallel and all read this clock.
 	var tick atomic.Int64
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	o.Perf = perf.New(func() time.Duration { return time.Duration(tick.Add(int64(time.Microsecond))) })
+	o := &obs.Observer{Perf: perf.New(func() time.Duration { return time.Duration(tick.Add(int64(time.Microsecond))) })}
 	cfg := mkCfg(3, "round-robin", 3000)
 	cfg.Obs = o
 	res := Run(cfg, w)
-	for wk, n := range res.Routed {
-		c := o.Metrics.Counter(fmt.Sprintf(`mlcr_cluster_routed_total{worker="%d"}`, wk), "")
-		if c.Value() != int64(n) {
-			t.Fatalf("worker %d: counter %d, routed %d", wk, c.Value(), n)
-		}
-	}
 	if h := o.Perf.Phase(perf.PhaseRoute); h.Count() != int64(len(w.Invocations)) {
 		t.Fatalf("route phase recorded %d spans, want %d", h.Count(), len(w.Invocations))
 	}
-	snap := o.Metrics.Snapshot()
-	if !strings.Contains(snap, `mlcr_phase_seconds{phase="route",quantile=`) {
-		t.Fatalf("route-phase latency summary missing from registry snapshot:\n%s", snap)
+	var b strings.Builder
+	if err := obs.WritePrometheus(&b, res.ExportMetrics(o.Perf)); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for wk, n := range res.Routed {
+		if want := fmt.Sprintf("mlcr_cluster_routed_total{worker=\"%d\"} %d\n", wk, n); !strings.Contains(text, want) {
+			t.Errorf("export lacks %q", want)
+		}
+	}
+	for _, want := range []string{
+		`mlcr_phase_seconds{phase="route",quantile=`,
+		fmt.Sprintf("mlcr_phase_seconds_count{phase=\"route\"} %d\n", len(w.Invocations)),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("export lacks %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("export:\n%s", text)
 	}
 }
 

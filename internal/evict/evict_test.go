@@ -148,6 +148,9 @@ func evictionScript(t *testing.T, name string, seed int64, ops int) []killRecord
 		t.Fatalf("%s: Stats.Rejections %d != rejected+oversize kills %d",
 			name, st.Rejections, counts[evict.ReasonRejected]+counts[evict.ReasonOversize])
 	}
+	if st.Oversize != counts[evict.ReasonOversize] {
+		t.Fatalf("%s: Stats.Oversize %d != oversize kills %d", name, st.Oversize, counts[evict.ReasonOversize])
+	}
 	return kills
 }
 

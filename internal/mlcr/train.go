@@ -88,8 +88,13 @@ func (s *Scheduler) Train(opts TrainOptions) []EpisodeStats {
 		}
 	}
 	// Backward passes left gradient workspaces and weight transposes in
-	// the learner's layers; a clone carries the weights alone.
+	// the learner's layers; a clone carries the weights alone. The
+	// gradient buffers sit on the shared parameters, all zero after the
+	// last update, so the served model drops them.
 	s.agent = t.learner.Agent().Clone()
+	for _, p := range s.agent.Online().Params() {
+		p.DropGrad()
+	}
 	return stats
 }
 

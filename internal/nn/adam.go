@@ -35,7 +35,7 @@ func NewAdam(params []*Param, lr float64) *Adam {
 func (a *Adam) GradNorm() float64 {
 	var s float64
 	for _, p := range a.params {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Grad().Data {
 			s += g * g
 		}
 	}
@@ -55,7 +55,7 @@ func (a *Adam) Step() {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range a.params {
 		m, v := a.m[i], a.v[i]
-		for j, g := range p.Grad.Data {
+		for j, g := range p.Grad().Data {
 			g *= scale
 			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
 			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
@@ -71,7 +71,7 @@ func (a *Adam) Step() {
 // ZeroGrad clears all parameter gradients.
 func (a *Adam) ZeroGrad() {
 	for _, p := range a.params {
-		p.Grad.Zero()
+		p.Grad().Zero()
 	}
 }
 

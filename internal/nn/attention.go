@@ -168,7 +168,7 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 
 	// Output projection.
 	m.gw = EnsureTensor(m.gw, m.Dim, m.Dim)
-	AddInto(m.Wo.Grad, TMatMulInto(m.gw, m.headsOut, dy))
+	AddInto(m.Wo.Grad(), TMatMulInto(m.gw, m.headsOut, dy))
 	m.dHeads = EnsureTensor(m.dHeads, rows, m.Dim)
 	dHeads := MatMulInto(m.dHeads, dy, m.woT.of(m.Wo)) // dy×Woᵀ [seq, dim]
 
@@ -209,9 +209,9 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 		addColSlice(dv, dVh, start)
 	}
 
-	AddInto(m.Wq.Grad, TMatMulInto(m.gw, m.x, dq))
-	AddInto(m.Wk.Grad, TMatMulInto(m.gw, m.x, dkT))
-	AddInto(m.Wv.Grad, TMatMulInto(m.gw, m.x, dv))
+	AddInto(m.Wq.Grad(), TMatMulInto(m.gw, m.x, dq))
+	AddInto(m.Wk.Grad(), TMatMulInto(m.gw, m.x, dkT))
+	AddInto(m.Wv.Grad(), TMatMulInto(m.gw, m.x, dv))
 
 	m.dxTerm = EnsureTensor(m.dxTerm, rows, m.Dim)
 	AddInto(dx, MatMulInto(m.dxTerm, dq, m.wqT.of(m.Wq)))

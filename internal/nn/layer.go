@@ -9,21 +9,38 @@ import (
 // Param is a trainable tensor together with its gradient accumulator.
 // Its weights are unexported: only this package writes them (the layer
 // constructors, Adam.Step, Load and CopyParams), and each writer bumps
-// the version, so no derived cache can go stale unseen.
+// the version, so no derived cache can go stale unseen. The gradient
+// exists only once something trains the parameter (see Grad).
 type Param struct {
 	Name string
 	w    *Tensor
-	Grad *Tensor
+	grad *Tensor
 
 	// version counts weight updates; derived caches (weight transposes,
 	// drl's target cache) compare it to decide whether they are stale.
 	version uint64
 }
 
-// newParam allocates a parameter and its zeroed gradient.
+// newParam allocates a parameter's weights; its gradient waits for the
+// first Grad.
 func newParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, w: NewTensor(rows, cols), Grad: NewTensor(rows, cols)}
+	return &Param{Name: name, w: NewTensor(rows, cols)}
 }
+
+// Grad returns the gradient accumulator, allocating it zeroed on first
+// use. Backward and Adam reach it only through here, so a parameter
+// that only forward passes read (a served model's) never holds one.
+func (p *Param) Grad() *Tensor {
+	if p.grad == nil {
+		p.grad = NewTensor(p.w.Rows, p.w.Cols)
+	}
+	return p.grad
+}
+
+// DropGrad releases the gradient accumulator; the next Grad allocates a
+// zeroed one. Adam.Step leaves every gradient zero, so between updates
+// dropping it changes nothing a later update computes.
+func (p *Param) DropGrad() { p.grad = nil }
 
 // markUpdated records that the parameter's weights changed, invalidating
 // derived caches (e.g. a layer's cached weight transpose).
@@ -66,7 +83,7 @@ func (c *paramTranspose) of(p *Param) *Tensor {
 // use as they do for a new layer. Forward passes only read weights, so
 // layers sharing parameters may each run on its own goroutine. A weight
 // write (Adam.Step, Load, CopyParams) or a Backward, which accumulates
-// into the shared Grad, is seen by every sharer: train only parameters
+// into the shared Grad(), is seen by every sharer: train only parameters
 // no other layer holds.
 type Layer interface {
 	// Forward computes the layer output for x.
@@ -95,7 +112,7 @@ type Linear struct {
 	// Backward are owned by the layer and valid until its next call.
 	y  *Tensor        // forward output
 	dx *Tensor        // input gradient
-	dw *Tensor        // multi-row weight-gradient scratch (summed into Weight.Grad)
+	dw *Tensor        // multi-row weight-gradient scratch (summed into Weight.Grad())
 	wT paramTranspose // cached Weightᵀ for Backward's input-gradient matmul; Forward never builds it
 }
 
@@ -135,21 +152,22 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 		// an exact zero. Grad starts at +0 and a sum is −0 only when both
 		// operands are, so Grad is never −0: adding the product straight
 		// in, and skipping x[i] == 0 as the product does, is bit-identical.
-		dyr := dy.Data[:l.Out]
+		dyr, wg := dy.Data[:l.Out], l.Weight.Grad()
 		for i, xv := range l.x.Data {
 			if xv != 0 {
-				axpyRow(l.Weight.Grad.Row(i), dyr, xv)
+				axpyRow(wg.Row(i), dyr, xv)
 			}
 		}
 	} else {
 		// Each weight's sum over rows is formed first, then added once.
 		l.dw = EnsureTensor(l.dw, l.In, l.Out)
-		AddInto(l.Weight.Grad, TMatMulInto(l.dw, l.x, dy))
+		AddInto(l.Weight.Grad(), TMatMulInto(l.dw, l.x, dy))
 	}
+	bg := l.Bias.Grad().Data
 	for r := 0; r < dy.Rows; r++ {
 		row := dy.Row(r)
 		for j, v := range row {
-			l.Bias.Grad.Data[j] += v
+			bg[j] += v
 		}
 	}
 	// dy×Wᵀ through the cached transpose: MatMulInto against Weightᵀ adds
@@ -295,14 +313,15 @@ func (ln *LayerNorm) Backward(dy *Tensor) *Tensor {
 		ln.dn = make([]float64, ln.Dim)
 	}
 	n := float64(ln.Dim)
+	gg, bg := ln.Gain.Grad().Data, ln.Bias.Grad().Data
 	for r := 0; r < dy.Rows; r++ {
 		dyr, nr, dxr := dy.Row(r), ln.norm.Row(r), dx.Row(r)
 		// Accumulate parameter grads and the two reduction terms.
 		var sumDn, sumDnN float64
 		dn := ln.dn[:ln.Dim]
 		for i := range dyr {
-			ln.Gain.Grad.Data[i] += dyr[i] * nr[i]
-			ln.Bias.Grad.Data[i] += dyr[i]
+			gg[i] += dyr[i] * nr[i]
+			bg[i] += dyr[i]
 			dn[i] = dyr[i] * ln.Gain.w.Data[i]
 			sumDn += dn[i]
 			sumDnN += dn[i] * nr[i]

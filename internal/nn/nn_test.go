@@ -26,7 +26,7 @@ func checkGrads(t *testing.T, l Layer, x *Tensor, tol float64) {
 	y := l.Forward(x)
 	r := NewTensor(y.Rows, y.Cols).Randn(rng, 1)
 	for _, p := range l.Params() {
-		p.Grad.Zero()
+		p.Grad().Zero()
 	}
 	dx := l.Backward(r)
 
@@ -58,8 +58,8 @@ func checkGrads(t *testing.T, l Layer, x *Tensor, tol float64) {
 			p.w.Data[i] = orig
 			p.markUpdated()
 			num := (lp - lm) / (2 * h)
-			if math.Abs(num-p.Grad.Data[i]) > tol*(1+math.Abs(num)) {
-				t.Fatalf("%s grad[%d] = %v, numeric %v", p.Name, i, p.Grad.Data[i], num)
+			if math.Abs(num-p.Grad().Data[i]) > tol*(1+math.Abs(num)) {
+				t.Fatalf("%s grad[%d] = %v, numeric %v", p.Name, i, p.Grad().Data[i], num)
 			}
 		}
 	}
@@ -309,7 +309,7 @@ func TestAdamClipNorm(t *testing.T) {
 	opt := NewAdam(l.Params(), 0.1)
 	opt.ClipNorm = 1e-6
 	before := append([]float64(nil), l.Weight.w.Data...)
-	l.Weight.Grad.Fill(1e9)
+	l.Weight.Grad().Fill(1e9)
 	opt.Step()
 	for i := range before {
 		// With tiny clip norm the update is bounded by ~lr.
@@ -318,7 +318,7 @@ func TestAdamClipNorm(t *testing.T) {
 		}
 	}
 	// Gradients must be zeroed after Step.
-	for _, g := range l.Weight.Grad.Data {
+	for _, g := range l.Weight.Grad().Data {
 		if g != 0 {
 			t.Fatal("gradients not zeroed after Step")
 		}

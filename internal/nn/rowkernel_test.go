@@ -158,7 +158,7 @@ func TestLinearOneRowGradMatchesProduct(t *testing.T) {
 				l.Forward(x)
 				l.Backward(dy)
 				AddInto(want, TMatMul(x, dy))
-				equalTensors(t, "one-row weight gradient", l.Weight.Grad, want)
+				equalTensors(t, "one-row weight gradient", l.Weight.Grad(), want)
 			}
 		}
 	}
@@ -178,7 +178,7 @@ func netRun(steps int) []*Tensor {
 		out = append(out, net.Forward(x).Clone(), net.Backward(dy).Clone())
 	}
 	for _, p := range net.Params() {
-		out = append(out, p.Grad)
+		out = append(out, p.Grad())
 	}
 	return out
 }

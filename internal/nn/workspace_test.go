@@ -134,8 +134,8 @@ func TestWorkspaceNetworkMatchesFreshNetwork(t *testing.T) {
 		wdx := warm.Backward(grads[s])
 		equalTensors(t, "input gradient", wdx, fdx)
 		for pi, p := range warm.Params() {
-			equalTensors(t, "grad "+p.Name, p.Grad, fresh.Params()[pi].Grad)
-			p.Grad.Zero()
+			equalTensors(t, "grad "+p.Name, p.Grad(), fresh.Params()[pi].Grad())
+			p.Grad().Zero()
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestWorkspaceBuffersDoNotLeakState(t *testing.T) {
 	l.Forward(big)
 	l.Backward(NewTensor(4, 2).Randn(rng, 1))
 	for _, p := range l.Params() {
-		p.Grad.Zero()
+		p.Grad().Zero()
 	}
 
 	got := l.Forward(small).Clone()

@@ -83,12 +83,10 @@ func Decisions(events []Event) []Decision {
 // WriteAuditJSONL writes the recording's decision audit (Decisions),
 // one JSON object per decision in arrival order. The encoding is
 // deterministic, so two identical seeded runs produce byte-identical
-// logs. The reduction reads the recording in place, under the lock,
-// rather than a copy of it; only the encoding runs unlocked.
+// logs. The reduction reads the recording in place (Recorder.view),
+// not a copy of it.
 func (r *Recorder) WriteAuditJSONL(w io.Writer) error {
-	r.mu.Lock()
-	ds := Decisions(r.events)
-	r.mu.Unlock()
+	ds := Decisions(r.view())
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, d := range ds {

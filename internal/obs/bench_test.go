@@ -28,9 +28,8 @@ func BenchmarkDisabledTracer(b *testing.B) {
 	}
 }
 
-// BenchmarkEnabledTracer is the same replay with both clock-free
-// pillars (trace and registry) collecting, to quantify the cost of full
-// observability.
+// BenchmarkEnabledTracer is the same replay with the clock-free pillar,
+// the trace, collecting, to quantify the cost of full observability.
 func BenchmarkEnabledTracer(b *testing.B) {
 	w, poolMB := benchWorkload()
 	greedy := experiments.SetupOf("Greedy-Match", 0)

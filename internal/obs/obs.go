@@ -1,5 +1,6 @@
-// Package obs is the repository's observability layer, three pillars
-// shared by the simulator, the HTTP gateway and the training loop:
+// Package obs is the repository's observability layer, two pillars
+// and an export shared by the simulator, the HTTP gateway and the
+// training loop:
 //
 //   - a structured trace: typed events (Event) with virtual timestamps,
 //     collected by a Recorder and exportable as JSONL or as the
@@ -8,19 +9,20 @@
 //     (Decisions, Recorder.WriteAuditJSONL): for every invocation, the
 //     candidate set the policy saw, per-candidate match levels and prune
 //     reasons, the chosen action and the realized reward;
-//   - a metrics registry (Registry): named counters, gauges and
-//     HDR-backed summaries (every latency distribution is a perf.HDR)
-//     with allocation-free counter and gauge updates, a deterministic
-//     text snapshot and Prometheus exposition-format export;
 //   - a phase profiler (obs/perf.Profiler): scoped timers with an
 //     injected clock around the simulator's hot phases, aggregated into
-//     fixed-footprint HDR histograms and exported as Prometheus
-//     summaries (see PublishPerf).
+//     fixed-footprint HDR histograms;
+//   - a Prometheus export (WritePrometheus): the one exposition writer.
+//     Metrics are a reduction of the run, not a live registry: each
+//     producer derives its counters, gauges and HDR summaries from
+//     results it already keeps (platform.RunResult, cluster.Result, the
+//     gateway's Stats, PhaseMetrics of a profiler) when the export is
+//     written.
 //
-// All three are optional and nil-safe: a disabled Observer costs a nil
-// check per instrumentation point, so determinism and performance of
-// unobserved runs are unchanged (see BenchmarkDisabledTracer and
-// perf.BenchmarkDisabledSpan).
+// Both pillars are optional and nil-safe: a disabled Observer costs a
+// nil check per instrumentation point, so determinism and performance
+// of unobserved runs are unchanged (see BenchmarkDisabledTracer and
+// perf.BenchmarkDisabledSpan). The export needs no Observer at all.
 package obs
 
 import (
@@ -126,27 +128,25 @@ type Event struct {
 	Detail string
 }
 
-// Observer bundles the three pillars. Any field may be nil to disable
-// that pillar; a nil *Observer disables everything. The decision audit
-// is derived from Trace, so auditing a run means tracing it. All
-// methods are nil-receiver safe so instrumented code needs no nil
-// checks beyond the guards below.
+// Observer bundles the two pillars. Either field may be nil to disable
+// that pillar; a nil *Observer disables both. The decision audit is
+// derived from Trace, so auditing a run means tracing it. All methods
+// are nil-receiver safe so instrumented code needs no nil checks beyond
+// the guards below.
 type Observer struct {
-	Trace   *Recorder
-	Metrics *Registry
-	// Perf aggregates scoped hot-path timings. Unlike the other pillars
-	// it needs a clock, so NewObserver leaves it nil; enable it with
+	Trace *Recorder
+	// Perf aggregates scoped hot-path timings. Unlike the trace it
+	// needs a clock, so NewObserver leaves it nil; enable it with
 	// perf.New and an injected clock (a deterministic counter in tests,
 	// wall time in the gateway).
 	Perf *perf.Profiler
 }
 
-// NewObserver returns an Observer with the two clock-free pillars
-// enabled: a fresh Recorder (the trace and, derived from it, the
-// decision audit) and Registry. Perf stays nil until the caller injects
-// a clock.
+// NewObserver returns an Observer with the clock-free pillar enabled: a
+// fresh Recorder (the trace and, derived from it, the decision audit).
+// Perf stays nil until the caller injects a clock.
 func NewObserver() *Observer {
-	return &Observer{Trace: NewRecorder(), Metrics: NewRegistry()}
+	return &Observer{Trace: NewRecorder()}
 }
 
 // Emit records the event in the trace; a no-op when disabled.
@@ -168,23 +168,4 @@ func (o *Observer) Profiler() *perf.Profiler {
 		return nil
 	}
 	return o.Perf
-}
-
-// PublishPerf copies the profiler's per-phase aggregates into the
-// metrics registry as mlcr_phase_seconds summaries (one series per
-// touched phase, quantile labels 0.5/0.9/0.99/0.999). A no-op unless
-// both the Perf and Metrics pillars are enabled. Callers invoke it at
-// run end or scrape time; it is not a hot-path method.
-func (o *Observer) PublishPerf() {
-	if o == nil || o.Perf == nil || o.Metrics == nil {
-		return
-	}
-	for ph := perf.Phase(0); ph < perf.NumPhases; ph++ {
-		h := o.Perf.Phase(ph)
-		if h.Count() == 0 {
-			continue
-		}
-		name := `mlcr_phase_seconds{phase="` + ph.String() + `"}`
-		o.Metrics.Summary(name, "Hot-path phase latency by profiler phase.").SetHDR(h)
-	}
 }

@@ -40,9 +40,18 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
+	return append([]Event(nil), r.view()...)
+}
+
+// view returns the events recorded so far without copying them: a
+// slice capped at its length, taken under the lock. The store is
+// append-only, so no element of the view is ever written again, and
+// an Emit that grows the store writes past the cap or into a new
+// array; exports read the view without holding the lock.
+func (r *Recorder) view() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return r.events[:len(r.events):len(r.events)]
 }
 
 // jsonEvent is the JSONL wire form of an Event. Every field is always
@@ -67,7 +76,7 @@ type jsonEvent struct {
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
+	for _, ev := range r.view() {
 		je := jsonEvent{
 			Kind:      ev.Kind.String(),
 			AtUS:      ev.At.Microseconds(),
@@ -125,7 +134,7 @@ type chromeTrace struct {
 // container's startup as a complete span ("X") on the container's own
 // row.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	events := r.Events()
+	events := r.view()
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
 		threadName(engineTID, "sim-engine"),
 		threadName(schedulerTID, "scheduler"),

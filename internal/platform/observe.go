@@ -6,99 +6,84 @@ import (
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
+	"mlcr/internal/evict"
 	"mlcr/internal/obs"
+	"mlcr/internal/obs/perf"
 	"mlcr/internal/workload"
 )
 
-// platformMetrics caches the registry handles the platform updates on
-// its hot paths, so instrumented runs pay pointer increments instead of
-// map lookups. Nil when the run has no metrics registry.
-type platformMetrics struct {
-	reg         *obs.Registry
-	invocations *obs.Counter
-	coldStarts  *obs.Counter
-	warm        [4]*obs.Counter // indexed by match level; [0] unused
-	created     *obs.Counter
-	reused      *obs.Counter
-	swaps       *obs.Counter
-	startup     *obs.Summary
-	poolUsedMB  *obs.Gauge
-	runningMB   *obs.Gauge
-	evicted     map[string]*obs.Counter // by reason, lazily registered
-}
-
-func newPlatformMetrics(reg *obs.Registry) *platformMetrics {
-	m := &platformMetrics{
-		reg:         reg,
-		invocations: reg.Counter("mlcr_invocations_total", "Invocations scheduled."),
-		coldStarts:  reg.Counter("mlcr_cold_starts_total", "Cold-started invocations."),
-		created:     reg.Counter("mlcr_containers_created_total", "Sandboxes created."),
-		reused:      reg.Counter("mlcr_containers_reused_total", "Warm-container reuses."),
-		swaps:       reg.Counter("mlcr_volume_swaps_total", "Container-cleaner repacks."),
-		startup:     reg.Summary("mlcr_startup_seconds", "Startup latency distribution."),
-		poolUsedMB:  reg.Gauge("mlcr_pool_used_mb", "Memory held by idle pooled containers."),
-		runningMB:   reg.Gauge("mlcr_running_mb", "Memory held by busy containers."),
-		evicted:     map[string]*obs.Counter{},
-	}
-	for lv := 1; lv <= 3; lv++ {
-		m.warm[lv] = reg.Counter(
-			`mlcr_warm_starts_total{level="`+strconv.Itoa(lv)+`"}`,
-			"Warm starts by match level.")
-	}
-	return m
-}
-
-// eviction returns the per-policy, per-reason eviction counter,
-// registering it on first use (evictions are rare; the map lookup is
-// off the hot path). The policy label names the configured eviction
-// policy, so grid runs and multi-pool deployments stay tellable apart.
-func (m *platformMetrics) eviction(policy, reason string) *obs.Counter {
-	c, ok := m.evicted[reason]
-	if !ok {
-		c = m.reg.Counter(`mlcr_pool_evictions_total{policy="`+policy+`",reason="`+reason+`"}`,
-			"Containers killed by the pool, by policy and reason.")
-		m.evicted[reason] = c
-	}
-	return c
-}
-
-// wireObservability connects the configured Observer to the pool and
-// cleaner hooks. Called once from New; a nil observer leaves every hook
-// nil so unobserved runs take the zero-cost branches.
+// wireObservability connects a tracing Observer to the pool and
+// cleaner hooks and the phase profiler to the pool. Called once from
+// New; without a trace every hook stays nil, so unobserved runs take
+// the zero-cost branches.
 func (p *Platform) wireObservability() {
+	p.pool.Prof = p.prof
 	o := p.obs
-	if o == nil {
+	if !o.Tracing() {
 		return
 	}
-	if o.Metrics != nil {
-		p.pm = newPlatformMetrics(o.Metrics)
-	}
-	p.pool.Prof = p.prof
 	p.pool.OnEvict = func(c *container.Container, reason string, now time.Duration) {
-		if o.Tracing() {
-			o.Emit(obs.Event{
-				Kind: obs.KindContainerEvicted, At: now, Seq: -1, Fn: c.FnID,
-				Container: c.ID, Detail: reason,
-			})
-		}
-		if p.pm != nil {
-			p.pm.eviction(p.pool.Evictor().Name(), reason).Inc()
-		}
+		o.Emit(obs.Event{
+			Kind: obs.KindContainerEvicted, At: now, Seq: -1, Fn: c.FnID,
+			Container: c.ID, Detail: reason,
+		})
 	}
 	p.cleaner.OnSwap = func(op container.SwapOp) {
-		if o.Tracing() {
-			o.Emit(obs.Event{
-				Kind: obs.KindVolumeSwapped, At: p.now, Seq: -1,
-				Fn: op.ToFn, Container: op.ContainerID, Level: int(op.Level),
-				Detail: "from=fn" + strconv.Itoa(op.FromFn) +
-					" unmounts=" + strconv.Itoa(op.Unmounts) +
-					" mounts=" + strconv.Itoa(op.Mounts),
-			})
-		}
-		if p.pm != nil {
-			p.pm.swaps.Inc()
+		o.Emit(obs.Event{
+			Kind: obs.KindVolumeSwapped, At: p.now, Seq: -1,
+			Fn: op.ToFn, Container: op.ContainerID, Level: int(op.Level),
+			Detail: "from=fn" + strconv.Itoa(op.FromFn) +
+				" unmounts=" + strconv.Itoa(op.Unmounts) +
+				" mounts=" + strconv.Itoa(op.Mounts),
+		})
+	}
+}
+
+// ExportMetrics derives the run's Prometheus series from the result:
+// invocation, cold-start, reuse and swap counters, warm starts by
+// match level, the startup latency as an HDR summary, the pool and
+// running memory at the end of the run, and one eviction counter per
+// reason the pool used, labelled with the evictor's name. Nothing on
+// the decision path counts them; they are read off r when the export
+// is written (obs.WritePrometheus).
+func (r *RunResult) ExportMetrics() []obs.Metric {
+	m := &r.Metrics
+	startup := &perf.HDR{}
+	m.MergeStartupInto(startup)
+	counter := func(name, help string, n int) obs.Metric {
+		return obs.Metric{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(n)}
+	}
+	out := []obs.Metric{
+		counter("mlcr_invocations_total", "Invocations scheduled.", m.Count()),
+		counter("mlcr_cold_starts_total", "Cold-started invocations.", m.ColdStarts()),
+		counter("mlcr_containers_created_total", "Sandboxes created.", r.ContainersCreated),
+		counter("mlcr_containers_reused_total", "Warm-container reuses.", m.WarmStarts()),
+		counter("mlcr_volume_swaps_total", "Container-cleaner repacks.", r.CleanerOps.Repacks),
+		{Name: "mlcr_startup_seconds", Help: "Startup latency distribution.", Type: obs.TypeSummary, HDR: startup},
+		{Name: "mlcr_pool_used_mb", Help: "Memory held by idle pooled containers.", Type: obs.TypeGauge, Value: r.PoolUsedMB},
+		{Name: "mlcr_running_mb", Help: "Memory held by busy containers.", Type: obs.TypeGauge, Value: r.RunningMB},
+	}
+	for lv, n := range m.ByLevel() {
+		if lv > 0 {
+			out = append(out, counter(`mlcr_warm_starts_total{level="`+strconv.Itoa(lv)+`"}`, "Warm starts by match level.", n))
 		}
 	}
+	ps := r.PoolStats
+	for _, e := range []struct {
+		reason string
+		n      int
+	}{
+		{evict.ReasonCapacity, ps.Evictions},
+		{evict.ReasonExpired, ps.Expirations},
+		{evict.ReasonRejected, ps.Rejections - ps.Oversize},
+		{evict.ReasonOversize, ps.Oversize},
+	} {
+		if e.n > 0 {
+			out = append(out, counter(`mlcr_pool_evictions_total{policy="`+r.Evictor+`",reason="`+e.reason+`"}`,
+				"Containers killed by the pool, by policy and reason.", e.n))
+		}
+	}
+	return out
 }
 
 // observeCandidates emits one MatchAttempted trace event per idle
@@ -128,29 +113,13 @@ func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration
 }
 
 // observeDecision records the realized outcome of one scheduling
-// decision: one ScheduleDecided trace event and the metrics. choice is
-// the scheduler's raw action (container ID or ColdStart).
+// decision as one ScheduleDecided trace event. choice is the
+// scheduler's raw action (container ID or ColdStart). Only called when
+// tracing.
 func (p *Platform) observeDecision(inv *workload.Invocation, now time.Duration,
 	choice int, c *container.Container, s container.Startup, lvl core.MatchLevel) {
-	if p.obs.Tracing() {
-		p.obs.Emit(obs.Event{
-			Kind: obs.KindScheduleDecided, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
-			Container: c.ID, Level: int(lvl), Action: choice, Cold: s.Cold, Dur: s.Total(),
-		})
-	}
-	if p.pm != nil {
-		p.pm.invocations.Inc()
-		if s.Cold {
-			p.pm.coldStarts.Inc()
-			p.pm.created.Inc()
-		} else {
-			p.pm.reused.Inc()
-			if lvl >= 1 && int(lvl) < len(p.pm.warm) {
-				p.pm.warm[lvl].Inc()
-			}
-		}
-		p.pm.startup.Observe(s.Total())
-		p.pm.poolUsedMB.Set(p.pool.UsedMB())
-		p.pm.runningMB.Set(p.runningMB)
-	}
+	p.obs.Emit(obs.Event{
+		Kind: obs.KindScheduleDecided, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
+		Container: c.ID, Level: int(lvl), Action: choice, Cold: s.Cold, Dur: s.Total(),
+	})
 }

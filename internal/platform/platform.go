@@ -98,8 +98,10 @@ type Config struct {
 	// numbers the platform's own containers 1, 2, ….
 	NewID func() int
 	// Obs, when non-nil, observes the run: trace events (from which the
-	// scheduler decision audit derives) and metrics (see internal/obs).
-	// Nil disables all instrumentation at near-zero cost.
+	// scheduler decision audit derives) and phase timings (see
+	// internal/obs). Nil disables all instrumentation at near-zero
+	// cost. Metrics need no observer: RunResult.ExportMetrics derives
+	// them from the result.
 	Obs *obs.Observer
 }
 
@@ -111,6 +113,12 @@ type RunResult struct {
 	// PoolStats reports evictions, rejections, expiries and peak pool
 	// memory (Fig 10).
 	PoolStats pool.Stats
+	// Evictor names the pool's eviction policy.
+	Evictor string
+	// PoolUsedMB and RunningMB are the memory held by idle pooled and
+	// by busy containers when the result was read: after Drain, the
+	// end of the run.
+	PoolUsedMB, RunningMB float64
 	// CleanerOps counts volume operations by the container cleaner.
 	CleanerOps container.VolumeOps
 	// PeakRunningMB is the highest memory concurrently held by busy
@@ -145,7 +153,6 @@ type Platform struct {
 	pool    *pool.Pool
 	cleaner *container.Cleaner
 	obs     *obs.Observer
-	pm      *platformMetrics
 
 	// now is the virtual clock. Between arrivals the only thing that
 	// happens is a busy container finishing, so busy, ordered by
@@ -189,6 +196,7 @@ func New(cfg Config, sched Scheduler) *Platform {
 		rate:    workload.RateEMA{Alpha: rateAlpha},
 	}
 	p.res.Policy = sched.Name()
+	p.res.Evictor = ev.Name()
 	p.prof = cfg.Obs.Profiler()
 	// Schedulers that can time interior phases (the MLCR scheduler's
 	// Q-network forward pass) take the run's profiler through this
@@ -264,13 +272,10 @@ func (p *Platform) Invoke(inv *workload.Invocation) Result {
 	return p.step(inv)
 }
 
-// Drain completes all outstanding executions, publishes the phase
-// profiler's summaries to the metrics registry (mlcr_phase_seconds) and
-// returns the final results (interactive mode's equivalent of Run
-// finishing).
+// Drain completes all outstanding executions and returns the final
+// results (interactive mode's equivalent of Run finishing).
 func (p *Platform) Drain() *RunResult {
 	p.Retire(math.MaxInt64, nil) // BusyUntil stays far below it (trace.MaxMS)
-	p.obs.PublishPerf()
 	return p.Results()
 }
 
@@ -281,6 +286,8 @@ func (p *Platform) Now() time.Duration { return p.now }
 func (p *Platform) Results() *RunResult {
 	p.res.PoolStats = p.pool.Stats()
 	p.res.CleanerOps = p.cleaner.Ops()
+	p.res.PoolUsedMB = p.pool.UsedMB()
+	p.res.RunningMB = p.runningMB
 	return &p.res
 }
 
@@ -411,7 +418,7 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 		Cold:    s.Cold,
 		Level:   int(lvl),
 	})
-	if p.obs != nil {
+	if p.obs.Tracing() {
 		p.observeDecision(inv, now, choice, c, s, lvl)
 	}
 	p.seen++
@@ -436,9 +443,5 @@ func (p *Platform) complete(c *container.Container, fn *workload.Function, park 
 	p.res.PoolSeries.Observe(now, p.pool.UsedMB())
 	if alive := p.runningMB + p.pool.UsedMB(); alive > p.res.PeakAliveMB {
 		p.res.PeakAliveMB = alive
-	}
-	if p.pm != nil {
-		p.pm.poolUsedMB.Set(p.pool.UsedMB())
-		p.pm.runningMB.Set(p.runningMB)
 	}
 }

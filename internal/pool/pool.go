@@ -32,8 +32,12 @@ type Stats struct {
 	Adds int
 	// Evictions counts containers displaced to make room.
 	Evictions int
-	// Rejections counts keep-warm requests refused (KeepAlive full).
+	// Rejections counts keep-warm requests refused (KeepAlive full),
+	// Oversize ones included.
 	Rejections int
+	// Oversize counts the Rejections of a container larger than the
+	// whole pool.
+	Oversize int
 	// Expirations counts TTL expiries.
 	Expirations int
 	// PeakUsedMB is the highest memory the pool ever held.
@@ -206,6 +210,7 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 	if p.capacityMB > 0 && c.MemoryMB > p.capacityMB {
 		c.Kill()
 		p.stats.Rejections++
+		p.stats.Oversize++
 		if p.OnEvict != nil {
 			p.OnEvict(c, evict.ReasonOversize, now)
 		}

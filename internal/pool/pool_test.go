@@ -83,8 +83,8 @@ func TestOversizedContainerRejected(t *testing.T) {
 	if c.State != container.Dead {
 		t.Fatal("rejected container not killed")
 	}
-	if p.Stats().Rejections != 1 {
-		t.Fatalf("Rejections = %d, want 1", p.Stats().Rejections)
+	if st := p.Stats(); st.Rejections != 1 || st.Oversize != 1 {
+		t.Fatalf("Rejections = %d, Oversize = %d, want 1 and 1", st.Rejections, st.Oversize)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestKeepAliveRejectsWhenFull(t *testing.T) {
 	if p.Get(1) == nil {
 		t.Fatal("KeepAlive evicted an existing container")
 	}
-	if p.Stats().Rejections != 1 {
-		t.Fatalf("Rejections = %d, want 1", p.Stats().Rejections)
+	if st := p.Stats(); st.Rejections != 1 || st.Oversize != 0 {
+		t.Fatalf("Rejections = %d, Oversize = %d, want 1 and 0", st.Rejections, st.Oversize)
 	}
 }
 

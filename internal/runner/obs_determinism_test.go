@@ -12,9 +12,9 @@ import (
 
 // TestFingerprintUnchangedByObservability is the observability
 // determinism guard: the same sweep run bare and run with the full
-// observer bundle — tracer (which the decision audit is derived from),
-// registry AND the phase profiler on a deterministic counter clock —
-// must produce identical result
+// observer bundle — tracer (which the decision audit is derived from)
+// AND the phase profiler on a deterministic counter clock — must
+// produce identical result
 // fingerprints at any parallelism. Fingerprint serializes the
 // simulation outcome only, so turning profiling on can never change
 // what a run computes. The per-observer dispatch-span count proves the

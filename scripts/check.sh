@@ -4,7 +4,7 @@
 # The default run uses -short, which skips the long DQN training
 # experiments but still exercises every concurrency-sensitive path (the
 # parallel run harness, cluster workers, the gateway hammer test and
-# observability registries all race-test in the short set). The race
+# the observability endpoints all race-test in the short set). The race
 # step is also the sole owner of the router shard contract: a stateless
 # router that writes shared state returns the right answer and is caught
 # only as a data race in TestEveryRouterParallelMatchesSequential
@@ -67,11 +67,19 @@ go run ./cmd/mlcr-sim -workload Uniform -count 200 -evictor all > /dev/null
 echo "== single-platform smoke of a registry-only scheduler (every CLI resolves -policy through policy.New) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy Tabular-Q > /dev/null
 
-echo "== metrics export smoke (-metrics-out writes the startup latency as an HDR-backed summary) =="
+echo "== metrics export smoke (every producer derives its series from the run: platform, cluster and training exports through obs.WritePrometheus) =="
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
-go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null
+go run ./cmd/mlcr-sim -workload Uniform -count 200 -metrics-out "$tmp" > /dev/null 2>&1
 grep -qx '# TYPE mlcr_startup_seconds summary' "$tmp"
+# pool.Stats.Oversize keeps the oversize kills a series of their own beside the other rejections.
+go run ./cmd/mlcr-sim -workload Peak -seed 7 -pool 0.05 -policy KeepAlive -metrics-out "$tmp" > /dev/null 2>&1
+grep -q '^mlcr_pool_evictions_total{policy="keepalive",reason="oversize"} ' "$tmp"
+grep -q '^mlcr_pool_evictions_total{policy="keepalive",reason="rejected"} ' "$tmp"
+go run ./cmd/mlcr-sim -workload Peak -seed 7 -workers 8 -routing p2c -metrics-out "$tmp" > /dev/null 2>&1
+grep -q '^mlcr_cluster_routed_total{worker="0"} ' "$tmp"
+go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out /dev/null -metrics-out "$tmp" > /dev/null
+grep -q '^mlcr_train_steps_total ' "$tmp"
 
 echo "== audit derivation smoke (the audit is a reduction of the trace: -audit-out alone and beside -trace-out write the same 300 decisions) =="
 audit=$(mktemp -d)
