@@ -179,7 +179,7 @@ func BenchmarkDecisionEndToEnd(b *testing.B) {
 	loose := experiments.CalibrateLoose(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunOnce(experiments.MLCRSetup(inferSched), w, loose*0.5)
+		res := experiments.RunAll([]experiments.Setup{experiments.MLCRSetup(inferSched)}, w, loose*0.5, experiments.Options{})[0]
 		b.ReportMetric(float64(res.Metrics.Count()), "decisions")
 	}
 }
@@ -194,10 +194,10 @@ func BenchmarkAblationMatching(b *testing.B) {
 	loose := experiments.CalibrateLoose(w)
 	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0))
 	for i := 0; i < b.N; i++ {
-		for _, s := range setups {
-			res := experiments.RunOnce(s, w, loose*0.2)
-			if i == 0 {
-				b.ReportMetric(res.Metrics.TotalStartup().Seconds(), s.Name+"-s")
+		results := experiments.RunAll(setups, w, loose*0.2, experiments.Options{Parallelism: 1})
+		if i == 0 {
+			for j, res := range results {
+				b.ReportMetric(res.Metrics.TotalStartup().Seconds(), setups[j].Name+"-s")
 			}
 		}
 	}
@@ -208,13 +208,13 @@ func BenchmarkAblationMatching(b *testing.B) {
 func BenchmarkAblationEviction(b *testing.B) {
 	w := fstartbench.BuildOverall(1, fstartbench.OverallOptions{})
 	loose := experiments.CalibrateLoose(w)
+	setups := []experiments.Setup{experiments.SetupOf("LRU", 0), experiments.SetupOf("FaasCache", 0), experiments.SetupOf("KeepAlive", 0)}
 	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"LRU", "FaasCache", "KeepAlive"} {
-			s := experiments.SetupOf(name, 0)
-			res := experiments.RunOnce(s, w, loose*0.2)
-			if i == 0 {
-				b.ReportMetric(float64(res.PoolStats.Evictions), s.Name+"-evictions")
-				b.ReportMetric(res.Metrics.TotalStartup().Seconds(), s.Name+"-s")
+		results := experiments.RunAll(setups, w, loose*0.2, experiments.Options{Parallelism: 1})
+		if i == 0 {
+			for j, res := range results {
+				b.ReportMetric(float64(res.PoolStats.Evictions), setups[j].Name+"-evictions")
+				b.ReportMetric(res.Metrics.TotalStartup().Seconds(), setups[j].Name+"-s")
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkAblationShaping(b *testing.B) {
 			opts := experiments.Options{Seed: 1, Episodes: 6}
 			opts.MLCR.ShapingWeight = cfg.shaping
 			s := experiments.TrainMLCR(w, loose, []float64{0.5}, opts)
-			res := experiments.RunOnce(experiments.MLCRSetup(s), w, loose*0.5)
+			res := experiments.RunAll([]experiments.Setup{experiments.MLCRSetup(s)}, w, loose*0.5, experiments.Options{})[0]
 			if i == 0 {
 				b.ReportMetric(res.Metrics.TotalStartup().Seconds(), cfg.name+"-s")
 			}
@@ -356,7 +356,7 @@ func BenchmarkPlatformRunGreedy(b *testing.B) {
 	loose := experiments.CalibrateLoose(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunOnce(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5)
+		platform.New(platform.Config{PoolCapacityMB: loose * 0.5}, policy.NewGreedyMatch()).Run(w)
 	}
 }
 

@@ -10,7 +10,7 @@
 //	mlcr-bench -fig 8 -csv out.csv      # also emit CSV
 //	mlcr-bench -fig 8 -evictor clean    # rerun fig 8 under clean-first eviction
 //	mlcr-bench -fig grid                # scheduler × evictor grid
-//	mlcr-bench -fig cluster             # routing × scheduler grid
+//	mlcr-bench -fig cluster             # router × scheduler grid on a cluster
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"mlcr/internal/cluster"
 	"mlcr/internal/evict"
 	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
@@ -38,11 +39,9 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the table(s) as CSV to this file")
 	flag.Parse()
 
-	if *evictorName != "" {
-		if _, err := evict.New(*evictorName); err != nil {
-			fmt.Fprintf(os.Stderr, "mlcr-bench: %v\n", err)
-			os.Exit(2)
-		}
+	if _, err := evict.New(*evictorName); *evictorName != "" && err != nil {
+		fmt.Fprintf(os.Stderr, "mlcr-bench: %v\n", err)
+		os.Exit(2)
 	}
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "mlcr-bench: -workers must be >= 1, got %d\n", *workers)
@@ -95,24 +94,19 @@ func main() {
 	if want("ablation") {
 		run("ablation", func() *report.Table { return study.Ablation().Table() })
 	}
-	// The scheduler × evictor grid is opt-in (-fig grid): it adds 16
-	// cells and is an every-policy sweep rather than a paper figure.
-	if *fig == "grid" {
-		run("grid", func() *report.Table {
+	// The comparison sweeps are opt-in: -fig grid crosses every grid
+	// scheduler with every evictor on one platform, -fig cluster with
+	// every router on a -workers cluster (Figure 4's deployment model at
+	// sweep scale). Neither is a paper figure.
+	if *fig == "grid" || *fig == "cluster" {
+		run(*fig, func() *report.Table {
 			w := fstartbench.BuildOverall(*seed, fstartbench.OverallOptions{})
-			poolMB := experiments.CalibrateLoose(w) * 0.5
-			return experiments.EvictionGrid(w, poolMB, nil, nil, opts).Table()
-		})
-	}
-
-	// The routing × scheduler grid is likewise opt-in (-fig cluster):
-	// every registered router crossed with every grid scheduler on a
-	// -workers cluster (Figure 4's deployment model at sweep scale).
-	if *fig == "cluster" {
-		run("cluster", func() *report.Table {
-			w := fstartbench.BuildOverall(*seed, fstartbench.OverallOptions{})
-			poolMB := experiments.CalibrateLoose(w) * 0.5
-			return experiments.ClusterGrid(w, *workers, poolMB, nil, nil, opts).Table()
+			o := opts.WithDefaults()
+			n, routers, evictors := 1, []string(nil), evict.Names()
+			if *fig == "cluster" {
+				n, routers, evictors = *workers, cluster.RouterNames(), []string{o.Evictor}
+			}
+			return experiments.Sweep(w, n, experiments.CalibrateLoose(w)*0.5, routers, experiments.GridSetups(o.Seed), evictors, o).Table()
 		})
 	}
 

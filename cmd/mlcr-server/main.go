@@ -68,13 +68,13 @@ func main() {
 	model := flag.String("model", "", "trained MLCR model path (required for -policy MLCR)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
 	shards := flag.Int("shards", 16, "gateway mode: pool shards, each function placed by the by-function router")
-	batch := flag.Int("batch", 64, "gateway mode: max coalesced DQN inference batch (MLCR policy)")
+	batch := flag.Int("batch", 64, "max coalesced DQN inference batch (MLCR policy)")
 	traceOut := flag.String("trace-out", "", "sim mode: write the run's Chrome trace JSON here on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format metrics snapshot here on shutdown")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	flag.Parse()
 
-	mkSched, err := factories(*policyName, *model, *batch, *mode == "gateway")
+	mkSched, err := factories(*policyName, *model, *batch)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
@@ -182,10 +182,12 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 // factories resolves the policy name into a per-platform scheduler
 // constructor; each platform pairs its scheduler with the scheduler's
 // own default evictor. For MLCR the trained model is loaded once, with
-// the configuration it was saved with; in gateway mode each shard gets a
-// Clone sharing the master's weights and one QBatcher so concurrent
-// shards coalesce their forward passes.
-func factories(name, model string, batch int, gateway bool) (func() platform.Scheduler, error) {
+// the configuration it was saved with, and every platform — each
+// gateway shard, and each generation POST /reset builds while requests
+// finish on the old one — gets its own Clone sharing the master's
+// weights and one QBatcher, so concurrent shards coalesce their forward
+// passes.
+func factories(name, model string, batch int) (func() platform.Scheduler, error) {
 	if name != "MLCR" {
 		if _, err := policy.New(name, 0); err != nil {
 			return nil, err
@@ -195,17 +197,9 @@ func factories(name, model string, batch int, gateway bool) (func() platform.Sch
 	if model == "" {
 		return nil, fmt.Errorf("-policy MLCR requires -model")
 	}
-	f, err := os.Open(model)
-	if err != nil {
-		return nil, err
-	}
-	master, err := mlcr.Load(f)
-	f.Close()
+	master, err := mlcr.LoadFile(model)
 	if err != nil {
 		return nil, fmt.Errorf("load model %s: %w", model, err)
-	}
-	if !gateway {
-		return func() platform.Scheduler { return master }, nil
 	}
 	qb := drl.NewQBatcher(master.Agent().Online(), batch)
 	return func() platform.Scheduler {

@@ -3,16 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"mlcr/internal/api"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/mlcr"
+	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 )
 
@@ -23,11 +26,11 @@ import (
 func TestModes(t *testing.T) {
 	for mode, shards := range map[string]int{"sim": 1, "gateway": 16} {
 		for _, name := range policy.Names() {
-			if mk, err := factories(name, "", 64, mode == "gateway"); err != nil || mk().Name() != name {
+			if mk, err := factories(name, "", 64); err != nil || mk().Name() != name {
 				t.Fatalf("%s: factories(%q): %v", mode, name, err)
 			}
 		}
-		mkSched, err := factories("Greedy-Match", "", 64, mode == "gateway")
+		mkSched, err := factories("Greedy-Match", "", 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,21 +77,66 @@ func TestModes(t *testing.T) {
 	}
 }
 
-// TestServesSavedConfig: -policy MLCR serves, in both modes, the model
-// with the configuration it was saved with, memory norm included.
-func TestServesSavedConfig(t *testing.T) {
-	saved := mlcr.New(mlcr.Config{Slots: 3, Dim: 8, Hidden: 16, NormMB: 6726, DeviationMargin: 0.2})
+// modelFactory saves s where -model can load it and returns the
+// factories constructor that serves it.
+func modelFactory(t *testing.T, s *mlcr.Scheduler) func() platform.Scheduler {
+	t.Helper()
 	var buf bytes.Buffer
 	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := saved.Save(&buf); err != nil || os.WriteFile(path, buf.Bytes(), 0o644) != nil {
+	if err := s.Save(&buf); err != nil || os.WriteFile(path, buf.Bytes(), 0o644) != nil {
 		t.Fatal("cannot write the model", err)
 	}
-	for _, gateway := range []bool{false, true} {
-		mk, err := factories("MLCR", path, 64, gateway)
-		if err != nil || mk().(*mlcr.Scheduler).Config() != saved.Config() {
-			t.Fatalf("gateway %v: %v, or a config other than %+v", gateway, err, saved.Config())
-		}
+	mk, err := factories("MLCR", path, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return mk
+}
+
+// TestServesSavedConfig: -policy MLCR serves the model with the
+// configuration it was saved with, memory norm included, and every
+// platform gets a scheduler of its own.
+func TestServesSavedConfig(t *testing.T) {
+	saved := mlcr.New(mlcr.Config{Slots: 3, Dim: 8, Hidden: 16, NormMB: 6726, DeviationMargin: 0.2})
+	mk := modelFactory(t, saved)
+	if a, b := mk(), mk(); a.(*mlcr.Scheduler).Config() != saved.Config() || a == b {
+		t.Fatalf("config %+v, want %+v; or one instance for two platforms", a.(*mlcr.Scheduler).Config(), saved.Config())
+	}
+}
+
+// TestSimModeResetUnderLoad: sim mode serves a saved MLCR model while
+// POST /reset swaps generations under concurrent /invoke. Requests still
+// finishing on the old generation run beside the new one's, so each
+// generation needs a scheduler of its own; one shared instance is a
+// data race on its featurizer and forward workspaces under -race.
+func TestSimModeResetUnderLoad(t *testing.T) {
+	mk := modelFactory(t, mlcr.New(mlcr.Config{Dim: 8, Hidden: 16, NormMB: 4096}))
+	h, _, err := newServer("sim", api.GatewayConfig{
+		Functions: fstartbench.Functions(), PoolCapacityMB: 4096, NewScheduler: mk,
+	}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				body := fmt.Sprintf(`{"fn_id":%d,"at_ms":%d}`, 1+(g+i)%13, i*500)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("invoke %s: status %d", body, rec.Code)
+					return
+				}
+				if i%20 == 0 {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/reset", nil))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // decode reads a 200 response's JSON body into v.

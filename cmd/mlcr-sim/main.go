@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"mlcr/internal/cluster"
 	"mlcr/internal/evict"
@@ -89,72 +88,73 @@ func main() {
 	if *traceOut != "" || *auditOut != "" {
 		o = obs.NewObserver()
 	}
-	observed := o != nil || *metricsOut != ""
 
-	if *evictorName != "" && *evictorName != "all" {
-		if _, err := evict.New(*evictorName); err != nil {
-			fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
-			os.Exit(2)
-		}
+	if _, err := evict.New(*evictorName); *evictorName != "" && *evictorName != "all" && err != nil {
+		refuse("%v", err)
 	}
-
+	if _, err := policy.New(*policyName, *seed); *policyName != "all" && *policyName != "MLCR" && err != nil {
+		refuse("%v", err)
+	}
+	where := fmt.Sprintf("pool %.0f MB = %.0f%% of Loose %.0f MB", poolMB, *poolFrac*100, loose)
+	var routers []string
 	if *workers > 1 {
 		if *traceOut != "" || *auditOut != "" {
-			fmt.Fprintln(os.Stderr, "mlcr-sim: cluster runs support -metrics-out only (per-worker traces stay per-platform)")
-			os.Exit(2)
+			refuse("cluster runs support -metrics-out only (per-worker traces stay per-platform)")
 		}
 		if *evictorName == "all" {
-			fmt.Fprintln(os.Stderr, "mlcr-sim: pick one evictor for cluster runs (or use -routing all for the router comparison)")
-			os.Exit(2)
+			refuse("pick one evictor for cluster runs (or use -routing all for the router comparison)")
 		}
-		runCluster(w, *workers, *routing, *policyName, *evictorName, poolMB, *poolFrac, loose, *seed, *parallel, *metricsOut)
-		return
+		if *policyName == "all" || *policyName == "MLCR" {
+			refuse("policy %q is not available per-worker (cluster schedulers: %s)",
+				*policyName, strings.Join(policy.Names(), ", "))
+		}
+		if _, err := cluster.NewRouter(*routing, cluster.RouterConfig{Workers: *workers}); *routing == "all" {
+			routers = cluster.RouterNames()
+		} else if err != nil {
+			refuse("%v", err)
+		}
+		where = fmt.Sprintf("%d workers, %s", *workers, where)
 	}
 
-	if *evictorName == "all" {
-		if observed {
-			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single run, not -evictor all")
-			os.Exit(2)
-		}
-		opts := experiments.Options{Seed: *seed, Parallelism: *parallel}
-		grid := experiments.EvictionGrid(w, poolMB, nil, nil, opts)
-		grid.Table().Render(os.Stdout)
-		return
+	// The comparison modes: one sweep, one table.
+	sweep := *evictorName == "all" || *policyName == "all" || routers != nil
+	if sweep && (o != nil || *metricsOut != "") {
+		refuse("observability outputs need a single run, not a comparison")
 	}
-
-	if *policyName == "all" {
-		if observed {
-			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single policy, not -policy all")
-			os.Exit(2)
-		}
-		compareAll(w, loose, poolMB, *poolFrac, *seed, *episodes, *parallel, *evictorName)
-		return
-	}
-
-	var setup experiments.Setup
+	opts := experiments.Options{Seed: *seed, Episodes: *episodes, Parallelism: *parallel}
+	what, evictors := *policyName+" across routers", []string{*evictorName}
+	var setups []experiments.Setup
 	switch {
+	case *evictorName == "all":
+		what, setups, evictors = "scheduler × evictor grid", experiments.GridSetups(*seed), evict.Names()
+	case *policyName == "all":
+		what = "all policies"
+		setups = append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0),
+			experiments.MLCRSetup(experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts)))
 	case *policyName == "MLCR" && *modelPath != "":
-		f, err := os.Open(*modelPath)
+		sched, err := mlcr.LoadFile(*modelPath)
 		if err != nil {
 			fatal(err)
 		}
-		sched, err := mlcr.Load(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		setup = experiments.MLCRSetup(sched)
+		setups = []experiments.Setup{experiments.MLCRSetup(sched)}
 	case *policyName == "MLCR":
-		opts := experiments.Options{Seed: *seed, Episodes: *episodes}
-		setup = experiments.MLCRSetup(experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts))
+		setups = []experiments.Setup{experiments.MLCRSetup(experiments.TrainMLCR(w, loose, []float64{*poolFrac}, opts))}
 	default:
-		if _, err := policy.New(*policyName, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
-			os.Exit(2)
-		}
-		setup = experiments.SetupOf(*policyName, *seed)
+		setups = []experiments.Setup{experiments.SetupOf(*policyName, *seed)}
 	}
-	res := experiments.RunObserved(experiments.WithEvictor([]experiments.Setup{setup}, *evictorName)[0], w, poolMB, o)
+	if sweep {
+		t := experiments.Sweep(w, *workers, poolMB, routers, setups, evictors, opts).Table()
+		t.Title = fmt.Sprintf("%s on %s (%s)", what, w.Name, where)
+		t.Render(os.Stdout)
+		return
+	}
+	setup := setups[0]
+	setup.Evictor = *evictorName
+	if *workers > 1 {
+		runCluster(w, *workers, *routing, setup, poolMB, where, *seed, *parallel, *metricsOut)
+		return
+	}
+	res := platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: setup.NewEvictor(), Obs: o}, setup.New(0)).Run(w)
 
 	if *traceOut != "" {
 		writeOut(*traceOut, func(f *os.File) error {
@@ -175,7 +175,7 @@ func main() {
 	}
 
 	t := &report.Table{
-		Title:  fmt.Sprintf("%s on %s (pool %.0f MB = %.0f%% of Loose %.0f MB)", *policyName, w.Name, poolMB, *poolFrac*100, loose),
+		Title:  fmt.Sprintf("%s on %s (%s)", *policyName, w.Name, where),
 		Header: []string{"metric", "value"},
 	}
 	m := &res.Metrics
@@ -198,59 +198,19 @@ func main() {
 	t.Render(os.Stdout)
 }
 
-// runCluster replays the workload through the multi-worker deployment:
-// one run under the named router, or the full router comparison with
-// -routing all. Per-worker schedulers come from the policy registry
+// runCluster replays the workload through the multi-worker deployment
+// under one router. Per-worker schedulers come from the policy registry
 // (MLCR needs offline training and stays single-worker).
-func runCluster(w workload.Workload, workers int, routing, policyName, evictor string, poolMB, poolFrac, loose float64, seed int64, parallel int, metricsOut string) {
-	if _, err := policy.New(policyName, seed); err != nil {
-		fmt.Fprintf(os.Stderr, "mlcr-sim: policy %q is not available per-worker (cluster schedulers: %s)\n",
-			policyName, strings.Join(policy.Names(), ", "))
-		os.Exit(2)
-	}
-	var newEvictor func(int) pool.Evictor
-	if evictor != "" {
-		newEvictor = func(int) pool.Evictor { return evict.MustNew(evictor) }
-	}
-	mkCfg := func(router string) cluster.Config {
-		return cluster.Config{
-			Workers:        workers,
-			PoolCapacityMB: poolMB,
-			Router:         router,
-			RouterSeed:     seed,
-			NewScheduler: func(worker int) platform.Scheduler {
-				sched, _ := policy.New(policyName, seed+int64(worker))
-				return sched
-			},
-			NewEvictor:  newEvictor,
-			Parallelism: parallel,
-		}
-	}
-
-	if routing == "all" {
-		if metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "mlcr-sim: observability outputs need a single router, not -routing all")
-			os.Exit(2)
-		}
-		t := &report.Table{
-			Title: fmt.Sprintf("%s on %s across routers (%d workers, pool %.0f MB = %.0f%% of Loose %.0f MB)",
-				policyName, w.Name, workers, poolMB, poolFrac*100, loose),
-			Header: []string{"router", "total startup", "avg startup", "cold starts", "busiest worker"},
-		}
-		for _, router := range cluster.RouterNames() {
-			res := cluster.Run(mkCfg(router), w)
-			_, avg, busiest, _ := spread(res)
-			t.AddRow(router, res.TotalStartup(), avg, res.ColdStarts(), busiest)
-		}
-		t.Render(os.Stdout)
-		return
-	}
-
-	if _, err := cluster.NewRouter(routing, cluster.RouterConfig{Workers: workers}); err != nil {
-		fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
-		os.Exit(2)
-	}
-	res := cluster.Run(mkCfg(routing), w)
+func runCluster(w workload.Workload, workers int, routing string, setup experiments.Setup, poolMB float64, where string, seed int64, parallel int, metricsOut string) {
+	res := cluster.Run(cluster.Config{
+		Workers:        workers,
+		PoolCapacityMB: poolMB,
+		Router:         routing,
+		RouterSeed:     seed,
+		NewScheduler:   setup.New,
+		NewEvictor:     func(int) pool.Evictor { return setup.NewEvictor() },
+		Parallelism:    parallel,
+	}, w)
 
 	if metricsOut != "" {
 		writeOut(metricsOut, func(f *os.File) error { return obs.WritePrometheus(f, res.ExportMetrics(nil)) })
@@ -258,69 +218,25 @@ func runCluster(w workload.Workload, workers int, routing, policyName, evictor s
 	}
 
 	t := &report.Table{
-		Title: fmt.Sprintf("%s/%s on %s (%d workers, pool %.0f MB = %.0f%% of Loose %.0f MB)",
-			policyName, routing, w.Name, workers, poolMB, poolFrac*100, loose),
+		Title:  fmt.Sprintf("%s/%s on %s (%s)", setup.Name, routing, w.Name, where),
 		Header: []string{"metric", "value"},
 	}
-	created, evictions := 0, 0
-	for _, pr := range res.PerWorker {
+	c := experiments.CellOf(routing, setup.Name, res)
+	created, idle := 0, 0
+	for i, pr := range res.PerWorker {
 		created += pr.ContainersCreated
-		evictions += pr.PoolStats.Evictions
-	}
-	count, avg, busiest, idle := spread(res)
-	t.AddRow("invocations", count)
-	t.AddRow("total startup latency", res.TotalStartup())
-	t.AddRow("average startup latency", avg)
-	t.AddRow("cold starts", res.ColdStarts())
-	t.AddRow("containers created", created)
-	t.AddRow("pool evictions", evictions)
-	t.AddRow("busiest worker (invocations)", busiest)
-	t.AddRow("idle workers", idle)
-	t.Render(os.Stdout)
-}
-
-// spread returns a cluster run's invocation count and mean startup, the
-// busiest worker's invocation count and the number of idle workers.
-func spread(res cluster.Result) (count int, avg time.Duration, busiest, idle int) {
-	for _, pr := range res.PerWorker {
-		count += pr.Metrics.Count()
-	}
-	for _, n := range res.Routed {
-		busiest = max(busiest, n)
-		if n == 0 {
+		if res.Routed[i] == 0 {
 			idle++
 		}
 	}
-	if count > 0 {
-		avg = res.TotalStartup() / time.Duration(count)
-	}
-	return count, avg, busiest, idle
-}
-
-// compareAll evaluates every policy on the workload concurrently and
-// prints one comparison table (the -policy all mode).
-func compareAll(w workload.Workload, loose, poolMB, poolFrac float64, seed int64, episodes, parallel int, evictor string) {
-	opts := experiments.Options{Seed: seed, Episodes: episodes, Parallelism: parallel}
-	trained := experiments.TrainMLCR(w, loose, []float64{poolFrac}, opts)
-	setups := append(experiments.Baselines(), experiments.SetupOf("Cost-Greedy", 0), experiments.MLCRSetup(trained))
-	setups = experiments.WithEvictor(setups, evictor)
-
-	results := experiments.RunAll(setups, w, poolMB, opts)
-
-	title := fmt.Sprintf("all policies on %s (pool %.0f MB = %.0f%% of Loose %.0f MB)", w.Name, poolMB, poolFrac*100, loose)
-	if evictor != "" {
-		title = fmt.Sprintf("all policies on %s, evictor %s (pool %.0f MB = %.0f%% of Loose %.0f MB)", w.Name, evictor, poolMB, poolFrac*100, loose)
-	}
-	t := &report.Table{
-		Title:  title,
-		Header: []string{"policy", "total startup", "avg startup", "p99 startup", "cold starts", "evictions"},
-	}
-	for i, s := range setups {
-		m := &results[i].Metrics
-		t.AddRow(s.Name, m.TotalStartup(), m.AvgStartup(),
-			m.StartupQuantile(0.99),
-			m.ColdStarts(), results[i].PoolStats.Evictions)
-	}
+	t.AddRow("invocations", c.Invocations)
+	t.AddRow("total startup latency", c.TotalStartup)
+	t.AddRow("average startup latency", c.AvgStartup())
+	t.AddRow("cold starts", c.ColdStarts)
+	t.AddRow("containers created", created)
+	t.AddRow("pool evictions", c.Evictions)
+	t.AddRow("busiest worker (invocations)", c.Busiest)
+	t.AddRow("idle workers", idle)
 	t.Render(os.Stdout)
 }
 
@@ -341,4 +257,10 @@ func writeOut(path string, write func(*os.File) error) {
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "mlcr-sim: %v\n", err)
 	os.Exit(1)
+}
+
+// refuse reports a usage error and exits with status 2.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mlcr-sim: "+format+"\n", args...)
+	os.Exit(2)
 }

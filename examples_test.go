@@ -14,12 +14,11 @@ import (
 
 	"mlcr/internal/container"
 	"mlcr/internal/core"
-	"mlcr/internal/evict"
 	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/image"
 	"mlcr/internal/platform"
-	"mlcr/internal/pool"
+	"mlcr/internal/policy"
 	"mlcr/internal/report"
 	"mlcr/internal/workload"
 )
@@ -71,9 +70,7 @@ func Example_customPolicy() {
 	}
 	setups := append(experiments.Baselines(),
 		experiments.SetupOf("Cost-Greedy", 0),
-		experiments.Setup{Name: "Reserve-Deep", New: func() (platform.Scheduler, pool.Evictor) {
-			return reserveDeep{}, evict.NewLRU()
-		}},
+		experiments.Setup{Name: "Reserve-Deep", New: func(int) platform.Scheduler { return reserveDeep{} }},
 	)
 	results := experiments.RunAll(setups, w, loose*0.5, experiments.Options{})
 	for i, s := range setups {
@@ -142,7 +139,7 @@ func Example_workloadAnalysis() {
 	//    Uniform workload runs under multi-level reuse.
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
-	res := experiments.RunOnce(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5)
+	res := platform.New(platform.Config{PoolCapacityMB: loose * 0.5}, policy.NewGreedyMatch()).Run(w)
 	lv := res.Metrics.ByLevel()
 	fmt.Printf("\nUniform workload under Greedy-Match (pool 50%%):\n")
 	fmt.Printf("  cold starts: %d; warm starts at L1: %d, L2: %d, L3: %d\n", lv[0], lv[1], lv[2], lv[3])

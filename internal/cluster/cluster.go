@@ -282,12 +282,29 @@ func partition(w workload.Workload, targets []uint32, workers int) ([][]workload
 	return parts, routed
 }
 
-// ExportMetrics derives the cluster's routing series: one
+// ExportMetrics derives the cluster's series: one
 // mlcr_cluster_routed_total{worker} counter per worker, read off
-// Routed, and the phase summaries of prof, the profiler the run's
-// Obs.Perf routed under (nil for none).
+// Routed, the phase summaries of prof, the profiler the run's Obs.Perf
+// routed under (nil for none), and every series of the workers'
+// RunResult.ExportMetrics once, summed across workers — counters and
+// gauges add, startup summaries merge their histograms.
 func (r Result) ExportMetrics(prof *perf.Profiler) []obs.Metric {
 	out := obs.PhaseMetrics(prof)
+	at := map[string]int{}
+	for _, pr := range r.PerWorker {
+		for _, m := range pr.ExportMetrics() {
+			i, ok := at[m.Name]
+			switch {
+			case !ok:
+				at[m.Name] = len(out)
+				out = append(out, m)
+			case m.HDR != nil:
+				out[i].HDR.Merge(m.HDR)
+			default:
+				out[i].Value += m.Value
+			}
+		}
+	}
 	for w, n := range r.Routed {
 		out = append(out, obs.Metric{
 			Name: `mlcr_cluster_routed_total{worker="` + strconv.Itoa(w) + `"}`,

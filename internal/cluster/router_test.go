@@ -349,7 +349,9 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 
 // TestClusterRoutingObservability: a cluster run's export carries one
 // mlcr_cluster_routed_total counter per worker, read off Result.Routed,
-// and the route-phase latency summary of the observer's profiler.
+// the route-phase latency summary of the observer's profiler, and each
+// run series once, summed over the workers; on one worker those series
+// are the platform run's export.
 func TestClusterRoutingObservability(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 90})
 	// Routing blocks run in parallel and all read this clock.
@@ -374,10 +376,23 @@ func TestClusterRoutingObservability(t *testing.T) {
 	for _, want := range []string{
 		`mlcr_phase_seconds{phase="route",quantile=`,
 		fmt.Sprintf("mlcr_phase_seconds_count{phase=\"route\"} %d\n", len(w.Invocations)),
+		fmt.Sprintf("mlcr_invocations_total %d\n", len(w.Invocations)),
+		fmt.Sprintf("mlcr_startup_seconds_count %d\n", len(w.Invocations)),
+		fmt.Sprintf("mlcr_cold_starts_total %d\n", res.ColdStarts()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("export lacks %q", want)
 		}
+	}
+	one := Run(mkCfg(1, "round-robin", 3000), w)
+	var got, want strings.Builder
+	obs.WritePrometheus(&got, one.ExportMetrics(nil))
+	obs.WritePrometheus(&want, append(one.PerWorker[0].ExportMetrics(), obs.Metric{
+		Name: `mlcr_cluster_routed_total{worker="0"}`, Help: "Invocations routed to each cluster worker.",
+		Type: obs.TypeCounter, Value: float64(len(w.Invocations)),
+	}))
+	if got.String() != want.String() {
+		t.Errorf("one-worker export:\n%s\nwant the platform's:\n%s", got.String(), want.String())
 	}
 	if t.Failed() {
 		t.Logf("export:\n%s", text)

@@ -56,7 +56,7 @@ func (s *Study) Ablation() AblationResult {
 		if v.name == "full" {
 			TuneMargin(trained, w, poolMB, s.opts.Parallelism)
 		}
-		res := RunOnce(MLCRSetup(trained), w, poolMB)
+		res := RunAll([]Setup{MLCRSetup(trained)}, w, poolMB, s.opts)[0]
 		return AblationRow{
 			Variant:      "MLCR/" + v.name,
 			TotalStartup: res.Metrics.TotalStartup(),

@@ -238,8 +238,8 @@ func TestTrainMLCRReturnsInferenceMode(t *testing.T) {
 	loose := CalibrateLoose(w)
 	s := TrainMLCR(w, loose, []float64{0.5, 1}, Options{Seed: 1, Episodes: 2})
 	// Two identical inference runs must agree (no residual exploration).
-	a := RunOnce(MLCRSetup(s), w, loose)
-	b := RunOnce(MLCRSetup(s), w, loose)
+	res := RunAll([]Setup{MLCRSetup(s), MLCRSetup(s)}, w, loose, Options{})
+	a, b := res[0], res[1]
 	if a.Metrics.TotalStartup() != b.Metrics.TotalStartup() {
 		t.Fatal("trained scheduler still stochastic")
 	}

@@ -10,7 +10,6 @@ import (
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
-	"mlcr/internal/pool"
 	"mlcr/internal/runner"
 )
 
@@ -39,9 +38,7 @@ func TestPinnedBaselineFingerprints(t *testing.T) {
 	for _, s := range setups {
 		for _, wname := range []string{fstartbench.Uniform, fstartbench.Peak} {
 			w := fstartbench.Build(wname, 3, fstartbench.Options{})
-			res := runner.Run([]runner.Spec{{
-				Name: s.Name, Workload: w, PoolCapacityMB: 1500, New: s.New,
-			}}, runner.Options{Parallelism: 1})[0]
+			res := RunAll([]Setup{s}, w, 1500, Options{Parallelism: 1})[0]
 			h := sha256.Sum256([]byte(runner.Fingerprint(res)))
 			key := s.Name + "/" + wname
 			if got := fmt.Sprintf("%x", h[:12]); got != pinnedFingerprints[key] {
@@ -61,17 +58,12 @@ func TestPinnedBaselineFingerprints(t *testing.T) {
 func zooFingerprints(t *testing.T, parallelism int) []string {
 	t.Helper()
 	w := fstartbench.Build(fstartbench.Peak, 5, fstartbench.Options{Count: 150})
-	var specs []runner.Spec
+	var setups []Setup
 	for _, name := range evict.Names() {
-		name := name
-		specs = append(specs, runner.Spec{
-			Name: name, Workload: w, PoolCapacityMB: 1200,
-			New: func() (platform.Scheduler, pool.Evictor) {
-				return policy.NewSameFunction(), evict.MustNew(name)
-			},
-		})
+		setups = append(setups, Setup{Name: name, Evictor: name,
+			New: func(int) platform.Scheduler { return policy.NewSameFunction() }})
 	}
-	results := runner.Run(specs, runner.Options{Parallelism: parallelism})
+	results := RunAll(setups, w, 1200, Options{Parallelism: parallelism})
 	out := make([]string, len(results))
 	for i, res := range results {
 		out[i] = runner.Fingerprint(res)
@@ -95,25 +87,6 @@ func TestZooParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEvictionGridParallelDeterministic: the grid driver itself must
-// produce the identical result structure at any parallelism.
-func TestEvictionGridParallelDeterministic(t *testing.T) {
-	w := fstartbench.Build(fstartbench.Uniform, 2, fstartbench.Options{Count: 100})
-	seq := EvictionGrid(w, 1200, nil, nil, Options{Seed: 2, Parallelism: 1})
-	for _, par := range []int{8, 0} {
-		got := EvictionGrid(w, 1200, nil, nil, Options{Seed: 2, Parallelism: par})
-		if !reflect.DeepEqual(seq, got) {
-			t.Fatalf("grid at parallelism %d diverged from sequential", par)
-		}
-	}
-	if len(seq.Cells) != len(policy.GridSchedulers())*len(evict.Names()) {
-		t.Fatalf("grid has %d cells, want %d", len(seq.Cells), len(policy.GridSchedulers())*len(evict.Names()))
-	}
-	if c := seq.Cell("Same-Function", "lru"); c == nil || c.ColdStarts == 0 {
-		t.Fatalf("Same-Function/lru cell missing or empty: %+v", c)
-	}
-}
-
 // TestWithEvictorOverrides: WithEvictor must preserve setup names (the
 // figure accumulators key on them) while swapping the eviction policy,
 // and an LRU override must be a no-op for the LRU baseline.
@@ -125,16 +98,14 @@ func TestWithEvictorOverrides(t *testing.T) {
 		if wrapped[i].Name != base[i].Name {
 			t.Fatalf("WithEvictor renamed %q to %q", base[i].Name, wrapped[i].Name)
 		}
-		_, ev := wrapped[i].New()
-		if ev.Name() != "lru" {
-			t.Fatalf("setup %s: evictor %s, want lru", wrapped[i].Name, ev.Name())
+		if wrapped[i].Evictor != "lru" || base[i].Evictor != "" {
+			t.Fatalf("setup %s: evictor %q, want lru (base %q untouched)", wrapped[i].Name, wrapped[i].Evictor, base[i].Evictor)
 		}
 	}
 	// The LRU baseline already pairs with LRU eviction: overriding it
 	// with "lru" must not change the run.
-	a := RunOnce(base[0], w, 1200)
-	b := RunOnce(wrapped[0], w, 1200)
-	if runner.Fingerprint(a) != runner.Fingerprint(b) {
+	res := RunAll([]Setup{base[0], wrapped[0]}, w, 1200, Options{})
+	if runner.Fingerprint(res[0]) != runner.Fingerprint(res[1]) || res[1].Evictor != "lru" {
 		t.Fatal("lru override changed the LRU baseline's run")
 	}
 	if got := WithEvictor(base, ""); reflect.ValueOf(got).Pointer() != reflect.ValueOf(base).Pointer() {

@@ -47,8 +47,7 @@ func TestMLCRSetupFreshPerRun(t *testing.T) {
 	loose := CalibrateLoose(w)
 	s := TrainMLCR(w, loose, nil, Options{Seed: 1, Episodes: 2})
 	setup := MLCRSetup(s)
-	a, _ := setup.New()
-	b, _ := setup.New()
+	a, b := setup.New(0), setup.New(0)
 	if a == s || b == s {
 		t.Fatal("MLCRSetup handed out the trained original")
 	}
@@ -56,9 +55,8 @@ func TestMLCRSetupFreshPerRun(t *testing.T) {
 		t.Fatal("MLCRSetup returned the same instance twice")
 	}
 	// Clones decide exactly like the original would have.
-	ra := RunOnce(Setup{Name: "a", New: setup.New}, w, loose*0.5)
-	rb := RunOnce(Setup{Name: "b", New: setup.New}, w, loose*0.5)
-	if runner.Fingerprint(ra) != runner.Fingerprint(rb) {
+	res := RunAll([]Setup{setup, setup}, w, loose*0.5, Options{})
+	if runner.Fingerprint(res[0]) != runner.Fingerprint(res[1]) {
 		t.Fatal("two MLCR clones diverged on the same workload")
 	}
 }

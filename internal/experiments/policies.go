@@ -14,7 +14,6 @@ import (
 
 	"mlcr/internal/evict"
 	"mlcr/internal/mlcr"
-	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 	"mlcr/internal/pool"
@@ -25,24 +24,26 @@ import (
 // PolicyNames lists the compared policies in the paper's order.
 var PolicyNames = []string{"LRU", "FaasCache", "KeepAlive", "Greedy-Match", "MLCR"}
 
-// Setup carries a factory building a fresh scheduler and its paired
-// eviction policy. New is called once per run, from the goroutine
-// executing that run, and must return instances used by no other run —
-// schedulers and evictors are stateful, and the parallel harness
-// (internal/runner) panics when two runs share a scheduler instance.
+// Setup names a reuse policy and builds its schedulers. New is called
+// once per worker of every run (worker 0 on a single platform), from
+// the goroutine executing that run, and must return an instance used by
+// no other run or worker — schedulers are stateful, and RunAll and
+// Sweep panic when two runs share a scheduler instance (runner.Guard).
+// Evictor names the evict registry policy the setup's pools use; empty
+// pairs each scheduler with its own default (platform.New).
 type Setup struct {
-	Name string
-	New  func() (platform.Scheduler, pool.Evictor)
+	Name    string
+	Evictor string
+	New     func(worker int) platform.Scheduler
 }
 
-// Spec converts the setup into a runner.Spec for the parallel harness.
-// The observer may be nil; when set it must be dedicated to this run.
-func (s Setup) Spec(w workload.Workload, poolMB float64, o *obs.Observer) runner.Spec {
-	sp := runner.Spec{Name: s.Name, Workload: w, PoolCapacityMB: poolMB, New: s.New}
-	if o != nil {
-		sp.NewObserver = func() *obs.Observer { return o }
+// NewEvictor builds the setup's pool evictor: nil for the scheduler's
+// own, which platform.New pairs.
+func (s Setup) NewEvictor() pool.Evictor {
+	if s.Evictor == "" {
+		return nil
 	}
-	return sp
+	return evict.MustNew(s.Evictor)
 }
 
 // Baselines returns the paper's four comparison policies: PolicyNames
@@ -59,16 +60,27 @@ func Baselines() []Setup {
 
 // SetupOf returns the Setup of a registered scheduler (policy.Names)
 // with its default evictor pairing; seed feeds learned schedulers
-// (Tabular-Q). It panics on an unknown name with the registry's list:
-// callers with a user-supplied name check policy.New first.
+// (Tabular-Q), worker i taking seed+i. It panics on an unknown name with
+// the registry's list: callers with a user-supplied name check
+// policy.New first.
 func SetupOf(name string, seed int64) Setup {
 	if _, err := policy.New(name, seed); err != nil {
 		panic(err)
 	}
-	return Setup{Name: name, New: func() (platform.Scheduler, pool.Evictor) {
-		s, _ := policy.New(name, seed)
-		return s, s.Evictor()
+	return Setup{Name: name, New: func(worker int) platform.Scheduler {
+		s, _ := policy.New(name, seed+int64(worker))
+		return s
 	}}
+}
+
+// GridSetups returns the SetupOf of every policy.GridSchedulers name:
+// the schedulers a sweep crosses with every evictor or router.
+func GridSetups(seed int64) []Setup {
+	var out []Setup
+	for _, name := range policy.GridSchedulers() {
+		out = append(out, SetupOf(name, seed))
+	}
+	return out
 }
 
 // Options tune the experiment harness. The zero value gives CPU-friendly
@@ -133,37 +145,25 @@ func WithEvictor(setups []Setup, name string) []Setup {
 	}
 	out := make([]Setup, len(setups))
 	for i, s := range setups {
-		mk := s.New
-		out[i] = Setup{Name: s.Name, New: func() (platform.Scheduler, pool.Evictor) {
-			sched, _ := mk()
-			return sched, evict.MustNew(name)
-		}}
+		s.Evictor = name
+		out[i] = s
 	}
 	return out
 }
 
-// RunOnce replays a workload through a fresh platform with the given
-// setup and pool capacity. It is a single-spec run of the parallel
-// harness (internal/runner).
-func RunOnce(s Setup, w workload.Workload, poolMB float64) *platform.RunResult {
-	return RunObserved(s, w, poolMB, nil)
-}
-
-// RunObserved is RunOnce with an observability bundle attached to the
-// platform (nil disables instrumentation; see internal/obs).
-func RunObserved(s Setup, w workload.Workload, poolMB float64, o *obs.Observer) *platform.RunResult {
-	return runner.Run([]runner.Spec{s.Spec(w, poolMB, o)}, runner.Options{Parallelism: 1})[0]
-}
-
-// RunAll evaluates every setup on the same workload and pool capacity
-// through the parallel harness, returning results in setup order. The
-// result slice is bit-identical at any parallelism.
+// RunAll is the figure harness: it replays the workload through one
+// platform per setup, at the same pool capacity, fanned out through
+// runner.Map, and returns the results in setup order, bit-identical at
+// any parallelism. It panics when two setups hand out one scheduler
+// instance.
 func RunAll(setups []Setup, w workload.Workload, poolMB float64, opts Options) []*platform.RunResult {
-	specs := make([]runner.Spec, len(setups))
-	for i, s := range setups {
-		specs[i] = s.Spec(w, poolMB, nil)
-	}
-	return runner.Run(specs, opts.runnerOpts())
+	var guard runner.Guard
+	return runner.Map(len(setups), opts.runnerOpts(), func(i int) *platform.RunResult {
+		s := setups[i]
+		sched := s.New(0)
+		guard.Claim(sched, i, s.Name)
+		return platform.New(platform.Config{PoolCapacityMB: poolMB, Evictor: s.NewEvictor()}, sched).Run(w)
+	})
 }
 
 // TrainMLCR trains one MLCR scheduler on the given workload with a
@@ -222,19 +222,15 @@ var MarginCandidates = []float64{0.05, 0.1, 0.2, 0.5, math.Inf(1)}
 // toward the earlier candidate — the same selection the sequential loop
 // made. The +Inf candidate runs no forward pass at all.
 func TuneMargin(s *mlcr.Scheduler, w workload.Workload, poolMB float64, parallelism int) float64 {
-	specs := make([]runner.Spec, len(MarginCandidates))
+	setups := make([]Setup, len(MarginCandidates))
 	for i, m := range MarginCandidates {
-		m := m
-		specs[i] = runner.Spec{
-			Name: "MLCR-margin", Workload: w, PoolCapacityMB: poolMB,
-			New: func() (platform.Scheduler, pool.Evictor) {
-				c := s.Clone()
-				c.SetDeviationMargin(m)
-				return c, c.Evictor()
-			},
-		}
+		setups[i] = Setup{Name: "MLCR-margin", New: func(int) platform.Scheduler {
+			c := s.Clone()
+			c.SetDeviationMargin(m)
+			return c
+		}}
 	}
-	results := runner.Run(specs, runner.Options{Parallelism: parallelism})
+	results := RunAll(setups, w, poolMB, Options{Parallelism: parallelism})
 	best, bestTotal := MarginCandidates[0], time.Duration(1<<62-1)
 	for i, res := range results {
 		if total := res.Metrics.TotalStartup(); total < bestTotal {
@@ -262,10 +258,7 @@ func fracsOf(pools []PoolSize) []float64 {
 // exactly the decisions the original would, including its deviation
 // margin at clone time.
 func MLCRSetup(s *mlcr.Scheduler) Setup {
-	return Setup{Name: "MLCR", New: func() (platform.Scheduler, pool.Evictor) {
-		c := s.Clone()
-		return c, c.Evictor()
-	}}
+	return Setup{Name: "MLCR", New: func(int) platform.Scheduler { return s.Clone() }}
 }
 
 // CalibrateLoose computes the paper's Loose pool size for a workload:

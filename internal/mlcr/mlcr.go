@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"time"
 
 	"mlcr/internal/drl"
@@ -328,6 +329,17 @@ func (s *Scheduler) Save(w io.Writer) error {
 		return err
 	}
 	return s.agent.Save(w)
+}
+
+// LoadFile is Load of the model file at path (mlcr-train's -out).
+func LoadFile(path string) (*Scheduler, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Load(f)
+	_ = f.Close() // read-only: the model is loaded or refused already
+	return s, err
 }
 
 // Load builds a scheduler from a model written by Save. The file's own

@@ -6,6 +6,8 @@ import (
 	"mlcr/internal/experiments"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/obs"
+	"mlcr/internal/platform"
+	"mlcr/internal/policy"
 	"mlcr/internal/workload"
 )
 
@@ -21,10 +23,9 @@ func benchWorkload() (workload.Workload, float64) {
 // within noise (<5%).
 func BenchmarkDisabledTracer(b *testing.B) {
 	w, poolMB := benchWorkload()
-	greedy := experiments.SetupOf("Greedy-Match", 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunObserved(greedy, w, poolMB, nil)
+		platform.New(platform.Config{PoolCapacityMB: poolMB}, policy.NewGreedyMatch()).Run(w)
 	}
 }
 
@@ -32,9 +33,8 @@ func BenchmarkDisabledTracer(b *testing.B) {
 // the trace, collecting, to quantify the cost of full observability.
 func BenchmarkEnabledTracer(b *testing.B) {
 	w, poolMB := benchWorkload()
-	greedy := experiments.SetupOf("Greedy-Match", 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.RunObserved(greedy, w, poolMB, obs.NewObserver())
+		platform.New(platform.Config{PoolCapacityMB: poolMB, Obs: obs.NewObserver()}, policy.NewGreedyMatch()).Run(w)
 	}
 }

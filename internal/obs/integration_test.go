@@ -14,6 +14,8 @@ import (
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/obs"
 	"mlcr/internal/obs/perf"
+	"mlcr/internal/platform"
+	"mlcr/internal/policy"
 )
 
 // exports is every file one observed run writes.
@@ -28,11 +30,7 @@ func runObserved(t *testing.T) exports {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	o := obs.NewObserver()
-	greedy := experiments.SetupOf("Greedy-Match", 0)
-	if greedy.Name != "Greedy-Match" {
-		t.Fatalf("baseline order changed: got %q", greedy.Name)
-	}
-	res := experiments.RunObserved(greedy, w, loose*0.5, o)
+	res := platform.New(platform.Config{PoolCapacityMB: loose * 0.5, Obs: o}, policy.NewGreedyMatch()).Run(w)
 
 	var tb, cb, ab, mb bytes.Buffer
 	if err := o.Trace.WriteJSONL(&tb); err != nil {
@@ -96,7 +94,7 @@ func TestObservedRunContent(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	loose := experiments.CalibrateLoose(w)
 	o := obs.NewObserver()
-	res := experiments.RunObserved(experiments.SetupOf("Greedy-Match", 0), w, loose*0.5, o)
+	res := platform.New(platform.Config{PoolCapacityMB: loose * 0.5, Obs: o}, policy.NewGreedyMatch()).Run(w)
 
 	arrivals, finishes := 0, 0
 	for _, ev := range o.Trace.Events() {
@@ -173,7 +171,7 @@ func TestPrometheusFormatValid(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{})
 	var tick time.Duration
 	o := &obs.Observer{Perf: perf.New(func() time.Duration { tick += time.Microsecond; return tick })}
-	res := experiments.RunObserved(experiments.SetupOf("Greedy-Match", 0), w, experiments.CalibrateLoose(w)*0.3, o)
+	res := platform.New(platform.Config{PoolCapacityMB: experiments.CalibrateLoose(w) * 0.3, Obs: o}, policy.NewGreedyMatch()).Run(w)
 	var b strings.Builder
 	if err := obs.WritePrometheus(&b, append(res.ExportMetrics(), obs.PhaseMetrics(o.Perf)...)); err != nil {
 		t.Fatal(err)

@@ -122,23 +122,17 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 // WriteChromeTrace writes the recorded events in Chrome trace_event
 // JSON, openable in chrome://tracing or Perfetto. Instant events map to
 // ph "i", and TrainStep TD errors to a counter track ("C"). A decision
 // maps to two entries: an instant on the scheduler row and its
 // container's startup as a complete span ("X") on the container's own
-// row.
+// row. Entries are written as they are built, between the framing of
+// one {"traceEvents":[...],"displayTimeUnit":"ms"} object, so the
+// export holds one event's entries at a time, not the whole array.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.view()
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{
-		threadName(engineTID, "sim-engine"),
-		threadName(schedulerTID, "scheduler"),
-	}}
+	entries := []chromeEvent{threadName(engineTID, "sim-engine"), threadName(schedulerTID, "scheduler")}
 	// Name each container row; sorted for deterministic output.
 	seen := map[int]bool{}
 	var ids []int
@@ -153,16 +147,40 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		out.TraceEvents = append(out.TraceEvents, threadName(containerTIDBase+id, "c"+strconv.Itoa(id)))
+		entries = append(entries, threadName(containerTIDBase+id, "c"+strconv.Itoa(id)))
+	}
+	// The array always opens with the thread-name rows, so the first
+	// separator written is the object's opening framing.
+	bw := bufio.NewWriter(w)
+	sep := `{"traceEvents":[`
+	write := func(entries []chromeEvent) error {
+		for i := range entries {
+			b, err := json.Marshal(&entries[i])
+			if err == nil {
+				_, err = bw.WriteString(sep)
+			}
+			if err == nil {
+				_, err = bw.Write(b)
+			}
+			if err != nil {
+				return fmt.Errorf("obs: chrome trace: %w", err)
+			}
+			sep = ","
+		}
+		return nil
+	}
+	if err := write(entries); err != nil {
+		return err
 	}
 	for _, ev := range events {
-		out.TraceEvents = appendChrome(out.TraceEvents, ev)
+		if err := write(appendChrome(entries[:0], ev)); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(out); err != nil {
+	if _, err := bw.WriteString("],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
 		return fmt.Errorf("obs: chrome trace: %w", err)
 	}
-	return nil
+	return bw.Flush()
 }
 
 func threadName(tid int, name string) chromeEvent {

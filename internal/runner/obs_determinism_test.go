@@ -20,20 +20,17 @@ import (
 // what a run computes. The per-observer dispatch-span count proves the
 // compared runs were instrumented, not disabled.
 func TestFingerprintUnchangedByObservability(t *testing.T) {
-	plain := runner.Run(sweepSpecs(t), runner.Options{Parallelism: 1})
+	runs := sweepRuns(t)
+	plain := runSweep(runs, 1, nil)
 
-	specs := sweepSpecs(t)
-	observers := make([]*obs.Observer, len(specs))
-	for i := range specs {
-		specs[i].NewObserver = func() *obs.Observer {
-			o := obs.NewObserver()
-			var tick time.Duration
-			o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
-			observers[i] = o
-			return o
-		}
-	}
-	observed := runner.Run(specs, runner.Options{Parallelism: 8})
+	observers := make([]*obs.Observer, len(runs))
+	observed := runSweep(runs, 8, func(i int) *obs.Observer {
+		o := obs.NewObserver()
+		var tick time.Duration
+		o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
+		observers[i] = o
+		return o
+	})
 
 	// Every invocation's completion is retired once: one PhaseDispatch
 	// span and one "finish/c" trace event each.
@@ -44,9 +41,9 @@ func TestFingerprintUnchangedByObservability(t *testing.T) {
 				finishes++
 			}
 		}
-		n := int64(len(specs[i].Workload.Invocations))
+		n := int64(len(runs[i].w.Invocations))
 		if got := o.Perf.Phase(perf.PhaseDispatch).Count(); got != n || int64(finishes) != n {
-			t.Errorf("spec %d: %d dispatch spans, %d finish events, want %d each", i, got, finishes, n)
+			t.Errorf("run %d: %d dispatch spans, %d finish events, want %d each", i, got, finishes, n)
 		}
 	}
 
@@ -56,8 +53,8 @@ func TestFingerprintUnchangedByObservability(t *testing.T) {
 	for i := range plain {
 		a, b := runner.Fingerprint(plain[i]), runner.Fingerprint(observed[i])
 		if a != b {
-			t.Errorf("spec %d (%s): observed run fingerprint differs from bare run:\nbare:     %.200s\nobserved: %.200s",
-				i, specs[i].Name, a, b)
+			t.Errorf("run %d (%s): observed run fingerprint differs from bare run:\nbare:     %.200s\nobserved: %.200s",
+				i, runs[i].name, a, b)
 		}
 	}
 }

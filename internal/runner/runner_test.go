@@ -9,14 +9,21 @@ import (
 	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
-	"mlcr/internal/pool"
 	"mlcr/internal/runner"
 	"mlcr/internal/workload"
 )
 
-// sweepSpecs builds a ≥3-policy × ≥2-workload sweep (the acceptance
+// sweepRun is one platform run of the test sweep.
+type sweepRun struct {
+	name   string
+	w      workload.Workload
+	poolMB float64
+	mk     func() platform.Scheduler
+}
+
+// sweepRuns builds a ≥3-policy × ≥2-workload sweep (the acceptance
 // sweep: 4 policies over HI-Sim and Uniform at two pool sizes).
-func sweepSpecs(t testing.TB) []runner.Spec {
+func sweepRuns(t testing.TB) []sweepRun {
 	t.Helper()
 	workloads := []workload.Workload{
 		fstartbench.Build(fstartbench.HiSim, 7, fstartbench.Options{Count: 120}),
@@ -24,51 +31,60 @@ func sweepSpecs(t testing.TB) []runner.Spec {
 	}
 	policies := []struct {
 		name string
-		mk   func() (platform.Scheduler, pool.Evictor)
+		mk   func() platform.Scheduler
 	}{
-		{"LRU", func() (platform.Scheduler, pool.Evictor) { s := policy.NewLRU(); return s, s.Evictor() }},
-		{"FaasCache", func() (platform.Scheduler, pool.Evictor) { s := policy.NewFaasCache(); return s, s.Evictor() }},
-		{"KeepAlive", func() (platform.Scheduler, pool.Evictor) { s := policy.NewKeepAlive(); return s, s.Evictor() }},
-		{"Greedy-Match", func() (platform.Scheduler, pool.Evictor) { s := policy.NewGreedyMatch(); return s, s.Evictor() }},
+		{"LRU", func() platform.Scheduler { return policy.NewLRU() }},
+		{"FaasCache", func() platform.Scheduler { return policy.NewFaasCache() }},
+		{"KeepAlive", func() platform.Scheduler { return policy.NewKeepAlive() }},
+		{"Greedy-Match", func() platform.Scheduler { return policy.NewGreedyMatch() }},
 	}
-	var specs []runner.Spec
+	var runs []sweepRun
 	for _, w := range workloads {
 		for _, p := range policies {
 			for _, poolMB := range []float64{1500, 4000} {
-				specs = append(specs, runner.Spec{
-					Name:           p.name + "/" + w.Name,
-					Workload:       w,
-					PoolCapacityMB: poolMB,
-					New:            p.mk,
-				})
+				runs = append(runs, sweepRun{p.name + "/" + w.Name, w, poolMB, p.mk})
 			}
 		}
 	}
-	return specs
+	return runs
+}
+
+// runSweep replays every run through runner.Map, each building its
+// scheduler, its platform and — when observe is set — its observer
+// inside the job.
+func runSweep(runs []sweepRun, parallelism int, observe func(i int) *obs.Observer) []*platform.RunResult {
+	return runner.Map(len(runs), runner.Options{Parallelism: parallelism}, func(i int) *platform.RunResult {
+		r := runs[i]
+		cfg := platform.Config{PoolCapacityMB: r.poolMB}
+		if observe != nil {
+			cfg.Obs = observe(i)
+		}
+		return platform.New(cfg, r.mk()).Run(r.w)
+	})
 }
 
 // TestRunParallelMatchesSequential is the harness determinism test: a
 // 4-policy × 2-workload × 2-pool sweep must produce byte-identical
 // results at parallelism 1 and at high parallelism.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	specs := sweepSpecs(t)
-	seq := runner.Run(specs, runner.Options{Parallelism: 1})
-	par := runner.Run(specs, runner.Options{Parallelism: 8})
-	if len(seq) != len(specs) || len(par) != len(specs) {
-		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), len(specs))
+	runs := sweepRuns(t)
+	seq := runSweep(runs, 1, nil)
+	par := runSweep(runs, 8, nil)
+	if len(seq) != len(runs) || len(par) != len(runs) {
+		t.Fatalf("result lengths %d/%d, want %d", len(seq), len(par), len(runs))
 	}
-	for i := range specs {
+	for i := range runs {
 		a, b := runner.Fingerprint(seq[i]), runner.Fingerprint(par[i])
 		if a != b {
-			t.Fatalf("spec %d (%s): parallel result differs from sequential:\nseq: %.200s\npar: %.200s",
-				i, specs[i].Name, a, b)
+			t.Fatalf("run %d (%s): parallel result differs from sequential:\nseq: %.200s\npar: %.200s",
+				i, runs[i].name, a, b)
 		}
 	}
 	// Repeat at default parallelism (GOMAXPROCS) for the same answer.
-	def := runner.Run(specs, runner.Options{})
-	for i := range specs {
+	def := runSweep(runs, 0, nil)
+	for i := range runs {
 		if runner.Fingerprint(def[i]) != runner.Fingerprint(seq[i]) {
-			t.Fatalf("spec %d (%s): default-parallelism result differs", i, specs[i].Name)
+			t.Fatalf("run %d (%s): default-parallelism result differs", i, runs[i].name)
 		}
 	}
 }
@@ -122,70 +138,48 @@ func TestMapPanicPropagates(t *testing.T) {
 }
 
 func TestRunPanicsOnSharedScheduler(t *testing.T) {
-	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 20})
 	// KeepAlive carries state (its TTL field), so its pointer is tracked
 	// by the guard — unlike pointers to zero-size stateless schedulers.
 	shared := policy.NewKeepAlive()
-	mk := func() (platform.Scheduler, pool.Evictor) { return shared, shared.Evictor() }
-	specs := []runner.Spec{
-		{Name: "a", Workload: w, PoolCapacityMB: 2000, New: mk},
-		{Name: "b", Workload: w, PoolCapacityMB: 2000, New: mk},
-	}
+	var g runner.Guard
+	g.Claim(policy.NewGreedyMatch(), 0, "stateless")
+	g.Claim(policy.NewGreedyMatch(), 1, "stateless")
+	g.Claim(shared, 2, "a")
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("shared scheduler not detected")
 		}
-		if !strings.Contains(r.(string), "shared between specs") {
+		if !strings.Contains(r.(string), "shared between specs 2 and 3") {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
-	runner.Run(specs, runner.Options{Parallelism: 1})
+	g.Claim(shared, 3, "b")
 }
 
-func TestRunPanicsOnMissingFactory(t *testing.T) {
-	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 5})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing New factory not detected")
-		}
-	}()
-	runner.Run([]runner.Spec{{Name: "no-factory", Workload: w}}, runner.Options{Parallelism: 1})
-}
-
-// TestRunObserverPerRun checks the observer-per-run wiring: every spec
+// TestRunObserverPerRun checks the observer-per-run wiring: every run
 // gets its own bundle, and each records exactly its run's decisions.
 func TestRunObserverPerRun(t *testing.T) {
 	w := fstartbench.Build(fstartbench.HiSim, 3, fstartbench.Options{Count: 60})
 	const n = 4
 	observers := make([]*obs.Observer, n)
-	specs := make([]runner.Spec, n)
-	for i := 0; i < n; i++ {
-		i := i
-		specs[i] = runner.Spec{
-			Name:           "obs",
-			Workload:       w,
-			PoolCapacityMB: 2000,
-			New: func() (platform.Scheduler, pool.Evictor) {
-				s := policy.NewGreedyMatch()
-				return s, s.Evictor()
-			},
-			NewObserver: func() *obs.Observer {
-				observers[i] = obs.NewObserver()
-				return observers[i]
-			},
-		}
+	runs := make([]sweepRun, n)
+	for i := range runs {
+		runs[i] = sweepRun{"obs", w, 2000, func() platform.Scheduler { return policy.NewGreedyMatch() }}
 	}
-	runner.Run(specs, runner.Options{Parallelism: n})
+	runSweep(runs, n, func(i int) *obs.Observer {
+		observers[i] = obs.NewObserver()
+		return observers[i]
+	})
 	for i, o := range observers {
 		if o == nil {
-			t.Fatalf("spec %d: observer factory never called", i)
+			t.Fatalf("run %d: observer never built", i)
 		}
 		if got := len(obs.Decisions(o.Trace.Events())); got != len(w.Invocations) {
-			t.Fatalf("spec %d: audited %d decisions, want %d", i, got, len(w.Invocations))
+			t.Fatalf("run %d: audited %d decisions, want %d", i, got, len(w.Invocations))
 		}
 		if o.Trace.Len() == 0 {
-			t.Fatalf("spec %d: no trace events recorded", i)
+			t.Fatalf("run %d: no trace events recorded", i)
 		}
 	}
 }

@@ -61,8 +61,9 @@ go test -run '^$' -fuzz '^FuzzMLCRLoad$' -fuzztime 5s ./internal/mlcr
 echo "== arm64 cross-build (the path without the assembly kernel must keep compiling) =="
 GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/nn
 
-echo "== scheduler × evictor grid smoke (every registered eviction policy) =="
+echo "== comparison sweep smokes (experiments.Sweep: the scheduler × evictor grid over every registered eviction policy, and every policy with a one-episode MLCR) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -evictor all > /dev/null
+go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy all -episodes 1 > /dev/null
 
 echo "== single-platform smoke of a registry-only scheduler (every CLI resolves -policy through policy.New) =="
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy Tabular-Q > /dev/null
@@ -78,6 +79,7 @@ grep -q '^mlcr_pool_evictions_total{policy="keepalive",reason="oversize"} ' "$tm
 grep -q '^mlcr_pool_evictions_total{policy="keepalive",reason="rejected"} ' "$tmp"
 go run ./cmd/mlcr-sim -workload Peak -seed 7 -workers 8 -routing p2c -metrics-out "$tmp" > /dev/null 2>&1
 grep -q '^mlcr_cluster_routed_total{worker="0"} ' "$tmp"
+grep -q '^mlcr_cold_starts_total ' "$tmp"
 go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out /dev/null -metrics-out "$tmp" > /dev/null
 grep -q '^mlcr_train_steps_total ' "$tmp"
 
@@ -99,13 +101,15 @@ trap 'rm -f "$tmp" "$model"; rm -rf "$audit"' EXIT
 go run ./cmd/mlcr-train -workload Uniform -episodes 1 -out "$model" > /dev/null
 go run ./cmd/mlcr-sim -workload Uniform -count 200 -policy MLCR -model "$model" > /dev/null
 
-echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; an unknown figure, -workers 0 and mlcr-train -episodes 0 exit 2) =="
+echo "== mlcr-bench smoke (figure 1 renders; figure 9 trains through a Study; the grid and cluster sweeps render; an unknown figure, -workers 0 and mlcr-train -episodes 0 exit 2) =="
 # Built, not run through go run, which reports every failure as exit 1.
 bench_bin=$(mktemp -d)
 trap 'rm -f "$tmp" "$model"; rm -rf "$audit" "$bench_bin"' EXIT
 go build -o "$bench_bin/" ./cmd/mlcr-bench ./cmd/mlcr-train
 "$bench_bin/mlcr-bench" -fig 1 > /dev/null
 "$bench_bin/mlcr-bench" -fig 9 -repeats 1 -episodes 1 > /dev/null
+"$bench_bin/mlcr-bench" -fig grid > /dev/null
+"$bench_bin/mlcr-bench" -fig cluster -workers 4 > /dev/null
 for cmd in "mlcr-bench -fig no-such-figure" "mlcr-bench -fig cluster -workers 0" "mlcr-train -episodes 0"; do
     status=0
     "$bench_bin/"$cmd > /dev/null 2>&1 || status=$?
