@@ -35,7 +35,7 @@ func main() {
 	episodes := flag.Int("episodes", 0, "MLCR training episodes (0 = default 36)")
 	parallel := flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	evictorName := flag.String("evictor", "",
-		"override eviction for figures 8 and 11: "+strings.Join(evict.Names(), ", "))
+		"override eviction for figures 8, 11 and cluster (-fig grid crosses every evictor): "+strings.Join(evict.Names(), ", "))
 	csvPath := flag.String("csv", "", "also write the table(s) as CSV to this file")
 	flag.Parse()
 

@@ -35,20 +35,21 @@ func (reserveDeep) Schedule(env platform.Env, inv *workload.Invocation) int {
 	best := platform.ColdStart
 	var bestCost int64 = 1 << 62
 	poolRoomy := env.Pool.CapacityMB() <= 0 || env.Pool.UsedMB() < 0.8*env.Pool.CapacityMB()
-	for _, c := range env.Pool.Idle() {
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		est, lv := container.EstimateFor(inv.Fn, c)
 		if lv == core.NoMatch {
-			continue
+			return true
 		}
 		// The twist: leave other functions' L3 containers alone while
 		// the pool is roomy — their owners will be back.
 		if poolRoomy && lv == core.MatchL3 && c.FnID != inv.Fn.ID {
-			continue
+			return true
 		}
 		if cost := int64(est.Total()); cost < bestCost {
 			best, bestCost = c.ID, cost
 		}
-	}
+		return true
+	})
 	if best != platform.ColdStart &&
 		bestCost >= int64(container.Estimate(inv.Fn, core.NoMatch, false).Total()) {
 		return platform.ColdStart

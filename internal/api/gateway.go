@@ -236,7 +236,7 @@ func (g *Gateway) buildState() *gwState {
 	router := cluster.MustNewRouter("by-function", cluster.RouterConfig{Workers: cfg.Shards})
 	router.Begin(workload.Workload{Functions: cfg.Functions})
 	for i, f := range cfg.Functions {
-		sh := st.shards[router.Route(0, i, &workload.Invocation{Fn: f})]
+		sh := st.shards[router.Route(i, &workload.Invocation{Fn: f})]
 		gf := &gwFn{
 			fn:        f,
 			shard:     sh,

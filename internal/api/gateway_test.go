@@ -303,11 +303,16 @@ func (f *faultySched) Schedule(env platform.Env, inv *workload.Invocation) int {
 	if !f.inject() {
 		return f.Scheduler.Schedule(env, inv)
 	}
-	for _, c := range env.Pool.Idle() {
+	var mismatch *container.Container
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		if core.Match(&inv.Fn.Image, c.Image) == core.NoMatch {
-			f.noMatch.Add(1)
-			return c.ID
+			mismatch = c
 		}
+		return mismatch == nil
+	})
+	if mismatch != nil {
+		f.noMatch.Add(1)
+		return mismatch.ID
 	}
 	f.badIDs.Add(1)
 	return -7
@@ -763,7 +768,7 @@ func TestGatewayShardRounding(t *testing.T) {
 		}
 		r := cluster.MustNewRouter("by-function", cluster.RouterConfig{Workers: shards})
 		for i, f := range testFunctions() {
-			want := r.Route(0, i, &workload.Invocation{Fn: f})
+			want := r.Route(i, &workload.Invocation{Fn: f})
 			if got := shardIndex(st, st.byID[f.ID]); got != want {
 				t.Errorf("Shards %d: function %d on shard %d, by-function names %d", shards, f.ID, got, want)
 			}

@@ -218,7 +218,7 @@ func TestMetricsPhaseSummaries(t *testing.T) {
 
 	_, body := get(t, ts, "/metrics")
 	text := string(body)
-	// The default GreedyMatch scheduler scans Pool.Idle() directly (only
+	// The default GreedyMatch scheduler walks Pool.RangeIdle (only
 	// the DRL featurizer goes through the indexed pool_scan path), so the
 	// phases that fire here are schedule (one per invocation) and dispatch
 	// (the second invocation's step runs the first's completion first).

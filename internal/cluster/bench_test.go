@@ -49,22 +49,20 @@ func BenchmarkClusterRoute(b *testing.B) {
 	const workers = 1000
 	w := azureTrace(200000)
 	for _, name := range RouterNames() {
-		for _, par := range []int{1, 0} {
-			b.Run(fmt.Sprintf("%s/w%d/par%d", name, workers, par), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					routed := Route(name, RouterConfig{Workers: workers, Seed: 1}, w, par, nil)
-					total := 0
-					for _, c := range routed {
-						total += c
-					}
-					if total != len(w.Invocations) {
-						b.Fatalf("routed %d of %d", total, len(w.Invocations))
-					}
+		b.Run(fmt.Sprintf("%s/w%d", name, workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				routed := Route(name, RouterConfig{Workers: workers, Seed: 1}, w, 1, nil)
+				total := 0
+				for _, c := range routed {
+					total += c
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w.Invocations)), "route-ns/inv")
-			})
-		}
+				if total != len(w.Invocations) {
+					b.Fatalf("routed %d of %d", total, len(w.Invocations))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w.Invocations)), "route-ns/inv")
+		})
 	}
 }
 

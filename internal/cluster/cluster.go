@@ -4,15 +4,14 @@
 // scheduler instance. Containers never migrate between workers, so a
 // function can only reuse warm containers on the worker it is routed to —
 // the locality constraint that makes routing policy part of the warm-start
-// problem. Routing itself is a registry of deterministic, shardable
-// Routers (consistent hashing, power-of-two-choices, and the classic
-// round-robin / by-function / least-loaded policies); see router.go and
-// DESIGN.md §13.
+// problem. Routing itself is a registry of deterministic Routers
+// (consistent hashing, power-of-two-choices, and the classic
+// round-robin / by-function / least-loaded policies) run as one
+// sequential loop; see router.go and DESIGN.md §13.
 package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -47,18 +46,14 @@ type Config struct {
 	// worker's scheduler with its default evictor, the one the gateway's
 	// shards take too.
 	NewEvictor func(worker int) pool.Evictor
-	// Parallelism bounds concurrency for both phases of a run: routing
-	// shards (as far as the router's Shards() contract allows) and
-	// worker simulations. <=0 means GOMAXPROCS, 1 forces sequential.
+	// Parallelism bounds the concurrent worker simulations; routing is
+	// one sequential loop. <=0 means GOMAXPROCS, 1 forces sequential.
 	// Results are bit-identical at any setting.
 	Parallelism int
 	// Obs, when non-nil, observes the front end: Obs.Perf, when
-	// non-nil, times each front-end routing decision (perf.PhaseRoute):
-	// parallel routing shards record into private profilers built from
-	// its clock and merge into it at the end-of-route barrier, so the
-	// caller-owned profiler is never written concurrently, and
-	// Result.ExportMetrics exports it. Worker simulations do not share
-	// Obs — per-worker observers stay per-platform.
+	// non-nil, times each front-end routing decision (perf.PhaseRoute),
+	// and Result.ExportMetrics exports it. Worker simulations do not
+	// share Obs — per-worker observers stay per-platform.
 	Obs *obs.Observer
 }
 
@@ -91,13 +86,13 @@ func (r Result) ColdStarts() int {
 // Run partitions the workload across workers per the routing policy and
 // replays each partition on its worker's platform. Workers are
 // independent simulations: the cluster-level metrics are exact because
-// workers share nothing but the arrival stream. Routing fans out first
-// over the router's shards (see the Router contract), the partitions
+// workers share nothing but the arrival stream. The router decides
+// every invocation's worker in one sequential loop, the partitions
 // are materialized in one counting pre-pass, and worker simulations
 // then execute concurrently up to Config.Parallelism, each building
 // its scheduler, evictor and platform in its own goroutine, with
-// results collected in worker order. Every phase is bit-identical at
-// any Parallelism.
+// results collected in worker order, bit-identical at any
+// Parallelism.
 func Run(cfg Config, w workload.Workload) Result {
 	if cfg.Workers < 1 {
 		panic("cluster: Workers must be >= 1")
@@ -124,7 +119,7 @@ func Run(cfg Config, w workload.Workload) Result {
 		panic("cluster: " + err.Error())
 	}
 	prof := cfg.Obs.Profiler()
-	targets := routeTargets(router, w, cfg.Workers, cfg.Parallelism, prof)
+	targets := routeTargets(router, w, cfg.Workers, prof)
 	parts, routed := partition(w, targets, cfg.Workers)
 
 	res := Result{Routed: routed}
@@ -141,111 +136,36 @@ func Run(cfg Config, w workload.Workload) Result {
 }
 
 // Route runs only the front-end of a cluster run — router resolution,
-// the sharded decision loop, and the counting-pre-pass partition —
-// and returns the per-worker routed counts. It is the measurement
-// surface for routing throughput (BenchmarkClusterRoute and bench/'s
+// the decision loop, and the counting-pre-pass partition — and returns
+// the per-worker routed counts. It is the measurement surface for
+// routing throughput (BenchmarkClusterRoute and bench/'s
 // cluster.route_ns_per_inv): same code path as Run, no worker
-// simulation.
+// simulation. parallelism is ignored: routing is one sequential loop.
+// The parameter remains only because the benchmark passes it, and it
+// leaves when bench/ joins the root module.
 func Route(name string, cfg RouterConfig, w workload.Workload, parallelism int, prof *perf.Profiler) []int {
 	r := MustNewRouter(name, cfg)
-	targets := routeTargets(r, w, cfg.Workers, parallelism, prof)
+	targets := routeTargets(r, w, cfg.Workers, prof)
 	_, routed := partition(w, targets, cfg.Workers)
 	return routed
 }
 
-// routeTargets runs the router over the invocation stream and returns
-// the chosen worker per stream index. The fan-out follows the router's
-// Shards() contract: sequential routers get the classic single loop;
-// fixed-shard routers get one goroutine per interleaved sub-stream;
-// stateless routers are chunked into contiguous blocks sized by the
-// effective parallelism (any chunking yields the same targets, so the
-// block count is free to follow the machine). Each parallel task
-// records route spans into a private profiler merged into prof at the
-// end-of-route barrier.
-func routeTargets(router Router, w workload.Workload, workers, parallelism int, prof *perf.Profiler) []uint32 {
+// routeTargets runs the router over the invocation stream in stream
+// order and returns the chosen worker per stream index, timing each
+// decision into prof.
+func routeTargets(router Router, w workload.Workload, workers int, prof *perf.Profiler) []uint32 {
 	router.Begin(w)
-	n := len(w.Invocations)
-	targets := make([]uint32, n)
-
-	routeSpan := func(p *perf.Profiler, shard, i int) {
-		sp := p.Start(perf.PhaseRoute)
-		t := router.Route(shard, i, &w.Invocations[i])
+	targets := make([]uint32, len(w.Invocations))
+	for i := range w.Invocations {
+		sp := prof.Start(perf.PhaseRoute)
+		t := router.Route(i, &w.Invocations[i])
 		sp.End()
 		if uint(t) >= uint(workers) {
 			panic(fmt.Sprintf("cluster: router %q routed invocation %d to worker %d of %d", router.Name(), i, t, workers))
 		}
 		targets[i] = uint32(t)
 	}
-
-	switch shards := router.Shards(); {
-	case n == 0:
-		// Nothing to route.
-	case shards == 1:
-		for i := 0; i < n; i++ {
-			routeSpan(prof, 0, i)
-		}
-	case shards == ShardsStateless:
-		blocks := parallelism
-		if blocks <= 0 {
-			blocks = runtime.GOMAXPROCS(0)
-		}
-		if blocks > n {
-			blocks = n
-		}
-		subProfs := shardProfilers(prof, blocks)
-		runner.Map(blocks, runner.Options{Parallelism: parallelism}, func(b int) struct{} {
-			lo, hi := b*n/blocks, (b+1)*n/blocks
-			p := subProf(subProfs, prof, b)
-			for i := lo; i < hi; i++ {
-				routeSpan(p, b, i)
-			}
-			return struct{}{}
-		})
-		mergeProfilers(prof, subProfs)
-	default:
-		subProfs := shardProfilers(prof, shards)
-		runner.Map(shards, runner.Options{Parallelism: parallelism}, func(s int) struct{} {
-			p := subProf(subProfs, prof, s)
-			for i := s; i < n; i += shards {
-				routeSpan(p, s, i)
-			}
-			return struct{}{}
-		})
-		mergeProfilers(prof, subProfs)
-	}
 	return targets
-}
-
-// shardProfilers builds one private profiler per parallel routing task
-// (nil slice when profiling is disabled or a single task would write
-// prof directly anyway).
-func shardProfilers(prof *perf.Profiler, tasks int) []*perf.Profiler {
-	if prof == nil || tasks <= 1 {
-		return nil
-	}
-	out := make([]*perf.Profiler, tasks)
-	for i := range out {
-		out[i] = perf.New(prof.Clock())
-	}
-	return out
-}
-
-// subProf picks task i's profiler: the private shard profiler when
-// fanning out, prof itself when running single-task.
-func subProf(subs []*perf.Profiler, prof *perf.Profiler, i int) *perf.Profiler {
-	if subs == nil {
-		return prof
-	}
-	return subs[i]
-}
-
-// mergeProfilers folds the shard profilers back into prof at the
-// end-of-route barrier. HDR merging is commutative, so the result does
-// not depend on shard completion order.
-func mergeProfilers(prof *perf.Profiler, subs []*perf.Profiler) {
-	for _, s := range subs {
-		prof.Merge(s)
-	}
 }
 
 // partition materializes per-worker invocation streams from the routed

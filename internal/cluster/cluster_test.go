@@ -240,7 +240,7 @@ func TestLeastLoadedBusyUntilAccumulates(t *testing.T) {
 			{Seq: 1, Fn: f, Arrival: 0, Exec: f.Exec},
 		}}
 	r := MustNewRouter("least-loaded", RouterConfig{Workers: 2})
-	targets := routeTargets(r, w, 2, 1, nil)
+	targets := routeTargets(r, w, 2, nil)
 	parts, _ := partition(w, targets, 2)
 	if len(parts[0]) != 1 || len(parts[1]) != 1 {
 		t.Fatalf("simultaneous jobs not spread: %d/%d", len(parts[0]), len(parts[1]))

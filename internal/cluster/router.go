@@ -10,26 +10,9 @@ import (
 // Router is the deterministic routing contract (DESIGN.md §13). A
 // router is built fresh per cluster run by the registry, observes the
 // workload once in Begin, and then decides a worker for every
-// invocation through Route. The contract makes routing shardable
-// without giving up bit-identical replay:
-//
-//   - Shards() == ShardsStateless (0): Route is a pure function of
-//     (i, inv) — no mutable state. The cluster may call it from any
-//     goroutine over any index chunking; results cannot depend on
-//     order. Begin may still precompute shared read-only state (e.g.
-//     the consistent-hash ring), which concurrent Route calls must not
-//     mutate.
-//   - Shards() == 1: the router is order-dependent. Route is called
-//     with shard 0 for i = 0, 1, …, n-1 from a single goroutine —
-//     exactly the pre-Router sequential loop.
-//   - Shards() == k > 1: the stream is split into k fixed interleaved
-//     sub-streams (shard s owns the indices i with i % k == s). Route
-//     is called with increasing i within a shard; different shards may
-//     run concurrently and must touch disjoint state. k is part of the
-//     router's definition — never derived from Parallelism or core
-//     count — so decisions are identical at any Parallelism and on any
-//     machine. Per-shard state meets only at the end-of-route barrier,
-//     where partitions (and profiler state) merge in shard order.
+// invocation through Route, called from one goroutine for i = 0, 1,
+// …, n-1: the front end is one sequential loop, so a router may keep
+// any state its decisions depend on and replays bit-for-bit.
 //
 // Route must be allocation-free in steady state: the route path is a
 // per-invocation hot loop at cluster scale (see the 0-alloc assertion
@@ -37,16 +20,13 @@ import (
 type Router interface {
 	// Name is the registry name the router was built under.
 	Name() string
-	// Shards declares the determinism granularity documented above.
-	Shards() int
 	// Begin is the per-run pre-pass over the workload: build rings,
 	// per-function key caches, load accumulators. Called exactly once,
 	// before any Route call.
 	Begin(w workload.Workload)
 	// Route returns the target worker in [0, Workers) for invocation
-	// inv at stream index i. shard identifies the calling sub-stream
-	// (always 0 when sequential; informational for stateless routers).
-	Route(shard, i int, inv *workload.Invocation) int
+	// inv at stream index i.
+	Route(i int, inv *workload.Invocation) int
 }
 
 // RouterConfig parameterizes router construction.
@@ -57,15 +37,6 @@ type RouterConfig struct {
 	// sequences). The default 0 is deterministic like any other value.
 	Seed int64
 }
-
-// ShardsStateless is the Shards() value of order-independent routers.
-const ShardsStateless = 0
-
-// DefaultRouteShards is the fixed shard count of the power-of-two-
-// choices router. It is a constant of the router's definition, not a
-// tuning knob: changing it changes which sub-stream each invocation's
-// load accumulator sees, and therefore the routing itself.
-const DefaultRouteShards = 8
 
 // routerRegistry is the router registry. Each constructor returns a
 // fresh Router for one cluster run: routers are stateful (load

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,9 +30,6 @@ func TestRouterRegistry(t *testing.T) {
 		if r.Name() != name {
 			t.Errorf("router %q reports Name() %q", name, r.Name())
 		}
-		if s := r.Shards(); s < 0 {
-			t.Errorf("router %q: negative Shards() %d", name, s)
-		}
 	}
 	if _, err := NewRouter("nope", RouterConfig{Workers: 2}); err == nil {
 		t.Fatal("unknown router name did not error")
@@ -44,15 +40,18 @@ func TestRouterRegistry(t *testing.T) {
 }
 
 // pinnedRoutingFingerprints are sha256[:12] hashes over the routed
-// counts and per-worker runner.Fingerprints of six cluster runs
-// (Uniform and Peak, seed 3, 5 workers, pool 3000 MB, Greedy-Match +
-// LRU). The round-robin and least-loaded cells were captured before
-// the Router refactor, when routing was one sequential switch in
-// route(), and the re-expressed routers replay them bit-for-bit. The
-// by-function cells were re-recorded when its home worker became
-// splitmix64(id) mod workers, the gateway's placement, instead of
-// id mod workers. Any drift in target selection, partition order or
-// per-worker Seq numbering changes a hash here.
+// counts and per-worker runner.Fingerprints of ten cluster runs
+// (every router on Uniform and Peak, seed 3, 5 workers, pool 3000 MB,
+// Greedy-Match + LRU). The round-robin and least-loaded cells were
+// captured before the Router refactor, when routing was one sequential
+// switch in route(), and the re-expressed routers replay them
+// bit-for-bit. The by-function cells were re-recorded when its home
+// worker became splitmix64(id) mod workers, the gateway's placement,
+// instead of id mod workers. The hash and p2c cells were captured
+// while routing still fanned out over goroutines, p2c with one shard
+// per accumulator, and the sequential loop replays them. Any drift in
+// target selection, partition order or per-worker Seq numbering
+// changes a hash here.
 var pinnedRoutingFingerprints = map[[2]string]string{
 	{"round-robin", "Uniform"}:  "d8f5ddb6dfa804443163e8f9",
 	{"round-robin", "Peak"}:     "7bc335fe6fb3735afa9c8d87",
@@ -60,6 +59,10 @@ var pinnedRoutingFingerprints = map[[2]string]string{
 	{"by-function", "Peak"}:     "14ddc44a37bac58d298170b9",
 	{"least-loaded", "Uniform"}: "d636371f295ba01f8e5eb812",
 	{"least-loaded", "Peak"}:    "8dad0b493d71307ad30515da",
+	{"hash", "Uniform"}:         "b510301af4fda0b63147aed9",
+	{"hash", "Peak"}:            "afc2b0c2588a69e0afcdb4f5",
+	{"p2c", "Uniform"}:          "78a97afdf647856585116ba9",
+	{"p2c", "Peak"}:             "98b36d3f10a0ffd3a19a64ce",
 }
 
 func clusterFingerprint(res Result) string {
@@ -92,17 +95,11 @@ func TestPinnedRoutingFingerprints(t *testing.T) {
 	}
 }
 
-// TestEveryRouterParallelMatchesSequential is the property test of the
-// Router determinism contract: every registered router must yield
-// identical partitions — and therefore identical per-worker replay
-// fingerprints — at Parallelism 1, 8 and GOMAXPROCS.
-//
-// It is the only owner of the Shards() contract (DESIGN.md §14). A
-// sharded router whose shards share state diverges in the isolation
-// replay below, which routes every shard with a fresh router of its
-// own; a stateless router that writes shared state returns the same
-// answer and is caught only when scripts/check.sh runs this test under
-// -race -short, as a data race. It must keep running under -short.
+// TestEveryRouterParallelMatchesSequential: every registered router
+// must yield identical partitions — and therefore identical per-worker
+// replay fingerprints — whether the worker simulations run one at a
+// time, 8 at once or GOMAXPROCS at once. scripts/check.sh runs it
+// under -race -short, so it must keep running under -short.
 func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{Count: 400})
 	for _, name := range RouterNames() {
@@ -112,20 +109,6 @@ func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 			cfg.RouterSeed = 11
 			cfg.Parallelism = par
 			return cfg
-		}
-		rc := RouterConfig{Workers: 9, Seed: 11}
-		if k := MustNewRouter(name, rc).Shards(); k > 1 {
-			want := routeTargets(MustNewRouter(name, rc), w, rc.Workers, 1, nil)
-			for s := 0; s < k; s++ {
-				r := MustNewRouter(name, rc)
-				r.Begin(w)
-				for i := s; i < len(w.Invocations); i += k {
-					if got := r.Route(s, i, &w.Invocations[i]); got != int(want[i]) {
-						t.Fatalf("router %s: shard %d routed alone sends invocation %d to worker %d, shared run to %d",
-							name, s, i, got, want[i])
-					}
-				}
-			}
 		}
 		seq := Run(mk(1), w)
 		seqFP := clusterFingerprint(seq)
@@ -142,12 +125,31 @@ func TestEveryRouterParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestP2CStreamsRouteAlone: p2c's load accumulators share nothing. A
+// fresh router that routes only the indices i ≡ s mod p2cStreams sends
+// each one where the full sequential run does, so accumulator s sees
+// exactly its own sub-stream.
+func TestP2CStreamsRouteAlone(t *testing.T) {
+	w := fstartbench.Build(fstartbench.Peak, 7, fstartbench.Options{Count: 400})
+	rc := RouterConfig{Workers: 9, Seed: 11}
+	want := routeTargets(MustNewRouter("p2c", rc), w, rc.Workers, nil)
+	for s := 0; s < p2cStreams; s++ {
+		r := MustNewRouter("p2c", rc)
+		r.Begin(w)
+		for i := s; i < len(w.Invocations); i += p2cStreams {
+			if got := r.Route(i, &w.Invocations[i]); got != int(want[i]) {
+				t.Fatalf("stream %d routed alone sends invocation %d to worker %d, full run to %d", s, i, got, want[i])
+			}
+		}
+	}
+}
+
 // TestRouteTargetsMatchPartition: partition must preserve stream order
 // within each worker and number Seq 0..len-1 per partition.
 func TestRouteTargetsMatchPartition(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 4, fstartbench.Options{Count: 120})
 	r := MustNewRouter("hash", RouterConfig{Workers: 7, Seed: 3})
-	targets := routeTargets(r, w, 7, 1, nil)
+	targets := routeTargets(r, w, 7, nil)
 	parts, routed := partition(w, targets, 7)
 	total := 0
 	for k, part := range parts {
@@ -214,7 +216,7 @@ func TestByFunctionPathologicalIDs(t *testing.T) {
 	// index-out-of-range crash deep inside partition.
 	w := negativeIDWorkload([]int{-1, -7, 0, 5, 5000, 1 << 33})
 	r := MustNewRouter("by-function", RouterConfig{Workers: 3})
-	targets := routeTargets(r, w, 3, 1, nil) // pre-refactor: panic on -1
+	targets := routeTargets(r, w, 3, nil) // pre-refactor: panic on -1
 	parts, routed := partition(w, targets, 3)
 	total := 0
 	for k, n := range routed {
@@ -263,7 +265,7 @@ func TestRingBalancesSparseIDs(t *testing.T) {
 func TestRingFunctionAffinity(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 2, fstartbench.Options{Count: 200})
 	r := MustNewRouter("hash", RouterConfig{Workers: 11, Seed: 5})
-	targets := routeTargets(r, w, 11, 1, nil)
+	targets := routeTargets(r, w, 11, nil)
 	home := map[int]uint32{}
 	for i, inv := range w.Invocations {
 		if prev, ok := home[inv.Fn.ID]; ok && prev != targets[i] {
@@ -283,7 +285,7 @@ func TestRingBalanceAtScale(t *testing.T) {
 	}
 	w := negativeIDWorkload(ids)
 	r := MustNewRouter("hash", RouterConfig{Workers: workers})
-	targets := routeTargets(r, w, workers, 1, nil)
+	targets := routeTargets(r, w, workers, nil)
 	used := map[uint32]bool{}
 	for _, tg := range targets {
 		used[tg] = true
@@ -321,28 +323,21 @@ func TestP2CSpreadsLoad(t *testing.T) {
 // partition owns all run-level allocation, the decision loop none.
 func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 9, fstartbench.Options{Count: 2000})
-	n := len(w.Invocations)
 	for _, name := range RouterNames() {
 		r := MustNewRouter(name, RouterConfig{Workers: 64, Seed: 1})
 		r.Begin(w)
-		shards := r.Shards()
-		if shards == ShardsStateless {
-			shards = 1
-		}
-		// One warm-up pass, then the measured passes replay the same
-		// shard-ordered decision loop the cluster runs.
+		// One warm-up pass, then the measured passes replay the
+		// decision loop the cluster runs.
 		pass := func() {
-			for s := 0; s < shards; s++ {
-				for i := s; i < n; i += shards {
-					if tg := r.Route(s, i, &w.Invocations[i]); tg < 0 || tg >= 64 {
-						panic("target out of range")
-					}
+			for i := range w.Invocations {
+				if tg := r.Route(i, &w.Invocations[i]); tg < 0 || tg >= 64 {
+					panic("target out of range")
 				}
 			}
 		}
 		pass()
 		if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
-			t.Errorf("router %s: %.1f allocs per %d-invocation route pass, want 0", name, allocs, n)
+			t.Errorf("router %s: %.1f allocs per %d-invocation route pass, want 0", name, allocs, len(w.Invocations))
 		}
 	}
 }
@@ -354,9 +349,8 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 // are the platform run's export.
 func TestClusterRoutingObservability(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 90})
-	// Routing blocks run in parallel and all read this clock.
-	var tick atomic.Int64
-	o := &obs.Observer{Perf: perf.New(func() time.Duration { return time.Duration(tick.Add(int64(time.Microsecond))) })}
+	var tick time.Duration
+	o := &obs.Observer{Perf: perf.New(func() time.Duration { tick += time.Microsecond; return tick })}
 	cfg := mkCfg(3, "round-robin", 3000)
 	cfg.Obs = o
 	res := Run(cfg, w)

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"mlcr/internal/image"
@@ -15,9 +16,8 @@ import (
 type roundRobinRouter struct{ workers int }
 
 func (r *roundRobinRouter) Name() string            { return "round-robin" }
-func (r *roundRobinRouter) Shards() int             { return ShardsStateless }
 func (r *roundRobinRouter) Begin(workload.Workload) {}
-func (r *roundRobinRouter) Route(_, i int, _ *workload.Invocation) int {
+func (r *roundRobinRouter) Route(i int, _ *workload.Invocation) int {
 	return i % r.workers
 }
 
@@ -33,9 +33,8 @@ func (r *roundRobinRouter) Route(_, i int, _ *workload.Invocation) int {
 type byFunctionRouter struct{ workers int }
 
 func (r *byFunctionRouter) Name() string            { return "by-function" }
-func (r *byFunctionRouter) Shards() int             { return ShardsStateless }
 func (r *byFunctionRouter) Begin(workload.Workload) {}
-func (r *byFunctionRouter) Route(_, _ int, inv *workload.Invocation) int {
+func (r *byFunctionRouter) Route(_ int, inv *workload.Invocation) int {
 	return homeWorker(inv.Fn.ID, r.workers)
 }
 
@@ -49,10 +48,9 @@ func homeWorker(id, workers int) int {
 // leastLoadedRouter routes to the worker with the smallest outstanding
 // execution-time estimate at each arrival. The estimator is
 // order-dependent — every decision updates the busy-until state the
-// next one reads — so the router declares one shard and replays the
-// pre-Router sequential loop bit-for-bit: an O(workers) scan per
-// invocation with first-lowest-index tie-breaking. It is kept as the
-// sequential baseline the sharded routers are benchmarked against.
+// next one reads — and replays the pre-Router sequential loop
+// bit-for-bit: an O(workers) scan per invocation with
+// first-lowest-index tie-breaking.
 type leastLoadedRouter struct {
 	workers   int
 	busyUntil []time.Duration
@@ -63,10 +61,9 @@ func newLeastLoaded(cfg RouterConfig) *leastLoadedRouter {
 }
 
 func (r *leastLoadedRouter) Name() string            { return "least-loaded" }
-func (r *leastLoadedRouter) Shards() int             { return 1 }
 func (r *leastLoadedRouter) Begin(workload.Workload) {}
 
-func (r *leastLoadedRouter) Route(_, _ int, inv *workload.Invocation) int {
+func (r *leastLoadedRouter) Route(_ int, inv *workload.Invocation) int {
 	target := 0
 	for k := 1; k < r.workers; k++ {
 		if load(r.busyUntil[k], inv.Arrival) < load(r.busyUntil[target], inv.Arrival) {
@@ -110,8 +107,8 @@ const ringVnodes = 96
 // spread uniformly regardless of ID density, and the mapping is stable
 // under worker-count changes in the consistent-hashing sense (growing
 // the cluster remaps only the keys adjacent to the new vnodes, so warm
-// pools survive resizes). Stateless: the ring and the per-function key
-// cache are built in the constructor and Begin, then only read.
+// pools survive resizes). The ring and the per-function key cache are
+// built in the constructor and Begin, then only read.
 type ringRouter struct {
 	workers int
 	seed    int64
@@ -142,11 +139,11 @@ func newRing(cfg RouterConfig) *ringRouter {
 	}
 	// Sort by hash; ties (astronomically unlikely) break by worker
 	// index so the ring is deterministic regardless of input order.
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].hash != pts[j].hash {
-			return pts[i].hash < pts[j].hash
+	slices.SortFunc(pts, func(a, b point) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return pts[i].worker < pts[j].worker
+		return cmp.Compare(a.worker, b.worker)
 	})
 	r.hashes = make([]uint64, n)
 	r.worker = make([]uint32, n)
@@ -158,7 +155,6 @@ func newRing(cfg RouterConfig) *ringRouter {
 }
 
 func (r *ringRouter) Name() string { return "hash" }
-func (r *ringRouter) Shards() int  { return ShardsStateless }
 
 func (r *ringRouter) Begin(w workload.Workload) {
 	r.keys = make(map[*workload.Function]uint64, len(w.Functions))
@@ -176,7 +172,7 @@ func (r *ringRouter) fnKey(f *workload.Function) uint64 {
 	return splitmix64(uint64(int64(f.ID))^uint64(r.seed)) ^ fnv64(f.Image.LevelKey(image.Runtime))
 }
 
-func (r *ringRouter) Route(_, _ int, inv *workload.Invocation) int {
+func (r *ringRouter) Route(_ int, inv *workload.Invocation) int {
 	k, ok := r.keys[inv.Fn]
 	if !ok {
 		k = r.fnKey(inv.Fn)
@@ -199,29 +195,30 @@ func (r *ringRouter) Route(_, _ int, inv *workload.Invocation) int {
 
 // --- p2c (power of two choices) ---
 
-// p2cRouter is deterministic power-of-two-choices over per-shard load
-// accumulators. The stream is split into DefaultRouteShards fixed
-// interleaved sub-streams; each shard owns a private busy-until array
-// covering every worker and sees only the load its own sub-stream
-// placed — a 1-in-k temporal sample of the cluster, enough signal for
-// the classic p2c result (exponential improvement over random single
-// choice) while keeping shards completely independent so routing fans
-// out across runner goroutines. Probes derive from splitmix64 of the
-// stream index, so decisions depend only on (shard state, i, inv):
-// bit-identical at any Parallelism. Ties break toward the lower worker
-// index. Per-shard state merges only at the end-of-route barrier.
+// p2cStreams is the number of interleaved load accumulators of the
+// p2c router: invocation i reads and updates accumulator i % p2cStreams.
+// Its value defines placement, not a tuning knob: changing it changes
+// which arrivals each accumulator has seen, and therefore the routing
+// itself.
+const p2cStreams = 8
+
+// p2cRouter is deterministic power-of-two-choices over p2cStreams
+// interleaved load accumulators. Each accumulator holds a busy-until
+// estimate for every worker and sees only the load its own sub-stream
+// placed — a 1-in-p2cStreams temporal sample of the cluster, enough
+// signal for the classic p2c result (exponential improvement over
+// random single choice). Probes derive from splitmix64 of the stream
+// index, so decisions depend only on (accumulator state, i, inv). Ties
+// break toward the lower worker index.
 type p2cRouter struct {
 	workers int
 	seed    uint64
-	// busy[s][w] is shard s's busy-until estimate for worker w. Rows
-	// are separate allocations so concurrent shards never share a
-	// cache line's worth of hot counters.
-	busy [][]time.Duration
+	// busy[s][w] is accumulator s's busy-until estimate for worker w.
+	busy [p2cStreams][]time.Duration
 }
 
 func newP2C(cfg RouterConfig) *p2cRouter {
-	shards := DefaultRouteShards
-	r := &p2cRouter{workers: cfg.Workers, seed: splitmix64(uint64(cfg.Seed)), busy: make([][]time.Duration, shards)}
+	r := &p2cRouter{workers: cfg.Workers, seed: splitmix64(uint64(cfg.Seed))}
 	for s := range r.busy {
 		r.busy[s] = make([]time.Duration, cfg.Workers)
 	}
@@ -229,11 +226,10 @@ func newP2C(cfg RouterConfig) *p2cRouter {
 }
 
 func (r *p2cRouter) Name() string            { return "p2c" }
-func (r *p2cRouter) Shards() int             { return len(r.busy) }
 func (r *p2cRouter) Begin(workload.Workload) {}
 
-func (r *p2cRouter) Route(shard, i int, inv *workload.Invocation) int {
-	b := r.busy[shard]
+func (r *p2cRouter) Route(i int, inv *workload.Invocation) int {
+	b := r.busy[i%p2cStreams]
 	h := splitmix64(uint64(i) ^ r.seed)
 	w := uint64(r.workers)
 	c1 := int(h % w)

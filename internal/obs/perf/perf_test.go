@@ -41,7 +41,6 @@ func TestNilProfilerIsInert(t *testing.T) {
 		t.Fatal("nil profiler returned a histogram")
 	}
 	p.Reset() // no-op, must not panic
-	p.Merge(New(counterClock(1)))
 }
 
 func TestNewPanicsOnNilClock(t *testing.T) {
@@ -51,21 +50,6 @@ func TestNewPanicsOnNilClock(t *testing.T) {
 		}
 	}()
 	New(nil)
-}
-
-func TestProfilerMerge(t *testing.T) {
-	a, b := New(counterClock(3)), New(counterClock(9))
-	for i := 0; i < 4; i++ {
-		sp := a.Start(PhaseDispatch)
-		sp.End()
-	}
-	sp := b.Start(PhaseDispatch)
-	sp.End()
-	a.Merge(b)
-	h := a.Phase(PhaseDispatch)
-	if h.Count() != 5 || h.Sum() != 4*3+9 {
-		t.Fatalf("merged count=%d sum=%d", h.Count(), h.Sum())
-	}
 }
 
 func TestPhaseNames(t *testing.T) {

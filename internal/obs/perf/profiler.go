@@ -122,17 +122,6 @@ func (p *Profiler) Phase(phase Phase) *HDR {
 	return &p.phases[phase]
 }
 
-// Clock returns the injected clock (nil on a nil profiler). Callers
-// that fan work out across goroutines use it to build one private
-// Profiler per shard — the Profiler itself is not concurrency-safe —
-// and Merge the shards back afterwards.
-func (p *Profiler) Clock() Clock {
-	if p == nil {
-		return nil
-	}
-	return p.clock
-}
-
 // Reset clears every phase histogram, keeping the clock.
 func (p *Profiler) Reset() {
 	if p == nil {
@@ -140,15 +129,5 @@ func (p *Profiler) Reset() {
 	}
 	for i := range p.phases {
 		p.phases[i].Reset()
-	}
-}
-
-// Merge adds other's phase populations into p (both may be nil).
-func (p *Profiler) Merge(other *Profiler) {
-	if p == nil || other == nil {
-		return
-	}
-	for i := range p.phases {
-		p.phases[i].Merge(&other.phases[i])
 	}
 }

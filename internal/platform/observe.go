@@ -91,12 +91,11 @@ func (r *RunResult) ExportMetrics() []obs.Metric {
 // the DQN mask would never offer — the prune reason. The decision audit
 // reads its candidate set from these events. Only called when tracing.
 func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration) {
-	idle := p.pool.Idle()
-	if len(idle) == 0 {
+	if p.pool.Len() == 0 {
 		return
 	}
 	coldEst := container.Estimate(inv.Fn, core.NoMatch, false).Total()
-	for _, c := range idle {
+	p.pool.RangeIdle(func(c *container.Container) bool {
 		est, lv := container.EstimateFor(inv.Fn, c)
 		reason := ""
 		switch {
@@ -109,7 +108,8 @@ func (p *Platform) observeCandidates(inv *workload.Invocation, now time.Duration
 			Kind: obs.KindMatchAttempted, At: now, Seq: inv.Seq, Fn: inv.Fn.ID,
 			Container: c.ID, Level: int(lv), Dur: est.Total(), Detail: reason,
 		})
-	}
+		return true
+	})
 }
 
 // observeDecision records the realized outcome of one scheduling

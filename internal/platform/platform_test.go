@@ -57,11 +57,12 @@ type bestMatch struct{}
 func (bestMatch) Name() string { return "best-match" }
 func (bestMatch) Schedule(env Env, inv *workload.Invocation) int {
 	best, bestLv := ColdStart, core.NoMatch
-	for _, c := range env.Pool.Idle() {
+	env.Pool.RangeIdle(func(c *container.Container) bool {
 		if lv := core.Match(&inv.Fn.Image, c.Image); lv > bestLv {
 			best, bestLv = c.ID, lv
 		}
-	}
+		return true
+	})
 	return best
 }
 func (bestMatch) OnResult(Env, *workload.Invocation, Result) {}
@@ -249,10 +250,12 @@ func TestNoMatchReuseFallsBackToColdStart(t *testing.T) {
 	f2 := fn(2, "alpine", "node", "express", 100)
 	w := mkWorkload([]*workload.Function{f1, f2}, 10*time.Second, 2)
 	bad := schedulerFunc(func(env Env, inv *workload.Invocation) int {
-		if idle := env.Pool.Idle(); len(idle) > 0 {
-			return idle[0].ID // OS mismatch for f2
-		}
-		return ColdStart
+		choice := ColdStart
+		env.Pool.RangeIdle(func(c *container.Container) bool {
+			choice = c.ID // OS mismatch for f2
+			return false
+		})
+		return choice
 	})
 	p := New(Config{PoolCapacityMB: 1000}, bad)
 	checkFallback(t, p.Run(w), 2, 2)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mlcr/internal/container"
 	"mlcr/internal/core"
 	"mlcr/internal/evict"
 	"mlcr/internal/image"
@@ -60,11 +61,12 @@ func TestAppendMatchesMatchesNaiveScan(t *testing.T) {
 		scratch = p.AppendMatches(scratch[:0], q.Image)
 
 		want := map[int]core.MatchLevel{}
-		for _, c := range p.Idle() {
+		p.RangeIdle(func(c *container.Container) bool {
 			if lv := core.Match(&q.Image, c.Image); lv != core.NoMatch {
 				want[c.ID] = lv
 			}
-		}
+			return true
+		})
 		got := map[int]core.MatchLevel{}
 		prev := core.MatchL3
 		for _, mc := range scratch {
@@ -104,12 +106,11 @@ func TestPoolHotPathZeroAllocs(t *testing.T) {
 	cycle := func() {
 		p.Add(cf, 0, 0)
 		p.Add(cg, 0, 0)
-		p.Idle()
 		matches = p.AppendMatches(matches[:0], f.Image)
 		p.Take(cf.ID, 0)
 		p.Take(cg.ID, 0)
 	}
-	cycle() // warm freelist, buckets and the Idle cache
+	cycle() // warm freelist and buckets
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("steady-state Add/Take/match cycle allocates %v per run, want 0", n)
 	}

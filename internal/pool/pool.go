@@ -71,11 +71,6 @@ type Pool struct {
 	usedMB     float64
 	stats      Stats
 
-	// idle caches the insertion-ordered container view handed out by
-	// Idle(); it is rebuilt lazily after mutations.
-	idle      []*container.Container
-	idleDirty bool
-
 	// Multi-level match index: containers bucketed by their level-key
 	// prefixes, so candidate enumeration touches only containers sharing
 	// at least the OS level with the function instead of the whole pool.
@@ -130,25 +125,10 @@ func (p *Pool) Stats() Stats { return p.stats }
 // Evictor exposes the configured policy.
 func (p *Pool) Evictor() Evictor { return p.evictor }
 
-// Idle returns the idle containers in deterministic (insertion) order.
-// The returned slice is shared and only valid until the next pool
-// mutation; callers must not mutate or retain it. Hot paths should
-// prefer RangeIdle, which never materializes the slice.
-func (p *Pool) Idle() []*container.Container {
-	if p.idleDirty {
-		p.idle = p.idle[:0]
-		for e := p.head; e != nil; e = e.next {
-			p.idle = append(p.idle, e.c)
-		}
-		p.idleDirty = false
-	}
-	return p.idle
-}
-
 // RangeIdle calls f for each idle container in deterministic (insertion)
 // order until f returns false. It walks the intrusive list directly —
-// no slice is built or cached — so scheduler scan loops stay
-// allocation-free. f must not mutate the pool.
+// no slice is built — so scan loops stay allocation-free. f must not
+// mutate the pool.
 func (p *Pool) RangeIdle(f func(c *container.Container) bool) {
 	for e := p.head; e != nil; e = e.next {
 		if !f(e.c) {
@@ -253,7 +233,6 @@ func (p *Pool) Add(c *container.Container, startupCost time.Duration, now time.D
 	p.listPushBack(e)
 	p.indexAdd(e)
 	p.count++
-	p.idleDirty = true
 	p.usedMB += c.MemoryMB
 	p.stats.Adds++
 	if p.usedMB > p.stats.PeakUsedMB {
@@ -284,7 +263,6 @@ func (p *Pool) remove(e *entry) {
 	p.listRemove(e)
 	p.indexRemove(e)
 	p.count--
-	p.idleDirty = true
 	p.usedMB -= c.MemoryMB
 	if p.usedMB < 1e-9 {
 		p.usedMB = 0

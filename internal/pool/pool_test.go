@@ -264,10 +264,15 @@ func TestIdleOrderDeterministic(t *testing.T) {
 		c := idleContainer(i, f, time.Duration(i)*time.Second)
 		p.Add(c, 0, c.IdleSince)
 	}
-	idle := p.Idle()
-	for i, c := range idle {
+	i := 0
+	p.RangeIdle(func(c *container.Container) bool {
 		if c.ID != i+1 {
 			t.Fatalf("idle order = %v at %d", c.ID, i)
 		}
+		i++
+		return true
+	})
+	if i != 5 {
+		t.Fatalf("RangeIdle visited %d containers, want 5", i)
 	}
 }

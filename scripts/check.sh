@@ -5,12 +5,9 @@
 # experiments but still exercises every concurrency-sensitive path (the
 # parallel run harness, cluster workers, the gateway hammer test and
 # the observability endpoints all race-test in the short set). The race
-# step is also the sole owner of the router shard contract: a stateless
-# router that writes shared state returns the right answer and is caught
-# only as a data race in TestEveryRouterParallelMatchesSequential
-# (DESIGN.md §14). It owns the "served weights are read-only" contract
-# the same way: clones of one MLCR model share its weights, and a
-# serving path that wrote them is caught as a data race in
+# step is also the sole owner of the "served weights are read-only"
+# contract (DESIGN.md §14): clones of one MLCR model share its weights,
+# and a serving path that wrote them is caught only as a data race in
 # TestSharedClonesReplayConcurrently (DESIGN.md §8), which does not
 # skip under -short. Set FULL=1 for the complete race suite including
 # training runs (~10 min).
@@ -33,10 +30,10 @@ echo "== make vet (go vet + mlcr-vet: determinism and error contracts, DESIGN.md
 ${MAKE:-make} vet
 
 if [ "${FULL:-}" = "1" ]; then
-    echo "== go test -race (all packages, full; owns the router shard and read-only served weights contracts, DESIGN.md §14) =="
+    echo "== go test -race (all packages, full; owns the read-only served weights contract, DESIGN.md §14) =="
     go test -race ./...
 else
-    echo "== go test -race -short (all packages; owns the router shard and read-only served weights contracts, DESIGN.md §14) =="
+    echo "== go test -race -short (all packages; owns the read-only served weights contract, DESIGN.md §14) =="
     go test -race -short ./...
 fi
 
