@@ -1,12 +1,13 @@
 // Command mlcr-server serves the FStartBench catalog over HTTP behind a
 // chosen scheduling policy, through api.Gateway in one of two modes:
 //
-//   - -mode sim (default): one shard without the lock-free fast layer,
-//     observed — every decision is one simulator step on one platform,
-//     with /trace and /audit (the decision audit, a reduction of the
-//     trace). Reproducible, but one lock.
-//   - -mode gateway: the concurrent serving path — sharded warm pool
-//     with a lock-free fast layer for exact L3 re-hits and (for the
+//   - -mode sim (default): one shard without the fast layer, observed —
+//     every decision is one simulator step on one platform, with /trace
+//     and /audit (the decision audit, a reduction of the trace).
+//     Reproducible, but one lock.
+//   - -mode gateway: the concurrent serving path — sharded warm pool,
+//     one short critical section per request on its function's shard,
+//     with a per-function fast layer for exact L3 re-hits and (for the
 //     MLCR policy) batched DQN inference via a shared QBatcher.
 //
 // Usage:

@@ -1,30 +1,28 @@
-// The serving path: a sharded pool with a lock-free fast path for
+// The serving path: a sharded pool with a per-function fast layer for
 // exact same-function L3 re-hits, in the shape of PoolX's three-layer
 // hierarchy —
 //
-//	layer 1: per-function buffered channel, lock-free claim (L3 exact)
-//	layer 2: per-shard mutexed pool segment + scheduling policy
+//	layer 1: per-function FIFO fast channel of parked idle containers (L3 exact)
+//	layer 2: the shard's pool segment + scheduling policy
 //	layer 3: cold start (fresh sandbox, atomic ID allocation)
 //
-// Layer 1 is a cache in front of layer 2: a request that misses it
-// takes the shard lock, drains due completions and probes layer 1 once
-// more before it schedules. Functions hash onto shards; each shard's
-// layer 2 is a platform.Platform, the simulator's own invocation
-// lifecycle over the shard's pool segment, scheduler instance and
-// memory share, so requests for different shards never contend and
-// same-shard requests contend on one short critical section instead of
-// a platform-wide lock. Completions are virtual-time driven, through
-// the platform's own completion loop and under the simulator's tie
-// rule: a container becomes reclaimable once its BusyUntil lies
-// strictly before a request's instant, the next request that observes
-// the shard's earliest-completion watermark (one atomic load) drains
-// it, and equal-instant completions retire in start order. One shard
-// without layer 1 serves every request through one platform.Invoke, so
-// a single-threaded drive replays the simulator exactly; concurrent
-// arrival interleaving is racy, so fingerprint determinism does not
-// extend to concurrent drives, but every container still moves through
-// the same lifecycle invariants, and throughput and latency are
-// measured by bench/'s http_warm and http_churn workloads
+// Functions hash onto shards, and each shard is a platform.Platform,
+// the simulator's own invocation lifecycle over the shard's pool
+// segment, scheduler instance and memory share, plus the layer-1
+// channels of its functions. Every request is one critical section on
+// its function's shard: take the lock, move to the shard's clock if the
+// request is behind it, retire the completions due strictly before the
+// request (the simulator's tie rule: equal-instant completions retire
+// in start order, and a completion at the request's instant runs after
+// it), offering each finished container to layer 1 before the pool,
+// then claim from the function's fast channel or, when it holds nothing
+// fresh, schedule through the platform. Requests for different shards
+// never contend. One shard without layer 1 serves every request through
+// one platform.Invoke, so a single-threaded drive replays the simulator
+// exactly; concurrent arrival interleaving is racy, so fingerprint
+// determinism does not extend to concurrent drives, but each shard's
+// decisions are one ordered sequence on its clock, and throughput and
+// latency are measured by bench/'s http_warm and http_churn workloads
 // (DESIGN.md §15).
 package api
 
@@ -32,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -54,10 +51,10 @@ type GatewayConfig struct {
 	Functions []*workload.Function
 	// PoolCapacityMB is the total warm-pool budget, split evenly across
 	// shards (<= 0 unlimited). Within a shard the budget is not shared:
-	// the pool is capped at the full share on its own, and the fast
-	// layer is checked against it only when a container parks (see
-	// parkFast), so parked plus pooled memory can approach twice the
-	// share (ROADMAP item 12).
+	// the pool is capped at the full share on its own, and layer 1 is
+	// checked against it only when a container parks (see parkFast), so
+	// parked plus pooled memory can exceed the share, up to twice it
+	// (TestGatewayFastLayerOverrunsShare; ROADMAP item 12).
 	PoolCapacityMB float64
 	// NewScheduler builds one scheduling-policy instance per shard
 	// (fresh set on every reset).
@@ -74,9 +71,9 @@ type GatewayConfig struct {
 	// sits on the shard the cluster's by-function router names.
 	Shards int
 	// FastDepth is the per-function fast-channel depth: how many idle
-	// containers of one function can park in the lock-free layer. 0
-	// means 4. A negative depth means no fast layer: the channels hold
-	// nothing, so every request goes through its shard's platform.
+	// containers of one function can park in layer 1. 0 means 4. A
+	// negative depth means no fast layer: the channels hold nothing, so
+	// every request is scheduled by its shard's platform.
 	FastDepth int
 	// Observe gives the shard platform an observer per generation —
 	// trace recorder and a phase profiler on the gateway clock — serves
@@ -89,45 +86,33 @@ type GatewayConfig struct {
 }
 
 // gwFn is one catalog entry resolved against its shard: the function,
-// its lock-free fast channel and the precomputed cost of an exact L3
-// re-hit (same function, warm runtime — no clean, no repack).
+// its layer-1 fast channel and its memory.
 type gwFn struct {
-	fn        *workload.Function
-	shard     *gwShard
-	fast      chan *container.Container
-	fastStart container.Startup
-	fastNS    int64
-	memKB     int64
-	fastHits  atomic.Int64
+	fn    *workload.Function
+	shard *gwShard
+	fast  chan *container.Container
+	memKB int64
 }
 
-// gwShard owns one slice of the warm pool. Layer 2 is plat, the
-// simulator's own invocation lifecycle over the shard's scheduler,
-// evictor and memory share, guarded by mu; the fields after fns are the
-// lock-free fast layer's shared state.
+// gwShard owns one slice of the warm pool: plat, the simulator's own
+// invocation lifecycle over the shard's scheduler, evictor and memory
+// share, and the layer-1 fast channels of fns. mu guards all of it,
+// the channels included.
 type gwShard struct {
 	mu   sync.Mutex
 	plat *platform.Platform
-	inv  workload.Invocation // slow-path scratch (never escapes the lock)
+	inv  workload.Invocation // the request being served (never escapes the lock)
 	// park is parkFast bound once, so a drain passes it to the platform
 	// without allocating.
 	park func(*container.Container) bool
 
 	fns map[int]*gwFn // this shard's functions
 
-	// Lock-free completion protocol: the fast path hands busy containers
-	// to the platform through doneq (a container's BusyUntil does not
-	// change while it is busy, so the container is its own completion
-	// record) and publishes the earliest completion time in nextDone (ns;
-	// MaxInt64 = none known). Any request that observes nextDone < now
-	// tries to drain — one TryLock, never a blocking wait on the fast path.
-	doneq    chan *container.Container
-	nextDone atomic.Int64
-
-	fastKB      atomic.Int64  // memory parked in fast channels
 	shareKB     int64         // shard memory share (pool + fast combined); 0 = unlimited
 	fastTTL     time.Duration // the evictor's TTL, read once; 0 = no bound
-	fastExpired atomic.Int64  // stale fast-layer discards
+	fastKB      int64         // memory parked in fast channels
+	fastHits    int           // layer-1 claims
+	fastExpired int           // stale fast-layer discards
 }
 
 // gwState is one immutable-topology generation of the gateway. Reset
@@ -217,9 +202,8 @@ func (g *Gateway) buildState() *gwState {
 			ev = cfg.NewEvictor()
 		}
 		sh := &gwShard{
-			plat:  platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
-			fns:   make(map[int]*gwFn),
-			doneq: make(chan *container.Container, 1024),
+			plat: platform.New(platform.Config{PoolCapacityMB: share, Evictor: ev, NewID: newID, Obs: st.obs}, sched),
+			fns:  make(map[int]*gwFn),
 		}
 		sh.fastTTL = sh.plat.Pool().Evictor().TTL()
 		// A shard serves an unbounded stream: keep aggregates, not samples.
@@ -230,7 +214,6 @@ func (g *Gateway) buildState() *gwState {
 		if share > 0 {
 			sh.shareKB = int64(share * 1024)
 		}
-		sh.nextDone.Store(math.MaxInt64)
 		st.shards[i] = sh
 	}
 	router := cluster.MustNewRouter("by-function", cluster.RouterConfig{Workers: cfg.Shards})
@@ -238,13 +221,11 @@ func (g *Gateway) buildState() *gwState {
 	for i, f := range cfg.Functions {
 		sh := st.shards[router.Route(i, &workload.Invocation{Fn: f})]
 		gf := &gwFn{
-			fn:        f,
-			shard:     sh,
-			fast:      make(chan *container.Container, max(cfg.FastDepth, 0)),
-			fastStart: container.Estimate(f, core.MatchL3, false),
-			memKB:     int64(f.MemoryMB * 1024),
+			fn:    f,
+			shard: sh,
+			fast:  make(chan *container.Container, max(cfg.FastDepth, 0)),
+			memKB: int64(f.MemoryMB * 1024),
 		}
-		gf.fastNS = gf.fastStart.Total().Nanoseconds()
 		st.byID[f.ID] = gf
 		sh.fns[f.ID] = gf
 	}
@@ -255,160 +236,72 @@ func (g *Gateway) buildState() *gwState {
 // reset.
 func (g *Gateway) now(st *gwState) time.Duration { return g.clock() - st.epoch }
 
-// serve is the gateway's per-invocation hot path. It returns the
-// outcome and the instant the invocation was served at: now on the
-// fast path, the shard's clock when the slow path finds it later. The
-// steady-state warm path (fast-layer claim, completion hand-off,
-// shard-pool reuse) performs zero heap allocations, pinned by
-// TestGatewayWarmSteadyStateAllocs.
+// serve is the gateway's per-invocation path, one critical section on
+// gf's shard. The shard's time is the platform's clock, which never
+// moves backwards, so a request that arrives behind it is served at the
+// clock, and serve returns the instant it served at. Completions due
+// strictly before that instant retire first, each offered to layer 1
+// before the pool; then a fresh container in gf's fast channel serves
+// as an exact L3 re-hit, recorded by platform.Track, and otherwise the
+// platform schedules the request. The steady-state warm path performs
+// zero heap allocations, pinned by TestGatewayWarmSteadyStateAllocs.
+// The lock is released by defer: a scheduler or evictor that panics
+// fails its own request, not every later request to the shard.
 func (st *gwState) serve(gf *gwFn, now, exec time.Duration) (platform.Result, time.Duration) {
-	sh := gf.shard
-	// Reclaim any completions due before now. One atomic load in the
-	// common "nothing due" case; TryLock so the fast path never blocks —
-	// a lock-holding slow path drains on our behalf.
-	if sh.nextDone.Load() < int64(now) {
-		sh.release(now)
-	}
-	// Layer 1: lock-free claim of an exact same-function L3 re-hit.
-	if c, s := st.claim(gf, now, exec); c != nil {
-		sh.finish(c, gf.fn)
-		return platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}, now
-	}
-	return st.slow(gf, now, exec)
-}
-
-// claim takes a container of gf's function from its fast channel and
-// reuses it as an exact L3 re-hit, discarding containers idle longer
-// than the shard evictor's TTL, the bound Pool.Expire applies to the
-// shard pool. It returns nil when the channel holds no fresh one. The
-// caller hands the claimed container to the shard's platform.
-func (st *gwState) claim(gf *gwFn, now, exec time.Duration) (*container.Container, container.Startup) {
-	sh := gf.shard
-	for {
-		select {
-		case c := <-gf.fast:
-			sh.fastKB.Add(-gf.memKB)
-			if sh.fastTTL > 0 && c.IdleFor(now) > sh.fastTTL {
-				c.Kill()
-				sh.fastExpired.Add(1)
-				continue
-			}
-			inv := workload.Invocation{Fn: gf.fn, Arrival: now, Exec: exec}
-			s := c.Reuse(&inv, core.MatchL3, now, nil)
-			gf.fastHits.Add(1)
-			return c, s
-		default:
-			return nil, container.Startup{}
-		}
-	}
-}
-
-// slow serves one invocation through layers 2 and 3, the shard's
-// platform: drain the fast path's hand-offs into it, retire what is due
-// before now, claim from layer 1 once more, then Invoke. The shard's
-// time is the platform's clock, which never moves backwards, so a
-// request that arrives behind it is served at the clock, and slow
-// returns that instant. The lock is released by defer: a scheduler or
-// evictor that panics fails its own request, not every later request to
-// the shard.
-func (st *gwState) slow(gf *gwFn, now, exec time.Duration) (platform.Result, time.Duration) {
 	sh := gf.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now = max(now, sh.plat.Now())
-	sh.releaseLocked(now)
-	// The drain may have parked a container of this very function in the
-	// fast layer: the slow path falls through it before scheduling. The
-	// claim goes to the platform here, under the lock, not through
-	// finish, whose full-doneq branch takes the lock.
-	var res platform.Result
-	if c, s := st.claim(gf, now, exec); c != nil {
-		sh.plat.Track(c, gf.fn)
-		res = platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: s}
-	} else {
-		sh.inv = workload.Invocation{Seq: sh.plat.Results().Metrics.Count(), Fn: gf.fn, Arrival: now, Exec: exec}
-		res = sh.plat.Invoke(&sh.inv)
+	sh.plat.Retire(now, sh.park)
+	sh.inv = workload.Invocation{Seq: sh.plat.Results().Metrics.Count(), Fn: gf.fn, Arrival: now, Exec: exec}
+	if c := sh.claim(gf, now); c != nil {
+		res := platform.Result{ContainerID: c.ID, Level: core.MatchL3, Startup: c.Reuse(&sh.inv, core.MatchL3, now, nil)}
+		sh.plat.Track(c, &sh.inv, res)
+		return res, now
 	}
-	// Everything due before now has retired, so this Retire only reads
-	// the earliest completion, which the new one may have become.
-	sh.armNextDone(int64(sh.plat.Retire(now, nil)))
-	return res, now
+	return sh.plat.Invoke(&sh.inv), now
 }
 
-// newID hands out the next container ID.
-func (st *gwState) newID() int { return int(st.nextID.Add(1)) }
-
-// finish hands a fast-path claim's completion to the shard without
-// taking the lock: enqueue on doneq and publish the completion
-// watermark. A full doneq (pathological backlog) falls back to the
-// locked platform. until is read before the send: once sent, the
-// drainer owns c.
-func (sh *gwShard) finish(c *container.Container, fn *workload.Function) {
-	until := c.BusyUntil
-	select {
-	case sh.doneq <- c:
-	default:
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		sh.plat.Track(c, fn)
-	}
-	sh.armNextDone(int64(until))
-}
-
-// armNextDone lowers the completion watermark to v (CAS-min).
-func (sh *gwShard) armNextDone(v int64) {
+// claim takes a container of gf's function from its fast channel,
+// discarding containers idle longer than the shard evictor's TTL, the
+// bound Pool.Expire applies to the shard pool. It returns nil when the
+// channel holds no fresh one. Caller holds sh.mu.
+func (sh *gwShard) claim(gf *gwFn, now time.Duration) *container.Container {
 	for {
-		cur := sh.nextDone.Load()
-		if v >= cur || sh.nextDone.CompareAndSwap(cur, v) {
-			return
+		select {
+		case c := <-gf.fast:
+			sh.fastKB -= gf.memKB
+			if sh.fastTTL > 0 && c.IdleFor(now) > sh.fastTTL {
+				c.Kill()
+				sh.fastExpired++
+				continue
+			}
+			sh.fastHits++
+			return c
+		default:
+			return nil
 		}
 	}
 }
 
-// release opportunistically drains due completions. TryLock keeps the
-// fast path non-blocking: when the shard lock is held, the holder's own
-// releaseLocked covers the drain.
-func (sh *gwShard) release(now time.Duration) {
-	if !sh.mu.TryLock() {
-		return
-	}
-	defer sh.mu.Unlock()
-	sh.releaseLocked(now)
-}
-
-// releaseLocked hands doneq's containers to the platform and retires
-// every completion due strictly before now, the simulator's tie rule
-// (DESIGN.md §10): a completion at now runs after the request at now.
-// Each finished container goes to parkFast before the pool. Caller
-// holds sh.mu.
-func (sh *gwShard) releaseLocked(now time.Duration) {
-	// Claim the watermark first: fast-path pushes racing this drain
-	// re-arm it themselves, so a reclaimable completion is never left
-	// behind an already-passed watermark.
-	sh.nextDone.Store(math.MaxInt64)
-	// Only the lock holder receives from doneq, so none of these
-	// receives blocks; later sends re-arm the watermark themselves.
-	for n := len(sh.doneq); n > 0; n-- {
-		c := <-sh.doneq
-		sh.plat.Track(c, sh.fns[c.FnID].fn)
-	}
-	sh.armNextDone(int64(sh.plat.Retire(now, sh.park)))
-}
+// newID hands out the next container ID.
+func (st *gwState) newID() int { return int(st.nextID.Add(1)) }
 
 // parkFast puts a finished container back in its function's fast
 // channel when there is room and layer 1 plus the pool stays within the
 // shard's share, else the platform offers it to the pool. The check
 // holds only at parking time: the pool enforces the full share on its
 // own, so later pool admissions can push parked plus pooled memory
-// towards twice the share (ROADMAP items 5(c) and 12).
+// towards twice the share (ROADMAP items 5(c) and 12). Caller holds
+// sh.mu.
 func (sh *gwShard) parkFast(c *container.Container) bool {
 	gf := sh.fns[c.FnID]
-	if sh.shareKB != 0 && sh.fastKB.Load()+gf.memKB+int64(sh.plat.Pool().UsedMB()*1024) > sh.shareKB {
+	if sh.shareKB != 0 && sh.fastKB+gf.memKB+int64(sh.plat.Pool().UsedMB()*1024) > sh.shareKB {
 		return false
 	}
 	select {
 	case gf.fast <- c:
-		sh.fastKB.Add(gf.memKB)
+		sh.fastKB += gf.memKB
 		return true
 	default:
 		return false
@@ -504,13 +397,15 @@ type GatewayStatsResponse struct {
 	FastParkedMB float64 `json:"fast_parked_mb"`
 }
 
-// Stats aggregates serving statistics across shards: each shard
-// platform's RunResult, plus the fast layer's counted re-hits. Startup
-// quantiles merge the shards' startup HDRs with those re-hits (every
-// fast hit costs exactly the function's L3 re-hit startup, so an O(1)
-// RecordN per function reconstructs the full population).
-func (g *Gateway) Stats() GatewayStatsResponse {
-	st := g.state.Load()
+// Stats aggregates serving statistics across the current generation's
+// shards.
+func (g *Gateway) Stats() GatewayStatsResponse { return g.state.Load().stats() }
+
+// stats sums each shard platform's RunResult, which counts every
+// invocation the shard served, layer-1 claims included, and the fast
+// layer's own counters, each shard read under its lock. Startup
+// quantiles merge the shards' startup HDRs.
+func (st *gwState) stats() GatewayStatsResponse {
 	var out GatewayStatsResponse
 	out.Shards = len(st.shards)
 	var h perf.HDR
@@ -531,17 +426,10 @@ func (g *Gateway) Stats() GatewayStatsResponse {
 		out.Evictions += ps.Evictions
 		out.Rejections += ps.Rejections
 		out.Expirations += ps.Expirations
+		out.FastHits += int64(sh.fastHits)
+		out.FastExpired += int64(sh.fastExpired)
+		out.FastParkedMB += float64(sh.fastKB) / 1024
 		sh.mu.Unlock()
-		out.FastExpired += sh.fastExpired.Load()
-		out.FastParkedMB += float64(sh.fastKB.Load()) / 1024
-	}
-	for _, gf := range st.byID { //mlcr:allow maprange histogram RecordN and counter sums are commutative; iteration order cannot change the aggregate
-		if n := gf.fastHits.Load(); n > 0 {
-			h.RecordN(gf.fastNS, uint64(n))
-			out.FastHits += n
-			out.WarmStarts += int(n)
-			out.WarmByLevel[int(core.MatchL3)] += int(n)
-		}
 	}
 	out.Invocations = int(h.Count())
 	out.TotalStartupMS = time.Duration(h.Sum()).Milliseconds()
@@ -561,15 +449,18 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, g.Stats())
 }
 
-// WriteMetricsText writes gateway metrics in Prometheus text exposition
-// format — served by GET /metrics and flushed on graceful shutdown —
-// through obs.WritePrometheus: the gateway's series read off Stats, and
-// for an observed gateway its shard platform's (RunResult.ExportMetrics)
+// WriteMetricsText writes the current generation's metrics in
+// Prometheus text exposition format — served by GET /metrics and
+// flushed on graceful shutdown.
+func (g *Gateway) WriteMetricsText(w io.Writer) error { return g.state.Load().writeMetrics(w) }
+
+// writeMetrics writes one generation's metrics through
+// obs.WritePrometheus: the gateway's series read off its stats, and for
+// an observed gateway its shard platform's (RunResult.ExportMetrics)
 // and phase profiler's (obs.PhaseMetrics), both read under the shard
 // lock.
-func (g *Gateway) WriteMetricsText(w io.Writer) error {
-	st := g.state.Load()
-	s := g.Stats()
+func (st *gwState) writeMetrics(w io.Writer) error {
+	s := st.stats()
 	counter := func(name, help string, n int64) obs.Metric {
 		return obs.Metric{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(n)}
 	}
@@ -579,7 +470,7 @@ func (g *Gateway) WriteMetricsText(w io.Writer) error {
 	}
 	ms := []obs.Metric{
 		counter("mlcr_gateway_invocations_total", "Invocations served.", int64(s.Invocations)),
-		counter("mlcr_gateway_fast_hits_total", "Lock-free fast-layer L3 re-hits.", s.FastHits),
+		counter("mlcr_gateway_fast_hits_total", "Layer-1 fast-channel L3 re-hits.", s.FastHits),
 		counter("mlcr_gateway_cold_starts_total", "Cold starts.", int64(s.ColdStarts)),
 		counter("mlcr_gateway_warm_starts_total", "Warm starts (all levels).", int64(s.WarmStarts)),
 		counter("mlcr_gateway_evictions_total", "Pool evictions.", int64(s.Evictions)),

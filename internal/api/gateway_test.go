@@ -57,7 +57,7 @@ func testGateway(t *testing.T, cfg GatewayConfig) *Gateway {
 
 // TestGatewayFastPathL3 drives one function through cold start,
 // completion and re-invocation under a virtual clock: the second hit
-// must come from the lock-free fast layer at exactly the L3 re-hit
+// must come from the layer-1 fast channel at exactly the L3 re-hit
 // cost.
 func TestGatewayFastPathL3(t *testing.T) {
 	var vc vclock
@@ -73,7 +73,8 @@ func TestGatewayFastPathL3(t *testing.T) {
 		t.Fatalf("cold startup %v, want %v", s, want)
 	}
 
-	// Jump past the busy window so the completion watermark fires.
+	// Jump past the busy window so the second request's drain parks the
+	// container in layer 1.
 	vc.Set(s + fn.Exec + time.Second)
 	s2, cold2, err := g.Do(fn.ID, -1, 0)
 	if err != nil || cold2 {
@@ -84,7 +85,7 @@ func TestGatewayFastPathL3(t *testing.T) {
 	}
 	st := g.Stats()
 	if st.FastHits != 1 {
-		t.Fatalf("FastHits = %d, want 1 (second hit must use the lock-free layer)", st.FastHits)
+		t.Fatalf("FastHits = %d, want 1 (second hit must use layer 1)", st.FastHits)
 	}
 	if st.Invocations != 2 || st.ColdStarts != 1 || st.WarmStarts != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -94,8 +95,8 @@ func TestGatewayFastPathL3(t *testing.T) {
 	}
 }
 
-// TestGatewaySlowPathClaimsFastLayer: the slow path's drain can park a
-// container of the requested function in the fast layer; the slow path
+// TestGatewaySlowPathClaimsFastLayer: a request's own drain can park a
+// container of the requested function in the fast layer; the request
 // must then claim it as an exact L3 re-hit, not cold-start beside it.
 func TestGatewaySlowPathClaimsFastLayer(t *testing.T) {
 	var vc vclock
@@ -103,10 +104,9 @@ func TestGatewaySlowPathClaimsFastLayer(t *testing.T) {
 	g := testGateway(t, GatewayConfig{Functions: fns, Clock: vc.Clock, Shards: 1})
 	fn := fns[0]
 	s, _, _ := g.Do(fn.ID, -1, 0)
-	st := g.state.Load()
-	res, _ := st.slow(st.byID[fn.ID], s+fn.Exec+time.Second, fn.Exec)
-	if res.Cold || res.Level != core.MatchL3 || res.ContainerID != 1 {
-		t.Fatalf("slow path after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", res.ContainerID, res.Cold, res.Level)
+	res, _ := g.Invoke(fn.ID, s+fn.Exec+time.Second, fn.Exec)
+	if res.Cold || res.MatchLevel != core.MatchL3.String() || res.ContainerID != 1 {
+		t.Fatalf("request after the completion: container %d, cold=%v, level %v; want container 1 warm at L3", res.ContainerID, res.Cold, res.MatchLevel)
 	}
 	if got := g.Stats(); got.FastHits != 1 || got.ColdStarts != 1 || got.Invocations != 2 {
 		t.Fatalf("FastHits %d, ColdStarts %d, Invocations %d; want 1, 1, 2", got.FastHits, got.ColdStarts, got.Invocations)
@@ -178,7 +178,7 @@ func TestGatewayFastLayerExpiresAtEvictorTTL(t *testing.T) {
 // TestGatewayFastBudgetFallsBackToPool: when the fast layer's memory
 // budget cannot hold even one container, completions park in the shard
 // pool segment instead, and reuse flows through the scheduler (still
-// warm, just not lock-free).
+// warm, just not from layer 1).
 func TestGatewayFastBudgetFallsBackToPool(t *testing.T) {
 	var vc vclock
 	fns := testFunctions()
@@ -386,7 +386,7 @@ func (p *panicOnTenth) Schedule(env platform.Env, inv *workload.Invocation) int 
 // shard's critical section fails its own request only; the shard lock is
 // released and the next request to the same shard is served.
 func TestGatewaySchedulerPanicReleasesShard(t *testing.T) {
-	var vc vclock // pinned at 0: nothing completes, so every request takes the slow path
+	var vc vclock // pinned at 0: nothing completes, so every request reaches the scheduler
 	g := testGateway(t, GatewayConfig{
 		Clock: vc.Clock, Shards: 1,
 		NewScheduler: func() platform.Scheduler { return &panicOnTenth{Scheduler: policy.NewGreedyMatch()} },
@@ -417,10 +417,10 @@ func TestGatewaySchedulerPanicReleasesShard(t *testing.T) {
 	}
 }
 
-// TestGatewayWarmSteadyStateAllocs pins the tentpole 0-alloc contract:
-// the steady-state warm path — completion watermark check, lock-free
-// drain, fast-layer claim, L3 reuse, re-registration — performs zero
-// heap allocations per request.
+// TestGatewayWarmSteadyStateAllocs pins the serving path's 0-alloc
+// contract: the steady-state warm path — shard lock, drain of the due
+// completion into layer 1, fast-channel claim, L3 reuse, platform.Track
+// — performs zero heap allocations per request.
 func TestGatewayWarmSteadyStateAllocs(t *testing.T) {
 	var vc vclock
 	fns := testFunctions()
@@ -439,7 +439,7 @@ func TestGatewayWarmSteadyStateAllocs(t *testing.T) {
 		warm() // reach steady state: container cycles through the fast layer
 	}
 	if g.Stats().FastHits == 0 {
-		t.Fatal("warm-up never reached the fast path")
+		t.Fatal("warm-up never reached layer 1")
 	}
 	allocs := testing.AllocsPerRun(300, warm)
 	if allocs != 0 {
@@ -730,18 +730,83 @@ func TestGatewayCompletionAtArrivalRunsAfterIt(t *testing.T) {
 }
 
 // TestGatewayReportsServedInstant: an arrival behind its shard's clock
-// is served at the clock, and virtual_time_ms says so.
+// is served at the clock, and virtual_time_ms says so, for a layer-1
+// claim too. Each input is a request script on fresh gateways.
 func TestGatewayReportsServedInstant(t *testing.T) {
-	for name, h := range invokeHandlers(t) {
-		for _, c := range []struct{ body, want string }{
-			{`{"fn_id":1,"at_ms":50000}`, `"virtual_time_ms":50000`},
-			{`{"fn_id":1,"at_ms":1000}`, `"virtual_time_ms":50000`},
-		} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(c.body)))
-			if !strings.Contains(rec.Body.String(), c.want) {
-				t.Errorf("%s, %s: answered %s, want %s", name, c.body, rec.Body.String(), c.want)
+	// Functions 4 and 5 share a shard at the default 16 shards
+	// (TestGatewayShardRounding). 4 starts cold at 0; 5's drain, 10 s
+	// after 4 completes, parks 4's container in layer 1; 4 then arrives
+	// 1 s after its completion, behind the shard clock.
+	a := testFunctions()[3]
+	done := (a.ColdStartTime() + a.Exec).Milliseconds()
+	for _, script := range [][]struct {
+		fnID           int
+		atMS, servedMS int64
+	}{
+		{{1, 50000, 50000}, {1, 1000, 50000}},
+		{{4, 0, 0}, {5, done + 10000, done + 10000}, {4, done + 1000, done + 10000}},
+	} {
+		for name, h := range invokeHandlers(t) {
+			for _, c := range script {
+				body := fmt.Sprintf(`{"fn_id":%d,"at_ms":%d}`, c.fnID, c.atMS)
+				want := fmt.Sprintf(`"virtual_time_ms":%d`, c.servedMS)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(body)))
+				if !strings.Contains(rec.Body.String(), want) {
+					t.Errorf("%s, %s: answered %s, want %s", name, body, rec.Body.String(), want)
+				}
 			}
+		}
+	}
+}
+
+// TestGatewayFastLayerOverrunsShare pins the layer-1 memory overrun
+// (ROADMAP items 5(c) and 12): parkFast checks parked plus pooled
+// memory against the shard's share only when it parks, and the pool
+// then fills to the full share on its own, so pool_used_mb, which
+// includes fast_parked_mb, exceeds one share but never two.
+func TestGatewayFastLayerOverrunsShare(t *testing.T) {
+	const share = 2000
+	var vc vclock
+	fns := testFunctions()
+	g := testGateway(t, GatewayConfig{Functions: fns, Clock: vc.Clock, Shards: 1, PoolCapacityMB: share})
+	rng := rand.New(rand.NewSource(1))
+	peak := 0.0
+	for i := 0; i < 3000; i++ {
+		vc.Set(time.Duration(i) * 200 * time.Millisecond)
+		if _, _, err := g.Do(fns[rng.Intn(len(fns))].ID, -1, 0); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, g.Stats().PoolUsedMB)
+	}
+	t.Logf("peak pool_used_mb %v on a %d MB share", peak, share)
+	if peak <= share || peak > 2*share {
+		t.Fatalf("peak pool_used_mb %v, want within (%d, %d]", peak, share, 2*share)
+	}
+}
+
+// TestGatewayMetricsOneGeneration: /metrics reads the gateway series
+// and the observed shard's series off one generation, so a generation
+// written after a Reset still reads its own counters in both.
+func TestGatewayMetricsOneGeneration(t *testing.T) {
+	var vc vclock
+	fns := testFunctions()
+	g := testGateway(t, simConfig(GatewayConfig{Functions: fns, Clock: vc.Clock}))
+	for i := 0; i < 7; i++ {
+		vc.Set(time.Duration(i) * time.Second)
+		if _, _, err := g.Do(fns[i].ID, -1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := g.state.Load()
+	g.Reset()
+	var buf bytes.Buffer
+	if err := old.writeMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mlcr_gateway_invocations_total 7", "mlcr_invocations_total 7"} {
+		if !strings.Contains(buf.String(), "\n"+want+"\n") {
+			t.Errorf("old generation's metrics lack %q:\n%s", want, buf.String())
 		}
 	}
 }

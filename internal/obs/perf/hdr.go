@@ -92,28 +92,6 @@ func (h *HDR) Record(v int64) {
 	h.sum += v
 }
 
-// RecordN adds n occurrences of the same value in O(1) — equivalent to
-// calling Record(v) n times. Callers that count repeats of one known
-// value with an atomic counter (the gateway's lock-free L3 fast path)
-// use it to fold the count into a histogram at scrape time.
-func (h *HDR) RecordN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bucketIndex(v)] += n
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count += int64(n)
-	h.sum += v * int64(n)
-}
-
 // RecordDuration records a duration in nanoseconds.
 func (h *HDR) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 

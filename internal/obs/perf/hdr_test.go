@@ -127,32 +127,6 @@ func TestHDRMergeEqualsUnion(t *testing.T) {
 	}
 }
 
-// TestHDRRecordNEqualsRepeatedRecord pins RecordN(v, n) bit-identical
-// to n Record(v) calls, including against a pre-populated histogram.
-func TestHDRRecordNEqualsRepeatedRecord(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a, b := &HDR{}, &HDR{}
-	for i := 0; i < 200; i++ {
-		v := rng.Int63n(1 << 40)
-		n := uint64(rng.Intn(5)) // includes the n=0 no-op
-		a.RecordN(v, n)
-		for k := uint64(0); k < n; k++ {
-			b.Record(v)
-		}
-	}
-	if *a != *b {
-		t.Fatalf("RecordN diverges from repeated Record: count %d vs %d, sum %d vs %d",
-			a.Count(), b.Count(), a.Sum(), b.Sum())
-	}
-	a.RecordN(-7, 3) // negatives clamp to zero, as in Record
-	b.Record(-7)
-	b.Record(-7)
-	b.Record(-7)
-	if *a != *b {
-		t.Fatal("RecordN negative clamping diverges from Record")
-	}
-}
-
 // TestHDRExactBelowSubCount: values under subCount occupy exact
 // buckets, so their quantiles are exact.
 func TestHDRExactBelowSubCount(t *testing.T) {

@@ -305,19 +305,14 @@ func (p *Platform) step(inv *workload.Invocation) Result {
 // Retire runs, in completion order, every completion due strictly
 // before due; equal instants retire in start order. It is the one
 // completion loop: step and a gateway shard pass the arrival, Drain
-// passes no bound. park,
-// when non-nil, is offered each finished container before the pool, and
-// a container it keeps never enters the pool (the gateway's lock-free
-// layer takes exact re-hits this way). Retire returns the earliest
-// completion still pending, math.MaxInt64 when there is none.
-func (p *Platform) Retire(due time.Duration, park func(*container.Container) bool) time.Duration {
-	for p.busy.Len() > 0 {
-		if next := p.busy.Next(); next >= due {
-			return next
-		}
+// passes no bound. park, when non-nil, is offered each finished
+// container before the pool, and a container it keeps never enters the
+// pool (a gateway shard parks exact re-hits in its layer-1 fast
+// channels this way).
+func (p *Platform) Retire(due time.Duration, park func(*container.Container) bool) {
+	for p.busy.Len() > 0 && p.busy.Next() < due {
 		p.retire(park)
 	}
-	return math.MaxInt64
 }
 
 // retire runs the earliest completion: the clock moves to it unless it
@@ -335,12 +330,29 @@ func (p *Platform) retire(park func(*container.Container) bool) {
 	sp.End()
 }
 
-// Track makes the platform responsible for a busy container it did not
-// schedule itself — one the gateway's lock-free layer reused — so that
-// its memory counts as running and it retires like any other.
-func (p *Platform) Track(c *container.Container, fn *workload.Function) {
+// Track records an invocation the platform did not schedule itself —
+// one a gateway shard served from its layer-1 fast channel, c already
+// reused for inv with outcome res: the clock moves to the arrival, the
+// sample counts in the results, c's memory counts as running and c
+// retires like any other busy container. The scheduler never sees it:
+// Env's Seen, PrevArrival and Rate stay as they were.
+func (p *Platform) Track(c *container.Container, inv *workload.Invocation, res Result) {
+	p.now = max(p.now, inv.Arrival)
+	p.record(inv, res)
 	p.addRunning(c)
-	p.busy.Push(c.BusyUntil, finishRec{c: c, fn: fn})
+	p.busy.Push(c.BusyUntil, finishRec{c: c, fn: inv.Fn})
+}
+
+// record adds one invocation's outcome to the run's metrics.
+func (p *Platform) record(inv *workload.Invocation, res Result) {
+	p.res.Metrics.Record(metrics.Sample{
+		Seq:     inv.Seq,
+		FnID:    inv.Fn.ID,
+		Arrival: inv.Arrival,
+		Startup: res.Startup.Total(),
+		Cold:    res.Cold,
+		Level:   int(res.Level),
+	})
 }
 
 // addRunning counts a busy container's memory as running, with the
@@ -410,14 +422,7 @@ func (p *Platform) arrive(inv *workload.Invocation) Result {
 	p.addRunning(c)
 
 	res := Result{ContainerID: c.ID, Cold: s.Cold, Level: lvl, Startup: s}
-	p.res.Metrics.Record(metrics.Sample{
-		Seq:     inv.Seq,
-		FnID:    inv.Fn.ID,
-		Arrival: inv.Arrival,
-		Startup: s.Total(),
-		Cold:    s.Cold,
-		Level:   int(lvl),
-	})
+	p.record(inv, res)
 	if p.obs.Tracing() {
 		p.observeDecision(inv, now, choice, c, s, lvl)
 	}

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -474,10 +473,11 @@ func TestCompletionAtArrivalRunsAfterIt(t *testing.T) {
 }
 
 // TestRetireTrackPark drives the platform the way a gateway shard does:
-// container IDs come from Config.NewID, a tracked container counts as
-// running and retires like a scheduled one, a completion older than the
-// clock does not move it back, park keeps a finished container out of
-// the pool, and Retire returns the next pending completion.
+// container IDs come from Config.NewID, a tracked invocation counts in
+// the results but not in what the scheduler sees, its container counts
+// as running and retires like a scheduled one, a completion older than
+// the clock does not move it back, park keeps a finished container out
+// of the pool, and Retire leaves the completions due later pending.
 func TestRetireTrackPark(t *testing.T) {
 	f := fn(1, "debian", "python", "flask", 128)
 	p := New(Config{PoolCapacityMB: 1000, NewID: func() int { return 42 }}, alwaysCold{})
@@ -485,15 +485,26 @@ func TestRetireTrackPark(t *testing.T) {
 		t.Fatalf("cold start got container %d, want 42 from NewID", r.ContainerID)
 	}
 	done := time.Minute + f.ColdStartTime() + f.Exec
-	early, _ := container.NewCold(7, &workload.Invocation{Fn: f, Exec: f.Exec}, 0)
-	p.Track(early, f)
-	if next := p.Retire(time.Minute, nil); next != done || p.Now() != time.Minute || p.Pool().Get(7) != early {
-		t.Fatalf("Retire(1m) = %v, clock %v, pooled %v; want %v, 1m, the tracked container", next, p.Now(), p.Pool().Get(7), done)
+	tracked := &workload.Invocation{Seq: 1, Fn: f, Exec: f.Exec}
+	early, s := container.NewCold(7, tracked, 0)
+	before := p.env()
+	p.Track(early, tracked, Result{ContainerID: 7, Cold: true, Startup: s})
+	if n := p.Results().Metrics.Count(); n != 2 {
+		t.Fatalf("Metrics counts %d invocations, want 2: the tracked one counts", n)
+	}
+	if after := p.env(); after.Seen != before.Seen || after.PrevArrival != before.PrevArrival || after.Rate != before.Rate {
+		t.Fatalf("Track moved the scheduler's view: Seen %d, PrevArrival %v, Rate %v; want %d, %v, %v",
+			after.Seen, after.PrevArrival, after.Rate, before.Seen, before.PrevArrival, before.Rate)
+	}
+	p.Retire(time.Minute, nil)
+	if next := p.busy.Next(); next != done || p.Now() != time.Minute || p.Pool().Get(7) != early {
+		t.Fatalf("after Retire(1m): next pending %v, clock %v, pooled %v; want %v, 1m, the tracked container", next, p.Now(), p.Pool().Get(7), done)
 	}
 	var parked []*container.Container
 	keep := func(c *container.Container) bool { parked = append(parked, c); return true }
-	if next := p.Retire(done+1, keep); next != math.MaxInt64 || p.Now() != done {
-		t.Fatalf("Retire(done+1) = %v, clock %v; want none pending, clock %v", next, p.Now(), done)
+	p.Retire(done+1, keep)
+	if n := p.busy.Len(); n != 0 || p.Now() != done {
+		t.Fatalf("after Retire(done+1): %d pending, clock %v; want none pending, clock %v", n, p.Now(), done)
 	}
 	if len(parked) != 1 || parked[0].ID != 42 || parked[0].State != container.Idle || p.Pool().Get(42) != nil {
 		t.Fatalf("parked %v; want container 42 idle and outside the pool", parked)

@@ -37,6 +37,9 @@ else
     go test -race -short ./...
 fi
 
+echo "== gateway critical section: the concurrent gateway tests, 10 more race-enabled passes (more interleavings of the shard lock than one pass meets) =="
+go test -race -count=10 -run '^(TestGatewayConcurrentHammer|TestGatewayPolicyErrorsFallBackCold)$' ./internal/api
+
 echo "== nn row kernel: 5 s of FuzzMatMulKernel (assembly against the Go definition) =="
 go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 
