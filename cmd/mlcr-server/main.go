@@ -7,8 +7,9 @@
 //     Reproducible, but one lock.
 //   - -mode gateway: the concurrent serving path — sharded warm pool,
 //     one short critical section per request on its function's shard,
-//     with a per-function fast layer for exact L3 re-hits and (for the
-//     MLCR policy) batched DQN inference via a shared QBatcher.
+//     with a per-function fast layer for exact L3 re-hits. Under the
+//     MLCR policy each shard runs its own clone's forward passes over
+//     the model's shared frozen weights.
 //
 // Usage:
 //
@@ -42,7 +43,6 @@ import (
 	"time"
 
 	"mlcr/internal/api"
-	"mlcr/internal/drl"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/mlcr"
 	"mlcr/internal/platform"
@@ -69,13 +69,12 @@ func main() {
 	model := flag.String("model", "", "trained MLCR model path (required for -policy MLCR)")
 	poolMB := flag.Float64("pool", 4096, "warm pool capacity in MB (0 = unlimited)")
 	shards := flag.Int("shards", 16, "gateway mode: pool shards, each function placed by the by-function router")
-	batch := flag.Int("batch", 64, "max coalesced DQN inference batch (MLCR policy)")
 	traceOut := flag.String("trace-out", "", "sim mode: write the run's Chrome trace JSON here on shutdown")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus exposition-format metrics snapshot here on shutdown")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/")
 	flag.Parse()
 
-	mkSched, err := factories(*policyName, *model, *batch)
+	mkSched, err := factories(*policyName, *model)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcr-server: %v\n", err)
 		os.Exit(2)
@@ -185,10 +184,10 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 // own default evictor. For MLCR the trained model is loaded once, with
 // the configuration it was saved with, and every platform — each
 // gateway shard, and each generation POST /reset builds while requests
-// finish on the old one — gets its own Clone sharing the master's
-// weights and one QBatcher, so concurrent shards coalesce their forward
-// passes.
-func factories(name, model string, batch int) (func() platform.Scheduler, error) {
+// finish on the old one — gets its own Clone, which shares the master's
+// frozen weights and runs its forward passes in workspaces of its own,
+// so concurrent shards share no inference state.
+func factories(name, model string) (func() platform.Scheduler, error) {
 	if name != "MLCR" {
 		if _, err := policy.New(name, 0); err != nil {
 			return nil, err
@@ -202,10 +201,5 @@ func factories(name, model string, batch int) (func() platform.Scheduler, error)
 	if err != nil {
 		return nil, fmt.Errorf("load model %s: %w", model, err)
 	}
-	qb := drl.NewQBatcher(master.Agent().Online(), batch)
-	return func() platform.Scheduler {
-		s := master.Clone()
-		s.SetBatcher(qb)
-		return s
-	}, nil
+	return func() platform.Scheduler { return master.Clone() }, nil
 }

@@ -26,11 +26,11 @@ import (
 func TestModes(t *testing.T) {
 	for mode, shards := range map[string]int{"sim": 1, "gateway": 16} {
 		for _, name := range policy.Names() {
-			if mk, err := factories(name, "", 64); err != nil || mk().Name() != name {
+			if mk, err := factories(name, ""); err != nil || mk().Name() != name {
 				t.Fatalf("%s: factories(%q): %v", mode, name, err)
 			}
 		}
-		mkSched, err := factories("Greedy-Match", "", 64)
+		mkSched, err := factories("Greedy-Match", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func modelFactory(t *testing.T, s *mlcr.Scheduler) func() platform.Scheduler {
 	if err := s.Save(&buf); err != nil || os.WriteFile(path, buf.Bytes(), 0o644) != nil {
 		t.Fatal("cannot write the model", err)
 	}
-	mk, err := factories("MLCR", path, 64)
+	mk, err := factories("MLCR", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,39 +104,43 @@ func TestServesSavedConfig(t *testing.T) {
 	}
 }
 
-// TestSimModeResetUnderLoad: sim mode serves a saved MLCR model while
-// POST /reset swaps generations under concurrent /invoke. Requests still
-// finishing on the old generation run beside the new one's, so each
-// generation needs a scheduler of its own; one shared instance is a
-// data race on its featurizer and forward workspaces under -race.
+// TestSimModeResetUnderLoad: both modes serve a saved MLCR model while
+// POST /reset swaps generations under concurrent /invoke. Old and new
+// generations run side by side, and gateway mode's 16 shards decide at
+// once, so each platform gets its own clone over the shared frozen
+// weights; one shared instance races on its featurizer and forward
+// workspaces under -race. Gateway mode resets every 100 requests, not
+// 20, so its clones run ≈370 forward passes, not ≈30.
 func TestSimModeResetUnderLoad(t *testing.T) {
 	mk := modelFactory(t, mlcr.New(mlcr.Config{Dim: 8, Hidden: 16, NormMB: 4096}))
-	h, _, err := newServer("sim", api.GatewayConfig{
-		Functions: fstartbench.Functions(), PoolCapacityMB: 4096, NewScheduler: mk,
-	}, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				body := fmt.Sprintf(`{"fn_id":%d,"at_ms":%d}`, 1+(g+i)%13, i*500)
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					t.Errorf("invoke %s: status %d", body, rec.Code)
-					return
+	for mode, reset := range map[string]int{"sim": 20, "gateway": 100} { // gateway: the default 16 shards
+		h, _, err := newServer(mode, api.GatewayConfig{
+			Functions: fstartbench.Functions(), PoolCapacityMB: 4096, NewScheduler: mk,
+		}, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					body := fmt.Sprintf(`{"fn_id":%d,"at_ms":%d}`, 1+(g+i)%13, i*500)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/invoke", strings.NewReader(body)))
+					if rec.Code != http.StatusOK {
+						t.Errorf("%s: invoke %s: status %d", mode, body, rec.Code)
+						return
+					}
+					if i%reset == 0 {
+						h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/reset", nil))
+					}
 				}
-				if i%20 == 0 {
-					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/reset", nil))
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // decode reads a 200 response's JSON body into v.

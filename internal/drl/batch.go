@@ -1,149 +1,18 @@
 package drl
 
-import (
-	"sync"
-	"sync/atomic"
+// QBatcher batches nothing: each gateway shard's MLCR clone runs its
+// own forward passes. It remains only because bench/ names it; leaves
+// with ROADMAP item 26's benchmark change.
+type QBatcher struct{}
 
-	"mlcr/internal/nn"
-)
+// NewQBatcher returns the empty QBatcher. It remains only because
+// bench/ names it; leaves with ROADMAP item 26's benchmark change.
+func NewQBatcher(*QNetwork, int) *QBatcher { return &QBatcher{} }
 
-// BatchToken is one caller's registration with a QBatcher. Tokens are
-// reusable: a caller (one goroutine at a time) allocates one token up
-// front and passes it to every ForwardInto call, so the steady-state
-// batched-inference path allocates nothing. A token must not be shared
-// by concurrent callers.
-type BatchToken struct {
-	x    *nn.Tensor
-	dst  *nn.Tensor
-	done chan struct{}
-}
+// Requests reads 0. It remains only because bench/ names it; leaves
+// with ROADMAP item 26's benchmark change.
+func (*QBatcher) Requests() int64 { return 0 }
 
-// NewBatchToken allocates a reusable batching token.
-func NewBatchToken() *BatchToken {
-	return &BatchToken{done: make(chan struct{}, 1)}
-}
-
-// QBatcher coalesces concurrent inference requests against one shared
-// Q-network into batched forward passes, amortizing the per-decision
-// synchronization that a plain mutex around the network would pay.
-//
-// It is a group-commit (leader/follower) design with no timers — the
-// flush latency bound is structural, not clock-driven: a request waits
-// at most one in-flight batch. Each caller enqueues its state and then
-// competes for the inference lock; whoever acquires it becomes the
-// leader, drains the queue (up to MaxBatch) and runs the whole batch
-// through the network in one ForwardBatchInto call while later
-// arrivals pile up behind the lock and into the next batch. Followers
-// whose result was computed by a leader return without ever touching
-// the network. Under load, batch size grows toward the concurrency
-// level and the per-request synchronization cost shrinks accordingly;
-// with a single caller every "batch" has size one and the path
-// degenerates to a mutexed ForwardInto.
-//
-// Results are bit-identical to sequential ForwardInto calls: the
-// leader runs member states back-to-back through the network's single
-// reused workspace, and a forward pass depends only on the weights and
-// the input, never on workspace residue (the PR 3 hot-path contract).
-type QBatcher struct {
-	net      *QNetwork
-	maxBatch int
-
-	qmu   sync.Mutex // guards queue
-	queue []*BatchToken
-
-	imu   sync.Mutex    // inference lock: held by the current leader
-	batch []*BatchToken // leader's drain scratch, guarded by imu
-
-	requests atomic.Int64
-	batches  atomic.Int64
-	maxSeen  atomic.Int64
-}
-
-// NewQBatcher wraps net for concurrent batched inference. maxBatch
-// bounds one flush (<= 0 means 64); a bound keeps the tail latency of
-// a follower proportional to maxBatch forward passes even under
-// unbounded queue growth.
-func NewQBatcher(net *QNetwork, maxBatch int) *QBatcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	return &QBatcher{net: net, maxBatch: maxBatch}
-}
-
-// ForwardInto computes Q-values for state x into dst (grown when
-// needed) through the shared network, batching with whatever other
-// requests are in flight. t must be this caller's own reusable token.
-// The returned tensor is caller-owned, valid until the caller's next
-// ForwardInto with the same dst.
-func (b *QBatcher) ForwardInto(t *BatchToken, dst, x *nn.Tensor) *nn.Tensor {
-	t.x, t.dst = x, dst
-	b.qmu.Lock()
-	b.queue = append(b.queue, t)
-	b.qmu.Unlock()
-	b.requests.Add(1)
-	for {
-		select {
-		case <-t.done: // a leader served this request
-			t.x = nil
-			return t.dst
-		default:
-		}
-		b.imu.Lock()
-		select {
-		case <-t.done: // served while waiting to lead
-			b.imu.Unlock()
-			t.x = nil
-			return t.dst
-		default:
-		}
-		b.flushLocked()
-		b.imu.Unlock()
-	}
-}
-
-// flushLocked drains up to maxBatch queued requests and serves them in
-// one batched forward pass. Caller holds imu.
-func (b *QBatcher) flushLocked() {
-	b.qmu.Lock()
-	n := len(b.queue)
-	if n > b.maxBatch {
-		n = b.maxBatch
-	}
-	b.batch = b.batch[:0]
-	for i := 0; i < n; i++ {
-		b.batch = append(b.batch, b.queue[i])
-	}
-	rest := copy(b.queue, b.queue[n:])
-	for i := rest; i < len(b.queue); i++ {
-		b.queue[i] = nil
-	}
-	b.queue = b.queue[:rest]
-	b.qmu.Unlock()
-	if n == 0 {
-		return
-	}
-	b.net.ForwardBatchInto(b.batch)
-	for _, r := range b.batch {
-		r.done <- struct{}{}
-	}
-	b.batches.Add(1)
-	for {
-		seen := b.maxSeen.Load()
-		if int64(n) <= seen || b.maxSeen.CompareAndSwap(seen, int64(n)) {
-			break
-		}
-	}
-}
-
-// Requests is the total number of ForwardInto calls served.
-func (b *QBatcher) Requests() int64 { return b.requests.Load() }
-
-// Batches is the number of flushes run; Requests/Batches is the mean
-// amortization factor.
-func (b *QBatcher) Batches() int64 { return b.batches.Load() }
-
-// MaxBatchSeen is the largest single flush so far.
-func (b *QBatcher) MaxBatchSeen() int64 { return b.maxSeen.Load() }
-
-// MaxBatch is the configured per-flush bound.
-func (b *QBatcher) MaxBatch() int { return b.maxBatch }
+// Batches reads 0. It remains only because bench/ names it; leaves
+// with ROADMAP item 26's benchmark change.
+func (*QBatcher) Batches() int64 { return 0 }

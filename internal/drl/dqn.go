@@ -69,10 +69,10 @@ func LoadAgent(q QConfig, r io.Reader) (*Agent, error) {
 	return a, nil
 }
 
-// Online exposes the online Q-network — the weights a QBatcher shares
-// across concurrent inference clients. They are frozen while served:
-// nothing outside a Learner writes them, and a Learner writes only its
-// own copy.
+// Online exposes the online Q-network. Its weights are the ones every
+// Clone shares, one clone per concurrent inference client, and they are
+// frozen while served: nothing outside a Learner writes them, and a
+// Learner writes only its own copy.
 func (a *Agent) Online() *QNetwork { return a.online }
 
 // Updates returns the number of gradient updates applied.

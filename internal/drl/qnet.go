@@ -80,24 +80,14 @@ func (q *QNetwork) Backward(dq *nn.Tensor) {
 // needed), so the result stays valid across subsequent forward passes.
 // Unlike Forward, the returned tensor is owned by the caller, not by the
 // network's internal workspace. Steady-state calls allocate nothing.
+// Not safe for concurrent use, since it writes the network's
+// workspaces: concurrent callers each run their own Agent.Clone, whose
+// network shares these weights and owns its workspaces.
 func (q *QNetwork) ForwardInto(dst *nn.Tensor, state *nn.Tensor) *nn.Tensor {
 	out := q.net.Forward(state)
 	dst = nn.EnsureTensor(dst, out.Rows, out.Cols)
 	nn.CopyInto(dst, out)
 	return dst
-}
-
-// ForwardBatchInto runs the inference forward pass for every token in
-// reqs back-to-back through the network's single reused workspace,
-// writing each result into the token's caller-owned dst. One call
-// serves a whole QBatcher flush; each member's result is bit-identical
-// to a standalone ForwardInto on its state (a forward pass depends
-// only on weights and input). Not safe for concurrent use — the
-// QBatcher's inference lock serializes callers.
-func (q *QNetwork) ForwardBatchInto(reqs []*BatchToken) {
-	for _, r := range reqs {
-		r.dst = q.ForwardInto(r.dst, r.x)
-	}
 }
 
 // MaskedArgmax returns the valid action with the highest Q-value and that

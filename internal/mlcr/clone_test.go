@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mlcr/internal/drl"
 	"mlcr/internal/evict"
 	"mlcr/internal/fstartbench"
 	"mlcr/internal/platform"
@@ -147,7 +146,7 @@ func TestSharedClonesReplayConcurrently(t *testing.T) {
 
 // liveHeap returns the bytes of live heap objects after two full
 // collections: after New, one collection reads ≈38 KB more than a
-// second, twice a batched clone's bound.
+// second, twice a fresh clone's bound.
 func liveHeap() int64 {
 	runtime.GC()
 	runtime.GC()
@@ -157,24 +156,21 @@ func liveHeap() int64 {
 }
 
 // TestServingSchedulerHeap: a served scheduler is a featurizer and the
-// workspaces of one forward pass over weights it shares. A clone with a
-// batcher attached that never runs holds next to nothing, an unbatched
-// clone after a replay holds its workspaces and no weights, and the
-// scheduler Train leaves holds the weights of one Q-network (≈99 KB at
-// the default Config; ≈205 KB when it kept the learner's gradient
-// buffers) but no gradient, target network, Adam moments, replay pool
-// or backward workspaces. The trained bound leaves ≈29 KB over that
+// workspaces of one forward pass over weights it shares. A fresh clone
+// that has not run holds next to nothing, a clone after a replay holds
+// its workspaces and no weights, and the scheduler Train leaves holds
+// the weights of one Q-network (≈99 KB at the default Config; ≈205 KB
+// when it kept the learner's gradient buffers) but no gradient, target
+// network, Adam moments, replay pool or backward workspaces. The trained bound leaves ≈29 KB over that
 // reading for allocator size classes and GC timing.
 func TestServingSchedulerHeap(t *testing.T) {
-	const batchedBound, replayedBound, trainedBound = 16 << 10, 48 << 10, 128 << 10
+	const freshBound, replayedBound, trainedBound = 16 << 10, 48 << 10, 128 << 10
 	master := New(Config{Seed: 1})
-	qb := drl.NewQBatcher(master.Agent().Online(), 0)
 	before := liveHeap()
 	c := master.Clone()
-	c.SetBatcher(qb)
-	batched := liveHeap() - before
-	if batched > batchedBound {
-		t.Errorf("a batched clone of a default model holds %d KB live, want <= %d KB", batched>>10, batchedBound>>10)
+	fresh := liveHeap() - before
+	if fresh > freshBound {
+		t.Errorf("a fresh clone of a default model holds %d KB live, want <= %d KB", fresh>>10, freshBound>>10)
 	}
 	runtime.KeepAlive(c)
 
@@ -186,7 +182,7 @@ func TestServingSchedulerHeap(t *testing.T) {
 	}
 	replayed := liveHeap() - before
 	if replayed > replayedBound {
-		t.Errorf("an unbatched clone after a %d-invocation replay holds %d KB live, want <= %d KB",
+		t.Errorf("a clone after a %d-invocation replay holds %d KB live, want <= %d KB",
 			len(w.Invocations), replayed>>10, replayedBound>>10)
 	}
 	runtime.KeepAlive(c)
@@ -203,6 +199,6 @@ func TestServingSchedulerHeap(t *testing.T) {
 	if n > trainedBound {
 		t.Errorf("a trained default model holds %d KB live, want <= %d KB", n>>10, trainedBound>>10)
 	}
-	t.Logf("live heap: batched clone %d B, replayed clone %d B, trained model %d B", batched, replayed, n)
+	t.Logf("live heap: fresh clone %d B, replayed clone %d B, trained model %d B", fresh, replayed, n)
 	runtime.KeepAlive(s)
 }

@@ -10,9 +10,10 @@ import (
 	"time"
 
 	"mlcr/internal/container"
-	"mlcr/internal/drl"
 	"mlcr/internal/evict"
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/obs"
+	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 	"mlcr/internal/pool"
@@ -20,15 +21,25 @@ import (
 	"mlcr/internal/workload"
 )
 
+// countingProfiler is a profiler on a tick clock; its PhaseNNForward
+// span count is the number of forward passes the scheduler it is
+// attached to has run.
+func countingProfiler() *perf.Profiler {
+	var tick time.Duration
+	return perf.New(func() time.Duration { tick++; return tick })
+}
+
+// forwards is the number of forward passes prof has timed.
+func forwards(prof *perf.Profiler) int64 { return prof.Phase(perf.PhaseNNForward).Count() }
+
 // TestForcedColdSkipsForward: when no candidate survives the mask the
 // only legal action is the cold start, so Schedule must not spend a
-// forward pass on it — neither on its own agent nor on a shared
-// QBatcher — while a decision with a real candidate still makes exactly
-// one request.
+// forward pass on it, while a decision with a real candidate still runs
+// exactly one.
 func TestForcedColdSkipsForward(t *testing.T) {
 	s := New(smallCfg(21))
-	b := drl.NewQBatcher(s.Agent().Online(), 0)
-	s.SetBatcher(b)
+	prof := countingProfiler()
+	s.SetProfiler(prof)
 	f := fn(1, "debian", "python", "flask", 300*time.Millisecond)
 	p := pool.New(1024, evict.NewLRU())
 	inv := &workload.Invocation{Fn: f, Arrival: time.Second, Exec: f.Exec}
@@ -36,8 +47,8 @@ func TestForcedColdSkipsForward(t *testing.T) {
 	if got := s.Schedule(platform.Env{Now: time.Second, Pool: p}, inv); got != platform.ColdStart {
 		t.Fatalf("empty pool: Schedule = %d, want ColdStart", got)
 	}
-	if n := b.Requests(); n != 0 {
-		t.Fatalf("forced cold start made %d batcher requests, want 0", n)
+	if n := forwards(prof); n != 0 {
+		t.Fatalf("forced cold start ran %d forward passes, want 0", n)
 	}
 
 	c, startup := container.NewCold(7, inv, time.Second)
@@ -49,8 +60,8 @@ func TestForcedColdSkipsForward(t *testing.T) {
 	if got := s.Schedule(platform.Env{Now: 3 * time.Second, PrevArrival: time.Second, Pool: p}, inv2); got != c.ID {
 		t.Fatalf("one L3 candidate: Schedule = %d, want container %d", got, c.ID)
 	}
-	if n := b.Requests(); n != 1 {
-		t.Fatalf("decision with a candidate made %d batcher requests, want exactly 1", n)
+	if n := forwards(prof); n != 1 {
+		t.Fatalf("decision with a candidate ran %d forward passes, want exactly 1", n)
 	}
 }
 
@@ -98,21 +109,23 @@ func TestForcedColdKeepsTrainingStream(t *testing.T) {
 }
 
 // qRecorder hashes the IEEE bits of every Q-vector its scheduler
-// computes: the scheduler serves its forward passes through a QBatcher,
-// so a request counted by the batcher is one Q-vector left in s.bq.
+// computes. The run's profiler counts the scheduler's forward passes, so
+// a decision that ran one has its Q-vector recomputed from the same
+// state and hashed; the pool is as Schedule saw it until the platform
+// acts on the answer.
 type qRecorder struct {
 	*Scheduler
-	b       *drl.QBatcher
+	prof    *perf.Profiler
 	h       hash.Hash
 	vectors int
 }
 
 func (r *qRecorder) Schedule(env platform.Env, inv *workload.Invocation) int {
-	before := r.b.Requests()
+	before := forwards(r.prof)
 	id := r.Scheduler.Schedule(env, inv)
-	if r.b.Requests() != before {
+	if forwards(r.prof) != before {
 		var buf [8]byte
-		for _, v := range r.bq.Data {
+		for _, v := range r.agent.QValues(r.feat.Build(env, inv).X).Data {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			r.h.Write(buf[:])
 		}
@@ -135,14 +148,13 @@ func TestQValuesPinned(t *testing.T) {
 		parentVectorsCount = 1906
 	)
 	s := trainedOnOverall(31)
-	b := drl.NewQBatcher(s.Agent().Online(), 0)
-	s.SetBatcher(b)
-	rec := &qRecorder{Scheduler: s, b: b, h: sha256.New()}
+	rec := &qRecorder{Scheduler: s, prof: countingProfiler(), h: sha256.New()}
 
 	w := fstartbench.BuildOverall(6, fstartbench.OverallOptions{Count: 2000})
 	lru := policy.NewLRU()
 	loose := platform.New(platform.Config{Evictor: lru.Evictor()}, lru).Run(w).PeakAliveMB
-	res := platform.New(platform.Config{PoolCapacityMB: 0.2 * loose, Evictor: s.Evictor()}, rec).Run(w)
+	res := platform.New(platform.Config{PoolCapacityMB: 0.2 * loose, Evictor: s.Evictor(),
+		Obs: &obs.Observer{Perf: rec.prof}}, rec).Run(w)
 
 	q := fmt.Sprintf("%x", rec.h.Sum(nil))
 	fp := fmt.Sprintf("%x", sha256.Sum256([]byte(runner.Fingerprint(res))))

@@ -23,7 +23,6 @@ import (
 
 	"mlcr/internal/drl"
 	"mlcr/internal/evict"
-	"mlcr/internal/nn"
 	"mlcr/internal/obs/perf"
 	"mlcr/internal/platform"
 	"mlcr/internal/pool"
@@ -164,10 +163,9 @@ func (c Config) check() error {
 }
 
 // Scheduler is the MLCR container scheduler as it is served: the
-// featurizer, a Q-network over frozen weights that its clones share (or
-// a QBatcher running a shared network instead) and the deviation-margin
-// gate. It implements platform.Scheduler. It holds no training state:
-// Train builds that for the length of one call.
+// featurizer, a Q-network over frozen weights that its clones share and
+// the deviation-margin gate. It implements platform.Scheduler. It holds
+// no training state: Train builds that for the length of one call.
 type Scheduler struct {
 	cfg   Config
 	feat  *drl.Featurizer
@@ -176,13 +174,6 @@ type Scheduler struct {
 	// run (set via SetProfiler by the platform's observability wiring;
 	// per-run like the rest of the scheduler's mutable state).
 	prof *perf.Profiler
-	// batcher, when non-nil, routes forward passes through a shared
-	// QBatcher instead of this scheduler's own agent — the concurrent
-	// gateway's amortization seam (SetBatcher). btok/bq are this
-	// scheduler's reusable token and result buffer.
-	batcher *drl.QBatcher
-	btok    *drl.BatchToken
-	bq      *nn.Tensor
 }
 
 // SetProfiler attaches the run's phase profiler so Schedule can time
@@ -190,19 +181,10 @@ type Scheduler struct {
 // through the perf-aware scheduler interface; nil detaches.
 func (s *Scheduler) SetProfiler(p *perf.Profiler) { s.prof = p }
 
-// SetBatcher routes this scheduler's forward passes through a shared
-// QBatcher — typically wrapping the master model's online network
-// (Agent().Online()) while per-shard clones read the same weights, so
-// batched Q-values and hence decisions are bit-identical to each
-// clone's own sequential inference. Train decides through a scheduler
-// of its own, so a batcher never serves a model while it trains. Nil
-// detaches.
-func (s *Scheduler) SetBatcher(b *drl.QBatcher) {
-	s.batcher = b
-	if b != nil && s.btok == nil {
-		s.btok = drl.NewBatchToken()
-	}
-}
+// SetBatcher does nothing: a clone runs its own forward passes. It
+// remains only because bench/ names it; leaves with ROADMAP item 26's
+// benchmark change.
+func (*Scheduler) SetBatcher(*drl.QBatcher) {}
 
 // New creates an MLCR scheduler with randomly initialized weights; call
 // Train before using it for real scheduling, or build a trained one
@@ -271,13 +253,7 @@ func (s *Scheduler) decide(state drl.State) int {
 		return 0
 	}
 	sp := s.prof.Start(perf.PhaseNNForward)
-	var q *nn.Tensor
-	if s.batcher != nil {
-		s.bq = s.batcher.ForwardInto(s.btok, s.bq, state.X)
-		q = s.bq
-	} else {
-		q = s.agent.QValues(state.X)
-	}
+	q := s.agent.QValues(state.X)
 	sp.End()
 	best, bestV := drl.MaskedArgmax(q, state.Mask)
 	if s.cfg.DeviationMargin >= 0 && best != 0 && bestV < q.Data[0]+s.cfg.DeviationMargin {
@@ -301,7 +277,7 @@ func (s *Scheduler) containerOf(state drl.State, action int) int {
 
 // Clone returns a scheduler over the same frozen weights, with the same
 // configuration (including the current deviation margin) and fresh
-// workspaces; it carries no batcher or profiler. Inference through a
+// workspaces; it carries no profiler. Inference through a
 // scheduler mutates its workspaces — the featurizer's and the network's
 // forward-pass buffers — so a trained model evaluated by concurrent runs
 // is cloned once per run, and the clones read one copy of the weights.

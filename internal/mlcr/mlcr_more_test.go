@@ -7,6 +7,7 @@ import (
 
 	"mlcr/internal/drl"
 	"mlcr/internal/fstartbench"
+	"mlcr/internal/obs"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
 	"mlcr/internal/workload"
@@ -79,17 +80,17 @@ func TestInfiniteMarginSkipsForward(t *testing.T) {
 	cfg := smallCfg(8)
 	cfg.DeviationMargin = math.Inf(1)
 	s := New(cfg) // untrained: its argmax deviates from slot 0 often
-	b := drl.NewQBatcher(s.Agent().Online(), 0)
-	s.SetBatcher(b)
 	g := &gateOracle{Scheduler: s, t: t}
 	w := fstartbench.BuildOverall(3, fstartbench.OverallOptions{Count: 200})
-	res := platform.New(platform.Config{PoolCapacityMB: 512, Evictor: s.Evictor()}, g).Run(w)
+	prof := countingProfiler()
+	res := platform.New(platform.Config{PoolCapacityMB: 512, Evictor: s.Evictor(),
+		Obs: &obs.Observer{Perf: prof}}, g).Run(w)
 	if res.Metrics.WarmStarts() == 0 || g.deviations == 0 {
 		t.Fatalf("%d warm starts, %d decisions the gate overrode; the test is vacuous",
 			res.Metrics.WarmStarts(), g.deviations)
 	}
-	if n := b.Requests(); n != 0 {
-		t.Fatalf("a +Inf margin sent %d forward passes to the batcher, want 0", n)
+	if n := forwards(prof); n != 0 {
+		t.Fatalf("a +Inf margin ran %d forward passes, want 0", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mlcr/internal/drl"
 	"mlcr/internal/image"
 	"mlcr/internal/platform"
 	"mlcr/internal/policy"
@@ -227,39 +226,5 @@ func TestInferenceDeterministic(t *testing.T) {
 	b := platform.New(platform.Config{PoolCapacityMB: 500, Evictor: s.Evictor()}, s).Run(w)
 	if a.Metrics.TotalStartup() != b.Metrics.TotalStartup() {
 		t.Fatal("greedy inference not deterministic")
-	}
-}
-
-// TestBatchedInferenceMatchesSequential pins the serving-path
-// equivalence contract end to end: a clone whose forward passes run
-// through a shared QBatcher (wrapping the master's online network, as
-// the gateway wires it) replays a workload with decision-for-decision
-// identical outcomes to a plain sequential clone.
-func TestBatchedInferenceMatchesSequential(t *testing.T) {
-	f1 := fn(1, "debian", "python", "flask", 300*time.Millisecond)
-	f2 := fn(2, "debian", "python", "numpy", 500*time.Millisecond)
-	f3 := fn(3, "alpine", "node", "express", 200*time.Millisecond)
-	w := seq([]*workload.Function{f1, f2, f3, f1, f2, f1, f3, f2, f1, f1}, 3*time.Second)
-	master := New(smallCfg(23))
-	master.Train(TrainOptions{Episodes: 4, PoolCapacityMB: 500,
-		Workload: func(int) workload.Workload { return w }})
-
-	seqClone := master.Clone()
-	batClone := master.Clone()
-	batClone.SetBatcher(drl.NewQBatcher(master.Agent().Online(), 8))
-
-	a := platform.New(platform.Config{PoolCapacityMB: 500, Evictor: seqClone.Evictor()}, seqClone).Run(w)
-	b := platform.New(platform.Config{PoolCapacityMB: 500, Evictor: batClone.Evictor()}, batClone).Run(w)
-	as, bs := a.Metrics.Samples(), b.Metrics.Samples()
-	if len(as) != len(bs) {
-		t.Fatalf("sample counts differ: %d vs %d", len(as), len(bs))
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			t.Fatalf("decision %d differs: sequential %+v vs batched %+v", i, as[i], bs[i])
-		}
-	}
-	if a.Metrics.TotalStartup() != b.Metrics.TotalStartup() {
-		t.Fatal("batched inference changed total startup")
 	}
 }

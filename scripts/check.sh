@@ -40,6 +40,9 @@ fi
 echo "== gateway critical section: the concurrent gateway tests, 10 more race-enabled passes (more interleavings of the shard lock than one pass meets) =="
 go test -race -count=10 -run '^(TestGatewayConcurrentHammer|TestGatewayPolicyErrorsFallBackCold)$' ./internal/api
 
+echo "== concurrent inference: TestSimModeResetUnderLoad, 10 more race-enabled passes (16 gateway shards' MLCR clones run forward passes at once on shared weights, with no inference lock between them) =="
+go test -race -count=10 -run '^TestSimModeResetUnderLoad$' ./cmd/mlcr-server
+
 echo "== nn row kernel: 5 s of FuzzMatMulKernel (assembly against the Go definition) =="
 go test -run '^$' -fuzz '^FuzzMatMulKernel$' -fuzztime 5s ./internal/nn
 
